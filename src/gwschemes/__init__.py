@@ -19,7 +19,7 @@ by a real quadratic surd where needed), eigenmatrices P and Q with their
 duality, and symmetrizing fusions with explicit certificates.
 """
 
-from .errors import GWError, NotAScheme, SymmetryObstruction, VerificationError
+from .errors import GWError, InputError, NotAScheme, SymmetryObstruction, VerificationError
 from .algebra import CycField, CycScalar, FiniteField, squarefree_core
 from .designs import (
     BLANK,
@@ -68,6 +68,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GWError",
+    "InputError",
     "NotAScheme",
     "SymmetryObstruction",
     "VerificationError",

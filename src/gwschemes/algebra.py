@@ -13,7 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -182,6 +185,35 @@ class CycField:
         if self.radicand == 1:
             return f"CycField(conductor={self.M})"
         return f"CycField(conductor={self.M}, radicand={self.radicand})"
+
+    # -- integer tensors over the Q-basis e_0..e_{D-1} of the field: zeta^0..
+    # zeta^{deg-1}, then sqrt(d) times the same powers when d > 1 --
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """mult[r, s, t] with e_r e_s = sum_t mult[r, s, t] e_t."""
+        deg, M = self.deg, self.M
+        D = deg if self.d == 1 else 2 * deg
+        mult = np.zeros((D, D, D), dtype=np.int64)
+        for r in range(deg):
+            for s in range(deg):
+                mult[r, s, :deg] = self._zeta_pow[(r + s) % M]
+        if D > deg:
+            mult[deg:, :deg, deg:] = mult[:deg, :deg, :deg]
+            mult[:deg, deg:, deg:] = mult[:deg, :deg, :deg]
+            mult[deg:, deg:, :deg] = self.d * mult[:deg, :deg, :deg]
+        return mult
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """conj[r, t] with conj(e_r) = sum_t conj[r, t] e_t."""
+        deg = self.deg
+        conj = np.zeros(self.structure.shape[:2], dtype=np.int64)
+        for r in range(deg):
+            conj[r, :deg] = self._zeta_pow[-r % self.M]
+        if len(conj) > deg:
+            conj[deg:, deg:] = conj[:deg, :deg]
+        return conj
 
     # -- component arithmetic (integer numerator vectors + denominator) --
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 precondition
-failure (parameters that admit no construction).
+Exit codes: 0 success, 1 usage error or malformed input file, 2 verification
+failure, 3 precondition failure (parameters that admit no construction).
 
 When --out is a relative path and the environment variable GWSCHEMES_OUTDIR
 is set, output files are written inside that directory.
@@ -23,7 +23,7 @@ from .designs import (
     verify_gh,
     verify_latin,
 )
-from .errors import NotAScheme, SymmetryObstruction, VerificationError
+from .errors import InputError, NotAScheme, SymmetryObstruction, VerificationError
 from .oracle import oracle_spectrum
 from .serialize import (
     load_scheme,
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return 1
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return 1
     except SymmetryObstruction as e:
         print(f"precondition failure: {e}", file=sys.stderr)

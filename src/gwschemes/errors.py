@@ -20,3 +20,7 @@ class NotAScheme(GWError):
 
 class VerificationError(GWError):
     """Raised when an exact identity that must hold fails to verify."""
+
+
+class InputError(GWError, ValueError):
+    """Raised when outside input, such as a scheme file, is malformed."""

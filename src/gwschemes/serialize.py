@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CycField, CycScalar
+from .errors import InputError
 from .schemes import AssociationScheme, scheme_verify
 
 FILE_VERSION = 1
@@ -49,22 +50,59 @@ def scheme_to_dict(scheme: AssociationScheme, provenance: dict | None = None) ->
     return out
 
 
-def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
+def _runs(data) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The label and length arrays of each row's runs; raises InputError
+    unless data has the shape of a scheme file."""
+    if not isinstance(data, dict):
+        raise InputError("a scheme file holds one JSON object")
     if data.get("version") != FILE_VERSION:
-        raise ValueError(f"unsupported file version {data.get('version')!r}")
+        raise InputError(f"unsupported file version {data.get('version')!r}")
+    missing = [key for key in ("v", "labels", "rows") if key not in data]
+    if missing:
+        raise InputError(f"scheme file has no {', '.join(missing)}")
+    v, labels, rows = data["v"], data["labels"], data["rows"]
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise InputError(f"v must be a positive integer, not {v!r}")
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(isinstance(x, str) for x in labels)
+        or len(set(labels)) != len(labels)
+    ):
+        raise InputError("labels must be a nonempty list of distinct strings")
+    if not isinstance(rows, list) or len(rows) != v:
+        raise InputError(f"v is {v} but rows is not a list of {v} rows")
+    if not isinstance(data.get("provenance", {}), dict):
+        raise InputError("provenance must be a JSON object")
+    out = []
+    for x, rle in enumerate(rows):
+        a = np.array(rle if isinstance(rle, list) else None)
+        if a.ndim != 1 or a.dtype.kind not in "iu" or len(a) % 2:
+            raise InputError(f"row {x} is not a list of label, count pairs")
+        lbl, count = a[0::2], a[1::2]
+        if ((lbl < 0) | (lbl >= len(labels))).any():
+            raise InputError(f"row {x} has a label outside 0..{len(labels) - 1}")
+        if ((count < 1) | (count > v)).any():
+            raise InputError(f"row {x} has a run length outside 1..{v}")
+        if count.sum() != v:
+            raise InputError(f"row {x} does not cover all columns")
+        out.append((lbl, count))
+    return out
+
+
+def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
+    """The verified scheme of a file record, and its provenance.
+
+    The record's shape is checked before anything is allocated; a malformed
+    record raises InputError, a well-formed one that is no scheme NotAScheme.
+    """
+    runs = _runs(data)
     v = data["v"]
-    labels = data["labels"]
     L = np.zeros((v, v), dtype=np.int64)
-    for x, rle in enumerate(data["rows"]):
-        y = 0
-        for t in range(0, len(rle), 2):
-            lbl, count = rle[t], rle[t + 1]
-            L[x, y : y + count] = lbl
-            y += count
-        if y != v:
-            raise ValueError(f"row {x} does not cover all columns")
-    mats = [(L == i).astype(np.int64) for i in range(len(labels))]
-    return scheme_verify(mats, labels), data.get("provenance")
+    for x, (lbl, count) in enumerate(runs):
+        L[x] = np.repeat(lbl, count)
+    mats = [(L == i).astype(np.int64) for i in range(len(data["labels"]))]
+    return scheme_verify(mats, data["labels"]), data.get("provenance")
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
@@ -75,7 +113,11 @@ def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None)
 
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     with open(path) as fh:
-        return scheme_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8 text
+            raise InputError(f"{path} is not a JSON file: {e}") from e
+    return scheme_from_dict(data)
 
 
 # -- scalar text form --

@@ -3,9 +3,10 @@
 All computations happen in the regular representation of the adjacency
 algebra: an element is its coefficient vector over the adjacency basis
 (a sparse dict class index -> CycScalar), and products go through the
-verified intersection tensor.  Because the tensor was extracted from exact
-integer matrix products, identities proved here hold for the actual v x v
-matrices.
+verified intersection tensor.  The checks pack their elements into integer
+batches and verify every relation of a kind at once with the exact kernel
+(see kernel.py).  Because the tensor was extracted from exact integer matrix
+products, identities proved here hold for the actual v x v matrices.
 
 The Wedderburn decomposition is presented as a list of blocks; block k
 carries d_k x d_k matrix units E_ij (1-based indices) satisfying the strict
@@ -19,27 +20,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
 from .errors import VerificationError
+from .kernel import Batch
 from .schemes import AssociationScheme
 
 Elem = dict  # class index -> CycScalar, zero coefficients never stored
 
 
 class SchemeAlgebra:
-    """The adjacency algebra of a verified scheme over an exact scalar field."""
+    """The adjacency algebra of a verified scheme over an exact scalar field.
+
+    Elements are Elem dicts; pack and unpack convert lists of them to and
+    from the Batches of the exact kernel, which mul also accepts.
+    """
 
     def __init__(self, scheme: AssociationScheme, field: CycField):
         self.scheme = scheme
         self.field = field
-        p = scheme.p
-        nm = scheme.nclasses
-        self.supp = [
-            [
-                [(k, int(p[i, j, k])) for k in range(nm) if p[i, j, k]]
-                for j in range(nm)
-            ]
-            for i in range(nm)
+
+    def pack(self, elems: list[Elem]) -> Batch:
+        nm = self.scheme.nclasses
+        return kernel.pack(self.field, [[e.get(k) for k in range(nm)] for e in elems])
+
+    def unpack(self, batch: Batch) -> list[Elem]:
+        """The elements of the batch, flattened in C order."""
+        nm = self.scheme.nclasses
+        flat = kernel.scalars(self.field, batch)
+        return [
+            {k: c for k, c in enumerate(flat[n : n + nm]) if c}
+            for n in range(0, len(flat), nm)
         ]
 
     def zero(self) -> Elem:
@@ -80,23 +93,13 @@ class SchemeAlgebra:
             return {}
         return {k: s.scale(fr) for k, s in x.items()}
 
-    def mul(self, x: Elem, y: Elem) -> Elem:
-        out: Elem = {}
-        for i, cx in x.items():
-            rowi = self.supp[i]
-            for j, cy in y.items():
-                c = cx * cy
-                if not c:
-                    continue
-                for k, pk in rowi[j]:
-                    t = c.scale(pk)
-                    s = out.get(k)
-                    s = t if s is None else s + t
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+    def mul(self, x, y):
+        """The product x y of two Elems; for two Batches, the Batch of
+        products with numpy broadcasting of the leading axes."""
+        if isinstance(x, Batch):
+            return kernel.algebra_mul(x, y, self.scheme.p, self.field)
+        prod = kernel.algebra_mul(self.pack([x]), self.pack([y]), self.scheme.p, self.field)
+        return self.unpack(prod)[0]
 
     def adjoint(self, x: Elem) -> Elem:
         """Conjugate transpose: A_i -> A_{i^T}, scalars conjugated."""
@@ -122,6 +125,15 @@ class Block:
     units: dict  # (i, j) 1-based -> Elem
 
 
+def _quotients(alg: SchemeAlgebra, Y: Batch, elems: list[Elem]) -> Batch:
+    """The scalars Y[n, t] / elems[n], read at the first class of elems[n],
+    as a batch of shape (n, t); one field inversion per element."""
+    l0 = [min(e) for e in elems]
+    inv = kernel.pack(alg.field, [[e[l].inv()] for e, l in zip(elems, l0)])
+    at_l0 = Batch(Y.num[np.arange(len(elems)), :, l0][:, :, None, :], Y.den)
+    return kernel.field_mul(at_l0, inv[:, None], alg.field)
+
+
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra."""
 
@@ -134,43 +146,50 @@ class Eigensystem:
 
     # -- verification --
 
-    def verify(self) -> None:
-        alg = self.algebra
-        flat = [
-            (bi, i, j, blk.units[(i, j)])
+    def _units(self) -> tuple[list[tuple[int, int, int]], Batch]:
+        """(block, i, j) of every unit in row_index() order, and the units packed."""
+        keys = [
+            (bi, i, j)
             for bi, blk in enumerate(self.blocks)
             for i in range(1, blk.dim + 1)
             for j in range(1, blk.dim + 1)
         ]
-        if len(flat) != alg.scheme.nclasses:
+        return keys, self.algebra.pack([self.blocks[b].units[(i, j)] for b, i, j in keys])
+
+    def verify(self) -> None:
+        alg = self.algebra
+        keys, U = self._units()
+        if len(keys) != alg.scheme.nclasses:
             raise VerificationError(
                 "sum of squared block dimensions must equal the class count"
             )
-        for bi, i, j, e in flat:
-            for bj, i2, j2, f in flat:
-                prod = alg.mul(e, f)
-                if bi == bj and j == i2:
-                    want = self.blocks[bi].units[(i, j2)]
-                else:
-                    want = {}
-                if prod != want:
-                    raise VerificationError(
-                        f"unit relation failed: block {self.blocks[bi].name} "
-                        f"({i},{j}) times block {self.blocks[bj].name} ({i2},{j2})"
-                    )
-        total = alg.zero()
-        for blk in self.blocks:
-            for i in range(1, blk.dim + 1):
-                total = alg.add(total, blk.units[(i, i)])
-        if total != alg.identity():
+        pos = {key: n for n, key in enumerate(keys)}
+        # E_ij E_i'j' = E_ij' when both lie in one block and j = i', else 0
+        want = np.array(
+            [
+                [pos[(b, i, j2)] if b == b2 and j == i2 else -1 for b2, i2, j2 in keys]
+                for b, i, j in keys
+            ]
+        )
+        W = Batch(np.where((want >= 0)[..., None, None], U.num[want], 0), U.den)
+        bad = ~alg.mul(U[:, None], U[None, :]).equal(W)
+        if bad.any():
+            # the first failure in row-major order of the unit pairs
+            a, b = (keys[n] for n in np.argwhere(bad)[0])
+            raise VerificationError(
+                f"unit relation failed: block {self.blocks[a[0]].name} "
+                f"({a[1]},{a[2]}) times block {self.blocks[b[0]].name} ({b[1]},{b[2]})"
+            )
+        diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
+        if not U[diag].sum().equal(alg.pack([alg.identity()])[0]):
             raise VerificationError("diagonal units do not sum to the identity")
-        for blk in self.blocks:
-            for i in range(1, blk.dim + 1):
-                for j in range(1, blk.dim + 1):
-                    if alg.adjoint(blk.units[(i, j)]) != blk.units[(j, i)]:
-                        raise VerificationError(
-                            f"adjoint failed in block {blk.name} at ({i},{j})"
-                        )
+        adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
+        bad = ~adj.equal(U[[pos[(b, j, i)] for b, i, j in keys]])
+        if bad.any():
+            b, i, j = keys[np.flatnonzero(bad)[0]]
+            raise VerificationError(
+                f"adjoint failed in block {self.blocks[b].name} at ({i},{j})"
+            )
         self._mult = self._multiplicities()
 
     def _multiplicities(self) -> list[int]:
@@ -220,44 +239,36 @@ class Eigensystem:
         if self._phis is not None:
             return self._phis
         alg = self.algebra
-        zero = alg.field.zero()
         nm = alg.scheme.nclasses
-        phis = []
-        for blk in self.blocks:
-            per_l = []
-            for l in range(nm):
-                al = alg.basis(l)
-                mat = [[zero for _ in range(blk.dim)] for _ in range(blk.dim)]
-                for i in range(1, blk.dim + 1):
-                    left = alg.mul(blk.units[(i, i)], al)
-                    for j in range(1, blk.dim + 1):
-                        y = alg.mul(left, blk.units[(j, j)])
-                        eij = blk.units[(i, j)]
-                        if not y:
-                            continue
-                        l0 = next(iter(eij))
-                        c = y[l0] / eij[l0] if l0 in y else None
-                        if c is None or alg.smul(c, eij) != y:
-                            raise VerificationError(
-                                f"A_{l} does not act as a scalar on block "
-                                f"{blk.name} at ({i},{j})"
-                            )
-                        mat[i - 1][j - 1] = c
-                per_l.append(mat)
-            phis.append(per_l)
+        keys, U = self._units()
+        pos = {key: n for n, key in enumerate(keys)}
+        A = alg.pack([alg.basis(l) for l in range(nm)])
+        diag = alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :])
+        # Y[n, l] = E_ii A_l E_jj for the unit n = E_ij
+        Y = alg.mul(diag, U[[pos[(b, j, j)] for b, _, j in keys]][:, None])
+        phi = _quotients(alg, Y, [self.blocks[b].units[(i, j)] for b, i, j in keys])
+        phiE = kernel.field_mul(phi, U[:, None], alg.field)
+        bad = ~phiE.equal(Y)
+        if bad.any():
+            # the first failure in block, l, i, j order
+            n, l = min(np.argwhere(bad).tolist(), key=lambda nl: (keys[nl[0]][0], nl[1], nl[0]))
+            b, i, j = keys[n]
+            raise VerificationError(
+                f"A_{l} does not act as a scalar on block {self.blocks[b].name} "
+                f"at ({i},{j})"
+            )
         # completeness: A_l = sum over blocks and units of phi * E_ij
-        for l in range(nm):
-            acc = alg.zero()
-            for bi, blk in enumerate(self.blocks):
-                for i in range(1, blk.dim + 1):
-                    for j in range(1, blk.dim + 1):
-                        acc = alg.add(
-                            acc, alg.smul(phis[bi][l][i - 1][j - 1], blk.units[(i, j)])
-                        )
-            if acc != alg.basis(l):
-                raise VerificationError(f"A_{l} is not spanned by the matrix units")
-        self._phis = phis
-        return phis
+        bad = ~phiE.sum().equal(A)
+        if bad.any():
+            l = int(np.flatnonzero(bad)[0])
+            raise VerificationError(f"A_{l} is not spanned by the matrix units")
+        flat = kernel.scalars(alg.field, phi)
+        dims = [range(1, blk.dim + 1) for blk in self.blocks]
+        self._phis = [
+            [[[flat[pos[(b, i, j)] * nm + l] for j in d] for i in d] for l in range(nm)]
+            for b, d in enumerate(dims)
+        ]
+        return self._phis
 
     def eigenmatrix_p(self) -> list[list[CycScalar]]:
         """Rows indexed by row_index(), columns by class."""
@@ -501,31 +512,28 @@ class FusedEigensystem:
                 raise VerificationError("blocks of dimension > 2 not supported")
         self.names = names
         self.idempotents = idems
-        self._verify_idempotents()
+        packed = alg.pack(idems)
+        self._verify_idempotents(packed)
         self.multiplicities = self._multiplicities()
         self.fused_valencies = [
             sum(alg.scheme.valencies[i] for i in cell) for cell in self.partition
         ]
         self.qhat = self._fused_q()
-        self.phat = self._fused_p()
+        self.phat = self._fused_p(packed)
         self._check_duality()
 
-    def _verify_idempotents(self) -> None:
+    def _verify_idempotents(self, E: Batch) -> None:
         alg = self.algebra
         n = len(self.idempotents)
-        for i in range(n):
-            for j in range(n):
-                prod = alg.mul(self.idempotents[i], self.idempotents[j])
-                want = self.idempotents[i] if i == j else {}
-                if prod != want:
-                    raise VerificationError(
-                        f"fused idempotents {self.names[i]}, {self.names[j]} "
-                        "not orthogonal idempotents"
-                    )
-        total = alg.zero()
-        for e in self.idempotents:
-            total = alg.add(total, e)
-        if total != alg.identity():
+        want = Batch(np.where(np.eye(n, dtype=bool)[..., None, None], E.num[:, None], 0), E.den)
+        bad = ~alg.mul(E[:, None], E[None, :]).equal(want)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise VerificationError(
+                f"fused idempotents {self.names[i]}, {self.names[j]} "
+                "not orthogonal idempotents"
+            )
+        if not E.sum().equal(alg.pack([alg.identity()])[0]):
             raise VerificationError("fused idempotents do not sum to identity")
 
     def _multiplicities(self) -> list[int]:
@@ -557,26 +565,23 @@ class FusedEigensystem:
             out.append(row)
         return out
 
-    def _fused_p(self) -> list[list[CycScalar]]:
+    def _fused_p(self, E: Batch) -> list[list[CycScalar]]:
         """Rows: idempotents; columns: fused classes; eigenvalue extraction."""
         alg = self.algebra
-        out = []
-        for e in self.idempotents:
-            row = []
-            for cell in self.partition:
-                ahat = alg.zero()
-                for i in cell:
-                    ahat = alg.add(ahat, alg.basis(i))
-                left = alg.mul(e, ahat)
-                l0 = next(iter(e))
-                c = left.get(l0, alg.field.zero()) / e[l0]
-                if alg.smul(c, e) != left or alg.mul(ahat, e) != left:
-                    raise VerificationError(
-                        "fused class does not act as a scalar on an idempotent"
-                    )
-                row.append(c)
-            out.append(row)
-        return out
+        n, ncells = len(self.idempotents), len(self.partition)
+        H = alg.pack([{i: alg.field.one() for i in cell} for cell in self.partition])
+        left = alg.mul(E[:, None], H[None, :])  # e A^_t, shape (n, ncells)
+        right = alg.mul(H[None, :], E[:, None])  # A^_t e
+        c = _quotients(alg, left, self.idempotents)
+        bad = ~(kernel.field_mul(c, E[:, None], alg.field).equal(left) & right.equal(left))
+        if bad.any():
+            k, t = np.argwhere(bad)[0]
+            raise VerificationError(
+                f"fused class {t} does not act as a scalar on idempotent "
+                f"{self.names[k]}"
+            )
+        flat = kernel.scalars(alg.field, c)
+        return [flat[k * ncells : (k + 1) * ncells] for k in range(n)]
 
     def _check_duality(self) -> None:
         for k, e in enumerate(self.idempotents):
@@ -781,8 +786,6 @@ def exact_rank(rows: list[list[CycScalar]]) -> int:
 
 def materialize(scheme: AssociationScheme, elem: Elem, field: CycField):
     """The element as an explicit v x v matrix of scalars (small v only)."""
-    import numpy as np
-
     L = np.zeros((scheme.v, scheme.v), dtype=np.int64)
     for i, M in enumerate(scheme.mats):
         L += i * M

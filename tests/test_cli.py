@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gwschemes import save_scheme
+from gwschemes import save_scheme, scheme_to_dict
 from gwschemes.cli import main
 import cases
 
@@ -101,6 +101,65 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--in", "/nonexistent/scheme.json")
         assert code == 1
+
+
+def _saved(tmp_path, edit):
+    """A saved bgw (5,2) scheme file, its JSON record changed by edit."""
+    data = scheme_to_dict(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+    edit(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _pop(key):
+    return lambda data: data.pop(key)
+
+
+def _set(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+def _set_row(x, row):
+    return lambda data: data["rows"].__setitem__(x, row)
+
+
+class TestMalformedFiles:
+    """A malformed scheme file is an input error: exit 1, one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "edit,says",
+        [
+            (_pop("labels"), "no labels"),
+            (_pop("rows"), "no rows"),
+            (_set("v", 10**6), "v is 1000000"),
+            (_set("v", "12"), "positive integer"),
+            (_set("labels", ["a", "a", "b", "c"]), "distinct"),
+            (_set_row(3, [0, 5, 1, 6]), "row 3 does not cover"),
+            (_set_row(0, [0, 1, 4, 11]), "row 0 has a label outside 0..3"),
+            (_set_row(0, [0, 13, 1, -1]), "run length outside 1..12"),
+            (_set_row(0, [0, 12, 1]), "pairs"),
+            (_set("provenance", [1]), "JSON object"),
+        ],
+        ids=[
+            "no-labels", "no-rows", "huge-v", "string-v", "repeated-labels",
+            "short-row", "label-range", "negative-run", "odd-row", "list-provenance",
+        ],
+    )
+    def test_rejected_before_allocation(self, tmp_path, capsys, edit, says):
+        path = _saved(tmp_path, edit)
+        code, _, err = run(capsys, "verify", "--in", path, "--spectral")
+        assert code == 1
+        assert err.startswith("input error: ") and says in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["{\"version\": 1, ", "[1, 2]", "\xff\xfe"], ids=["truncated", "list", "binary"])
+    def test_not_a_scheme_record(self, tmp_path, capsys, text):
+        path = tmp_path / "s.json"
+        path.write_bytes(text.encode("latin-1"))
+        code, _, err = run(capsys, "table", "--in", str(path))
+        assert code == 1
+        assert err.startswith("input error: ") and len(err.splitlines()) == 1
 
 
 class TestTable:

@@ -1,7 +1,11 @@
 """Numerical oracles cross-checked against the exact symbolic results."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gwschemes.oracle
 from gwschemes import VerificationError, oracle_closure, oracle_spectrum
 from gwschemes.matrixkit import matpow, shift_matrix
 import cases
@@ -74,3 +78,19 @@ class TestSpectrumOracle:
         a = oracle_spectrum(s.mats, seed=0)
         b = oracle_spectrum(s.mats, seed=12345)
         assert a == b == [(1, 1), (1, 7), (2, 8)]
+
+
+def test_oracle_shares_no_code_with_the_library():
+    """The oracles stay an independent route: from the package they may
+    import the exception types and nothing else."""
+    tree = ast.parse(Path(gwschemes.oracle.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                used.add("gwschemes." + (node.module or ""))
+            elif node.module.split(".")[0] == "gwschemes":
+                used.add(node.module)
+        elif isinstance(node, ast.Import):
+            used |= {a.name for a in node.names if a.name.split(".")[0] == "gwschemes"}
+    assert used == {"gwschemes.errors"}

@@ -1,7 +1,11 @@
 """Wedderburn systems, eigenmatrices, character tables, duality, fusion."""
+import dataclasses
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gwschemes import (
     FiniteField,
@@ -12,11 +16,13 @@ from gwschemes import (
     check_pq_duality,
     eigensystem_for,
     exact_rank,
+    gh_eigensystem,
     gh_symmetric_fusion,
     gh_transversal,
     materialize,
     scalar_from_str,
 )
+from gwschemes import kernel
 from gwschemes.spectra import (
     Block,
     Eigensystem,
@@ -295,6 +301,46 @@ class TestFElementRules:
         assert gh_transversal(FiniteField(9)) == [1, 3, 4, 5]
 
 
+def dict_mul(alg, x, y):
+    """Reference product: one scalar product per pair of classes."""
+    out = {}
+    for i, cx in x.items():
+        for j, cy in y.items():
+            c = cx * cy
+            for k in np.flatnonzero(alg.scheme.p[i, j]):
+                k = int(k)
+                s = out.get(k, alg.field.zero()) + c.scale(int(alg.scheme.p[i, j, k]))
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def first_failing_pair(alg, blocks):
+    """The unit pair the verifier must name: the first, in row-major order,
+    whose product differs from the unit relation."""
+    flat = [
+        (blk, i, j)
+        for blk in blocks
+        for i in range(1, blk.dim + 1)
+        for j in range(1, blk.dim + 1)
+    ]
+    for b, i, j in flat:
+        for b2, i2, j2 in flat:
+            want = b.units[(i, j2)] if b is b2 and j == i2 else {}
+            if dict_mul(alg, b.units[(i, j)], b2.units[(i2, j2)]) != want:
+                return f"block {b.name} ({i},{j}) times block {b2.name} ({i2},{j2})"
+    return None
+
+
+def mutated(es, bi, ij, f):
+    """Copies of the blocks of es, with unit ij of block bi replaced by f(unit)."""
+    blocks = [dataclasses.replace(b, units=dict(b.units)) for b in es.blocks]
+    blocks[bi].units[ij] = f(blocks[bi].units[ij])
+    return blocks
+
+
 class TestVerificationTeeth:
     def test_scaled_unit_rejected(self):
         es = bgw_eigensystem(cases.bgw(5, 2), 5, 2)
@@ -303,6 +349,56 @@ class TestVerificationTeeth:
         bad[1].units[(1, 1)] = alg.rmul(2, bad[1].units[(1, 1)])
         with pytest.raises(VerificationError):
             Eigensystem(alg, bad)
+
+    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_scaled_unit_names_the_first_failing_pair(self, ij):
+        es = cases.bgw_es(7, 3)
+        alg = es.algebra
+        bad = mutated(es, 2, ij, lambda e: alg.rmul(2, e))
+        want = first_failing_pair(alg, bad)
+        assert want is not None and want.startswith("block a1")
+        with pytest.raises(VerificationError, match=re.escape(f"unit relation failed: {want}")):
+            Eigensystem(alg, bad)
+
+    def test_perturbed_radical_part_rejected(self):
+        es = cases.bgw_es(7, 3)
+        alg = es.algebra
+        r = alg.field.sqrt_radicand().scale(Fraction(1, 97))
+        bad = mutated(es, 2, (1, 2), lambda e: alg.add(e, alg.smul(r, alg.basis(4))))
+        want = first_failing_pair(alg, bad)
+        with pytest.raises(VerificationError, match=re.escape(f"unit relation failed: {want}")):
+            Eigensystem(alg, bad)
+
+    def test_broken_adjoint_pair_rejected(self):
+        # E_12 -> 2 E_12 and E_21 -> E_21 / 2 keeps every unit relation and
+        # the identity, but E_12* = E_21 fails
+        es = cases.bgw_es(7, 3)
+        alg = es.algebra
+        bad = mutated(es, 2, (1, 2), lambda e: alg.rmul(2, e))
+        bad[2].units[(2, 1)] = alg.rmul(Fraction(1, 2), bad[2].units[(2, 1)])
+        assert first_failing_pair(alg, bad) is None
+        with pytest.raises(VerificationError, match=r"^adjoint failed in block a1 at \(1,2\)$"):
+            Eigensystem(alg, bad)
+
+    def test_mutated_fused_idempotent_rejected(self):
+        # doubling E_12 and E_21 after verification makes (E_11 + E_22 +
+        # E_12 + E_21) / 2 fail to be idempotent
+        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
+        alg = es.algebra
+        es.blocks = mutated(es, 2, (1, 2), lambda e: alg.rmul(2, e))
+        es.blocks[2].units[(2, 1)] = alg.rmul(2, es.blocks[2].units[(2, 1)])
+        with pytest.raises(
+            VerificationError, match=r"^fused idempotents a1\+, a1\+ not orthogonal idempotents$"
+        ):
+            FusedEigensystem(es, bgw_symmetric_fusion(3))
+
+    def test_phi_incompleteness_rejected(self):
+        # after verification, 2 E_0 still passes E A_l E = phi E with phi
+        # doubled, but the units then span 4 phi E_0 where A_l needs phi E_0
+        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
+        es.blocks = mutated(es, 0, (1, 1), lambda e: es.algebra.rmul(2, e))
+        with pytest.raises(VerificationError, match=r"^A_0 is not spanned by the matrix units$"):
+            es.phi_matrices()
 
     def test_swapped_units_rejected(self):
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
@@ -323,6 +419,87 @@ class TestVerificationTeeth:
         assert es.multiplicities == [1, 5, 3, 3]
         with pytest.raises(ValueError):
             eigensystem_for(cases.bgw(5, 2), {"family": "unknown"})
+
+
+KERNEL_CASES = {"bgw52": ("bgw_es", (5, 2)), "bgw73": ("bgw_es", (7, 3)), "gh3": ("gh_es", (3,))}
+
+
+@st.composite
+def elements(draw, alg, count):
+    field, nm = alg.field, alg.scheme.nclasses
+    coeffs = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=field.deg,
+        max_size=field.deg,
+    )
+    out = []
+    for _ in range(count):
+        e = {}
+        for k in draw(st.sets(st.integers(0, nm - 1), max_size=nm)):
+            c = field.from_vectors(draw(coeffs), draw(coeffs) if field.d != 1 else None)
+            if c:
+                e[k] = c
+        out.append(e)
+    return out
+
+
+class TestKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    @given(data=st.data())
+    def test_batched_products_match_dict_products(self, case, data):
+        maker, args = KERNEL_CASES[case]
+        alg = getattr(cases, maker)(*args).algebra
+        X = data.draw(elements(alg, data.draw(st.integers(1, 3))))
+        Y = data.draw(elements(alg, data.draw(st.integers(1, 3))))
+        got = alg.unpack(alg.mul(alg.pack(X)[:, None], alg.pack(Y)[None, :]))
+        assert got == [dict_mul(alg, x, y) for x in X for y in Y]
+        assert [alg.mul(x, y) for x in X for y in Y] == got
+
+    def test_object_path_past_the_int64_bound(self):
+        es = cases.bgw_es(7, 3)
+        alg = es.algebra
+        U = [b.units[ij] for b in es.blocks for ij in sorted(b.units)]
+        small = alg.mul(alg.pack(U)[:, None], alg.pack(U)[None, :])
+        assert small.num.dtype == np.int64
+        # one tiny element puts every other numerator near 2**61
+        tiny = Fraction(1, 2**61)
+        big = alg.pack([alg.rmul(tiny, U[0])] + U[1:])
+        assert kernel.absmax(big.num) >= 2**61
+        prod = alg.mul(big[:, None], big[None, :])
+        assert prod.num.dtype == object
+        scale = [tiny] + [1] * (len(U) - 1)
+        want = [
+            alg.rmul(scale[a] * scale[b], e)
+            for (a, b), e in zip(np.ndindex(len(U), len(U)), alg.unpack(small))
+        ]
+        assert alg.unpack(prod) == want
+
+    @pytest.mark.parametrize("maker,args", [("bgw", (7, 3)), ("gh", (3,))], ids=["bgw73", "gh3"])
+    def test_object_path_certifies_the_same_tables(self, monkeypatch, maker, args):
+        scheme = getattr(cases, maker)(*args)
+        es = getattr(cases, maker + "_es")(*args)
+        fe = getattr(cases, maker + "_fused")(*args)
+        build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
+        # with no int64 headroom every kernel operation takes the object path
+        monkeypatch.setattr(kernel, "LIMIT", 0)
+        es2 = build(scheme, *args)
+        assert es2.eigenmatrix_p() == es.eigenmatrix_p()
+        fe2 = FusedEigensystem(es2, fusion)
+        assert (fe2.phat, fe2.qhat) == (fe.phat, fe.qhat)
+        bad = mutated(es2, len(es2.blocks) - 1, (1, 2), lambda e: es2.algebra.rmul(2, e))
+        with pytest.raises(VerificationError, match="unit relation failed"):
+            Eigensystem(es2.algebra, bad)
+
+    def test_structure_tensor(self):
+        f = cases.bgw_es(7, 3).algebra.field
+        mult, conj = f.structure, f.conjugation
+        basis = [f.zeta(0), f.zeta(1)]
+        basis += [f.sqrt_radicand().scale(Fraction(1, f.k)) * z for z in basis]
+        for r, x in enumerate(basis):
+            assert f.from_vectors(conj[r, :2], conj[r, 2:]) == x.conj()
+            for s, y in enumerate(basis):
+                assert f.from_vectors(mult[r, s, :2], mult[r, s, 2:]) == x * y
 
 
 class TestRankAndMaterialize:
