@@ -1,4 +1,4 @@
-"""Constructions of the two scheme families.
+"""Constructions of the two scheme families, written as label matrices.
 
 bgw_build(q, m): a scheme of class 2m - 1 on (q+1) m points from a symmetric
 BGW(q+1, q, q-1) over Z_m with blank diagonal.  Relations, in order:
@@ -7,7 +7,9 @@ BGW(q+1, q, q-1) over Z_m with blank diagonal.  Relations, in order:
     (gamma, 1): blank-diagonal block matrix whose (i, j) block is
                 U^{W[i,j] + gamma} R                   for gamma in Z_m,
 
-where U is the cyclic shift on Z_m and R the back identity.
+where U is the cyclic shift on Z_m and R the back identity.  Point (i, a) is
+index i m + a, so the label of ((i, a), (j, b)) is (b - a) mod m on the
+diagonal blocks and m + (m - 1 - a - b - W[i,j]) mod m off them.
 
 gh_build(q): a scheme of class 2q on (q+1) q^2 points from the multiplication
 table of GF(q) (q odd) and a one-factorization of K_{q+1}.  Relations:
@@ -18,15 +20,19 @@ table of GF(q) (q odd) and a one-factorization of K_{q+1}.  Relations:
 
 where phi(alpha) is the permutation of addition by alpha, P_a the factor of a,
 R the digit reversal of GF(q) squared, and C_{a,alpha} the q^2 x q^2 block
-matrix whose (beta, beta') block is phi(a (beta' - beta) + alpha).
+matrix whose (beta, beta') block is phi(a (beta' - beta) + alpha).  Point
+(P, beta, y) is index (P q + beta) q + y, and the digit reversal of x is
+q - 1 - x.  The label of ((P, beta, y), (P', beta', y')) is y' - y when
+P = P' and beta = beta', 2q when P = P' and beta != beta', and q + alpha
+otherwise, where a is the factor holding the edge {P, P'} and C_{a,alpha} R
+puts its one at (y, y') when alpha = (q-1-y') - y - a ((q-1-beta') - beta).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import BLANK, bgw_matrix, one_factorization
-from .matrixkit import back_identity, field_reversal, field_shift, kron, shift_matrix
+from .designs import bgw_matrix, one_factorization
 from .schemes import AssociationScheme
 
 
@@ -34,47 +40,22 @@ def bgw_labels(m: int) -> list[str]:
     return [f"({g},0)" for g in range(m)] + [f"({g},1)" for g in range(m)]
 
 
-def bgw_build(q: int, m: int) -> AssociationScheme:
+def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
     W = bgw_matrix(q, m)
-    n = q
-    v = (n + 1) * m
-    U = shift_matrix(m)
-    R = back_identity(m)
-    UR = [np.linalg.matrix_power(U, a) @ R for a in range(m)]
-    Upow = [np.linalg.matrix_power(U, a) for a in range(m)]
-    eye = np.eye(n + 1, dtype=np.int64)
-    mats = [kron(eye, Upow[g]) for g in range(m)]
-    for g in range(m):
-        A = np.zeros((v, v), dtype=np.int64)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i != j:
-                    assert W[i, j] != BLANK
-                    A[i * m : (i + 1) * m, j * m : (j + 1) * m] = UR[
-                        (int(W[i, j]) + g) % m
-                    ]
-        mats.append(A)
-    return AssociationScheme.from_matrices(mats, bgw_labels(m))
+    i, a = np.divmod(np.arange((q + 1) * m), m)
+    i, a, j, b = i[:, None], a[:, None], i[None, :], a[None, :]
+    return np.where(i == j, (b - a) % m, m + (m - 1 - a - b - W[i, j]) % m)
+
+
+def bgw_build(q: int, m: int) -> AssociationScheme:
+    return AssociationScheme.from_matrices(_bgw_label_matrix(q, m), bgw_labels(m))
 
 
 def bgw_incidence(q: int, m: int, level: int) -> np.ndarray:
     """The divisible design incidence N_level: J_m diagonal blocks plus the
     (level, 1) relation; equals sum_gamma A_{gamma,0} + A_{level,1}."""
-    W = bgw_matrix(q, m)
-    n = q
-    v = (n + 1) * m
-    U = shift_matrix(m)
-    R = back_identity(m)
-    UR = [np.linalg.matrix_power(U, a) @ R for a in range(m)]
-    N = np.zeros((v, v), dtype=np.int64)
-    for i in range(n + 1):
-        N[i * m : (i + 1) * m, i * m : (i + 1) * m] = 1
-        for j in range(n + 1):
-            if i != j:
-                N[i * m : (i + 1) * m, j * m : (j + 1) * m] = UR[
-                    (int(W[i, j]) + level) % m
-                ]
-    return N
+    L = _bgw_label_matrix(q, m)
+    return ((L < m) | (L == m + level % m)).astype(np.int64)
 
 
 def gh_labels(q: int) -> list[str]:
@@ -83,33 +64,20 @@ def gh_labels(q: int) -> list[str]:
     )
 
 
-def _block_c(F: FiniteField, a: int, alpha: int, phi: list[np.ndarray]) -> np.ndarray:
-    q = F.q
-    C = np.zeros((q * q, q * q), dtype=np.int64)
-    for b1 in range(q):
-        for b2 in range(q):
-            delta = F.add(F.mul(a, F.sub(b2, b1)), alpha)
-            C[b1 * q : (b1 + 1) * q, b2 * q : (b2 + 1) * q] = phi[delta]
-    return C
-
-
 def gh_build(q: int) -> AssociationScheme:
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
-    phi = [field_shift(F, x) for x in range(q)]
-    Rq = field_reversal(F)
-    R2 = kron(Rq, Rq)
-    eye_pts = np.eye(q + 1, dtype=np.int64)
-    eye_q = np.eye(q, dtype=np.int64)
-    mats = [kron(eye_pts, eye_q, phi[alpha]) for alpha in range(q)]
-    factors = one_factorization(q)
-    for alpha in range(q):
-        A = np.zeros(((q + 1) * q * q, (q + 1) * q * q), dtype=np.int64)
-        for a in range(q):
-            CR = _block_c(F, a, alpha, phi) @ R2
-            A += kron(factors[a], CR)
-        mats.append(A)
-    J2 = np.ones((q * q, q * q), dtype=np.int64) - kron(eye_q, np.ones((q, q), dtype=np.int64))
-    mats.append(kron(eye_pts, J2))
-    return AssociationScheme.from_matrices(mats, gh_labels(q))
+    add, mul = np.array(F.add_t), np.array(F.mul_t)
+    sub = add[:, F.neg_t]  # sub[x, y] = x - y
+    rev = q - 1 - np.arange(q)
+    factor = sum(a * P for a, P in enumerate(one_factorization(q)))
+    P, beta, y = np.unravel_index(np.arange((q + 1) * q * q), (q + 1, q, q))
+    P, beta, y, P2, beta2, y2 = (
+        P[:, None], beta[:, None], y[:, None], P[None, :], beta[None, :], y[None, :]
+    )
+    a = factor[P, P2]
+    alpha = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]]
+    inner = np.where(beta == beta2, sub[y2, y], 2 * q)
+    L = np.where(P == P2, inner, q + alpha)
+    return AssociationScheme.from_matrices(L, gh_labels(q))

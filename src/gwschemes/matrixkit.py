@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FiniteField
-
 _EXACT_BOUND = 2**53
 
 
@@ -38,51 +36,6 @@ def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     cols = [[int(x) for x in col] for col in np.asarray(B).T.tolist()]
     out = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
     return np.array(out, dtype=object)
-
-
-def matpow(A: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(A.shape[0], dtype=np.int64)
-    for _ in range(k):
-        out = mm(out, A)
-    return out
-
-
-def kron(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0])
-    for M in mats[1:]:
-        out = np.kron(out, np.asarray(M))
-    return out
-
-
-def shift_matrix(m: int, a: int = 1) -> np.ndarray:
-    """Permutation matrix of x -> x + a on Z_m: entry (i, i+a mod m) is 1."""
-    U = np.zeros((m, m), dtype=np.int64)
-    idx = np.arange(m)
-    U[idx, (idx + a) % m] = 1
-    return U
-
-
-def back_identity(m: int) -> np.ndarray:
-    """The anti-diagonal permutation matrix (i -> m-1-i)."""
-    return np.fliplr(np.eye(m, dtype=np.int64))
-
-
-def field_shift(F: FiniteField, x: int) -> np.ndarray:
-    """Permutation matrix of y -> y + x on GF(q), rows/columns in canonical order.
-
-    Equals the Kronecker product of base-p shift matrices over the digits of x
-    (most significant digit first), because addition in GF(q) is digit-wise.
-    """
-    q = F.q
-    P = np.zeros((q, q), dtype=np.int64)
-    for y in range(q):
-        P[y, F.add(y, x)] = 1
-    return P
-
-
-def field_reversal(F: FiniteField) -> np.ndarray:
-    """Digit-wise reversal of GF(q); equals the back identity on canonical indices."""
-    return back_identity(F.q)
 
 
 def is_zero_one(A: np.ndarray) -> bool:

@@ -1,11 +1,12 @@
-"""Association schemes as verified families of 0/1 matrices.
+"""Association schemes as verified label matrices.
 
-A (possibly noncommutative) association scheme on v points is a list of 0/1
-matrices A_0, ..., A_d with A_0 = I, sum J, the set closed under transpose,
-and every product A_i A_j = sum_k p[i,j,k] A_k with integer intersection
-numbers.  Construction always verifies all four axioms exactly and extracts
-the full intersection tensor; an AssociationScheme instance is therefore a
-certificate of schemehood.
+A (possibly noncommutative) association scheme on v points is a v x v label
+matrix L with entries 0..d whose relations A_i = (L == i) satisfy A_0 = I,
+closure under transpose, and A_i A_j = sum_k p[i,j,k] A_k with integer
+intersection numbers (the A_i sum to J by construction).  L is the one stored
+representation: construction verifies every axiom exactly and extracts the
+full intersection tensor, so an AssociationScheme instance is a certificate
+of schemehood, and the 0/1 matrices are built only when asked for.
 """
 from __future__ import annotations
 
@@ -14,96 +15,83 @@ import numpy as np
 from .errors import NotAScheme
 from .matrixkit import is_zero_one
 
+# the closure GEMMs run in float32 on 0/1 matrices: every partial sum of an
+# entry of A_i A_j is an integer at most v, exact in float32 while v < 2**24
+_F32_EXACT = 2**24
+
 
 class AssociationScheme:
-    def __init__(self, mats, labels, tensor, tpose, valencies):
-        self.mats = mats
+    def __init__(self, L, labels, tensor, tpose, valencies):
+        self.L = L
         self.labels = labels
         self.p = tensor
         self.tpose = tpose
         self.valencies = valencies
-        self.v = mats[0].shape[0]
-        self.nclasses = len(mats)
+        self.v = L.shape[0]
+        self.nclasses = len(labels)
+
+    @property
+    def mats(self) -> list[np.ndarray]:
+        """The int64 0/1 matrices A_i = (L == i), built anew on each access."""
+        return [(self.L == i).astype(np.int64) for i in range(self.nclasses)]
 
     @classmethod
-    def from_matrices(cls, mats, labels=None) -> "AssociationScheme":
-        """Verify the axioms and build the scheme; raises NotAScheme on failure."""
-        mats = [np.ascontiguousarray(np.asarray(M, dtype=np.int64)) for M in mats]
-        nm = len(mats)
-        v = mats[0].shape[0]
-        if labels is None:
-            labels = [str(i) for i in range(nm)]
-        if len(labels) != nm or len(set(labels)) != nm:
-            raise ValueError("labels must be distinct and match the matrix count")
-        for M in mats:
-            if M.shape != (v, v):
-                raise NotAScheme("matrices must be square of equal size")
-            if not is_zero_one(M):
-                raise NotAScheme("matrices must be 0/1")
-        if not np.array_equal(mats[0], np.eye(v, dtype=np.int64)):
-            raise NotAScheme("A_0 must be the identity")
-        total = np.zeros((v, v), dtype=np.int64)
-        for M in mats:
-            total += M
-        if (total != 1).any():
-            raise NotAScheme("supports must partition all positions")
+    def from_matrices(cls, L, labels) -> "AssociationScheme":
+        """Verify that the relations A_i = (L == i) of the label matrix L form
+        a scheme and build it; raises NotAScheme on failure."""
+        L = np.asarray(L)
+        square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
+        if not square or L.dtype.kind not in "iu":
+            raise NotAScheme("the label matrix must be a square integer matrix")
+        v = L.shape[0]
+        if v >= _F32_EXACT:
+            raise ValueError("float32 closure products are exact only for v < 2**24")
+        nm = len(labels)
+        if len(set(labels)) != nm:
+            raise ValueError("labels must be distinct")
+        L = L.astype(np.int64)  # a read-only copy the scheme owns
+        L.flags.writeable = False
+        if L.min() < 0 or L.max() >= nm:
+            raise NotAScheme(f"labels must lie in 0..{nm - 1}")
 
-        # label matrix: entry (x, y) is the unique i with A_i[x, y] = 1
-        L = np.zeros((v, v), dtype=np.int64)
-        for i, M in enumerate(mats):
-            L += i * M
-        flat = L.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        sortedL = flat[order]
-        starts = np.searchsorted(sortedL, np.arange(nm), side="left")
-        counts = np.diff(np.append(starts, flat.size))
+        # pairs[i, j]: positions (x, y) with L[x, y] = i and L[y, x] = j
+        pairs = np.bincount((L * nm + L.T).reshape(-1), minlength=nm * nm)
+        pairs = pairs.reshape(nm, nm)
+        counts = pairs.sum(axis=1)
+        if (np.diagonal(L) != 0).any() or counts[0] != v:
+            raise NotAScheme("A_0 must be the identity")
         if (counts == 0).any():
             raise NotAScheme("some relation is empty")
-
-        def segment_values(M) -> np.ndarray:
-            """Per-relation constant value of M over each relation's support.
-
-            Raises NotAScheme if M is not constant on some relation.
-            """
-            vals = M.reshape(-1)[order]
-            mins = np.minimum.reduceat(vals, starts)
-            maxs = np.maximum.reduceat(vals, starts)
-            if not np.array_equal(mins, maxs):
-                raise NotAScheme("matrix not constant on a relation")
-            return mins
-
-        # transpose closure: relation i maps to the constant value of L^T on
-        # the support of A_i, which forces A_i^T = A_{tpose[i]} as sets
-        try:
-            tvals = segment_values(L.T)
-        except NotAScheme:
+        # A_i^T = A_j exactly when every transposed position of class i has
+        # class j; the map is then an involution
+        if ((pairs > 0).sum(axis=1) != 1).any():
             raise NotAScheme("relation set is not closed under transpose")
-        tpose = [int(t) for t in tvals]
-        if sorted(tpose) != list(range(nm)):
-            raise NotAScheme("transpose map is not a permutation")
+        tpose = [int(t) for t in pairs.argmax(axis=1)]
 
-        valencies = []
-        for M in mats:
-            rs = M.sum(axis=1)
-            cs = M.sum(axis=0)
-            if (rs != rs[0]).any() or (cs != rs[0]).any():
-                raise NotAScheme("row/column sums not constant")
-            valencies.append(int(rs[0]))
+        # rows[x, i], cols[y, i]: the count of class i in row x, column y
+        offset = nm * np.arange(v)
+        rows = np.bincount((L + offset[:, None]).reshape(-1), minlength=v * nm)
+        cols = np.bincount((L + offset[None, :]).reshape(-1), minlength=v * nm)
+        rows, cols = rows.reshape(v, nm), cols.reshape(v, nm)
+        if (rows != rows[0]).any() or (cols != rows[0]).any():
+            raise NotAScheme("row/column sums not constant")
+        valencies = [int(k) for k in rows[0]]
 
-        # closure: every product decomposes over the relations; entries of
-        # A_i A_j are bounded by v < 2**53 so the float64 BLAS product is exact
+        # closure: every product is constant on each relation, read off the
+        # positions sorted by class
+        order = np.argsort(L.reshape(-1), kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         tensor = np.zeros((nm, nm, nm), dtype=np.int64)
         for j in range(nm):
             tensor[0, j, j] = 1
             tensor[j, 0, j] = 1
-        fmats = [M.astype(np.float64) for M in mats]
+        A = [(L == i).astype(np.float32) for i in range(nm)]
         done = set()
         for i in range(1, nm):
             for j in range(1, nm):
                 if (i, j) in done:
                     continue
-                P = fmats[i] @ fmats[j]
-                vals = P.reshape(-1)[order]
+                vals = (A[i] @ A[j]).reshape(-1)[order]
                 mins = np.minimum.reduceat(vals, starts)
                 maxs = np.maximum.reduceat(vals, starts)
                 if not np.array_equal(mins, maxs):
@@ -118,7 +106,7 @@ class AssociationScheme:
                 if (ti, tj) not in done:
                     tensor[ti, tj] = row[tpose]
                     done.add((ti, tj))
-        return cls(mats, list(labels), tensor, tpose, valencies)
+        return cls(L, list(labels), tensor, tpose, valencies)
 
     # -- structure --
 
@@ -150,15 +138,11 @@ class AssociationScheme:
         for cell in partition:
             if 0 in cell and sorted(cell) != [0]:
                 raise ValueError("the identity class must stay alone")
-        fused_mats = []
-        fused_labels = []
-        for cell in partition:
-            M = np.zeros((self.v, self.v), dtype=np.int64)
-            for i in cell:
-                M += self.mats[i]
-            fused_mats.append(M)
-            fused_labels.append("+".join(self.labels[i] for i in sorted(cell)))
-        return AssociationScheme.from_matrices(fused_mats, fused_labels)
+        cell_of = np.empty(self.nclasses, dtype=np.int64)
+        for c, cell in enumerate(partition):
+            cell_of[cell] = c
+        labels = ["+".join(self.labels[i] for i in sorted(cell)) for cell in partition]
+        return AssociationScheme.from_matrices(cell_of[self.L], labels)
 
     def __repr__(self) -> str:
         return (
@@ -168,5 +152,21 @@ class AssociationScheme:
 
 
 def scheme_verify(mats, labels=None) -> AssociationScheme:
-    """Verify the scheme axioms for a family of 0/1 matrices."""
-    return AssociationScheme.from_matrices(mats, labels)
+    """Verify the scheme axioms for a family of 0/1 matrices A_i: equal square
+    shapes, 0/1 entries and supports that partition all positions are checked
+    here, the rest on the label matrix L = sum_i i A_i."""
+    mats = [np.asarray(M) for M in mats]
+    v = mats[0].shape[0]
+    if labels is None:
+        labels = [str(i) for i in range(len(mats))]
+    if len(labels) != len(mats):
+        raise ValueError("labels must match the matrix count")
+    for M in mats:
+        if M.shape != (v, v):
+            raise NotAScheme("matrices must be square of equal size")
+        if not is_zero_one(M):
+            raise NotAScheme("matrices must be 0/1")
+    if (sum(M == 1 for M in mats) != 1).any():
+        raise NotAScheme("supports must partition all positions")
+    L = sum(i * (M == 1) for i, M in enumerate(mats))
+    return AssociationScheme.from_matrices(L, labels)

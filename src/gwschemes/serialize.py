@@ -20,25 +20,20 @@ import numpy as np
 
 from .algebra import CycField, CycScalar
 from .errors import InputError
-from .schemes import AssociationScheme, scheme_verify
+from .schemes import AssociationScheme
 
 FILE_VERSION = 1
 
 
 def scheme_to_dict(scheme: AssociationScheme, provenance: dict | None = None) -> dict:
-    L = np.zeros((scheme.v, scheme.v), dtype=np.int64)
-    for i, M in enumerate(scheme.mats):
-        L += i * M
-    rows = []
-    for x in range(scheme.v):
-        row = L[x]
-        rle: list[int] = []
-        start = 0
-        for y in range(1, scheme.v + 1):
-            if y == scheme.v or row[y] != row[start]:
-                rle.extend([int(row[start]), y - start])
-                start = y
-        rows.append(rle)
+    L, v = scheme.L, scheme.v
+    # a run starts at column 0 and wherever the label changes along a row
+    new = np.ones((v, v), dtype=bool)
+    new[:, 1:] = L[:, 1:] != L[:, :-1]
+    starts = np.flatnonzero(new)
+    runs = np.stack([L.reshape(-1)[starts], np.diff(starts, append=v * v)], axis=1)
+    ends = 2 * np.cumsum(new.sum(axis=1))[:-1]
+    rows = [rle.tolist() for rle in np.split(runs.reshape(-1), ends)]
     out = {
         "version": FILE_VERSION,
         "v": scheme.v,
@@ -101,8 +96,7 @@ def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
     L = np.zeros((v, v), dtype=np.int64)
     for x, (lbl, count) in enumerate(runs):
         L[x] = np.repeat(lbl, count)
-    mats = [(L == i).astype(np.int64) for i in range(len(data["labels"]))]
-    return scheme_verify(mats, data["labels"]), data.get("provenance")
+    return AssociationScheme.from_matrices(L, data["labels"]), data.get("provenance")
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
-from .errors import VerificationError
+from .errors import InputError, VerificationError
 from .kernel import Batch
 from .schemes import AssociationScheme
 
@@ -443,12 +443,22 @@ def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
     return Eigensystem(alg, blocks)
 
 
+def _parameter(provenance: dict, key: str) -> int:
+    x = provenance.get(key)
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise InputError(f"provenance {key} must be a positive integer, not {x!r}")
+    return x
+
+
 def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
+    """The eigensystem of the family that the provenance record names; a
+    missing or non-positive-integer q or m raises InputError."""
     fam = provenance.get("family")
     if fam == "bgw":
-        return bgw_eigensystem(scheme, provenance["q"], provenance["m"])
+        q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
+        return bgw_eigensystem(scheme, q, m)
     if fam == "gh":
-        return gh_eigensystem(scheme, provenance["q"])
+        return gh_eigensystem(scheme, _parameter(provenance, "q"))
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -786,11 +796,5 @@ def exact_rank(rows: list[list[CycScalar]]) -> int:
 
 def materialize(scheme: AssociationScheme, elem: Elem, field: CycField):
     """The element as an explicit v x v matrix of scalars (small v only)."""
-    L = np.zeros((scheme.v, scheme.v), dtype=np.int64)
-    for i, M in enumerate(scheme.mats):
-        L += i * M
     zero = field.zero()
-    return [
-        [elem.get(int(L[x, y]), zero) for y in range(scheme.v)]
-        for x in range(scheme.v)
-    ]
+    return [[elem.get(int(c), zero) for c in row] for row in scheme.L]

@@ -5,12 +5,14 @@ import pytest
 from gwschemes import (
     SymmetryObstruction,
     bgw_build,
+    bgw_incidence,
     bgw_labels,
     gh_build,
     gh_labels,
 )
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, GH_GRID, bgw, gh
 from closedforms import check_bgw_products, check_gh_products
+import kronecker
 
 
 class TestBGWScheme:
@@ -110,3 +112,20 @@ class TestGHScheme:
             np.kron(Jq, Jq) - np.kron(Iq, Jq),
         )
         assert np.array_equal(s.mats[2 * q], want)
+
+
+class TestKroneckerReference:
+    """The label matrices the builders write equal the Kronecker/block
+    construction of their docstrings."""
+
+    @pytest.mark.parametrize("q,m", BGW_BUILDABLE, ids=lambda c: str(c))
+    def test_bgw_label_matrix(self, q, m):
+        ref = kronecker.bgw_mats(q, m)
+        assert np.array_equal(bgw(q, m).L, kronecker.label_matrix(ref))
+        for level in range(m):
+            want = sum(ref[:m]) + ref[m + level]
+            assert np.array_equal(bgw_incidence(q, m, level), want), level
+
+    @pytest.mark.parametrize("q", GH_GRID, ids=lambda q: f"q{q}")
+    def test_gh_label_matrix(self, q):
+        assert np.array_equal(gh(q).L, kronecker.label_matrix(kronecker.gh_mats(q)))

@@ -153,6 +153,23 @@ class TestMalformedFiles:
         assert err.startswith("input error: ") and says in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "provenance,says",
+        [
+            ({"family": "bgw"}, "provenance q must be a positive integer, not None"),
+            ({"family": "bgw", "q": 5}, "provenance m must be a positive integer, not None"),
+            ({"family": "bgw", "q": "5", "m": 2}, "provenance q must be a positive integer, not '5'"),
+            ({"family": "bgw", "q": 5, "m": True}, "provenance m must be a positive integer, not True"),
+            ({"family": "gh", "q": 0}, "provenance q must be a positive integer, not 0"),
+        ],
+        ids=["bgw-no-q", "bgw-no-m", "string-q", "bool-m", "gh-zero-q"],
+    )
+    def test_bad_provenance_parameters(self, tmp_path, capsys, provenance, says):
+        path = _saved(tmp_path, _set("provenance", provenance))
+        code, _, err = run(capsys, "verify", "--in", path, "--spectral")
+        assert code == 1
+        assert err == f"input error: {says}\n"
+
     @pytest.mark.parametrize("text", ["{\"version\": 1, ", "[1, 2]", "\xff\xfe"], ids=["truncated", "list", "binary"])
     def test_not_a_scheme_record(self, tmp_path, capsys, text):
         path = tmp_path / "s.json"

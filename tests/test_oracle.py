@@ -7,7 +7,7 @@ import pytest
 
 import gwschemes.oracle
 from gwschemes import VerificationError, oracle_closure, oracle_spectrum
-from gwschemes.matrixkit import matpow, shift_matrix
+from kronecker import matpow, shift_matrix
 import cases
 
 

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from gwschemes import AssociationScheme, NotAScheme, bgw_build, scheme_verify
-from gwschemes.matrixkit import mm, shift_matrix
+from gwschemes.matrixkit import mm
+from kronecker import shift_matrix
 
 
 def cyclic_group_scheme(n):
@@ -125,6 +126,73 @@ class TestRejection:
         mats2[2][0, 1] ^= 1  # break the row partition
         with pytest.raises(NotAScheme):
             scheme_verify(mats2)
+
+
+class TestLabelMatrix:
+    def cyclic(self, n=6):
+        """The label matrix of the thin scheme of Z_n: L[x, y] = y - x."""
+        idx = np.arange(n)
+        return (idx[None, :] - idx[:, None]) % n
+
+    def test_from_label_matrix(self):
+        s = AssociationScheme.from_matrices(self.cyclic(), list("abcdef"))
+        assert s.labels == list("abcdef")
+        assert np.array_equal(s.p, scheme_verify(cyclic_group_scheme(6)).p)
+
+    @pytest.mark.parametrize(
+        "mutate,says",
+        [
+            (lambda L: L.__setitem__((0, 1), 6), "0..5"),
+            (lambda L: L.__setitem__((0, 1), -1), "0..5"),
+            (lambda L: L.__setitem__((0, 1), 0), "identity"),
+            (lambda L: L.__setitem__((2, 2), 3), "identity"),
+        ],
+        ids=["label-too-large", "negative-label", "zero-off-diagonal", "nonzero-diagonal"],
+    )
+    def test_mutated_label_matrix_rejected(self, mutate, says):
+        L = self.cyclic()
+        mutate(L)
+        with pytest.raises(NotAScheme, match=says):
+            AssociationScheme.from_matrices(L, [str(i) for i in range(6)])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NotAScheme, match="square"):
+            AssociationScheme.from_matrices(self.cyclic()[:5], [str(i) for i in range(6)])
+
+    def test_empty_relation_rejected(self):
+        with pytest.raises(NotAScheme, match="empty"):
+            AssociationScheme.from_matrices(self.cyclic(), [str(i) for i in range(7)])
+
+    def test_uneven_valency_rejected(self):
+        # both relations are symmetric, but point 0 has two 1-neighbours and
+        # the others one
+        L = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+        with pytest.raises(NotAScheme, match="row/column sums"):
+            AssociationScheme.from_matrices(L, ["0", "1", "2"])
+
+    def test_float32_bound_checked(self):
+        # a zero-stride view: v = 2**24 points without the memory
+        L = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**24, 2**24))
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            AssociationScheme.from_matrices(L, ["0"])
+
+    def test_mats_are_built_from_l(self):
+        s = bgw_build(7, 3)
+        want = [(s.L == i).astype(np.int64) for i in range(s.nclasses)]
+        got = s.mats
+        assert all(M.dtype == np.int64 for M in got)
+        assert all(np.array_equal(M, W) for M, W in zip(got, want, strict=True))
+
+    def test_mutating_mats_leaves_the_scheme(self):
+        s = scheme_verify(cyclic_group_scheme(6))
+        p = s.p.copy()
+        mats = s.mats
+        mats[1][0, 0] = 7
+        mats[0][:] = 0
+        assert np.array_equal(s.p, p)
+        assert np.array_equal(s.mats[0], np.eye(6, dtype=np.int64))
+        assert s.mats[1][0, 0] == 0
+        assert not s.L.flags.writeable
 
 
 class TestFusion:
