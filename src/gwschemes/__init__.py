@@ -46,11 +46,9 @@ from .spectra import (
     character_table,
     check_pq_duality,
     eigensystem_for,
-    exact_rank,
     gh_eigensystem,
     gh_symmetric_fusion,
     gh_transversal,
-    materialize,
 )
 from .oracle import oracle_closure, oracle_spectrum
 from .serialize import (
@@ -103,11 +101,9 @@ __all__ = [
     "character_table",
     "check_pq_duality",
     "eigensystem_for",
-    "exact_rank",
     "gh_eigensystem",
     "gh_symmetric_fusion",
     "gh_transversal",
-    "materialize",
     "oracle_closure",
     "oracle_spectrum",
     "load_scheme",

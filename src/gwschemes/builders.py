@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import bgw_matrix, one_factorization
+from .designs import bgw_matrix, one_factorization, require_points
 from .schemes import AssociationScheme
 
 
@@ -64,7 +64,8 @@ def gh_labels(q: int) -> list[str]:
     )
 
 
-def gh_build(q: int) -> AssociationScheme:
+def _gh_label_matrix(q: int) -> np.ndarray:
+    require_points((q + 1) * q * q)
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
@@ -72,12 +73,15 @@ def gh_build(q: int) -> AssociationScheme:
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = q - 1 - np.arange(q)
     factor = sum(a * P for a, P in enumerate(one_factorization(q)))
-    P, beta, y = np.unravel_index(np.arange((q + 1) * q * q), (q + 1, q, q))
-    P, beta, y, P2, beta2, y2 = (
-        P[:, None], beta[:, None], y[:, None], P[None, :], beta[None, :], y[None, :]
-    )
+    # one broadcast axis per coordinate, so that only alpha and L are v x v
+    P, beta, y, P2, beta2, y2 = np.ix_(*[np.arange(n) for n in (q + 1, q, q) * 2])
     a = factor[P, P2]
     alpha = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]]
+    alpha += q
     inner = np.where(beta == beta2, sub[y2, y], 2 * q)
-    L = np.where(P == P2, inner, q + alpha)
-    return AssociationScheme.from_matrices(L, gh_labels(q))
+    v = (q + 1) * q * q
+    return np.where(P == P2, inner, alpha).reshape(v, v)
+
+
+def gh_build(q: int) -> AssociationScheme:
+    return AssociationScheme.from_matrices(_gh_label_matrix(q), gh_labels(q))

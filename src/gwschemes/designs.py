@@ -21,6 +21,17 @@ from .errors import SymmetryObstruction, VerificationError
 
 BLANK = -1
 
+# The most points a scheme construction accepts.  A scheme is a dense v x v
+# label matrix, so larger parameters are refused before any field table or
+# matrix is allocated; gh 13 has 2366 points.
+MAX_POINTS = 4096
+
+
+def require_points(v: int) -> None:
+    """Raise ValueError when a construction asks for more than MAX_POINTS points."""
+    if v > MAX_POINTS:
+        raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
+
 
 def bgw_matrix(q: int, m: int) -> np.ndarray:
     """Symmetric BGW(q+1, q, q-1) over Z_m with blank diagonal.
@@ -30,13 +41,15 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     index x.  Entry (x, y) for distinct finite x, y is dlog(x - y) mod m; all
     other nonblank entries are the group identity.
 
-    Requires m | q - 1.  The result is symmetric iff dlog(-1) = 0 mod m,
+    Requires m | q - 1, and refuses (q, m) whose scheme would have more than
+    MAX_POINTS points.  The result is symmetric iff dlog(-1) = 0 mod m,
     equivalently iff (q-1)/m is even or q is even; otherwise
     SymmetryObstruction is raised.
     """
-    F = FiniteField(q)
     if m < 2 or (q - 1) % m != 0:
         raise ValueError(f"m={m} must divide q-1={q - 1}")
+    require_points((q + 1) * m)
+    F = FiniteField(q)
     if F.p != 2 and ((q - 1) // m) % 2 != 0:
         # dlog(-1) = (q-1)/2, which is 0 mod m iff (q-1)/m is even
         raise SymmetryObstruction(

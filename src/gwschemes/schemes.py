@@ -7,16 +7,44 @@ intersection numbers (the A_i sum to J by construction).  L is the one stored
 representation: construction verifies every axiom exactly and extracts the
 full intersection tensor, so an AssociationScheme instance is a certificate
 of schemehood, and the 0/1 matrices are built only when asked for.
+
+Closure is certified from a generating set G of classes instead of from all
+products.  Write V = span{A_i}.  For each g in G the verifier checks that
+every A_i A_g is constant on each relation, which proves V A_g in V with
+A_i A_g = sum_k R_g[i,k] A_k for an integer matrix R_g.  Since A_0 = I, a
+word A_g1 ... A_gr has coefficient vector e_0 R_g1 ... R_gr.  If these
+vectors span Q^(d+1), every A_j is a linear combination of words in G, and
+then A_i A_j is a combination of products A_i A_g1 ... A_gr, each in V one
+generator at a time: V is closed.
+
+* Products.  Thin classes (valency 1) come first.  A thin generator is a
+  permutation matrix, so all its products are one gather of L.  For a later
+  generator g, the products with a thin A_t are in V by transposition, and
+  the one of largest valency follows from sum_i A_i A_g = k_g J.  The others
+  come from float32 GEMMs of 0/1 matrices, several classes to a GEMM as the
+  digits of base-(k_g + 1) numerals; every partial sum is an integer below
+  2**24, exact in float32 (see _right_action; v < 2**24 is checked).
+* Span.  Fraction-free Gaussian elimination on Python integers decides
+  membership and rank exactly, with no rounding and no modulus.  Taking
+  every class as a generator always succeeds (e_0 R_j = e_j), so a scheme is
+  never rejected for its choice of G.
+* Tensor.  Once V is closed, A_i A_j is constant on each relation, so its
+  value at any one pair of relation k is p[i,j,k].  Taking the pairs (0, y_k)
+  of row 0 gives the whole tensor as one bincount of the label pairs
+  (L[0, z], L[z, y_k]) over z.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import NotAScheme
 from .matrixkit import is_zero_one
 
-# the closure GEMMs run in float32 on 0/1 matrices: every partial sum of an
-# entry of A_i A_j is an integer at most v, exact in float32 while v < 2**24
+# the closure GEMMs run in float32, whose integers are exact below 2**24: the
+# partial sums of an entry stay below (k + 1)**d <= 2**24 (see _right_action)
+# with k < v, so d >= 1 holds while v < 2**24
 _F32_EXACT = 2**24
 
 
@@ -38,7 +66,8 @@ class AssociationScheme:
     @classmethod
     def from_matrices(cls, L, labels) -> "AssociationScheme":
         """Verify that the relations A_i = (L == i) of the label matrix L form
-        a scheme and build it; raises NotAScheme on failure."""
+        a scheme and build it; raises NotAScheme on failure.  Closure is
+        certified from generators (see the module docstring)."""
         L = np.asarray(L)
         square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
         if not square or L.dtype.kind not in "iu":
@@ -77,35 +106,13 @@ class AssociationScheme:
             raise NotAScheme("row/column sums not constant")
         valencies = [int(k) for k in rows[0]]
 
-        # closure: every product is constant on each relation, read off the
-        # positions sorted by class
-        order = np.argsort(L.reshape(-1), kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        tensor = np.zeros((nm, nm, nm), dtype=np.int64)
-        for j in range(nm):
-            tensor[0, j, j] = 1
-            tensor[j, 0, j] = 1
-        A = [(L == i).astype(np.float32) for i in range(nm)]
-        done = set()
-        for i in range(1, nm):
-            for j in range(1, nm):
-                if (i, j) in done:
-                    continue
-                vals = (A[i] @ A[j]).reshape(-1)[order]
-                mins = np.minimum.reduceat(vals, starts)
-                maxs = np.maximum.reduceat(vals, starts)
-                if not np.array_equal(mins, maxs):
-                    raise NotAScheme(
-                        f"product A_{labels[i]} A_{labels[j]} leaves the span"
-                    )
-                row = mins.astype(np.int64)
-                tensor[i, j] = row
-                done.add((i, j))
-                # (A_i A_j)^T = A_{tpose[j]} A_{tpose[i]} gives the partner
-                ti, tj = tpose[j], tpose[i]
-                if (ti, tj) not in done:
-                    tensor[ti, tj] = row[tpose]
-                    done.add((ti, tj))
+        # (A_i A_j)[0, y_k] for the first y_k with L[0, y_k] = k: the tensor,
+        # once the closure certificate below holds
+        rep = np.unique(L[0], return_index=True)[1]
+        pairs0 = L[0][:, None] * nm + L[:, rep] + nm * nm * np.arange(nm)
+        tensor = np.bincount(pairs0.reshape(-1), minlength=nm**3)
+        tensor = np.ascontiguousarray(tensor.reshape(nm, nm, nm).transpose(1, 2, 0))
+        _certify_closure(L, labels, tensor, valencies)
         return cls(L, list(labels), tensor, tpose, valencies)
 
     # -- structure --
@@ -149,6 +156,141 @@ class AssociationScheme:
             f"AssociationScheme(v={self.v}, classes={self.nclasses}, "
             f"{self.classify()})"
         )
+
+
+def _certify_closure(L, labels, p, valencies) -> None:
+    """Prove that span{A_i} is closed, given the axioms checked before it and
+    p[i, j, k] = (A_i A_j)[0, y_k]; raises NotAScheme otherwise.
+
+    Generators are tried in a fixed order, thin classes first, then the rest
+    by decreasing valency; a class already in the generated span is skipped.
+    Each generator g taken is checked to satisfy A_i A_g = sum_k p[i,g,k] A_k
+    for every i, and the search stops once the generators span the algebra.
+    """
+    nm = len(labels)
+    thin = [i for i in range(1, nm) if valencies[i] == 1]
+    rest = [i for i in range(1, nm) if valencies[i] > 1]
+    rest.sort(key=lambda i: (-valencies[i], i))
+    span = _Span(nm)
+    for g in thin + rest:
+        if span.rank == nm:
+            break
+        if g in span:
+            continue
+        if valencies[g] == 1:
+            bad = _thin_right_action(L, p[:, g], g)
+        else:
+            bad = _right_action(L, p[:, g], g, rest, valencies[g])
+        if bad is not None:
+            raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
+        span.add(p[:, g])
+    span.certify()
+
+
+def _thin_right_action(L, R, g):
+    """Check A_i A_g = sum_k R[i, k] A_k for all i at once, for a thin g;
+    return a failing i or None.  A_g is a permutation matrix, with its one
+    in column y at row src[y], so A_i A_g is the 0/1 matrix (L[:, src] == i)."""
+    src = (L == g).argmax(axis=0)
+    M = L[:, src]
+    # column k of R is the unit vector at the class of (0, src[y_k])
+    bad = np.argwhere(M != R.argmax(axis=0)[L])
+    return int(M[tuple(bad[0])]) if len(bad) else None
+
+
+def _right_action(L, R, g, rest, k):
+    """Check A_i A_g = sum_k R[i, k] A_k for every class i, where A_g has
+    valency k and rest holds the classes that are not thin, largest valency
+    first; return a failing i or None.
+
+    The products of rest[1:] come from float32 GEMMs, d classes at a time:
+    (sum_s B**s A_(i_s)) A_g with B = k + 1 has entries sum_s B**s c_s, where
+    c_s = (A_(i_s) A_g)[x, y] counts ones of a column of A_g, so c_s <= k < B.
+    Every partial sum is a nonnegative integer below B**d <= 2**24, exact in
+    float32.  The entries of R are such counts too (at row 0), so both sides
+    are base-B numerals, equal only digit by digit.
+
+    The other products need no arithmetic.  A thin class t has been taken as
+    a generator or lies in the span by now, so V A_t' is in V for the thin
+    transpose t' of t, and transposing gives A_t A_g = (A_g' A_t')^T in V.
+    And sum_i A_i A_g = k J, so the product of rest[0] is k J minus the
+    others, in V once they are.  Their coefficients are those of row 0.
+    """
+    B, d = k + 1, 1
+    while B ** (d + 1) <= _F32_EXACT:
+        d += 1
+    Ag = (L == g).astype(np.float32)
+    for c in range(1, len(rest), d):
+        chunk = rest[c:c + d]
+        weight = np.zeros(len(R), dtype=np.int64)
+        weight[chunk] = B ** np.arange(len(chunk))
+        prod = weight.astype(np.float32)[L] @ Ag
+        want = (weight @ R).astype(np.float32)[L]
+        if not np.array_equal(prod, want):
+            x, y = np.argwhere(prod != want)[0]
+            got, expected = int(prod[x, y]), int(want[x, y])
+            # the first class whose digit differs
+            digit = [(got // B**s % B, expected // B**s % B) for s in range(len(chunk))]
+            return next(i for i, (a, b) in zip(chunk, digit) if a != b)
+    return None
+
+
+class _Span:
+    """The span over Q of the vectors e_0 R_w, w running over the words in
+    the generators added so far: the least subspace that holds e_0 and that
+    each generator's R maps into itself.  Its rows are Python integers in
+    echelon form (each is zero at the pivots of the rows before it), so
+    membership and rank are decided exactly."""
+
+    def __init__(self, nm: int):
+        self.nm = nm
+        self.gens: list[np.ndarray] = []
+        self.rows: list[tuple[int, np.ndarray]] = []  # (pivot, row)
+        self._close([self._unit(0)])
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _unit(self, i: int) -> np.ndarray:
+        e = np.zeros(self.nm, dtype=object)
+        e[i] = 1
+        return e
+
+    def _reduce(self, w: np.ndarray) -> np.ndarray:
+        """w minus its part in the span, up to a nonzero integer factor."""
+        for c, r in self.rows:
+            if w[c]:
+                w = r[c] * w - w[c] * r
+        return w
+
+    def __contains__(self, i: int) -> bool:
+        """Whether e_i, the vector of A_i, lies in the span."""
+        return not np.flatnonzero(self._reduce(self._unit(i))).size
+
+    def add(self, R) -> None:
+        """Add a generator with A_i A_g = sum_k R[i, k] A_k and close the span
+        under every generator."""
+        R = np.asarray(R).astype(object)
+        self.gens.append(R)
+        self._close([r @ R for _, r in self.rows])
+
+    def _close(self, todo: list[np.ndarray]) -> None:
+        while todo and self.rank < self.nm:
+            w = self._reduce(todo.pop())
+            nz = np.flatnonzero(w)
+            if nz.size:
+                w = w // math.gcd(*w)
+                self.rows.append((int(nz[0]), w))
+                todo.extend(w @ R for R in self.gens)
+
+    def certify(self) -> None:
+        """Raise NotAScheme unless the generators span all nm classes."""
+        if self.rank < self.nm:
+            raise NotAScheme(
+                f"the generators span rank {self.rank} < {self.nm}, "
+                "not the whole algebra"
+            )
 
 
 def scheme_verify(mats, labels=None) -> AssociationScheme:

@@ -45,9 +45,9 @@ def scheme_to_dict(scheme: AssociationScheme, provenance: dict | None = None) ->
     return out
 
 
-def _runs(data) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The label and length arrays of each row's runs; raises InputError
-    unless data has the shape of a scheme file."""
+def _label_matrix(data) -> np.ndarray:
+    """The label matrix of a file record; raises InputError unless data has
+    the shape of a scheme file, checked before the matrix is allocated."""
     if not isinstance(data, dict):
         raise InputError("a scheme file holds one JSON object")
     if data.get("version") != FILE_VERSION:
@@ -69,7 +69,7 @@ def _runs(data) -> list[tuple[np.ndarray, np.ndarray]]:
         raise InputError(f"v is {v} but rows is not a list of {v} rows")
     if not isinstance(data.get("provenance", {}), dict):
         raise InputError("provenance must be a JSON object")
-    out = []
+    runs = []
     for x, rle in enumerate(rows):
         a = np.array(rle if isinstance(rle, list) else None)
         if a.ndim != 1 or a.dtype.kind not in "iu" or len(a) % 2:
@@ -81,8 +81,11 @@ def _runs(data) -> list[tuple[np.ndarray, np.ndarray]]:
             raise InputError(f"row {x} has a run length outside 1..{v}")
         if count.sum() != v:
             raise InputError(f"row {x} does not cover all columns")
-        out.append((lbl, count))
-    return out
+        runs.append((lbl, count))
+    L = np.zeros((v, v), dtype=np.int64)
+    for x, (lbl, count) in enumerate(runs):
+        L[x] = np.repeat(lbl, count)
+    return L
 
 
 def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
@@ -91,17 +94,13 @@ def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
     The record's shape is checked before anything is allocated; a malformed
     record raises InputError, a well-formed one that is no scheme NotAScheme.
     """
-    runs = _runs(data)
-    v = data["v"]
-    L = np.zeros((v, v), dtype=np.int64)
-    for x, (lbl, count) in enumerate(runs):
-        L[x] = np.repeat(lbl, count)
+    L = _label_matrix(data)
     return AssociationScheme.from_matrices(L, data["labels"]), data.get("provenance")
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(scheme_to_dict(scheme, provenance), fh)
+        fh.write(json.dumps(scheme_to_dict(scheme, provenance)))
         fh.write("\n")
 
 
@@ -111,7 +110,9 @@ def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
             data = json.load(fh)
         except ValueError as e:  # not JSON, or not UTF-8 text
             raise InputError(f"{path} is not a JSON file: {e}") from e
-    return scheme_from_dict(data)
+    L, labels, provenance = _label_matrix(data), data["labels"], data.get("provenance")
+    del data  # the parsed runs, freed before the verifier allocates
+    return AssociationScheme.from_matrices(L, labels), provenance
 
 
 # -- scalar text form --

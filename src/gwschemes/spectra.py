@@ -762,39 +762,3 @@ def bm_search(
         cell_count=count,
         target=target,
     )
-
-
-# -- exact rank, for cross-checks --
-
-
-def exact_rank(rows: list[list[CycScalar]]) -> int:
-    """Rank of a matrix over Q(zeta_M)[sqrt(d)] by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def materialize(scheme: AssociationScheme, elem: Elem, field: CycField):
-    """The element as an explicit v x v matrix of scalars (small v only)."""
-    zero = field.zero()
-    return [[elem.get(int(c), zero) for c in row] for row in scheme.L]

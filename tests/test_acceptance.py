@@ -23,10 +23,13 @@ from gwschemes import (
     bgw_symmetric_fusion,
     bm_search,
     check_pq_duality,
+    gh_build,
     gh_symmetric_fusion,
     latin_square,
+    load_scheme,
     oracle_closure,
     oracle_spectrum,
+    save_scheme,
     scheme_verify,
     sgdd_params,
     verify_bgw,
@@ -136,6 +139,18 @@ class TestC2GhSchemeAxioms:
         assert s.v == (q + 1) * q * q
         assert s.nclasses - 1 == 2 * q
         cf.check_gh_products(s, q)
+
+    def test_q11_products_and_file_roundtrip(self, tmp_path):
+        # q = 11 stays out of GH_GRID, which the oracle tests run over
+        s = gh_build(11)
+        cf.check_gh_products(s, 11)
+        path = tmp_path / "gh11.json"
+        save_scheme(path, s, {"family": "gh", "q": 11})
+        loaded, provenance = load_scheme(path)
+        assert provenance == {"family": "gh", "q": 11}
+        assert np.array_equal(loaded.L, s.L)
+        assert np.array_equal(loaded.p, s.p)
+        assert loaded.tpose == s.tpose
 
     def test_runtime_under_60s_total(self):
         for q in cases.GH_GRID:

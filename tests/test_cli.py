@@ -1,9 +1,10 @@
 """Command line interface, run in process through main(argv)."""
 import json
+import time
 
 import pytest
 
-from gwschemes import save_scheme, scheme_to_dict
+from gwschemes import designs, save_scheme, scheme_to_dict
 from gwschemes.cli import main
 import cases
 
@@ -67,6 +68,27 @@ class TestBuild:
         code, _, err = run(capsys, "build", "bgw-scheme", "--q", "5", "--m", "4")
         assert code == 3
         assert "precondition" in err
+
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            (["bgw-scheme", "--q", "1000003", "--m", "2"], "2000008 points exceed the limit"),
+            (["bgw-scheme", "--q", "1000003", "--m", "4"], "m=4 must divide q-1=1000002"),
+            (["gh-scheme", "--q", "1000003"], "points exceed the limit"),
+        ],
+        ids=["bgw-too-many-points", "bgw-m-not-dividing", "gh-too-many-points"],
+    )
+    def test_absurd_sizes_fail_fast(self, capsys, argv, says):
+        # checked before any field table or v x v matrix is allocated
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "build", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert err.startswith("precondition failure: ") and says in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_point_limit_admits_gh_13(self):
+        assert designs.MAX_POINTS >= (13 + 1) * 13 * 13
 
     def test_help_and_bad_subcommand(self, capsys):
         assert run(capsys, "--help")[0] == 0

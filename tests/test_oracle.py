@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import gwschemes.oracle
-from gwschemes import VerificationError, oracle_closure, oracle_spectrum
+from gwschemes import (
+    VerificationError,
+    bgw_symmetric_fusion,
+    gh_symmetric_fusion,
+    oracle_closure,
+    oracle_spectrum,
+)
 from kronecker import matpow, shift_matrix
 import cases
 
@@ -39,6 +45,24 @@ class TestClosureOracle:
         mats[1][r, c] = 0
         with pytest.raises(VerificationError, match="not constant"):
             oracle_closure(mats)
+
+
+FUSED = [("bgw",) + c for c in cases.BGW_BUILDABLE] + [("gh", q) for q in cases.GH_GRID]
+
+
+class TestFusedClosureOracle:
+    """The certified tensor of every grid case's symmetrizing fusion equals
+    the oracle's.  Most fused classes are not thin, so these exercise the
+    certificate's GEMM path; the unfused grid is compared in
+    test_acceptance.py (TestC8OracleEquivalence)."""
+
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_certified_tensor(self, c):
+        if c[0] == "bgw":
+            fused = cases.bgw(*c[1:]).fuse(bgw_symmetric_fusion(c[2]))
+        else:
+            fused = cases.gh(c[1]).fuse(gh_symmetric_fusion(c[1]))
+        assert np.array_equal(oracle_closure(fused.mats), fused.p)
 
 
 class TestSpectrumOracle:

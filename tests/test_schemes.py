@@ -1,9 +1,23 @@
 """Association scheme axioms, intersection tensors, and fusions."""
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gwschemes import AssociationScheme, NotAScheme, bgw_build, scheme_verify
+from gwschemes import (
+    AssociationScheme,
+    NotAScheme,
+    VerificationError,
+    bgw_build,
+    gh_build,
+    gh_symmetric_fusion,
+    one_factorization,
+    oracle_closure,
+    scheme_verify,
+)
 from gwschemes.matrixkit import mm
+from gwschemes.schemes import _Span, _right_action
 from kronecker import shift_matrix
 
 
@@ -193,6 +207,155 @@ class TestLabelMatrix:
         assert np.array_equal(s.mats[0], np.eye(6, dtype=np.int64))
         assert s.mats[1][0, 0] == 0
         assert not s.L.flags.writeable
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    rows = [[Fraction(int(x)) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def transpose_last_block(n):
+    """Transpose the diagonal block of the last n points, a block of thin
+    classes: every row keeps its labels, and every pair its transpose pair."""
+    def mutate(s):
+        L = s.L.copy()
+        L[-n:, -n:] = L[-n:, -n:].T
+        return L
+    return mutate
+
+
+def swap_in_block(rows, cols, a, b):
+    """Swap classes a and b, of equal valency, in the block (rows, cols), and
+    the transposes of a and b in the mirror block (cols, rows): every pair
+    keeps its transpose pair, and every row its label counts."""
+    def mutate(s):
+        perm = np.arange(s.nclasses)
+        perm[[a, b]] = b, a
+        t = np.array(s.tpose)
+        L = s.L.copy()
+        L[np.ix_(rows, cols)] = perm[L[np.ix_(rows, cols)]]
+        L[np.ix_(cols, rows)] = t[perm[t[L[np.ix_(cols, rows)]]]]
+        return L
+    return mutate
+
+
+class TestClosureCertificate:
+    """Negative controls for the closure certificate.
+
+    A single changed entry already breaks a row count, so these mutations
+    relabel whole blocks instead: the identity, the label range, transpose
+    closure and the valencies all still hold, and only the products through
+    the generators can reject them.
+    """
+
+    @pytest.mark.parametrize(
+        "build,mutate",
+        [
+            (lambda: bgw_build(7, 3), transpose_last_block(3)),
+            (lambda: gh_build(5), transpose_last_block(5)),
+            (lambda: bgw_build(7, 3), swap_in_block(range(3, 6), range(6, 9), 3, 4)),
+            (lambda: gh_build(5), swap_in_block(range(25, 50), range(50, 75), 5, 6)),
+            # no thin class but A_0, so only GEMMs can reject it
+            (
+                lambda: gh_build(5).fuse(gh_symmetric_fusion(5)),
+                swap_in_block(range(25, 50), range(50, 75), 4, 5),
+            ),
+        ],
+        ids=[
+            "bgw73-thin-block",
+            "gh5-thin-block",
+            "bgw73-nonthin-block",
+            "gh5-nonthin-block",
+            "gh5-fused-nonthin-block",
+        ],
+    )
+    def test_relabelled_block_rejected(self, build, mutate):
+        s = build()
+        L = mutate(s)
+        assert (L != s.L).any()
+        with pytest.raises(VerificationError):  # independently, no scheme
+            oracle_closure([(L == i).astype(np.int64) for i in range(s.nclasses)])
+        with pytest.raises(NotAScheme, match="leaves the span") as info:
+            AssociationScheme.from_matrices(L, s.labels)
+        # the product named really fails, also where a GEMM packs several
+        pattern = r"product A_(\S+) A_(\S+) leaves the span"
+        i, g = (s.labels.index(x) for x in re.fullmatch(pattern, str(info.value)).groups())
+        prod = (L == i).astype(np.int64) @ (L == g).astype(np.int64)
+        assert any(len(np.unique(prod[L == k])) > 1 for k in range(s.nclasses))
+
+    def test_packed_products_do_not_carry(self):
+        # a forged coefficient table that moves k from one digit to the next
+        # within one GEMM: the packed sums agree in base k but not in base
+        # k + 1, the base the exactness bound asks for
+        s = gh_build(5).fuse(gh_symmetric_fusion(5))
+        rest = [4, 5, 3, 6, 1, 2]  # the classes that are not thin, by valency
+        g, k = 3, s.valencies[3]  # (0,1): symmetric, valency 25
+        R = s.p[:, g].copy()
+        assert (R[3, 0], R[6, 0]) == (k, 0)  # A_g A_g is k on the diagonal
+        R[3, 0], R[6, 0] = 0, 1
+        assert _right_action(s.L, R, g, rest, k) == 3
+        assert _right_action(s.L, s.p[:, g], g, rest, k) is None
+
+    def test_thin_relations_of_no_group_rejected(self):
+        # the one-factorization of K_6 as a label matrix: every class is thin
+        # and symmetric, so every earlier check passes and only the thin
+        # generators' gathers can reject it; no group of order 6 has five
+        # involutions
+        L = sum((a + 1) * P for a, P in enumerate(one_factorization(5)))
+        with pytest.raises(NotAScheme, match="leaves the span"):
+            AssociationScheme.from_matrices(L, [str(i) for i in range(6)])
+
+    def test_broken_transpose_pair_rejected(self):
+        s = bgw_build(7, 3)
+        L = s.L.copy()
+        assert (L[0, 1], L[1, 0]) == (1, 2)
+        L[1, 0] = 1
+        with pytest.raises(NotAScheme, match="transpose"):
+            AssociationScheme.from_matrices(L, s.labels)
+
+    def test_non_generating_set_rejected(self):
+        # the thin classes of gh 5 span only the group algebra of GF(5)
+        s = gh_build(5)
+        span = _Span(s.nclasses)
+        for g in range(1, 5):
+            assert s.valencies[g] == 1
+            span.add(s.p[:, g])
+        assert span.rank == 5
+        with pytest.raises(NotAScheme, match="rank 5 < 11"):
+            span.certify()
+        span.add(s.p[:, s.label_index("(0,1)")])
+        assert span.rank == 11
+        span.certify()
+
+    def test_span_matches_rational_rank(self):
+        # the span of e_0 under words of length < nm in random integer
+        # matrices, against a plain Fraction elimination
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            nm = int(rng.integers(2, 6))
+            gens = [rng.integers(-2, 3, (nm, nm)) for _ in range(int(rng.integers(1, 3)))]
+            span = _Span(nm)
+            for R in gens:
+                span.add(R)
+            words = frontier = [np.eye(nm, dtype=np.int64)[0]]
+            for _ in range(nm - 1):
+                frontier = [w @ R for w in frontier for R in gens]
+                words = words + frontier
+            assert span.rank == rational_rank(words)
+            for i in range(nm):
+                e = np.eye(nm, dtype=np.int64)[i]
+                assert (i in span) == (rational_rank(words + [e]) == span.rank)
 
 
 class TestFusion:

@@ -15,11 +15,9 @@ from gwschemes import (
     bm_search,
     check_pq_duality,
     eigensystem_for,
-    exact_rank,
     gh_eigensystem,
     gh_symmetric_fusion,
     gh_transversal,
-    materialize,
     scalar_from_str,
 )
 from gwschemes import kernel
@@ -33,6 +31,39 @@ from gwschemes.spectra import (
 )
 import cases
 import closedforms as cf
+
+
+def exact_rank(rows) -> int:
+    """Rank of a matrix of CycScalars by Gaussian elimination over its field."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def materialize(scheme, elem, field):
+    """An algebra element as an explicit v x v matrix of scalars (small v only)."""
+    zero = field.zero()
+    return [[elem.get(int(c), zero) for c in row] for row in scheme.L]
 
 
 def parse_table(field, rows):
