@@ -477,151 +477,121 @@ class CycScalar:
         return scalar_to_str(self)
 
 
+# The largest field order FiniteField builds tables for.  A BGW scheme over
+# GF(q) has (q+1)m >= 2(q+1) points and a GH scheme (q+1)q^2, so every q a
+# builder admits under designs.MAX_POINTS = 4096 is at most 2047.
+MAX_ORDER = 2048
+
+
 class FiniteField:
-    """The field GF(q) with explicit tables.
+    """The field GF(q) as its index tables.
 
     Elements are the integers 0..q-1; the element with base-p digits
     (a_0, ..., a_{e-1}) (a_{e-1} most significant in the index) represents
     a_0 + a_1 t + ... + a_{e-1} t^{e-1} where t is a root of the modulus.
     The modulus is the lexicographically first monic irreducible polynomial of
     degree e, ordered by ascending coefficient tuple (constant term first).
+    The generator is the smallest element of order q - 1.
+
+    The tables are int64 arrays: digit_t (q x e, the digits of each element),
+    add_t and mul_t (q x q), neg_t, exp_t (exp_t[k] = generator^k for
+    k < q - 1) and log_t (its inverse on the nonzero elements; log_t[0] is
+    0 and means nothing).  Orders above MAX_ORDER raise ValueError before any
+    table is built.
     """
 
     def __init__(self, q: int):
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds the limit of {MAX_ORDER}")
         self.q = q
-        self.p, self.e = factor_prime_power(q)
+        self.p, self.e = p, e = factor_prime_power(q)
         self.modulus = self._find_modulus()
-        self._digits = [self._to_digits(i) for i in range(q)]
-        self.add_t = [[self._add(i, j) for j in range(q)] for i in range(q)]
-        self.mul_t = [[self._mul(i, j) for j in range(q)] for i in range(q)]
-        self.neg_t = [self.sub(0, i) for i in range(q)]
-        self.generator = self._find_generator()
-        self._dlog: dict[int, int] = {}
-        x = 1
-        for k in range(q - 1):
-            self._dlog[x] = k
-            x = self.mul(x, self.generator)
-
-    def _to_digits(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def _from_digits(self, digits) -> int:
-        out = 0
-        for d in reversed(list(digits)):
-            out = out * self.p + (d % self.p)
-        return out
+        self._weights = p ** np.arange(e)
+        self.digit_t = D = np.arange(q)[:, None] // self._weights % p
+        # int16 holds every digit sum and every index, since q <= MAX_ORDER
+        S = D.astype(np.int16)[:, None] + D.astype(np.int16)[None, :]
+        S %= p
+        self.add_t = (S @ self._weights.astype(np.int16)).astype(np.int64)
+        self.neg_t = -D % p @ self._weights
+        self.exp_t = self._generator_powers()
+        self.generator = int(self.exp_t[1 % (q - 1)])  # exp_t = [1] when q = 2
+        self.log_t = np.zeros(q, dtype=np.int64)
+        self.log_t[self.exp_t] = np.arange(q - 1)
+        logs = self.log_t[:, None] + self.log_t[None, :]
+        logs %= q - 1
+        self.mul_t = self.exp_t[logs]
+        self.mul_t[0, :] = self.mul_t[:, 0] = 0
 
     def _find_modulus(self) -> tuple[int, ...]:
-        if self.e == 1:
-            return (0, 1)
-        import itertools
+        """The modulus as (c_0, ..., c_{e-1}, 1): every product of monic
+        factors of degrees d and e - d, 1 <= d <= e/2, is struck off, and the
+        first tail left in the lexicographic order of (c_0, ..., c_{e-1}) wins."""
+        p, e = self.p, self.e
+        lex = p ** np.arange(e)[::-1]  # the weight of c_k, c_0 the most significant
+        reducible = np.zeros(p**e, dtype=bool)
+        k = np.arange(e + 1)
+        for d in range(1, e // 2 + 1):
+            f, g = (np.arange(p**n)[:, None] // p ** np.arange(n + 1) % p for n in (d, e - d))
+            f[:, d] = g[:, e - d] = 1  # monic
+            # the coefficient of x^k in f g is the sum over s of f_s g_{k-s}
+            s = np.arange(d + 1)[:, None]
+            shifted = np.where((k >= s) & (k - s <= e - d), g[:, np.clip(k - s, 0, e - d)], 0)
+            reducible[np.einsum("is,jsk->ijk", f, shifted)[..., :e] % p @ lex] = True
+        return tuple((np.flatnonzero(~reducible)[0] // lex % p).tolist()) + (1,)
 
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            # candidate x^e + c_{e-1} x^{e-1} + ... + c_0, tail = (c_0, ..., c_{e-1})
-            cand = list(tail) + [1]
-            if self._poly_irreducible(cand):
-                return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _poly_irreducible(self, cand: list[int]) -> bool:
-        import itertools
-
-        e = len(cand) - 1
-        for dd in range(1, e // 2 + 1):
-            for tail in itertools.product(range(self.p), repeat=dd):
-                div = list(tail) + [1]
-                if self._poly_mod(cand, div) is None:
-                    return False
-        return True
-
-    def _poly_mod(self, num: list[int], den: list[int]):
-        """Remainder of num by monic den over F_p; None if it divides exactly."""
-        num = [c % self.p for c in num]
-        dd = len(den) - 1
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if c:
-                for j, y in enumerate(den):
-                    num[i - dd + j] = (num[i - dd + j] - c * y) % self.p
-        rem = num[:dd]
-        return None if not any(rem) else rem
-
-    def _add(self, i: int, j: int) -> int:
-        a, b = self._digits[i], self._digits[j]
-        return self._from_digits([(x + y) % self.p for x, y in zip(a, b)])
-
-    def _mul(self, i: int, j: int) -> int:
-        a, b = self._digits[i], self._digits[j]
-        conv = [0] * (2 * self.e - 1)
-        for s, x in enumerate(a):
-            if x:
-                for t, y in enumerate(b):
-                    conv[s + t] = (conv[s + t] + x * y) % self.p
-        # reduce by the monic modulus
-        for s in range(len(conv) - 1, self.e - 1, -1):
-            c = conv[s]
-            if c:
-                conv[s] = 0
-                for t in range(self.e + 1):
-                    conv[s - self.e + t] = (conv[s - self.e + t] - c * self.modulus[t]) % self.p
-        return self._from_digits(conv[: self.e])
-
-    def _find_generator(self) -> int:
+    def _generator_powers(self) -> np.ndarray:
+        """1, g, ..., g^(q-2) for the smallest g of order q - 1: each candidate
+        g is powered by following 1 under the permutation x -> g x."""
+        p, e, D = self.p, self.e, self.digit_t
+        # row k: the digits of t^k, for the k < 2e - 1 that a product reaches
+        red = np.eye(2 * e - 1, e, dtype=np.int64)
+        for k in range(e, 2 * e - 1):
+            red[k, 1:] = red[k - 1, :-1]
+            red[k] = (red[k] - red[k - 1, -1] * np.array(self.modulus[:e])) % p
+        rows = np.arange(e)[:, None]
         for g in range(1, self.q):
-            x, order = g, 1
-            while x != 1:
-                x = self.mul_t[x][g]
-                order += 1
-            if order == self.q - 1:
-                return g
+            # x -> g x on digit rows: the product's coefficients, then reduced
+            conv = np.zeros((e, 2 * e - 1), dtype=np.int64)
+            conv[rows, rows + np.arange(e)] = D[g]
+            times_g = (D @ (conv @ red) % p @ self._weights).tolist()
+            powers = [1]
+            while len(powers) < self.q - 1 and (x := times_g[powers[-1]]) != 1:
+                powers.append(x)
+            if len(powers) == self.q - 1 and times_g[powers[-1]] == 1:
+                return np.array(powers)
         raise AssertionError("no generator found")
 
     def add(self, i: int, j: int) -> int:
-        return self.add_t[i][j]
+        return int(self.add_t[i, j])
 
     def sub(self, i: int, j: int) -> int:
-        a, b = self._digits[i], self._digits[j]
-        return self._from_digits([(x - y) % self.p for x, y in zip(a, b)])
+        return int(self.add_t[i, self.neg_t[j]])
 
     def neg(self, i: int) -> int:
-        return self.neg_t[i]
+        return int(self.neg_t[i])
 
     def mul(self, i: int, j: int) -> int:
-        return self.mul_t[i][j]
+        return int(self.mul_t[i, j])
 
     def inv(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.power(i, self.q - 2)
+        return int(self.exp_t[-self.log_t[i] % (self.q - 1)])
 
     def power(self, i: int, k: int) -> int:
         if i == 0:
             return 0 if k else 1
-        out, base = 1, i
-        k %= self.q - 1
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return int(self.exp_t[int(self.log_t[i]) * k % (self.q - 1)])
 
     def dlog(self, i: int) -> int:
         """Discrete log base the canonical generator; i must be nonzero."""
         if i == 0:
             raise ValueError("dlog of 0")
-        return self._dlog[i]
+        return int(self.log_t[i])
 
     def digits(self, i: int) -> tuple[int, ...]:
-        return self._digits[i]
+        return tuple(self.digit_t[i].tolist())
 
     def pairing(self, i: int, j: int) -> int:
         """Coordinatewise bilinear form <i, j> = sum of digit products mod p."""
-        return sum(x * y for x, y in zip(self._digits[i], self._digits[j])) % self.p
-
-    def elements(self) -> range:
-        return range(self.q)
+        return int(self.digit_t[i] @ self.digit_t[j] % self.p)

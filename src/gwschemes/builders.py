@@ -69,10 +69,11 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
-    add, mul = np.array(F.add_t), np.array(F.mul_t)
+    add, mul = F.add_t, F.mul_t
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = q - 1 - np.arange(q)
-    factor = sum(a * P for a, P in enumerate(one_factorization(q)))
+    # factor[P, P2] = a when the edge {P, P2} lies in the factor of a
+    factor = np.tensordot(np.arange(q), one_factorization(q), axes=1)
     # one broadcast axis per coordinate, so that only alpha and L are v x v
     P, beta, y, P2, beta2, y2 = np.ix_(*[np.arange(n) for n in (q + 1, q, q) * 2])
     a = factor[P, P2]

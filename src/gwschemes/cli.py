@@ -109,7 +109,8 @@ def _cmd_verify(args) -> int:
         es = eigensystem_for(scheme, prov)
         es.check_pq_duality()
         blocks = sorted((b.dim, m) for b, m in zip(es.blocks, es.multiplicities))
-        numeric = oracle_spectrum(scheme.mats, seed=args.seed)
+        masks = [scheme.L == i for i in range(scheme.nclasses)]
+        numeric = oracle_spectrum(masks, seed=args.seed)
         if blocks != numeric:
             print(f"spectral mismatch: {blocks} vs {numeric}", file=sys.stderr)
             return 2

@@ -60,10 +60,8 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     W = np.full((n, n), BLANK, dtype=np.int64)
     W[0, 1:] = 0
     W[1:, 0] = 0
-    for x in range(q):
-        for y in range(q):
-            if x != y:
-                W[1 + x, 1 + y] = F.dlog(F.sub(x, y)) % m
+    W[1:, 1:] = F.log_t[F.add_t[:, F.neg_t]] % m
+    np.fill_diagonal(W[1:, 1:], BLANK)
     return W
 
 
@@ -105,12 +103,7 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
 
 def gh_matrix(q: int) -> np.ndarray:
     """The multiplication table of GF(q) as a GH(q, 1) over (GF(q), +)."""
-    F = FiniteField(q)
-    H = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            H[a, b] = F.mul(a, b)
-    return H
+    return FiniteField(q).mul_t
 
 
 def verify_gh(H: np.ndarray, q: int) -> dict:
@@ -123,16 +116,18 @@ def verify_gh(H: np.ndarray, q: int) -> dict:
     lam = cols // q
     if not ((H >= 0) & (H < q)).all():
         raise VerificationError("entries must be field indices 0..q-1")
+    sub = F.add_t[:, F.neg_t]
     for x in range(rows):
-        for y in range(rows):
-            if x == y:
-                continue
-            diffs = [F.sub(int(a), int(b)) for a, b in zip(H[x], H[y])]
-            counts = np.bincount(diffs, minlength=q)
-            if not (counts == lam).all():
-                raise VerificationError(
-                    f"rows {x},{y}: difference counts {counts.tolist()}"
-                )
+        # counts[y, d]: the columns j with H[x, j] - H[y, j] = d
+        diffs = sub[H[x], H] + q * np.arange(rows)[:, None]
+        counts = np.bincount(diffs.ravel(), minlength=rows * q).reshape(rows, q)
+        bad = (counts != lam).any(axis=1)
+        bad[x] = False
+        if bad.any():
+            y = int(np.argmax(bad))
+            raise VerificationError(
+                f"rows {x},{y}: difference counts {counts[y].tolist()}"
+            )
     return {"q": q, "lam": lam, "rows": rows}
 
 
@@ -147,17 +142,15 @@ def one_factorization(q: int) -> list[np.ndarray]:
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
-    factors = []
-    for a in range(q):
-        P = np.zeros((q + 1, q + 1), dtype=np.int64)
-        ta = F.add(a, a)
-        P[0, 1 + a] = P[1 + a, 0] = 1
-        for x in range(q):
-            if x != a:
-                y = F.sub(ta, x)
-                P[1 + x, 1 + y] = 1
-        factors.append(P)
-    return factors
+    x = np.arange(q)
+    a = x[:, None]
+    partner = F.add_t[F.add_t[a, a], F.neg_t[x]]  # partner[a, x] = 2a - x
+    P = np.zeros((q, q + 1, q + 1), dtype=np.int64)
+    P[a, 1 + x, 1 + partner] = 1
+    # x = a is its own partner; its edge goes to infinity instead
+    P[x, 1 + x, 1 + x] = 0
+    P[x, 0, 1 + x] = P[x, 1 + x, 0] = 1
+    return list(P)
 
 
 def verify_one_factorization(factors: list[np.ndarray]) -> None:
@@ -186,12 +179,7 @@ def latin_square(q: int) -> np.ndarray:
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
-    half = F.inv(F.add(1, 1))
-    L = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for y in range(q):
-            L[x, y] = F.mul(F.add(x, y), half)
-    return L
+    return F.mul_t[F.add_t, F.inv(F.add(1, 1))]
 
 
 def verify_latin(L: np.ndarray) -> None:

@@ -59,8 +59,9 @@ def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
 
     Uses a fixed-seed random element; retries with fresh coefficients if the
     spectrum is degenerate (unequal multiplicities inside a linked component).
+    The matrices are taken as given, so 0/1 masks stay one byte an entry.
     """
-    mats = [np.asarray(M, dtype=np.int64) for M in mats]
+    mats = [np.asarray(M) for M in mats]
     v = mats[0].shape[0]
     tpose = _transpose_map(mats)
     last_err = None

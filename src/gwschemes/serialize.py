@@ -50,7 +50,7 @@ def _label_matrix(data) -> np.ndarray:
     the shape of a scheme file, checked before the matrix is allocated."""
     if not isinstance(data, dict):
         raise InputError("a scheme file holds one JSON object")
-    if data.get("version") != FILE_VERSION:
+    if data.get("version") != FILE_VERSION or type(data["version"]) is not int:
         raise InputError(f"unsupported file version {data.get('version')!r}")
     missing = [key for key in ("v", "labels", "rows") if key not in data]
     if missing:
@@ -71,9 +71,10 @@ def _label_matrix(data) -> np.ndarray:
         raise InputError("provenance must be a JSON object")
     runs = []
     for x, rle in enumerate(rows):
-        a = np.array(rle if isinstance(rle, list) else None)
-        if a.ndim != 1 or a.dtype.kind not in "iu" or len(a) % 2:
+        # by type, since numpy would read a JSON true among integers as 1
+        if not isinstance(rle, list) or set(map(type, rle)) != {int} or len(rle) % 2:
             raise InputError(f"row {x} is not a list of label, count pairs")
+        a = np.array(rle)
         lbl, count = a[0::2], a[1::2]
         if ((lbl < 0) | (lbl >= len(labels))).any():
             raise InputError(f"row {x} has a label outside 0..{len(labels) - 1}")

@@ -385,29 +385,17 @@ def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
 
 def gh_f_elements(alg: SchemeAlgebra, F: FiniteField, typ: int) -> list[Elem]:
     """F_{alpha,typ} = sum_beta zeta_p^{<alpha,beta>} A_{(beta,typ)}."""
-    q = F.q
-    off = typ * q
-    out = []
-    for a in range(q):
-        e: Elem = {}
-        for b in range(q):
-            c = alg.field.zeta(F.pairing(a, b))
-            if c:
-                e[off + b] = c
-        out.append(e)
-    return out
+    off = typ * F.q
+    zeta = [alg.field.zeta(k) for k in range(F.p)]
+    pairing = (F.digit_t @ F.digit_t.T % F.p).tolist()
+    return [{off + b: zeta[k] for b, k in enumerate(row)} for row in pairing]
 
 
 def gh_transversal(F: FiniteField) -> list[int]:
-    """Greedy transversal of {x, -x} over the nonzero elements of GF(q)."""
-    keep: list[int] = []
-    kept = set()
-    for x in range(1, F.q):
-        if F.neg(x) in kept:
-            continue
-        keep.append(x)
-        kept.add(x)
-    return keep
+    """The transversal of {x, -x} over the nonzero elements of GF(q) that keeps
+    the smaller index of each pair."""
+    x = np.arange(1, F.q)
+    return x[x <= F.neg_t[x]].tolist()
 
 
 def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
@@ -450,15 +438,28 @@ def _parameter(provenance: dict, key: str) -> int:
     return x
 
 
+def _require_size(scheme: AssociationScheme, family: str, v: int, nclasses: int) -> None:
+    if (scheme.v, scheme.nclasses) != (v, nclasses):
+        raise InputError(
+            f"provenance {family} parameters give {v} points and {nclasses} classes, "
+            f"but the scheme has {scheme.v} points and {scheme.nclasses} classes"
+        )
+
+
 def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
-    """The eigensystem of the family that the provenance record names; a
-    missing or non-positive-integer q or m raises InputError."""
+    """The eigensystem of the family that the provenance record names.  A
+    missing or non-positive-integer q or m, or one whose family has another
+    point or class count than the scheme, raises InputError before any field
+    is built."""
     fam = provenance.get("family")
     if fam == "bgw":
         q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
+        _require_size(scheme, "bgw", (q + 1) * m, 2 * m)
         return bgw_eigensystem(scheme, q, m)
     if fam == "gh":
-        return gh_eigensystem(scheme, _parameter(provenance, "q"))
+        q = _parameter(provenance, "q")
+        _require_size(scheme, "gh", (q + 1) * q * q, 2 * q + 1)
+        return gh_eigensystem(scheme, q)
     raise ValueError(f"unknown family {fam!r}")
 
 

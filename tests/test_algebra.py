@@ -1,11 +1,24 @@
 """Exact scalar arithmetic in Q(zeta_M)[sqrt(d)] and finite field tables."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gwschemes import CycField, FiniteField, squarefree_core
-from gwschemes.algebra import cyclotomic_polynomial
+from gwschemes.algebra import MAX_ORDER, cyclotomic_polynomial, factor_prime_power
+from field_reference import ReferenceField
+
+
+def _is_prime_power(q: int) -> bool:
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+REFERENCE_ORDERS = [q for q in range(2, 129) if _is_prime_power(q)] + [256, 289]
 
 
 class TestCyclotomic:
@@ -236,6 +249,25 @@ class TestFiniteField:
                     )
         for a in range(1, 9):
             assert any(F.pairing(a, b) != 0 for b in range(9))
+
+    @pytest.mark.parametrize("q", REFERENCE_ORDERS)
+    def test_tables_equal_the_reference(self, q):
+        F, R = FiniteField(q), ReferenceField(q)
+        assert F.modulus == R.modulus
+        assert F.generator == R.generator
+        assert [F.dlog(x) for x in range(1, q)] == [R.dlog[x] for x in range(1, q)]
+        assert [F.digits(x) for x in range(q)] == R.digits
+        for table in (F.digit_t, F.add_t, F.mul_t, F.neg_t):
+            assert table.dtype == np.int64
+        assert F.add_t.tolist() == R.add_t
+        assert F.mul_t.tolist() == R.mul_t
+        assert F.neg_t.tolist() == R.neg_t
+
+    def test_order_past_the_limit_is_refused_first(self):
+        # 10**18 + 9 would take about 10**9 trial divisions to factor
+        for q in (MAX_ORDER + 1, 10**18 + 9):
+            with pytest.raises(ValueError, match=f"field order {q} exceeds the limit of {MAX_ORDER}"):
+                FiniteField(q)
 
     def test_digits_round_trip(self):
         F = FiniteField(27)

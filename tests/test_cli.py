@@ -1,10 +1,24 @@
 """Command line interface, run in process through main(argv)."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gwschemes import designs, save_scheme, scheme_to_dict
+from gwschemes import (
+    InputError,
+    NotAScheme,
+    algebra,
+    designs,
+    save_scheme,
+    scheme_from_dict,
+    scheme_to_dict,
+)
 from gwschemes.cli import main
 import cases
 
@@ -72,16 +86,21 @@ class TestBuild:
     @pytest.mark.parametrize(
         "argv,says",
         [
-            (["bgw-scheme", "--q", "1000003", "--m", "2"], "2000008 points exceed the limit"),
-            (["bgw-scheme", "--q", "1000003", "--m", "4"], "m=4 must divide q-1=1000002"),
-            (["gh-scheme", "--q", "1000003"], "points exceed the limit"),
+            (["build", "bgw-scheme", "--q", "1000003", "--m", "2"], "2000008 points exceed the limit"),
+            (["build", "bgw-scheme", "--q", "1000003", "--m", "4"], "m=4 must divide q-1=1000002"),
+            (["build", "gh-scheme", "--q", "1000003"], "points exceed the limit"),
+            (["designs", "gh", "--q", "1000003"], "field order 1000003 exceeds the limit of 2048"),
+            (["designs", "latin", "--q", "1000003"], "field order 1000003 exceeds the limit of 2048"),
         ],
-        ids=["bgw-too-many-points", "bgw-m-not-dividing", "gh-too-many-points"],
+        ids=[
+            "bgw-too-many-points", "bgw-m-not-dividing", "gh-too-many-points",
+            "designs-gh-field-order", "designs-latin-field-order",
+        ],
     )
     def test_absurd_sizes_fail_fast(self, capsys, argv, says):
         # checked before any field table or v x v matrix is allocated
         t0 = time.perf_counter()
-        code, _, err = run(capsys, "build", *argv)
+        code, _, err = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert err.startswith("precondition failure: ") and says in err
@@ -89,6 +108,11 @@ class TestBuild:
 
     def test_point_limit_admits_gh_13(self):
         assert designs.MAX_POINTS >= (13 + 1) * 13 * 13
+
+    def test_field_limit_admits_every_buildable_order(self):
+        # the smallest scheme over a larger field, bgw with m = 2, has too many points
+        q = algebra.MAX_ORDER + 1
+        assert min((q + 1) * 2, (q + 1) * q * q) > designs.MAX_POINTS
 
     def test_help_and_bad_subcommand(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -125,9 +149,9 @@ class TestVerify:
         assert code == 1
 
 
-def _saved(tmp_path, edit):
-    """A saved bgw (5,2) scheme file, its JSON record changed by edit."""
-    data = scheme_to_dict(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+def _saved(tmp_path, edit, scheme=None):
+    """A saved scheme file (bgw (5,2) by default), its JSON record changed by edit."""
+    data = scheme_to_dict(scheme or cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
     edit(data)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
@@ -176,19 +200,43 @@ class TestMalformedFiles:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "provenance,says",
+        "gh_q,provenance,says",
         [
-            ({"family": "bgw"}, "provenance q must be a positive integer, not None"),
-            ({"family": "bgw", "q": 5}, "provenance m must be a positive integer, not None"),
-            ({"family": "bgw", "q": "5", "m": 2}, "provenance q must be a positive integer, not '5'"),
-            ({"family": "bgw", "q": 5, "m": True}, "provenance m must be a positive integer, not True"),
-            ({"family": "gh", "q": 0}, "provenance q must be a positive integer, not 0"),
+            (None, {"family": "bgw"}, "provenance q must be a positive integer, not None"),
+            (None, {"family": "bgw", "q": 5}, "provenance m must be a positive integer, not None"),
+            (None, {"family": "bgw", "q": "5", "m": 2}, "provenance q must be a positive integer, not '5'"),
+            (None, {"family": "bgw", "q": 5, "m": True}, "provenance m must be a positive integer, not True"),
+            (None, {"family": "gh", "q": 0}, "provenance q must be a positive integer, not 0"),
+            (
+                None,
+                {"family": "bgw", "q": 1000003, "m": 1000002},
+                "provenance bgw parameters give 1000006000008 points and 2000004 classes, "
+                "but the scheme has 12 points and 4 classes",
+            ),
+            (
+                3,
+                {"family": "gh", "q": 1000003},
+                "provenance gh parameters give 1000010000033000036 points and 2000007 classes, "
+                "but the scheme has 36 points and 7 classes",
+            ),
+            (
+                3,
+                {"family": "gh", "q": 5},
+                "provenance gh parameters give 150 points and 11 classes, "
+                "but the scheme has 36 points and 7 classes",
+            ),
         ],
-        ids=["bgw-no-q", "bgw-no-m", "string-q", "bool-m", "gh-zero-q"],
+        ids=[
+            "bgw-no-q", "bgw-no-m", "string-q", "bool-m", "gh-zero-q",
+            "bgw-absurd-q-m", "gh-absurd-q", "gh-5-on-gh-3",
+        ],
     )
-    def test_bad_provenance_parameters(self, tmp_path, capsys, provenance, says):
-        path = _saved(tmp_path, _set("provenance", provenance))
+    def test_bad_provenance_parameters(self, tmp_path, capsys, gh_q, provenance, says):
+        scheme = cases.gh(gh_q) if gh_q else None
+        path = _saved(tmp_path, _set("provenance", provenance), scheme)
+        t0 = time.perf_counter()
         code, _, err = run(capsys, "verify", "--in", path, "--spectral")
+        assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert err == f"input error: {says}\n"
 
@@ -199,6 +247,164 @@ class TestMalformedFiles:
         code, _, err = run(capsys, "table", "--in", str(path))
         assert code == 1
         assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+
+# JSON values small enough to stay fast, of every JSON type
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 13) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _is_int(x, *values):
+    return type(x) is int and (not values or x in values)
+
+
+def _row_breaks_a_rule(row, v=12, nlabels=4):
+    """True unless row is label, count pairs with labels in range, counts in
+    1..v and counts summing to v."""
+    if not isinstance(row, list) or len(row) % 2 or not all(_is_int(x) for x in row):
+        return True
+    lbl, count = row[0::2], row[1::2]
+    return (
+        any(not 0 <= a < nlabels for a in lbl)
+        or any(not 1 <= c <= v for c in count)
+        or sum(count) != v
+    )
+
+
+def _bgw52():
+    return scheme_to_dict(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+
+
+def _edited(path, value):
+    """A bgw (5,2) record with the item at path (keys and indices) set to value."""
+    data = _bgw52()
+    *head, last = path
+    item = data
+    for key in head:
+        item = item[key]
+    item[last] = value
+    return data
+
+
+@st.composite
+def malformed_records(draw):
+    """A bgw (5,2) record with one part replaced so that it breaks a rule of
+    the file format."""
+    data = _bgw52()
+    part = draw(st.sampled_from(
+        ["drop", "version", "v", "labels", "rows", "row", "provenance", "record"]
+    ))
+    if part == "drop":
+        del data[draw(st.sampled_from(["version", "v", "labels", "rows"]))]
+    elif part == "version":
+        data["version"] = draw(JSON.filter(lambda x: not _is_int(x, 1)))
+    elif part == "v":
+        data["v"] = draw(JSON.filter(lambda x: not _is_int(x, 12)))
+    elif part == "labels":
+        # four or more distinct strings are well formed (more leave a relation empty)
+        data["labels"] = draw(JSON.filter(lambda x: not (
+            isinstance(x, list) and len(x) >= 4
+            and all(isinstance(s, str) for s in x) and len(set(x)) == len(x)
+        )))
+    elif part == "rows":
+        data["rows"] = draw(JSON.filter(lambda x: not (isinstance(x, list) and len(x) == 12)))
+    elif part == "row":
+        row = st.lists(st.integers(-3, 13) | JSON, max_size=8) | JSON
+        data["rows"][draw(st.integers(0, 11))] = draw(row.filter(_row_breaks_a_rule))
+    elif part == "provenance":
+        data["provenance"] = draw(JSON.filter(lambda x: not isinstance(x, dict)))
+    else:
+        data = draw(JSON)  # a dict of keys up to 3 long has no "version"
+    return data
+
+
+def _axioms_hold(L, nlabels):
+    """The scheme axioms checked product by product on a small label matrix."""
+    A = [(L == i).astype(np.int64) for i in range(nlabels)]
+    if not np.array_equal(A[0], np.eye(len(L), dtype=np.int64)) or not all(M.any() for M in A):
+        return False
+    if not all(any(np.array_equal(M.T, N) for N in A) for M in A):
+        return False
+    products = [M @ N for M in A for N in A]
+    return all(len(set(P[K == 1].tolist())) == 1 for P in products for K in A)
+
+
+def _verify_in(record) -> tuple[int, str]:
+    """Exit code and standard error of `verify --in` on a file holding record
+    (as JSON, or bytes as they are)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "wb") as fh:
+            fh.write(record if isinstance(record, bytes) else json.dumps(record).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", path])
+    return code, err.getvalue()
+
+
+class TestFileFuzz:
+    """Random records: a malformed one is an input error (exit 1, one line);
+    a well-formed one is a scheme (exit 0) exactly when the axioms hold, and
+    otherwise a verification failure (exit 2)."""
+
+    @settings(max_examples=100)
+    @given(malformed_records())
+    # JSON true and 1.0 compare equal to 1 in Python
+    @example(_edited(["version"], True))
+    @example(_edited(["version"], 1.0))
+    @example(_edited(["rows", 0, 1], True))
+    def test_malformed_record_is_an_input_error(self, record):
+        with pytest.raises(InputError):
+            scheme_from_dict(record)
+        code, err = _verify_in(record)
+        assert code == 1
+        assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+    @given(st.data())
+    def test_text_that_is_no_record_is_an_input_error(self, data):
+        # a strict prefix of a record's text, or bytes that are no record
+        text = json.dumps(_bgw52()).encode()
+        cut = st.integers(0, len(text) - 1).map(lambda n: text[:n])
+        code, err = _verify_in(data.draw(cut | st.binary(max_size=24)))
+        assert code == 1
+        assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+    @given(st.data())
+    def test_well_formed_record_is_verified(self, data):
+        v = data.draw(st.integers(1, 6))
+        nlabels = data.draw(st.integers(1, 4))
+        L = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, nlabels - 1), min_size=v, max_size=v), min_size=v, max_size=v
+        )))
+        if nlabels > 1 and data.draw(st.booleans()):
+            # 0 exactly on the diagonal, as in every scheme
+            L = np.where(np.eye(v, dtype=bool), 0, L % (nlabels - 1) + 1)
+        labels = [f"c{i}" for i in range(nlabels)]
+        record = {"version": 1, "v": v, "labels": labels, "rows": [_runs(row) for row in L]}
+        scheme = _axioms_hold(L, nlabels)
+        if scheme:
+            assert np.array_equal(scheme_from_dict(record)[0].L, L)
+        else:
+            with pytest.raises(NotAScheme):
+                scheme_from_dict(record)
+        code, err = _verify_in(record)
+        assert code == (0 if scheme else 2)
+        if not scheme:
+            assert err.startswith("verification failure: ") and len(err.splitlines()) == 1
+
+
+def _runs(row) -> list[int]:
+    """A row run-length encoded as label, count pairs."""
+    out: list[int] = []
+    for label in row.tolist():
+        if out and out[-2] == label:
+            out[-1] += 1
+        else:
+            out += [label, 1]
+    return out
 
 
 class TestTable:
