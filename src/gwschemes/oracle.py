@@ -41,17 +41,46 @@ def oracle_closure(mats) -> np.ndarray:
 
 
 def _transpose_map(mats) -> list[int]:
+    """The first j with A_j = A_i^T, for each i.  Only classes with a one at
+    (y, x), for (x, y) the first one of A_i, are compared in full; an
+    all-zero matrix is compared with every class."""
     out = []
     for i, M in enumerate(mats):
-        t = None
-        for j, N in enumerate(mats):
-            if np.array_equal(M.T, N):
-                t = j
-                break
+        first = np.flatnonzero(M)[:1]
+        if first.size:
+            x, y = divmod(int(first[0]), M.shape[1])
+            candidates = [j for j, N in enumerate(mats) if N[y, x]]
+        else:
+            candidates = range(len(mats))
+        t = next((j for j in candidates if np.array_equal(M.T, mats[j])), None)
         if t is None:
             raise VerificationError(f"relation {i} has no transpose partner")
         out.append(t)
     return out
+
+
+def _links(mats, tpose, V, starts, threshold) -> np.ndarray:
+    """Which eigenspaces some A_l joins: (a, b) is linked when a != b and the
+    block V_a^T A_l V_b has an entry above threshold for some l.
+
+    Block (a, b) of V^T A_l^T V is the transpose of block (b, a) of V^T A_l V,
+    so one class of each transpose pair is multiplied and the result is
+    symmetrized.  The identity is skipped: V_a^T V_b = 0 for distinct
+    orthonormal eigenspaces.
+    """
+    ns = len(starts)
+    link = np.zeros((ns, ns), dtype=bool)
+    for l, M in enumerate(mats):
+        identity = np.count_nonzero(M) == len(M) and (np.diagonal(M) == 1).all()
+        if tpose[l] < l or identity:
+            continue
+        T = V.T @ (M.astype(np.float64) @ V)
+        np.abs(T, out=T)
+        peak = np.maximum.reduceat(np.maximum.reduceat(T, starts, axis=0), starts, axis=1)
+        link |= peak > threshold
+    link |= link.T
+    np.fill_diagonal(link, False)
+    return link
 
 
 def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
@@ -77,24 +106,13 @@ def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
         if not np.allclose(X, X.T):
             raise VerificationError("random element is not symmetric")
         w, V = np.linalg.eigh(X)
+        del X
         # cluster eigenvalues by gaps
         splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
-        bounds = [0] + (splits + 1).tolist() + [v]
-        spaces = [
-            V[:, bounds[t] : bounds[t + 1]] for t in range(len(bounds) - 1)
-        ]
-        ns = len(spaces)
-        # link eigenspaces a, b when some A_l has a nonzero block between them
-        adj = [[False] * ns for _ in range(ns)]
-        for M in mats:
-            Mf = M.astype(np.float64)
-            images = [Mf @ S for S in spaces]
-            for a in range(ns):
-                for b in range(ns):
-                    if a != b and not adj[a][b]:
-                        B = spaces[a].T @ images[b]
-                        if np.abs(B).max() > tol * v:
-                            adj[a][b] = adj[b][a] = True
+        bounds = np.concatenate(([0], splits + 1, [v]))
+        dims = np.diff(bounds).tolist()
+        link = _links(mats, tpose, V, bounds[:-1], tol * v)
+        ns = len(dims)
         comp = [-1] * ns
         blocks = []
         for a in range(ns):
@@ -105,16 +123,16 @@ def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
             while stack:
                 x = stack.pop()
                 members.append(x)
-                for y in range(ns):
-                    if adj[x][y] and comp[y] == -1:
+                for y in np.flatnonzero(link[x]).tolist():
+                    if comp[y] == -1:
                         comp[y] = a
                         stack.append(y)
-            dims = {spaces[x].shape[1] for x in members}
-            if len(dims) != 1:
-                last_err = f"attempt {attempt}: unequal multiplicities {dims}"
+            sizes = {dims[x] for x in members}
+            if len(sizes) != 1:
+                last_err = f"attempt {attempt}: unequal multiplicities {sizes}"
                 blocks = None
                 break
-            blocks.append((len(members), dims.pop()))
+            blocks.append((len(members), sizes.pop()))
         if blocks is None:
             continue
         if sum(d * m for d, m in blocks) != v:

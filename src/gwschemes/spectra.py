@@ -448,9 +448,9 @@ def _require_size(scheme: AssociationScheme, family: str, v: int, nclasses: int)
 
 def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
     """The eigensystem of the family that the provenance record names.  A
-    missing or non-positive-integer q or m, or one whose family has another
-    point or class count than the scheme, raises InputError before any field
-    is built."""
+    missing or unknown family, a missing or non-positive-integer q or m, or
+    parameters whose family has another point or class count than the scheme
+    raise InputError before any field is built."""
     fam = provenance.get("family")
     if fam == "bgw":
         q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
@@ -460,7 +460,7 @@ def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
         q = _parameter(provenance, "q")
         _require_size(scheme, "gh", (q + 1) * q * q, 2 * q + 1)
         return gh_eigensystem(scheme, q)
-    raise ValueError(f"unknown family {fam!r}")
+    raise InputError(f"provenance family must be 'bgw' or 'gh', not {fam!r}")
 
 
 # -- symmetrizing fusions --

@@ -1,0 +1,93 @@
+"""The spectrum oracle with per-pair linking, as a test reference.
+
+This is the random-element method linked pair by pair: for every class A_l
+and every pair of distinct eigenspaces (a, b) of the random element, the
+block V_a^T A_l V_b is formed by its own product and compared with tol * v.
+The library's oracle_spectrum forms V^T A_l V once per transpose orbit and
+reads the per-block maxima off it; the tests check that both give the same
+blocks.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from gwschemes.errors import VerificationError
+
+
+def reference_transpose_map(mats) -> list[int]:
+    out = []
+    for i, M in enumerate(mats):
+        t = None
+        for j, N in enumerate(mats):
+            if np.array_equal(M.T, N):
+                t = j
+                break
+        if t is None:
+            raise VerificationError(f"relation {i} has no transpose partner")
+        out.append(t)
+    return out
+
+
+def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
+    """Numerical Wedderburn block structure as a sorted list of (d_k, m_k)."""
+    mats = [np.asarray(M) for M in mats]
+    v = mats[0].shape[0]
+    tpose = reference_transpose_map(mats)
+    last_err = None
+    for attempt in range(retries):
+        rng = np.random.default_rng(seed + attempt)
+        coef = rng.uniform(1.0, 2.0, size=len(mats))
+        for i, t in enumerate(tpose):
+            if t > i:
+                coef[t] = coef[i]
+        X = np.zeros((v, v), dtype=np.float64)
+        for c, M in zip(coef, mats):
+            X += c * M
+        if not np.allclose(X, X.T):
+            raise VerificationError("random element is not symmetric")
+        w, V = np.linalg.eigh(X)
+        # cluster eigenvalues by gaps
+        splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
+        bounds = [0] + (splits + 1).tolist() + [v]
+        spaces = [
+            V[:, bounds[t] : bounds[t + 1]] for t in range(len(bounds) - 1)
+        ]
+        ns = len(spaces)
+        # link eigenspaces a, b when some A_l has a nonzero block between them
+        adj = [[False] * ns for _ in range(ns)]
+        for M in mats:
+            Mf = M.astype(np.float64)
+            images = [Mf @ S for S in spaces]
+            for a in range(ns):
+                for b in range(ns):
+                    if a != b and not adj[a][b]:
+                        B = spaces[a].T @ images[b]
+                        if np.abs(B).max() > tol * v:
+                            adj[a][b] = adj[b][a] = True
+        comp = [-1] * ns
+        blocks = []
+        for a in range(ns):
+            if comp[a] != -1:
+                continue
+            stack, members = [a], []
+            comp[a] = a
+            while stack:
+                x = stack.pop()
+                members.append(x)
+                for y in range(ns):
+                    if adj[x][y] and comp[y] == -1:
+                        comp[y] = a
+                        stack.append(y)
+            dims = {spaces[x].shape[1] for x in members}
+            if len(dims) != 1:
+                last_err = f"attempt {attempt}: unequal multiplicities {dims}"
+                blocks = None
+                break
+            blocks.append((len(members), dims.pop()))
+        if blocks is None:
+            continue
+        if sum(d * m for d, m in blocks) != v:
+            last_err = f"attempt {attempt}: block dimensions do not sum to v"
+            continue
+        return sorted(blocks)
+    raise VerificationError(f"spectrum oracle failed: {last_err}")

@@ -19,6 +19,7 @@ from gwschemes import (
     scheme_from_dict,
     scheme_to_dict,
 )
+from gwschemes import cli
 from gwschemes.cli import main
 import cases
 
@@ -127,6 +128,14 @@ class TestVerify:
         assert code == 0
         assert "numeric oracle agrees" in out
 
+    def test_spectral_mismatch(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        save_scheme(path, cases.bgw(7, 3), {"family": "bgw", "q": 7, "m": 3})
+        monkeypatch.setattr(cli, "oracle_spectrum", lambda mats, seed: [(1, 66)])
+        code, _, err = run(capsys, "verify", "--in", str(path), "--spectral")
+        assert code == 2
+        assert err == "spectral mismatch: [(1, 1), (1, 7), (2, 8)] vs [(1, 66)]\n"
+
     def test_spectral_needs_provenance(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         save_scheme(path, cases.bgw(5, 2))
@@ -225,10 +234,14 @@ class TestMalformedFiles:
                 "provenance gh parameters give 150 points and 11 classes, "
                 "but the scheme has 36 points and 7 classes",
             ),
+            (None, {"family": "xyz", "q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not 'xyz'"),
+            (None, {"q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not None"),
+            (None, {"family": 3, "q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not 3"),
         ],
         ids=[
             "bgw-no-q", "bgw-no-m", "string-q", "bool-m", "gh-zero-q",
             "bgw-absurd-q-m", "gh-absurd-q", "gh-5-on-gh-3",
+            "unknown-family", "no-family", "int-family",
         ],
     )
     def test_bad_provenance_parameters(self, tmp_path, capsys, gh_q, provenance, says):
@@ -239,6 +252,14 @@ class TestMalformedFiles:
         assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert err == f"input error: {says}\n"
+
+    @pytest.mark.parametrize("command", ["table", "fusion"])
+    def test_unknown_family_in_table_and_fusion(self, tmp_path, capsys, command):
+        path = _saved(tmp_path, _set("provenance", {"family": "xyz", "q": 5, "m": 2}))
+        code, out, err = run(capsys, command, "--in", path)
+        assert code == 1
+        assert out == ""
+        assert err == "input error: provenance family must be 'bgw' or 'gh', not 'xyz'\n"
 
     @pytest.mark.parametrize("text", ["{\"version\": 1, ", "[1, 2]", "\xff\xfe"], ids=["truncated", "list", "binary"])
     def test_not_a_scheme_record(self, tmp_path, capsys, text):

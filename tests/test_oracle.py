@@ -14,11 +14,41 @@ from gwschemes import (
     oracle_spectrum,
 )
 from kronecker import matpow, shift_matrix
+from oracle_reference import reference_spectrum
 import cases
 
 
 def exact_blocks(es):
     return sorted((b.dim, m) for b, m in zip(es.blocks, es.multiplicities))
+
+
+def metacyclic_scheme(n: int, twist: int) -> list[np.ndarray]:
+    """The thin scheme of the group <a, x | a^n = 1, x^2 = a^twist,
+    x a x^-1 = a^-1>, element a^i x^j numbered i + n j: A_g[h, hg] = 1.
+    n = 3, twist = 0 is S_3; n = 6, twist = 3 is the dicyclic group Dic_3."""
+
+    def mul(g, h):
+        (i, j), (k, l) = divmod(g, n)[::-1], divmod(h, n)[::-1]
+        e = i + (k if j == 0 else -k) + (twist if j + l == 2 else 0)
+        return e % n + n * ((j + l) % 2)
+
+    order = 2 * n
+    mats = [np.zeros((order, order), dtype=np.int64) for _ in range(order)]
+    for g in range(order):
+        for h in range(order):
+            mats[g][h, mul(h, g)] = 1
+    return mats
+
+
+def z6_scheme() -> list[np.ndarray]:
+    C = shift_matrix(6)
+    return [matpow(C, k) for k in range(6)]
+
+
+def fused_scheme(c):
+    if c[0] == "bgw":
+        return cases.bgw(*c[1:]).fuse(bgw_symmetric_fusion(c[2]))
+    return cases.gh(c[1]).fuse(gh_symmetric_fusion(c[1]))
 
 
 class TestClosureOracle:
@@ -58,10 +88,7 @@ class TestFusedClosureOracle:
 
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_matches_certified_tensor(self, c):
-        if c[0] == "bgw":
-            fused = cases.bgw(*c[1:]).fuse(bgw_symmetric_fusion(c[2]))
-        else:
-            fused = cases.gh(c[1]).fuse(gh_symmetric_fusion(c[1]))
+        fused = fused_scheme(c)
         assert np.array_equal(oracle_closure(fused.mats), fused.p)
 
 
@@ -85,9 +112,32 @@ class TestSpectrumOracle:
     def test_conjugate_pairs_merge_over_the_reals(self):
         # thin scheme of Z_6: the two conjugate pairs of complex characters
         # appear as single blocks of multiplicity 2 in the real spectrum
-        C = shift_matrix(6)
-        mats = [matpow(C, k) for k in range(6)]
-        assert oracle_spectrum(mats) == [(1, 1), (1, 1), (1, 2), (1, 2)]
+        assert oracle_spectrum(z6_scheme()) == [(1, 1), (1, 1), (1, 2), (1, 2)]
+
+    def test_s3(self):
+        assert oracle_spectrum(metacyclic_scheme(3, 0)) == [(1, 1), (1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_dic3_links_through_non_symmetric_classes(self, seed):
+        # only the identity and the central a^3 are symmetric classes of
+        # Dic_3; they commute with everything, so the 2 x 2 real block can be
+        # joined only through the non-symmetric ones
+        mats = metacyclic_scheme(6, 3)
+        assert [g for g, M in enumerate(mats) if np.array_equal(M, M.T)] == [0, 3]
+        assert oracle_spectrum(mats, seed=seed) == [(1, 1), (1, 1), (1, 2), (1, 4), (2, 2)]
+
+    def test_links_are_symmetrized(self):
+        # only the upper shift of each transpose pair is multiplied; its
+        # blocks link 0 -> 1 -> 2, and the lower shift's the other way
+        up = np.eye(3, k=1, dtype=np.int64)
+        link = gwschemes.oracle._links(
+            [np.eye(3, dtype=np.int64), up, up.T], [0, 2, 1], np.eye(3), np.arange(3), 0.5
+        )
+        assert link.tolist() == [[False, True, False], [True, False, True], [False, True, False]]
+
+    def test_all_zero_matrix_is_its_own_transpose(self):
+        mats = z6_scheme() + [np.zeros((6, 6), dtype=np.int64)]
+        assert gwschemes.oracle._transpose_map(mats) == [0, 5, 4, 3, 2, 1, 6]
 
     def test_detects_missing_transpose_partner(self):
         s = cases.bgw(5, 2)
@@ -102,6 +152,49 @@ class TestSpectrumOracle:
         a = oracle_spectrum(s.mats, seed=0)
         b = oracle_spectrum(s.mats, seed=12345)
         assert a == b == [(1, 1), (1, 7), (2, 8)]
+
+
+SMALL_GROUPS = {
+    "z6": z6_scheme,
+    "s3": lambda: metacyclic_scheme(3, 0),
+    "dic3": lambda: metacyclic_scheme(6, 3),
+}
+SEEDS = [0, 1, 12345]
+
+
+class TestSpectrumOracleMatchesReference:
+    """The orbit-batched linking gives the blocks of the per-pair reference
+    in tests/oracle_reference.py."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_grid(self, c, seed):
+        s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
+        masks = [s.L == i for i in range(s.nclasses)]
+        assert oracle_spectrum(masks, seed=seed) == reference_spectrum(masks, seed=seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_fused(self, c, seed):
+        mats = fused_scheme(c).mats
+        assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_small_groups(self, name, seed):
+        mats = SMALL_GROUPS[name]()
+        assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
+
+
+class TestFusedSpectrumOracle:
+    """The symmetrizing fusion is a symmetric, hence commutative, scheme, so
+    the oracle sees one (1, m) block per fused multiplicity."""
+
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_fused_multiplicities(self, c):
+        fes = cases.bgw_fused(*c[1:]) if c[0] == "bgw" else cases.gh_fused(c[1])
+        expected = sorted((1, m) for m in fes.multiplicities)
+        assert oracle_spectrum(fused_scheme(c).mats) == expected
 
 
 def test_oracle_shares_no_code_with_the_library():
