@@ -63,15 +63,6 @@ def squarefree_core(n: int) -> tuple[int, int]:
     return k, d
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Divide integer polynomials where den is monic; exact integer arithmetic."""
     num = list(num)

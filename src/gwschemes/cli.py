@@ -103,7 +103,7 @@ def _cmd_verify(args) -> int:
     if prov:
         print(f"provenance: {prov}")
     if args.spectral:
-        if not prov:
+        if prov is None:
             print("no provenance; cannot run the spectral check", file=sys.stderr)
             return 2
         es = eigensystem_for(scheme, prov)

@@ -105,6 +105,14 @@ def scalars(field: CycField, b: Batch) -> list[CycScalar]:
     return out
 
 
+def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:
+    """The integer combinations sum_n w[a, n] x[..., n, ...] along a leading
+    axis of x; the len(w) combinations take the place of that axis."""
+    bound = absmax(x.num) * int(np.abs(w).sum(axis=1).max(initial=0))
+    wn, xn = exact(bound, w, x.num)
+    return Batch(np.moveaxis(np.tensordot(wn, xn, axes=([1], [axis])), 0, axis), x.den)
+
+
 def field_mul(x: Batch, y: Batch, field: CycField) -> Batch:
     """Entrywise field products x[..., k] y[..., k], broadcasting all but the basis axis."""
     mult = field.structure

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CycField, CycScalar
+from .designs import MAX_POINTS
 from .errors import InputError
 from .schemes import AssociationScheme
 
@@ -67,6 +68,8 @@ def _label_matrix(data) -> np.ndarray:
         raise InputError("labels must be a nonempty list of distinct strings")
     if not isinstance(rows, list) or len(rows) != v:
         raise InputError(f"v is {v} but rows is not a list of {v} rows")
+    if v > MAX_POINTS:
+        raise InputError(f"{v} points exceed the limit of {MAX_POINTS}")
     if not isinstance(data.get("provenance", {}), dict):
         raise InputError("provenance must be a JSON object")
     runs = []

@@ -1,12 +1,14 @@
 """Exact spectral theory of the two scheme families.
 
 All computations happen in the regular representation of the adjacency
-algebra: an element is its coefficient vector over the adjacency basis
-(a sparse dict class index -> CycScalar), and products go through the
-verified intersection tensor.  The checks pack their elements into integer
-batches and verify every relation of a kind at once with the exact kernel
-(see kernel.py).  Because the tensor was extracted from exact integer matrix
-products, identities proved here hold for the actual v x v matrices.
+algebra: an element is its coefficient vector over the adjacency basis, and
+products go through the verified intersection tensor.  Every computation
+reads its elements as integer batches and checks every relation of a kind
+at once with the exact kernel (see kernel.py); a matrix unit is given and
+returned as a sparse dict class index -> CycScalar, and the tables as lists
+of normalized CycScalars.  Because the tensor was extracted from exact
+integer matrix products, identities proved here hold for the actual v x v
+matrices.
 
 The Wedderburn decomposition is presented as a list of blocks; block k
 carries d_k x d_k matrix units E_ij (1-based indices) satisfying the strict
@@ -34,8 +36,8 @@ Elem = dict  # class index -> CycScalar, zero coefficients never stored
 class SchemeAlgebra:
     """The adjacency algebra of a verified scheme over an exact scalar field.
 
-    Elements are Elem dicts; pack and unpack convert lists of them to and
-    from the Batches of the exact kernel, which mul also accepts.
+    Elements are Batches of the exact kernel; pack and unpack convert lists
+    of Elem dicts to and from them.
     """
 
     def __init__(self, scheme: AssociationScheme, field: CycField):
@@ -55,36 +57,10 @@ class SchemeAlgebra:
             for n in range(0, len(flat), nm)
         ]
 
-    def zero(self) -> Elem:
-        return {}
-
-    def basis(self, i: int) -> Elem:
-        return {i: self.field.one()}
-
-    def identity(self) -> Elem:
-        return self.basis(0)
-
-    def add(self, x: Elem, y: Elem) -> Elem:
-        out = dict(x)
-        for k, c in y.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
-
-    def neg(self, x: Elem) -> Elem:
-        return {k: -c for k, c in x.items()}
-
-    def sub(self, x: Elem, y: Elem) -> Elem:
-        return self.add(x, self.neg(y))
-
-    def smul(self, c: CycScalar, x: Elem) -> Elem:
-        if not c:
-            return {}
-        return {k: c * s for k, s in x.items()}
+    def adjacency(self) -> Batch:
+        """The adjacency basis A_0, ..., A_{nm-1}; A_0 is the identity."""
+        nm, D = self.scheme.nclasses, len(self.field.structure)
+        return Batch(np.eye(nm, dtype=np.int64)[:, :, None] * np.eye(1, D, dtype=np.int64), 1)
 
     def rmul(self, r, x: Elem) -> Elem:
         """Multiply by a rational number."""
@@ -93,29 +69,9 @@ class SchemeAlgebra:
             return {}
         return {k: s.scale(fr) for k, s in x.items()}
 
-    def mul(self, x, y):
-        """The product x y of two Elems; for two Batches, the Batch of
-        products with numpy broadcasting of the leading axes."""
-        if isinstance(x, Batch):
-            return kernel.algebra_mul(x, y, self.scheme.p, self.field)
-        prod = kernel.algebra_mul(self.pack([x]), self.pack([y]), self.scheme.p, self.field)
-        return self.unpack(prod)[0]
-
-    def adjoint(self, x: Elem) -> Elem:
-        """Conjugate transpose: A_i -> A_{i^T}, scalars conjugated."""
-        return {self.scheme.tpose[i]: c.conj() for i, c in x.items()}
-
-    def trace(self, x: Elem) -> CycScalar:
-        c = x.get(0)
-        if c is None:
-            return self.field.zero()
-        return c.scale(self.scheme.v)
-
-    def equal(self, x: Elem, y: Elem) -> bool:
-        return x == y
-
-    def is_zero(self, x: Elem) -> bool:
-        return not x
+    def mul(self, x: Batch, y: Batch) -> Batch:
+        """The products x y, with numpy broadcasting of the leading axes."""
+        return kernel.algebra_mul(x, y, self.scheme.p, self.field)
 
 
 @dataclass
@@ -125,13 +81,44 @@ class Block:
     units: dict  # (i, j) 1-based -> Elem
 
 
-def _quotients(alg: SchemeAlgebra, Y: Batch, elems: list[Elem]) -> Batch:
-    """The scalars Y[n, t] / elems[n], read at the first class of elems[n],
+def _indicator(partition: list[list[int]], nm: int) -> np.ndarray:
+    """The 0/1 matrix [class l lies in cell t]."""
+    out = np.zeros((len(partition), nm), dtype=np.int64)
+    for t, cell in enumerate(partition):
+        out[t, cell] = 1
+    return out
+
+
+def _table(field: CycField, X: Batch) -> list[list[CycScalar]]:
+    """A batch of scalars of shape (rows, columns) as rows of scalars."""
+    flat = kernel.scalars(field, X)
+    w = X.num.shape[1]
+    return [flat[r : r + w] for r in range(0, len(flat), w)]
+
+
+def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
+    """Q[t, k] = v * (coefficient of classes[t] in X[k]), as a batch of scalars."""
+    cols = Batch(X.num[:, classes].swapaxes(0, 1)[:, :, None, :], X.den)
+    return kernel.combine(alg.scheme.v * np.eye(len(classes), dtype=np.int64), cols)
+
+
+def _quotients(field: CycField, Y: Batch, X: Batch) -> Batch:
+    """The scalars Y[n, t] / X[n], read at the first nonzero class of X[n],
     as a batch of shape (n, t); one field inversion per element."""
-    l0 = [min(e) for e in elems]
-    inv = kernel.pack(alg.field, [[e[l].inv()] for e, l in zip(elems, l0)])
-    at_l0 = Batch(Y.num[np.arange(len(elems)), :, l0][:, :, None, :], Y.den)
-    return kernel.field_mul(at_l0, inv[:, None], alg.field)
+    n = np.arange(len(X.num))
+    l0 = (X.num != 0).any(axis=-1).argmax(axis=-1)
+    lead = kernel.scalars(field, Batch(X.num[n, l0][:, None], X.den))
+    inv = kernel.pack(field, [[x.inv()] for x in lead])
+    at_l0 = Batch(Y.num[n, :, l0][:, :, None, :], Y.den)
+    return kernel.field_mul(at_l0, inv[:, None], field)
+
+
+def _duality_failures(field: CycField, P: Batch, mult, Q: Batch, valencies) -> np.ndarray:
+    """Where mult[k] P[k, t] != valencies[t] conj(Q[t, k]), for batches of
+    scalars P and Q."""
+    lhs = kernel.combine(np.diag(mult), P)
+    rhs = kernel.combine(np.diag(valencies), kernel.adjoint(Q, [0], field))
+    return ~lhs.equal(Batch(rhs.num.swapaxes(0, 1), rhs.den))
 
 
 class Eigensystem:
@@ -140,25 +127,29 @@ class Eigensystem:
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
         self.algebra = algebra
         self.blocks = blocks
+        self._phi = None
         self._phis = None
         self._mult = None
         self.verify()
 
     # -- verification --
 
-    def _units(self) -> tuple[list[tuple[int, int, int]], Batch]:
-        """(block, i, j) of every unit in row_index() order, and the units packed."""
-        keys = [
+    def _keys(self) -> list[tuple[int, int, int]]:
+        """(block, i, j) of every unit, in row_index() order."""
+        return [
             (bi, i, j)
             for bi, blk in enumerate(self.blocks)
             for i in range(1, blk.dim + 1)
             for j in range(1, blk.dim + 1)
         ]
-        return keys, self.algebra.pack([self.blocks[b].units[(i, j)] for b, i, j in keys])
+
+    def _units(self) -> Batch:
+        """The units in row_index() order, packed from the blocks."""
+        return self.algebra.pack([self.blocks[b].units[(i, j)] for b, i, j in self._keys()])
 
     def verify(self) -> None:
         alg = self.algebra
-        keys, U = self._units()
+        keys, U = self._keys(), self._units()
         if len(keys) != alg.scheme.nclasses:
             raise VerificationError(
                 "sum of squared block dimensions must equal the class count"
@@ -181,7 +172,7 @@ class Eigensystem:
                 f"({a[1]},{a[2]}) times block {self.blocks[b[0]].name} ({b[1]},{b[2]})"
             )
         diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
-        if not U[diag].sum().equal(alg.pack([alg.identity()])[0]):
+        if not U[diag].sum().equal(alg.adjacency()[0]):
             raise VerificationError("diagonal units do not sum to the identity")
         adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
         bad = ~adj.equal(U[[pos[(b, j, i)] for b, i, j in keys]])
@@ -190,20 +181,19 @@ class Eigensystem:
             raise VerificationError(
                 f"adjoint failed in block {self.blocks[b].name} at ({i},{j})"
             )
-        self._mult = self._multiplicities()
+        self._mult = self._multiplicities(keys, U)
 
-    def _multiplicities(self) -> list[int]:
-        # tr E_ii is the multiplicity of the block's irreducible in the
-        # standard module; the unit relations force it equal for every i
+    def _multiplicities(self, keys: list[tuple[int, int, int]], U: Batch) -> list[int]:
+        # tr E_ii = v * (coefficient of A_0) is the multiplicity of the block's
+        # irreducible in the standard module; the unit relations force it
+        # equal for every i
         out = []
         v = self.algebra.scheme.v
-        for blk in self.blocks:
-            vals = set()
-            for i in range(1, blk.dim + 1):
-                t = self.algebra.trace(blk.units[(i, i)])
-                if not t.is_rational():
-                    raise VerificationError("multiplicity not rational")
-                vals.add(t.as_fraction())
+        for bi in range(len(self.blocks)):
+            tr = U.num[[n for n, (b, i, j) in enumerate(keys) if b == bi and i == j], 0]
+            if tr[:, 1:].any():
+                raise VerificationError("multiplicity not rational")
+            vals = {Fraction(int(t) * v, U.den) for t in tr[:, 0]}
             if len(vals) != 1:
                 raise VerificationError("diagonal units have unequal rank")
             mk = vals.pop()
@@ -222,31 +212,26 @@ class Eigensystem:
 
     def row_index(self) -> list[tuple[str, int, int]]:
         """P-row / Q-column order: blocks in order, (i, j) lexicographic."""
-        return [
-            (blk.name, i, j)
-            for blk in self.blocks
-            for i in range(1, blk.dim + 1)
-            for j in range(1, blk.dim + 1)
-        ]
+        return [(self.blocks[b].name, i, j) for b, i, j in self._keys()]
 
     def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
         """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k.
 
         Computed from E_ii A_l E_jj = phi E_ij and verified: the remainder is
         exactly phi E_ij, and each A_l equals the sum of its block images over
-        the units.
+        the units.  The images are kept as a batch of scalars phi[unit, l].
         """
         if self._phis is not None:
             return self._phis
         alg = self.algebra
         nm = alg.scheme.nclasses
-        keys, U = self._units()
+        keys, U = self._keys(), self._units()
         pos = {key: n for n, key in enumerate(keys)}
-        A = alg.pack([alg.basis(l) for l in range(nm)])
+        A = alg.adjacency()
         diag = alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :])
         # Y[n, l] = E_ii A_l E_jj for the unit n = E_ij
         Y = alg.mul(diag, U[[pos[(b, j, j)] for b, _, j in keys]][:, None])
-        phi = _quotients(alg, Y, [self.blocks[b].units[(i, j)] for b, i, j in keys])
+        phi = _quotients(alg.field, Y, U)
         phiE = kernel.field_mul(phi, U[:, None], alg.field)
         bad = ~phiE.equal(Y)
         if bad.any():
@@ -262,69 +247,43 @@ class Eigensystem:
         if bad.any():
             l = int(np.flatnonzero(bad)[0])
             raise VerificationError(f"A_{l} is not spanned by the matrix units")
-        flat = kernel.scalars(alg.field, phi)
+        P = _table(alg.field, phi)
         dims = [range(1, blk.dim + 1) for blk in self.blocks]
+        self._phi = phi
         self._phis = [
-            [[[flat[pos[(b, i, j)] * nm + l] for j in d] for i in d] for l in range(nm)]
+            [[[P[pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
             for b, d in enumerate(dims)
         ]
         return self._phis
 
     def eigenmatrix_p(self) -> list[list[CycScalar]]:
         """Rows indexed by row_index(), columns by class."""
-        phis = self.phi_matrices()
-        nm = self.algebra.scheme.nclasses
-        rows = []
-        for bi, blk in enumerate(self.blocks):
-            for i in range(blk.dim):
-                for j in range(blk.dim):
-                    rows.append([phis[bi][l][i][j] for l in range(nm)])
-        return rows
+        self.phi_matrices()
+        return _table(self.algebra.field, self._phi)
 
     def eigenmatrix_q(self) -> list[list[CycScalar]]:
         """Rows indexed by class, columns by row_index(); Q[l][col] = v * coeff."""
-        alg = self.algebra
-        v = alg.scheme.v
-        zero = alg.field.zero()
-        cols = []
-        for blk in self.blocks:
-            for i in range(1, blk.dim + 1):
-                for j in range(1, blk.dim + 1):
-                    e = blk.units[(i, j)]
-                    cols.append(
-                        [e[l].scale(v) if l in e else zero for l in range(alg.scheme.nclasses)]
-                    )
-        return [list(row) for row in zip(*cols)]
+        Q = _q(self.algebra, self._units(), list(range(self.algebra.scheme.nclasses)))
+        return _table(self.algebra.field, Q)
 
     def character_table(self) -> list[list[CycScalar]]:
         """T[k][l] = trace of the image of A_l in block k (plain trace)."""
-        phis = self.phi_matrices()
-        nm = self.algebra.scheme.nclasses
-        out = []
-        for bi, blk in enumerate(self.blocks):
-            row = []
-            for l in range(nm):
-                s = self.algebra.field.zero()
-                for i in range(blk.dim):
-                    s = s + phis[bi][l][i][i]
-                row.append(s)
-            out.append(row)
-        return out
+        self.phi_matrices()
+        keys = self._keys()
+        traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self.blocks))]
+        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi)
+        return _table(self.algebra.field, T)
 
     def check_pq_duality(self) -> bool:
         """Entrywise m_k P[(k,ij),l] = v_l conj(Q[l,(k,ij)])."""
-        P = self.eigenmatrix_p()
-        Q = self.eigenmatrix_q()
-        vals = self.algebra.scheme.valencies
-        mult = []
-        for blk, mk in zip(self.blocks, self._mult):
-            mult.extend([mk] * (blk.dim * blk.dim))
-        for r in range(len(P)):
-            for l in range(len(vals)):
-                lhs = P[r][l].scale(mult[r])
-                rhs = Q[l][r].conj().scale(vals[l])
-                if lhs != rhs:
-                    raise VerificationError(f"duality failed at row {r}, class {l}")
+        self.phi_matrices()
+        alg = self.algebra
+        Q = _q(alg, self._units(), list(range(alg.scheme.nclasses)))
+        mult = [mk for blk, mk in zip(self.blocks, self._mult) for _ in range(blk.dim**2)]
+        bad = _duality_failures(alg.field, self._phi, mult, Q, alg.scheme.valencies)
+        if bad.any():
+            r, l = np.argwhere(bad)[0]
+            raise VerificationError(f"duality failed at row {r}, class {l}")
         return True
 
 
@@ -339,18 +298,23 @@ def check_pq_duality(es: Eigensystem) -> bool:
 # -- family eigensystems --
 
 
+def _unit(*terms: tuple[CycScalar, Elem]) -> Elem:
+    """sum c F over the terms (c, F); the Fs have disjoint supports."""
+    return {k: c * x for c, F in terms for k, x in F.items()}
+
+
+def _pair_block(a: int, na: int, F0: list[Elem], F1: list[Elem], c11, c12) -> Block:
+    """The 2-dimensional block of the characters a and na = -a:
+    E_11 = c11 F_(a,0), E_22 = c11 F_(-a,0), E_12 = c12 F_(a,1), E_21 = c12 F_(-a,1)."""
+    terms = [(c11, F0[a]), (c11, F0[na]), (c12, F1[a]), (c12, F1[na])]
+    units = {ij: _unit(t) for ij, t in zip([(1, 1), (2, 2), (1, 2), (2, 1)], terms)}
+    return Block(f"a{a}", 2, units)
+
+
 def bgw_f_elements(alg: SchemeAlgebra, m: int, typ: int) -> list[Elem]:
     """F_{alpha,typ} = sum_gamma zeta_m^{alpha gamma} A_{(gamma,typ)}."""
     off = typ * m
-    out = []
-    for a in range(m):
-        e: Elem = {}
-        for g in range(m):
-            c = alg.field.zeta(a * g)
-            if c:
-                e[off + g] = c
-        out.append(e)
-    return out
+    return [{off + g: alg.field.zeta(a * g) for g in range(m)} for a in range(m)]
 
 
 def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
@@ -360,26 +324,21 @@ def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
     alg = SchemeAlgebra(scheme, field)
     F0 = bgw_f_elements(alg, m, 0)
     F1 = bgw_f_elements(alg, m, 1)
+    e = field.rat(Fraction(1, v))
     inv_sqrt = field.sqrt_radicand().inv()
-    e0 = alg.rmul(Fraction(1, v), alg.add(F0[0], F1[0]))
-    e1 = alg.rmul(Fraction(1, v), alg.sub(alg.rmul(n, F0[0]), F1[0]))
-    blocks = [Block("0", 1, {(1, 1): e0}), Block("1", 1, {(1, 1): e1})]
+    blocks = [
+        Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]))}),
+        Block("1", 1, {(1, 1): _unit((e.scale(n), F0[0]), (-e, F1[0]))}),
+    ]
     if m % 2 == 0:
         h = m // 2
-        rad = alg.smul(inv_sqrt, F1[h])
-        e2 = alg.rmul(Fraction(1, 2 * m), alg.add(F0[h], rad))
-        e3 = alg.rmul(Fraction(1, 2 * m), alg.sub(F0[h], rad))
-        blocks.append(Block("2", 1, {(1, 1): e2}))
-        blocks.append(Block("3", 1, {(1, 1): e3}))
-    c12 = inv_sqrt.scale(Fraction(1, m))
+        c = inv_sqrt.scale(Fraction(1, 2 * m))
+        half = field.rat(Fraction(1, 2 * m))
+        blocks.append(Block("2", 1, {(1, 1): _unit((half, F0[h]), (c, F1[h]))}))
+        blocks.append(Block("3", 1, {(1, 1): _unit((half, F0[h]), (-c, F1[h]))}))
+    c11, c12 = field.rat(Fraction(1, m)), inv_sqrt.scale(Fraction(1, m))
     for a in range(1, (m - 1) // 2 + 1):
-        units = {
-            (1, 1): alg.rmul(Fraction(1, m), F0[a]),
-            (2, 2): alg.rmul(Fraction(1, m), F0[m - a]),
-            (1, 2): alg.smul(c12, F1[a]),
-            (2, 1): alg.smul(c12, F1[m - a]),
-        }
-        blocks.append(Block(f"a{a}", 2, units))
+        blocks.append(_pair_block(a, m - a, F0, F1, c11, c12))
     return Eigensystem(alg, blocks)
 
 
@@ -405,29 +364,16 @@ def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
     alg = SchemeAlgebra(scheme, field)
     F0 = gh_f_elements(alg, F, 0)
     F1 = gh_f_elements(alg, F, 1)
-    a2 = alg.basis(2 * q)
-    e0 = alg.rmul(Fraction(1, v), alg.add(alg.add(F0[0], F1[0]), a2))
-    e1 = alg.rmul(
-        Fraction(1, v), alg.sub(alg.rmul(q * q - 1, F0[0]), alg.rmul(q + 1, a2))
-    )
-    e2 = alg.rmul(
-        Fraction(1, v),
-        alg.add(alg.sub(alg.rmul(q, F0[0]), F1[0]), alg.rmul(q, a2)),
-    )
+    a2 = {2 * q: field.one()}
+    e = field.rat(Fraction(1, v))
     blocks = [
-        Block("0", 1, {(1, 1): e0}),
-        Block("1", 1, {(1, 1): e1}),
-        Block("2", 1, {(1, 1): e2}),
+        Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]), (e, a2))}),
+        Block("1", 1, {(1, 1): _unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),
+        Block("2", 1, {(1, 1): _unit((e.scale(q), F0[0]), (-e, F1[0]), (e.scale(q), a2))}),
     ]
+    c11, c12 = field.rat(Fraction(1, q)), field.rat(Fraction(1, q * q))
     for a in gh_transversal(F):
-        na = F.neg(a)
-        units = {
-            (1, 1): alg.rmul(Fraction(1, q), F0[a]),
-            (2, 2): alg.rmul(Fraction(1, q), F0[na]),
-            (1, 2): alg.rmul(Fraction(1, q * q), F1[a]),
-            (2, 1): alg.rmul(Fraction(1, q * q), F1[na]),
-        }
-        blocks.append(Block(f"a{a}", 2, units))
+        blocks.append(_pair_block(a, F.neg(a), F0, F1, c11, c12))
     return Eigensystem(alg, blocks)
 
 
@@ -499,7 +445,7 @@ class FusedEigensystem:
     block contributes (E_11 + E_22 +- (E_12 + E_21)) / 2.  Everything is
     verified: idempotency, orthogonality, completeness, constancy of
     coefficients on the fused classes, the eigenvalue equations from both
-    sides, and fused P/Q duality.
+    sides, and fused P/Q duality.  The idempotents are kept as a Batch.
     """
 
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
@@ -507,35 +453,34 @@ class FusedEigensystem:
         self.algebra = alg
         self.partition = [sorted(cell) for cell in partition]
         names: list[str] = []
-        idems: list[Elem] = []
+        twice = []  # each idempotent times 2, as weights over the units
+        start, width = 0, sum(blk.dim**2 for blk in es.blocks)
         for blk in es.blocks:
-            if blk.dim == 1:
-                names.append(blk.name)
-                idems.append(blk.units[(1, 1)])
-            elif blk.dim == 2:
-                diag = alg.add(blk.units[(1, 1)], blk.units[(2, 2)])
-                off = alg.add(blk.units[(1, 2)], blk.units[(2, 1)])
-                names.append(blk.name + "+")
-                idems.append(alg.rmul(Fraction(1, 2), alg.add(diag, off)))
-                names.append(blk.name + "-")
-                idems.append(alg.rmul(Fraction(1, 2), alg.sub(diag, off)))
-            else:
+            if blk.dim not in (1, 2):
                 raise VerificationError("blocks of dimension > 2 not supported")
+            # the units of a block in order (1,1), (1,2), (2,1), (2,2)
+            signs = {"": [2]} if blk.dim == 1 else {"+": [1, 1, 1, 1], "-": [1, -1, -1, 1]}
+            for suffix, w in signs.items():
+                names.append(blk.name + suffix)
+                twice.append(np.zeros(width, dtype=np.int64))
+                twice[-1][start : start + len(w)] = w
+            start += blk.dim**2
         self.names = names
-        self.idempotents = idems
-        packed = alg.pack(idems)
-        self._verify_idempotents(packed)
-        self.multiplicities = self._multiplicities()
-        self.fused_valencies = [
-            sum(alg.scheme.valencies[i] for i in cell) for cell in self.partition
-        ]
-        self.qhat = self._fused_q()
-        self.phat = self._fused_p(packed)
-        self._check_duality()
+        E = kernel.combine(np.array(twice), es._units())
+        self.idempotents = E = Batch(E.num, 2 * E.den)
+        self._verify_idempotents(E)
+        self.multiplicities = self._multiplicities(E)
+        cells = _indicator(self.partition, alg.scheme.nclasses)
+        self.fused_valencies = (cells @ np.array(alg.scheme.valencies)).tolist()
+        Q = self._fused_q(E)
+        self.qhat = _table(alg.field, Q)
+        P = self._fused_p(E, cells)
+        self.phat = _table(alg.field, P)
+        self._check_duality(P, Q)
 
     def _verify_idempotents(self, E: Batch) -> None:
         alg = self.algebra
-        n = len(self.idempotents)
+        n = len(self.names)
         want = Batch(np.where(np.eye(n, dtype=bool)[..., None, None], E.num[:, None], 0), E.den)
         bad = ~alg.mul(E[:, None], E[None, :]).equal(want)
         if bad.any():
@@ -544,46 +489,33 @@ class FusedEigensystem:
                 f"fused idempotents {self.names[i]}, {self.names[j]} "
                 "not orthogonal idempotents"
             )
-        if not E.sum().equal(alg.pack([alg.identity()])[0]):
+        if not E.sum().equal(alg.adjacency()[0]):
             raise VerificationError("fused idempotents do not sum to identity")
 
-    def _multiplicities(self) -> list[int]:
+    def _multiplicities(self, E: Batch) -> list[int]:
         out = []
-        for e in self.idempotents:
-            t = self.algebra.trace(e)
-            fr = t.as_fraction()
-            if fr.denominator != 1 or fr <= 0:
+        for t in E.num[:, 0]:  # the trace is v times the coefficient of A_0
+            fr = Fraction(int(t[0]) * self.algebra.scheme.v, E.den)
+            if t[1:].any() or fr.denominator != 1 or fr <= 0:
                 raise VerificationError("fused multiplicity not a positive integer")
             out.append(int(fr))
         return out
 
-    def _fused_q(self) -> list[list[CycScalar]]:
+    def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
-        alg = self.algebra
-        v = alg.scheme.v
-        zero = alg.field.zero()
-        out = []
         for cell in self.partition:
-            row = []
-            for e in self.idempotents:
-                vals = {e.get(i) for i in cell}
-                if len(vals) != 1:
-                    raise VerificationError(
-                        "idempotent coefficients not constant on a fused class"
-                    )
-                c = vals.pop()
-                row.append(zero if c is None else c.scale(v))
-            out.append(row)
-        return out
+            if not cell or (E.num[:, cell] != E.num[:, cell[:1]]).any():
+                raise VerificationError("idempotent coefficients not constant on a fused class")
+        return _q(self.algebra, E, [cell[0] for cell in self.partition])
 
-    def _fused_p(self, E: Batch) -> list[list[CycScalar]]:
-        """Rows: idempotents; columns: fused classes; eigenvalue extraction."""
+    def _fused_p(self, E: Batch, cells: np.ndarray) -> Batch:
+        """Eigenvalues c[idempotent, fused class], from e A^_t = A^_t e = c e,
+        where A^_t is the sum of the classes in cell t."""
         alg = self.algebra
-        n, ncells = len(self.idempotents), len(self.partition)
-        H = alg.pack([{i: alg.field.one() for i in cell} for cell in self.partition])
+        H = kernel.combine(cells, alg.adjacency())
         left = alg.mul(E[:, None], H[None, :])  # e A^_t, shape (n, ncells)
         right = alg.mul(H[None, :], E[:, None])  # A^_t e
-        c = _quotients(alg, left, self.idempotents)
+        c = _quotients(alg.field, left, E)
         bad = ~(kernel.field_mul(c, E[:, None], alg.field).equal(left) & right.equal(left))
         if bad.any():
             k, t = np.argwhere(bad)[0]
@@ -591,19 +523,17 @@ class FusedEigensystem:
                 f"fused class {t} does not act as a scalar on idempotent "
                 f"{self.names[k]}"
             )
-        flat = kernel.scalars(alg.field, c)
-        return [flat[k * ncells : (k + 1) * ncells] for k in range(n)]
+        return c
 
-    def _check_duality(self) -> None:
-        for k, e in enumerate(self.idempotents):
-            for t in range(len(self.partition)):
-                lhs = self.phat[k][t].scale(self.multiplicities[k])
-                rhs = self.qhat[t][k].conj().scale(self.fused_valencies[t])
-                if lhs != rhs:
-                    raise VerificationError(
-                        f"fused duality failed at idempotent {self.names[k]}, "
-                        f"class {t}"
-                    )
+    def _check_duality(self, P: Batch, Q: Batch) -> None:
+        bad = _duality_failures(
+            self.algebra.field, P, self.multiplicities, Q, self.fused_valencies
+        )
+        if bad.any():
+            k, t = np.argwhere(bad)[0]
+            raise VerificationError(
+                f"fused duality failed at idempotent {self.names[k]}, class {t}"
+            )
 
 
 # -- the fusion criterion --
@@ -639,21 +569,13 @@ def _set_partitions(items: list[int]):
 
 
 def _signatures(es: Eigensystem, partition: list[list[int]]):
-    """For each block, map (i, j) -> tuple of fused-class sums of phi."""
-    phis = es.phi_matrices()
-    sigs = []
-    for bi, blk in enumerate(es.blocks):
-        table = {}
-        for i in range(blk.dim):
-            for j in range(blk.dim):
-                vals = []
-                for cell in partition:
-                    s = es.algebra.field.zero()
-                    for l in cell:
-                        s = s + phis[bi][l][i][j]
-                    vals.append(s)
-                table[(i + 1, j + 1)] = tuple(vals)
-        sigs.append(table)
+    """For each block, map (i, j) -> the fused-class sums of phi, as one
+    integer vector over the denominator that all of them share."""
+    es.phi_matrices()
+    S = kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), es._phi, axis=1)
+    sigs: list[dict] = [{} for _ in es.blocks]
+    for n, (b, i, j) in enumerate(es._keys()):
+        sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
     return sigs
 
 
@@ -697,22 +619,13 @@ def bm_search(
     sigs = _signatures(es, partition)
     names = [blk.name for blk in es.blocks]
 
+    # the product partitions of each block whose cells have one signature
     options: list[list[list[tuple[tuple[int, int], ...]]]] = []
     for blk, table in zip(es.blocks, sigs):
         opts = []
         for parts in _set_partitions(list(range(1, blk.dim + 1))):
-            cells = []
-            ok = True
-            for Ia in parts:
-                for Ib in parts:
-                    cell = tuple((i, j) for i in Ia for j in Ib)
-                    if len({table[ij] for ij in cell}) != 1:
-                        ok = False
-                        break
-                    cells.append(cell)
-                if not ok:
-                    break
-            if ok:
+            cells = [tuple((i, j) for i in Ia for j in Ib) for Ia in parts for Ib in parts]
+            if all(len({table[ij] for ij in cell}) == 1 for cell in cells):
                 opts.append(cells)
         options.append(opts)
 

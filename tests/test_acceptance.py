@@ -238,7 +238,7 @@ class TestC6CharacterTablesAndDuality:
             for i in range(1, blk.dim + 1):
                 e = blk.units[(i, i)]
                 # exact trace; the rank of an exact idempotent equals it
-                assert alg.trace(e) == f.rat(mk)
+                assert e.get(0, f.zero()).scale(v) == f.rat(mk)
                 if v <= 400:
                     M = np.zeros((v, v), dtype=complex)
                     for l, coeff in e.items():

@@ -208,6 +208,17 @@ class TestMalformedFiles:
         assert err.startswith("input error: ") and says in err
         assert len(err.splitlines()) == 1
 
+    def test_oversized_v_rejected_before_allocation(self, tmp_path, capsys):
+        # every row is well formed, so only the point limit keeps the reader
+        # from allocating the v x v label matrix
+        v = designs.MAX_POINTS + 1
+        path = _saved(tmp_path, lambda data: data.update(v=v, rows=[[0, v]] * v))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--in", path)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert err == f"input error: {v} points exceed the limit of {designs.MAX_POINTS}\n"
+
     @pytest.mark.parametrize(
         "gh_q,provenance,says",
         [
@@ -237,11 +248,12 @@ class TestMalformedFiles:
             (None, {"family": "xyz", "q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not 'xyz'"),
             (None, {"q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not None"),
             (None, {"family": 3, "q": 5, "m": 2}, "provenance family must be 'bgw' or 'gh', not 3"),
+            (None, {}, "provenance family must be 'bgw' or 'gh', not None"),
         ],
         ids=[
             "bgw-no-q", "bgw-no-m", "string-q", "bool-m", "gh-zero-q",
             "bgw-absurd-q-m", "gh-absurd-q", "gh-5-on-gh-3",
-            "unknown-family", "no-family", "int-family",
+            "unknown-family", "no-family", "int-family", "empty",
         ],
     )
     def test_bad_provenance_parameters(self, tmp_path, capsys, gh_q, provenance, says):

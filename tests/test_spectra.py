@@ -26,6 +26,7 @@ from gwschemes.spectra import (
     Eigensystem,
     FusedEigensystem,
     SchemeAlgebra,
+    _signatures,
     bgw_f_elements,
     gh_f_elements,
 )
@@ -282,7 +283,15 @@ class TestClosedFormsAcrossGrid:
         assert fe.qhat == cf.gh_fused_q(q)
 
 
+def elem_mul(alg, x, y):
+    """The product of two Elems through the batched kernel."""
+    return alg.unpack(alg.mul(alg.pack([x]), alg.pack([y])))[0]
+
+
 class TestFElementRules:
+    # the terms added up below lie on disjoint classes (type 0, type 1 and
+    # the class 2q of gh), so a union of dicts adds them
+
     def test_bgw_f_products(self):
         q, m = 7, 3
         es = cases.bgw_es(q, m)
@@ -293,13 +302,13 @@ class TestFElementRules:
             for b in range(m):
                 d_ab = m if a == b else 0
                 d_anb = m if (a + b) % m == 0 else 0
-                assert alg.equal(alg.mul(F0[a], F0[b]), alg.rmul(d_ab, F0[a]))
-                assert alg.equal(alg.mul(F0[a], F1[b]), alg.rmul(d_ab, F1[b]))
-                assert alg.equal(alg.mul(F1[a], F0[b]), alg.rmul(d_anb, F1[a]))
+                assert elem_mul(alg, F0[a], F0[b]) == alg.rmul(d_ab, F0[a])
+                assert elem_mul(alg, F0[a], F1[b]) == alg.rmul(d_ab, F1[b])
+                assert elem_mul(alg, F1[a], F0[b]) == alg.rmul(d_anb, F1[a])
                 want = alg.rmul(q * d_anb, F0[a])
                 if a == 0 and b == 0:
-                    want = alg.add(want, alg.rmul((q - 1) * m, F1[0]))
-                assert alg.equal(alg.mul(F1[a], F1[b]), want)
+                    want = {**want, **alg.rmul((q - 1) * m, F1[0])}
+                assert elem_mul(alg, F1[a], F1[b]) == want
 
     def test_gh_f_products(self):
         q = 3
@@ -308,21 +317,21 @@ class TestFElementRules:
         F = FiniteField(q)
         F0 = gh_f_elements(alg, F, 0)
         F1 = gh_f_elements(alg, F, 1)
-        a2 = alg.basis(2 * q)
+        a2 = {2 * q: alg.field.one()}
         for a in range(q):
             for b in range(q):
                 d_ab = q if a == b else 0
                 d_anb = q if F.add(a, b) == 0 else 0
-                assert alg.equal(alg.mul(F0[a], F0[b]), alg.rmul(d_ab, F0[a]))
-                assert alg.equal(alg.mul(F0[a], F1[b]), alg.rmul(d_ab, F1[b]))
-                assert alg.equal(alg.mul(F1[a], F0[b]), alg.rmul(d_anb, F1[a]))
+                assert elem_mul(alg, F0[a], F0[b]) == alg.rmul(d_ab, F0[a])
+                assert elem_mul(alg, F0[a], F1[b]) == alg.rmul(d_ab, F1[b])
+                assert elem_mul(alg, F1[a], F0[b]) == alg.rmul(d_anb, F1[a])
                 want = alg.rmul(q * q * d_anb, F0[a])
                 if a == 0 and b == 0:
-                    want = alg.add(want, alg.rmul(q * q * q, a2))
-                    want = alg.add(want, alg.rmul((q - 1) * q * q, F1[0]))
-                assert alg.equal(alg.mul(F1[a], F1[b]), want)
+                    want = {**want, **alg.rmul(q * q * q, a2)}
+                    want = {**want, **alg.rmul((q - 1) * q * q, F1[0])}
+                assert elem_mul(alg, F1[a], F1[b]) == want
         # in particular F_(1,1) F_(1,1) vanishes: 1 is not self-negative
-        assert alg.is_zero(alg.mul(F1[1], F1[1]))
+        assert elem_mul(alg, F1[1], F1[1]) == {}
 
     def test_gh_transversal(self):
         assert gh_transversal(FiniteField(3)) == [1]
@@ -395,7 +404,7 @@ class TestVerificationTeeth:
         es = cases.bgw_es(7, 3)
         alg = es.algebra
         r = alg.field.sqrt_radicand().scale(Fraction(1, 97))
-        bad = mutated(es, 2, (1, 2), lambda e: alg.add(e, alg.smul(r, alg.basis(4))))
+        bad = mutated(es, 2, (1, 2), lambda e: {**e, 4: e[4] + r})
         want = first_failing_pair(alg, bad)
         with pytest.raises(VerificationError, match=re.escape(f"unit relation failed: {want}")):
             Eigensystem(alg, bad)
@@ -442,8 +451,27 @@ class TestVerificationTeeth:
 
     def test_wrong_fusion_partition_rejected(self):
         es = cases.bgw_es(7, 3)
-        with pytest.raises(VerificationError):
+        with pytest.raises(
+            VerificationError, match=r"^fused class 3 does not act as a scalar on idempotent a1\+$"
+        ):
             FusedEigensystem(es, [[0], [1, 2], [3], [4], [5]])
+
+    def test_fused_coefficients_not_constant_rejected(self):
+        # the cell {3, 4, 5} is all of type 1, where a1+ and a1- are not constant
+        es = cases.bgw_es(7, 3)
+        with pytest.raises(
+            VerificationError, match=r"^idempotent coefficients not constant on a fused class$"
+        ):
+            FusedEigensystem(es, [[0], [1, 2], [3, 4, 5]])
+
+    def test_pq_duality_names_the_first_failing_entry(self):
+        # P is cached by phi_matrices(); Q is read from the units, one of
+        # which is doubled afterwards, so the duality fails where it is nonzero
+        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
+        es.phi_matrices()
+        es.blocks = mutated(es, 2, (1, 2), lambda e: es.algebra.rmul(2, e))
+        with pytest.raises(VerificationError, match=r"^duality failed at row 3, class 3$"):
+            es.check_pq_duality()
 
     def test_eigensystem_for_dispatch(self):
         es = eigensystem_for(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
@@ -484,7 +512,6 @@ class TestKernel:
         Y = data.draw(elements(alg, data.draw(st.integers(1, 3))))
         got = alg.unpack(alg.mul(alg.pack(X)[:, None], alg.pack(Y)[None, :]))
         assert got == [dict_mul(alg, x, y) for x in X for y in Y]
-        assert [alg.mul(x, y) for x in X for y in Y] == got
 
     def test_object_path_past_the_int64_bound(self):
         es = cases.bgw_es(7, 3)
@@ -504,6 +531,19 @@ class TestKernel:
             for (a, b), e in zip(np.ndindex(len(U), len(U)), alg.unpack(small))
         ]
         assert alg.unpack(prod) == want
+
+    def test_combination_past_the_int64_bound(self):
+        # two scalars near 2**61 of bgw (7,3), whose basis has 4 entries
+        x = kernel.Batch(np.array([[[2**61, 0, 0, 1]], [[2**61, 0, 0, -1]]]), 1)
+        w = np.array([[1, 1], [1, -1], [3, 0]])
+        got = kernel.combine(w, x)
+        assert got.num.dtype == object
+        assert got.num[:, 0].tolist() == [[2**62, 0, 0, 0], [0, 0, 0, 2], [3 * 2**61, 0, 0, 3]]
+        small = kernel.combine(w, kernel.Batch(x.num // 2**58, 1))
+        assert small.num.dtype == np.int64
+        # along a later axis: the two rows of a batch of shape (1, 2)
+        along = kernel.combine(w, kernel.Batch(x.num[None], 1), axis=1)
+        assert along.num[0].tolist() == got.num.tolist()
 
     @pytest.mark.parametrize("maker,args", [("bgw", (7, 3)), ("gh", (3,))], ids=["bgw73", "gh3"])
     def test_object_path_certifies_the_same_tables(self, monkeypatch, maker, args):
@@ -555,6 +595,28 @@ class TestRankAndMaterialize:
         M = materialize(scheme, es.blocks[0].units[(1, 1)], field)
         want = field.rat(Fraction(1, scheme.v))
         assert all(x == want for row in M for x in row)
+
+
+class TestSignatures:
+    @pytest.mark.parametrize(
+        "maker,args", [("bgw", (7, 3)), ("bgw", (13, 6)), ("gh", (3,))], ids=str
+    )
+    def test_integer_signatures_group_as_scalar_sums(self, maker, args):
+        # reference: the fused-class sums of phi, added scalar by scalar
+        es = getattr(cases, maker + "_es")(*args)
+        nm = es.algebra.scheme.nclasses
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
+        phis, zero = es.phi_matrices(), es.algebra.field.zero()
+        for partition in (fusion, [[0], list(range(1, nm))], [[l] for l in range(nm)]):
+            for b, table in enumerate(_signatures(es, partition)):
+                ref = {
+                    (i, j): tuple(
+                        sum((phis[b][l][i - 1][j - 1] for l in cell), zero) for cell in partition
+                    )
+                    for i, j in table
+                }
+                for x in table:
+                    assert [table[x] == table[y] for y in table] == [ref[x] == ref[y] for y in table]
 
 
 class TestFusionCertificates:
