@@ -43,8 +43,6 @@ from .spectra import (
     bgw_eigensystem,
     bgw_symmetric_fusion,
     bm_search,
-    character_table,
-    check_pq_duality,
     eigensystem_for,
     gh_eigensystem,
     gh_symmetric_fusion,
@@ -98,8 +96,6 @@ __all__ = [
     "bgw_eigensystem",
     "bgw_symmetric_fusion",
     "bm_search",
-    "character_table",
-    "check_pq_duality",
     "eigensystem_for",
     "gh_eigensystem",
     "gh_symmetric_fusion",

@@ -1,11 +1,14 @@
 """Exact scalar arithmetic: cyclotomic fields, quadratic radicals, finite fields.
 
 Every number appearing in the spectral computations lives in Q(zeta_M)[sqrt(d)]
-for a fixed conductor M and a squarefree d >= 1.  A scalar is stored as a pair
-of coefficient vectors over the power basis 1, zeta, ..., zeta^{deg-1} (deg =
-phi(M)), each vector kept as integer numerators with a single positive
-denominator and reduced modulo the M-th cyclotomic polynomial.  The power basis
-is a Q-basis, so equality of scalars is literal equality of normalized
+for a fixed conductor M and a squarefree d >= 1.  The field has the Q-basis
+e_0, ..., e_{D-1}: the powers 1, zeta, ..., zeta^{deg-1} (deg = phi(M)), then
+sqrt(d) times the same powers when d > 1, so D = deg or 2*deg.  A CycField
+holds the integer structure tensor of that basis and its conjugation matrix.
+A CycScalar is one integer vector over the basis with one positive
+denominator, in lowest terms; its products and conjugates read those two
+tables, and its inverse solves the integer system of multiplication by it.
+Equality of scalars is therefore literal equality of normalized
 coefficients; no floating point is involved anywhere.
 """
 from __future__ import annotations
@@ -14,7 +17,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -101,21 +104,6 @@ def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
     return poly
 
 
-def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        nums = [-x for x in nums]
-        den = -den
-    g = den
-    for x in nums:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        nums = [x // g for x in nums]
-        den //= g
-    return tuple(nums), den
-
-
 class CycField:
     """Arithmetic context for Q(zeta_M)[sqrt(radicand)].
 
@@ -139,18 +127,10 @@ class CycField:
                 )
         poly = cyclotomic_polynomial(conductor)
         self.deg = len(poly) - 1
-        # x^deg = -(poly without leading term); iterate to get x^t for t < 2*deg-1
-        # and zeta^e for e < M, all with integer coefficients (poly is monic).
+        self.dim = self.deg if self.d == 1 else 2 * self.deg
+        # zeta^e for e < M over the power basis, by x^deg = -(poly without its
+        # leading term); the coefficients are integers since poly is monic
         top = [-c for c in poly[:-1]]
-        red = [top]
-        for _ in range(self.deg - 2):
-            prev = red[-1]
-            nxt = [0] + list(prev[:-1])
-            if prev[-1]:
-                for j in range(self.deg):
-                    nxt[j] += prev[-1] * top[j]
-            red.append(nxt)
-        self._red = [tuple(r) for r in red]
         zp: list[tuple[int, ...]] = []
         cur = [1] + [0] * (self.deg - 1)
         for _ in range(conductor):
@@ -177,14 +157,13 @@ class CycField:
             return f"CycField(conductor={self.M})"
         return f"CycField(conductor={self.M}, radicand={self.radicand})"
 
-    # -- integer tensors over the Q-basis e_0..e_{D-1} of the field: zeta^0..
+    # -- integer tensors over the Q-basis e_0..e_{dim-1} of the field: zeta^0..
     # zeta^{deg-1}, then sqrt(d) times the same powers when d > 1 --
 
     @cached_property
     def structure(self) -> np.ndarray:
         """mult[r, s, t] with e_r e_s = sum_t mult[r, s, t] e_t."""
-        deg, M = self.deg, self.M
-        D = deg if self.d == 1 else 2 * deg
+        deg, M, D = self.deg, self.M, self.dim
         mult = np.zeros((D, D, D), dtype=np.int64)
         for r in range(deg):
             for s in range(deg):
@@ -199,157 +178,84 @@ class CycField:
     def conjugation(self) -> np.ndarray:
         """conj[r, t] with conj(e_r) = sum_t conj[r, t] e_t."""
         deg = self.deg
-        conj = np.zeros(self.structure.shape[:2], dtype=np.int64)
+        conj = np.zeros((self.dim, self.dim), dtype=np.int64)
         for r in range(deg):
             conj[r, :deg] = self._zeta_pow[-r % self.M]
-        if len(conj) > deg:
+        if self.dim > deg:
             conj[deg:, deg:] = conj[:deg, :deg]
         return conj
 
-    # -- component arithmetic (integer numerator vectors + denominator) --
+    @cached_property
+    def _mult_terms(self) -> list[list[list[tuple[int, int]]]]:
+        """The nonzero (t, mult[r, s, t]) of each e_r e_s, as Python integers."""
+        return [[_terms(row) for row in plane] for plane in self.structure]
 
-    def _creduce(self, conv: list[int]) -> list[int]:
-        out = conv[: self.deg] + [0] * max(0, self.deg - len(conv))
-        for t in range(self.deg, len(conv)):
-            c = conv[t]
-            if c:
-                row = self._red[t - self.deg]
-                for j in range(self.deg):
-                    out[j] += c * row[j]
-        return out
-
-    def _cmul(self, n1, d1, n2, d2):
-        conv = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(n1):
-            if x:
-                for j, y in enumerate(n2):
-                    conv[i + j] += x * y
-        return _normalize(self._creduce(conv), d1 * d2)
-
-    def _cadd(self, n1, d1, n2, d2):
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        return _normalize(
-            [x * m1 + y * m2 for x, y in zip(n1, n2)], d1 * d2 // g
-        )
-
-    def _cconj(self, nums, den):
-        out = [0] * self.deg
-        for j, c in enumerate(nums):
-            if c:
-                row = self._zeta_pow[(self.M - j) % self.M]
-                for t in range(self.deg):
-                    out[t] += c * row[t]
-        return _normalize(out, den)
-
-    def _cinv(self, nums, den):
-        # extended Euclid in Q[x] against the cyclotomic polynomial
-        if not any(nums):
-            raise ZeroDivisionError("inverse of zero")
-        a = [Fraction(c) for c in cyclotomic_polynomial(self.M)]
-        b = [Fraction(x, den) for x in nums]
-        s_a, s_b = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            d = len(p) - 1
-            while d > 0 and p[d] == 0:
-                d -= 1
-            return d
-
-        while True:
-            db = deg(b)
-            if db == 0 and b[0] == 0:
-                raise ZeroDivisionError("not invertible")
-            if db == 0:
-                inv = 1 / b[0]
-                res = [c * inv for c in s_b] + [Fraction(0)] * self.deg
-                from math import lcm
-
-                den_out = 1
-                for c in res[: self.deg]:
-                    den_out = lcm(den_out, c.denominator)
-                return _normalize(
-                    [int(c * den_out) for c in res[: self.deg]], den_out
-                )
-            da = deg(a)
-            if da < db:
-                a, b = b, a
-                s_a, s_b = s_b, s_a
-                continue
-            # kill leading term of a
-            coef = a[da] / b[db]
-            shift = da - db
-            for j in range(db + 1):
-                a[shift + j] -= coef * b[j]
-            if len(s_a) < shift + len(s_b):
-                s_a = s_a + [Fraction(0)] * (shift + len(s_b) - len(s_a))
-            for j in range(len(s_b)):
-                s_a[shift + j] -= coef * s_b[j]
+    @cached_property
+    def _conj_terms(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (t, conj[r, t]) of each conj(e_r), as Python integers."""
+        return [_terms(row) for row in self.conjugation]
 
     # -- scalar constructors --
 
-    def _make(self, an, ad, bn, bd) -> "CycScalar":
-        return CycScalar(self, an, ad, bn, bd)
-
     def zero(self) -> "CycScalar":
-        z = (0,) * self.deg
-        return self._make(z, 1, z, 1)
+        return CycScalar(self, (0,) * self.dim)
 
     def one(self) -> "CycScalar":
         return self.rat(1)
 
     def rat(self, x) -> "CycScalar":
         fr = Fraction(x)
-        nums = [fr.numerator] + [0] * (self.deg - 1)
-        z = (0,) * self.deg
-        return self._make(tuple(nums), fr.denominator, z, 1)
+        return CycScalar(self, [fr.numerator] + [0] * (self.dim - 1), fr.denominator)
 
     def zeta(self, e: int) -> "CycScalar":
         """The root of unity zeta_M ** e."""
-        z = (0,) * self.deg
-        return self._make(self._zeta_pow[e % self.M], 1, z, 1)
+        return CycScalar(self, self._zeta_pow[e % self.M] + (0,) * (self.dim - self.deg))
 
     def sqrt_radicand(self) -> "CycScalar":
         """sqrt(radicand) as a scalar (= k*sqrt(d), rational when d = 1)."""
         if self.d == 1:
             return self.rat(self.k)
-        z = (0,) * self.deg
-        b = (self.k,) + (0,) * (self.deg - 1)
-        return self._make(z, 1, b, 1)
+        return CycScalar(self, [0] * self.deg + [self.k] + [0] * (self.deg - 1))
 
     def from_vectors(self, a_coeffs, b_coeffs=None) -> "CycScalar":
-        """Build a scalar from Fraction coefficient vectors over the power basis."""
-        from math import lcm
-
-        def pack(coeffs):
-            fr = [Fraction(c) for c in coeffs]
-            if len(fr) > self.deg:
-                raise ValueError("coefficient vector longer than field degree")
-            fr += [Fraction(0)] * (self.deg - len(fr))
-            den = 1
-            for c in fr:
-                den = lcm(den, c.denominator)
-            return _normalize([int(c * den) for c in fr], den)
-
-        an, ad = pack(a_coeffs)
-        if b_coeffs is None:
-            bn, bd = (0,) * self.deg, 1
-        else:
-            bn, bd = pack(b_coeffs)
-        if self.d == 1 and any(bn):
+        """The scalar a + b*sqrt(d) from rational coefficient vectors a and b
+        over the power basis."""
+        a = [Fraction(c) for c in a_coeffs]
+        b = [] if b_coeffs is None else [Fraction(c) for c in b_coeffs]
+        if len(a) > self.deg or len(b) > self.deg:
+            raise ValueError("coefficient vector longer than field degree")
+        if self.d == 1 and any(b):
             raise ValueError("field has no radical part")
-        return self._make(an, ad, bn, bd)
+        coeffs = a + [0] * (self.deg - len(a))
+        if self.d != 1:
+            coeffs += b + [0] * (self.deg - len(b))
+        den = lcm(1, *(c.denominator for c in coeffs))
+        return CycScalar(self, [int(c * den) for c in coeffs], den)
+
+
+def _terms(row: np.ndarray) -> list[tuple[int, int]]:
+    return [(t, int(row[t])) for t in np.flatnonzero(row)]
 
 
 class CycScalar:
-    """Element a + b*sqrt(d) of Q(zeta_M)[sqrt(d)]; immutable, exact."""
+    """The element sum_r num[r] e_r / den of Q(zeta_M)[sqrt(d)], over the
+    Q-basis e_r of CycField.structure; immutable and exact.
 
-    __slots__ = ("field", "an", "ad", "bn", "bd")
+    The constructor normalizes to den > 0 and gcd(den, *num) = 1, so two
+    scalars of a field are equal exactly when their num and den are.
+    """
 
-    def __init__(self, field: CycField, an, ad, bn, bd):
-        self.field = field
-        self.an, self.ad = an, ad
-        self.bn, self.bd = bn, bd
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycField, num, den: int = 1):
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            num, den = [-x for x in num], -den
+        g = gcd(den, *num)
+        if g > 1:
+            num, den = [x // g for x in num], den // g
+        self.field, self.num, self.den = field, tuple(num), den
 
     def _check(self, other: "CycScalar") -> None:
         if self.field != other.field:
@@ -357,110 +263,117 @@ class CycScalar:
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
-        f = self.field
-        an, ad = f._cadd(self.an, self.ad, other.an, other.ad)
-        bn, bd = f._cadd(self.bn, self.bd, other.bn, other.bd)
-        return f._make(an, ad, bn, bd)
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        num = [x * m1 + y * m2 for x, y in zip(self.num, other.num)]
+        return CycScalar(self.field, num, self.den * m1)
 
     def __neg__(self) -> "CycScalar":
-        return self.field._make(
-            tuple(-x for x in self.an), self.ad, tuple(-x for x in self.bn), self.bd
-        )
+        return CycScalar(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         return self + (-other)
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
-        f = self.field
-        # (a1 + b1 r)(a2 + b2 r) = a1 a2 + d b1 b2 + (a1 b2 + b1 a2) r
-        aa = f._cmul(self.an, self.ad, other.an, other.ad)
-        if not any(self.bn) and not any(other.bn):
-            return f._make(aa[0], aa[1], (0,) * f.deg, 1)
-        bb = f._cmul(self.bn, self.bd, other.bn, other.bd)
-        an, ad = f._cadd(aa[0], aa[1], tuple(f.d * x for x in bb[0]), bb[1])
-        ab = f._cmul(self.an, self.ad, other.bn, other.bd)
-        ba = f._cmul(self.bn, self.bd, other.an, other.ad)
-        bn, bd = f._cadd(ab[0], ab[1], ba[0], ba[1])
-        return f._make(an, ad, bn, bd)
+        mult = self.field._mult_terms
+        ys = [(s, y) for s, y in enumerate(other.num) if y]
+        out = [0] * len(self.num)
+        for r, x in enumerate(self.num):
+            if x:
+                terms = mult[r]
+                for s, y in ys:
+                    xy = x * y
+                    for t, c in terms[s]:
+                        out[t] += xy * c
+        return CycScalar(self.field, out, self.den * other.den)
 
     def scale(self, x) -> "CycScalar":
-        """Multiply by a rational number (fast path)."""
+        """Multiply by a rational number."""
         fr = Fraction(x)
-        if fr == 0:
-            return self.field.zero()
-        an, ad = _normalize(
-            [fr.numerator * v for v in self.an], self.ad * fr.denominator
-        )
-        bn, bd = _normalize(
-            [fr.numerator * v for v in self.bn], self.bd * fr.denominator
-        )
-        return self.field._make(an, ad, bn, bd)
+        return CycScalar(self.field, [fr.numerator * c for c in self.num], self.den * fr.denominator)
 
     def inv(self) -> "CycScalar":
-        f = self.field
-        if not any(self.bn):
-            if not any(self.an):
-                raise ZeroDivisionError("inverse of zero")
-            an, ad = f._cinv(self.an, self.ad)
-            return f._make(an, ad, (0,) * f.deg, 1)
-        # (a + b r)^-1 = (a - b r) / (a^2 - d b^2); the norm is nonzero because
-        # sqrt(d) is not in Q(zeta_M) (checked at field construction)
-        aa = f._cmul(self.an, self.ad, self.an, self.ad)
-        bb = f._cmul(self.bn, self.bd, self.bn, self.bd)
-        nn, nd = f._cadd(aa[0], aa[1], tuple(-f.d * x for x in bb[0]), bb[1])
-        cn, cd = f._cinv(nn, nd)
-        an, ad = f._cmul(self.an, self.ad, cn, cd)
-        bn, bd = f._cmul(tuple(-x for x in self.bn), self.bd, cn, cd)
-        return f._make(an, ad, bn, bd)
+        """The y with self * y = 1, from the dim x dim integer system
+
+            sum_s A[t][s] y_s = den [t = 0],  A[t][s] = sum_r num[r] mult[r, s, t],
+
+        solved by fraction-free (Bareiss) Gauss-Jordan elimination.  A is
+        multiplication by a nonzero element of a field, so it is regular:
+        sqrt(d) lies outside Q(zeta_M) (checked at field construction).
+        """
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        mult, D = self.field._mult_terms, len(self.num)
+        rows = [[0] * D + [self.den if t == 0 else 0] for t in range(D)]
+        for r, x in enumerate(self.num):
+            if x:
+                for s in range(D):
+                    for t, c in mult[r][s]:
+                        rows[t][s] += x * c
+        # after step k, columns 0..k are p I, and every entry right of them is
+        # a minor of [A | den e_0], so the division by the previous pivot is
+        # exact; the columns already eliminated are no longer written
+        prev = 1
+        for k in range(D):
+            i = next(i for i in range(k, D) if rows[i][k])  # A is regular
+            rows[k], rows[i] = rows[i], rows[k]
+            p, tail = rows[k][k], rows[k][k + 1 :]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    row[k + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
+            prev = p
+        # the last column is now p y
+        return CycScalar(self.field, [row[D] for row in rows], prev)
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         return self * other.inv()
 
     def conj(self) -> "CycScalar":
         """Complex conjugation: zeta -> zeta^-1, sqrt(d) fixed (d > 0)."""
-        f = self.field
-        an, ad = f._cconj(self.an, self.ad)
-        bn, bd = f._cconj(self.bn, self.bd)
-        return f._make(an, ad, bn, bd)
+        conj = self.field._conj_terms
+        out = [0] * len(self.num)
+        for r, x in enumerate(self.num):
+            if x:
+                for t, c in conj[r]:
+                    out[t] += x * c
+        return CycScalar(self.field, out, self.den)
 
     def __bool__(self) -> bool:
-        return any(self.an) or any(self.bn)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.an == other.an
-            and self.ad == other.ad
-            and self.bn == other.bn
-            and self.bd == other.bd
-        )
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.an, self.ad, self.bn, self.bd))
+        return hash((self.num, self.den))
 
     def is_rational(self) -> bool:
-        return not any(self.an[1:]) and not any(self.bn)
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.an[0], self.ad)
+        return Fraction(self.num[0], self.den)
 
     def a_vector(self) -> list[Fraction]:
-        return [Fraction(x, self.ad) for x in self.an]
+        """The coefficients of zeta^0..zeta^(deg-1)."""
+        return [Fraction(x, self.den) for x in self.num[: self.field.deg]]
 
     def b_vector(self) -> list[Fraction]:
-        return [Fraction(x, self.bd) for x in self.bn]
+        """The coefficients of sqrt(d) zeta^0..sqrt(d) zeta^(deg-1); zero when d = 1."""
+        deg = self.field.deg
+        return [Fraction(x, self.den) for x in self.num[deg:] or (0,) * deg]
 
     def to_complex(self) -> complex:
         """Numeric image under zeta -> exp(2*pi*i/M), sqrt(d) -> positive root."""
-        zeta = cmath.exp(2j * cmath.pi / self.field.M)
-        a = sum(c * zeta**k for k, c in enumerate(self.an) if c) / self.ad
-        b = sum(c * zeta**k for k, c in enumerate(self.bn) if c) / self.bd
-        return a + b * math.sqrt(self.field.radicand)
+        f = self.field
+        basis = [cmath.exp(2j * cmath.pi * t / f.M) for t in range(f.deg)]
+        basis += [math.sqrt(f.d) * z for z in basis[: f.dim - f.deg]]
+        return sum(c * z for c, z in zip(self.num, basis)) / self.den
 
     def __repr__(self) -> str:
         from .serialize import scalar_to_str

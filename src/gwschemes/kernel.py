@@ -3,7 +3,10 @@
 A Batch holds algebra elements as integers num[..., class, basis] over one
 common positive denominator.  The basis axis runs over the Q-basis of
 Q(zeta_M)[sqrt(d)] of CycField.structure (D = deg entries, or 2*deg with
-a radical part); a batch of scalars is a Batch with one class.
+a radical part); a batch of scalars is a Batch with one class.  A CycScalar
+is one such integer vector with a denominator of its own, so pack brings
+scalars to a common denominator and scalars divides each entry back to
+lowest terms.
 With the intersection tensor p of the scheme and the structure tensor c of
 the field, a product of elements is
 
@@ -27,7 +30,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import CycField, CycScalar, _normalize
+from .algebra import CycField, CycScalar
 
 LIMIT = 2**62
 
@@ -80,29 +83,19 @@ class Batch:
 
 def pack(field: CycField, rows: list[list[CycScalar | None]]) -> Batch:
     """rows[n][k] is class k of element n; None stands for zero."""
-    width = len(field.structure)
     nonzero = [x for row in rows for x in row if x]
-    den = lcm(1, *(x.ad for x in nonzero), *(x.bd for x in nonzero))
-
-    def vector(x: CycScalar | None) -> list[int]:
-        if not x:
-            return [0] * width
-        a = [c * (den // x.ad) for c in x.an]
-        return a if width == field.deg else a + [c * (den // x.bd) for c in x.bn]
-
-    num = np.array([[vector(x) for x in row] for row in rows], dtype=object)
+    den = lcm(1, *(x.den for x in nonzero))
+    zero = [0] * field.dim
+    num = np.array(
+        [[[c * (den // x.den) for c in x.num] if x else zero for x in row] for row in rows],
+        dtype=object,
+    )
     return Batch(*exact(absmax(num), num), den)
 
 
 def scalars(field: CycField, b: Batch) -> list[CycScalar]:
     """The entries of b, flattened in C order, as normalized scalars."""
-    deg = field.deg
-    out = []
-    for vec in b.num.reshape(-1, b.num.shape[-1]).tolist():
-        an, ad = _normalize(vec[:deg], b.den)
-        bn, bd = _normalize(vec[deg:] or [0] * deg, b.den)
-        out.append(CycScalar(field, an, ad, bn, bd))
-    return out
+    return [CycScalar(field, vec, b.den) for vec in b.num.reshape(-1, field.dim).tolist()]
 
 
 def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:

@@ -7,8 +7,8 @@ re-verifies the axioms from scratch, so a loaded AssociationScheme is as
 trustworthy as a freshly constructed one.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
-e.g. "1/2 + 3*z^2 + r*(1 - z)" where r = sqrt(d); scalar_from_str parses the
-same form back given the field.
+e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
+the radicand; scalar_from_str parses the same form back given the field.
 """
 from __future__ import annotations
 
@@ -182,6 +182,8 @@ def _poly_parse(field: CycField, text: str) -> list[Fraction]:
             raise ValueError(f"cannot parse term {part!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("num") is not None:
+            if m.group("den") is not None and not int(m.group("den")):
+                raise ValueError(f"zero denominator in term {part!r}")
             c = Fraction(int(m.group("num")), int(m.group("den") or 1))
         else:
             if "z" not in part:
@@ -202,6 +204,8 @@ def scalar_from_str(field: CycField, text: str) -> CycScalar:
     if m:
         open_idx = text.index("(", m.start())
         close_idx = text.rindex(")")
+        if text[close_idx + 1 :].strip():
+            raise ValueError(f"text after the radical part: {text[close_idx + 1 :]!r}")
         b_text = text[open_idx + 1 : close_idx]
         a_text = text[: m.start()].strip().rstrip("+").strip() or "0"
         return field.from_vectors(

@@ -59,7 +59,7 @@ class SchemeAlgebra:
 
     def adjacency(self) -> Batch:
         """The adjacency basis A_0, ..., A_{nm-1}; A_0 is the identity."""
-        nm, D = self.scheme.nclasses, len(self.field.structure)
+        nm, D = self.scheme.nclasses, self.field.dim
         return Batch(np.eye(nm, dtype=np.int64)[:, :, None] * np.eye(1, D, dtype=np.int64), 1)
 
     def rmul(self, r, x: Elem) -> Elem:
@@ -285,14 +285,6 @@ class Eigensystem:
             r, l = np.argwhere(bad)[0]
             raise VerificationError(f"duality failed at row {r}, class {l}")
         return True
-
-
-def character_table(es: Eigensystem) -> list[list[CycScalar]]:
-    return es.character_table()
-
-
-def check_pq_duality(es: Eigensystem) -> bool:
-    return es.check_pq_duality()
 
 
 # -- family eigensystems --

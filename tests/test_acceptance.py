@@ -22,7 +22,6 @@ from gwschemes import (
     bgw_matrix,
     bgw_symmetric_fusion,
     bm_search,
-    check_pq_duality,
     gh_build,
     gh_symmetric_fusion,
     latin_square,
@@ -225,7 +224,7 @@ class TestC6CharacterTablesAndDuality:
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_pq_duality_exact(self, c):
-        assert check_pq_duality(get_es(c))
+        assert get_es(c).check_pq_duality()
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_trace_and_rank_of_idempotents(self, c):

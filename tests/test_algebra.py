@@ -116,6 +116,22 @@ class TestCycField:
         want = cmath.exp(2j * cmath.pi / 3) + math.sqrt(7) / 2
         assert abs(x.to_complex() - want) < 1e-12
 
+    @pytest.mark.parametrize("M,radicand", [(3, 8), (2, 125)])
+    def test_to_complex_with_square_factor(self, M, radicand):
+        # sqrt(8) = 2 sqrt(2) and sqrt(125) = 5 sqrt(5): the radical basis
+        # element maps to sqrt(d), not to sqrt(radicand)
+        import cmath
+        import math
+
+        f = CycField(M, radicand)
+        r = f.sqrt_radicand()
+        assert abs(r.to_complex() - math.sqrt(radicand)) < 1e-12
+        assert abs(f.from_vectors([0], [1]).to_complex() - math.sqrt(f.d)) < 1e-12
+        x = f.zeta(1) + r.scale(Fraction(1, 3))
+        want = cmath.exp(2j * cmath.pi / M) + math.sqrt(radicand) / 3
+        assert abs(x.to_complex() - want) < 1e-12
+        assert abs((x * x).to_complex() - want**2) < 1e-9
+
     def test_from_vectors_round_trip(self):
         f = CycField(5, 6)
         x = f.from_vectors([1, Fraction(1, 2), 0, -2], [0, Fraction(2, 3)])
@@ -188,6 +204,52 @@ class TestCycScalarLaws:
         lhs = (x * y).to_complex()
         rhs = x.to_complex() * y.to_complex()
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+@st.composite
+def full_scalars(draw, f):
+    """Scalars with independent small coefficients on every basis element."""
+    coeffs = st.lists(small_int, min_size=f.deg, max_size=f.deg)
+    return _scalar(f, draw(coeffs), draw(coeffs) if f.d != 1 else [])
+
+
+@pytest.mark.parametrize(
+    "field", [CycField(7, 8), CycField(2)], ids=["Q(z7)[sqrt8]", "Q"]
+)
+class TestCycScalarLawsByField:
+    """TestCycScalarLaws on the widest basis of the test fields (D = 12,
+    with sqrt(8) = 2 sqrt(2)) and on the rationals (D = 1)."""
+
+    @given(data=st.data())
+    def test_ring_laws(self, field, data):
+        f = field
+        x, y, w = (data.draw(full_scalars(f)) for _ in range(3))
+        z = w + f.zeta(2) + f.sqrt_radicand().scale(Fraction(-1, 4))
+        assert (x + y) * z == x * z + y * z
+        assert (x * y) * z == x * (y * z)
+        assert x * y == y * x
+        assert (x * y).conj() == x.conj() * y.conj()
+        assert (x + y).conj() == x.conj() + y.conj()
+
+    @given(data=st.data())
+    def test_inverse(self, field, data):
+        f = field
+        x = data.draw(full_scalars(f))
+        if not x:
+            return
+        assert x * x.inv() == f.one()
+        assert (x.inv()).inv() == x
+        assert x / x == f.one()
+
+    @given(data=st.data())
+    def test_numeric_embedding_is_multiplicative(self, field, data):
+        f = field
+        x, y = data.draw(full_scalars(f)), data.draw(full_scalars(f))
+        lhs = (x * y).to_complex()
+        rhs = x.to_complex() * y.to_complex()
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+        if x:
+            assert abs(x.inv().to_complex() * x.to_complex() - 1) < 1e-9
 
 
 class TestFiniteField:

@@ -92,7 +92,7 @@ class TestScalarText:
         ) * f.zeta(1)
         assert scalar_from_str(f, "5") == f.rat(5)
 
-    @pytest.mark.parametrize("bad", ["q", "z^2", "2**z", "1 - r*(z)"])
+    @pytest.mark.parametrize("bad", ["q", "z^2", "2**z", "1 - r*(z)", "r*(1) + 1", "1/0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             scalar_from_str(F37, bad)

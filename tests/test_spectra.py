@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwschemes import (
+    CycField,
+    CycScalar,
     FiniteField,
     VerificationError,
     bgw_eigensystem,
     bgw_symmetric_fusion,
     bm_search,
-    check_pq_duality,
     eigensystem_for,
     gh_eigensystem,
     gh_symmetric_fusion,
@@ -181,7 +182,7 @@ class TestReferenceBGW73:
         assert es.eigenmatrix_p() == parse_table(f, BGW73_P)
         assert es.eigenmatrix_q() == parse_table(f, BGW73_Q)
         assert es.character_table() == parse_table(f, BGW73_T)
-        assert check_pq_duality(es)
+        assert es.check_pq_duality()
 
     def test_fusion(self):
         assert bgw_symmetric_fusion(3) == [[0], [1, 2], [3], [4, 5]]
@@ -213,7 +214,7 @@ class TestReferenceBGW52:
         assert es.eigenmatrix_q() == parse_table(f, BGW52_Q)
         # all blocks are one-dimensional, so T = P
         assert es.character_table() == es.eigenmatrix_p()
-        assert check_pq_duality(es)
+        assert es.check_pq_duality()
 
     def test_trivial_fusion_reproduces_q(self):
         # m = 2 is already symmetric; the fusion partition is discrete and
@@ -241,7 +242,7 @@ class TestReferenceGH3:
         assert es.eigenmatrix_p() == parse_table(f, GH3_P)
         assert es.eigenmatrix_q() == parse_table(f, GH3_Q)
         assert es.character_table() == parse_table(f, GH3_T)
-        assert check_pq_duality(es)
+        assert es.check_pq_duality()
 
     def test_fusion(self):
         assert gh_symmetric_fusion(3) == [[0], [1, 2], [3], [4, 5], [6]]
@@ -563,14 +564,17 @@ class TestKernel:
             Eigensystem(es2.algebra, bad)
 
     def test_structure_tensor(self):
-        f = cases.bgw_es(7, 3).algebra.field
-        mult, conj = f.structure, f.conjugation
-        basis = [f.zeta(0), f.zeta(1)]
-        basis += [f.sqrt_radicand().scale(Fraction(1, f.k)) * z for z in basis]
-        for r, x in enumerate(basis):
-            assert f.from_vectors(conj[r, :2], conj[r, 2:]) == x.conj()
-            for s, y in enumerate(basis):
-                assert f.from_vectors(mult[r, s, :2], mult[r, s, 2:]) == x * y
+        # against the numeric embedding: e_r e_s = sum_t mult[r, s, t] e_t
+        # and conj(e_r) = sum_t conj[r, t] e_t, for the field of every case
+        fields = {CycField(m, q) for q, m in cases.BGW_BUILDABLE}
+        fields |= {CycField(FiniteField(q).p) for q in cases.GH_GRID}
+        for f in fields:
+            mult, conj = f.structure, f.conjugation
+            basis = np.eye(f.dim, dtype=int).tolist()
+            e = np.array([CycScalar(f, row).to_complex() for row in basis])
+            scale = np.abs(mult).sum(axis=2).max()
+            assert np.abs(e[:, None] * e[None, :] - mult @ e).max() < 1e-9 * scale, f
+            assert np.abs(e.conj() - conj @ e).max() < 1e-9 * np.abs(conj).sum(axis=1).max(), f
 
 
 class TestRankAndMaterialize:
