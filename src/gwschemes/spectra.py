@@ -104,13 +104,15 @@ def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
 
 def _quotients(field: CycField, Y: Batch, X: Batch) -> Batch:
     """The scalars Y[n, t] / X[n], read at the first nonzero class of X[n],
-    as a batch of shape (n, t); one field inversion per element."""
+    as a batch of shape (n, t); one field inversion per distinct leading
+    scalar.  The leading scalars share X.den, so equal ones have equal rows."""
     n = np.arange(len(X.num))
     l0 = (X.num != 0).any(axis=-1).argmax(axis=-1)
-    lead = kernel.scalars(field, Batch(X.num[n, l0][:, None], X.den))
-    inv = kernel.pack(field, [[x.inv()] for x in lead])
+    rows = {}
+    which = [rows.setdefault(tuple(r), len(rows)) for r in X.num[n, l0].tolist()]
+    inv = kernel.pack(field, [[CycScalar(field, r, X.den).inv()] for r in rows])
     at_l0 = Batch(Y.num[n, :, l0][:, :, None, :], Y.den)
-    return kernel.field_mul(at_l0, inv[:, None], field)
+    return kernel.field_mul(at_l0, inv[which][:, None], field)
 
 
 def _duality_failures(field: CycField, P: Batch, mult, Q: Batch, valencies) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""The spectrum oracle with per-pair linking, as a test reference.
+"""The spectrum oracle with exact linking, as a test reference.
 
-This is the random-element method linked pair by pair: for every class A_l
-and every pair of distinct eigenspaces (a, b) of the random element, the
-block V_a^T A_l V_b is formed by its own product and compared with tol * v.
-The library's oracle_spectrum forms V^T A_l V once per transpose orbit and
-reads the per-block maxima off it; the tests check that both give the same
-blocks.
+reference_spectrum is the random-element method linked pair by pair: for
+every class A_l and every pair of distinct eigenspaces (a, b) of the random
+element, the block V_a^T A_l V_b is formed by its own product and its largest
+entry is compared with tol * v.  reference_links forms V^T A_l V once per
+transpose orbit and reads the per-block maxima off it.  The library's
+oracle_spectrum links by the norms of random probes of each block instead;
+the tests check that it gives the same link matrix as reference_links and the
+same blocks as reference_spectrum.
 """
 from __future__ import annotations
 
@@ -28,6 +30,43 @@ def reference_transpose_map(mats) -> list[int]:
     return out
 
 
+def random_eigenspaces(mats, tpose, rng, tol: float = 1e-6):
+    """The eigenvectors V of a random symmetric element of the span, and the
+    first column of each eigenspace, the eigenvalues clustered by gaps."""
+    v = len(mats[0])
+    coef = rng.uniform(1.0, 2.0, size=len(mats))
+    for i, t in enumerate(tpose):
+        if t > i:
+            coef[t] = coef[i]
+    X = np.zeros((v, v), dtype=np.float64)
+    for c, M in zip(coef, mats):
+        X += c * M
+    if not np.allclose(X, X.T):
+        raise VerificationError("random element is not symmetric")
+    w, V = np.linalg.eigh(X)
+    splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
+    return V, np.concatenate(([0], splits + 1))
+
+
+def reference_links(mats, tpose, V, starts, threshold) -> np.ndarray:
+    """(a, b) is linked when a != b and the block V_a^T A_l V_b has an entry
+    above threshold for some l; one product pair V^T (A_l V) per transpose
+    orbit, the identity skipped, the links symmetrized."""
+    ns = len(starts)
+    link = np.zeros((ns, ns), dtype=bool)
+    for l, M in enumerate(mats):
+        identity = np.count_nonzero(M) == len(M) and (np.diagonal(M) == 1).all()
+        if tpose[l] < l or identity:
+            continue
+        T = V.T @ (M.astype(np.float64) @ V)
+        np.abs(T, out=T)
+        peak = np.maximum.reduceat(np.maximum.reduceat(T, starts, axis=0), starts, axis=1)
+        link |= peak > threshold
+    link |= link.T
+    np.fill_diagonal(link, False)
+    return link
+
+
 def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
     """Numerical Wedderburn block structure as a sorted list of (d_k, m_k)."""
     mats = [np.asarray(M) for M in mats]
@@ -35,20 +74,8 @@ def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5)
     tpose = reference_transpose_map(mats)
     last_err = None
     for attempt in range(retries):
-        rng = np.random.default_rng(seed + attempt)
-        coef = rng.uniform(1.0, 2.0, size=len(mats))
-        for i, t in enumerate(tpose):
-            if t > i:
-                coef[t] = coef[i]
-        X = np.zeros((v, v), dtype=np.float64)
-        for c, M in zip(coef, mats):
-            X += c * M
-        if not np.allclose(X, X.T):
-            raise VerificationError("random element is not symmetric")
-        w, V = np.linalg.eigh(X)
-        # cluster eigenvalues by gaps
-        splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
-        bounds = [0] + (splits + 1).tolist() + [v]
+        V, starts = random_eigenspaces(mats, tpose, np.random.default_rng(seed + attempt), tol)
+        bounds = starts.tolist() + [v]
         spaces = [
             V[:, bounds[t] : bounds[t + 1]] for t in range(len(bounds) - 1)
         ]

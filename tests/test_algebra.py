@@ -241,6 +241,12 @@ class TestCycScalarLawsByField:
         assert (x.inv()).inv() == x
         assert x / x == f.one()
 
+    @given(n=st.integers(-60, 60).filter(bool), d=st.integers(1, 60))
+    def test_rational_inverse_is_the_bareiss_inverse(self, field, n, d):
+        x = field.rat(Fraction(n, d))
+        assert x.is_rational()
+        assert x.inv() == x._solve()
+
     @given(data=st.data())
     def test_numeric_embedding_is_multiplicative(self, field, data):
         f = field

@@ -14,7 +14,12 @@ from gwschemes import (
     oracle_spectrum,
 )
 from kronecker import matpow, shift_matrix
-from oracle_reference import reference_spectrum
+from oracle_reference import (
+    random_eigenspaces,
+    reference_links,
+    reference_spectrum,
+    reference_transpose_map,
+)
 import cases
 
 
@@ -117,7 +122,7 @@ class TestSpectrumOracle:
     def test_s3(self):
         assert oracle_spectrum(metacyclic_scheme(3, 0)) == [(1, 1), (1, 1), (2, 2)]
 
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", range(50))
     def test_dic3_links_through_non_symmetric_classes(self, seed):
         # only the identity and the central a^3 are symmetric classes of
         # Dic_3; they commute with everything, so the 2 x 2 real block can be
@@ -131,7 +136,12 @@ class TestSpectrumOracle:
         # blocks link 0 -> 1 -> 2, and the lower shift's the other way
         up = np.eye(3, k=1, dtype=np.int64)
         link = gwschemes.oracle._links(
-            [np.eye(3, dtype=np.int64), up, up.T], [0, 2, 1], np.eye(3), np.arange(3), 0.5
+            [np.eye(3, dtype=np.int64), up, up.T],
+            [0, 2, 1],
+            np.eye(3),
+            np.arange(3),
+            0.5,
+            np.random.default_rng(0),
         )
         assert link.tolist() == [[False, True, False], [True, False, True], [False, True, False]]
 
@@ -162,9 +172,40 @@ SMALL_GROUPS = {
 SEEDS = [0, 1, 12345]
 
 
+def link_matrices(mats, seed):
+    """The probe link matrix of the library and the orbit-product one of
+    tests/oracle_reference.py, for the same random eigenspaces."""
+    tpose = reference_transpose_map(mats)
+    rng = np.random.default_rng(seed)
+    V, starts = random_eigenspaces(mats, tpose, rng)
+    threshold = 1e-6 * len(V)
+    probe = gwschemes.oracle._links(mats, tpose, V, starts, threshold, rng)
+    return probe, reference_links(mats, tpose, V, starts, threshold)
+
+
 class TestSpectrumOracleMatchesReference:
-    """The orbit-batched linking gives the blocks of the per-pair reference
-    in tests/oracle_reference.py."""
+    """The probe linking gives the link matrix of the orbit-product
+    reference and the blocks of the per-pair reference in
+    tests/oracle_reference.py."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_grid_links(self, c, seed):
+        s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
+        probe, ref = link_matrices([s.L == i for i in range(s.nclasses)], seed)
+        assert np.array_equal(probe, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_fused_links(self, c, seed):
+        probe, ref = link_matrices(fused_scheme(c).mats, seed)
+        assert np.array_equal(probe, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_small_group_links(self, name, seed):
+        probe, ref = link_matrices(SMALL_GROUPS[name](), seed)
+        assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
@@ -184,6 +225,21 @@ class TestSpectrumOracleMatchesReference:
     def test_small_groups(self, name, seed):
         mats = SMALL_GROUPS[name]()
         assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
+
+
+class TestProbeControls:
+    """A commutative scheme's classes commute with the random element, so
+    they map each of its eigenspaces into itself: every block between two
+    eigenspaces is zero, and no probe may link one."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize(
+        "make", [z6_scheme, lambda: cases.bgw(5, 2).mats], ids=["z6", "bgw52"]
+    )
+    def test_commutative_scheme_has_no_links(self, make, seed):
+        probe, _ = link_matrices(make(), seed)
+        assert len(probe) > 1
+        assert not probe.any()
 
 
 class TestFusedSpectrumOracle:
