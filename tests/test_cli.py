@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from gwschemes import (
     scheme_from_dict,
     scheme_to_dict,
 )
-from gwschemes import cli
+from gwschemes import cli, serialize
 from gwschemes.cli import main
 import cases
 
@@ -294,17 +296,23 @@ def _is_int(x, *values):
     return type(x) is int and (not values or x in values)
 
 
-def _row_breaks_a_rule(row, v=12, nlabels=4):
-    """True unless row is label, count pairs with labels in range, counts in
-    1..v and counts summing to v."""
-    if not isinstance(row, list) or len(row) % 2 or not all(_is_int(x) for x in row):
-        return True
+def _row_error(row, v=12, nlabels=4):
+    """The rule a row breaks, worded as the file reader words it and taken in
+    the order it checks them, or None if the row is label, count pairs with
+    labels in range, counts in 1..v and counts summing to v."""
+    if not isinstance(row, list) or not row or len(row) % 2 or not all(_is_int(x) for x in row):
+        return "is not a list of label, count pairs"
     lbl, count = row[0::2], row[1::2]
-    return (
-        any(not 0 <= a < nlabels for a in lbl)
-        or any(not 1 <= c <= v for c in count)
-        or sum(count) != v
-    )
+    if any(not 0 <= a < nlabels for a in lbl):
+        return f"has a label outside 0..{nlabels - 1}"
+    if any(not 1 <= c <= v for c in count):
+        return f"has a run length outside 1..{v}"
+    if sum(count) != v:
+        return "does not cover all columns"
+    return None
+
+
+SMALL_BLOCK = 24  # two rows of the bgw (5,2) record per block of the file reader
 
 
 def _bgw52():
@@ -319,6 +327,14 @@ def _edited(path, value):
     for key in head:
         item = item[key]
     item[last] = value
+    return data
+
+
+def _rows_edited(rows: dict):
+    """A bgw (5,2) record with the rows at the given indices replaced."""
+    data = _bgw52()
+    for x, row in rows.items():
+        data["rows"][x] = row
     return data
 
 
@@ -346,7 +362,7 @@ def malformed_records(draw):
         data["rows"] = draw(JSON.filter(lambda x: not (isinstance(x, list) and len(x) == 12)))
     elif part == "row":
         row = st.lists(st.integers(-3, 13) | JSON, max_size=8) | JSON
-        data["rows"][draw(st.integers(0, 11))] = draw(row.filter(_row_breaks_a_rule))
+        data["rows"][draw(st.integers(0, 11))] = draw(row.filter(_row_error))
     elif part == "provenance":
         data["provenance"] = draw(JSON.filter(lambda x: not isinstance(x, dict)))
     else:
@@ -389,12 +405,36 @@ class TestFileFuzz:
     @example(_edited(["version"], True))
     @example(_edited(["version"], 1.0))
     @example(_edited(["rows", 0, 1], True))
+    # integers beyond int64, an empty row, rows that are no list
+    @example(_edited(["rows", 0, 0], 10**30))
+    @example(_edited(["rows", 3, 1], -10**30))
+    @example(_edited(["rows", 2], []))
+    @example(_edited(["rows", 4], {"0": 12}))
+    @example(_edited(["rows", 11], "0, 12"))
+    # past the first block when the block holds two rows
+    @example(_edited(["rows", 5, 2], True))
+    @example(_edited(["rows", 7, 1], 1.0))
+    @example(_edited(["rows", 9, 0], 7))
+    @example(_edited(["rows", 6, 3], 0))
+    @example(_edited(["rows", 10], [1, 11]))
+    # two malformed rows in one block: the first is named
+    @example(_rows_edited({4: [9, 12], 5: "0, 12"}))
+    @example(_rows_edited({6: [0, 11], 7: [0, True]}))
     def test_malformed_record_is_an_input_error(self, record):
-        with pytest.raises(InputError):
-            scheme_from_dict(record)
-        code, err = _verify_in(record)
-        assert code == 1
-        assert err.startswith("input error: ") and len(err.splitlines()) == 1
+        errors = set()
+        for block in (serialize.BLOCK, SMALL_BLOCK):
+            with mock.patch.object(serialize, "BLOCK", block):
+                with pytest.raises(InputError):
+                    scheme_from_dict(record)
+                code, err = _verify_in(record)
+            assert code == 1
+            assert err.startswith("input error: ") and len(err.splitlines()) == 1
+            errors.add(err)
+        # the first malformed row is named, whatever the block size
+        assert len(errors) == 1
+        if re.match(r"input error: row \d+ ", err):
+            x = next(x for x, row in enumerate(record["rows"]) if _row_error(row))
+            assert err == f"input error: row {x} {_row_error(record['rows'][x])}\n"
 
     @given(st.data())
     def test_text_that_is_no_record_is_an_input_error(self, data):

@@ -242,6 +242,25 @@ class TestProbeControls:
         assert not probe.any()
 
 
+class TestRandomElement:
+    """The random element is accumulated through one reused buffer, and is
+    bit for bit the sum of the products c * A_l."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [cases.gh(3).L == i for i in range(cases.gh(3).nclasses)], SMALL_GROUPS["dic3"]],
+        ids=["gh3-masks", "dic3"],
+    )
+    def test_is_the_sum_of_products(self, make, seed):
+        mats = make()
+        coef = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(mats))
+        X = gwschemes.oracle._random_element(mats, coef)
+        expected = sum(c * M for c, M in zip(coef, mats))
+        assert X.dtype == expected.dtype == np.float64
+        assert X.tobytes() == expected.tobytes()
+
+
 class TestFusedSpectrumOracle:
     """The symmetrizing fusion is a symmetric, hence commutative, scheme, so
     the oracle sees one (1, m) block per fused multiplicity."""

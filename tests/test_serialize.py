@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwschemes import (
+    AssociationScheme,
     CycField,
     NotAScheme,
     load_scheme,
@@ -18,6 +19,7 @@ from gwschemes import (
     table_to_csv,
     table_to_json,
 )
+from gwschemes import serialize
 import cases
 
 F37 = CycField(3, 7)
@@ -68,6 +70,62 @@ class TestSchemeFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(NotAScheme):
             load_scheme(path)
+
+
+def complete(v: int) -> AssociationScheme:
+    """The trivial scheme on v points, whose rows have runs up to v - 1 long."""
+    return AssociationScheme.from_matrices(1 - np.eye(v, dtype=np.int64), ["0", "1"][: min(v, 2)])
+
+
+FILE_CASES = {
+    **{f"bgw{q}-{m}": (cases.bgw, (q, m)) for q, m in cases.BGW_BUILDABLE},
+    **{f"gh{q}": (cases.gh, (q,)) for q in cases.GH_GRID},
+    # v = 580: rows span several blocks
+    "bgw289-2": (cases.bgw, (289, 2)),
+    # one point; 3-digit run lengths and a 4-digit v
+    "complete1": (complete, (1,)),
+    "complete1000": (complete, (1000,)),
+}
+
+
+@pytest.fixture(params=["block", "small-block"])
+def block(request, monkeypatch):
+    """The file codec's block size: the default, or five cells, which is one
+    row per block for every case with more than two points."""
+    if request.param == "small-block":
+        monkeypatch.setattr(serialize, "BLOCK", 5)
+    return serialize.BLOCK
+
+
+class TestFileBytes:
+    """save_scheme writes the text json.dumps gives for the file record, and
+    load_scheme reads back the label matrix of the record."""
+
+    @pytest.mark.parametrize("with_prov", [False, True], ids=["bare", "prov"])
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_bytes_are_json_dumps(self, tmp_path, block, case, with_prov):
+        make, args = FILE_CASES[case]
+        s = make(*args)
+        prov = {"case": case, "args": list(args), "note": "\u00e9"} if with_prov else None
+        path = tmp_path / "scheme.json"
+        save_scheme(path, s, prov)
+        assert path.read_bytes() == (json.dumps(scheme_to_dict(s, prov)) + "\n").encode()
+
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_load_gives_the_record_matrix(self, tmp_path, block, case):
+        make, args = FILE_CASES[case]
+        s = make(*args)
+        path = tmp_path / "scheme.json"
+        save_scheme(path, s)
+        L = scheme_from_dict(scheme_to_dict(s))[0].L
+        assert np.array_equal(load_scheme(path)[0].L, L)
+        assert np.array_equal(L, s.L)
+
+    def test_cases_cross_blocks_and_digit_widths(self):
+        s = cases.bgw(289, 2)
+        assert serialize.BLOCK // s.v < s.v
+        rows = scheme_to_dict(complete(1000))["rows"]
+        assert max(max(rle[1::2]) for rle in rows) == 999
 
 
 class TestScalarText:
