@@ -33,7 +33,7 @@ from .designs import (
     verify_latin,
     verify_one_factorization,
 )
-from .schemes import AssociationScheme, scheme_verify
+from .schemes import AssociationScheme
 from .builders import bgw_build, bgw_incidence, bgw_labels, gh_build, gh_labels
 from .spectra import (
     Eigensystem,
@@ -55,7 +55,6 @@ from .serialize import (
     scalar_from_str,
     scalar_to_str,
     scheme_from_dict,
-    scheme_to_dict,
     table_to_csv,
     table_to_json,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "verify_latin",
     "verify_one_factorization",
     "AssociationScheme",
-    "scheme_verify",
     "bgw_build",
     "bgw_incidence",
     "bgw_labels",
@@ -107,7 +105,6 @@ __all__ = [
     "scalar_from_str",
     "scalar_to_str",
     "scheme_from_dict",
-    "scheme_to_dict",
     "table_to_csv",
     "table_to_json",
     "__version__",

@@ -22,17 +22,6 @@ from math import gcd, lcm
 import numpy as np
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, p prime, or raise ValueError."""
     if q < 2:

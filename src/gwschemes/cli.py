@@ -26,9 +26,9 @@ from .designs import (
 from .errors import InputError, NotAScheme, SymmetryObstruction, VerificationError
 from .oracle import oracle_spectrum
 from .serialize import (
+    file_chunks,
     load_scheme,
     save_scheme,
-    scheme_to_dict,
     table_to_csv,
     table_to_json,
 )
@@ -76,8 +76,8 @@ def _emit_scheme(scheme, provenance, out):
         save_scheme(path, scheme, provenance)
         print(f"wrote {path}: {scheme!r}")
     else:
-        json.dump(scheme_to_dict(scheme, provenance), sys.stdout)
-        print()
+        for chunk in file_chunks(scheme, provenance):
+            sys.stdout.write(chunk.decode("ascii"))
 
 
 def _cmd_build(args) -> int:
@@ -154,10 +154,9 @@ def _cmd_fusion(args) -> int:
     fes = FusedEigensystem(es, partition)
     print(f"fused multiplicities: {fes.multiplicities}")
     if args.check_bm:
-        cert = bm_search(es, partition, product_form_only=True)
-        if cert is None:
+        cert = bm_search(es, partition)
+        if cert is None or not cert.product_form:
             print("product-form certificate: none")
-            cert = bm_search(es, partition)
         if cert is None:
             print("no fusion certificate found", file=sys.stderr)
             return 2

@@ -36,7 +36,3 @@ def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     cols = [[int(x) for x in col] for col in np.asarray(B).T.tolist()]
     out = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
     return np.array(out, dtype=object)
-
-
-def is_zero_one(A: np.ndarray) -> bool:
-    return bool(((A == 0) | (A == 1)).all())

@@ -17,8 +17,8 @@ Probabilistic machines can use less running time, IFIP 1977):
 
 - Probes.  For each eigenspace b, PROBES Gaussian unit vectors g of
   R^dim(b) are drawn from the attempt's seeded generator, fresh on each
-  retry, and (a, b) is linked when |V_a^T A_l V_b g| > tol * v for some
-  probe and some class.  tol * v is the threshold the largest entry of a
+  retry, and (a, b) is linked when |V_a^T A_l V_b g| > TOL * v for some
+  probe and some class.  TOL * v is the threshold the largest entry of a
   full product was compared with, and it carries over to the projected
   norm: an entry of B and |B g| for a unit g are both at most |B|_2, so a
   zero block passes neither while the round-off in |B|_2 stays below it.
@@ -26,9 +26,9 @@ Probabilistic machines can use less running time, IFIP 1977):
   computed eigenspaces: about |A_l|_2 times their angles to the exact ones,
   which are of order v eps |X| / gap (Davis-Kahan), plus v eps |A_l|_2 from
   the products.  With the gaps of a random element that is far below
-  tol * v.
+  TOL * v.
 - Missed blocks.  A nonzero block B is missed by one probe with chance at
-  most about sqrt(dim b) tol v / |B|_2, since the component of g along the
+  most about sqrt(dim b) TOL v / |B|_2, since the component of g along the
   top right singular vector of B has density at most about sqrt(dim b) / 2
   near 0, and by every probe with that chance to the power PROBES.  A miss
   can only split a block into blocks of the same multiplicity, so it reads
@@ -36,7 +36,7 @@ Probabilistic machines can use less running time, IFIP 1977):
 - Margins measured on BGW (7,3), (8,7), (17,8), (25,12) and GH 3, 5, 7
   over seeds 0..9, and GH 9 over seeds 0..2: the least norm of a linked
   pair was 2.4 and the largest of a zero block 3.5e-11, against
-  tol * v = 2.4e-5 to 8.1e-4.
+  TOL * v = 2.4e-5 to 8.1e-4.
 """
 from __future__ import annotations
 
@@ -45,6 +45,8 @@ import numpy as np
 from .errors import VerificationError
 
 PROBES = 2  # random unit vectors per eigenspace in _links
+TOL = 1e-6  # relative gap that splits eigenvalues; TOL * v is the link threshold
+RETRIES = 5  # random elements tried before the oracle gives up
 
 
 def oracle_closure(mats) -> np.ndarray:
@@ -135,18 +137,20 @@ def _random_element(mats, coef) -> np.ndarray:
     return X
 
 
-def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
+def oracle_spectrum(mats, seed: int = 0):
     """Numerical Wedderburn block structure as a sorted list of (d_k, m_k).
 
-    Uses a fixed-seed random element; retries with fresh coefficients if the
-    spectrum is degenerate (unequal multiplicities inside a linked component).
+    Uses a fixed-seed random element; retries with fresh coefficients, up to
+    RETRIES elements in all, if the spectrum is degenerate (unequal
+    multiplicities inside a linked component).  Eigenvalues closer than TOL
+    times the largest magnitude form one eigenspace.
     The matrices are taken as given, so 0/1 masks stay one byte an entry.
     """
     mats = [np.asarray(M) for M in mats]
     v = mats[0].shape[0]
     tpose = _transpose_map(mats)
     last_err = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         rng = np.random.default_rng(seed + attempt)
         coef = rng.uniform(1.0, 2.0, size=len(mats))
         for i, t in enumerate(tpose):
@@ -158,10 +162,10 @@ def oracle_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
         w, V = np.linalg.eigh(X)
         del X
         # cluster eigenvalues by gaps
-        splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
+        splits = np.flatnonzero(np.diff(w) > TOL * max(1.0, np.abs(w).max()))
         bounds = np.concatenate(([0], splits + 1, [v]))
         dims = np.diff(bounds).tolist()
-        link = _links(mats, tpose, V, bounds[:-1], tol * v, rng)
+        link = _links(mats, tpose, V, bounds[:-1], TOL * v, rng)
         ns = len(dims)
         comp = [-1] * ns
         blocks = []

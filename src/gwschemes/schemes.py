@@ -6,7 +6,7 @@ closure under transpose, and A_i A_j = sum_k p[i,j,k] A_k with integer
 intersection numbers (the A_i sum to J by construction).  L is the one stored
 representation: construction verifies every axiom exactly and extracts the
 full intersection tensor, so an AssociationScheme instance is a certificate
-of schemehood, and the 0/1 matrices are built only when asked for.
+of schemehood; a 0/1 matrix A_i is formed from L where a check needs it.
 
 Closure is certified from a generating set G of classes instead of from all
 products.  Write V = span{A_i}.  For each g in G the verifier checks that
@@ -40,7 +40,6 @@ import math
 import numpy as np
 
 from .errors import NotAScheme
-from .matrixkit import is_zero_one
 
 # the closure GEMMs run in float32, whose integers are exact below 2**24: the
 # partial sums of an entry stay below (k + 1)**d <= 2**24 (see _right_action)
@@ -57,11 +56,6 @@ class AssociationScheme:
         self.valencies = valencies
         self.v = L.shape[0]
         self.nclasses = len(labels)
-
-    @property
-    def mats(self) -> list[np.ndarray]:
-        """The int64 0/1 matrices A_i = (L == i), built anew on each access."""
-        return [(self.L == i).astype(np.int64) for i in range(self.nclasses)]
 
     @classmethod
     def from_matrices(cls, L, labels) -> "AssociationScheme":
@@ -291,24 +285,3 @@ class _Span:
                 f"the generators span rank {self.rank} < {self.nm}, "
                 "not the whole algebra"
             )
-
-
-def scheme_verify(mats, labels=None) -> AssociationScheme:
-    """Verify the scheme axioms for a family of 0/1 matrices A_i: equal square
-    shapes, 0/1 entries and supports that partition all positions are checked
-    here, the rest on the label matrix L = sum_i i A_i."""
-    mats = [np.asarray(M) for M in mats]
-    v = mats[0].shape[0]
-    if labels is None:
-        labels = [str(i) for i in range(len(mats))]
-    if len(labels) != len(mats):
-        raise ValueError("labels must match the matrix count")
-    for M in mats:
-        if M.shape != (v, v):
-            raise NotAScheme("matrices must be square of equal size")
-        if not is_zero_one(M):
-            raise NotAScheme("matrices must be 0/1")
-    if (sum(M == 1 for M in mats) != 1).any():
-        raise NotAScheme("supports must partition all positions")
-    L = sum(i * (M == 1) for i, M in enumerate(mats))
-    return AssociationScheme.from_matrices(L, labels)

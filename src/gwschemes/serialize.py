@@ -30,10 +30,6 @@ FILE_VERSION = 1
 BLOCK = 1 << 16  # label-matrix cells per numpy step of the file codec, at least one row
 
 
-def _header(scheme: AssociationScheme) -> dict:
-    return {"version": FILE_VERSION, "v": scheme.v, "labels": list(scheme.labels)}
-
-
 def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of L run-length encoded: the flat [label, count, ...] runs of
     all rows, and the end of each row in it."""
@@ -44,15 +40,6 @@ def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(new)
     runs = np.stack([L.reshape(-1)[starts], np.diff(starts, append=r * v)], axis=1)
     return runs.reshape(-1), 2 * np.cumsum(new.sum(axis=1))
-
-
-def scheme_to_dict(scheme: AssociationScheme, provenance: dict | None = None) -> dict:
-    runs, ends = _runs(scheme.L)
-    out = _header(scheme)
-    out["rows"] = [rle.tolist() for rle in np.split(runs, ends[:-1])]
-    if provenance is not None:
-        out["provenance"] = provenance
-    return out
 
 
 def _rows_text(L: np.ndarray, text: np.ndarray) -> bytes:
@@ -150,22 +137,30 @@ def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
     return AssociationScheme.from_matrices(L, data["labels"]), data.get("provenance")
 
 
-def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
-    """Write the text json.dumps gives for scheme_to_dict(scheme, provenance),
-    and a newline, with the rows streamed block by block."""
+def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
+    """The bytes of the scheme file, chunk by chunk: the text json.dumps gives
+    for the record {"version", "v", "labels", "rows", "provenance"} (the last
+    only when given), and a newline, with the rows streamed block by block.
+    The text is ASCII, since json.dumps escapes every other character."""
     L, v = scheme.L, scheme.v
     digits = np.arange(v + 1).astype(f"S{len(str(v))}")
     text = np.char.add(digits, np.array([[b", "], [b"], ["]]))
     step = max(1, BLOCK // v)
+    header = {"version": FILE_VERSION, "v": v, "labels": list(scheme.labels)}
+    yield json.dumps(header)[:-1].encode() + b', "rows": [['
+    for x0 in range(0, v, step):
+        rows = _rows_text(L[x0 : x0 + step], text)
+        yield rows if x0 + step < v else rows[:-4]  # no "], [" after the last row
+    yield b"]]"
+    if provenance is not None:
+        yield b', "provenance": ' + json.dumps(provenance).encode()
+    yield b"}\n"
+
+
+def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
+    """Write the scheme file of scheme and provenance (see file_chunks)."""
     with open(path, "wb") as fh:
-        fh.write(json.dumps(_header(scheme))[:-1].encode() + b', "rows": [[')
-        for x0 in range(0, v, step):
-            rows = _rows_text(L[x0 : x0 + step], text)
-            fh.write(rows if x0 + step < v else rows[:-4])  # no "], [" after the last row
-        fh.write(b"]]")
-        if provenance is not None:
-            fh.write(b', "provenance": ' + json.dumps(provenance).encode())
-        fh.write(b"}\n")
+        fh.writelines(file_chunks(scheme, provenance))
 
 
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:

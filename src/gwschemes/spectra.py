@@ -597,17 +597,15 @@ def _closure_ok(cells: list[tuple[tuple[int, int], ...]]) -> bool:
     return True
 
 
-def bm_search(
-    es: Eigensystem, partition: list[list[int]], product_form_only: bool = False
-):
+def bm_search(es: Eigensystem, partition: list[list[int]]):
     """Search for a fusion certificate for the given class partition.
 
     First tries canonical product partitions (cells I_a x I_b for a single
     partition {I_a} of the unit indices of each block, so the cell count is a
-    sum of squares).  If none reaches the target cell count and
-    product_form_only is False, falls back to general cell partitions grouped
-    by signature, additionally verifying multiplicative closure of the
-    cell-sum span.  Returns a FusionCertificate or None.
+    sum of squares).  If none reaches the target cell count, falls back to
+    general cell partitions grouped by signature, additionally verifying
+    multiplicative closure of the cell-sum span.  Returns a FusionCertificate,
+    whose product_form tells which of the two was found, or None.
     """
     target = len(partition)
     sigs = _signatures(es, partition)
@@ -646,8 +644,6 @@ def bm_search(
             cell_count=target,
             target=target,
         )
-    if product_form_only:
-        return None
 
     # general cells: group unit index pairs by signature
     all_cells = []

@@ -81,3 +81,8 @@ def gh_fused(q: int) -> FusedEigensystem:
     if key not in _fused:
         _fused[key] = FusedEigensystem(gh_es(q), gh_symmetric_fusion(q))
     return _fused[key]
+
+
+def masks(scheme) -> list:
+    """The boolean 0/1 matrices A_i = (L == i) of a scheme's classes."""
+    return [scheme.L == i for i in range(scheme.nclasses)]

@@ -1,4 +1,7 @@
 import hypothesis
+import pytest
+
+from gwschemes import serialize
 
 # algebraic identities can be slow per example on small CI machines;
 # correctness does not depend on wall time
@@ -6,3 +9,12 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture(params=["block", "small-block"])
+def block(request, monkeypatch):
+    """The file codec's block size: the default, or five cells, which is one
+    row per block for every case with more than two points."""
+    if request.param == "small-block":
+        monkeypatch.setattr(serialize, "BLOCK", 5)
+    return serialize.BLOCK

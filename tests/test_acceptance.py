@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gwschemes import (
+    AssociationScheme,
     SymmetryObstruction,
     NotAScheme,
     VerificationError,
@@ -29,13 +30,13 @@ from gwschemes import (
     oracle_closure,
     oracle_spectrum,
     save_scheme,
-    scheme_verify,
     sgdd_params,
     verify_bgw,
     verify_latin,
 )
 import cases
 import closedforms as cf
+from kronecker import bgw_mats, label_matrix
 
 BGW_M2 = [(q, m) for q, m in cases.BGW_BUILDABLE if m == 2]
 BGW_M3UP = [(q, m) for q, m in cases.BGW_BUILDABLE if m >= 3]
@@ -112,8 +113,10 @@ class TestC1BgwSchemeAxioms:
         s = cases.bgw(q, m)
         assert s.v == (q + 1) * m
         assert s.nclasses - 1 == 2 * m - 1
-        # independent re-verification of the axioms from the raw matrices
-        scheme_verify(s.mats, s.labels)
+        # independent re-verification of the axioms from the Kronecker/block
+        # construction's matrices
+        ref = AssociationScheme.from_matrices(label_matrix(bgw_mats(q, m)), s.labels)
+        assert np.array_equal(ref.p, s.p)
         cf.check_bgw_products(s, q, m)
 
     def test_runtime_under_5s_total(self):
@@ -232,7 +235,7 @@ class TestC6CharacterTablesAndDuality:
         alg = es.algebra
         f = alg.field
         v = alg.scheme.v
-        mats = alg.scheme.mats if v <= 400 else None
+        mats = cases.masks(alg.scheme) if v <= 400 else None
         for blk, mk in zip(es.blocks, es.multiplicities):
             for i in range(1, blk.dim + 1):
                 e = blk.units[(i, i)]
@@ -262,9 +265,9 @@ class TestC7Fusion:
         cert = bm_search(es, partition)
         assert cert is not None
         assert cert.cell_count == cert.target == len(partition)
-        # the product form exists exactly when every block stays 1-dimensional
-        pf = bm_search(es, partition, product_form_only=True)
-        assert (pf is not None) == all(b.dim == 1 for b in es.blocks)
+        # the product form exists exactly when every block stays 1-dimensional,
+        # and the search returns it whenever it exists
+        assert cert.product_form == all(b.dim == 1 for b in es.blocks)
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_fused_second_eigenmatrix_exact(self, c):
@@ -279,14 +282,14 @@ class TestC8OracleEquivalence:
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_closure_tensor(self, c):
         s = get_scheme(c)
-        assert np.array_equal(oracle_closure(s.mats), s.p)
+        assert np.array_equal(oracle_closure(cases.masks(s)), s.p)
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_spectrum_blocks(self, c):
         s = get_scheme(c)
         es = get_es(c)
         exact = sorted((b.dim, m) for b, m in zip(es.blocks, es.multiplicities))
-        assert oracle_spectrum(s.mats, seed=0, tol=1e-6) == exact
+        assert oracle_spectrum(cases.masks(s), seed=0) == exact
 
 
 class TestC9NegativeTests:
@@ -310,11 +313,11 @@ class TestC9NegativeTests:
 
     def test_scheme_basis_mutation(self):
         s = cases.bgw(5, 2)
-        mats = [M.copy() for M in s.mats]
-        r, c = np.argwhere(mats[1])[0]
-        mats[1][r, c] = 0
-        with pytest.raises(NotAScheme, match="partition"):
-            scheme_verify(mats, s.labels)
+        L = s.L.copy()
+        r, c = np.argwhere(L == 1)[0]
+        L[r, c] = 2  # one pair of class 1 relabelled to class 2
+        with pytest.raises(NotAScheme, match="transpose"):
+            AssociationScheme.from_matrices(L, s.labels)
 
     def test_symmetry_obstruction_5_4(self):
         with pytest.raises(SymmetryObstruction):

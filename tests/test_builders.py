@@ -65,7 +65,7 @@ class TestBGWScheme:
         # sum of diagonal-type classes is I_(q+1) (x) J_m
         q, m = 5, 2
         s = bgw(q, m)
-        total = sum(s.mats[g] for g in range(m))
+        total = sum((s.L == g).astype(np.int64) for g in range(m))
         want = np.kron(np.eye(q + 1, dtype=np.int64), np.ones((m, m), dtype=np.int64))
         assert np.array_equal(total, want)
 
@@ -111,7 +111,7 @@ class TestGHScheme:
             np.eye(q + 1, dtype=np.int64),
             np.kron(Jq, Jq) - np.kron(Iq, Jq),
         )
-        assert np.array_equal(s.mats[2 * q], want)
+        assert np.array_equal(s.L == 2 * q, want)
 
 
 class TestKroneckerReference:

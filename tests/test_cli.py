@@ -19,11 +19,11 @@ from gwschemes import (
     designs,
     save_scheme,
     scheme_from_dict,
-    scheme_to_dict,
 )
 from gwschemes import cli, serialize
 from gwschemes.cli import main
 import cases
+import file_reference
 
 
 def run(capsys, *argv):
@@ -40,6 +40,29 @@ class TestBuild:
         assert doc["v"] == 12
         assert doc["labels"] == ["(0,0)", "(1,0)", "(0,1)", "(1,1)"]
         assert doc["provenance"] == {"family": "bgw", "q": 5, "m": 2}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bgw-scheme", "--q", str(q), "--m", str(m)] for q, m in cases.BGW_BUILDABLE]
+        + [["gh-scheme", "--q", str(q)] for q in cases.GH_GRID]
+        # v = 580: rows span several blocks
+        + [["bgw-scheme", "--q", "289", "--m", "2"]],
+        ids=lambda argv: argv[0].split("-")[0] + "-".join(argv[2::2]),
+    )
+    def test_stdout_is_the_file(self, tmp_path, capsys, block, argv):
+        # one writer: stdout carries the bytes of the --out file, and both
+        # equal the plain run-length encoding of tests/file_reference.py
+        code, out, _ = run(capsys, "build", *argv)
+        assert code == 0
+        path = tmp_path / "s.json"
+        assert run(capsys, "build", *argv, "--out", str(path))[0] == 0
+        q = int(argv[2])
+        if argv[0] == "bgw-scheme":
+            m = int(argv[4])
+            scheme, prov = cases.bgw(q, m), {"family": "bgw", "q": q, "m": m}
+        else:
+            scheme, prov = cases.gh(q), {"family": "gh", "q": q}
+        assert out.encode("ascii") == path.read_bytes() == file_reference.file_bytes(scheme, prov)
 
     def test_out_file_and_verify(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -162,7 +185,7 @@ class TestVerify:
 
 def _saved(tmp_path, edit, scheme=None):
     """A saved scheme file (bgw (5,2) by default), its JSON record changed by edit."""
-    data = scheme_to_dict(scheme or cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+    data = file_reference.record(scheme or cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
     edit(data)
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
@@ -316,7 +339,7 @@ SMALL_BLOCK = 24  # two rows of the bgw (5,2) record per block of the file reade
 
 
 def _bgw52():
-    return scheme_to_dict(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+    return file_reference.record(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
 
 
 def _edited(path, value):
@@ -456,7 +479,8 @@ class TestFileFuzz:
             # 0 exactly on the diagonal, as in every scheme
             L = np.where(np.eye(v, dtype=bool), 0, L % (nlabels - 1) + 1)
         labels = [f"c{i}" for i in range(nlabels)]
-        record = {"version": 1, "v": v, "labels": labels, "rows": [_runs(row) for row in L]}
+        rows = [file_reference.runs(row) for row in L.tolist()]
+        record = {"version": 1, "v": v, "labels": labels, "rows": rows}
         scheme = _axioms_hold(L, nlabels)
         if scheme:
             assert np.array_equal(scheme_from_dict(record)[0].L, L)
@@ -467,17 +491,6 @@ class TestFileFuzz:
         assert code == (0 if scheme else 2)
         if not scheme:
             assert err.startswith("verification failure: ") and len(err.splitlines()) == 1
-
-
-def _runs(row) -> list[int]:
-    """A row run-length encoded as label, count pairs."""
-    out: list[int] = []
-    for label in row.tolist():
-        if out and out[-2] == label:
-            out[-1] += 1
-        else:
-            out += [label, 1]
-    return out
 
 
 class TestTable:
@@ -529,6 +542,43 @@ class TestTable:
         assert code == 1
 
 
+# the full stdout of `fusion --check-bm`; "product-form certificate: none"
+# comes before a certificate of general cells
+CHECK_BM_STDOUT = {
+    ("bgw", "5", "2"): (
+        'fused scheme: AssociationScheme(v=12, classes=4, symmetric)\n'
+        'fused multiplicities: [1, 5, 3, 3]\n'
+        'certificate (product-form): 4 cells = fused class count\n'
+        '  block 0: {(1,1)}\n'
+        '  block 1: {(1,1)}\n'
+        '  block 2: {(1,1)}\n'
+        '  block 3: {(1,1)}\n'
+        '{"kind": "Q", "conductor": 2, "radicand": 5, "row_labels": ["(0,0)", "(1,0)", "(0,1)", "(1,1)"], "col_labels": ["0", "1", "2", "3"], "entries": [["1", "5", "3", "3"], ["1", "5", "-3", "-3"], ["1", "-1", "r*(3/5)", "r*(-3/5)"], ["1", "-1", "r*(-3/5)", "r*(3/5)"]]}\n'
+    ),
+    ("bgw", "7", "3"): (
+        'fused scheme: AssociationScheme(v=24, classes=4, symmetric)\n'
+        'fused multiplicities: [1, 7, 8, 8]\n'
+        'product-form certificate: none\n'
+        'certificate (general cells): 4 cells = fused class count\n'
+        '  block 0: {(1,1)}\n'
+        '  block 1: {(1,1)}\n'
+        '  block a1: {(1,1),(2,2)}; {(1,2),(2,1)}\n'
+        '{"kind": "Q", "conductor": 3, "radicand": 7, "row_labels": ["(0,0)", "(1,0)+(2,0)", "(0,1)", "(1,1)+(2,1)"], "col_labels": ["0", "1", "a1+", "a1-"], "entries": [["1", "7", "8", "8"], ["1", "7", "-4", "-4"], ["1", "-1", "r*(8/7)", "r*(-8/7)"], ["1", "-1", "r*(-4/7)", "r*(4/7)"]]}\n'
+    ),
+    ("gh", "3"): (
+        'fused scheme: AssociationScheme(v=36, classes=5, symmetric)\n'
+        'fused multiplicities: [1, 8, 3, 12, 12]\n'
+        'product-form certificate: none\n'
+        'certificate (general cells): 5 cells = fused class count\n'
+        '  block 0: {(1,1)}\n'
+        '  block 1: {(1,1)}\n'
+        '  block 2: {(1,1)}\n'
+        '  block a1: {(1,1),(2,2)}; {(1,2),(2,1)}\n'
+        '{"kind": "Q", "conductor": 3, "radicand": 1, "row_labels": ["(0,0)", "(1,0)+(2,0)", "(0,1)", "(1,1)+(2,1)", "2"], "col_labels": ["0", "1", "2", "a1+", "a1-"], "entries": [["1", "8", "3", "12", "12"], ["1", "8", "3", "-6", "-6"], ["1", "0", "-1", "4", "-4"], ["1", "0", "-1", "-2", "2"], ["1", "-4", "3", "0", "0"]]}\n'
+    ),
+}
+
+
 class TestFusion:
     def test_bgw_with_certificate(self, capsys):
         code, out, _ = run(
@@ -547,6 +597,15 @@ class TestFusion:
         )
         assert code == 0
         assert "product-form" in out and "4 cells" in out
+
+    @pytest.mark.parametrize("family", CHECK_BM_STDOUT, ids="-".join)
+    def test_check_bm_stdout_is_pinned(self, capsys, family):
+        args = ["--family", family[0], "--q", family[1]]
+        if family[0] == "bgw":
+            args += ["--m", family[2]]
+        code, out, err = run(capsys, "fusion", *args, "--check-bm")
+        assert (code, err) == (0, "")
+        assert out == CHECK_BM_STDOUT[family]
 
     def test_gh_csv(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gwschemes import FiniteField
-from gwschemes.matrixkit import is_zero_one, mm
+from gwschemes.matrixkit import mm
 from kronecker import back_identity, field_shift, kron, matpow, shift_matrix
 
 
@@ -87,7 +87,3 @@ class TestStructured:
             j = int(np.flatnonzero(R[i])[0])
             want = tuple((F.p - 1 - d) % F.p for d in F.digits(i))
             assert F.digits(j) == want
-
-    def test_is_zero_one(self):
-        assert is_zero_one(np.array([[0, 1], [1, 0]]))
-        assert not is_zero_one(np.array([[0, 2]]))

@@ -71,11 +71,11 @@ class TestClosureOracle:
     )
     def test_matches_symbolic_tensor(self, maker, args):
         s = getattr(cases, maker)(*args)
-        assert np.array_equal(oracle_closure(s.mats), s.p)
+        assert np.array_equal(oracle_closure(cases.masks(s)), s.p)
 
     def test_detects_broken_relation(self):
         s = cases.bgw(5, 2)
-        mats = [M.copy() for M in s.mats]
+        mats = cases.masks(s)
         r, c = np.argwhere(mats[1])[0]
         mats[1][r, c] = 0
         with pytest.raises(VerificationError, match="not constant"):
@@ -94,7 +94,7 @@ class TestFusedClosureOracle:
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_matches_certified_tensor(self, c):
         fused = fused_scheme(c)
-        assert np.array_equal(oracle_closure(fused.mats), fused.p)
+        assert np.array_equal(oracle_closure(cases.masks(fused)), fused.p)
 
 
 class TestSpectrumOracle:
@@ -112,7 +112,7 @@ class TestSpectrumOracle:
     def test_matches_exact_block_structure(self, maker, args):
         s = getattr(cases, maker)(*args)
         es = getattr(cases, maker + "_es")(*args)
-        assert oracle_spectrum(s.mats, seed=0) == exact_blocks(es)
+        assert oracle_spectrum(cases.masks(s), seed=0) == exact_blocks(es)
 
     def test_conjugate_pairs_merge_over_the_reals(self):
         # thin scheme of Z_6: the two conjugate pairs of complex characters
@@ -151,7 +151,7 @@ class TestSpectrumOracle:
 
     def test_detects_missing_transpose_partner(self):
         s = cases.bgw(5, 2)
-        mats = [M.copy() for M in s.mats]
+        mats = cases.masks(s)
         r, c = np.argwhere(mats[2])[0]
         mats[2][r, c] = 0
         with pytest.raises(VerificationError, match="transpose"):
@@ -159,8 +159,8 @@ class TestSpectrumOracle:
 
     def test_seed_stability(self):
         s = cases.bgw(7, 3)
-        a = oracle_spectrum(s.mats, seed=0)
-        b = oracle_spectrum(s.mats, seed=12345)
+        a = oracle_spectrum(cases.masks(s), seed=0)
+        b = oracle_spectrum(cases.masks(s), seed=12345)
         assert a == b == [(1, 1), (1, 7), (2, 8)]
 
 
@@ -192,13 +192,13 @@ class TestSpectrumOracleMatchesReference:
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_grid_links(self, c, seed):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
-        probe, ref = link_matrices([s.L == i for i in range(s.nclasses)], seed)
+        probe, ref = link_matrices(cases.masks(s), seed)
         assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_fused_links(self, c, seed):
-        probe, ref = link_matrices(fused_scheme(c).mats, seed)
+        probe, ref = link_matrices(cases.masks(fused_scheme(c)), seed)
         assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -211,13 +211,13 @@ class TestSpectrumOracleMatchesReference:
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_grid(self, c, seed):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
-        masks = [s.L == i for i in range(s.nclasses)]
+        masks = cases.masks(s)
         assert oracle_spectrum(masks, seed=seed) == reference_spectrum(masks, seed=seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_fused(self, c, seed):
-        mats = fused_scheme(c).mats
+        mats = cases.masks(fused_scheme(c))
         assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -234,7 +234,7 @@ class TestProbeControls:
 
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize(
-        "make", [z6_scheme, lambda: cases.bgw(5, 2).mats], ids=["z6", "bgw52"]
+        "make", [z6_scheme, lambda: cases.masks(cases.bgw(5, 2))], ids=["z6", "bgw52"]
     )
     def test_commutative_scheme_has_no_links(self, make, seed):
         probe, _ = link_matrices(make(), seed)
@@ -249,7 +249,7 @@ class TestRandomElement:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
         "make",
-        [lambda: [cases.gh(3).L == i for i in range(cases.gh(3).nclasses)], SMALL_GROUPS["dic3"]],
+        [lambda: cases.masks(cases.gh(3)), SMALL_GROUPS["dic3"]],
         ids=["gh3-masks", "dic3"],
     )
     def test_is_the_sum_of_products(self, make, seed):
@@ -269,7 +269,7 @@ class TestFusedSpectrumOracle:
     def test_matches_fused_multiplicities(self, c):
         fes = cases.bgw_fused(*c[1:]) if c[0] == "bgw" else cases.gh_fused(c[1])
         expected = sorted((1, m) for m in fes.multiplicities)
-        assert oracle_spectrum(fused_scheme(c).mats) == expected
+        assert oracle_spectrum(cases.masks(fused_scheme(c))) == expected
 
 
 def test_oracle_shares_no_code_with_the_library():

@@ -14,16 +14,17 @@ from gwschemes import (
     gh_symmetric_fusion,
     one_factorization,
     oracle_closure,
-    scheme_verify,
 )
 from gwschemes.matrixkit import mm
 from gwschemes.schemes import _Span, _right_action
-from kronecker import shift_matrix
+from kronecker import label_matrix, shift_matrix
 
 
-def cyclic_group_scheme(n):
-    """The thin scheme of Z_n: A_i = permutation matrix of +i."""
-    return [shift_matrix(n, i) for i in range(n)]
+def cyclic_label_matrix(n):
+    """The label matrix of the thin scheme of Z_n: L[x, y] = y - x mod n, so
+    A_i = (L == i) is the permutation matrix of +i."""
+    idx = np.arange(n)
+    return (idx[None, :] - idx[:, None]) % n
 
 
 def johnson_style_pair(n):
@@ -32,9 +33,14 @@ def johnson_style_pair(n):
     return [I, np.ones((n, n), dtype=np.int64) - I]
 
 
+def verified(L, labels=None):
+    """The scheme of a label matrix, its classes named 0, 1, ... by default."""
+    return AssociationScheme.from_matrices(L, labels or [str(i) for i in range(L.max() + 1)])
+
+
 class TestFromMatrices:
     def test_one_class_scheme(self):
-        s = scheme_verify(johnson_style_pair(5))
+        s = verified(label_matrix(johnson_style_pair(5)))
         assert s.nclasses == 2
         assert s.valencies == [1, 4]
         assert s.is_symmetric()
@@ -44,7 +50,9 @@ class TestFromMatrices:
         assert s.p[1, 1, 1] == 3
 
     def test_thin_group_scheme(self):
-        s = scheme_verify(cyclic_group_scheme(6))
+        s = verified(cyclic_label_matrix(6))
+        shifts = [shift_matrix(6, i) for i in range(6)]
+        assert np.array_equal(cyclic_label_matrix(6), label_matrix(shifts))
         assert s.valencies == [1] * 6
         assert s.is_commutative()
         assert not s.is_symmetric()
@@ -59,7 +67,7 @@ class TestFromMatrices:
 
     def test_tensor_against_direct_products(self):
         s = bgw_build(7, 3)
-        mats = s.mats
+        mats = [(s.L == i).astype(np.int64) for i in range(s.nclasses)]
         for i in range(s.nclasses):
             for j in range(s.nclasses):
                 prod = mm(mats[i], mats[j])
@@ -76,36 +84,27 @@ class TestFromMatrices:
                     assert s.p[i, j, k] == s.p[t[j], t[i], t[k]]
 
     def test_classify(self):
-        assert scheme_verify(johnson_style_pair(4)).classify() == "symmetric"
-        assert scheme_verify(cyclic_group_scheme(5)).classify() == "commutative"
+        assert verified(label_matrix(johnson_style_pair(4))).classify() == "symmetric"
+        assert verified(cyclic_label_matrix(5)).classify() == "commutative"
         assert bgw_build(7, 3).classify() == "noncommutative"
 
     def test_labels_exposed(self):
-        s = scheme_verify(johnson_style_pair(3), labels=["id", "other"])
+        s = verified(label_matrix(johnson_style_pair(3)), labels=["id", "other"])
         assert s.labels == ["id", "other"]
         assert s.label_index("other") == 1
 
 
 class TestRejection:
     def test_missing_identity(self):
-        _, JmI = johnson_style_pair(3)
-        with pytest.raises(NotAScheme):
-            scheme_verify([JmI])
+        # one class holds the diagonal and J - I alike, so no class is I
+        L = np.zeros((3, 3), dtype=np.int64)
+        with pytest.raises(NotAScheme, match="identity"):
+            verified(L)
 
     def test_identity_not_first(self):
         I, JmI = johnson_style_pair(4)
-        with pytest.raises(NotAScheme):
-            scheme_verify([JmI, I])
-
-    def test_not_a_partition(self):
-        I, JmI = johnson_style_pair(4)
-        with pytest.raises(NotAScheme):
-            scheme_verify([I, JmI, JmI])
-
-    def test_not_zero_one(self):
-        I, JmI = johnson_style_pair(4)
-        with pytest.raises(NotAScheme):
-            scheme_verify([I, 2 * JmI])
+        with pytest.raises(NotAScheme, match="identity"):
+            verified(label_matrix([JmI, I]))
 
     def test_transpose_not_closed(self):
         # A1 mixes an ordered pair with an unordered one, so A1^T is neither
@@ -116,7 +115,7 @@ class TestRejection:
             A1[x, y] = 1
         A2 = np.ones((3, 3), dtype=np.int64) - I - A1
         with pytest.raises(NotAScheme, match="transpose"):
-            scheme_verify([I, A1, A2])
+            verified(label_matrix([I, A1, A2]))
 
     def test_closure_failure(self):
         # the hexagon and its complement: transpose-closed with constant
@@ -128,30 +127,30 @@ class TestRejection:
             A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1
         B = np.ones((n, n), dtype=np.int64) - I - A
         with pytest.raises(NotAScheme, match="leaves the span"):
-            scheme_verify([I, A, B])
+            verified(label_matrix([I, A, B]))
 
     def test_single_entry_mutation_rejected(self):
         s = bgw_build(5, 2)
-        mats = [M.copy() for M in s.mats]
-        mats[1][0, 0], mats[0][0, 0] = 1, 0  # move a diagonal unit
+        L = s.L.copy()
+        L[0, 0] = 1  # move a diagonal unit from A_0 to A_1
+        with pytest.raises(NotAScheme, match="identity"):
+            verified(L, s.labels)
+        L2 = s.L.copy()
+        L2[0, 1] = 3 - L2[0, 1]  # relabel one off-diagonal entry
         with pytest.raises(NotAScheme):
-            scheme_verify(mats)
-        mats2 = [M.copy() for M in s.mats]
-        mats2[2][0, 1] ^= 1  # break the row partition
-        with pytest.raises(NotAScheme):
-            scheme_verify(mats2)
+            verified(L2, s.labels)
 
 
 class TestLabelMatrix:
-    def cyclic(self, n=6):
-        """The label matrix of the thin scheme of Z_n: L[x, y] = y - x."""
-        idx = np.arange(n)
-        return (idx[None, :] - idx[:, None]) % n
-
     def test_from_label_matrix(self):
-        s = AssociationScheme.from_matrices(self.cyclic(), list("abcdef"))
+        s = AssociationScheme.from_matrices(cyclic_label_matrix(6), list("abcdef"))
         assert s.labels == list("abcdef")
-        assert np.array_equal(s.p, scheme_verify(cyclic_group_scheme(6)).p)
+        # Z_6 is thin and abelian: A_i A_j = A_(i+j)
+        want = np.zeros((6, 6, 6), dtype=np.int64)
+        for i in range(6):
+            for j in range(6):
+                want[i, j, (i + j) % 6] = 1
+        assert np.array_equal(s.p, want)
 
     @pytest.mark.parametrize(
         "mutate,says",
@@ -164,18 +163,18 @@ class TestLabelMatrix:
         ids=["label-too-large", "negative-label", "zero-off-diagonal", "nonzero-diagonal"],
     )
     def test_mutated_label_matrix_rejected(self, mutate, says):
-        L = self.cyclic()
+        L = cyclic_label_matrix(6)
         mutate(L)
         with pytest.raises(NotAScheme, match=says):
             AssociationScheme.from_matrices(L, [str(i) for i in range(6)])
 
     def test_non_square_rejected(self):
         with pytest.raises(NotAScheme, match="square"):
-            AssociationScheme.from_matrices(self.cyclic()[:5], [str(i) for i in range(6)])
+            AssociationScheme.from_matrices(cyclic_label_matrix(6)[:5], [str(i) for i in range(6)])
 
     def test_empty_relation_rejected(self):
         with pytest.raises(NotAScheme, match="empty"):
-            AssociationScheme.from_matrices(self.cyclic(), [str(i) for i in range(7)])
+            AssociationScheme.from_matrices(cyclic_label_matrix(6), [str(i) for i in range(7)])
 
     def test_uneven_valency_rejected(self):
         # both relations are symmetric, but point 0 has two 1-neighbours and
@@ -190,22 +189,11 @@ class TestLabelMatrix:
         with pytest.raises(ValueError, match="2\\*\\*24"):
             AssociationScheme.from_matrices(L, ["0"])
 
-    def test_mats_are_built_from_l(self):
-        s = bgw_build(7, 3)
-        want = [(s.L == i).astype(np.int64) for i in range(s.nclasses)]
-        got = s.mats
-        assert all(M.dtype == np.int64 for M in got)
-        assert all(np.array_equal(M, W) for M, W in zip(got, want, strict=True))
-
-    def test_mutating_mats_leaves_the_scheme(self):
-        s = scheme_verify(cyclic_group_scheme(6))
-        p = s.p.copy()
-        mats = s.mats
-        mats[1][0, 0] = 7
-        mats[0][:] = 0
-        assert np.array_equal(s.p, p)
-        assert np.array_equal(s.mats[0], np.eye(6, dtype=np.int64))
-        assert s.mats[1][0, 0] == 0
+    def test_label_matrix_is_a_read_only_copy(self):
+        L = cyclic_label_matrix(6)
+        s = AssociationScheme.from_matrices(L, [str(i) for i in range(6)])
+        L[:] = 0
+        assert np.array_equal(s.L, cyclic_label_matrix(6))
         assert not s.L.flags.writeable
 
 
@@ -360,29 +348,29 @@ class TestClosureCertificate:
 
 class TestFusion:
     def test_cyclic_fusion(self):
-        s = scheme_verify(cyclic_group_scheme(6))
+        s = verified(cyclic_label_matrix(6))
         fused = s.fuse([[0], [1, 5], [2, 4], [3]])
         assert fused.nclasses == 4
         assert fused.is_symmetric()
         assert fused.valencies == [1, 2, 2, 1]
 
     def test_fusion_must_cover(self):
-        s = scheme_verify(cyclic_group_scheme(6))
+        s = verified(cyclic_label_matrix(6))
         with pytest.raises(ValueError):
             s.fuse([[0], [1, 5], [3]])
 
     def test_fusion_identity_must_stand_alone(self):
-        s = scheme_verify(cyclic_group_scheme(6))
+        s = verified(cyclic_label_matrix(6))
         with pytest.raises(ValueError):
             s.fuse([[0, 3], [1, 5], [2, 4]])
 
     def test_invalid_fusion_detected(self):
         # {1, 2} in Z_6 is not closed: the sums leave the span
-        s = scheme_verify(cyclic_group_scheme(6))
+        s = verified(cyclic_label_matrix(6))
         with pytest.raises(NotAScheme):
             s.fuse([[0], [1, 2], [3, 4, 5]])
 
     def test_fused_labels(self):
-        s = scheme_verify(cyclic_group_scheme(4), labels=["e", "g", "g2", "g3"])
+        s = verified(cyclic_label_matrix(4), labels=["e", "g", "g2", "g3"])
         fused = s.fuse([[0], [1, 3], [2]])
         assert fused.labels == ["e", "g+g3", "g2"]

@@ -15,12 +15,12 @@ from gwschemes import (
     scalar_from_str,
     scalar_to_str,
     scheme_from_dict,
-    scheme_to_dict,
     table_to_csv,
     table_to_json,
 )
 from gwschemes import serialize
 import cases
+import file_reference
 
 F37 = CycField(3, 7)
 
@@ -39,24 +39,24 @@ class TestSchemeFiles:
         s2, prov2 = load_scheme(path)
         assert prov2 == prov
         assert s2.labels == s.labels
-        assert np.array_equal(np.stack(s2.mats), np.stack(s.mats))
+        assert np.array_equal(s2.L, s.L)
         assert np.array_equal(s2.p, s.p)
         assert s2.tpose == s.tpose
 
     def test_provenance_optional(self):
         s = cases.bgw(5, 2)
-        s2, prov = scheme_from_dict(scheme_to_dict(s))
+        s2, prov = scheme_from_dict(file_reference.record(s))
         assert prov is None
-        assert np.array_equal(np.stack(s2.mats), np.stack(s.mats))
+        assert np.array_equal(s2.L, s.L)
 
     def test_unsupported_version(self):
-        data = scheme_to_dict(cases.bgw(5, 2))
+        data = file_reference.record(cases.bgw(5, 2))
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
             scheme_from_dict(data)
 
     def test_short_row_rejected(self):
-        data = scheme_to_dict(cases.bgw(5, 2))
+        data = file_reference.record(cases.bgw(5, 2))
         data["rows"][0] = data["rows"][0][:-2]
         with pytest.raises(ValueError, match="cover"):
             scheme_from_dict(data)
@@ -88,18 +88,10 @@ FILE_CASES = {
 }
 
 
-@pytest.fixture(params=["block", "small-block"])
-def block(request, monkeypatch):
-    """The file codec's block size: the default, or five cells, which is one
-    row per block for every case with more than two points."""
-    if request.param == "small-block":
-        monkeypatch.setattr(serialize, "BLOCK", 5)
-    return serialize.BLOCK
-
-
 class TestFileBytes:
-    """save_scheme writes the text json.dumps gives for the file record, and
-    load_scheme reads back the label matrix of the record."""
+    """save_scheme writes the text json.dumps gives for the file record, as
+    tests/file_reference.py writes it, and load_scheme reads back the label
+    matrix of the record."""
 
     @pytest.mark.parametrize("with_prov", [False, True], ids=["bare", "prov"])
     @pytest.mark.parametrize("case", FILE_CASES)
@@ -109,7 +101,7 @@ class TestFileBytes:
         prov = {"case": case, "args": list(args), "note": "\u00e9"} if with_prov else None
         path = tmp_path / "scheme.json"
         save_scheme(path, s, prov)
-        assert path.read_bytes() == (json.dumps(scheme_to_dict(s, prov)) + "\n").encode()
+        assert path.read_bytes() == file_reference.file_bytes(s, prov)
 
     @pytest.mark.parametrize("case", FILE_CASES)
     def test_load_gives_the_record_matrix(self, tmp_path, block, case):
@@ -117,14 +109,14 @@ class TestFileBytes:
         s = make(*args)
         path = tmp_path / "scheme.json"
         save_scheme(path, s)
-        L = scheme_from_dict(scheme_to_dict(s))[0].L
+        L = scheme_from_dict(file_reference.record(s))[0].L
         assert np.array_equal(load_scheme(path)[0].L, L)
         assert np.array_equal(L, s.L)
 
     def test_cases_cross_blocks_and_digit_widths(self):
         s = cases.bgw(289, 2)
         assert serialize.BLOCK // s.v < s.v
-        rows = scheme_to_dict(complete(1000))["rows"]
+        rows = file_reference.record(complete(1000))["rows"]
         assert max(max(rle[1::2]) for rle in rows) == 999
 
 

@@ -626,14 +626,15 @@ class TestSignatures:
 class TestFusionCertificates:
     def test_product_form_for_discrete_partition(self):
         es = cases.bgw_es(5, 2)
-        cert = bm_search(es, bgw_symmetric_fusion(2), product_form_only=True)
+        cert = bm_search(es, bgw_symmetric_fusion(2))
         assert cert is not None
         assert cert.product_form
         assert cert.cell_count == cert.target == 4
 
     def test_no_product_form_for_noncommutative_fusion(self):
         es = cases.bgw_es(7, 3)
-        assert bm_search(es, bgw_symmetric_fusion(3), product_form_only=True) is None
+        cert = bm_search(es, bgw_symmetric_fusion(3))
+        assert cert is not None and not cert.product_form
 
     def test_general_cells_for_bgw73(self):
         es = cases.bgw_es(7, 3)
@@ -646,9 +647,9 @@ class TestFusionCertificates:
 
     def test_general_cells_for_gh3(self):
         es = cases.gh_es(3)
-        assert bm_search(es, gh_symmetric_fusion(3), product_form_only=True) is None
         cert = bm_search(es, gh_symmetric_fusion(3))
         assert cert is not None
+        assert not cert.product_form
         assert cert.cell_count == cert.target == 5
         assert cert.cells[3] == [((1, 1), (2, 2)), ((1, 2), (2, 1))]
 
@@ -657,4 +658,3 @@ class TestFusionCertificates:
         es = cases.bgw_es(13, 3)
         bad = [[0], [1, 2], [3, 4], [5]]
         assert bm_search(es, bad) is None
-        assert bm_search(es, bad, product_form_only=True) is None
