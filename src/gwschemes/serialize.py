@@ -5,8 +5,14 @@ rows run-length encoded as [label_index, count, label_index, count, ...], and
 an optional provenance record describing how the scheme was built.  Loading
 re-verifies the axioms from scratch, so a loaded AssociationScheme is as
 trustworthy as a freshly constructed one.  The writer emits exactly the text
-json.dumps gives for the record, built from numpy blocks of rows, and the
-reader checks and decodes the rows block by block.
+json.dumps gives for the record, built from numpy blocks of rows.
+
+A file is read by one of two readers.  The canonical reader takes only a file
+that is byte for byte what the writer writes for the label matrix it decodes
+to, the final newline optional, and decodes its rows block by block in numpy.
+Every other file, such as a pretty-printed, reordered, hand-edited or
+malformed one, goes to the json reader, which parses the whole record, checks
+it and words every input error.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
@@ -30,6 +36,32 @@ FILE_VERSION = 1
 BLOCK = 1 << 16  # label-matrix cells per numpy step of the file codec, at least one row
 
 
+_ROWS = b', "rows": [['  # from the header to the first run
+_PROVENANCE = b', "provenance": '
+
+
+def _head(v: int, labels) -> bytes:
+    """The text of a scheme file up to its first run."""
+    header = {"version": FILE_VERSION, "v": v, "labels": list(labels)}
+    return json.dumps(header)[:-1].encode() + _ROWS
+
+
+def _tail(provenance: dict | None) -> bytes:
+    """The text of a scheme file after the "]]" that closes its rows, without
+    the final newline."""
+    if provenance is None:
+        return b"}"
+    return _PROVENANCE + json.dumps(provenance).encode() + b"}"
+
+
+def _text_table(n: int) -> np.ndarray:
+    """The run text of the numbers 0..n for _rows_text: entry k is k followed
+    by ", " and entry n + 1 + k is k followed by "], [", NUL-padded to one
+    width."""
+    digits = np.arange(n + 1).astype(f"S{len(str(n))}")
+    return np.char.add(digits, np.array([[b", "], [b"], ["]])).reshape(-1)
+
+
 def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of L run-length encoded: the flat [label, count, ...] runs of
     all rows, and the end of each row in it."""
@@ -44,12 +76,11 @@ def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rows_text(L: np.ndarray, text: np.ndarray) -> bytes:
     """The JSON text of the runs of a block of rows, each row closed by
-    "], [": text[0, k] is k followed by ", " and text[1, k] is k followed by
-    "], [", NUL-padded to one width."""
+    "], [", from the run text of _text_table."""
     runs, ends = _runs(L)
-    last = np.zeros(len(runs), dtype=np.intp)
-    last[ends - 1] = 1
-    out = text[last, runs].view(np.uint8)
+    runs[ends - 1] += len(text) // 2  # the count that closes a row
+    out = text[runs].view(np.uint8)
+    del runs  # freed before the mask and the copies
     return out[out != 0].tobytes()
 
 
@@ -93,10 +124,10 @@ def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> Non
     L[x0:x1] = np.repeat(lbl, count).reshape(x1 - x0, v)
 
 
-def _label_matrix(data) -> np.ndarray:
-    """The label matrix of a file record; raises InputError unless data has
-    the shape of a scheme file, checked before the matrix is allocated and
-    then block by block of rows as it is filled."""
+def _check_header(data) -> tuple[int, list]:
+    """The point count and labels of a file record; raises InputError unless
+    data has the shape of a scheme file up to the contents of its rows,
+    which is checked before the label matrix is allocated."""
     if not isinstance(data, dict):
         raise InputError("a scheme file holds one JSON object")
     if data.get("version") != FILE_VERSION or type(data["version"]) is not int:
@@ -120,11 +151,88 @@ def _label_matrix(data) -> np.ndarray:
         raise InputError(f"{v} points exceed the limit of {MAX_POINTS}")
     if not isinstance(data.get("provenance", {}), dict):
         raise InputError("provenance must be a JSON object")
+    return v, labels
+
+
+def _label_matrix(data) -> np.ndarray:
+    """The label matrix of a file record; raises InputError unless data has
+    the shape of a scheme file, checked before the matrix is allocated and
+    then block by block of rows as it is filled."""
+    v, labels = _check_header(data)
     L = np.zeros((v, v), dtype=np.int64)
     step = max(1, BLOCK // v)
     for x0 in range(0, v, step):
-        _read_rows(L, rows, x0, min(x0 + step, v), len(labels))
+        _read_rows(L, data["rows"], x0, min(x0 + step, v), len(labels))
     return L
+
+
+def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
+    """The label matrix, labels and provenance of a scheme file that is byte
+    for byte what file_chunks writes for them, the final newline optional;
+    None for every other file.
+
+    The header and the provenance are parsed with json and pass the checks
+    of _check_header; the rows are decoded block by block with
+    np.fromstring, and a block is taken only when _rows_text of the rows it
+    decodes to gives back the file's bytes of the block.  An accepted file
+    is therefore the text json.dumps gives for its record, and the json
+    reader decodes those same bytes to the same label matrix, labels and
+    provenance: the two readers agree on every file this one accepts.  The
+    decode alone is no validator: np.fromstring reads "01", "+1", "1,2" and
+    "1 , 2", returns a trailing 0 for "1, 2, " and saturates 10**30 to the
+    int64 maximum.  The comparison of bytes is what rejects all of them.
+    """
+    cut = raw.find(_ROWS) + len(_ROWS)
+    end = raw.find(b"]]", cut)
+    if cut < len(_ROWS) or end < 0:
+        return None
+    tail = raw[end + 2 :].removesuffix(b"\n")
+    try:
+        data = json.loads(raw[: cut - len(_ROWS)].decode() + "}")
+        if tail != b"}":
+            if not tail.startswith(_PROVENANCE):
+                return None
+            data["provenance"] = json.loads(tail[len(_PROVENANCE) : -1].decode())
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
+        return None
+    rows = data["rows"] = raw[cut:end].split(b"], [")  # one text per row, for the row count
+    try:
+        v, labels = _check_header(data)
+    except InputError:
+        return None
+    provenance = data.get("provenance")
+    if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
+        return None
+    L = np.empty((v, v), dtype=np.int64)
+    text = _text_table(max(v, len(labels)))
+    step = max(1, BLOCK // v)
+    for x0 in range(0, v, step):
+        Lb, block = L[x0 : x0 + step], b"], [".join(rows[x0 : x0 + step])
+        if not _decode_rows(Lb, block, len(labels)) or _rows_text(Lb, text) != block + b"], [":
+            return None
+    return L, labels, provenance
+
+
+def _decode_rows(Lb: np.ndarray, block: bytes, nlabels: int) -> bool:
+    """Fill the rows Lb with the labels that the run text block of as many
+    rows decodes to; False when it decodes to no such rows.  A function of
+    its own, so that the decoded runs are freed before the block is
+    re-encoded."""
+    r, v = Lb.shape
+    try:
+        runs = np.fromstring(block.replace(b"], [", b", "), dtype=np.int64, sep=",")
+    except ValueError:  # text that is no list of integers
+        return False
+    lbl, count = runs[0::2], runs[1::2]
+    if (
+        len(runs) % 2
+        or not ((lbl >= 0) & (lbl < nlabels)).all()
+        or not ((count >= 1) & (count <= v)).all()
+        or count.sum() != r * v
+    ):
+        return False
+    Lb[:] = np.repeat(lbl, count).reshape(r, v)
+    return True
 
 
 def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
@@ -143,18 +251,13 @@ def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     only when given), and a newline, with the rows streamed block by block.
     The text is ASCII, since json.dumps escapes every other character."""
     L, v = scheme.L, scheme.v
-    digits = np.arange(v + 1).astype(f"S{len(str(v))}")
-    text = np.char.add(digits, np.array([[b", "], [b"], ["]]))
+    text = _text_table(v)
     step = max(1, BLOCK // v)
-    header = {"version": FILE_VERSION, "v": v, "labels": list(scheme.labels)}
-    yield json.dumps(header)[:-1].encode() + b', "rows": [['
+    yield _head(v, scheme.labels)
     for x0 in range(0, v, step):
         rows = _rows_text(L[x0 : x0 + step], text)
         yield rows if x0 + step < v else rows[:-4]  # no "], [" after the last row
-    yield b"]]"
-    if provenance is not None:
-        yield b', "provenance": ' + json.dumps(provenance).encode()
-    yield b"}\n"
+    yield b"]]" + _tail(provenance) + b"\n"
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
@@ -164,13 +267,21 @@ def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None)
 
 
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
-    with open(path) as fh:
+    """The verified scheme of a scheme file, and its provenance: the file is
+    read by the canonical reader when it takes it, and by the json reader
+    otherwise (see the module docstring)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    read = _read_canonical(raw)
+    if read is None:
         try:
-            data = json.load(fh)
+            data = json.loads(raw.decode("utf-8"))
         except ValueError as e:  # not JSON, or not UTF-8 text
             raise InputError(f"{path} is not a JSON file: {e}") from e
-    L, labels, provenance = _label_matrix(data), data["labels"], data.get("provenance")
-    del data  # the parsed runs, freed before the verifier allocates
+        read = _label_matrix(data), data["labels"], data.get("provenance")
+        del data  # the parsed runs, freed before the verifier allocates
+    del raw
+    L, labels, provenance = read
     return AssociationScheme.from_matrices(L, labels), provenance
 
 

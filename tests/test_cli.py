@@ -17,6 +17,7 @@ from gwschemes import (
     NotAScheme,
     algebra,
     designs,
+    load_scheme,
     save_scheme,
     scheme_from_dict,
 )
@@ -338,6 +339,16 @@ def _row_error(row, v=12, nlabels=4):
 SMALL_BLOCK = 24  # two rows of the bgw (5,2) record per block of the file reader
 
 
+def _readers():
+    """Each block size and each reader in turn: the canonical reader as it is,
+    and declining every file, which leaves each file to the json reader."""
+    for block in (serialize.BLOCK, SMALL_BLOCK):
+        for canonical in (serialize._read_canonical, lambda raw: None):
+            with mock.patch.object(serialize, "BLOCK", block), \
+                    mock.patch.object(serialize, "_read_canonical", canonical):
+                yield
+
+
 def _bgw52():
     return file_reference.record(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
 
@@ -406,7 +417,7 @@ def _axioms_hold(L, nlabels):
 
 def _verify_in(record) -> tuple[int, str]:
     """Exit code and standard error of `verify --in` on a file holding record
-    (as JSON, or bytes as they are)."""
+    (as JSON, or bytes as they are), the file named s.json in the error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "s.json")
         with open(path, "wb") as fh:
@@ -414,13 +425,80 @@ def _verify_in(record) -> tuple[int, str]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["verify", "--in", path])
-    return code, err.getvalue()
+    return code, err.getvalue().replace(path, "s.json")
+
+
+def _bgw52_file() -> bytes:
+    return file_reference.file_bytes(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
+
+
+def _dumped(edit, **dumps) -> bytes:
+    """The bgw (5,2) record changed by edit, as json.dumps(..., **dumps) writes it."""
+    data = _bgw52()
+    data = edit(data) or data
+    return json.dumps(data, **dumps).encode()
+
+
+def _split_run(data):
+    # the run [2, 2] of row 2 as two runs of one label
+    assert data["rows"][2][10:12] == [2, 2]
+    data["rows"][2][10:12] = [2, 1, 2, 1]
+
+
+def _utf8_label(data):
+    data["labels"][1] = "\u00e9"
+
+
+# each file as another writer or a hand edit could leave it; the canonical
+# reader takes those marked True
+MUTATED_FILES = {
+    "pretty": (lambda: _dumped(lambda d: None, indent=2), False),
+    "reordered-keys": (lambda: _dumped(lambda d: dict(reversed(d.items()))), False),
+    "duplicate-key": (lambda: _bgw52_file().replace(b'"v": 12', b'"v": 12, "v": 12'), False),
+    "no-final-newline": (lambda: _bgw52_file()[:-1], True),
+    "split-run": (lambda: _dumped(_split_run), False),
+    "leading-zero": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0, 01, "), False),
+    "plus-sign": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0, +1, "), False),
+    "no-spaces": (lambda: _bgw52_file().replace(b", ", b","), False),
+    "space-before-comma": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0 , 1, "), False),
+    "huge-count": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(1, 10**30)), False),
+    "true-count": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(1, True)), False),
+    "float-count": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(1, 1.0)), False),
+    "negative-label": (lambda: _dumped(lambda d: d["rows"][1].__setitem__(0, -1)), False),
+    "trailing-comma": (lambda: _bgw52_file().replace(b"], [", b", ], [", 1), False),
+    "truncated": (lambda: _bgw52_file()[:-100], False),
+    "utf8-label": (lambda: _dumped(_utf8_label, ensure_ascii=False), False),
+    "bom": (lambda: b"\xef\xbb\xbf" + _bgw52_file(), False),
+    "null-provenance": (lambda: _dumped(lambda d: d.__setitem__("provenance", None)), False),
+    "relabelled-run": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 2)), True),
+    # more labels than points: the writer's digit table has v + 1 entries
+    "three-labels-one-point": (
+        lambda: json.dumps({"version": 1, "v": 1, "labels": ["a", "b", "c"], "rows": [[2, 1]]}).encode(),
+        True,
+    ),
+}
+
+
+def _outcome(raw: bytes):
+    """The exit code and standard error of `verify --in` on a file of raw,
+    and the label matrix, labels and provenance load_scheme reads from it."""
+    code, err = _verify_in(raw)
+    read = None
+    if code == 0:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            scheme, prov = load_scheme(path)
+        read = scheme.L.tobytes(), tuple(scheme.labels), json.dumps(prov)
+    return code, err, read
 
 
 class TestFileFuzz:
     """Random records: a malformed one is an input error (exit 1, one line);
     a well-formed one is a scheme (exit 0) exactly when the axioms hold, and
-    otherwise a verification failure (exit 2)."""
+    otherwise a verification failure (exit 2).  Each file is read by both
+    readers, the canonical one and the json one, with the same result."""
 
     @settings(max_examples=100)
     @given(malformed_records())
@@ -445,15 +523,14 @@ class TestFileFuzz:
     @example(_rows_edited({6: [0, 11], 7: [0, True]}))
     def test_malformed_record_is_an_input_error(self, record):
         errors = set()
-        for block in (serialize.BLOCK, SMALL_BLOCK):
-            with mock.patch.object(serialize, "BLOCK", block):
-                with pytest.raises(InputError):
-                    scheme_from_dict(record)
-                code, err = _verify_in(record)
+        for _ in _readers():
+            with pytest.raises(InputError):
+                scheme_from_dict(record)
+            code, err = _verify_in(record)
             assert code == 1
             assert err.startswith("input error: ") and len(err.splitlines()) == 1
             errors.add(err)
-        # the first malformed row is named, whatever the block size
+        # the first malformed row is named, whatever the block size and reader
         assert len(errors) == 1
         if re.match(r"input error: row \d+ ", err):
             x = next(x for x, row in enumerate(record["rows"]) if _row_error(row))
@@ -464,9 +541,25 @@ class TestFileFuzz:
         # a strict prefix of a record's text, or bytes that are no record
         text = json.dumps(_bgw52()).encode()
         cut = st.integers(0, len(text) - 1).map(lambda n: text[:n])
-        code, err = _verify_in(data.draw(cut | st.binary(max_size=24)))
+        record = data.draw(cut | st.binary(max_size=24))
+        results = set()
+        for _ in _readers():
+            results.add(_verify_in(record))
+        (code, err), = results
         assert code == 1
         assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mutation", MUTATED_FILES)
+    def test_mutated_file_reads_alike(self, mutation):
+        make, canonical = MUTATED_FILES[mutation]
+        raw = make()
+        assert raw != _bgw52_file()
+        assert (serialize._read_canonical(raw) is not None) == canonical
+        outcomes = set()
+        for _ in _readers():
+            outcomes.add(_outcome(raw))
+        (code, err, _), = outcomes
+        assert err == "" if code == 0 else len(err.splitlines()) == 1
 
     @given(st.data())
     def test_well_formed_record_is_verified(self, data):
@@ -487,7 +580,13 @@ class TestFileFuzz:
         else:
             with pytest.raises(NotAScheme):
                 scheme_from_dict(record)
-        code, err = _verify_in(record)
+        # the file is canonical, so the canonical reader takes it
+        read = serialize._read_canonical(json.dumps(record).encode())
+        assert np.array_equal(read[0], L) and read[1:] == (labels, None)
+        results = set()
+        for _ in _readers():
+            results.add(_verify_in(record))
+        (code, err), = results
         assert code == (0 if scheme else 2)
         if not scheme:
             assert err.startswith("verification failure: ") and len(err.splitlines()) == 1

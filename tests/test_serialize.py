@@ -1,5 +1,8 @@
 """Scheme files and the scalar text form."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -104,14 +107,42 @@ class TestFileBytes:
         assert path.read_bytes() == file_reference.file_bytes(s, prov)
 
     @pytest.mark.parametrize("case", FILE_CASES)
-    def test_load_gives_the_record_matrix(self, tmp_path, block, case):
+    def test_load_gives_the_record_matrix(self, tmp_path, monkeypatch, block, case):
         make, args = FILE_CASES[case]
         s = make(*args)
-        path = tmp_path / "scheme.json"
-        save_scheme(path, s)
         L = scheme_from_dict(file_reference.record(s))[0].L
-        assert np.array_equal(load_scheme(path)[0].L, L)
         assert np.array_equal(L, s.L)
+        path = tmp_path / "scheme.json"
+        canonical = serialize._read_canonical
+        for prov in (None, {"case": case, "note": "\u00e9"}):
+            save_scheme(path, s, prov)
+            raw = path.read_bytes()
+            # the canonical reader takes the file, with or without its final newline
+            for text in (raw, raw[:-1]):
+                read = canonical(text)
+                assert np.array_equal(read[0], L) and read[1:] == (s.labels, prov)
+            # and the json reader, which reads every file the other declines, agrees
+            for reader in (canonical, lambda raw: None):
+                monkeypatch.setattr(serialize, "_read_canonical", reader)
+                s2, prov2 = load_scheme(path)
+                assert np.array_equal(s2.L, L) and s2.labels == s.labels and prov2 == prov
+
+    def test_load_does_not_depend_on_the_locale(self, tmp_path):
+        # a valid file with a raw UTF-8 label, read under an ASCII locale
+        data = file_reference.record(cases.bgw(5, 2))
+        data["labels"][1] = "\u00e9"
+        path = tmp_path / "scheme.json"
+        path.write_bytes(json.dumps(data, ensure_ascii=False).encode())
+        src = os.path.dirname(os.path.dirname(serialize.__file__))
+        env = dict(
+            os.environ, PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX"
+        )
+        code = "import sys, gwschemes; print(ascii(gwschemes.load_scheme(sys.argv[1])[0].labels))"
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == f"{ascii(data['labels'])}\n"
 
     def test_cases_cross_blocks_and_digit_widths(self):
         s = cases.bgw(289, 2)
