@@ -1,5 +1,9 @@
 """Independent numerical checks of the symbolic results.
 
+Both oracles take the label matrix L of a scheme, whose relation i is the
+0/1 matrix A_i = (L == i), and form the float64 operand of one class at a
+time; no list of per-class matrices is kept.
+
 oracle_closure recomputes the intersection tensor by a route that shares
 nothing with the scheme constructor: every product is formed separately, no
 transpose pairing is used, and the per-relation constancy is read off flat
@@ -49,17 +53,18 @@ TOL = 1e-6  # relative gap that splits eigenvalues; TOL * v is the link threshol
 RETRIES = 5  # random elements tried before the oracle gives up
 
 
-def oracle_closure(mats) -> np.ndarray:
-    """Recompute the intersection tensor; raises VerificationError if some
-    product is not constant on some relation."""
-    mats = [np.asarray(M, dtype=np.int64) for M in mats]
-    nm = len(mats)
-    idx = [np.flatnonzero(M.reshape(-1)) for M in mats]
+def oracle_closure(L) -> np.ndarray:
+    """Recompute the intersection tensor of the relations A_i = (L == i) of
+    the label matrix L; raises VerificationError if some product is not
+    constant on some relation."""
+    L = np.asarray(L)
+    nm = int(L.max()) + 1
+    idx = [np.flatnonzero(L.reshape(-1) == k) for k in range(nm)]
     tensor = np.zeros((nm, nm, nm), dtype=np.int64)
     for i in range(nm):
-        Af = mats[i].astype(np.float64)
+        Af = (L == i).astype(np.float64)
         for j in range(nm):
-            P = (Af @ mats[j].astype(np.float64)).reshape(-1)
+            P = (Af @ (L == j).astype(np.float64)).reshape(-1)
             for k in range(nm):
                 vals = P[idx[k]]
                 v0 = vals[0]
@@ -71,30 +76,28 @@ def oracle_closure(mats) -> np.ndarray:
     return tensor
 
 
-def _transpose_map(mats) -> list[int]:
-    """The first j with A_j = A_i^T, for each i.  Only classes with a one at
-    (y, x), for (x, y) the first one of A_i, are compared in full; an
-    all-zero matrix is compared with every class."""
-    out = []
-    for i, M in enumerate(mats):
-        first = np.flatnonzero(M)[:1]
-        if first.size:
-            x, y = divmod(int(first[0]), M.shape[1])
-            candidates = [j for j, N in enumerate(mats) if N[y, x]]
-        else:
-            candidates = range(len(mats))
-        t = next((j for j in candidates if np.array_equal(M.T, mats[j])), None)
-        if t is None:
-            raise VerificationError(f"relation {i} has no transpose partner")
-        out.append(t)
-    return out
+def _transpose_map(L) -> list[int]:
+    """The j with A_j = A_i^T, for each i, read off one count: C[i, j] is
+    the number of cells (x, y) with L[x, y] = i and L[y, x] = j.  A_i^T = A_j
+    exactly when j is the one nonzero entry of row i and i the one of row j;
+    a label with no cell is its own partner."""
+    L = np.asarray(L, dtype=np.int64)
+    n = int(L.max()) + 1
+    C = np.bincount((L * n + L.T).reshape(-1), minlength=n * n).reshape(n, n)
+    count = np.count_nonzero(C, axis=1)
+    tpose = np.where(count == 0, np.arange(n), C.argmax(axis=1))
+    bad = np.flatnonzero((count > 1) | (count[tpose] > 1))
+    if bad.size:
+        raise VerificationError(f"relation {bad[0]} has no transpose partner")
+    return tpose.tolist()
 
 
-def _links(mats, tpose, V, starts, threshold, rng) -> np.ndarray:
-    """Which eigenspaces some A_l joins: (a, b) is linked when a != b and
-    |V_a^T A_l V_b g| > threshold for one of PROBES random unit vectors g of
-    R^dim(b), drawn from rng, for some l (see the module docstring for the
-    threshold, the round-off of a zero block and the chance of a miss).
+def _links(L, tpose, V, starts, threshold, rng) -> np.ndarray:
+    """Which eigenspaces some A_l = (L == l) joins: (a, b) is linked when
+    a != b and |V_a^T A_l V_b g| > threshold for one of PROBES random unit
+    vectors g of R^dim(b), drawn from rng, for some l (see the module
+    docstring for the threshold, the round-off of a zero block and the
+    chance of a miss).
 
     Each probe column V_b g is a unit vector of eigenspace b; they are stacked
     into U, v x (PROBES * ns), so one product pair V^T (A_l U) gives every
@@ -103,7 +106,8 @@ def _links(mats, tpose, V, starts, threshold, rng) -> np.ndarray:
     Block (a, b) for A_l^T is the transpose of block (b, a) for A_l, so one
     class of each transpose pair is multiplied and the links are
     symmetrized.  The identity is skipped: V_a^T V_b = 0 for distinct
-    orthonormal eigenspaces.
+    orthonormal eigenspaces.  The float64 operand A_l is formed for one
+    class at a time.
     """
     v, ns = len(V), len(starts)
     dims = np.diff(starts, append=v)
@@ -114,9 +118,10 @@ def _links(mats, tpose, V, starts, threshold, rng) -> np.ndarray:
     G[np.arange(v), np.repeat(np.arange(ns), dims)] = g
     U = V @ G.reshape(v, ns * PROBES)
     link = np.zeros((ns, ns), dtype=bool)
-    for l, M in enumerate(mats):
-        identity = np.count_nonzero(M) == len(M) and (np.diagonal(M) == 1).all()
-        if tpose[l] < l or identity:
+    for l, t in enumerate(tpose):
+        M = L == l
+        identity = np.count_nonzero(M) == v and np.diagonal(M).all()
+        if t < l or identity:
             continue
         Y = V.T @ (M.astype(np.float64) @ U)
         norms = np.sqrt(np.add.reduceat(Y * Y, starts)).reshape(ns, ns, PROBES)
@@ -126,37 +131,28 @@ def _links(mats, tpose, V, starts, threshold, rng) -> np.ndarray:
     return link
 
 
-def _random_element(mats, coef) -> np.ndarray:
-    """sum_l coef[l] A_l in float64, each product formed in one reused
-    buffer rather than a fresh v x v temporary per class."""
-    X = np.zeros(mats[0].shape, dtype=np.float64)
-    buf = np.empty_like(X)
-    for c, M in zip(coef, mats):
-        np.multiply(M, c, out=buf)
-        X += buf
-    return X
-
-
-def oracle_spectrum(mats, seed: int = 0):
-    """Numerical Wedderburn block structure as a sorted list of (d_k, m_k).
+def oracle_spectrum(L, seed: int = 0):
+    """Numerical Wedderburn block structure, as a sorted list of (d_k, m_k),
+    of the span of the relations A_i = (L == i) of the label matrix L.
 
     Uses a fixed-seed random element; retries with fresh coefficients, up to
     RETRIES elements in all, if the spectrum is degenerate (unequal
     multiplicities inside a linked component).  Eigenvalues closer than TOL
     times the largest magnitude form one eigenspace.
-    The matrices are taken as given, so 0/1 masks stay one byte an entry.
+    The random element sum_l coef[l] A_l is the gather coef[L]: each cell
+    lies in exactly one class, so it equals the sum bit for bit.
     """
-    mats = [np.asarray(M) for M in mats]
-    v = mats[0].shape[0]
-    tpose = _transpose_map(mats)
+    L = np.asarray(L)
+    v = L.shape[0]
+    tpose = _transpose_map(L)
     last_err = None
     for attempt in range(RETRIES):
         rng = np.random.default_rng(seed + attempt)
-        coef = rng.uniform(1.0, 2.0, size=len(mats))
+        coef = rng.uniform(1.0, 2.0, size=len(tpose))
         for i, t in enumerate(tpose):
             if t > i:
                 coef[t] = coef[i]
-        X = _random_element(mats, coef)
+        X = coef[L]
         if not np.allclose(X, X.T):
             raise VerificationError("random element is not symmetric")
         w, V = np.linalg.eigh(X)
@@ -165,7 +161,7 @@ def oracle_spectrum(mats, seed: int = 0):
         splits = np.flatnonzero(np.diff(w) > TOL * max(1.0, np.abs(w).max()))
         bounds = np.concatenate(([0], splits + 1, [v]))
         dims = np.diff(bounds).tolist()
-        link = _links(mats, tpose, V, bounds[:-1], TOL * v, rng)
+        link = _links(L, tpose, V, bounds[:-1], TOL * v, rng)
         ns = len(dims)
         comp = [-1] * ns
         blocks = []
@@ -184,10 +180,9 @@ def oracle_spectrum(mats, seed: int = 0):
             sizes = {dims[x] for x in members}
             if len(sizes) != 1:
                 last_err = f"attempt {attempt}: unequal multiplicities {sizes}"
-                blocks = None
                 break
             blocks.append((len(members), sizes.pop()))
-        # the eigenspaces partition [0, v), so the d * m of the blocks sum to v
-        if blocks is not None:
+        else:
+            # the eigenspaces partition [0, v), so the d * m of the blocks sum to v
             return sorted(blocks)
     raise VerificationError(f"spectrum oracle failed: {last_err}")

@@ -276,7 +276,7 @@ def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     if read is None:
         try:
             data = json.loads(raw.decode("utf-8"))
-        except ValueError as e:  # not JSON, or not UTF-8 text
+        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
             raise InputError(f"{path} is not a JSON file: {e}") from e
         read = _label_matrix(data), data["labels"], data.get("provenance")
         del data  # the parsed runs, freed before the verifier allocates
@@ -352,8 +352,6 @@ def _poly_parse(field: CycField, text: str) -> list[Fraction]:
                 raise ValueError(f"zero denominator in term {part!r}")
             c = Fraction(int(m.group("num")), int(m.group("den") or 1))
         else:
-            if "z" not in part:
-                raise ValueError(f"cannot parse term {part!r}")
             c = Fraction(1)
         k = 0
         if "z" in part:

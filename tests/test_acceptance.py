@@ -282,14 +282,14 @@ class TestC8OracleEquivalence:
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_closure_tensor(self, c):
         s = get_scheme(c)
-        assert np.array_equal(oracle_closure(cases.masks(s)), s.p)
+        assert np.array_equal(oracle_closure(s.L), s.p)
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_spectrum_blocks(self, c):
         s = get_scheme(c)
         es = get_es(c)
         exact = sorted((b.dim, m) for b, m in zip(es.blocks, es.multiplicities))
-        assert oracle_spectrum(cases.masks(s), seed=0) == exact
+        assert oracle_spectrum(s.L, seed=0) == exact
 
 
 class TestC9NegativeTests:

@@ -146,6 +146,36 @@ class TestBuild:
         assert run(capsys, "frobnicate")[0] == 1
 
 
+VERIFY_SPECTRAL_STDOUT = {
+    ("bgw", "7", "3"): (
+        "verified: AssociationScheme(v=24, classes=6, noncommutative)\n"
+        "valencies: [1, 1, 1, 7, 7, 7]\n"
+        "provenance: {'family': 'bgw', 'q': 7, 'm': 3}\n"
+        "spectral blocks (d_k, m_k): [(1, 1), (1, 7), (2, 8)] (numeric oracle agrees)\n"
+    ),
+    ("bgw", "8", "7"): (
+        "verified: AssociationScheme(v=63, classes=14, noncommutative)\n"
+        "valencies: [1, 1, 1, 1, 1, 1, 1, 8, 8, 8, 8, 8, 8, 8]\n"
+        "provenance: {'family': 'bgw', 'q': 8, 'm': 7}\n"
+        "spectral blocks (d_k, m_k): [(1, 1), (1, 8), (2, 9), (2, 9), (2, 9)]"
+        " (numeric oracle agrees)\n"
+    ),
+    ("gh", "3"): (
+        "verified: AssociationScheme(v=36, classes=7, noncommutative)\n"
+        "valencies: [1, 1, 1, 9, 9, 9, 6]\n"
+        "provenance: {'family': 'gh', 'q': 3}\n"
+        "spectral blocks (d_k, m_k): [(1, 1), (1, 3), (1, 8), (2, 12)] (numeric oracle agrees)\n"
+    ),
+    ("gh", "5"): (
+        "verified: AssociationScheme(v=150, classes=11, noncommutative)\n"
+        "valencies: [1, 1, 1, 1, 1, 25, 25, 25, 25, 25, 20]\n"
+        "provenance: {'family': 'gh', 'q': 5}\n"
+        "spectral blocks (d_k, m_k): [(1, 1), (1, 5), (1, 24), (2, 30), (2, 30)]"
+        " (numeric oracle agrees)\n"
+    ),
+}
+
+
 class TestVerify:
     def test_spectral(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -157,7 +187,7 @@ class TestVerify:
     def test_spectral_mismatch(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "s.json"
         save_scheme(path, cases.bgw(7, 3), {"family": "bgw", "q": 7, "m": 3})
-        monkeypatch.setattr(cli, "oracle_spectrum", lambda mats, seed: [(1, 66)])
+        monkeypatch.setattr(cli, "oracle_spectrum", lambda L, seed: [(1, 66)])
         code, _, err = run(capsys, "verify", "--in", str(path), "--spectral")
         assert code == 2
         assert err == "spectral mismatch: [(1, 1), (1, 7), (2, 8)] vs [(1, 66)]\n"
@@ -182,6 +212,27 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--in", "/nonexistent/scheme.json")
         assert code == 1
+
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        # rejected by the parser, before the file is read
+        monkeypatch.setattr(cli, "load_scheme", mock.Mock(side_effect=AssertionError))
+        code, _, err = run(capsys, "verify", "--in", "s.json", "--spectral", "--seed", "-1")
+        assert code == 1
+        assert "argument --seed: must be non-negative: -1" in err
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("family", VERIFY_SPECTRAL_STDOUT, ids="-".join)
+    def test_spectral_stdout_is_pinned(self, tmp_path, capsys, family, seed):
+        path = tmp_path / "s.json"
+        if family[0] == "bgw":
+            q, m = int(family[1]), int(family[2])
+            save_scheme(path, cases.bgw(q, m), {"family": "bgw", "q": q, "m": m})
+        else:
+            q = int(family[1])
+            save_scheme(path, cases.gh(q), {"family": "gh", "q": q})
+        code, out, err = run(capsys, "verify", "--in", str(path), "--spectral", "--seed", seed)
+        assert (code, err) == (0, "")
+        assert out == VERIFY_SPECTRAL_STDOUT[family]
 
 
 def _saved(tmp_path, edit, scheme=None):
@@ -244,6 +295,23 @@ class TestMalformedFiles:
         assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert err == f"input error: {v} points exceed the limit of {designs.MAX_POINTS}\n"
+
+    @pytest.mark.parametrize("where", ["bare", "provenance"])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys, where):
+        # json.loads gives up on 200,000 nested lists with a RecursionError
+        deep = "[" * 200_000 + "]" * 200_000
+        path = tmp_path / "s.json"
+        if where == "bare":
+            path.write_text("[" * 200_000)
+        else:
+            save_scheme(path, cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2, "x": 0})
+            path.write_text(path.read_text().replace('"x": 0', '"x": ' + deep))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--in", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert err.startswith("input error: ") and "recursion" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "gh_q,provenance,says",

@@ -50,6 +50,14 @@ def z6_scheme() -> list[np.ndarray]:
     return [matpow(C, k) for k in range(6)]
 
 
+def label_matrix(mats) -> np.ndarray:
+    """The label matrix L with A_l = (L == l), of 0/1 matrices that partition
+    the cells."""
+    stack = np.stack([np.asarray(M, dtype=np.int64) for M in mats])
+    assert (stack.sum(axis=0) == 1).all()
+    return stack.argmax(axis=0)
+
+
 def fused_scheme(c):
     if c[0] == "bgw":
         return cases.bgw(*c[1:]).fuse(bgw_symmetric_fusion(c[2]))
@@ -71,15 +79,16 @@ class TestClosureOracle:
     )
     def test_matches_symbolic_tensor(self, maker, args):
         s = getattr(cases, maker)(*args)
-        assert np.array_equal(oracle_closure(cases.masks(s)), s.p)
+        assert np.array_equal(oracle_closure(s.L), s.p)
 
     def test_detects_broken_relation(self):
+        # one cell of relation 1 relabelled as relation 2
         s = cases.bgw(5, 2)
-        mats = cases.masks(s)
-        r, c = np.argwhere(mats[1])[0]
-        mats[1][r, c] = 0
+        L = s.L.copy()
+        r, c = np.argwhere(L == 1)[0]
+        L[r, c] = 2
         with pytest.raises(VerificationError, match="not constant"):
-            oracle_closure(mats)
+            oracle_closure(L)
 
 
 FUSED = [("bgw",) + c for c in cases.BGW_BUILDABLE] + [("gh", q) for q in cases.GH_GRID]
@@ -94,7 +103,7 @@ class TestFusedClosureOracle:
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_matches_certified_tensor(self, c):
         fused = fused_scheme(c)
-        assert np.array_equal(oracle_closure(cases.masks(fused)), fused.p)
+        assert np.array_equal(oracle_closure(fused.L), fused.p)
 
 
 class TestSpectrumOracle:
@@ -112,15 +121,15 @@ class TestSpectrumOracle:
     def test_matches_exact_block_structure(self, maker, args):
         s = getattr(cases, maker)(*args)
         es = getattr(cases, maker + "_es")(*args)
-        assert oracle_spectrum(cases.masks(s), seed=0) == exact_blocks(es)
+        assert oracle_spectrum(s.L, seed=0) == exact_blocks(es)
 
     def test_conjugate_pairs_merge_over_the_reals(self):
         # thin scheme of Z_6: the two conjugate pairs of complex characters
         # appear as single blocks of multiplicity 2 in the real spectrum
-        assert oracle_spectrum(z6_scheme()) == [(1, 1), (1, 1), (1, 2), (1, 2)]
+        assert oracle_spectrum(label_matrix(z6_scheme())) == [(1, 1), (1, 1), (1, 2), (1, 2)]
 
     def test_s3(self):
-        assert oracle_spectrum(metacyclic_scheme(3, 0)) == [(1, 1), (1, 1), (2, 2)]
+        assert oracle_spectrum(label_matrix(metacyclic_scheme(3, 0))) == [(1, 1), (1, 1), (2, 2)]
 
     @pytest.mark.parametrize("seed", range(50))
     def test_dic3_links_through_non_symmetric_classes(self, seed):
@@ -129,38 +138,44 @@ class TestSpectrumOracle:
         # joined only through the non-symmetric ones
         mats = metacyclic_scheme(6, 3)
         assert [g for g, M in enumerate(mats) if np.array_equal(M, M.T)] == [0, 3]
-        assert oracle_spectrum(mats, seed=seed) == [(1, 1), (1, 1), (1, 2), (1, 4), (2, 2)]
+        blocks = oracle_spectrum(label_matrix(mats), seed=seed)
+        assert blocks == [(1, 1), (1, 1), (1, 2), (1, 4), (2, 2)]
 
     def test_links_are_symmetrized(self):
-        # only the upper shift of each transpose pair is multiplied; its
-        # blocks link 0 -> 1 -> 2, and the lower shift's the other way
-        up = np.eye(3, k=1, dtype=np.int64)
+        # only the upper shift 1 of the transpose pair (1, 2) is multiplied;
+        # its blocks link 0 -> 1 -> 2, the lower shift's the other way, and
+        # the symmetric class 3 links 0 and 2 both ways
+        L = np.array([[0, 1, 3], [2, 0, 1], [3, 2, 0]])
         link = gwschemes.oracle._links(
-            [np.eye(3, dtype=np.int64), up, up.T],
-            [0, 2, 1],
-            np.eye(3),
-            np.arange(3),
-            0.5,
-            np.random.default_rng(0),
+            L, [0, 2, 1, 3], np.eye(3), np.arange(3), 0.5, np.random.default_rng(0)
         )
-        assert link.tolist() == [[False, True, False], [True, False, True], [False, True, False]]
+        assert link.tolist() == [[False, True, True], [True, False, True], [True, True, False]]
 
     def test_all_zero_matrix_is_its_own_transpose(self):
-        mats = z6_scheme() + [np.zeros((6, 6), dtype=np.int64)]
-        assert gwschemes.oracle._transpose_map(mats) == [0, 5, 4, 3, 2, 1, 6]
+        # Z_6 with label 3 left unused, so A_3 = (L == 3) is all zero
+        L = label_matrix(z6_scheme())
+        L[L >= 3] += 1
+        assert gwschemes.oracle._transpose_map(L) == [0, 6, 5, 3, 4, 2, 1]
+
+    @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
+    def test_transpose_map_matches_reference(self, c):
+        s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
+        tpose = gwschemes.oracle._transpose_map(s.L)
+        assert tpose == reference_transpose_map(cases.masks(s)) == s.tpose
 
     def test_detects_missing_transpose_partner(self):
+        # one cell of relation 2 relabelled as relation 1, so A_2^T is split
         s = cases.bgw(5, 2)
-        mats = cases.masks(s)
-        r, c = np.argwhere(mats[2])[0]
-        mats[2][r, c] = 0
+        L = s.L.copy()
+        r, c = np.argwhere(L == 2)[0]
+        L[r, c] = 1
         with pytest.raises(VerificationError, match="transpose"):
-            oracle_spectrum(mats)
+            oracle_spectrum(L)
 
     def test_seed_stability(self):
         s = cases.bgw(7, 3)
-        a = oracle_spectrum(cases.masks(s), seed=0)
-        b = oracle_spectrum(cases.masks(s), seed=12345)
+        a = oracle_spectrum(s.L, seed=0)
+        b = oracle_spectrum(s.L, seed=12345)
         assert a == b == [(1, 1), (1, 7), (2, 8)]
 
 
@@ -172,14 +187,16 @@ SMALL_GROUPS = {
 SEEDS = [0, 1, 12345]
 
 
-def link_matrices(mats, seed):
-    """The probe link matrix of the library and the orbit-product one of
-    tests/oracle_reference.py, for the same random eigenspaces."""
+def link_matrices(L, seed):
+    """The probe link matrix of the library, on the label matrix L, and the
+    orbit-product one of tests/oracle_reference.py, on the masks (L == l),
+    for the same random eigenspaces."""
+    mats = [L == l for l in range(L.max() + 1)]
     tpose = reference_transpose_map(mats)
     rng = np.random.default_rng(seed)
     V, starts = random_eigenspaces(mats, tpose, rng)
     threshold = 1e-6 * len(V)
-    probe = gwschemes.oracle._links(mats, tpose, V, starts, threshold, rng)
+    probe = gwschemes.oracle._links(L, tpose, V, starts, threshold, rng)
     return probe, reference_links(mats, tpose, V, starts, threshold)
 
 
@@ -192,39 +209,42 @@ class TestSpectrumOracleMatchesReference:
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_grid_links(self, c, seed):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
-        probe, ref = link_matrices(cases.masks(s), seed)
+        probe, ref = link_matrices(s.L, seed)
         assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_fused_links(self, c, seed):
-        probe, ref = link_matrices(cases.masks(fused_scheme(c)), seed)
+        probe, ref = link_matrices(fused_scheme(c).L, seed)
         assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_small_group_links(self, name, seed):
-        probe, ref = link_matrices(SMALL_GROUPS[name](), seed)
+        probe, ref = link_matrices(label_matrix(SMALL_GROUPS[name]()), seed)
         assert np.array_equal(probe, ref)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_grid(self, c, seed):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
-        masks = cases.masks(s)
-        assert oracle_spectrum(masks, seed=seed) == reference_spectrum(masks, seed=seed)
+        assert oracle_spectrum(s.L, seed=seed) == reference_spectrum(cases.masks(s), seed=seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_fused(self, c, seed):
-        mats = cases.masks(fused_scheme(c))
-        assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
+        fused = fused_scheme(c)
+        assert oracle_spectrum(fused.L, seed=seed) == reference_spectrum(
+            cases.masks(fused), seed=seed
+        )
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_small_groups(self, name, seed):
         mats = SMALL_GROUPS[name]()
-        assert oracle_spectrum(mats, seed=seed) == reference_spectrum(mats, seed=seed)
+        assert oracle_spectrum(label_matrix(mats), seed=seed) == reference_spectrum(
+            mats, seed=seed
+        )
 
 
 class TestProbeControls:
@@ -234,7 +254,9 @@ class TestProbeControls:
 
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize(
-        "make", [z6_scheme, lambda: cases.masks(cases.bgw(5, 2))], ids=["z6", "bgw52"]
+        "make",
+        [lambda: label_matrix(z6_scheme()), lambda: cases.bgw(5, 2).L],
+        ids=["z6", "bgw52"],
     )
     def test_commutative_scheme_has_no_links(self, make, seed):
         probe, _ = link_matrices(make(), seed)
@@ -243,8 +265,9 @@ class TestProbeControls:
 
 
 class TestRandomElement:
-    """The random element is accumulated through one reused buffer, and is
-    bit for bit the sum of the products c * A_l."""
+    """The random element the oracle forms, the gather coef[L], is bit for
+    bit the sum of the products c * A_l: each cell lies in one class, and
+    adding 0 * c is exact."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -255,7 +278,7 @@ class TestRandomElement:
     def test_is_the_sum_of_products(self, make, seed):
         mats = make()
         coef = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(mats))
-        X = gwschemes.oracle._random_element(mats, coef)
+        X = coef[label_matrix(mats)]
         expected = sum(c * M for c, M in zip(coef, mats))
         assert X.dtype == expected.dtype == np.float64
         assert X.tobytes() == expected.tobytes()
@@ -269,7 +292,7 @@ class TestFusedSpectrumOracle:
     def test_matches_fused_multiplicities(self, c):
         fes = cases.bgw_fused(*c[1:]) if c[0] == "bgw" else cases.gh_fused(c[1])
         expected = sorted((1, m) for m in fes.multiplicities)
-        assert oracle_spectrum(cases.masks(fused_scheme(c))) == expected
+        assert oracle_spectrum(fused_scheme(c).L) == expected
 
 
 def test_oracle_shares_no_code_with_the_library():
