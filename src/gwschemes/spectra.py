@@ -36,8 +36,8 @@ Elem = dict  # class index -> CycScalar, zero coefficients never stored
 class SchemeAlgebra:
     """The adjacency algebra of a verified scheme over an exact scalar field.
 
-    Elements are Batches of the exact kernel; pack and unpack convert lists
-    of Elem dicts to and from them.
+    Elements are Batches of the exact kernel; pack converts a list of Elem
+    dicts to one.
     """
 
     def __init__(self, scheme: AssociationScheme, field: CycField):
@@ -47,15 +47,6 @@ class SchemeAlgebra:
     def pack(self, elems: list[Elem]) -> Batch:
         nm = self.scheme.nclasses
         return kernel.pack(self.field, [[e.get(k) for k in range(nm)] for e in elems])
-
-    def unpack(self, batch: Batch) -> list[Elem]:
-        """The elements of the batch, flattened in C order."""
-        nm = self.scheme.nclasses
-        flat = kernel.scalars(self.field, batch)
-        return [
-            {k: c for k, c in enumerate(flat[n : n + nm]) if c}
-            for n in range(0, len(flat), nm)
-        ]
 
     def adjacency(self) -> Batch:
         """The adjacency basis A_0, ..., A_{nm-1}; A_0 is the identity."""
@@ -124,34 +115,34 @@ def _duality_failures(field: CycField, P: Batch, mult, Q: Batch, valencies) -> n
 
 
 class Eigensystem:
-    """A verified Wedderburn decomposition of a scheme's adjacency algebra."""
+    """A verified Wedderburn decomposition of a scheme's adjacency algebra.
+
+    The units are packed once, at construction, into one read-only Batch;
+    every check and table reads that batch, so a later edit of the blocks
+    changes nothing the eigensystem reports.
+    """
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
         self.algebra = algebra
         self.blocks = blocks
+        # (block, i, j) of every unit, in row_index() order
+        self._keys = [
+            (bi, i, j)
+            for bi, blk in enumerate(blocks)
+            for i in range(1, blk.dim + 1)
+            for j in range(1, blk.dim + 1)
+        ]
+        self._U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in self._keys])
+        self._U.num.flags.writeable = False
         self._phi = None
-        self._phis = None
         self._mult = None
         self.verify()
 
     # -- verification --
 
-    def _keys(self) -> list[tuple[int, int, int]]:
-        """(block, i, j) of every unit, in row_index() order."""
-        return [
-            (bi, i, j)
-            for bi, blk in enumerate(self.blocks)
-            for i in range(1, blk.dim + 1)
-            for j in range(1, blk.dim + 1)
-        ]
-
-    def _units(self) -> Batch:
-        """The units in row_index() order, packed from the blocks."""
-        return self.algebra.pack([self.blocks[b].units[(i, j)] for b, i, j in self._keys()])
-
     def verify(self) -> None:
         alg = self.algebra
-        keys, U = self._keys(), self._units()
+        keys, U = self._keys, self._U
         if len(keys) != alg.scheme.nclasses:
             raise VerificationError(
                 "sum of squared block dimensions must equal the class count"
@@ -214,75 +205,80 @@ class Eigensystem:
 
     def row_index(self) -> list[tuple[str, int, int]]:
         """P-row / Q-column order: blocks in order, (i, j) lexicographic."""
-        return [(self.blocks[b].name, i, j) for b, i, j in self._keys()]
+        return [(self.blocks[b].name, i, j) for b, i, j in self._keys]
 
     def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
         """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k.
 
         Computed from E_ii A_l E_jj = phi E_ij and verified: the remainder is
         exactly phi E_ij, and each A_l equals the sum of its block images over
-        the units.  The images are kept as a batch of scalars phi[unit, l].
+        the units.  The images are kept as a batch of scalars phi[unit, l],
+        computed on the first call and formatted on each.
         """
-        if self._phis is not None:
-            return self._phis
         alg = self.algebra
         nm = alg.scheme.nclasses
-        keys, U = self._keys(), self._units()
+        keys, U = self._keys, self._U
         pos = {key: n for n, key in enumerate(keys)}
-        A = alg.adjacency()
-        diag = alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :])
-        # Y[n, l] = E_ii A_l E_jj for the unit n = E_ij
-        Y = alg.mul(diag, U[[pos[(b, j, j)] for b, _, j in keys]][:, None])
-        phi = _quotients(alg.field, Y, U)
-        phiE = kernel.field_mul(phi, U[:, None], alg.field)
-        bad = ~phiE.equal(Y)
-        if bad.any():
-            # the first failure in block, l, i, j order
-            n, l = min(np.argwhere(bad).tolist(), key=lambda nl: (keys[nl[0]][0], nl[1], nl[0]))
-            b, i, j = keys[n]
-            raise VerificationError(
-                f"A_{l} does not act as a scalar on block {self.blocks[b].name} "
-                f"at ({i},{j})"
-            )
-        # completeness: A_l = sum over blocks and units of phi * E_ij
-        bad = ~phiE.sum().equal(A)
-        if bad.any():
-            l = int(np.flatnonzero(bad)[0])
-            raise VerificationError(f"A_{l} is not spanned by the matrix units")
-        P = _table(alg.field, phi)
+        if self._phi is None:
+            A = alg.adjacency()
+            diag = alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :])
+            # Y[n, l] = E_ii A_l E_jj for the unit n = E_ij
+            Y = alg.mul(diag, U[[pos[(b, j, j)] for b, _, j in keys]][:, None])
+            phi = _quotients(alg.field, Y, U)
+            phiE = kernel.field_mul(phi, U[:, None], alg.field)
+            bad = ~phiE.equal(Y)
+            if bad.any():
+                # the first failure in block, l, i, j order
+                n, l = min(
+                    np.argwhere(bad).tolist(), key=lambda nl: (keys[nl[0]][0], nl[1], nl[0])
+                )
+                b, i, j = keys[n]
+                raise VerificationError(
+                    f"A_{l} does not act as a scalar on block {self.blocks[b].name} "
+                    f"at ({i},{j})"
+                )
+            # completeness: A_l = sum over blocks and units of phi * E_ij
+            bad = ~phiE.sum().equal(A)
+            if bad.any():
+                l = int(np.flatnonzero(bad)[0])
+                raise VerificationError(f"A_{l} is not spanned by the matrix units")
+            self._phi = phi
+        P = _table(alg.field, self._phi)
         dims = [range(1, blk.dim + 1) for blk in self.blocks]
-        self._phi = phi
-        self._phis = [
+        return [
             [[[P[pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
             for b, d in enumerate(dims)
         ]
-        return self._phis
+
+    def _phi_batch(self) -> Batch:
+        """The batch phi[unit, l] that phi_matrices() computes and verifies."""
+        if self._phi is None:
+            self.phi_matrices()
+        return self._phi
 
     def eigenmatrix_p(self) -> list[list[CycScalar]]:
         """Rows indexed by row_index(), columns by class."""
-        self.phi_matrices()
-        return _table(self.algebra.field, self._phi)
+        return _table(self.algebra.field, self._phi_batch())
 
     def eigenmatrix_q(self) -> list[list[CycScalar]]:
         """Rows indexed by class, columns by row_index(); Q[l][col] = v * coeff."""
-        Q = _q(self.algebra, self._units(), list(range(self.algebra.scheme.nclasses)))
+        Q = _q(self.algebra, self._U, list(range(self.algebra.scheme.nclasses)))
         return _table(self.algebra.field, Q)
 
     def character_table(self) -> list[list[CycScalar]]:
         """T[k][l] = trace of the image of A_l in block k (plain trace)."""
-        self.phi_matrices()
-        keys = self._keys()
+        keys = self._keys
         traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self.blocks))]
-        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi)
+        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi_batch())
         return _table(self.algebra.field, T)
 
     def check_pq_duality(self) -> bool:
         """Entrywise m_k P[(k,ij),l] = v_l conj(Q[l,(k,ij)])."""
-        self.phi_matrices()
+        phi = self._phi_batch()
         alg = self.algebra
-        Q = _q(alg, self._units(), list(range(alg.scheme.nclasses)))
+        Q = _q(alg, self._U, list(range(alg.scheme.nclasses)))
         mult = [mk for blk, mk in zip(self.blocks, self._mult) for _ in range(blk.dim**2)]
-        bad = _duality_failures(alg.field, self._phi, mult, Q, alg.scheme.valencies)
+        bad = _duality_failures(alg.field, phi, mult, Q, alg.scheme.valencies)
         if bad.any():
             r, l = np.argwhere(bad)[0]
             raise VerificationError(f"duality failed at row {r}, class {l}")
@@ -436,8 +432,19 @@ class FusedEigensystem:
     """Primitive idempotents of a symmetrizing fusion, with fused P and Q.
 
     For a 1-dimensional block the idempotent carries over; a 2-dimensional
-    block contributes (E_11 + E_22 +- (E_12 + E_21)) / 2.  Everything is
-    verified: idempotency, orthogonality, completeness, constancy of
+    block contributes e+- = (E_11 + E_22 +- (E_12 + E_21)) / 2.  The
+    idempotents are integer combinations of the Eigensystem's packed units,
+    and its certificate already proves what they need:
+
+    - With S = E_11 + E_22 and T = E_12 + E_21, the unit relations give
+      S^2 = T^2 = S and S T = T S = T.  So e+-^2 = e+-, e+ e- = 0 and
+      e+ + e- = S, and the units of the other blocks annihilate both.
+    - The diagonal units sum to I, so the idempotents do.
+    - E_12 = E_11 E_12 and E_12 E_11 = 0, so tr E_12 = tr(E_12 E_11) = 0,
+      and likewise tr E_21 = 0.  So tr e+- = tr E_11 = m_k, the
+      multiplicity of the block.
+
+    What depends on the partition is verified here: the constancy of the
     coefficients on the fused classes, the eigenvalue equations from both
     sides, and fused P/Q duality.  The idempotents are kept as a Batch.
     """
@@ -447,23 +454,24 @@ class FusedEigensystem:
         self.algebra = alg
         self.partition = [sorted(cell) for cell in partition]
         names: list[str] = []
+        mult: list[int] = []
         twice = []  # each idempotent times 2, as weights over the units
         start, width = 0, sum(blk.dim**2 for blk in es.blocks)
-        for blk in es.blocks:
+        for blk, mk in zip(es.blocks, es.multiplicities):
             if blk.dim not in (1, 2):
                 raise VerificationError("blocks of dimension > 2 not supported")
             # the units of a block in order (1,1), (1,2), (2,1), (2,2)
             signs = {"": [2]} if blk.dim == 1 else {"+": [1, 1, 1, 1], "-": [1, -1, -1, 1]}
             for suffix, w in signs.items():
                 names.append(blk.name + suffix)
+                mult.append(mk)
                 twice.append(np.zeros(width, dtype=np.int64))
                 twice[-1][start : start + len(w)] = w
             start += blk.dim**2
         self.names = names
-        E = kernel.combine(np.array(twice), es._units())
+        self.multiplicities = mult
+        E = kernel.combine(np.array(twice), es._U)
         self.idempotents = E = Batch(E.num, 2 * E.den)
-        self._verify_idempotents(E)
-        self.multiplicities = self._multiplicities(E)
         cells = _indicator(self.partition, alg.scheme.nclasses)
         self.fused_valencies = (cells @ np.array(alg.scheme.valencies)).tolist()
         Q = self._fused_q(E)
@@ -471,29 +479,6 @@ class FusedEigensystem:
         P = self._fused_p(E, cells)
         self.phat = _table(alg.field, P)
         self._check_duality(P, Q)
-
-    def _verify_idempotents(self, E: Batch) -> None:
-        alg = self.algebra
-        n = len(self.names)
-        want = Batch(np.where(np.eye(n, dtype=bool)[..., None, None], E.num[:, None], 0), E.den)
-        bad = ~alg.mul(E[:, None], E[None, :]).equal(want)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise VerificationError(
-                f"fused idempotents {self.names[i]}, {self.names[j]} "
-                "not orthogonal idempotents"
-            )
-        if not E.sum().equal(alg.adjacency()[0]):
-            raise VerificationError("fused idempotents do not sum to identity")
-
-    def _multiplicities(self, E: Batch) -> list[int]:
-        out = []
-        for t in E.num[:, 0]:  # the trace is v times the coefficient of A_0
-            fr = Fraction(int(t[0]) * self.algebra.scheme.v, E.den)
-            if t[1:].any() or fr.denominator != 1 or fr <= 0:
-                raise VerificationError("fused multiplicity not a positive integer")
-            out.append(int(fr))
-        return out
 
     def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
@@ -565,10 +550,10 @@ def _set_partitions(items: list[int]):
 def _signatures(es: Eigensystem, partition: list[list[int]]):
     """For each block, map (i, j) -> the fused-class sums of phi, as one
     integer vector over the denominator that all of them share."""
-    es.phi_matrices()
-    S = kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), es._phi, axis=1)
+    phi = es._phi_batch()
+    S = kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), phi, axis=1)
     sigs: list[dict] = [{} for _ in es.blocks]
-    for n, (b, i, j) in enumerate(es._keys()):
+    for n, (b, i, j) in enumerate(es._keys):
         sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
     return sigs
 

@@ -81,6 +81,11 @@ class TestClosureOracle:
         s = getattr(cases, maker)(*args)
         assert np.array_equal(oracle_closure(s.L), s.p)
 
+    def test_empty_relation_named(self):
+        # label 1 lies below the largest label 2 but has no cell
+        with pytest.raises(VerificationError, match=r"^relation 1 is empty$"):
+            oracle_closure(np.array([[0, 2], [2, 0]]))
+
     def test_detects_broken_relation(self):
         # one cell of relation 1 relabelled as relation 2
         s = cases.bgw(5, 2)
@@ -282,6 +287,30 @@ class TestRandomElement:
         expected = sum(c * M for c, M in zip(coef, mats))
         assert X.dtype == expected.dtype == np.float64
         assert X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,c",
+        [("grid", c) for c in FUSED] + [("fused", c) for c in FUSED] + [("group", "dic3")],
+        ids=lambda x: x if isinstance(x, str) else "-".join(map(str, x)),
+    )
+    def test_oracle_element_is_exactly_symmetric(self, monkeypatch, kind, c):
+        # the element oracle_spectrum diagonalizes, caught at eigh: its
+        # coefficients are tied across each verified transpose pair
+        if kind == "group":
+            L = label_matrix(SMALL_GROUPS[c]())
+        elif kind == "fused":
+            L = fused_scheme(c).L
+        else:
+            L = getattr(cases, c[0])(*c[1:]).L
+        seen, eigh = [], np.linalg.eigh
+
+        def spy(X):
+            seen.append(np.array_equal(X, X.T))
+            return eigh(X)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        oracle_spectrum(L)
+        assert seen and all(seen)
 
 
 class TestFusedSpectrumOracle:

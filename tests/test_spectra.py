@@ -1,5 +1,8 @@
 """Wedderburn systems, eigenmatrices, character tables, duality, fusion."""
+import copy
 import dataclasses
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from gwschemes import (
     scalar_from_str,
 )
 from gwschemes import kernel
+from gwschemes.kernel import Batch
 from gwschemes.spectra import (
     Block,
     Eigensystem,
@@ -284,9 +288,18 @@ class TestClosedFormsAcrossGrid:
         assert fe.qhat == cf.gh_fused_q(q)
 
 
+def unpack(alg, batch):
+    """The elements of a batch, flattened in C order, as Elem dicts."""
+    nm = alg.scheme.nclasses
+    flat = kernel.scalars(alg.field, batch)
+    return [
+        {k: c for k, c in enumerate(flat[n : n + nm]) if c} for n in range(0, len(flat), nm)
+    ]
+
+
 def elem_mul(alg, x, y):
     """The product of two Elems through the batched kernel."""
-    return alg.unpack(alg.mul(alg.pack([x]), alg.pack([y])))[0]
+    return unpack(alg, alg.mul(alg.pack([x]), alg.pack([y])))[0]
 
 
 class TestFElementRules:
@@ -382,6 +395,13 @@ def mutated(es, bi, ij, f):
     return blocks
 
 
+def doubled(U, n):
+    """The packed units U with the numerators of unit n doubled."""
+    num = U.num.copy()
+    num[n] *= 2
+    return Batch(num, U.den)
+
+
 class TestVerificationTeeth:
     def test_scaled_unit_rejected(self):
         es = bgw_eigensystem(cases.bgw(5, 2), 5, 2)
@@ -421,23 +441,11 @@ class TestVerificationTeeth:
         with pytest.raises(VerificationError, match=r"^adjoint failed in block a1 at \(1,2\)$"):
             Eigensystem(alg, bad)
 
-    def test_mutated_fused_idempotent_rejected(self):
-        # doubling E_12 and E_21 after verification makes (E_11 + E_22 +
-        # E_12 + E_21) / 2 fail to be idempotent
-        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        alg = es.algebra
-        es.blocks = mutated(es, 2, (1, 2), lambda e: alg.rmul(2, e))
-        es.blocks[2].units[(2, 1)] = alg.rmul(2, es.blocks[2].units[(2, 1)])
-        with pytest.raises(
-            VerificationError, match=r"^fused idempotents a1\+, a1\+ not orthogonal idempotents$"
-        ):
-            FusedEigensystem(es, bgw_symmetric_fusion(3))
-
     def test_phi_incompleteness_rejected(self):
         # after verification, 2 E_0 still passes E A_l E = phi E with phi
         # doubled, but the units then span 4 phi E_0 where A_l needs phi E_0
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        es.blocks = mutated(es, 0, (1, 1), lambda e: es.algebra.rmul(2, e))
+        es._U = doubled(es._U, 0)
         with pytest.raises(VerificationError, match=r"^A_0 is not spanned by the matrix units$"):
             es.phi_matrices()
 
@@ -466,12 +474,27 @@ class TestVerificationTeeth:
             FusedEigensystem(es, [[0], [1, 2], [3, 4, 5]])
 
     def test_pq_duality_names_the_first_failing_entry(self):
-        # P is cached by phi_matrices(); Q is read from the units, one of
-        # which is doubled afterwards, so the duality fails where it is nonzero
+        # P is cached by phi_matrices(); Q is read from the packed units, in
+        # which E_12 of block a1 (row 3) is doubled afterwards, so the duality
+        # fails where it is nonzero
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
         es.phi_matrices()
-        es.blocks = mutated(es, 2, (1, 2), lambda e: es.algebra.rmul(2, e))
+        es._U = doubled(es._U, 3)
         with pytest.raises(VerificationError, match=r"^duality failed at row 3, class 3$"):
+            es.check_pq_duality()
+
+    def test_wrong_valency_breaks_both_dualities(self):
+        # the unit relations do not read the valencies, so the eigensystem of
+        # a scheme with one valency raised verifies, and both dualities fail
+        scheme = copy.copy(cases.bgw(7, 3))
+        scheme.valencies = list(scheme.valencies)
+        scheme.valencies[3] += 1
+        es = bgw_eigensystem(scheme, 7, 3)
+        with pytest.raises(
+            VerificationError, match=r"^fused duality failed at idempotent 0, class 2$"
+        ):
+            FusedEigensystem(es, bgw_symmetric_fusion(3))
+        with pytest.raises(VerificationError, match=r"^duality failed at row 0, class 3$"):
             es.check_pq_duality()
 
     def test_eigensystem_for_dispatch(self):
@@ -479,6 +502,76 @@ class TestVerificationTeeth:
         assert es.multiplicities == [1, 5, 3, 3]
         with pytest.raises(ValueError):
             eigensystem_for(cases.bgw(5, 2), {"family": "unknown"})
+
+
+def fused_record(fe) -> str:
+    """sha256 of the names, multiplicities, fused valencies, P^, Q^ and
+    idempotents (numerators and denominator) of a fused eigensystem."""
+    table = lambda T: [[[list(x.num), x.den] for x in row] for row in T]
+    E = fe.idempotents
+    rec = [fe.names, fe.multiplicities, fe.fused_valencies, table(fe.phat), table(fe.qhat)]
+    return hashlib.sha256(json.dumps(rec + [E.num.tolist(), E.den]).encode()).hexdigest()
+
+
+# recorded while FusedEigensystem still re-proved its idempotents with
+# algebra products, before it read them off the eigensystem's certificate
+FUSED_RECORDS = {
+    ("bgw", 7, 3): "6855abfbed6c65f8d6589f9a0369a6f2f0d8eedd5905a76bff6f8a71da499043",
+    ("bgw", 8, 7): "6939d753e2a0f4896c436237136668f17dbffb55d8a63b693e769054d731d567",
+    ("bgw", 25, 12): "f4401ad3166bd531b102b7b7ff82f850f98d35e871d1feb03676b5539d7f1d9c",
+    ("gh", 3): "76b25b1fda88ba129bbf5346a8f20b38af4c943eb5e4d9c482d18e6b82e09618",
+    ("gh", 5): "24eeb64cf4da035cc7f1b05398a8f87bae7f829c8003db875e61b89f6b6200b6",
+}
+
+
+class TestPackedOnce:
+    @pytest.mark.parametrize("case", sorted(FUSED_RECORDS), ids=str)
+    def test_fused_system_matches_the_record(self, case):
+        fe = getattr(cases, case[0] + "_fused")(*case[1:])
+        assert fused_record(fe) == FUSED_RECORDS[case]
+
+    @pytest.mark.parametrize("maker,args", [("bgw", (7, 3)), ("gh", (3,))], ids=["bgw73", "gh3"])
+    def test_editing_the_blocks_changes_no_output(self, maker, args):
+        build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
+        ref = getattr(cases, maker + "_es")(*args)
+        es = build(getattr(cases, maker)(*args), *args)
+        units = es.blocks[-1].units
+        units[(1, 2)] = es.algebra.rmul(2, units[(1, 2)])
+        for name in ("eigenmatrix_p", "eigenmatrix_q", "character_table"):
+            assert getattr(es, name)() == getattr(ref, name)(), name
+        assert es.check_pq_duality()
+        fe, fe_ref = FusedEigensystem(es, fusion), FusedEigensystem(ref, fusion)
+        assert (fe.phat, fe.qhat) == (fe_ref.phat, fe_ref.qhat)
+        assert bm_search(es, fusion) == bm_search(ref, fusion)
+
+    def test_one_pack_and_two_fused_product_batches(self, monkeypatch):
+        calls = {"pack": 0, "mul": 0}
+
+        def counted(name):
+            method = getattr(SchemeAlgebra, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(SchemeAlgebra, "pack", counted("pack"))
+        monkeypatch.setattr(SchemeAlgebra, "mul", counted("mul"))
+        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
+        es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table(), es.check_pq_duality()
+        bm_search(es, bgw_symmetric_fusion(3))
+        assert calls["pack"] == 1
+        # e A^_t and A^_t e, one batch each
+        before = calls["mul"]
+        FusedEigensystem(es, bgw_symmetric_fusion(3))
+        assert (calls["pack"], calls["mul"] - before) == (1, 2)
+
+    def test_packed_units_are_read_only(self):
+        es = cases.bgw_es(7, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            es._U.num[0] = 0
 
 
 KERNEL_CASES = {"bgw52": ("bgw_es", (5, 2)), "bgw73": ("bgw_es", (7, 3)), "gh3": ("gh_es", (3,))}
@@ -511,7 +604,7 @@ class TestKernel:
         alg = getattr(cases, maker)(*args).algebra
         X = data.draw(elements(alg, data.draw(st.integers(1, 3))))
         Y = data.draw(elements(alg, data.draw(st.integers(1, 3))))
-        got = alg.unpack(alg.mul(alg.pack(X)[:, None], alg.pack(Y)[None, :]))
+        got = unpack(alg, alg.mul(alg.pack(X)[:, None], alg.pack(Y)[None, :]))
         assert got == [dict_mul(alg, x, y) for x in X for y in Y]
 
     def test_object_path_past_the_int64_bound(self):
@@ -529,9 +622,9 @@ class TestKernel:
         scale = [tiny] + [1] * (len(U) - 1)
         want = [
             alg.rmul(scale[a] * scale[b], e)
-            for (a, b), e in zip(np.ndindex(len(U), len(U)), alg.unpack(small))
+            for (a, b), e in zip(np.ndindex(len(U), len(U)), unpack(alg, small))
         ]
-        assert alg.unpack(prod) == want
+        assert unpack(alg, prod) == want
 
     def test_combination_past_the_int64_bound(self):
         # two scalars near 2**61 of bgw (7,3), whose basis has 4 entries
