@@ -18,12 +18,24 @@ then A_i A_j is a combination of products A_i A_g1 ... A_gr, each in V one
 generator at a time: V is closed.
 
 * Products.  Thin classes (valency 1) come first.  A thin generator is a
-  permutation matrix, so all its products are one gather of L.  For a later
-  generator g, the products with a thin A_t are in V by transposition, and
-  the one of largest valency follows from sum_i A_i A_g = k_g J.  The others
-  come from float32 GEMMs of 0/1 matrices, several classes to a GEMM as the
-  digits of base-(k_g + 1) numerals; every partial sum is an integer below
-  2**24, exact in float32 (see _right_action; v < 2**24 is checked).
+  permutation matrix, so all its products are one gather of L.  A later
+  generator g is checked with float32 GEMMs of 0/1 matrices, several classes
+  to a GEMM as the digits of base-(k_g + 1) numerals; every partial sum is an
+  integer below 2**24, exact in float32 (see _right_action; v < 2**24 is
+  checked).  Only the classes of a check set go into the GEMMs, because what
+  is proven already implies the other products:
+  - Let S be the span of the words in the generators verified so far, so
+    V S is in V, and write S^T for the transposes.  Each Y in S^T maps V
+    into V from the left, since Y X = (X^T Y^T)^T and V is closed under
+    transpose.
+  - So W_g = {X in V : X A_g in V} is a left S^T-module.  It holds S^T,
+    since Y A_g = (A_g' Y^T)^T with A_g' = A_g^T; it holds J, since
+    J A_g = k_g J; and it holds each A_c checked by a GEMM, hence each
+    Y A_c, whose coefficients are the row-0 values sum_a y_a p[a, c, :].
+  - Once these vectors reach rank d + 1, V A_g is in V, with the
+    coefficients p[:, g] of row 0.  The check set takes the classes by
+    decreasing valency, each one whose vector is not yet reached
+    (_checked_classes).
 * Span.  Fraction-free Gaussian elimination on Python integers decides
   membership and rank exactly, with no rounding and no modulus.  Taking
   every class as a generator always succeeds (e_0 R_j = e_j), so a scheme is
@@ -106,7 +118,7 @@ class AssociationScheme:
         pairs0 = L[0][:, None] * nm + L[:, rep] + nm * nm * np.arange(nm)
         tensor = np.bincount(pairs0.reshape(-1), minlength=nm**3)
         tensor = np.ascontiguousarray(tensor.reshape(nm, nm, nm).transpose(1, 2, 0))
-        _certify_closure(L, labels, tensor, valencies)
+        _certify_closure(L, labels, tensor, tpose, valencies)
         return cls(L, list(labels), tensor, tpose, valencies)
 
     # -- structure --
@@ -152,14 +164,16 @@ class AssociationScheme:
         )
 
 
-def _certify_closure(L, labels, p, valencies) -> None:
+def _certify_closure(L, labels, p, tpose, valencies) -> None:
     """Prove that span{A_i} is closed, given the axioms checked before it and
     p[i, j, k] = (A_i A_j)[0, y_k]; raises NotAScheme otherwise.
 
     Generators are tried in a fixed order, thin classes first, then the rest
     by decreasing valency; a class already in the generated span is skipped.
-    Each generator g taken is checked to satisfy A_i A_g = sum_k p[i,g,k] A_k
-    for every i, and the search stops once the generators span the algebra.
+    Each generator g taken is proved to satisfy A_i A_g = sum_k p[i,g,k] A_k
+    for every i, a thin one by one gather and the others by GEMMs over the
+    check set of _checked_classes, and the search stops once the generators
+    span the algebra.
     """
     nm = len(labels)
     thin = [i for i in range(1, nm) if valencies[i] == 1]
@@ -174,7 +188,8 @@ def _certify_closure(L, labels, p, valencies) -> None:
         if valencies[g] == 1:
             bad = _thin_right_action(L, p[:, g], g)
         else:
-            bad = _right_action(L, p[:, g], g, rest, valencies[g])
+            check = _checked_classes(span, p, tpose, rest)
+            bad = _right_action(L, p[:, g], g, check, valencies[g])
         if bad is not None:
             raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
         span.add(p[:, g])
@@ -192,30 +207,50 @@ def _thin_right_action(L, R, g):
     return int(M[tuple(bad[0])]) if len(bad) else None
 
 
-def _right_action(L, R, g, rest, k):
-    """Check A_i A_g = sum_k R[i, k] A_k for every class i, where A_g has
-    valency k and rest holds the classes that are not thin, largest valency
-    first; return a failing i or None.
+def _checked_classes(span, p, tpose, rest) -> list[int]:
+    """The classes c whose products A_c A_g the next generator g must check,
+    given the span of the words in the generators verified so far: a subset
+    of rest, the classes that are not thin, in its order.
 
-    The products of rest[1:] come from float32 GEMMs, d classes at a time:
-    (sum_s B**s A_(i_s)) A_g with B = k + 1 has entries sum_s B**s c_s, where
-    c_s = (A_(i_s) A_g)[x, y] counts ones of a column of A_g, so c_s <= k < B.
+    The vectors of W_g known without a product are those of J and of S^T,
+    the y with y[tpose] = r for the span's rows r.  Each class of rest whose
+    vector is not reached yet is checked, and adds the vectors y p[:, c] of
+    S^T A_c; the walk stops at full rank.  Every thin class lies in the span
+    by now, so the walk always gets there (module docstring).
+    """
+    nm = span.nm
+    Y = np.array([r[tpose] for _, r in span.rows])  # tpose is an involution
+    reached = _Span(nm)  # e_0 lies in S^T; no generators, so a plain span
+    reached._close([*Y, np.ones(nm, dtype=object)])
+    check = []
+    for c in rest:
+        if reached.rank == nm:
+            break
+        if c not in reached:
+            check.append(c)
+            reached._close(list(Y @ p[:, c].astype(object)))
+    return check
+
+
+def _right_action(L, R, g, check, k):
+    """Check A_c A_g = sum_k R[c, k] A_k for each class c of check, where A_g
+    has valency k; return a failing c or None.  For a check set of
+    _checked_classes, the products of all other classes follow exactly: they
+    lie in S^T, J or S^T A_c, each of which A_g maps into V (module docstring).
+
+    The products come from float32 GEMMs, d classes at a time:
+    (sum_s B**s A_(c_s)) A_g with B = k + 1 has entries sum_s B**s n_s, where
+    n_s = (A_(c_s) A_g)[x, y] counts ones of a column of A_g, so n_s <= k < B.
     Every partial sum is a nonnegative integer below B**d <= 2**24, exact in
     float32.  The entries of R are such counts too (at row 0), so both sides
     are base-B numerals, equal only digit by digit.
-
-    The other products need no arithmetic.  A thin class t has been taken as
-    a generator or lies in the span by now, so V A_t' is in V for the thin
-    transpose t' of t, and transposing gives A_t A_g = (A_g' A_t')^T in V.
-    And sum_i A_i A_g = k J, so the product of rest[0] is k J minus the
-    others, in V once they are.  Their coefficients are those of row 0.
     """
     B, d = k + 1, 1
     while B ** (d + 1) <= _F32_EXACT:
         d += 1
     Ag = (L == g).astype(np.float32)
-    for c in range(1, len(rest), d):
-        chunk = rest[c:c + d]
+    for c in range(0, len(check), d):
+        chunk = check[c:c + d]
         weight = np.zeros(len(R), dtype=np.int64)
         weight[chunk] = B ** np.arange(len(chunk))
         prod = weight.astype(np.float32)[L] @ Ag
@@ -234,7 +269,8 @@ class _Span:
     the generators added so far: the least subspace that holds e_0 and that
     each generator's R maps into itself.  Its rows are Python integers in
     echelon form (each is zero at the pivots of the rows before it), so
-    membership and rank are decided exactly."""
+    membership and rank are decided exactly.  With no generators, _close
+    adds plain vectors to the span."""
 
     def __init__(self, nm: int):
         self.nm = nm

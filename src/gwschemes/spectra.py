@@ -125,13 +125,15 @@ class Eigensystem:
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
         self.algebra = algebra
         self.blocks = blocks
-        # (block, i, j) of every unit, in row_index() order
-        self._keys = [
-            (bi, i, j)
-            for bi, blk in enumerate(blocks)
-            for i in range(1, blk.dim + 1)
-            for j in range(1, blk.dim + 1)
-        ]
+        self._keys = []  # (block, i, j) of every unit, in row_index() order
+        for bi, blk in enumerate(blocks):
+            square = [(i, j) for i in range(1, blk.dim + 1) for j in range(1, blk.dim + 1)]
+            missing = [key for key in square if key not in blk.units]
+            extra = sorted((key for key in blk.units if key not in square), key=str)
+            if missing or extra:
+                what = f"lacks unit {missing[0]}" if missing else f"has extra unit {extra[0]}"
+                raise VerificationError(f"block {blk.name} of dim {blk.dim} {what}")
+            self._keys += [(bi, i, j) for i, j in square]
         self._U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in self._keys])
         self._U.num.flags.writeable = False
         self._phi = None

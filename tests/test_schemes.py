@@ -7,6 +7,7 @@ import pytest
 
 from gwschemes import (
     AssociationScheme,
+    FiniteField,
     NotAScheme,
     VerificationError,
     bgw_build,
@@ -15,6 +16,7 @@ from gwschemes import (
     one_factorization,
     oracle_closure,
 )
+from gwschemes import schemes
 from gwschemes.matrixkit import mm
 from gwschemes.schemes import _Span, _right_action
 from kronecker import label_matrix, shift_matrix
@@ -223,6 +225,23 @@ def transpose_last_block(n):
     return mutate
 
 
+def relabel_in_block(rows, cols, perm):
+    """Relabel the block (rows, cols) by the class permutation perm, and the
+    mirror block (cols, rows) by its conjugate t perm t under the transpose
+    map t: every pair keeps its transpose pair.  Both blocks are read before
+    either is written, so (rows, cols) may be a principal block when perm
+    commutes with t."""
+    def mutate(s):
+        t = np.array(s.tpose)
+        L = s.L.copy()
+        block = perm[L[np.ix_(rows, cols)]]
+        mirror = t[perm[t[L[np.ix_(cols, rows)]]]]
+        L[np.ix_(rows, cols)] = block
+        L[np.ix_(cols, rows)] = mirror
+        return L
+    return mutate
+
+
 def swap_in_block(rows, cols, a, b):
     """Swap classes a and b, of equal valency, in the block (rows, cols), and
     the transposes of a and b in the mirror block (cols, rows): every pair
@@ -230,12 +249,30 @@ def swap_in_block(rows, cols, a, b):
     def mutate(s):
         perm = np.arange(s.nclasses)
         perm[[a, b]] = b, a
-        t = np.array(s.tpose)
-        L = s.L.copy()
-        L[np.ix_(rows, cols)] = perm[L[np.ix_(rows, cols)]]
-        L[np.ix_(cols, rows)] = t[perm[t[L[np.ix_(cols, rows)]]]]
-        return L
+        return relabel_in_block(rows, cols, perm)(s)
     return mutate
+
+
+def gh_shift_in_block(q, rows, cols, delta):
+    """Move each class (a,1) of gh q to (a + delta,1) in the block (rows,
+    cols).  A translation of GF(q) commutes with the right action of the thin
+    classes (a,0), so the thin generators' gathers pass, and only a GEMM
+    product can reject the result when rows is part of a point group."""
+    perm = np.arange(2 * q + 1)
+    perm[q:2 * q] = q + FiniteField(q).add_t[np.arange(q), delta]
+    return relabel_in_block(rows, cols, perm)
+
+
+def right_action_calls(monkeypatch):
+    """The check sets _certify_closure gives _right_action, recorded."""
+    calls, checked = [], schemes._right_action
+
+    def spy(L, R, g, check, k):
+        calls.append(list(check))
+        return checked(L, R, g, check, k)
+
+    monkeypatch.setattr(schemes, "_right_action", spy)
+    return calls
 
 
 class TestClosureCertificate:
@@ -259,6 +296,17 @@ class TestClosureCertificate:
                 lambda: gh_build(5).fuse(gh_symmetric_fusion(5)),
                 swap_in_block(range(25, 50), range(50, 75), 4, 5),
             ),
+            # the one GEMM class of gh 9 is (0,1); the shift passes the thin
+            # gathers, so only A_(0,1) A_(0,1) is left to reject it, and the
+            # products of the other eight classes (a,1) are implied
+            (lambda: gh_build(9), gh_shift_in_block(9, range(81, 90), range(162, 243), 1)),
+            # class 4, (5,0)+(7,0), is the one class whose product with the
+            # first generator 6 is implied, and class 1 is implied for the
+            # later generators 7 and 8
+            (
+                lambda: gh_build(9).fuse(gh_symmetric_fusion(9)),
+                swap_in_block(range(9, 18), range(9, 18), 1, 4),
+            ),
         ],
         ids=[
             "bgw73-thin-block",
@@ -266,6 +314,8 @@ class TestClosureCertificate:
             "bgw73-nonthin-block",
             "gh5-nonthin-block",
             "gh5-fused-nonthin-block",
+            "gh9-shifted-rows",
+            "gh9-fused-implied-classes",
         ],
     )
     def test_relabelled_block_rejected(self, build, mutate):
@@ -287,13 +337,81 @@ class TestClosureCertificate:
         # within one GEMM: the packed sums agree in base k but not in base
         # k + 1, the base the exactness bound asks for
         s = gh_build(5).fuse(gh_symmetric_fusion(5))
-        rest = [4, 5, 3, 6, 1, 2]  # the classes that are not thin, by valency
+        # the classes that are not thin, by valency; _right_action checks
+        # every class it is given, so 3 and 6 are digits of one GEMM
+        rest = [4, 5, 3, 6, 1, 2]
         g, k = 3, s.valencies[3]  # (0,1): symmetric, valency 25
         R = s.p[:, g].copy()
         assert (R[3, 0], R[6, 0]) == (k, 0)  # A_g A_g is k on the diagonal
         R[3, 0], R[6, 0] = 0, 1
         assert _right_action(s.L, R, g, rest, k) == 3
         assert _right_action(s.L, s.p[:, g], g, rest, k) is None
+
+    @pytest.mark.parametrize(
+        "build,want",
+        [
+            (lambda: gh_build(9), [1]),
+            (lambda: gh_build(9).fuse(gh_symmetric_fusion(9)), [9, 2, 1]),
+            (lambda: bgw_build(47, 23), [1]),
+        ],
+        ids=["gh9", "gh9-fused", "bgw47_23"],
+    )
+    def test_gemms_check_only_what_the_span_does_not_imply(self, monkeypatch, build, want):
+        # all but the first (largest) class of rest went into the GEMMs
+        # before: [10], [10, 10, 10] and [23]
+        s = build()
+        calls = right_action_calls(monkeypatch)
+        rebuilt = AssociationScheme.from_matrices(s.L, s.labels)
+        assert [len(c) for c in calls] == want
+        assert np.array_equal(rebuilt.p, s.p)
+        # each check set walks the classes that are not thin by decreasing
+        # valency, so it starts with the largest
+        for check in calls:
+            vals = [s.valencies[c] for c in check]
+            assert min(vals) > 1 and vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize(
+        "build,sizes,seed",
+        [
+            (lambda: bgw_build(7, 3), [3], 1),
+            (lambda: gh_build(5), [5, 25], 2),
+            (lambda: gh_build(7), [7, 49], 3),
+            (lambda: gh_build(5).fuse(gh_symmetric_fusion(5)), [5, 25], 4),
+        ],
+        ids=["bgw73", "gh5", "gh7", "gh5-fused"],
+    )
+    def test_block_swaps_rejected_exactly_when_the_oracle_rejects(self, build, sizes, seed):
+        # seeded swaps of two classes of equal valency in the block of two
+        # random point groups (of m points for bgw; of q or q**2 for gh),
+        # drawn from the classes the block holds so that L changes: the
+        # certificate rejects exactly what the all-products oracle rejects
+        s = build()
+        rng = np.random.default_rng(seed)
+        val = np.array(s.valencies)
+        swaps = 0
+        while swaps < 6:
+            size = int(rng.choice(sizes))
+            i, j = (int(x) for x in rng.choice(s.v // size, 2, replace=False))
+            rows, cols = range(i * size, (i + 1) * size), range(j * size, (j + 1) * size)
+            held = np.unique(s.L[np.ix_(rows, cols)])
+            pairs = [(a, b) for a in held for b in held if a < b and val[a] == val[b]]
+            if not pairs:
+                continue
+            a, b = (int(x) for x in pairs[rng.integers(len(pairs))])
+            L = swap_in_block(rows, cols, a, b)(s)
+            assert (L != s.L).any()
+            try:
+                AssociationScheme.from_matrices(L, s.labels)
+                ours = True
+            except NotAScheme:
+                ours = False
+            try:
+                oracle_closure(L)
+                theirs = True
+            except VerificationError:
+                theirs = False
+            assert ours == theirs, (size, i, j, a, b)
+            swaps += 1
 
     def test_thin_relations_of_no_group_rejected(self):
         # the one-factorization of K_6 as a label matrix: every class is thin

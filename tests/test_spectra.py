@@ -411,6 +411,28 @@ class TestVerificationTeeth:
         with pytest.raises(VerificationError):
             Eigensystem(alg, bad)
 
+    @pytest.mark.parametrize(
+        "edit,says",
+        [
+            (lambda b: b.units.pop((2, 1)), r"block a1 of dim 2 lacks unit \(2, 1\)"),
+            (lambda b: setattr(b, "dim", 3), r"block a1 of dim 3 lacks unit \(1, 3\)"),
+            (lambda b: setattr(b, "dim", 1), r"block a1 of dim 1 has extra unit \(1, 2\)"),
+            (
+                lambda b: b.units.update({(3, 3): b.units[(1, 1)]}),
+                r"block a1 of dim 2 has extra unit \(3, 3\)",
+            ),
+        ],
+        ids=["deleted-unit", "dim-too-large", "dim-too-small", "unit-outside"],
+    )
+    def test_unit_keys_must_fill_the_block(self, edit, says):
+        # a block holds exactly the units (i, j), 1 <= i, j <= dim
+        es = cases.bgw_es(7, 3)
+        blocks = [dataclasses.replace(b, units=dict(b.units)) for b in es.blocks]
+        assert blocks[2].name == "a1" and blocks[2].dim == 2
+        edit(blocks[2])
+        with pytest.raises(VerificationError, match=says):
+            Eigensystem(es.algebra, blocks)
+
     @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_scaled_unit_names_the_first_failing_pair(self, ij):
         es = cases.bgw_es(7, 3)
