@@ -41,10 +41,16 @@ def bgw_labels(m: int) -> list[str]:
 
 
 def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
+    # block[w] is the m x m block of an entry w of W off the diagonal and
+    # block[m] a diagonal block, so L[(i, a), (j, b)] = block[W'[i, j], a, b]
+    # for W' = W with m on its blank diagonal
     W = bgw_matrix(q, m)
-    i, a = np.divmod(np.arange((q + 1) * m), m)
-    i, a, j, b = i[:, None], a[:, None], i[None, :], a[None, :]
-    return np.where(i == j, (b - a) % m, m + (m - 1 - a - b - W[i, j]) % m)
+    np.fill_diagonal(W, m)
+    a, b = np.ogrid[:m, :m]
+    w = np.arange(m)[:, None, None]
+    block = np.concatenate([m + (m - 1 - a - b - w) % m, [(b - a) % m]])
+    v = (q + 1) * m
+    return block[W].swapaxes(1, 2).reshape(v, v)
 
 
 def bgw_build(q: int, m: int) -> AssociationScheme:

@@ -20,9 +20,29 @@ the sum of the absolute values of its terms, which is at most
     max|X| * max|Y| * max_k sum_ij p[i, j, k] * max_t sum_rs |c[r, s, t]|.
 
 Every operation here computes its bound of this kind before it starts and
-runs in int64 when the bound is below 2**62, and otherwise in object dtype,
-whose entries are Python integers of unbounded size.  Either way the result
-is exact.
+picks one of three tiers from it alone (exact):
+
+* float64 below 2**53.  The inputs convert exactly, since each entry is at
+  most the bound.  Every value a classical GEMM or GEMV computes, in any
+  summation order, blocking or with fused multiply-adds, is a partial sum of
+  a subset of the integer terms, so it is an integer of magnitude at most the
+  bound, and float64 represents it exactly.  Intermediates such as the
+  operator R of algebra_mul are bounded by the same product (hence the
+  max(..., 1) factors).  numpy's float64 matmul, dot and tensordot call the
+  classical BLAS dgemm and dgemv (or numpy's own classical loops), not a
+  Strassen-type algorithm, whose intermediate sums are not partial sums of
+  the terms.
+* int64 below 2**62, in numpy's own integer loops.
+* object dtype otherwise, whose entries are Python integers of unbounded size.
+
+Either way the result is exact.  A float64 result converts back to int64
+before it is stored, so Batch.num is always int64 or object.
+
+algebra_mul and field_mul run over the leading axes in pieces, so that the
+largest temporary of a piece (the operators R of algebra_mul, the outer
+products of field_mul) holds at most BUDGET entries, and each other
+temporary a small multiple of that or of the result; an element whose own
+temporary is larger than BUDGET makes a piece of its own.
 """
 from __future__ import annotations
 
@@ -32,7 +52,9 @@ import numpy as np
 
 from .algebra import CycField, CycScalar
 
+FLOAT_LIMIT = 2**53
 LIMIT = 2**62
+BUDGET = 1 << 22  # entries of the temporary of one piece of a product
 
 
 def absmax(a: np.ndarray) -> int:
@@ -40,16 +62,58 @@ def absmax(a: np.ndarray) -> int:
 
 
 def exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays as int64 when bound < LIMIT, else as object arrays."""
-    dt = np.dtype(np.int64) if bound < LIMIT else np.dtype(object)
+    """The arrays as float64 when bound < FLOAT_LIMIT, as int64 when
+    bound < LIMIT, else as object arrays."""
+    if bound >= LIMIT:
+        dt = np.dtype(object)
+    elif bound >= FLOAT_LIMIT:
+        dt = np.dtype(np.int64)
+    else:
+        dt = np.dtype(np.float64)
     return [a if a.dtype == dt else a.astype(dt) for a in arrays]
+
+
+def _stored(a: np.ndarray) -> np.ndarray:
+    """A result as kept: float64 entries are integers below 2**53."""
+    return a.astype(np.int64) if a.dtype == np.float64 else a
 
 
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return a
     (a,) = exact(absmax(a) * k, a)
-    return a * k
+    return _stored(a * k)
+
+
+def _pieces(shape: tuple[int, ...], cell: int):
+    """Slice tuples that cut the grid of the given shape, in C order, into
+    boxes of at most BUDGET // cell points, or of one point when cell alone
+    exceeds BUDGET."""
+    per = max(BUDGET // cell, 1)
+    k, inner = len(shape), 1
+    while k and inner * shape[k - 1] <= per:
+        k -= 1
+        inner *= shape[k]
+    whole = (slice(None),) * (len(shape) - k)
+    if k == 0:
+        yield whole
+        return
+    step = per // inner
+    for outer in np.ndindex(*shape[: k - 1]):
+        for s in range(0, shape[k - 1], step):
+            yield tuple(slice(i, i + 1) for i in outer) + (slice(s, s + step),) + whole
+
+
+def _at(idx: tuple, *shapes: tuple[int, ...]) -> tuple:
+    """idx for an operand that spans the whole of each axis where one of
+    shapes has length 1 (an axis it is broadcast along)."""
+    return tuple(slice(None) if 1 in n else s for s, *n in zip(idx, *shapes)) + (Ellipsis,)
+
+
+def _leading(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays with as many leading axes each, broadcasting from the left."""
+    n = max(a.ndim for a in arrays)
+    return [a.reshape((1,) * (n - a.ndim) + a.shape) for a in arrays]
 
 
 class Batch:
@@ -60,7 +124,7 @@ class Batch:
     __slots__ = ("num", "den")
 
     def __init__(self, num: np.ndarray, den: int):
-        self.num = num
+        self.num = _stored(num)
         self.den = den
 
     def __getitem__(self, idx) -> "Batch":
@@ -112,14 +176,20 @@ def field_mul(x: Batch, y: Batch, field: CycField) -> Batch:
     D = len(mult)
     bound = absmax(x.num) * absmax(y.num) * int(np.abs(mult).sum(axis=(0, 1)).max())
     xn, yn, c = exact(bound, x.num, y.num, mult)
-    outer = xn[..., :, None] * yn[..., None, :]
-    z = outer.reshape(*outer.shape[:-2], D * D) @ c.reshape(D * D, D)
+    xn, yn = _leading(xn, yn)
+    shape = np.broadcast_shapes(xn.shape[:-1], yn.shape[:-1])
+    z = np.empty(shape + (D,), dtype=np.int64 if c.dtype != object else object)
+    for idx in _pieces(shape, D * D):
+        xi, yi = xn[_at(idx, xn.shape)], yn[_at(idx, yn.shape)]
+        outer = xi[..., :, None] * yi[..., None, :]
+        z[idx] = outer.reshape(*outer.shape[:-2], D * D) @ c.reshape(D * D, D)
     return Batch(z, x.den * y.den)
 
 
 def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
     """Products x[...] y[...] in the algebra with intersection tensor p,
-    broadcasting the leading axes."""
+    broadcasting the leading axes; pieces are cut along the leading axes of
+    y, so that each element of y builds its operator R once."""
     mult = field.structure
     nm, D = x.num.shape[-2:]
     bound = (
@@ -129,12 +199,26 @@ def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
         * int(np.abs(mult).sum(axis=(0, 1)).max())
     )
     xn, yn, pp, c = exact(bound, x.num, y.num, p, mult)
-    # right multiplication by y: R[..., k, t, i, r] = sum_js y[..., j, s] p[i, j, k] c[r, s, t]
-    R = np.tensordot(np.tensordot(yn, pp, axes=([-2], [1])), c, axes=([-3], [1]))
-    L = yn.ndim - 2
-    R = R.transpose(*range(L), L + 1, L + 3, L, L + 2).reshape(*yn.shape[:-2], nm * D, nm * D)
-    z = np.matmul(R, xn.reshape(*xn.shape[:-2], nm * D, 1))
-    return Batch(z.reshape(*z.shape[:-2], nm, D), x.den * y.den)
+    xn, yn = _leading(xn, yn)
+    lead, ylead = np.broadcast_shapes(xn.shape[:-2], yn.shape[:-2]), yn.shape[:-2]
+    z = np.empty(lead + (nm, D), dtype=np.int64 if c.dtype != object else object)
+    # the axes y is broadcast along become the columns of one GEMM per
+    # element of y, in place of one GEMV per element of the product
+    A = len(ylead)
+    cols = [j for j in range(A) if ylead[j] == 1]
+    rows = [j for j in range(A) if ylead[j] != 1]
+    L = len(rows)
+    for idx in _pieces(ylead, (nm * D) ** 2):
+        yi, xi = yn[idx], xn[_at(idx, xn.shape[:-2], ylead)]
+        yi = yi.reshape(*(yi.shape[j] for j in rows), nm, D)
+        # right multiplication by y: R[..., k, t, i, r] = sum_js y[..., j, s] p[i, j, k] c[r, s, t]
+        R = np.tensordot(np.tensordot(yi, pp, axes=([-2], [1])), c, axes=([-3], [1]))
+        R = R.transpose(*range(L), L + 1, L + 3, L, L + 2).reshape(*yi.shape[:-2], nm * D, nm * D)
+        xt = xi.reshape(*xi.shape[:A], nm * D).transpose(*rows, A, *cols)
+        zi = R @ xt.reshape(*xt.shape[: L + 1], -1)
+        zi = zi.reshape(*zi.shape[:-1], *xt.shape[L + 1 :]).transpose(np.argsort(rows + [A] + cols))
+        z[_at(idx, ylead)] = zi.reshape(*zi.shape[:A], nm, D)
+    return Batch(z, x.den * y.den)
 
 
 def adjoint(x: Batch, tpose: list[int], field: CycField) -> Batch:

@@ -103,12 +103,15 @@ class AssociationScheme:
             raise NotAScheme("relation set is not closed under transpose")
         tpose = [int(t) for t in pairs.argmax(axis=1)]
 
-        # rows[x, i], cols[y, i]: the count of class i in row x, column y
+        # rows[x, i]: the count of class i in row x.  Columns need no count of
+        # their own: with transposition closed, column y holds class i as often
+        # as row y holds tpose[i], and when every row holds class i k_i times,
+        # counting the positions of class i and of its transpose gives
+        # v k_i = v k_tpose[i], so constant rows make constant columns
         offset = nm * np.arange(v)
         rows = np.bincount((L + offset[:, None]).reshape(-1), minlength=v * nm)
-        cols = np.bincount((L + offset[None, :]).reshape(-1), minlength=v * nm)
-        rows, cols = rows.reshape(v, nm), cols.reshape(v, nm)
-        if (rows != rows[0]).any() or (cols != rows[0]).any():
+        rows = rows.reshape(v, nm)
+        if (rows != rows[0]).any():
             raise NotAScheme("row/column sums not constant")
         valencies = [int(k) for k in rows[0]]
 

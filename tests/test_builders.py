@@ -7,6 +7,7 @@ from gwschemes import (
     bgw_build,
     bgw_incidence,
     bgw_labels,
+    bgw_matrix,
     gh_build,
     gh_labels,
 )
@@ -125,6 +126,15 @@ class TestKroneckerReference:
         for level in range(m):
             want = sum(ref[:m]) + ref[m + level]
             assert np.array_equal(bgw_incidence(q, m, level), want), level
+
+    @pytest.mark.parametrize("q,m", BGW_BUILDABLE, ids=lambda c: str(c))
+    def test_bgw_label_formula(self, q, m):
+        # the per-entry label of the module docstring, one entry at a time
+        W, L = bgw_matrix(q, m).tolist(), bgw(q, m).L.tolist()
+        for x, row in enumerate(L):
+            for y, label in enumerate(row):
+                (i, a), (j, b) = divmod(x, m), divmod(y, m)
+                assert label == ((b - a) % m if i == j else m + (m - 1 - a - b - W[i][j]) % m)
 
     @pytest.mark.parametrize("q", GH_GRID, ids=lambda q: f"q{q}")
     def test_gh_label_matrix(self, q):

@@ -185,6 +185,13 @@ class TestLabelMatrix:
         with pytest.raises(NotAScheme, match="row/column sums"):
             AssociationScheme.from_matrices(L, ["0", "1", "2"])
 
+    def test_constant_rows_with_uneven_columns_rejected(self):
+        # every row holds each class once, but column 0 holds class 2 twice:
+        # columns are not counted, and the transpose check rejects it
+        L = np.array([[0, 1, 2], [2, 0, 1], [2, 1, 0]])
+        with pytest.raises(NotAScheme, match="transpose"):
+            AssociationScheme.from_matrices(L, ["0", "1", "2"])
+
     def test_float32_bound_checked(self):
         # a zero-stride view: v = 2**24 points without the memory
         L = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**24, 2**24))

@@ -597,6 +597,21 @@ class TestPackedOnce:
 
 
 KERNEL_CASES = {"bgw52": ("bgw_es", (5, 2)), "bgw73": ("bgw_es", (7, 3)), "gh3": ("gh_es", (3,))}
+# the kernel limits that force each tier: float64 is the default for small bounds
+TIERS = {"float64": {}, "int64": {"FLOAT_LIMIT": 0}, "object": {"LIMIT": 0}}
+
+
+def tiers_seen(monkeypatch) -> set:
+    """The dtypes kernel.exact picks from here on, collected as it runs."""
+    seen, exact = set(), kernel.exact
+
+    def spy(bound, *arrays):
+        out = exact(bound, *arrays)
+        seen.update(a.dtype for a in out)
+        return out
+
+    monkeypatch.setattr(kernel, "exact", spy)
+    return seen
 
 
 @st.composite
@@ -661,15 +676,18 @@ class TestKernel:
         along = kernel.combine(w, kernel.Batch(x.num[None], 1), axis=1)
         assert along.num[0].tolist() == got.num.tolist()
 
+    @pytest.mark.parametrize("tier", sorted(TIERS))
     @pytest.mark.parametrize("maker,args", [("bgw", (7, 3)), ("gh", (3,))], ids=["bgw73", "gh3"])
-    def test_object_path_certifies_the_same_tables(self, monkeypatch, maker, args):
+    def test_each_tier_certifies_the_same_tables(self, monkeypatch, maker, args, tier):
         scheme = getattr(cases, maker)(*args)
         es = getattr(cases, maker + "_es")(*args)
         fe = getattr(cases, maker + "_fused")(*args)
         build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
         fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
-        # with no int64 headroom every kernel operation takes the object path
-        monkeypatch.setattr(kernel, "LIMIT", 0)
+        # with the limits below the tier set to 0, every kernel operation runs on it
+        for name, value in TIERS[tier].items():
+            monkeypatch.setattr(kernel, name, value)
+        seen = tiers_seen(monkeypatch)
         es2 = build(scheme, *args)
         assert es2.eigenmatrix_p() == es.eigenmatrix_p()
         fe2 = FusedEigensystem(es2, fusion)
@@ -677,6 +695,88 @@ class TestKernel:
         bad = mutated(es2, len(es2.blocks) - 1, (1, 2), lambda e: es2.algebra.rmul(2, e))
         with pytest.raises(VerificationError, match="unit relation failed"):
             Eigensystem(es2.algebra, bad)
+        assert seen == {np.dtype(tier)}
+
+    def test_tier_boundaries(self):
+        a = np.array([3])
+        got = [kernel.exact(b, a)[0].dtype for b in (2**53 - 1, 2**53, 2**62 - 1, 2**62)]
+        assert got == [np.float64, np.int64, np.int64, object]
+
+    def test_combination_past_the_float64_bound(self, monkeypatch):
+        # 2**53 + 1 is the first integer float64 cannot hold
+        x = kernel.Batch(np.array([[[2**53]], [[1]]]), 1)
+        w = np.array([[1, 1]])
+        got = kernel.combine(w, x)
+        assert got.num.dtype == np.int64
+        assert got.num.tolist() == [[[2**53 + 1]]]
+        # the control has teeth: run on float64 past its bound, it rounds
+        monkeypatch.setattr(kernel, "FLOAT_LIMIT", 2**62)
+        assert kernel.combine(w, x).num.tolist() == [[[2**53]]]
+
+    def test_batches_stay_integer(self, monkeypatch):
+        es = cases.bgw_es(7, 3)
+        alg, field = es.algebra, es.algebra.field
+        seen = tiers_seen(monkeypatch)
+        U = alg.pack([b.units[ij] for b in es.blocks for ij in sorted(b.units)])
+        out = [
+            U,
+            U[1:3],
+            U.sum(),
+            alg.mul(U[:, None], U[None, :]),
+            kernel.field_mul(U, U[:, None], field),
+            kernel.combine(np.array([[1, -2], [3, 0]]), U[:2]),
+            kernel.combine(np.array([[2, 1]]), Batch(U.num[:, :2], U.den), axis=1),
+            kernel.adjoint(U, alg.scheme.tpose, field),
+        ]
+        assert np.dtype(np.float64) in seen
+        assert [b.num.dtype for b in out] == [np.dtype(np.int64)] * len(out)
+        assert out[0].equal(Batch(2 * U.num, 2 * U.den)).all()
+        assert kernel._scaled(U.num, 3).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "maker,args", [("bgw", (7, 3)), ("gh", (3,)), ("bgw", (8, 7))], ids=["bgw73", "gh3", "bgw87"]
+    )
+    def test_one_element_pieces_give_the_same_tables(self, monkeypatch, maker, args):
+        scheme = getattr(cases, maker)(*args)
+        es = getattr(cases, maker + "_es")(*args)
+        fe = getattr(cases, maker + "_fused")(*args)
+        build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
+        monkeypatch.setattr(kernel, "BUDGET", 1)
+        es2 = build(scheme, *args)
+        tables = (es2.eigenmatrix_p(), es2.eigenmatrix_q(), es2.character_table())
+        assert tables == (es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table())
+        fe2 = FusedEigensystem(es2, fusion)
+        assert (fe2.phat, fe2.qhat) == (fe.phat, fe.qhat)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 22])
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [((3, 1), (1, 2)), ((2, 3), (2, 1)), ((1, 3), (2, 1)), ((2,), (3, 2)), ((), (2,))],
+        ids=["outer", "paired-rows", "crossed", "x-padded", "x-single"],
+    )
+    def test_broadcast_products_match_single_products(self, monkeypatch, budget, xs, ys):
+        monkeypatch.setattr(kernel, "BUDGET", budget)
+        alg = cases.bgw_es(7, 3).algebra
+        rng = np.random.default_rng(7)
+        nm, D = alg.scheme.nclasses, alg.field.dim
+        x = Batch(rng.integers(-9, 10, xs + (nm, D)), 2)
+        y = Batch(rng.integers(-9, 10, ys + (nm, D)), 3)
+        got = alg.mul(x, y)
+        xb, yb = (np.broadcast_to(b.num, got.num.shape) for b in (x, y))
+        for n in np.ndindex(got.num.shape[:-2]):
+            assert got[n].equal(alg.mul(Batch(xb[n], 2), Batch(yb[n], 3))), n
+
+    @pytest.mark.parametrize("budget", [1, 5, 12, 30, 1000])
+    def test_pieces_tile_the_grid(self, monkeypatch, budget):
+        monkeypatch.setattr(kernel, "BUDGET", budget)
+        shape, cell = (2, 3, 5), 2
+        hits = np.zeros(shape, dtype=int)
+        for idx in kernel._pieces(shape, cell):
+            box = hits[idx]
+            assert box.size <= max(budget // cell, 1)
+            box += 1
+        assert (hits == 1).all()
 
     def test_structure_tensor(self):
         # against the numeric embedding: e_r e_s = sum_t mult[r, s, t] e_t
