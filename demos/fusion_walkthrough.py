@@ -8,9 +8,11 @@ simple blocks, and the test needs a partition of the unit index pairs of
 every block into cells on which the fused P-column sums are constant, with
 one cell per fused class in total.
 
-This demo runs the search for (q, m) = (7, 3) and shows why the naive
-"product form" (cells I_a x I_b built from one partition of {1..d} per
-block) cannot work there, while general cells can.
+This demo runs the search for (q, m) = (7, 3).  The search groups the unit
+pairs of each block by their fused P-column sums, and reports whether the
+cells it found have the "product form" (cells I_a x I_b built from one
+partition of {1..d} per block).  They cannot have it here, and general cells
+certify the fusion.
 """
 from gwschemes import bgw_build, bgw_symmetric_fusion, bm_search, scalar_to_str
 from gwschemes.spectra import FusedEigensystem, bgw_eigensystem
@@ -31,8 +33,8 @@ def main():
 
     # product-form cells would force the 2-dimensional block to contribute a
     # square number of cells, but the fused class count leaves room for only
-    # 2 cells covering its 4 unit pairs; the search tries the product form
-    # first, finds none, and then finds the diagonal/off-diagonal cells
+    # 2 cells covering its 4 unit pairs; the signature cells are the
+    # diagonal/off-diagonal ones, so the certificate is not in product form
     cert = bm_search(es, partition)
     print(f"product-form certificate: {'found' if cert.product_form else 'none'}")
     print(f"general certificate: {cert.cell_count} cells"

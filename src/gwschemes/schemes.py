@@ -145,15 +145,11 @@ class AssociationScheme:
     def fuse(self, partition: list[list[int]]) -> "AssociationScheme":
         """Merge relations along a partition of class indices and re-verify.
 
-        The cell containing 0 must be {0}.  The fused family is verified from
-        scratch, so a partition that does not yield a scheme raises NotAScheme.
+        The partition must pass check_partition (ValueError otherwise).  The
+        fused family is verified from scratch, so a partition that does not
+        yield a scheme raises NotAScheme.
         """
-        seen = sorted(i for cell in partition for i in cell)
-        if seen != list(range(self.nclasses)):
-            raise ValueError("partition must cover every class exactly once")
-        for cell in partition:
-            if 0 in cell and sorted(cell) != [0]:
-                raise ValueError("the identity class must stay alone")
+        check_partition(partition, self.nclasses)
         cell_of = np.empty(self.nclasses, dtype=np.int64)
         for c, cell in enumerate(partition):
             cell_of[cell] = c
@@ -165,6 +161,19 @@ class AssociationScheme:
             f"AssociationScheme(v={self.v}, classes={self.nclasses}, "
             f"{self.classify()})"
         )
+
+
+def check_partition(partition: list[list[int]], nclasses: int) -> None:
+    """Raise ValueError unless the partition splits the classes 0..nclasses-1
+    into nonempty cells, each class in exactly one cell, with {0} a cell."""
+    seen = sorted(i for cell in partition for i in cell)
+    if seen != list(range(nclasses)):
+        raise ValueError("partition must cover every class exactly once")
+    if any(len(cell) == 0 for cell in partition):
+        raise ValueError("partition cells must be nonempty")
+    for cell in partition:
+        if 0 in cell and len(cell) != 1:
+            raise ValueError("the identity class must stay alone")
 
 
 def _certify_closure(L, labels, p, tpose, valencies) -> None:

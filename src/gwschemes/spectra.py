@@ -28,7 +28,7 @@ from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
 from .errors import InputError, VerificationError
 from .kernel import Batch
-from .schemes import AssociationScheme
+from .schemes import AssociationScheme, check_partition
 
 Elem = dict  # class index -> CycScalar, zero coefficients never stored
 
@@ -448,11 +448,13 @@ class FusedEigensystem:
 
     What depends on the partition is verified here: the constancy of the
     coefficients on the fused classes, the eigenvalue equations from both
-    sides, and fused P/Q duality.  The idempotents are kept as a Batch.
+    sides, and fused P/Q duality.  The idempotents are kept as a Batch.  A
+    malformed partition raises ValueError (see schemes.check_partition).
     """
 
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
         alg = es.algebra
+        check_partition(partition, alg.scheme.nclasses)
         self.algebra = alg
         self.partition = [sorted(cell) for cell in partition]
         names: list[str] = []
@@ -485,7 +487,7 @@ class FusedEigensystem:
     def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
         for cell in self.partition:
-            if not cell or (E.num[:, cell] != E.num[:, cell[:1]]).any():
+            if (E.num[:, cell] != E.num[:, cell[:1]]).any():
                 raise VerificationError("idempotent coefficients not constant on a fused class")
         return _q(self.algebra, E, [cell[0] for cell in self.partition])
 
@@ -528,7 +530,9 @@ class FusionCertificate:
     per-fused-class sums of the representation images are constant on each
     cell; the total cell count equals the fused class count; and the linear
     span of the cell sums is closed under multiplication (verified
-    combinatorially), which makes the criterion sufficient.
+    combinatorially), which makes the criterion sufficient.  product_form is
+    read off the cells: True when each block's cells are the products
+    I_a x I_b of one partition {I_a} of its unit indices.
     """
 
     block_names: list[str]
@@ -536,17 +540,6 @@ class FusionCertificate:
     product_form: bool
     cell_count: int
     target: int
-
-
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 def _signatures(es: Eigensystem, partition: list[list[int]]):
@@ -584,58 +577,49 @@ def _closure_ok(cells: list[tuple[tuple[int, int], ...]]) -> bool:
     return True
 
 
+def _is_product(cells: list[tuple[tuple[int, int], ...]]) -> bool:
+    """Whether the sorted cells of one block are the products I_a x I_b of
+    one partition {I_a} of its unit indices; the I_a are then read off the
+    cells that hold a diagonal pair."""
+    parts = [[i for i, j in cell if i == j] for cell in cells]
+    parts = [Ia for Ia in parts if Ia]
+    products = {tuple((i, j) for i in Ia for j in Ib) for Ia in parts for Ib in parts}
+    return products == set(cells)
+
+
 def bm_search(es: Eigensystem, partition: list[list[int]]):
     """Search for a fusion certificate for the given class partition.
 
-    First tries canonical product partitions (cells I_a x I_b for a single
-    partition {I_a} of the unit indices of each block, so the cell count is a
-    sum of squares).  If none reaches the target cell count, falls back to
-    general cell partitions grouped by signature, additionally verifying
-    multiplicative closure of the cell-sum span.  Returns a FusionCertificate,
-    whose product_form tells which of the two was found, or None.
+    The unit index pairs of each block are grouped by signature, the
+    fused-class sums of their representation images; the groups are the
+    cells.  A certificate needs the span of each block's cell sums closed
+    under multiplication and one cell per fused class in total.  Returns a
+    FusionCertificate or None; a malformed partition raises ValueError (see
+    schemes.check_partition).
+
+    product_form is read off the cells (_is_product).  Whenever a product-form
+    certificate exists, it is the one returned here; let target be the number
+    of cells of the partition, which check_partition makes disjoint and
+    nonempty.
+
+    - Refinement.  Each product cell I_a x I_b has one signature, so in each
+      block the product cells refine the signature groups, and there are at
+      least as many of them.
+    - Count.  The fused sums A^_t of disjoint nonempty cells are linearly
+      independent, and the verified units map A to (phi_k(A))_k injectively
+      (phi_matrices proves completeness).  So the signature rows have rank
+      target, and there are at least target signature groups in all.
+    - Conclusion.  A product certificate has exactly target cells, so in
+      every block it is the signature grouping.  Its cell sums multiply as
+      E_ab E_cd = [b = c] |I_b| E_ad, so they pass _closure_ok, and this
+      search returns the same cells.
     """
+    check_partition(partition, es.algebra.scheme.nclasses)
     target = len(partition)
-    sigs = _signatures(es, partition)
     names = [blk.name for blk in es.blocks]
-
-    # the product partitions of each block whose cells have one signature
-    options: list[list[list[tuple[tuple[int, int], ...]]]] = []
-    for blk, table in zip(es.blocks, sigs):
-        opts = []
-        for parts in _set_partitions(list(range(1, blk.dim + 1))):
-            cells = [tuple((i, j) for i in Ia for j in Ib) for Ia in parts for Ib in parts]
-            if all(len({table[ij] for ij in cell}) == 1 for cell in cells):
-                opts.append(cells)
-        options.append(opts)
-
-    # pick one valid product partition per block hitting the target count
-    def dfs(bi: int, count: int, chosen):
-        if count > target:
-            return None
-        if bi == len(options):
-            return list(chosen) if count == target else None
-        for opt in options[bi]:
-            chosen.append(opt)
-            res = dfs(bi + 1, count + len(opt), chosen)
-            if res is not None:
-                return res
-            chosen.pop()
-        return None
-
-    found = dfs(0, 0, [])
-    if found is not None:
-        return FusionCertificate(
-            block_names=names,
-            cells=found,
-            product_form=True,
-            cell_count=target,
-            target=target,
-        )
-
-    # general cells: group unit index pairs by signature
     all_cells = []
     count = 0
-    for table in sigs:
+    for table in _signatures(es, partition):
         groups: dict[tuple, list[tuple[int, int]]] = {}
         for ij, sig in table.items():
             groups.setdefault(sig, []).append(ij)
@@ -649,7 +633,7 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
     return FusionCertificate(
         block_names=names,
         cells=all_cells,
-        product_form=False,
+        product_form=all(_is_product(cells) for cells in all_cells),
         cell_count=count,
         target=target,
     )

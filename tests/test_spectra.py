@@ -14,6 +14,7 @@ from gwschemes import (
     CycField,
     CycScalar,
     FiniteField,
+    NotAScheme,
     VerificationError,
     bgw_eigensystem,
     bgw_symmetric_fusion,
@@ -873,3 +874,79 @@ class TestFusionCertificates:
         es = cases.bgw_es(13, 3)
         bad = [[0], [1, 2], [3, 4], [5]]
         assert bm_search(es, bad) is None
+
+
+def class_partitions(nm: int):
+    """Every partition of the classes 0..nm-1 with {0} a cell, from the
+    restricted growth strings of 1..nm-1 (nm >= 2)."""
+    growth = [0] * (nm - 1)
+    while True:
+        cells: list[list[int]] = [[] for _ in range(max(growth) + 1)]
+        for c, t in enumerate(growth, start=1):
+            cells[t].append(c)
+        yield [[0]] + cells
+        # the next restricted growth string: bump the last entry that may grow
+        i = nm - 2
+        while i > 0 and growth[i] > max(growth[:i]):
+            i -= 1
+        if i == 0:
+            return
+        growth[i] += 1
+        growth[i + 1 :] = [0] * (nm - 2 - i)
+
+
+# instance -> (partitions, fusions, certified by bm_search), with {0} a cell
+FUSION_COUNTS = {
+    ("bgw", 5, 2): (5, 3, 1),
+    ("bgw", 7, 3): (52, 7, 2),
+    ("bgw", 4, 3): (52, 10, 2),
+    ("gh", 3): (203, 13, 2),
+    ("bgw", 9, 4): (877, 20, 2),
+}
+
+
+class TestEveryPartition:
+    @pytest.mark.parametrize("case", sorted(FUSION_COUNTS), ids=str)
+    def test_certified_partitions_are_fusions(self, case):
+        scheme = getattr(cases, case[0])(*case[1:])
+        es = getattr(cases, case[0] + "_es")(*case[1:])
+        discrete = [[c] for c in range(scheme.nclasses)]
+        partitions = fusions = certified = 0
+        for partition in class_partitions(scheme.nclasses):
+            partitions += 1
+            try:
+                scheme.fuse(partition)
+                fusions += 1
+                fusion = True
+            except NotAScheme:
+                fusion = False
+            cert = bm_search(es, partition)
+            if cert is None:
+                continue
+            certified += 1
+            assert fusion, partition
+            assert cert.cell_count == cert.target == len(partition)
+            assert cert.product_form == (partition == discrete), partition
+        assert (partitions, fusions, certified) == FUSION_COUNTS[case]
+
+
+MALFORMED = {
+    "uncovered": ([[0]], "cover every class exactly once"),
+    "class-twice": ([[0], [1], [1], [2], [3]], "cover every class exactly once"),
+    "identity-merged": ([[0, 1], [2], [3]], "identity class must stay alone"),
+    "empty-cell": ([[0], [1], [], [2], [3]], "cells must be nonempty"),
+}
+ENTRY_POINTS = {
+    "fuse": lambda es, partition: es.algebra.scheme.fuse(partition),
+    "FusedEigensystem": FusedEigensystem,
+    "bm_search": bm_search,
+}
+
+
+class TestMalformedPartitions:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_raises_value_error(self, entry, shape):
+        partition, message = MALFORMED[shape]
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](cases.bgw_es(5, 2), partition)
