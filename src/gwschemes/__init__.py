@@ -54,7 +54,6 @@ from .serialize import (
     save_scheme,
     scalar_from_str,
     scalar_to_str,
-    scheme_from_dict,
     table_to_csv,
     table_to_json,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "save_scheme",
     "scalar_from_str",
     "scalar_to_str",
-    "scheme_from_dict",
     "table_to_csv",
     "table_to_json",
     "__version__",

@@ -82,15 +82,15 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     lam = v - 2
     if lam % m != 0:
         raise VerificationError(f"lambda={lam} not divisible by m={m}")
-    for x in range(v):
-        for y in range(x + 1, v):
-            ok = (W[x] != BLANK) & (W[y] != BLANK)
-            diffs = (W[x, ok] - W[y, ok]) % m
-            counts = np.bincount(diffs, minlength=m)
-            if not (counts == lam // m).all():
-                raise VerificationError(
-                    f"rows {x},{y}: difference counts {counts.tolist()}"
-                )
+    for x in range(v - 1):
+        # counts[y - x - 1, d]: the columns nonblank in rows x, y with W[x] - W[y] = d mod m
+        ok = (W[x] != BLANK) & (W[x + 1 :] != BLANK)
+        diffs = ((W[x] - W[x + 1 :]) % m + m * np.arange(v - x - 1)[:, None])[ok]
+        counts = np.bincount(diffs, minlength=(v - x - 1) * m).reshape(-1, m)
+        bad = (counts != lam // m).any(axis=1)
+        if bad.any():
+            y = int(np.argmax(bad))
+            raise VerificationError(f"rows {x},{x + 1 + y}: difference counts {counts[y].tolist()}")
     return {
         "v": v,
         "k": v - 1,

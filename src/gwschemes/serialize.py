@@ -235,16 +235,6 @@ def _decode_rows(Lb: np.ndarray, block: bytes, nlabels: int) -> bool:
     return True
 
 
-def scheme_from_dict(data: dict) -> tuple[AssociationScheme, dict | None]:
-    """The verified scheme of a file record, and its provenance.
-
-    The record's shape is checked before anything is allocated; a malformed
-    record raises InputError, a well-formed one that is no scheme NotAScheme.
-    """
-    L = _label_matrix(data)
-    return AssociationScheme.from_matrices(L, data["labels"]), data.get("provenance")
-
-
 def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     """The bytes of the scheme file, chunk by chunk: the text json.dumps gives
     for the record {"version", "v", "labels", "rows", "provenance"} (the last

@@ -16,11 +16,18 @@ relations E_ij E_i'j' = [k = k'][j = i'] E_ij'.  The eigenmatrix P collects
 the irreducible representation images phi_k(A_l), the eigenmatrix Q the
 coefficients of the units over the adjacency basis, and the two are linked by
 the duality m_k P[(k,ij),l] = v_l conj(Q[l,(k,ij)]).
+
+The unit relations are the one batch of algebra products.  P is read off the
+units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k and certified by
+completeness (Eigensystem.phi_matrices); the fused P^ is read off the
+fused-class sums of phi, whose 2 x 2 images must be symmetric under
+(i, j) -> (3-i, 3-j) (FusedEigensystem).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -91,19 +98,6 @@ def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
     """Q[t, k] = v * (coefficient of classes[t] in X[k]), as a batch of scalars."""
     cols = Batch(X.num[:, classes].swapaxes(0, 1)[:, :, None, :], X.den)
     return kernel.combine(alg.scheme.v * np.eye(len(classes), dtype=np.int64), cols)
-
-
-def _quotients(field: CycField, Y: Batch, X: Batch) -> Batch:
-    """The scalars Y[n, t] / X[n], read at the first nonzero class of X[n],
-    as a batch of shape (n, t); one field inversion per distinct leading
-    scalar.  The leading scalars share X.den, so equal ones have equal rows."""
-    n = np.arange(len(X.num))
-    l0 = (X.num != 0).any(axis=-1).argmax(axis=-1)
-    rows = {}
-    which = [rows.setdefault(tuple(r), len(rows)) for r in X.num[n, l0].tolist()]
-    inv = kernel.pack(field, [[CycScalar(field, r, X.den).inv()] for r in rows])
-    at_l0 = Batch(Y.num[n, :, l0][:, :, None, :], Y.den)
-    return kernel.field_mul(at_l0, inv[which][:, None], field)
 
 
 def _duality_failures(field: CycField, P: Batch, mult, Q: Batch, valencies) -> np.ndarray:
@@ -212,35 +206,33 @@ class Eigensystem:
     def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
         """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k.
 
-        Computed from E_ii A_l E_jj = phi E_ij and verified: the remainder is
-        exactly phi E_ij, and each A_l equals the sum of its block images over
-        the units.  The images are kept as a batch of scalars phi[unit, l],
-        computed on the first call and formatted on each.
+        Read off the verified units by the trace form.  If A_l is the sum over
+        the units of phi[(k,i,j), l] E_ij, the unit relations give E_ji A_l =
+        sum_j' phi[(k,i,j'), l] E_jj', and tr E_jj' = [j = j'] m_k (for j != j',
+        tr(E_jj E_jj') = tr(E_jj' E_jj) = 0).  With tr(A_a A_l) = v p[a, l, 0],
+
+            phi[(k,i,j), l] = tr(E_ji A_l) / m_k = (v / m_k) sum_a E_ji[a] p[a, l, 0].
+
+        The nm units are independent (E_ii X E_jj = c E_ij for X = sum c E, and
+        E_ij E_ji = E_ii != 0), so they span the algebra, and the completeness
+        check A_l = sum phi E_ij made here alone certifies phi: E_ii A_l E_jj =
+        phi E_ij follows from the unit relations.  The images are kept as a
+        batch of scalars phi[unit, l], computed on the first call and formatted
+        on each.
         """
         alg = self.algebra
         nm = alg.scheme.nclasses
         keys, U = self._keys, self._U
         pos = {key: n for n, key in enumerate(keys)}
         if self._phi is None:
-            A = alg.adjacency()
-            diag = alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :])
-            # Y[n, l] = E_ii A_l E_jj for the unit n = E_ij
-            Y = alg.mul(diag, U[[pos[(b, j, j)] for b, _, j in keys]][:, None])
-            phi = _quotients(alg.field, Y, U)
-            phiE = kernel.field_mul(phi, U[:, None], alg.field)
-            bad = ~phiE.equal(Y)
-            if bad.any():
-                # the first failure in block, l, i, j order
-                n, l = min(
-                    np.argwhere(bad).tolist(), key=lambda nl: (keys[nl[0]][0], nl[1], nl[0])
-                )
-                b, i, j = keys[n]
-                raise VerificationError(
-                    f"A_{l} does not act as a scalar on block {self.blocks[b].name} "
-                    f"at ({i},{j})"
-                )
+            L = lcm(*self._mult)
+            scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in keys])
+            Ut = U[[pos[(b, j, i)] for b, i, j in keys]]  # E_ji in the place of E_ij
+            X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
+            phi = Batch(X.num[:, :, None, :], X.den * L)
             # completeness: A_l = sum over blocks and units of phi * E_ij
-            bad = ~phiE.sum().equal(A)
+            phiE = kernel.field_mul(phi, U[:, None], alg.field)
+            bad = ~phiE.sum().equal(alg.adjacency())
             if bad.any():
                 l = int(np.flatnonzero(bad)[0])
                 raise VerificationError(f"A_{l} is not spanned by the matrix units")
@@ -430,6 +422,13 @@ def gh_symmetric_fusion(q: int) -> list[list[int]]:
     return out
 
 
+def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> Batch:
+    """S[unit, t] = sum over the classes l of cell t of phi[unit, l]: the
+    images of the fused class sums, as a batch of scalars of shape (unit, t)."""
+    phi = es._phi_batch()
+    return kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), phi, axis=1)
+
+
 class FusedEigensystem:
     """Primitive idempotents of a symmetrizing fusion, with fused P and Q.
 
@@ -448,8 +447,20 @@ class FusedEigensystem:
 
     What depends on the partition is verified here: the constancy of the
     coefficients on the fused classes, the eigenvalue equations from both
-    sides, and fused P/Q duality.  The idempotents are kept as a Batch.  A
-    malformed partition raises ValueError (see schemes.check_partition).
+    sides, and fused P/Q duality.  The eigenvalue equations need no algebra
+    product.  phi is certified (Eigensystem.phi_matrices), so A^_t is the sum
+    over the units of S[unit, t] E_ij, where S holds the fused-class sums of
+    phi (_fused_sums).  On a 2-dimensional block A^_t acts as
+    M_t = [[a, b], [b', d]], and e+- = (1/2) sum_ij u_i u_j E_ij with
+    u = (1, +-1).  By the unit relations e A^_t = c e exactly when
+    u^T M_t = c u^T, and A^_t e = c e exactly when M_t u = c u.  For either
+    sign both hold exactly when a + b' = b + d and a + b = b' + d, that is
+    b = b' and a = d: S is unchanged when the block's units are read in
+    reverse (mirror).  Then c = a +- b = (1/2) sum_n twice[n] S[n, t], with
+    the weights that build the idempotents; a 1-dimensional block has
+    e = E_11 and c = S[(1,1), t], the same sum.  The idempotents are kept as
+    a Batch.  A malformed partition raises ValueError (see
+    schemes.check_partition).
     """
 
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
@@ -460,6 +471,7 @@ class FusedEigensystem:
         names: list[str] = []
         mult: list[int] = []
         twice = []  # each idempotent times 2, as weights over the units
+        mirror: list[int] = []  # the unit (d+1-i, d+1-j) of each unit (i, j)
         start, width = 0, sum(blk.dim**2 for blk in es.blocks)
         for blk, mk in zip(es.blocks, es.multiplicities):
             if blk.dim not in (1, 2):
@@ -469,18 +481,19 @@ class FusedEigensystem:
             for suffix, w in signs.items():
                 names.append(blk.name + suffix)
                 mult.append(mk)
-                twice.append(np.zeros(width, dtype=np.int64))
-                twice[-1][start : start + len(w)] = w
+                twice.append([0] * start + w + [0] * (width - start - len(w)))
+            mirror += range(start + blk.dim**2 - 1, start - 1, -1)
             start += blk.dim**2
         self.names = names
         self.multiplicities = mult
-        E = kernel.combine(np.array(twice), es._U)
+        twice = np.array(twice)
+        E = kernel.combine(twice, es._U)
         self.idempotents = E = Batch(E.num, 2 * E.den)
         cells = _indicator(self.partition, alg.scheme.nclasses)
         self.fused_valencies = (cells @ np.array(alg.scheme.valencies)).tolist()
         Q = self._fused_q(E)
         self.qhat = _table(alg.field, Q)
-        P = self._fused_p(E, cells)
+        P = self._fused_p(_fused_sums(es, self.partition), twice, mirror)
         self.phat = _table(alg.field, P)
         self._check_duality(P, Q)
 
@@ -491,22 +504,19 @@ class FusedEigensystem:
                 raise VerificationError("idempotent coefficients not constant on a fused class")
         return _q(self.algebra, E, [cell[0] for cell in self.partition])
 
-    def _fused_p(self, E: Batch, cells: np.ndarray) -> Batch:
-        """Eigenvalues c[idempotent, fused class], from e A^_t = A^_t e = c e,
-        where A^_t is the sum of the classes in cell t."""
-        alg = self.algebra
-        H = kernel.combine(cells, alg.adjacency())
-        left = alg.mul(E[:, None], H[None, :])  # e A^_t, shape (n, ncells)
-        right = alg.mul(H[None, :], E[:, None])  # A^_t e
-        c = _quotients(alg.field, left, E)
-        bad = ~(kernel.field_mul(c, E[:, None], alg.field).equal(left) & right.equal(left))
+    def _fused_p(self, S: Batch, twice: np.ndarray, mirror: list[int]) -> Batch:
+        """Eigenvalues c[idempotent, fused class t] with e A^_t = A^_t e = c e,
+        read off the fused-class sums S[unit, t] (see the class docstring)."""
+        odd = (~S.equal(S[mirror])).astype(np.int64)  # (unit, t)
+        bad = (twice != 0).astype(np.int64) @ odd  # (idempotent, t)
         if bad.any():
             k, t = np.argwhere(bad)[0]
             raise VerificationError(
                 f"fused class {t} does not act as a scalar on idempotent "
                 f"{self.names[k]}"
             )
-        return c
+        c = kernel.combine(twice, S)
+        return Batch(c.num, 2 * c.den)
 
     def _check_duality(self, P: Batch, Q: Batch) -> None:
         bad = _duality_failures(
@@ -545,8 +555,7 @@ class FusionCertificate:
 def _signatures(es: Eigensystem, partition: list[list[int]]):
     """For each block, map (i, j) -> the fused-class sums of phi, as one
     integer vector over the denominator that all of them share."""
-    phi = es._phi_batch()
-    S = kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), phi, axis=1)
+    S = _fused_sums(es, partition)
     sigs: list[dict] = [{} for _ in es.blocks]
     for n, (b, i, j) in enumerate(es._keys):
         sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
@@ -591,8 +600,9 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
     """Search for a fusion certificate for the given class partition.
 
     The unit index pairs of each block are grouped by signature, the
-    fused-class sums of their representation images; the groups are the
-    cells.  A certificate needs the span of each block's cell sums closed
+    fused-class sums S[unit, t] of phi (_fused_sums, from which
+    FusedEigensystem reads its eigenvalues); the groups are the cells.  A
+    certificate needs the span of each block's cell sums closed
     under multiplication and one cell per fused class in total.  Returns a
     FusionCertificate or None; a malformed partition raises ValueError (see
     schemes.check_partition).

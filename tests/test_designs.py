@@ -1,4 +1,6 @@
 """Weighing matrices, Hadamard matrices, one-factorizations, Latin squares."""
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,20 @@ from gwschemes import (
     verify_one_factorization,
 )
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, BGW_OBSTRUCTED
+
+
+def first_failing_pair(W, m):
+    """Reference: the message for the first row pair x < y, in row-major
+    order, whose differences over the columns nonblank in both rows are not
+    equidistributed over Z_m; None when there is no such pair."""
+    v = len(W)
+    for x in range(v):
+        for y in range(x + 1, v):
+            ok = (W[x] != BLANK) & (W[y] != BLANK)
+            counts = np.bincount((W[x, ok] - W[y, ok]) % m, minlength=m)
+            if not (counts == (v - 2) // m).all():
+                return f"rows {x},{y}: difference counts {counts.tolist()}"
+    return None
 
 
 class TestBGW:
@@ -57,6 +73,29 @@ class TestBGW:
         W3[1, 2] = 3
         with pytest.raises(VerificationError, match="entries"):
             verify_bgw(W3, 3)
+
+    @pytest.mark.parametrize("q,m", [(7, 3), (13, 6), (8, 7), (9, 2)], ids=str)
+    @pytest.mark.parametrize("flips", [1, 2, 5])
+    def test_first_failing_pair_matches_the_pair_loop(self, q, m, flips):
+        rng = np.random.default_rng(100 * q + 10 * m + flips)
+        W = bgw_matrix(q, m)
+        for x, j in rng.integers(0, q + 1, size=(flips, 2)):
+            if W[x, j] != BLANK:
+                W[x, j] = (W[x, j] + rng.integers(1, m)) % m
+        want = first_failing_pair(W, m)
+        if want is None:
+            verify_bgw(W, m)
+        else:
+            with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+                verify_bgw(W, m)
+
+    def test_first_failing_pair_at_q529(self):
+        W = bgw_matrix(529, 2)
+        W[5, 7] = 1 - W[5, 7]
+        want = "rows 0,5: difference counts [263, 265]"
+        assert first_failing_pair(W, 2) == want
+        with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+            verify_bgw(W, 2)
 
     def test_incidence_is_point_block_matrix(self):
         N = bgw_incidence(5, 2, 0)

@@ -568,7 +568,10 @@ class TestPackedOnce:
         assert (fe.phat, fe.qhat) == (fe_ref.phat, fe_ref.qhat)
         assert bm_search(es, fusion) == bm_search(ref, fusion)
 
-    def test_one_pack_and_two_fused_product_batches(self, monkeypatch):
+    def test_one_pack_and_no_product_past_the_unit_relations(self, monkeypatch):
+        # the unit-relation batch of Eigensystem.verify is the only product
+        # batch: phi, P, Q, T, the dualities and the fused system are read
+        # off the units by the trace form and the fused-class sums
         calls = {"pack": 0, "mul": 0}
 
         def counted(name):
@@ -583,18 +586,133 @@ class TestPackedOnce:
         monkeypatch.setattr(SchemeAlgebra, "pack", counted("pack"))
         monkeypatch.setattr(SchemeAlgebra, "mul", counted("mul"))
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table(), es.check_pq_duality()
-        bm_search(es, bgw_symmetric_fusion(3))
-        assert calls["pack"] == 1
-        # e A^_t and A^_t e, one batch each
-        before = calls["mul"]
+        assert calls == {"pack": 1, "mul": 1}
+        es.phi_matrices(), es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table()
+        es.check_pq_duality()
         FusedEigensystem(es, bgw_symmetric_fusion(3))
-        assert (calls["pack"], calls["mul"] - before) == (1, 2)
+        bm_search(es, bgw_symmetric_fusion(3))
+        assert calls == {"pack": 1, "mul": 1}
 
     def test_packed_units_are_read_only(self):
         es = cases.bgw_es(7, 3)
         with pytest.raises(ValueError, match="read-only"):
             es._U.num[0] = 0
+
+
+def fused_sum(alg, cell):
+    """The fused class sum of the classes of cell, as a batch of one element."""
+    return alg.pack([{l: alg.field.one() for l in cell}])
+
+
+def fused_idempotents(es):
+    """Names and Elem dicts of the idempotents of the symmetrizing fusion:
+    E_11 for a 1-dimensional block, (E_11 + E_22 +- (E_12 + E_21)) / 2 for
+    a 2-dimensional one."""
+    half = es.algebra.field.rat(Fraction(1, 2))
+    out = []
+    for blk in es.blocks:
+        u = blk.units
+        if blk.dim == 1:
+            out.append((blk.name, u[(1, 1)]))
+            continue
+        for suffix, sign in (("+", half), ("-", -half)):
+            e = {}
+            for c, key in ((half, (1, 1)), (half, (2, 2)), (sign, (1, 2)), (sign, (2, 1))):
+                for l, x in u[key].items():
+                    e[l] = e.get(l, es.algebra.field.zero()) + c * x
+            out.append((blk.name + suffix, {l: x for l, x in e.items() if x}))
+    return out
+
+
+def fused_reference(es, partition):
+    """P^ of the symmetrizing fusion by the definition, with algebra products:
+    the idempotent coefficients are constant on each fused class, e A^_t =
+    A^_t e = c e with c read at the first nonzero class of e, and m_k c =
+    v_t conj(Q^[t][k]).  Raises VerificationError with the message of the
+    first check that fails, in that order."""
+    alg = es.algebra
+    nm, v = alg.scheme.nclasses, alg.scheme.v
+    idems = fused_idempotents(es)
+    cells = [sorted(cell) for cell in partition]
+    zero = alg.field.zero()
+    for cell in cells:
+        for _, e in idems:
+            if len({e.get(l, zero) for l in cell}) != 1:
+                raise VerificationError("idempotent coefficients not constant on a fused class")
+    E = alg.pack([e for _, e in idems])
+    H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in cells]), 1)
+    left = unpack(alg, alg.mul(E[:, None], H[None, :]))
+    right = unpack(alg, alg.mul(H[None, :], E[:, None]))
+    phat = []
+    for k, (name, e) in enumerate(idems):
+        l0 = min(e)
+        phat.append([])
+        for t in range(len(cells)):
+            lt = left[k * len(cells) + t]
+            c = lt.get(l0, zero) / e[l0]
+            ce = {l: c * x for l, x in e.items() if c * x}
+            if ce != lt or right[k * len(cells) + t] != lt:
+                raise VerificationError(
+                    f"fused class {t} does not act as a scalar on idempotent {name}"
+                )
+            phat[-1].append(c)
+    mult = [mk for blk, mk in zip(es.blocks, es.multiplicities) for _ in range(blk.dim)]
+    for k, (name, e) in enumerate(idems):
+        for t, cell in enumerate(cells):
+            vt = sum(alg.scheme.valencies[l] for l in cell)
+            if phat[k][t].scale(mult[k]) != e.get(cell[0], zero).scale(v * vt).conj():
+                raise VerificationError(f"fused duality failed at idempotent {name}, class {t}")
+    return phat
+
+
+def fused_outcome(make):
+    """P^ of a fused system, or the message it raises."""
+    try:
+        return make()
+    except VerificationError as e:
+        return str(e)
+
+
+REFERENCE_CASES = (
+    [("bgw", c) for c in cases.BGW_BUILDABLE + [(17, 8), (25, 12)]]
+    + [("gh", (q,)) for q in cases.GH_GRID]
+)
+
+
+class TestProductReferences:
+    """phi and P^ against the algebra products that define them."""
+
+    @pytest.mark.parametrize("maker,args", REFERENCE_CASES, ids=str)
+    def test_units_and_idempotents_satisfy_the_product_definitions(self, maker, args):
+        es = getattr(cases, maker + "_es")(*args)
+        alg, U, keys = es.algebra, es._U, es._keys
+        pos = {key: n for n, key in enumerate(keys)}
+        A = alg.adjacency()
+        # E_ii A_l E_jj = phi[(k,i,j), l] E_ij
+        Y = alg.mul(
+            alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :]),
+            U[[pos[(b, j, j)] for b, _, j in keys]][:, None],
+        )
+        assert kernel.field_mul(es._phi_batch(), U[:, None], alg.field).equal(Y).all()
+        # e A^_t = A^_t e = P^[e, t] e
+        fe = getattr(cases, maker + "_fused")(*args)
+        E = fe.idempotents
+        H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in fe.partition]), 1)
+        Pb = kernel.pack(alg.field, fe.phat)
+        PE = kernel.field_mul(Batch(Pb.num[:, :, None, :], Pb.den), E[:, None], alg.field)
+        assert PE.equal(alg.mul(E[:, None], H[None, :])).all()
+        assert PE.equal(alg.mul(H[None, :], E[:, None])).all()
+        assert fe.phat == fused_reference(es, fe.partition)
+
+    def test_gh_eigenvalue_equations_fail_past_the_constancy_check(self):
+        # the type-1 classes 4 and 5 of gh 3 split: every idempotent is
+        # constant on each cell, but class 4 alone is not symmetric on a1
+        es = cases.gh_es(3)
+        partition = [[0], [1, 2], [3], [4], [5], [6]]
+        want = "fused class 3 does not act as a scalar on idempotent a1+"
+        assert fused_outcome(lambda: fused_reference(es, partition)) == want
+        with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+            FusedEigensystem(es, partition)
 
 
 KERNEL_CASES = {"bgw52": ("bgw_es", (5, 2)), "bgw73": ("bgw_es", (7, 3)), "gh3": ("gh_es", (3,))}
@@ -928,6 +1046,16 @@ class TestEveryPartition:
             assert cert.cell_count == cert.target == len(partition)
             assert cert.product_form == (partition == discrete), partition
         assert (partitions, fusions, certified) == FUSION_COUNTS[case]
+
+    @pytest.mark.parametrize("case", sorted(FUSION_COUNTS), ids=str)
+    def test_fused_system_agrees_with_the_product_reference(self, case):
+        es = getattr(cases, case[0] + "_es")(*case[1:])
+        accepted = 0
+        for partition in class_partitions(es.algebra.scheme.nclasses):
+            got = fused_outcome(lambda: FusedEigensystem(es, partition).phat)
+            assert got == fused_outcome(lambda: fused_reference(es, partition)), partition
+            accepted += not isinstance(got, str)
+        assert accepted == 1  # the symmetrizing fusion alone
 
 
 MALFORMED = {
