@@ -1,13 +1,15 @@
 """The spectrum oracle with exact linking, as a test reference.
 
-reference_spectrum is the random-element method linked pair by pair: for
-every class A_l and every pair of distinct eigenspaces (a, b) of the random
-element, the block V_a^T A_l V_b is formed by its own product and its largest
-entry is compared with tol * v.  reference_links forms V^T A_l V once per
-transpose orbit and reads the per-block maxima off it.  The library's
-oracle_spectrum links by the norms of random probes of each block instead;
-the tests check that it gives the same link matrix as reference_links and the
-same blocks as reference_spectrum.
+reference_spectrum is the random-element method on R^v, linked pair by
+pair: the v x v random element is diagonalized, and for every class A_l and
+every pair of distinct eigenspaces (a, b) the block V_a^T A_l V_b is formed
+by its own product and its largest entry is compared with tol * v.
+reference_links forms V^T A_l V once per transpose orbit and reads the
+per-block maxima off it.  The library's oracle_spectrum works in the module
+of one random vector instead, with r x r blocks; the tests check that its
+clusters and link matrix are those of random_eigenspaces and reference_links
+for the same coefficients, and that it gives the blocks of
+reference_spectrum.
 """
 from __future__ import annotations
 
@@ -31,8 +33,9 @@ def reference_transpose_map(mats) -> list[int]:
 
 
 def random_eigenspaces(mats, tpose, rng, tol: float = 1e-6):
-    """The eigenvectors V of a random symmetric element of the span, and the
-    first column of each eigenspace, the eigenvalues clustered by gaps."""
+    """The eigenvalues w and eigenvectors V of a random symmetric element of
+    the span, and the first column of each eigenspace, the eigenvalues
+    clustered by gaps."""
     v = len(mats[0])
     coef = rng.uniform(1.0, 2.0, size=len(mats))
     for i, t in enumerate(tpose):
@@ -45,7 +48,7 @@ def random_eigenspaces(mats, tpose, rng, tol: float = 1e-6):
         raise VerificationError("random element is not symmetric")
     w, V = np.linalg.eigh(X)
     splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
-    return V, np.concatenate(([0], splits + 1))
+    return w, V, np.concatenate(([0], splits + 1))
 
 
 def reference_links(mats, tpose, V, starts, threshold) -> np.ndarray:
@@ -74,7 +77,7 @@ def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5)
     tpose = reference_transpose_map(mats)
     last_err = None
     for attempt in range(retries):
-        V, starts = random_eigenspaces(mats, tpose, np.random.default_rng(seed + attempt), tol)
+        _, V, starts = random_eigenspaces(mats, tpose, np.random.default_rng(seed + attempt), tol)
         bounds = starts.tolist() + [v]
         spaces = [
             V[:, bounds[t] : bounds[t + 1]] for t in range(len(bounds) - 1)

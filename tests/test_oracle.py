@@ -147,13 +147,15 @@ class TestSpectrumOracle:
         assert blocks == [(1, 1), (1, 1), (1, 2), (1, 4), (2, 2)]
 
     def test_links_are_symmetrized(self):
-        # only the upper shift 1 of the transpose pair (1, 2) is multiplied;
-        # its blocks link 0 -> 1 -> 2, the lower shift's the other way, and
-        # the symmetric class 3 links 0 and 2 both ways
-        L = np.array([[0, 1, 3], [2, 0, 1], [3, 2, 0]])
-        link = gwschemes.oracle._links(
-            L, [0, 2, 1, 3], np.eye(3), np.arange(3), 0.5, np.random.default_rng(0)
-        )
+        # S = diag(1, 2, 3) has the standard basis as its eigenvectors; only
+        # the upper shift U is given, not its transpose, so its blocks link
+        # 0 -> 1 -> 2 one way, the symmetric class links 0 and 2 both ways,
+        # and the link matrix takes the other direction from the symmetry
+        U = np.eye(3, k=1)
+        corners = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        C = np.stack([np.diag([1.0, 2.0, 3.0]), U, corners])
+        W, starts, link = gwschemes.oracle._eigenspaces(C, np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(np.abs(W), np.eye(3)) and starts.tolist() == [0, 1, 2]
         assert link.tolist() == [[False, True, True], [True, False, True], [True, True, False]]
 
     def test_all_zero_matrix_is_its_own_transpose(self):
@@ -192,42 +194,70 @@ SMALL_GROUPS = {
 SEEDS = [0, 1, 12345]
 
 
-def link_matrices(L, seed):
-    """The probe link matrix of the library, on the label matrix L, and the
-    orbit-product one of tests/oracle_reference.py, on the masks (L == l),
-    for the same random eigenspaces."""
+def module_record(monkeypatch, L, seed):
+    """The restriction matrices C, the coefficients, eigenvectors W, cluster
+    starts and link matrix of oracle_spectrum's first attempt on L, caught
+    at _eigenspaces."""
+    seen, eigenspaces = [], gwschemes.oracle._eigenspaces
+
+    def spy(C, coef):
+        W, starts, link = eigenspaces(C, coef)
+        seen.append(dict(C=C, coef=coef, W=W, starts=starts, link=link))
+        return W, starts, link
+
+    monkeypatch.setattr(gwschemes.oracle, "_eigenspaces", spy)
+    oracle_spectrum(L, seed=seed)
+    return seen[0]
+
+
+def link_matrices(monkeypatch, L, seed):
+    """The module link matrix of the library on the label matrix L, with the
+    eigenvalue of each cluster, and the orbit-product link matrix of
+    tests/oracle_reference.py on the masks (L == l), with the eigenvalue of
+    each eigenspace of the full v x v element, for the same seed and hence
+    the same coefficients."""
+    record = module_record(monkeypatch, L, seed)
+    S = np.tensordot(record["coef"], record["C"], axes=1)
+    W, starts = record["W"], record["starts"]
+    module_w = np.diag(W.T @ S @ W)[starts]
     mats = [L == l for l in range(L.max() + 1)]
     tpose = reference_transpose_map(mats)
-    rng = np.random.default_rng(seed)
-    V, starts = random_eigenspaces(mats, tpose, rng)
-    threshold = 1e-6 * len(V)
-    probe = gwschemes.oracle._links(L, tpose, V, starts, threshold, rng)
-    return probe, reference_links(mats, tpose, V, starts, threshold)
+    w, V, ref_starts = random_eigenspaces(mats, tpose, np.random.default_rng(seed))
+    ref = reference_links(mats, tpose, V, ref_starts, 1e-6 * len(V))
+    return (module_w, record["link"]), (w[ref_starts], ref)
+
+
+def assert_same_links(monkeypatch, L, seed):
+    """One module cluster per eigenspace of the full element, in eigenvalue
+    order, and the same link matrix."""
+    (module_w, link), (ref_w, ref) = link_matrices(monkeypatch, L, seed)
+    assert len(module_w) == len(ref_w)
+    scale = max(1.0, np.abs(ref_w).max())
+    assert np.allclose(module_w, ref_w, rtol=0, atol=1e-8 * scale)
+    assert np.array_equal(link, ref)
 
 
 class TestSpectrumOracleMatchesReference:
-    """The probe linking gives the link matrix of the orbit-product
-    reference and the blocks of the per-pair reference in
+    """The module clusters match the eigenspaces of the full element one to
+    one in eigenvalue order, with the link matrix of the orbit-product
+    reference, and the oracle gives the blocks of the per-pair reference in
     tests/oracle_reference.py."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
-    def test_grid_links(self, c, seed):
+    def test_grid_links(self, monkeypatch, c, seed):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
-        probe, ref = link_matrices(s.L, seed)
-        assert np.array_equal(probe, ref)
+        assert_same_links(monkeypatch, s.L, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
-    def test_fused_links(self, c, seed):
-        probe, ref = link_matrices(fused_scheme(c).L, seed)
-        assert np.array_equal(probe, ref)
+    def test_fused_links(self, monkeypatch, c, seed):
+        assert_same_links(monkeypatch, fused_scheme(c).L, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", SMALL_GROUPS)
-    def test_small_group_links(self, name, seed):
-        probe, ref = link_matrices(label_matrix(SMALL_GROUPS[name]()), seed)
-        assert np.array_equal(probe, ref)
+    def test_small_group_links(self, monkeypatch, name, seed):
+        assert_same_links(monkeypatch, label_matrix(SMALL_GROUPS[name]()), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
@@ -254,8 +284,8 @@ class TestSpectrumOracleMatchesReference:
 
 class TestProbeControls:
     """A commutative scheme's classes commute with the random element, so
-    they map each of its eigenspaces into itself: every block between two
-    eigenspaces is zero, and no probe may link one."""
+    they map each of its eigenspaces into itself: every block W_a^T C_l W_b
+    between two clusters is zero, and none may link them."""
 
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize(
@@ -263,16 +293,133 @@ class TestProbeControls:
         [lambda: label_matrix(z6_scheme()), lambda: cases.bgw(5, 2).L],
         ids=["z6", "bgw52"],
     )
-    def test_commutative_scheme_has_no_links(self, make, seed):
-        probe, _ = link_matrices(make(), seed)
-        assert len(probe) > 1
-        assert not probe.any()
+    def test_commutative_scheme_has_no_links(self, monkeypatch, make, seed):
+        link = module_record(monkeypatch, make(), seed)["link"]
+        assert len(link) > 1
+        assert not link.any()
+
+
+def swapped_row_cells(L, a=1, b=None):
+    """L with the labels of cells (0, a) and (0, b) swapped, and those of
+    (a, 0) and (b, 0) with them, so every transpose pair survives; b
+    defaults to the first column past a whose class differs from (0, a)'s."""
+    if b is None:
+        b = int(np.flatnonzero(L[0, a + 1 :] != L[0, a])[0]) + a + 1
+    L = L.copy()
+    L[0, [a, b]] = L[0, [b, a]]
+    L[[a, b], 0] = L[[b, a], 0]
+    return L
+
+
+def spy_module(monkeypatch, change):
+    """Route oracle_spectrum's _module through change(call, L, u, tpose),
+    call counting from 0; returns the list of calls' vectors."""
+    calls, module = [], gwschemes.oracle._module
+
+    def spy(L, u, tpose):
+        calls.append(u)
+        return change(len(calls) - 1, L, u, tpose, module)
+
+    monkeypatch.setattr(gwschemes.oracle, "_module", spy)
+    return calls
+
+
+class TestModuleControls:
+    """Mutations the module checks must reject: a span that is not closed,
+    a vector whose module misses blocks, and a restriction that is not a
+    representation."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cases.bgw(5, 2).L, lambda: cases.gh(3).L], ids=["bgw52", "gh3"]
+    )
+    def test_swapped_cells_break_invariance(self, monkeypatch, make):
+        L = swapped_row_cells(make())
+        # the pairing survives, so only the module sees the broken closure
+        assert gwschemes.oracle._transpose_map(L) == reference_transpose_map(
+            [L == l for l in range(L.max() + 1)]
+        )
+        calls = spy_module(monkeypatch, lambda i, L, u, tpose, module: module(L, u, tpose))
+        message = r"^relation \d+ maps the module of a random vector out of itself"
+        with pytest.raises(VerificationError, match=message + ": the span is not closed$"):
+            oracle_spectrum(L)
+        assert len(calls) == 1  # raised at once, not retried
+
+    def test_swap_passes_the_full_eigh_route(self):
+        # the per-pair reference returns blocks for the broken span of bgw 5,2
+        L = swapped_row_cells(cases.bgw(5, 2).L)
+        blocks = reference_spectrum([L == l for l in range(4)])
+        assert blocks == [(1, 1), (1, 1), (1, 3), (7, 1)]
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cases.bgw(5, 2).L, lambda: cases.gh(3).L], ids=["bgw52", "gh3"]
+    )
+    def test_every_row_swap_breaks_invariance(self, make):
+        L0 = make()
+        swaps = 0
+        for a in range(1, len(L0)):
+            for b in np.flatnonzero(L0[0, a + 1 :] != L0[0, a]) + a + 1:
+                with pytest.raises(VerificationError, match="the span is not closed"):
+                    oracle_spectrum(swapped_row_cells(L0, a, b))
+                swaps += 1
+        assert swaps == {12: 35, 36: 472}[len(L0)]
+
+    @pytest.mark.parametrize("name", ["z6", "s3", "bgw52", "gh3"])
+    def test_all_ones_vector_is_retried(self, monkeypatch, name):
+        # u = 1 spans only the all-ones vector, so the module misses blocks
+        if name in SMALL_GROUPS:
+            mats = SMALL_GROUPS[name]()
+            L, expected = label_matrix(mats), reference_spectrum(mats)
+        else:
+            s = cases.bgw(5, 2) if name == "bgw52" else cases.gh(3)
+            es = cases.bgw_es(5, 2) if name == "bgw52" else cases.gh_es(3)
+            L, expected = s.L, exact_blocks(es)
+        ranks = []
+
+        def ones_first(i, L, u, tpose, module):
+            C = module(L, np.ones_like(u) if i == 0 else u, tpose)
+            ranks.append(C.shape[1])
+            return C
+
+        calls = spy_module(monkeypatch, ones_first)
+        blocks = oracle_spectrum(L)
+        assert len(calls) == 2 and ranks[0] == 1
+        assert blocks == expected
+
+    @pytest.mark.parametrize(
+        "make,reason",
+        [
+            # a thin scheme: the one cluster has trace v / v = 1, an integer
+            (lambda: label_matrix(z6_scheme()), r"sum of d \* m is 1, not 6$"),
+            # valencies 1, 1, 5, 5: the trace is 12 / 52
+            (lambda: cases.bgw(5, 2).L, r"non-integer multiplicities \[0\.2307692307\d*\]$"),
+        ],
+        ids=["z6", "bgw52"],
+    )
+    def test_all_ones_vector_fails_every_attempt(self, monkeypatch, make, reason):
+        spy_module(monkeypatch, lambda i, L, u, tpose, module: module(L, np.ones_like(u), tpose))
+        failed = r"^spectrum oracle failed: attempt 4: "
+        with pytest.raises(VerificationError, match=failed + reason):
+            oracle_spectrum(make())
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cases.bgw(5, 2).L, lambda: cases.gh(3).L], ids=["bgw52", "gh3"]
+    )
+    def test_perturbed_restriction_is_rejected(self, monkeypatch, make):
+        # one entry of C_1 moved by 1e-3: the projectors of S leave the span,
+        # which the least-squares residual sees before the traces are read
+        def perturbed(i, L, u, tpose, module):
+            C = module(L, u, tpose)
+            C[1, 0, 0] += 1e-3
+            return C
+
+        spy_module(monkeypatch, perturbed)
+        with pytest.raises(VerificationError, match=r"attempt 4: projector residual \d"):
+            oracle_spectrum(make())
 
 
 class TestRandomElement:
-    """The random element the oracle forms, the gather coef[L], is bit for
-    bit the sum of the products c * A_l: each cell lies in one class, and
-    adding 0 * c is exact."""
+    """The element the oracle diagonalizes is the restriction of the random
+    element sum_l coef[l] A_l to the module it spins from one vector."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -280,13 +427,35 @@ class TestRandomElement:
         [lambda: cases.masks(cases.gh(3)), SMALL_GROUPS["dic3"]],
         ids=["gh3-masks", "dic3"],
     )
-    def test_is_the_sum_of_products(self, make, seed):
+    def test_is_the_sum_of_products(self, monkeypatch, make, seed):
+        # caught at svd and eigh: K is [A_i u], and S = Q^T X Q for the sum X
+        # of the products c * A_l of the masks, with the tied coefficients
         mats = make()
-        coef = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(mats))
-        X = coef[label_matrix(mats)]
-        expected = sum(c * M for c, M in zip(coef, mats))
-        assert X.dtype == expected.dtype == np.float64
-        assert X.tobytes() == expected.tobytes()
+        seen, svd, eigh = [], np.linalg.svd, np.linalg.eigh
+
+        def spy_svd(K, full_matrices):
+            seen.append(K)
+            seen.append(svd(K, full_matrices=full_matrices))
+            return seen[-1]
+
+        def spy_eigh(S):
+            seen.append(S)
+            return eigh(S)
+
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        oracle_spectrum(label_matrix(mats), seed=seed)
+        monkeypatch.undo()
+        K, (U, _, _), S = seen[:3]
+        rng = np.random.default_rng(seed)
+        coef = rng.uniform(1.0, 2.0, size=len(mats))
+        tpose = reference_transpose_map(mats)
+        coef = coef[np.minimum(np.arange(len(mats)), tpose)]
+        u = rng.standard_normal(len(mats[0]))
+        assert np.allclose(K, np.stack([M @ u for M in mats], axis=1), rtol=0, atol=1e-12)
+        Q = U[:, : len(S)]
+        X = sum(c * M for c, M in zip(coef, mats))
+        assert np.allclose(S, Q.T @ X @ Q, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "kind,c",
@@ -294,23 +463,36 @@ class TestRandomElement:
         ids=lambda x: x if isinstance(x, str) else "-".join(map(str, x)),
     )
     def test_oracle_element_is_exactly_symmetric(self, monkeypatch, kind, c):
-        # the element oracle_spectrum diagonalizes, caught at eigh: its
-        # coefficients are tied across each verified transpose pair
+        # the element oracle_spectrum diagonalizes, caught at eigh, is
+        # sum_l coef[l] C_l with the coefficients tied across each transpose
+        # pair: solved for, they are the first draw of each pair.  Symmetrizing
+        # an untied sum would give the mean of the pair's two draws instead.
         if kind == "group":
             L = label_matrix(SMALL_GROUPS[c]())
         elif kind == "fused":
             L = fused_scheme(c).L
         else:
             L = getattr(cases, c[0])(*c[1:]).L
-        seen, eigh = [], np.linalg.eigh
+        seen, module, eigh = [], gwschemes.oracle._module, np.linalg.eigh
 
-        def spy(X):
-            seen.append(np.array_equal(X, X.T))
-            return eigh(X)
+        def spy_module(L, u, tpose):
+            seen.append(module(L, u, tpose))
+            return seen[-1]
 
+        def spy(S):
+            seen.append(S)
+            return eigh(S)
+
+        monkeypatch.setattr(gwschemes.oracle, "_module", spy_module)
         monkeypatch.setattr(np.linalg, "eigh", spy)
         oracle_spectrum(L)
-        assert seen and all(seen)
+        C, S = seen[:2]
+        assert np.array_equal(S, S.T)
+        nm = len(C)
+        coef = np.linalg.lstsq(C.reshape(nm, -1).T, S.reshape(-1), rcond=None)[0]
+        tpose = reference_transpose_map([L == l for l in range(nm)])
+        drawn = np.random.default_rng(0).uniform(1.0, 2.0, size=nm)
+        assert np.allclose(coef, drawn[np.minimum(np.arange(nm), tpose)], rtol=0, atol=1e-9)
 
 
 class TestFusedSpectrumOracle:
@@ -319,6 +501,26 @@ class TestFusedSpectrumOracle:
 
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_matches_fused_multiplicities(self, c):
+        fes = cases.bgw_fused(*c[1:]) if c[0] == "bgw" else cases.gh_fused(c[1])
+        expected = sorted((1, m) for m in fes.multiplicities)
+        assert oracle_spectrum(fused_scheme(c).L) == expected
+
+
+WIDE = [("bgw", 17, 8), ("bgw", 25, 12), ("bgw", 23, 11), ("gh", 11)]
+
+
+class TestWideSpectrumOracle:
+    """Instances beyond the grid, up to v = 1452, against the exact blocks
+    and the fused multiplicities."""
+
+    @pytest.mark.parametrize("c", WIDE, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_exact_blocks(self, c):
+        s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
+        es = cases.bgw_es(*c[1:]) if c[0] == "bgw" else cases.gh_es(c[1])
+        assert oracle_spectrum(s.L) == exact_blocks(es)
+
+    @pytest.mark.parametrize("c", WIDE, ids=lambda c: "-".join(map(str, c)))
+    def test_fused_matches_fused_multiplicities(self, c):
         fes = cases.bgw_fused(*c[1:]) if c[0] == "bgw" else cases.gh_fused(c[1])
         expected = sorted((1, m) for m in fes.multiplicities)
         assert oracle_spectrum(fused_scheme(c).L) == expected
