@@ -43,12 +43,14 @@ def bgw_labels(m: int) -> list[str]:
 def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
     # block[w] is the m x m block of an entry w of W off the diagonal and
     # block[m] a diagonal block, so L[(i, a), (j, b)] = block[W'[i, j], a, b]
-    # for W' = W with m on its blank diagonal
+    # for W' = W with m on its blank diagonal; the blocks hold the 2m labels
+    # in the scheme's compact dtype, and so does L
     W = bgw_matrix(q, m)
     np.fill_diagonal(W, m)
     a, b = np.ogrid[:m, :m]
     w = np.arange(m)[:, None, None]
     block = np.concatenate([m + (m - 1 - a - b - w) % m, [(b - a) % m]])
+    block = block.astype(np.min_scalar_type(2 * m - 1))
     v = (q + 1) * m
     return block[W].swapaxes(1, 2).reshape(v, v)
 
@@ -75,19 +77,23 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     F = FiniteField(q)
     if F.p == 2:
         raise ValueError("q must be odd")
-    add, mul = F.add_t, F.mul_t
+    # the tables in the compact dtype of the 2q + 1 labels, so that every
+    # gather below, and L, is in that dtype
+    dtype = np.min_scalar_type(2 * q)
+    add, mul = F.add_t.astype(dtype), F.mul_t.astype(dtype)
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
-    rev = q - 1 - np.arange(q)
+    rev = (q - 1 - np.arange(q)).astype(dtype)
     # factor[P, P2] = a when the edge {P, P2} lies in the factor of a
-    factor = np.tensordot(np.arange(q), one_factorization(q), axes=1)
-    # one broadcast axis per coordinate, so that only alpha and L are v x v
+    factor = np.tensordot(np.arange(q), one_factorization(q), axes=1).astype(dtype)
+    # one broadcast axis per coordinate, so that only L is v x v
     P, beta, y, P2, beta2, y2 = np.ix_(*[np.arange(n) for n in (q + 1, q, q) * 2])
     a = factor[P, P2]
-    alpha = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]]
-    alpha += q
+    L = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]]
+    L += q
     inner = np.where(beta == beta2, sub[y2, y], 2 * q)
+    np.copyto(L, inner, where=P == P2)
     v = (q + 1) * q * q
-    return np.where(P == P2, inner, alpha).reshape(v, v)
+    return L.reshape(v, v)
 
 
 def gh_build(q: int) -> AssociationScheme:

@@ -65,6 +65,7 @@ from .errors import VerificationError
 
 TOL = 1e-6  # relative gap, rank cut, residual and link threshold
 RETRIES = 5  # random elements tried before the oracle gives up
+BLOCK = 1 << 16  # cells of L per count, at least one row
 
 
 def oracle_closure(L) -> np.ndarray:
@@ -98,10 +99,17 @@ def _transpose_map(L) -> list[int]:
     """The j with A_j = A_i^T, for each i, read off one count: C[i, j] is
     the number of cells (x, y) with L[x, y] = i and L[y, x] = j.  A_i^T = A_j
     exactly when j is the one nonzero entry of row i and i the one of row j;
-    a label with no cell is its own partner."""
-    L = np.asarray(L, dtype=np.int64)
+    a label with no cell is its own partner.  C is counted over the blocks
+    of rows x0..x1 of L and columns x0..x1 of L^T."""
+    L = np.asarray(L)
     n = int(L.max()) + 1
-    C = np.bincount((L * n + L.T).reshape(-1), minlength=n * n).reshape(n, n)
+    C = np.zeros(n * n, dtype=np.int64)
+    step = max(1, BLOCK // len(L))
+    for x0 in range(0, len(L), step):
+        x1 = x0 + step
+        ij = L[x0:x1].astype(np.int64) * n + L[:, x0:x1].T
+        C += np.bincount(ij.reshape(-1), minlength=n * n)
+    C = C.reshape(n, n)
     count = np.count_nonzero(C, axis=1)
     tpose = np.where(count == 0, np.arange(n), C.argmax(axis=1))
     bad = np.flatnonzero((count > 1) | (count[tpose] > 1))
@@ -115,19 +123,26 @@ def _module(L, u, tpose) -> np.ndarray:
     orthonormal basis Q of the module K = span{A_i u} of the vector u;
     raises VerificationError naming a class that does not map K into itself.
 
-    The float64 operand A_l is formed for one class at a time, from a
-    compact copy of L, and serves its transpose partner as A_l^T.
+    The float64 operand A_l is formed for one class at a time, from L in
+    its compact dtype (a copy only when L comes in a wider one), and serves
+    its transpose partner as A_l^T.
     """
     v, nm = len(L), len(tpose)
-    # K[x, i] = A_i u: the sum of u[y] over the cells (x, y) of class i
-    cells = (L + nm * np.arange(v)[:, None]).reshape(-1)
-    K = np.bincount(cells, weights=np.tile(u, v), minlength=nm * v).reshape(v, nm)
-    del cells
+    compact = L.astype(np.min_scalar_type(nm - 1), copy=False)
+    # K[x, i] = A_i u: the sum of u[y] over the cells (x, y) of class i,
+    # counted a block of rows x0..x1 at a time
+    K = np.empty((v, nm))
+    step = max(1, BLOCK // v)
+    for x0 in range(0, v, step):
+        x1 = min(x0 + step, v)
+        cells = compact[x0:x1] + nm * np.arange(x1 - x0)[:, None]
+        weights = np.tile(u, x1 - x0)
+        counts = np.bincount(cells.reshape(-1), weights=weights, minlength=(x1 - x0) * nm)
+        K[x0:x1] = counts.reshape(-1, nm)
     U, s, _ = np.linalg.svd(K, full_matrices=False)
     Q = U[:, : np.count_nonzero(s > TOL * s[0])]
     r = Q.shape[1]
     C = np.empty((nm, r, r))
-    compact = L.astype(np.min_scalar_type(nm))
     A = np.empty((v, v))
     for l, t in enumerate(tpose):
         if t < l:

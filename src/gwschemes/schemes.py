@@ -44,6 +44,15 @@ generator at a time: V is closed.
   value at any one pair of relation k is p[i,j,k].  Taking the pairs (0, y_k)
   of row 0 gives the whole tensor as one bincount of the label pairs
   (L[0, z], L[z, y_k]) over z.
+
+Storage.  L is a read-only array of dtype np.min_scalar_type(nm - 1) for nm
+classes: uint8 up to 256 classes and uint16 up to 65536.  The label range is
+checked on the input before the cast, so no label wraps around.  Every pass
+over the v**2 cells (the pair and row counts, the gathers of the thin and
+GEMM checks, the fused labels) runs in row blocks of at most BLOCK cells and
+at least one row, so its index and count temporaries stay that small; the
+only v x v arrays formed besides L are the float32 GEMM operands and
+product, at most three at a time.
 """
 from __future__ import annotations
 
@@ -57,6 +66,7 @@ from .errors import NotAScheme
 # partial sums of an entry stay below (k + 1)**d <= 2**24 (see _right_action)
 # with k < v, so d >= 1 holds while v < 2**24
 _F32_EXACT = 2**24
+BLOCK = 1 << 16  # cells of L per numpy step of a v**2-cell pass, at least one row
 
 
 class AssociationScheme:
@@ -84,13 +94,16 @@ class AssociationScheme:
         nm = len(labels)
         if len(set(labels)) != nm:
             raise ValueError("labels must be distinct")
-        L = L.astype(np.int64)  # a read-only copy the scheme owns
-        L.flags.writeable = False
         if L.min() < 0 or L.max() >= nm:
             raise NotAScheme(f"labels must lie in 0..{nm - 1}")
+        L = L.astype(np.min_scalar_type(nm - 1))  # a read-only copy the scheme owns
+        L.flags.writeable = False
 
         # pairs[i, j]: positions (x, y) with L[x, y] = i and L[y, x] = j
-        pairs = np.bincount((L * nm + L.T).reshape(-1), minlength=nm * nm)
+        pairs = np.zeros(nm * nm, dtype=np.int64)
+        for b in _row_blocks(v):
+            cells = L[b].astype(np.intp) * nm + L[:, b].T
+            pairs += np.bincount(cells.reshape(-1), minlength=nm * nm)
         pairs = pairs.reshape(nm, nm)
         counts = pairs.sum(axis=1)
         if (np.diagonal(L) != 0).any() or counts[0] != v:
@@ -108,17 +121,19 @@ class AssociationScheme:
         # as row y holds tpose[i], and when every row holds class i k_i times,
         # counting the positions of class i and of its transpose gives
         # v k_i = v k_tpose[i], so constant rows make constant columns
-        offset = nm * np.arange(v)
-        rows = np.bincount((L + offset[:, None]).reshape(-1), minlength=v * nm)
-        rows = rows.reshape(v, nm)
-        if (rows != rows[0]).any():
-            raise NotAScheme("row/column sums not constant")
-        valencies = [int(k) for k in rows[0]]
+        valencies = np.bincount(L[0], minlength=nm)
+        for b in _row_blocks(v):
+            n = b.stop - b.start
+            cells = L[b] + nm * np.arange(n)[:, None]
+            rows = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
+            if (rows != valencies).any():
+                raise NotAScheme("row/column sums not constant")
+        valencies = [int(k) for k in valencies]
 
         # (A_i A_j)[0, y_k] for the first y_k with L[0, y_k] = k: the tensor,
         # once the closure certificate below holds
         rep = np.unique(L[0], return_index=True)[1]
-        pairs0 = L[0][:, None] * nm + L[:, rep] + nm * nm * np.arange(nm)
+        pairs0 = L[0].astype(np.intp)[:, None] * nm + L[:, rep] + nm * nm * np.arange(nm)
         tensor = np.bincount(pairs0.reshape(-1), minlength=nm**3)
         tensor = np.ascontiguousarray(tensor.reshape(nm, nm, nm).transpose(1, 2, 0))
         _certify_closure(L, labels, tensor, tpose, valencies)
@@ -150,11 +165,11 @@ class AssociationScheme:
         yield a scheme raises NotAScheme.
         """
         check_partition(partition, self.nclasses)
-        cell_of = np.empty(self.nclasses, dtype=np.int64)
+        cell_of = np.empty(self.nclasses, dtype=self.L.dtype)
         for c, cell in enumerate(partition):
             cell_of[cell] = c
         labels = ["+".join(self.labels[i] for i in sorted(cell)) for cell in partition]
-        return AssociationScheme.from_matrices(cell_of[self.L], labels)
+        return AssociationScheme.from_matrices(_gather(cell_of, self.L), labels)
 
     def __repr__(self) -> str:
         return (
@@ -208,15 +223,44 @@ def _certify_closure(L, labels, p, tpose, valencies) -> None:
     span.certify()
 
 
+def _row_blocks(v: int) -> list[slice]:
+    """The row slices of a v x v matrix, at most BLOCK cells and at least one
+    row each."""
+    step = max(1, BLOCK // v)
+    return [slice(x0, min(x0 + step, v)) for x0 in range(0, v, step)]
+
+
+def _take(table, L):
+    """table[L] for a block of rows of L, indexed by intp, which numpy
+    gathers about twice as fast as by the compact labels."""
+    return table[L.astype(np.intp)]
+
+
+def _gather(table, L):
+    """table[L] in the dtype of table, gathered one row block at a time, so
+    that no v x v index array is formed."""
+    out = np.empty(L.shape, dtype=table.dtype)
+    for b in _row_blocks(len(L)):
+        out[b] = _take(table, L[b])
+    return out
+
+
 def _thin_right_action(L, R, g):
     """Check A_i A_g = sum_k R[i, k] A_k for all i at once, for a thin g;
     return a failing i or None.  A_g is a permutation matrix, with its one
     in column y at row src[y], so A_i A_g is the 0/1 matrix (L[:, src] == i)."""
-    src = (L == g).argmax(axis=0)
-    M = L[:, src]
+    src = np.empty(len(L), dtype=np.intp)
+    for b in _row_blocks(len(L)):
+        # each row holds g once, at column y: then src[y] is that row
+        src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
     # column k of R is the unit vector at the class of (0, src[y_k])
-    bad = np.argwhere(M != R.argmax(axis=0)[L])
-    return int(M[tuple(bad[0])]) if len(bad) else None
+    want = R.argmax(axis=0).astype(L.dtype)
+    for b in _row_blocks(len(L)):
+        M = L[b][:, src]
+        bad = M != _take(want, L[b])
+        if bad.any():
+            return int(M[tuple(np.argwhere(bad)[0])])
+    return None
 
 
 def _checked_classes(span, p, tpose, rest) -> list[int]:
@@ -260,19 +304,26 @@ def _right_action(L, R, g, check, k):
     B, d = k + 1, 1
     while B ** (d + 1) <= _F32_EXACT:
         d += 1
-    Ag = (L == g).astype(np.float32)
+    v = len(L)
+    Ag = np.empty((v, v), dtype=np.float32)
+    for b in _row_blocks(v):
+        np.equal(L[b], g, out=Ag[b])
+    prod = None
     for c in range(0, len(check), d):
         chunk = check[c:c + d]
         weight = np.zeros(len(R), dtype=np.int64)
         weight[chunk] = B ** np.arange(len(chunk))
-        prod = weight.astype(np.float32)[L] @ Ag
-        want = (weight @ R).astype(np.float32)[L]
-        if not np.array_equal(prod, want):
-            x, y = np.argwhere(prod != want)[0]
-            got, expected = int(prod[x, y]), int(want[x, y])
-            # the first class whose digit differs
-            digit = [(got // B**s % B, expected // B**s % B) for s in range(len(chunk))]
-            return next(i for i, (a, b) in zip(chunk, digit) if a != b)
+        del prod  # the last product, freed before the next operand
+        prod = _gather(weight.astype(np.float32), L) @ Ag
+        want = (weight @ R).astype(np.float32)
+        for b in _row_blocks(v):
+            bad = prod[b] != _take(want, L[b])
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                got, expected = int(prod[b][x, y]), int(want[L[b][x, y]])
+                # the first class whose digit differs
+                digit = [(got // B**s % B, expected // B**s % B) for s in range(len(chunk))]
+                return next(i for i, (a, e) in zip(chunk, digit) if a != e)
     return None
 
 

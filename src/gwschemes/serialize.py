@@ -12,7 +12,8 @@ that is byte for byte what the writer writes for the label matrix it decodes
 to, the final newline optional, and decodes its rows block by block in numpy.
 Every other file, such as a pretty-printed, reordered, hand-edited or
 malformed one, goes to the json reader, which parses the whole record, checks
-it and words every input error.
+it and words every input error.  Both decode into the compact label dtype the
+scheme stores (see schemes), and the file bytes do not depend on it.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
@@ -30,10 +31,9 @@ import numpy as np
 from .algebra import CycField, CycScalar
 from .designs import MAX_POINTS
 from .errors import InputError
-from .schemes import AssociationScheme
+from .schemes import BLOCK, AssociationScheme
 
 FILE_VERSION = 1
-BLOCK = 1 << 16  # label-matrix cells per numpy step of the file codec, at least one row
 
 
 _ROWS = b', "rows": [['  # from the header to the first run
@@ -121,7 +121,7 @@ def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> Non
         if bad_count[x]:
             raise InputError(f"row {x0 + x} has a run length outside 1..{v}")
         raise InputError(f"row {x0 + x} does not cover all columns")
-    L[x0:x1] = np.repeat(lbl, count).reshape(x1 - x0, v)
+    L[x0:x1] = np.repeat(lbl.astype(L.dtype), count).reshape(x1 - x0, v)
 
 
 def _check_header(data) -> tuple[int, list]:
@@ -159,7 +159,7 @@ def _label_matrix(data) -> np.ndarray:
     the shape of a scheme file, checked before the matrix is allocated and
     then block by block of rows as it is filled."""
     v, labels = _check_header(data)
-    L = np.zeros((v, v), dtype=np.int64)
+    L = np.zeros((v, v), dtype=np.min_scalar_type(len(labels) - 1))
     step = max(1, BLOCK // v)
     for x0 in range(0, v, step):
         _read_rows(L, data["rows"], x0, min(x0 + step, v), len(labels))
@@ -203,7 +203,7 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     provenance = data.get("provenance")
     if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
         return None
-    L = np.empty((v, v), dtype=np.int64)
+    L = np.empty((v, v), dtype=np.min_scalar_type(len(labels) - 1))
     text = _text_table(max(v, len(labels)))
     step = max(1, BLOCK // v)
     for x0 in range(0, v, step):
@@ -231,7 +231,7 @@ def _decode_rows(Lb: np.ndarray, block: bytes, nlabels: int) -> bool:
         or count.sum() != r * v
     ):
         return False
-    Lb[:] = np.repeat(lbl, count).reshape(r, v)
+    Lb[:] = np.repeat(lbl.astype(Lb.dtype), count).reshape(r, v)
     return True
 
 

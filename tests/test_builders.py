@@ -11,6 +11,7 @@ from gwschemes import (
     gh_build,
     gh_labels,
 )
+from gwschemes.builders import _bgw_label_matrix, _gh_label_matrix
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, GH_GRID, bgw, gh
 from closedforms import check_bgw_products, check_gh_products
 import kronecker
@@ -139,3 +140,13 @@ class TestKroneckerReference:
     @pytest.mark.parametrize("q", GH_GRID, ids=lambda q: f"q{q}")
     def test_gh_label_matrix(self, q):
         assert np.array_equal(gh(q).L, kronecker.label_matrix(kronecker.gh_mats(q)))
+
+    @pytest.mark.parametrize(
+        "write,args",
+        [(_bgw_label_matrix, (5, 2)), (_bgw_label_matrix, (8, 7)), (_gh_label_matrix, (9,))],
+        ids=["bgw52", "bgw87", "gh9"],
+    )
+    def test_label_matrices_are_written_compact(self, write, args):
+        # the builders write the dtype the scheme stores, never int64
+        L = write(*args)
+        assert L.dtype == np.uint8

@@ -186,6 +186,30 @@ class TestSpectrumOracle:
         assert a == b == [(1, 1), (1, 7), (2, 8)]
 
 
+class TestOracleRowBlocks:
+    """The oracle counts L a block of rows at a time: one row per block
+    (BLOCK = 5 cells), and a wide int64 copy of L, give the transpose map,
+    the module restrictions and the spectrum of the default blocks."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cases.bgw(7, 3), lambda: cases.gh(3), lambda: fused_scheme(("gh", 5))],
+        ids=["bgw73", "gh3", "fused-gh5"],
+    )
+    def test_blocks_and_dtype_do_not_change_the_result(self, monkeypatch, make):
+        s = make()
+        u = np.random.default_rng(0).standard_normal(s.v)
+        want = (
+            gwschemes.oracle._transpose_map(s.L),
+            gwschemes.oracle._module(s.L, u, s.tpose),
+            oracle_spectrum(s.L, seed=0),
+        )
+        monkeypatch.setattr(gwschemes.oracle, "BLOCK", 5)
+        for L in (s.L, s.L.astype(np.int64)):
+            assert gwschemes.oracle._transpose_map(L) == want[0] == s.tpose
+            assert np.array_equal(gwschemes.oracle._module(L, u, s.tpose), want[1])
+            assert oracle_spectrum(L, seed=0) == want[2]
+
+
 SMALL_GROUPS = {
     "z6": z6_scheme,
     "s3": lambda: metacyclic_scheme(3, 0),

@@ -1,5 +1,6 @@
 """Association scheme axioms, intersection tensors, and fusions."""
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from gwschemes import (
     NotAScheme,
     VerificationError,
     bgw_build,
+    bgw_symmetric_fusion,
     gh_build,
     gh_symmetric_fusion,
     one_factorization,
@@ -20,6 +22,7 @@ from gwschemes import schemes
 from gwschemes.matrixkit import mm
 from gwschemes.schemes import _Span, _right_action
 from kronecker import label_matrix, shift_matrix
+import cases
 
 
 def cyclic_label_matrix(n):
@@ -204,6 +207,76 @@ class TestLabelMatrix:
         L[:] = 0
         assert np.array_equal(s.L, cyclic_label_matrix(6))
         assert not s.L.flags.writeable
+
+
+def relabelled(n, k, label, dtype=np.int64):
+    """The cyclic label matrix of Z_n, in dtype, with every cell of class k
+    labelled label instead: a cast that wraps label around to k would make
+    it the valid scheme of Z_n again."""
+    L = cyclic_label_matrix(n).astype(dtype)
+    L[L == k] = label
+    return L
+
+
+class TestCompactLabels:
+    """L is stored in the compact dtype np.min_scalar_type(nm - 1), read-only,
+    and the label range is checked before the cast."""
+
+    @pytest.mark.parametrize(
+        "L,nm",
+        [
+            (relabelled(6, 1, 256 + 1), 6),
+            (relabelled(257, 1, 65536 + 1), 257),
+            (relabelled(256, 255, -1), 256),
+            (relabelled(6, 1, 2**63 + 1, np.uint64), 6),
+        ],
+        ids=["uint8-wrap", "uint16-wrap", "minus-one", "uint64-2^63"],
+    )
+    def test_out_of_range_labels_never_wrap(self, L, nm):
+        with pytest.raises(NotAScheme, match=f"^labels must lie in 0..{nm - 1}$"):
+            AssociationScheme.from_matrices(L, [str(i) for i in range(nm)])
+
+    def test_more_than_256_classes_store_uint16(self):
+        # the cyclic scheme of Z_257, against its closed form in int64:
+        # A_i A_j = A_(i+j), A_i^T = A_(-i) and every valency 1
+        n = 257
+        s = AssociationScheme.from_matrices(cyclic_label_matrix(n), [str(i) for i in range(n)])
+        assert s.L.dtype == np.uint16 and not s.L.flags.writeable
+        assert np.array_equal(s.L, cyclic_label_matrix(n))
+        i, j = np.ogrid[:n, :n]
+        assert s.p.dtype == np.int64 and s.p.sum() == n * n
+        assert (s.p[i, j, (i + j) % n] == 1).all()
+        assert s.tpose == [-i % n for i in range(n)]
+        assert s.valencies == [1] * n
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cases.bgw(5, 2),
+            lambda: cases.gh(3),
+            lambda: cases.bgw(7, 3).fuse(bgw_symmetric_fusion(3)),
+            lambda: cases.gh(5).fuse(gh_symmetric_fusion(5)),
+            lambda: verified(cyclic_label_matrix(6).astype(np.int32)),
+        ],
+        ids=["bgw52", "gh3", "fused-bgw73", "fused-gh5", "int32-input"],
+    )
+    def test_stored_compact_and_read_only(self, make):
+        s = make()
+        assert s.L.dtype == np.uint8 == np.min_scalar_type(s.nclasses - 1)
+        assert not s.L.flags.writeable
+
+    def test_no_int64_label_temporaries(self):
+        # from_matrices on an int64 gh 9 label matrix, allocated before the
+        # trace, peaks at the three float32 v x v GEMM arrays plus 2 MiB
+        L = cases.gh(9).L.astype(np.int64)
+        v = len(L)
+        tracemalloc.start()
+        try:
+            AssociationScheme.from_matrices(L, cases.gh(9).labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 4 * v * v + 2 * 2**20
 
 
 def rational_rank(rows) -> int:
@@ -469,6 +542,47 @@ class TestClosureCertificate:
             for i in range(nm):
                 e = np.eye(nm, dtype=np.int64)[i]
                 assert (i in span) == (rational_rank(words + [e]) == span.rank)
+
+
+class TestRowBlocks:
+    """One row per block (BLOCK = 5 cells) gives the schemes and the
+    verdicts of the default blocks."""
+
+    @pytest.mark.parametrize(
+        "build,partition",
+        [
+            (lambda: bgw_build(7, 3), bgw_symmetric_fusion(3)),
+            (lambda: gh_build(5), gh_symmetric_fusion(5)),
+        ],
+        ids=["bgw73", "gh5"],
+    )
+    def test_same_scheme_and_fusion(self, monkeypatch, build, partition):
+        s = build()
+        fused = s.fuse(partition)
+        monkeypatch.setattr(schemes, "BLOCK", 5)
+        rebuilt = AssociationScheme.from_matrices(s.L, s.labels)
+        for a, b in [(s, rebuilt), (fused, s.fuse(partition))]:
+            assert np.array_equal(a.L, b.L) and a.L.dtype == b.L.dtype
+            assert np.array_equal(a.p, b.p)
+            assert (a.tpose, a.valencies) == (b.tpose, b.valencies)
+
+    @pytest.mark.parametrize(
+        "build,mutate",
+        [
+            (lambda: bgw_build(7, 3), transpose_last_block(3)),
+            (lambda: gh_build(5), swap_in_block(range(25, 50), range(50, 75), 5, 6)),
+        ],
+        ids=["bgw73-thin-block", "gh5-nonthin-block"],
+    )
+    def test_same_verdict(self, monkeypatch, build, mutate):
+        s = build()
+        L = mutate(s)
+        with pytest.raises(NotAScheme, match="leaves the span") as default:
+            AssociationScheme.from_matrices(L, s.labels)
+        monkeypatch.setattr(schemes, "BLOCK", 5)
+        with pytest.raises(NotAScheme) as one_row:
+            AssociationScheme.from_matrices(L, s.labels)
+        assert str(one_row.value) == str(default.value)
 
 
 class TestFusion:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,31 @@ class TestSchemeFiles:
         s2, prov = load_scheme(path)
         assert prov is None
         assert np.array_equal(s2.L, s.L)
+
+    def test_both_readers_give_compact_read_only_labels(self, tmp_path):
+        s = cases.gh(3)
+        path = tmp_path / "scheme.json"
+        save_scheme(path, s)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(file_reference.record(s), indent=1))
+        # the first file is canonical, the second goes to the json reader
+        assert serialize._read_canonical(path.read_bytes())[0].dtype == np.uint8
+        assert serialize._read_canonical(pretty.read_bytes()) is None
+        assert serialize._label_matrix(json.loads(pretty.read_text())).dtype == np.uint8
+        for p in (path, pretty):
+            s2 = load_scheme(p)[0]
+            assert s2.L.dtype == np.uint8 and not s2.L.flags.writeable
+            assert np.array_equal(s2.L, s.L)
+
+    def test_readers_decode_257_labels_to_uint16(self):
+        # the readers do not verify the scheme, so two points carry label 256
+        L = np.array([[0, 256], [256, 0]])
+        fake = SimpleNamespace(v=2, labels=[str(i) for i in range(257)], L=L)
+        for read in (
+            serialize._read_canonical(file_reference.file_bytes(fake))[0],
+            serialize._label_matrix(file_reference.record(fake)),
+        ):
+            assert read.dtype == np.uint16 and np.array_equal(read, L)
 
     def test_unsupported_version(self):
         data = file_reference.record(cases.bgw(5, 2))
