@@ -114,7 +114,6 @@ def _cmd_verify(args) -> int:
             print("no provenance; cannot run the spectral check", file=sys.stderr)
             return 2
         es = eigensystem_for(scheme, prov)
-        es.check_pq_duality()
         blocks = sorted((b.dim, m) for b, m in zip(es.blocks, es.multiplicities))
         numeric = oracle_spectrum(scheme.L, seed=args.seed)
         if blocks != numeric:

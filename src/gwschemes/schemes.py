@@ -57,6 +57,7 @@ product, at most three at a time.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,15 +70,33 @@ _F32_EXACT = 2**24
 BLOCK = 1 << 16  # cells of L per numpy step of a v**2-cell pass, at least one row
 
 
+@dataclass(frozen=True, eq=False)
 class AssociationScheme:
-    def __init__(self, L, labels, tensor, tpose, valencies):
-        self.L = L
-        self.labels = labels
-        self.p = tensor
-        self.tpose = tpose
-        self.valencies = valencies
-        self.v = L.shape[0]
-        self.nclasses = len(labels)
+    """A verified scheme: the read-only label matrix L, the class labels and
+    the read-only intersection tensor p.  It is frozen, so it stays the
+    certificate that from_matrices made.
+
+    tpose (l -> l', with A_l' = A_l^T) and the valencies k_l are read off
+    p[:, :, 0], a fresh list on each access.  (A_a A_l)[0, 0] counts the z
+    with L[0, z] = a and L[z, 0] = l, that is L[0, z] = a = l'.  So
+    p[a, l, 0] = [a = l'] k_l: column l has one nonzero entry, at l', equal
+    to k_l, its argmax and its sum.
+    """
+
+    L: np.ndarray
+    labels: list[str]
+    p: np.ndarray
+
+    v = property(lambda self: self.L.shape[0])
+    nclasses = property(lambda self: len(self.labels))
+
+    @property
+    def tpose(self) -> list[int]:
+        return self.p[:, :, 0].argmax(axis=0).tolist()
+
+    @property
+    def valencies(self) -> list[int]:
+        return self.p[:, :, 0].sum(axis=0).tolist()
 
     @classmethod
     def from_matrices(cls, L, labels) -> "AssociationScheme":
@@ -114,7 +133,7 @@ class AssociationScheme:
         # class j; the map is then an involution
         if ((pairs > 0).sum(axis=1) != 1).any():
             raise NotAScheme("relation set is not closed under transpose")
-        tpose = [int(t) for t in pairs.argmax(axis=1)]
+        tpose = pairs.argmax(axis=1)
 
         # rows[x, i]: the count of class i in row x.  Columns need no count of
         # their own: with transposition closed, column y holds class i as often
@@ -128,7 +147,6 @@ class AssociationScheme:
             rows = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
             if (rows != valencies).any():
                 raise NotAScheme("row/column sums not constant")
-        valencies = [int(k) for k in valencies]
 
         # (A_i A_j)[0, y_k] for the first y_k with L[0, y_k] = k: the tensor,
         # once the closure certificate below holds
@@ -136,13 +154,15 @@ class AssociationScheme:
         pairs0 = L[0].astype(np.intp)[:, None] * nm + L[:, rep] + nm * nm * np.arange(nm)
         tensor = np.bincount(pairs0.reshape(-1), minlength=nm**3)
         tensor = np.ascontiguousarray(tensor.reshape(nm, nm, nm).transpose(1, 2, 0))
+        tensor.flags.writeable = False
+        # tpose and valencies are those that the scheme reads off p (class docstring)
         _certify_closure(L, labels, tensor, tpose, valencies)
-        return cls(L, list(labels), tensor, tpose, valencies)
+        return cls(L, list(labels), tensor)
 
     # -- structure --
 
     def is_symmetric(self) -> bool:
-        return all(self.tpose[i] == i for i in range(self.nclasses))
+        return self.tpose == list(range(self.nclasses))
 
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.p, self.p.transpose(1, 0, 2)))

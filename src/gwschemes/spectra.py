@@ -15,11 +15,12 @@ carries d_k x d_k matrix units E_ij (1-based indices) satisfying the strict
 relations E_ij E_i'j' = [k = k'][j = i'] E_ij'.  The eigenmatrix P collects
 the irreducible representation images phi_k(A_l), the eigenmatrix Q the
 coefficients of the units over the adjacency basis, and the two are linked by
-the duality m_k P[(k,ij),l] = v_l conj(Q[l,(k,ij)]).
+the duality m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), a theorem for verified
+units and a verified scheme (Eigensystem.check_pq_duality), so not re-checked.
 
 The unit relations are the one batch of algebra products.  P is read off the
 units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k and certified by
-completeness (Eigensystem.phi_matrices); the fused P^ is read off the
+completeness (Eigensystem._phi); the fused P^ is read off the
 fused-class sums of phi, whose 2 x 2 images must be symmetric under
 (i, j) -> (3-i, 3-j) (FusedEigensystem).
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -100,26 +102,17 @@ def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
     return kernel.combine(alg.scheme.v * np.eye(len(classes), dtype=np.int64), cols)
 
 
-def _duality_failures(field: CycField, P: Batch, mult, Q: Batch, valencies) -> np.ndarray:
-    """Where mult[k] P[k, t] != valencies[t] conj(Q[t, k]), for batches of
-    scalars P and Q."""
-    lhs = kernel.combine(np.diag(mult), P)
-    rhs = kernel.combine(np.diag(valencies), kernel.adjoint(Q, [0], field))
-    return ~lhs.equal(Batch(rhs.num.swapaxes(0, 1), rhs.den))
-
-
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra.
 
     The units are packed once, at construction, into one read-only Batch;
     every check and table reads that batch, so a later edit of the blocks
-    changes nothing the eigensystem reports.
+    changes nothing the eigensystem reports.  No attribute can be set after
+    construction, so the eigensystem stays the certificate it was built as.
     """
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
-        self.algebra = algebra
-        self.blocks = blocks
-        self._keys = []  # (block, i, j) of every unit, in row_index() order
+        keys = []  # (block, i, j) of every unit, in row_index() order
         for bi, blk in enumerate(blocks):
             square = [(i, j) for i in range(1, blk.dim + 1) for j in range(1, blk.dim + 1)]
             missing = [key for key in square if key not in blk.units]
@@ -127,30 +120,29 @@ class Eigensystem:
             if missing or extra:
                 what = f"lacks unit {missing[0]}" if missing else f"has extra unit {extra[0]}"
                 raise VerificationError(f"block {blk.name} of dim {blk.dim} {what}")
-            self._keys += [(bi, i, j) for i, j in square]
-        self._U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in self._keys])
-        self._U.num.flags.writeable = False
-        self._phi = None
-        self._mult = None
-        self.verify()
+            keys += [(bi, i, j) for i, j in square]
+        U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in keys])
+        U.num.flags.writeable = False
+        vars(self).update(algebra=algebra, blocks=blocks, _keys=keys, _U=U)
+        vars(self)["_mult"] = self.verify()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name}: a verified Eigensystem is frozen")
 
     # -- verification --
 
-    def verify(self) -> None:
+    def verify(self) -> list[int]:
+        """Check the units; return the block multiplicities."""
         alg = self.algebra
         keys, U = self._keys, self._U
         if len(keys) != alg.scheme.nclasses:
-            raise VerificationError(
-                "sum of squared block dimensions must equal the class count"
-            )
+            raise VerificationError("sum of squared block dimensions must equal the class count")
         pos = {key: n for n, key in enumerate(keys)}
         # E_ij E_i'j' = E_ij' when both lie in one block and j = i', else 0
-        want = np.array(
-            [
-                [pos[(b, i, j2)] if b == b2 and j == i2 else -1 for b2, i2, j2 in keys]
-                for b, i, j in keys
-            ]
-        )
+        want = np.array([
+            [pos[(b, i, j2)] if b == b2 and j == i2 else -1 for b2, i2, j2 in keys]
+            for b, i, j in keys
+        ])
         W = Batch(np.where((want >= 0)[..., None, None], U.num[want], 0), U.den)
         bad = ~alg.mul(U[:, None], U[None, :]).equal(W)
         if bad.any():
@@ -167,44 +159,45 @@ class Eigensystem:
         bad = ~adj.equal(U[[pos[(b, j, i)] for b, i, j in keys]])
         if bad.any():
             b, i, j = keys[np.flatnonzero(bad)[0]]
-            raise VerificationError(
-                f"adjoint failed in block {self.blocks[b].name} at ({i},{j})"
-            )
-        self._mult = self._multiplicities(keys, U)
+            raise VerificationError(f"adjoint failed in block {self.blocks[b].name} at ({i},{j})")
+        return self._multiplicities(keys, U)
 
     def _multiplicities(self, keys: list[tuple[int, int, int]], U: Batch) -> list[int]:
-        # tr E_ii = v * (coefficient of A_0) is the multiplicity of the block's
-        # irreducible in the standard module; the unit relations force it
-        # equal for every i
-        out = []
+        """m_k = tr E_11 = v * (coefficient of A_0 in E_11), the multiplicity
+        of block k's irreducible in the standard module, for units that pass
+        the unit relations and the identity sum.  Only m_k >= 1 is checked;
+        the rest is a theorem:
+
+        - E_ii is an idempotent v x v matrix, so tr E_ii is its rank, a
+          nonnegative integer.  The coefficient of A_0 is then rational, and
+          its other coordinates over the field's Q-basis are 0.
+        - tr E_ii = tr(E_ij E_ji) = tr(E_ji E_ij) = tr E_jj, so the diagonal
+          units of a block have equal rank.
+        - The diagonal units sum to I, so sum_k d_k m_k = tr I = v.
+
+        m_k = 0 exactly when E_11 = 0, which the unit relations allow (a zero
+        block satisfies all of them), so that one check stays.
+        """
         v = self.algebra.scheme.v
-        for bi in range(len(self.blocks)):
-            tr = U.num[[n for n, (b, i, j) in enumerate(keys) if b == bi and i == j], 0]
-            if tr[:, 1:].any():
-                raise VerificationError("multiplicity not rational")
-            vals = {Fraction(int(t) * v, U.den) for t in tr[:, 0]}
-            if len(vals) != 1:
-                raise VerificationError("diagonal units have unequal rank")
-            mk = vals.pop()
-            if mk.denominator != 1 or mk <= 0:
-                raise VerificationError(f"multiplicity {mk} not a positive integer")
-            out.append(int(mk))
-        if sum(m * b.dim for m, b in zip(out, self.blocks)) != v:
-            raise VerificationError("multiplicities do not sum to v")
+        first = [n for n, (_, i, j) in enumerate(keys) if i == j == 1]
+        out = [int(t) * v // U.den for t in U.num[first, 0, 0]]
+        for blk, mk in zip(self.blocks, out):
+            if mk < 1:
+                raise VerificationError(f"block {blk.name} has multiplicity 0")
         return out
 
     # -- derived data --
 
-    @property
-    def multiplicities(self) -> list[int]:
-        return list(self._mult)
+    multiplicities = property(lambda self: list(self._mult))
 
     def row_index(self) -> list[tuple[str, int, int]]:
         """P-row / Q-column order: blocks in order, (i, j) lexicographic."""
         return [(self.blocks[b].name, i, j) for b, i, j in self._keys]
 
-    def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
-        """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k.
+    @cached_property
+    def _phi(self) -> Batch:
+        """The images as a batch of scalars phi[unit, l], computed and
+        certified on first use.
 
         Read off the verified units by the trace form.  If A_l is the sum over
         the units of phi[(k,i,j), l] E_ij, the unit relations give E_ji A_l =
@@ -216,43 +209,41 @@ class Eigensystem:
         The nm units are independent (E_ii X E_jj = c E_ij for X = sum c E, and
         E_ij E_ji = E_ii != 0), so they span the algebra, and the completeness
         check A_l = sum phi E_ij made here alone certifies phi: E_ii A_l E_jj =
-        phi E_ij follows from the unit relations.  The images are kept as a
-        batch of scalars phi[unit, l], computed on the first call and formatted
-        on each.
+        phi E_ij follows from the unit relations.
         """
-        alg = self.algebra
-        nm = alg.scheme.nclasses
-        keys, U = self._keys, self._U
-        pos = {key: n for n, key in enumerate(keys)}
-        if self._phi is None:
-            L = lcm(*self._mult)
-            scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in keys])
-            Ut = U[[pos[(b, j, i)] for b, i, j in keys]]  # E_ji in the place of E_ij
-            X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
-            phi = Batch(X.num[:, :, None, :], X.den * L)
-            # completeness: A_l = sum over blocks and units of phi * E_ij
-            phiE = kernel.field_mul(phi, U[:, None], alg.field)
-            bad = ~phiE.sum().equal(alg.adjacency())
-            if bad.any():
-                l = int(np.flatnonzero(bad)[0])
-                raise VerificationError(f"A_{l} is not spanned by the matrix units")
-            self._phi = phi
-        P = _table(alg.field, self._phi)
+        alg, U = self.algebra, self._U
+        pos = {key: n for n, key in enumerate(self._keys)}
+        L = lcm(*self._mult)
+        scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in self._keys])
+        Ut = U[[pos[(b, j, i)] for b, i, j in self._keys]]  # E_ji in the place of E_ij
+        X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
+        phi = Batch(X.num[:, :, None, :], X.den * L)
+        # completeness: A_l = sum over blocks and units of phi * E_ij
+        phiE = kernel.field_mul(phi, U[:, None], alg.field)
+        bad = ~phiE.sum().equal(alg.adjacency())
+        if bad.any():
+            l = int(np.flatnonzero(bad)[0])
+            raise VerificationError(f"A_{l} is not spanned by the matrix units")
+        return phi
+
+    def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
+        """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k,
+        formatted from the certified batch _phi on each call."""
+        nm = self.algebra.scheme.nclasses
+        P = _table(self.algebra.field, self._phi)
+        pos = {key: n for n, key in enumerate(self._keys)}
         dims = [range(1, blk.dim + 1) for blk in self.blocks]
         return [
             [[[P[pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
             for b, d in enumerate(dims)
         ]
 
-    def _phi_batch(self) -> Batch:
-        """The batch phi[unit, l] that phi_matrices() computes and verifies."""
-        if self._phi is None:
-            self.phi_matrices()
-        return self._phi
-
     def eigenmatrix_p(self) -> list[list[CycScalar]]:
-        """Rows indexed by row_index(), columns by class."""
-        return _table(self.algebra.field, self._phi_batch())
+        """Rows indexed by row_index(), columns by class: the entries of
+        phi_matrices()."""
+        phis = self.phi_matrices()
+        nm = self.algebra.scheme.nclasses
+        return [[phis[b][l][i - 1][j - 1] for l in range(nm)] for b, i, j in self._keys]
 
     def eigenmatrix_q(self) -> list[list[CycScalar]]:
         """Rows indexed by class, columns by row_index(); Q[l][col] = v * coeff."""
@@ -263,19 +254,22 @@ class Eigensystem:
         """T[k][l] = trace of the image of A_l in block k (plain trace)."""
         keys = self._keys
         traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self.blocks))]
-        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi_batch())
+        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi)
         return _table(self.algebra.field, T)
 
     def check_pq_duality(self) -> bool:
-        """Entrywise m_k P[(k,ij),l] = v_l conj(Q[l,(k,ij)])."""
-        phi = self._phi_batch()
-        alg = self.algebra
-        Q = _q(alg, self._U, list(range(alg.scheme.nclasses)))
-        mult = [mk for blk, mk in zip(self.blocks, self._mult) for _ in range(blk.dim**2)]
-        bad = _duality_failures(alg.field, phi, mult, Q, alg.scheme.valencies)
-        if bad.any():
-            r, l = np.argwhere(bad)[0]
-            raise VerificationError(f"duality failed at row {r}, class {l}")
+        """Entrywise m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), k_l the valency
+        of class l: a theorem for a verified eigensystem of a verified scheme,
+        so this returns True.
+
+        Write l' for the transpose of l.  The trace form (_phi) gives
+        m_k P[(k,ij), l] = v sum_a E_ji[a] p[a, l, 0], and from_matrices makes
+        p[a, l, 0] = [a = l'] k_l (AssociationScheme), so m_k P = v k_l E_ji[l'].
+        The verified adjoint pairs give E_ji = E_ij*, and the adjoint of
+        sum_a x_a A_a is sum_a conj(x_a) A_a', so E_ji[l'] = conj(E_ij[l]).
+        With Q[l, (k,ij)] = v E_ij[l], m_k P = k_l conj(Q).  Neither object
+        can be edited after verification, so the premises still hold.
+        """
         return True
 
 
@@ -425,8 +419,7 @@ def gh_symmetric_fusion(q: int) -> list[list[int]]:
 def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> Batch:
     """S[unit, t] = sum over the classes l of cell t of phi[unit, l]: the
     images of the fused class sums, as a batch of scalars of shape (unit, t)."""
-    phi = es._phi_batch()
-    return kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), phi, axis=1)
+    return kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), es._phi, axis=1)
 
 
 class FusedEigensystem:
@@ -446,9 +439,9 @@ class FusedEigensystem:
       multiplicity of the block.
 
     What depends on the partition is verified here: the constancy of the
-    coefficients on the fused classes, the eigenvalue equations from both
-    sides, and fused P/Q duality.  The eigenvalue equations need no algebra
-    product.  phi is certified (Eigensystem.phi_matrices), so A^_t is the sum
+    coefficients on the fused classes and the eigenvalue equations from both
+    sides.  The eigenvalue equations need no algebra product.  phi is
+    certified (Eigensystem._phi), so A^_t is the sum
     over the units of S[unit, t] E_ij, where S holds the fused-class sums of
     phi (_fused_sums).  On a 2-dimensional block A^_t acts as
     M_t = [[a, b], [b', d]], and e+- = (1/2) sum_ij u_i u_j E_ij with
@@ -461,6 +454,15 @@ class FusedEigensystem:
     e = E_11 and c = S[(1,1), t], the same sum.  The idempotents are kept as
     a Batch.  A malformed partition raises ValueError (see
     schemes.check_partition).
+
+    The fused duality m_k P^[e, t] = k^_t conj(Q^[t, e]), with k^_t the
+    fused valency, then holds as a theorem.  e is self-adjoint, since the
+    verified adjoint pairs give E_ij* = E_ji, and constant on each cell, with
+    value e[t] on cell t.  tr(X A_l) = v X[l'] k_l for X in the algebra
+    (Eigensystem.check_pq_duality), so tr(e A^_t) = v sum_l k_l e[l'] =
+    v sum_l k_l conj(e[l]) = v k^_t conj(e[t]), the sums over the classes l of
+    cell t.  With e A^_t = c e and tr e = m_k, tr(e A^_t) = m_k c, so
+    m_k c = v k^_t conj(e[t]) = k^_t conj(Q^[t, e]).
     """
 
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
@@ -490,12 +492,9 @@ class FusedEigensystem:
         E = kernel.combine(twice, es._U)
         self.idempotents = E = Batch(E.num, 2 * E.den)
         cells = _indicator(self.partition, alg.scheme.nclasses)
-        self.fused_valencies = (cells @ np.array(alg.scheme.valencies)).tolist()
-        Q = self._fused_q(E)
-        self.qhat = _table(alg.field, Q)
-        P = self._fused_p(_fused_sums(es, self.partition), twice, mirror)
-        self.phat = _table(alg.field, P)
-        self._check_duality(P, Q)
+        self.fused_valencies = (cells @ alg.scheme.valencies).tolist()
+        self.qhat = _table(alg.field, self._fused_q(E))
+        self.phat = _table(alg.field, self._fused_p(_fused_sums(es, self.partition), twice, mirror))
 
     def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
@@ -512,27 +511,16 @@ class FusedEigensystem:
         if bad.any():
             k, t = np.argwhere(bad)[0]
             raise VerificationError(
-                f"fused class {t} does not act as a scalar on idempotent "
-                f"{self.names[k]}"
+                f"fused class {t} does not act as a scalar on idempotent {self.names[k]}"
             )
         c = kernel.combine(twice, S)
         return Batch(c.num, 2 * c.den)
-
-    def _check_duality(self, P: Batch, Q: Batch) -> None:
-        bad = _duality_failures(
-            self.algebra.field, P, self.multiplicities, Q, self.fused_valencies
-        )
-        if bad.any():
-            k, t = np.argwhere(bad)[0]
-            raise VerificationError(
-                f"fused duality failed at idempotent {self.names[k]}, class {t}"
-            )
 
 
 # -- the fusion criterion --
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionCertificate:
     """Witness that a fusion satisfies the eigenspace criterion.
 
@@ -566,23 +554,15 @@ def _closure_ok(cells: list[tuple[tuple[int, int], ...]]) -> bool:
     """Check that the span of the cell sums of matrix units is closed under
     multiplication: the structure coefficients #{j : (a,j) in C, (j,b) in C'}
     must be constant on every cell."""
-    cell_of = {}
-    for ci, cell in enumerate(cells):
-        for ij in cell:
-            cell_of[ij] = ci
-    for C in cells:
-        for C2 in cells:
-            counts = {}
-            for a, j in C:
-                for j2, b in C2:
-                    if j == j2:
-                        counts[(a, b)] = counts.get((a, b), 0) + 1
-            by_cell: dict[int, set[int]] = {}
-            for ij, ci in cell_of.items():
-                by_cell.setdefault(ci, set()).add(counts.get(ij, 0))
-            for vals in by_cell.values():
-                if len(vals) != 1:
-                    return False
+    d = max(i for cell in cells for ij in cell for i in ij)
+    M = np.zeros((len(cells), d, d), dtype=np.int64)  # M[c, a-1, b-1] = [(a, b) in c]
+    for c, cell in enumerate(cells):
+        M[c][tuple(np.array(cell).T - 1)] = 1
+    counts = np.einsum("cij,ejk->ceik", M, M)  # the coefficients, for each C, C'
+    for mask in M.astype(bool):
+        X = counts[:, :, mask]
+        if (X != X[..., :1]).any():
+            return False
     return True
 
 
@@ -617,7 +597,7 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
       least as many of them.
     - Count.  The fused sums A^_t of disjoint nonempty cells are linearly
       independent, and the verified units map A to (phi_k(A))_k injectively
-      (phi_matrices proves completeness).  So the signature rows have rank
+      (Eigensystem._phi proves completeness).  So the signature rows have rank
       target, and there are at least target signature groups in all.
     - Conclusion.  A product certificate has exactly target cells, so in
       every block it is the signature grouping.  Its cell sums multiply as

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from gwschemes import (
     Eigensystem,
     FusedEigensystem,
@@ -86,3 +88,17 @@ def gh_fused(q: int) -> FusedEigensystem:
 def masks(scheme) -> list:
     """The boolean 0/1 matrices A_i = (L == i) of a scheme's classes."""
     return [scheme.L == i for i in range(scheme.nclasses)]
+
+
+def assert_column_zero(s) -> None:
+    """The premise of the P/Q duality: column l of p[:, :, 0] has one nonzero
+    entry, at the transpose l' of l, equal to the valency k_l.  l' and k_l
+    are read off row 0 of L here, and must be what s reports."""
+    row = s.L[0].astype(np.intp)
+    first = np.unique(row, return_index=True)[1]  # the first y with L[0, y] = l
+    tpose = s.L[first, 0].astype(np.intp)  # A_l(0, y) = 1 gives A_l'(y, 0) = 1
+    k = np.bincount(row, minlength=s.nclasses)
+    want = np.zeros((s.nclasses, s.nclasses), dtype=np.int64)
+    want[tpose, np.arange(s.nclasses)] = k
+    assert np.array_equal(s.p[:, :, 0], want)
+    assert (s.tpose, s.valencies) == (tpose.tolist(), k.tolist())

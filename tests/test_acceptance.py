@@ -227,7 +227,33 @@ class TestC6CharacterTablesAndDuality:
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_pq_duality_exact(self, c):
-        assert get_es(c).check_pq_duality()
+        # m_k P[(k,ij), l] = k_l conj(Q[l, (k,ij)]) on the public tables
+        es = get_es(c)
+        P, Q, ks = es.eigenmatrix_p(), es.eigenmatrix_q(), es.algebra.scheme.valencies
+        mult = [mk for blk, mk in zip(es.blocks, es.multiplicities) for _ in range(blk.dim**2)]
+        assert len(P) == len(mult) and len(Q) == len(ks)
+        for r, mk in enumerate(mult):
+            for l, kl in enumerate(ks):
+                assert P[r][l].scale(mk) == Q[l][r].conj().scale(kl), (r, l)
+        assert es.check_pq_duality()
+
+    @pytest.mark.parametrize("c", ALL, ids=case_id)
+    def test_fused_pq_duality_exact(self, c):
+        # m^_e P^[e, t] = k^_t conj(Q^[t, e]) on the public fused tables
+        fes = get_fused(c)
+        fused = get_scheme(c).fuse(get_partition(c))
+        assert fes.fused_valencies == fused.valencies
+        assert len(fes.phat) == len(fes.multiplicities)
+        for e, me in enumerate(fes.multiplicities):
+            for t, kt in enumerate(fes.fused_valencies):
+                assert fes.phat[e][t].scale(me) == fes.qhat[t][e].conj().scale(kt), (e, t)
+
+    @pytest.mark.parametrize("c", ALL, ids=case_id)
+    def test_duality_premise(self, c):
+        # p[:, l, 0] = k_l e_l', which the duality theorem reads, on the
+        # scheme and on its symmetrizing fusion
+        cases.assert_column_zero(get_scheme(c))
+        cases.assert_column_zero(get_scheme(c).fuse(get_partition(c)))
 
     @pytest.mark.parametrize("c", ALL, ids=case_id)
     def test_trace_and_rank_of_idempotents(self, c):

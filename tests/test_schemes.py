@@ -481,7 +481,7 @@ class TestClosureCertificate:
             L = swap_in_block(rows, cols, a, b)(s)
             assert (L != s.L).any()
             try:
-                AssociationScheme.from_matrices(L, s.labels)
+                cases.assert_column_zero(AssociationScheme.from_matrices(L, s.labels))
                 ours = True
             except NotAScheme:
                 ours = False
@@ -583,6 +583,46 @@ class TestRowBlocks:
         with pytest.raises(NotAScheme) as one_row:
             AssociationScheme.from_matrices(L, s.labels)
         assert str(one_row.value) == str(default.value)
+
+
+class TestFrozen:
+    """A scheme is a frozen certificate: p and L are read-only, tpose and
+    valencies are read off p, and none of them can be set."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: verified(johnson_style_pair(5)[1]),
+            lambda: verified(cyclic_label_matrix(6)),
+            lambda: verified(cyclic_label_matrix(257)),
+            lambda: verified(cyclic_label_matrix(6)).fuse([[0], [1, 5], [2, 4], [3]]),
+            lambda: verified(sum((a + 1) * P for a, P in enumerate(one_factorization(3)))),
+        ],
+        ids=["one-class", "Z6", "Z257", "Z6-fused", "K4"],
+    )
+    def test_column_zero_premise(self, make):
+        cases.assert_column_zero(make())
+
+    @pytest.mark.parametrize("name", ["L", "labels", "p", "tpose", "valencies", "v"])
+    def test_attributes_cannot_be_set(self, name):
+        s = verified(cyclic_label_matrix(6))
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+    @pytest.mark.parametrize("name", ["L", "p"])
+    def test_arrays_cannot_be_written(self, name):
+        s = verified(cyclic_label_matrix(6))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[1, 1] = 0
+        assert s.valencies == [1] * 6
+
+    def test_returned_lists_are_fresh(self):
+        s = verified(cyclic_label_matrix(6))
+        ks, t = s.valencies, s.tpose
+        ks[3] += 1
+        t[1] = 1
+        assert (s.valencies, s.tpose) == ([1] * 6, [0, 5, 4, 3, 2, 1])
+        assert s.valencies is not s.valencies
 
 
 class TestFusion:

@@ -32,6 +32,7 @@ from gwschemes.spectra import (
     Eigensystem,
     FusedEigensystem,
     SchemeAlgebra,
+    _closure_ok,
     _signatures,
     bgw_f_elements,
     gh_f_elements,
@@ -466,9 +467,11 @@ class TestVerificationTeeth:
 
     def test_phi_incompleteness_rejected(self):
         # after verification, 2 E_0 still passes E A_l E = phi E with phi
-        # doubled, but the units then span 4 phi E_0 where A_l needs phi E_0
+        # doubled, but the units then span 4 phi E_0 where A_l needs phi E_0.
+        # The eigensystem rejects es._U = ..., so the control writes past its
+        # guard, before phi is computed
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        es._U = doubled(es._U, 0)
+        vars(es)["_U"] = doubled(es._U, 0)
         with pytest.raises(VerificationError, match=r"^A_0 is not spanned by the matrix units$"):
             es.phi_matrices()
 
@@ -496,29 +499,53 @@ class TestVerificationTeeth:
         ):
             FusedEigensystem(es, [[0], [1, 2], [3, 4, 5]])
 
-    def test_pq_duality_names_the_first_failing_entry(self):
-        # P is cached by phi_matrices(); Q is read from the packed units, in
-        # which E_12 of block a1 (row 3) is doubled afterwards, so the duality
-        # fails where it is nonzero
-        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        es.phi_matrices()
-        es._U = doubled(es._U, 3)
-        with pytest.raises(VerificationError, match=r"^duality failed at row 3, class 3$"):
-            es.check_pq_duality()
+    def test_zero_block_rejected(self):
+        # block 2 of bgw 5,2 takes E_2 + E_3 and block 3 the zero unit: every
+        # unit relation, the identity sum and the adjoints hold, and only the
+        # multiplicity m_3 = 0 is wrong
+        es = cases.bgw_es(5, 2)
+        zero = es.algebra.field.zero()
+        E2, E3 = (es.blocks[b].units[(1, 1)] for b in (2, 3))
+        merged = {k: E2.get(k, zero) + E3.get(k, zero) for k in {*E2, *E3}}
+        bad = es.blocks[:2] + [Block("2", 1, {(1, 1): merged}), Block("3", 1, {(1, 1): {}})]
+        with pytest.raises(VerificationError, match=r"^block 3 has multiplicity 0$"):
+            Eigensystem(es.algebra, bad)
 
-    def test_wrong_valency_breaks_both_dualities(self):
-        # the unit relations do not read the valencies, so the eigensystem of
-        # a scheme with one valency raised verifies, and both dualities fail
+    def test_unit_batch_cannot_be_replaced(self):
+        # the edit that once made the P/Q duality fail at row 3, class 3:
+        # doubling E_12 of block a1 in the packed units after phi was cached
+        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
+        P = es.eigenmatrix_p()
+        with pytest.raises(AttributeError, match="^cannot set _U: a verified Eigensystem"):
+            es._U = doubled(es._U, 3)
+        assert es.eigenmatrix_p() == P
+        assert es.eigenmatrix_q() == cases.bgw_es(7, 3).eigenmatrix_q()
+
+    def test_valencies_cannot_be_edited(self):
+        # the edit that once made both dualities fail: valency 3 raised on a
+        # copy of the scheme.  Setting the list raises, and a returned list
+        # is a fresh copy, so raising its entry changes nothing
         scheme = copy.copy(cases.bgw(7, 3))
-        scheme.valencies = list(scheme.valencies)
-        scheme.valencies[3] += 1
-        es = bgw_eigensystem(scheme, 7, 3)
-        with pytest.raises(
-            VerificationError, match=r"^fused duality failed at idempotent 0, class 2$"
-        ):
-            FusedEigensystem(es, bgw_symmetric_fusion(3))
-        with pytest.raises(VerificationError, match=r"^duality failed at row 0, class 3$"):
-            es.check_pq_duality()
+        with pytest.raises(AttributeError):
+            scheme.valencies = [1, 1, 1, 8, 7, 7]
+        ks = scheme.valencies
+        ks[3] += 1
+        assert scheme.valencies == cases.bgw(7, 3).valencies == [1, 1, 1, 7, 7, 7]
+        fe = FusedEigensystem(bgw_eigensystem(scheme, 7, 3), bgw_symmetric_fusion(3))
+        assert fused_record(fe) == FUSED_RECORDS[("bgw", 7, 3)]
+
+    @pytest.mark.parametrize("name", ["_U", "_keys", "_mult", "_phi", "algebra", "blocks"])
+    def test_eigensystem_attributes_cannot_be_set(self, name):
+        es = cases.bgw_es(7, 3)
+        with pytest.raises(AttributeError, match=f"^cannot set {name}: "):
+            setattr(es, name, getattr(es, name))
+
+    def test_certificate_cannot_be_edited(self):
+        cert = bm_search(cases.bgw_es(7, 3), bgw_symmetric_fusion(3))
+        with pytest.raises(AttributeError):
+            cert.cells = []
+        with pytest.raises(AttributeError):
+            cert.cell_count += 1
 
     def test_eigensystem_for_dispatch(self):
         es = eigensystem_for(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
@@ -693,7 +720,7 @@ class TestProductReferences:
             alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :]),
             U[[pos[(b, j, j)] for b, _, j in keys]][:, None],
         )
-        assert kernel.field_mul(es._phi_batch(), U[:, None], alg.field).equal(Y).all()
+        assert kernel.field_mul(es._phi, U[:, None], alg.field).equal(Y).all()
         # e A^_t = A^_t e = P^[e, t] e
         fe = getattr(cases, maker + "_fused")(*args)
         E = fe.idempotents
@@ -992,6 +1019,50 @@ class TestFusionCertificates:
         es = cases.bgw_es(13, 3)
         bad = [[0], [1, 2], [3, 4], [5]]
         assert bm_search(es, bad) is None
+
+
+def closure_reference(cells) -> bool:
+    """_closure_ok by counting: #{j : (a,j) in C, (j,b) in C'} must be
+    constant on every cell, for every pair of cells C, C'."""
+    for C in cells:
+        for C2 in cells:
+            counts = {}
+            for a, j in C:
+                for j2, b in C2:
+                    if j == j2:
+                        counts[(a, b)] = counts.get((a, b), 0) + 1
+            if any(len({counts.get(ij, 0) for ij in cell}) != 1 for cell in cells):
+                return False
+    return True
+
+
+def labelled_cells(d: int, labeling) -> list[tuple[tuple[int, int], ...]]:
+    """The cells of the unit index pairs of a d x d block, in row-major
+    order, that give the pairs the same label."""
+    cells: dict[int, list] = {}
+    for n, c in enumerate(labeling):
+        cells.setdefault(int(c), []).append((n // d + 1, n % d + 1))
+    return [tuple(cell) for cell in cells.values()]
+
+
+class TestClosureCheck:
+    def test_every_partition_of_a_2x2_block(self):
+        # every labeling of the 4 pairs by 4 labels gives each of the 15 partitions
+        outcomes = [
+            (_closure_ok(cells), closure_reference(cells))
+            for cells in (labelled_cells(2, g) for g in np.ndindex(4, 4, 4, 4))
+        ]
+        assert all(ours == ref for ours, ref in outcomes)
+        assert {ours for ours, _ in outcomes} == {True, False}
+
+    def test_random_partitions_of_a_3x3_block(self):
+        rng = np.random.default_rng(0)
+        outcomes = []
+        for _ in range(400):
+            cells = labelled_cells(3, rng.integers(0, rng.integers(1, 10), 9))
+            outcomes.append((_closure_ok(cells), closure_reference(cells)))
+        assert all(ours == ref for ours, ref in outcomes)
+        assert {ours for ours, _ in outcomes} == {True, False}
 
 
 def class_partitions(nm: int):
