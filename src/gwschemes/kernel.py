@@ -20,7 +20,7 @@ the sum of the absolute values of its terms, which is at most
     max|X| * max|Y| * max_k sum_ij p[i, j, k] * max_t sum_rs |c[r, s, t]|.
 
 Every operation here computes its bound of this kind before it starts and
-picks one of three tiers from it alone (exact):
+picks one of two tiers from it alone (exact):
 
 * float64 below 2**53.  The inputs convert exactly, since each entry is at
   most the bound.  Every value a classical GEMM or GEMV computes, in any
@@ -32,17 +32,15 @@ picks one of three tiers from it alone (exact):
   classical BLAS dgemm and dgemv (or numpy's own classical loops), not a
   Strassen-type algorithm, whose intermediate sums are not partial sums of
   the terms.
-* int64 below 2**62, in numpy's own integer loops.
 * object dtype otherwise, whose entries are Python integers of unbounded size.
 
 Either way the result is exact.  A float64 result converts back to int64
 before it is stored, so Batch.num is always int64 or object.
 
-algebra_mul and field_mul run over the leading axes in pieces, so that the
-largest temporary of a piece (the operators R of algebra_mul, the outer
-products of field_mul) holds at most BUDGET entries, and each other
-temporary a small multiple of that or of the result; an element whose own
-temporary is larger than BUDGET makes a piece of its own.
+algebra_mul runs over the leading axes in pieces, so that the largest
+temporary of a piece (the operators R) holds at most BUDGET entries, and
+each other temporary a small multiple of that or of the result; an element
+whose own operator is larger than BUDGET makes a piece of its own.
 """
 from __future__ import annotations
 
@@ -53,7 +51,6 @@ import numpy as np
 from .algebra import CycField, CycScalar
 
 FLOAT_LIMIT = 2**53
-LIMIT = 2**62
 BUDGET = 1 << 22  # entries of the temporary of one piece of a product
 
 
@@ -62,14 +59,8 @@ def absmax(a: np.ndarray) -> int:
 
 
 def exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays as float64 when bound < FLOAT_LIMIT, as int64 when
-    bound < LIMIT, else as object arrays."""
-    if bound >= LIMIT:
-        dt = np.dtype(object)
-    elif bound >= FLOAT_LIMIT:
-        dt = np.dtype(np.int64)
-    else:
-        dt = np.dtype(np.float64)
+    """The arrays as float64 when bound < FLOAT_LIMIT, else as object arrays."""
+    dt = np.dtype(np.float64 if bound < FLOAT_LIMIT else object)
     return [a if a.dtype == dt else a.astype(dt) for a in arrays]
 
 
@@ -132,11 +123,6 @@ class Batch:
             idx = (idx,)
         return Batch(self.num[idx + (Ellipsis, slice(None), slice(None))], self.den)
 
-    def sum(self) -> "Batch":
-        """Sum over the first axis."""
-        (num,) = exact(absmax(self.num) * len(self.num), self.num)
-        return Batch(num.sum(axis=0), self.den)
-
     def equal(self, other: "Batch") -> np.ndarray:
         """Elementwise equality over the broadcast leading axes."""
         g = gcd(self.den, other.den)
@@ -168,22 +154,6 @@ def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:
     bound = absmax(x.num) * int(np.abs(w).sum(axis=1).max(initial=0))
     wn, xn = exact(bound, w, x.num)
     return Batch(np.moveaxis(np.tensordot(wn, xn, axes=([1], [axis])), 0, axis), x.den)
-
-
-def field_mul(x: Batch, y: Batch, field: CycField) -> Batch:
-    """Entrywise field products x[..., k] y[..., k], broadcasting all but the basis axis."""
-    mult = field.structure
-    D = len(mult)
-    bound = absmax(x.num) * absmax(y.num) * int(np.abs(mult).sum(axis=(0, 1)).max())
-    xn, yn, c = exact(bound, x.num, y.num, mult)
-    xn, yn = _leading(xn, yn)
-    shape = np.broadcast_shapes(xn.shape[:-1], yn.shape[:-1])
-    z = np.empty(shape + (D,), dtype=np.int64 if c.dtype != object else object)
-    for idx in _pieces(shape, D * D):
-        xi, yi = xn[_at(idx, xn.shape)], yn[_at(idx, yn.shape)]
-        outer = xi[..., :, None] * yi[..., None, :]
-        z[idx] = outer.reshape(*outer.shape[:-2], D * D) @ c.reshape(D * D, D)
-    return Batch(z, x.den * y.den)
 
 
 def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:

@@ -72,23 +72,24 @@ BLOCK = 1 << 16  # cells of L per numpy step of a v**2-cell pass, at least one r
 
 @dataclass(frozen=True, eq=False)
 class AssociationScheme:
-    """A verified scheme: the read-only label matrix L, the class labels and
-    the read-only intersection tensor p.  It is frozen, so it stays the
-    certificate that from_matrices made.
+    """A verified scheme: the read-only label matrix L, the class labels (a
+    tuple the scheme owns) and the read-only intersection tensor p.  It is
+    frozen, so it stays the certificate that from_matrices made.
 
-    tpose (l -> l', with A_l' = A_l^T) and the valencies k_l are read off
-    p[:, :, 0], a fresh list on each access.  (A_a A_l)[0, 0] counts the z
-    with L[0, z] = a and L[z, 0] = l, that is L[0, z] = a = l'.  So
-    p[a, l, 0] = [a = l'] k_l: column l has one nonzero entry, at l', equal
-    to k_l, its argmax and its sum.
+    labels, tpose (l -> l', with A_l' = A_l^T) and the valencies k_l are a
+    fresh list on each access; the last two are read off p[:, :, 0].
+    (A_a A_l)[0, 0] counts the z with L[0, z] = a and L[z, 0] = l, that is
+    L[0, z] = a = l'.  So p[a, l, 0] = [a = l'] k_l: column l has one
+    nonzero entry, at l', equal to k_l, its argmax and its sum.
     """
 
     L: np.ndarray
-    labels: list[str]
+    _labels: tuple[str, ...]
     p: np.ndarray
 
     v = property(lambda self: self.L.shape[0])
-    nclasses = property(lambda self: len(self.labels))
+    nclasses = property(lambda self: len(self._labels))
+    labels = property(lambda self: list(self._labels))
 
     @property
     def tpose(self) -> list[int]:
@@ -157,7 +158,7 @@ class AssociationScheme:
         tensor.flags.writeable = False
         # tpose and valencies are those that the scheme reads off p (class docstring)
         _certify_closure(L, labels, tensor, tpose, valencies)
-        return cls(L, list(labels), tensor)
+        return cls(L, tuple(labels), tensor)
 
     # -- structure --
 
@@ -175,7 +176,7 @@ class AssociationScheme:
         return "noncommutative"
 
     def label_index(self, label: str) -> int:
-        return self.labels.index(label)
+        return self._labels.index(label)
 
     def fuse(self, partition: list[list[int]]) -> "AssociationScheme":
         """Merge relations along a partition of class indices and re-verify.
@@ -188,7 +189,7 @@ class AssociationScheme:
         cell_of = np.empty(self.nclasses, dtype=self.L.dtype)
         for c, cell in enumerate(partition):
             cell_of[cell] = c
-        labels = ["+".join(self.labels[i] for i in sorted(cell)) for cell in partition]
+        labels = ["+".join(self._labels[i] for i in sorted(cell)) for cell in partition]
         return AssociationScheme.from_matrices(_gather(cell_of, self.L), labels)
 
     def __repr__(self) -> str:

@@ -19,10 +19,11 @@ the duality m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), a theorem for verified
 units and a verified scheme (Eigensystem.check_pq_duality), so not re-checked.
 
 The unit relations are the one batch of algebra products.  P is read off the
-units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k and certified by
-completeness (Eigensystem._phi); the fused P^ is read off the
-fused-class sums of phi, whose 2 x 2 images must be symmetric under
-(i, j) -> (3-i, 3-j) (FusedEigensystem).
+units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k, which needs no
+check: the verified units are a basis of the algebra, and the trace form
+gives the coefficients of A_l over it (Eigensystem.verify and _phi).  The
+fused P^ is read off the fused-class sums of phi, whose 2 x 2 images must be
+symmetric under (i, j) -> (3-i, 3-j) (FusedEigensystem).
 """
 from __future__ import annotations
 
@@ -56,11 +57,6 @@ class SchemeAlgebra:
     def pack(self, elems: list[Elem]) -> Batch:
         nm = self.scheme.nclasses
         return kernel.pack(self.field, [[e.get(k) for k in range(nm)] for e in elems])
-
-    def adjacency(self) -> Batch:
-        """The adjacency basis A_0, ..., A_{nm-1}; A_0 is the identity."""
-        nm, D = self.scheme.nclasses, self.field.dim
-        return Batch(np.eye(nm, dtype=np.int64)[:, :, None] * np.eye(1, D, dtype=np.int64), 1)
 
     def rmul(self, r, x: Elem) -> Elem:
         """Multiply by a rational number."""
@@ -132,7 +128,23 @@ class Eigensystem:
     # -- verification --
 
     def verify(self) -> list[int]:
-        """Check the units; return the block multiplicities."""
+        """Check the units; return the block multiplicities.
+
+        Checked: the count sum_k d_k^2 = nm, every unit relation, the adjoint
+        pairs and m_k >= 1 (_multiplicities).  That the diagonal units sum to
+        I is then a theorem, so it is not re-checked:
+
+        - m_k = tr E_11 >= 1 makes E_11 != 0, so every E_ii of the block is
+          nonzero, since E_11 = E_1i E_ii E_i1.
+        - The nm units are independent: E_ii (sum c E) E_jj = c_ij E_ij, and
+          E_ij != 0 since E_ij E_ji = E_ii.  So they are a basis of the
+          nm-dimensional algebra, which holds I = A_0.
+        - e = sum of the E_ii has e E_ij = E_ij for every unit, so e X = X for
+          every X in the algebra, and X = I gives e = I.
+
+        Every check runs before the eigensystem exists, so their order does
+        not matter for soundness.
+        """
         alg = self.algebra
         keys, U = self._keys, self._U
         if len(keys) != alg.scheme.nclasses:
@@ -152,9 +164,6 @@ class Eigensystem:
                 f"unit relation failed: block {self.blocks[a[0]].name} "
                 f"({a[1]},{a[2]}) times block {self.blocks[b[0]].name} ({b[1]},{b[2]})"
             )
-        diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
-        if not U[diag].sum().equal(alg.adjacency()[0]):
-            raise VerificationError("diagonal units do not sum to the identity")
         adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
         bad = ~adj.equal(U[[pos[(b, j, i)] for b, i, j in keys]])
         if bad.any():
@@ -165,15 +174,14 @@ class Eigensystem:
     def _multiplicities(self, keys: list[tuple[int, int, int]], U: Batch) -> list[int]:
         """m_k = tr E_11 = v * (coefficient of A_0 in E_11), the multiplicity
         of block k's irreducible in the standard module, for units that pass
-        the unit relations and the identity sum.  Only m_k >= 1 is checked;
-        the rest is a theorem:
+        the unit relations.  Only m_k >= 1 is checked; the rest is a theorem:
 
         - E_ii is an idempotent v x v matrix, so tr E_ii is its rank, a
           nonnegative integer.  The coefficient of A_0 is then rational, and
           its other coordinates over the field's Q-basis are 0.
         - tr E_ii = tr(E_ij E_ji) = tr(E_ji E_ij) = tr E_jj, so the diagonal
           units of a block have equal rank.
-        - The diagonal units sum to I, so sum_k d_k m_k = tr I = v.
+        - The diagonal units sum to I (verify), so sum_k d_k m_k = tr I = v.
 
         m_k = 0 exactly when E_11 = 0, which the unit relations allow (a zero
         block satisfies all of them), so that one check stays.
@@ -196,20 +204,21 @@ class Eigensystem:
 
     @cached_property
     def _phi(self) -> Batch:
-        """The images as a batch of scalars phi[unit, l], computed and
-        certified on first use.
+        """The images as a batch of scalars phi[unit, l], computed on first
+        use.
 
-        Read off the verified units by the trace form.  If A_l is the sum over
-        the units of phi[(k,i,j), l] E_ij, the unit relations give E_ji A_l =
-        sum_j' phi[(k,i,j'), l] E_jj', and tr E_jj' = [j = j'] m_k (for j != j',
-        tr(E_jj E_jj') = tr(E_jj' E_jj) = 0).  With tr(A_a A_l) = v p[a, l, 0],
+        Read off the verified units by the trace form.  The units are a basis
+        of the algebra (verify), so A_l is the sum over the units of
+        x[(k,i,j), l] E_ij for unique coefficients x.  The unit relations give
+        E_ji A_l = sum_j' x[(k,i,j'), l] E_jj', and tr E_jj' = [j = j'] m_k (for
+        j != j', tr(E_jj E_jj') = tr(E_jj' E_jj) = 0), so tr(E_ji A_l) =
+        m_k x[(k,i,j), l].  The verified tensor gives tr(A_a A_l) = v p[a, l, 0],
+        so x is
 
             phi[(k,i,j), l] = tr(E_ji A_l) / m_k = (v / m_k) sum_a E_ji[a] p[a, l, 0].
 
-        The nm units are independent (E_ii X E_jj = c E_ij for X = sum c E, and
-        E_ij E_ji = E_ii != 0), so they span the algebra, and the completeness
-        check A_l = sum phi E_ij made here alone certifies phi: E_ii A_l E_jj =
-        phi E_ij follows from the unit relations.
+        So A_l = sum phi E_ij, and E_ii A_l E_jj = phi E_ij, are theorems, and
+        phi needs no check of its own.
         """
         alg, U = self.algebra, self._U
         pos = {key: n for n, key in enumerate(self._keys)}
@@ -217,14 +226,7 @@ class Eigensystem:
         scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in self._keys])
         Ut = U[[pos[(b, j, i)] for b, i, j in self._keys]]  # E_ji in the place of E_ij
         X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
-        phi = Batch(X.num[:, :, None, :], X.den * L)
-        # completeness: A_l = sum over blocks and units of phi * E_ij
-        phiE = kernel.field_mul(phi, U[:, None], alg.field)
-        bad = ~phiE.sum().equal(alg.adjacency())
-        if bad.any():
-            l = int(np.flatnonzero(bad)[0])
-            raise VerificationError(f"A_{l} is not spanned by the matrix units")
-        return phi
+        return Batch(X.num[:, :, None, :], X.den * L)
 
     def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
         """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k,
@@ -433,17 +435,18 @@ class FusedEigensystem:
     - With S = E_11 + E_22 and T = E_12 + E_21, the unit relations give
       S^2 = T^2 = S and S T = T S = T.  So e+-^2 = e+-, e+ e- = 0 and
       e+ + e- = S, and the units of the other blocks annihilate both.
-    - The diagonal units sum to I, so the idempotents do.
+    - The diagonal units sum to I (Eigensystem.verify), so the idempotents
+      do.
     - E_12 = E_11 E_12 and E_12 E_11 = 0, so tr E_12 = tr(E_12 E_11) = 0,
       and likewise tr E_21 = 0.  So tr e+- = tr E_11 = m_k, the
       multiplicity of the block.
 
     What depends on the partition is verified here: the constancy of the
     coefficients on the fused classes and the eigenvalue equations from both
-    sides.  The eigenvalue equations need no algebra product.  phi is
-    certified (Eigensystem._phi), so A^_t is the sum
-    over the units of S[unit, t] E_ij, where S holds the fused-class sums of
-    phi (_fused_sums).  On a 2-dimensional block A^_t acts as
+    sides.  The eigenvalue equations need no algebra product.  A_l is the
+    sum over the units of phi E_ij, a theorem (Eigensystem._phi), so A^_t is
+    the sum over the units of S[unit, t] E_ij, where S holds the fused-class
+    sums of phi (_fused_sums).  On a 2-dimensional block A^_t acts as
     M_t = [[a, b], [b', d]], and e+- = (1/2) sum_ij u_i u_j E_ij with
     u = (1, +-1).  By the unit relations e A^_t = c e exactly when
     u^T M_t = c u^T, and A^_t e = c e exactly when M_t u = c u.  For either
@@ -452,8 +455,12 @@ class FusedEigensystem:
     reverse (mirror).  Then c = a +- b = (1/2) sum_n twice[n] S[n, t], with
     the weights that build the idempotents; a 1-dimensional block has
     e = E_11 and c = S[(1,1), t], the same sum.  The idempotents are kept as
-    a Batch.  A malformed partition raises ValueError (see
-    schemes.check_partition).
+    a Batch with read-only numerators.  A malformed partition raises
+    ValueError (see schemes.check_partition).
+
+    Like the Eigensystem, it is frozen: no attribute can be set after
+    construction, and names, multiplicities, fused_valencies, partition,
+    qhat and phat are fresh lists on each access.
 
     The fused duality m_k P^[e, t] = k^_t conj(Q^[t, e]), with k^_t the
     fused valency, then holds as a theorem.  e is self-adjoint, since the
@@ -468,8 +475,7 @@ class FusedEigensystem:
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
         alg = es.algebra
         check_partition(partition, alg.scheme.nclasses)
-        self.algebra = alg
-        self.partition = [sorted(cell) for cell in partition]
+        cells = tuple(tuple(sorted(cell)) for cell in partition)
         names: list[str] = []
         mult: list[int] = []
         twice = []  # each idempotent times 2, as weights over the units
@@ -486,22 +492,37 @@ class FusedEigensystem:
                 twice.append([0] * start + w + [0] * (width - start - len(w)))
             mirror += range(start + blk.dim**2 - 1, start - 1, -1)
             start += blk.dim**2
-        self.names = names
-        self.multiplicities = mult
+        vars(self).update(algebra=alg, _partition=cells, _names=tuple(names), _mult=tuple(mult))
         twice = np.array(twice)
         E = kernel.combine(twice, es._U)
-        self.idempotents = E = Batch(E.num, 2 * E.den)
-        cells = _indicator(self.partition, alg.scheme.nclasses)
-        self.fused_valencies = (cells @ alg.scheme.valencies).tolist()
-        self.qhat = _table(alg.field, self._fused_q(E))
-        self.phat = _table(alg.field, self._fused_p(_fused_sums(es, self.partition), twice, mirror))
+        E = Batch(E.num, 2 * E.den)
+        E.num.flags.writeable = False
+        valencies = _indicator(cells, alg.scheme.nclasses) @ alg.scheme.valencies
+        qhat = _table(alg.field, self._fused_q(E))
+        phat = _table(alg.field, self._fused_p(_fused_sums(es, cells), twice, mirror))
+        vars(self).update(
+            idempotents=E,
+            _valencies=tuple(valencies.tolist()),
+            _qhat=tuple(map(tuple, qhat)),
+            _phat=tuple(map(tuple, phat)),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name}: a verified FusedEigensystem is frozen")
+
+    names = property(lambda self: list(self._names))
+    multiplicities = property(lambda self: list(self._mult))
+    fused_valencies = property(lambda self: list(self._valencies))
+    partition = property(lambda self: [list(cell) for cell in self._partition])
+    qhat = property(lambda self: [list(row) for row in self._qhat])
+    phat = property(lambda self: [list(row) for row in self._phat])
 
     def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
-        for cell in self.partition:
+        for cell in self._partition:
             if (E.num[:, cell] != E.num[:, cell[:1]]).any():
                 raise VerificationError("idempotent coefficients not constant on a fused class")
-        return _q(self.algebra, E, [cell[0] for cell in self.partition])
+        return _q(self.algebra, E, [cell[0] for cell in self._partition])
 
     def _fused_p(self, S: Batch, twice: np.ndarray, mirror: list[int]) -> Batch:
         """Eigenvalues c[idempotent, fused class t] with e A^_t = A^_t e = c e,
@@ -511,7 +532,7 @@ class FusedEigensystem:
         if bad.any():
             k, t = np.argwhere(bad)[0]
             raise VerificationError(
-                f"fused class {t} does not act as a scalar on idempotent {self.names[k]}"
+                f"fused class {t} does not act as a scalar on idempotent {self._names[k]}"
             )
         c = kernel.combine(twice, S)
         return Batch(c.num, 2 * c.den)
@@ -596,8 +617,8 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
       block the product cells refine the signature groups, and there are at
       least as many of them.
     - Count.  The fused sums A^_t of disjoint nonempty cells are linearly
-      independent, and the verified units map A to (phi_k(A))_k injectively
-      (Eigensystem._phi proves completeness).  So the signature rows have rank
+      independent, and the verified units map A to (phi_k(A))_k injectively,
+      since A is the sum of phi E_ij over them (Eigensystem._phi).  So the signature rows have rank
       target, and there are at least target signature groups in all.
     - Conclusion.  A product certificate has exactly target cells, so in
       every block it is the signature grouping.  Its cell sums multiply as

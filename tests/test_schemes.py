@@ -1,4 +1,5 @@
 """Association scheme axioms, intersection tensors, and fusions."""
+import json
 import re
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from gwschemes import (
     gh_symmetric_fusion,
     one_factorization,
     oracle_closure,
+    save_scheme,
 )
 from gwschemes import schemes
 from gwschemes.matrixkit import mm
@@ -623,6 +625,19 @@ class TestFrozen:
         t[1] = 1
         assert (s.valencies, s.tpose) == ([1] * 6, [0, 5, 4, 3, 2, 1])
         assert s.valencies is not s.valencies
+
+    def test_labels_cannot_be_edited(self, tmp_path):
+        # the scheme owns its labels: a returned list is a fresh copy, so
+        # editing it renames no class in a later output
+        s = verified(cyclic_label_matrix(6))
+        s.labels[0] = "x"
+        names = s.labels
+        names[1] = "y"
+        assert s.labels == list("012345") and s.labels is not s.labels
+        assert s.label_index("1") == 1
+        assert s.fuse([[0], [1, 5], [2, 4], [3]]).labels == ["0", "1+5", "2+4", "3"]
+        save_scheme(tmp_path / "s.json", s)
+        assert json.loads((tmp_path / "s.json").read_text())["labels"] == list("012345")
 
 
 class TestFusion:

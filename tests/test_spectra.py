@@ -465,16 +465,6 @@ class TestVerificationTeeth:
         with pytest.raises(VerificationError, match=r"^adjoint failed in block a1 at \(1,2\)$"):
             Eigensystem(alg, bad)
 
-    def test_phi_incompleteness_rejected(self):
-        # after verification, 2 E_0 still passes E A_l E = phi E with phi
-        # doubled, but the units then span 4 phi E_0 where A_l needs phi E_0.
-        # The eigensystem rejects es._U = ..., so the control writes past its
-        # guard, before phi is computed
-        es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        vars(es)["_U"] = doubled(es._U, 0)
-        with pytest.raises(VerificationError, match=r"^A_0 is not spanned by the matrix units$"):
-            es.phi_matrices()
-
     def test_swapped_units_rejected(self):
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
         alg = es.algebra
@@ -539,6 +529,41 @@ class TestVerificationTeeth:
         es = cases.bgw_es(7, 3)
         with pytest.raises(AttributeError, match=f"^cannot set {name}: "):
             setattr(es, name, getattr(es, name))
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "algebra",
+            "idempotents",
+            "names",
+            "multiplicities",
+            "fused_valencies",
+            "partition",
+            "qhat",
+            "phat",
+            "_phat",
+        ],
+    )
+    def test_fused_attributes_cannot_be_set(self, name):
+        fe = cases.bgw_fused(7, 3)
+        with pytest.raises(AttributeError, match=f"^cannot set {name}: a verified FusedEigensystem"):
+            setattr(fe, name, getattr(fe, name))
+
+    def test_fused_lists_are_fresh(self):
+        # every list a fused system returns is a copy, and its idempotents
+        # are read-only, so no edit reaches a later read
+        fe = cases.bgw_fused(7, 3)
+        for name in ("qhat", "phat", "partition"):
+            rows = getattr(fe, name)
+            rows[0].clear()
+            assert getattr(fe, name)[0], name
+            assert getattr(fe, name) is not getattr(fe, name)
+        for name in ("names", "multiplicities", "fused_valencies"):
+            getattr(fe, name).clear()
+        with pytest.raises(ValueError, match="read-only"):
+            fe.idempotents.num[0] = 0
+        assert fused_record(fe) == FUSED_RECORDS[("bgw", 7, 3)]
+        assert fe.partition == [sorted(cell) for cell in bgw_symmetric_fusion(3)]
 
     def test_certificate_cannot_be_edited(self):
         cert = bm_search(cases.bgw_es(7, 3), bgw_symmetric_fusion(3))
@@ -700,6 +725,19 @@ def fused_outcome(make):
         return str(e)
 
 
+def adjacency_basis(alg):
+    """The adjacency basis A_0, ..., A_{nm-1} as a batch; A_0 is the identity."""
+    nm, D = alg.scheme.nclasses, alg.field.dim
+    return Batch(np.eye(nm, dtype=np.int64)[:, :, None] * np.eye(1, D, dtype=np.int64), 1)
+
+
+def on_identity(alg, X):
+    """A batch of scalars X as the elements X A_0 of the algebra."""
+    num = np.zeros(X.num.shape[:-2] + (alg.scheme.nclasses, X.num.shape[-1]), X.num.dtype)
+    num[..., 0, :] = X.num[..., 0, :]
+    return Batch(num, X.den)
+
+
 REFERENCE_CASES = (
     [("bgw", c) for c in cases.BGW_BUILDABLE + [(17, 8), (25, 12)]]
     + [("gh", (q,)) for q in cases.GH_GRID]
@@ -714,19 +752,24 @@ class TestProductReferences:
         es = getattr(cases, maker + "_es")(*args)
         alg, U, keys = es.algebra, es._U, es._keys
         pos = {key: n for n, key in enumerate(keys)}
-        A = alg.adjacency()
+        A = adjacency_basis(alg)
+        phiE = alg.mul(on_identity(alg, es._phi), U[:, None])
+        # the identity sum and completeness, theorems of Eigensystem.verify and _phi
+        diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
+        assert Batch(U.num[diag].sum(axis=0), U.den).equal(A[0])
+        assert Batch(phiE.num.sum(axis=0), phiE.den).equal(A).all()
         # E_ii A_l E_jj = phi[(k,i,j), l] E_ij
         Y = alg.mul(
             alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :]),
             U[[pos[(b, j, j)] for b, _, j in keys]][:, None],
         )
-        assert kernel.field_mul(es._phi, U[:, None], alg.field).equal(Y).all()
+        assert phiE.equal(Y).all()
         # e A^_t = A^_t e = P^[e, t] e
         fe = getattr(cases, maker + "_fused")(*args)
         E = fe.idempotents
         H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in fe.partition]), 1)
         Pb = kernel.pack(alg.field, fe.phat)
-        PE = kernel.field_mul(Batch(Pb.num[:, :, None, :], Pb.den), E[:, None], alg.field)
+        PE = alg.mul(on_identity(alg, Batch(Pb.num[:, :, None, :], Pb.den)), E[:, None])
         assert PE.equal(alg.mul(E[:, None], H[None, :])).all()
         assert PE.equal(alg.mul(H[None, :], E[:, None])).all()
         assert fe.phat == fused_reference(es, fe.partition)
@@ -743,8 +786,8 @@ class TestProductReferences:
 
 
 KERNEL_CASES = {"bgw52": ("bgw_es", (5, 2)), "bgw73": ("bgw_es", (7, 3)), "gh3": ("gh_es", (3,))}
-# the kernel limits that force each tier: float64 is the default for small bounds
-TIERS = {"float64": {}, "int64": {"FLOAT_LIMIT": 0}, "object": {"LIMIT": 0}}
+# the kernel limit that forces each tier: float64 is the default for small bounds
+TIERS = {"float64": {}, "object": {"FLOAT_LIMIT": 0}}
 
 
 def tiers_seen(monkeypatch) -> set:
@@ -845,15 +888,28 @@ class TestKernel:
 
     def test_tier_boundaries(self):
         a = np.array([3])
-        got = [kernel.exact(b, a)[0].dtype for b in (2**53 - 1, 2**53, 2**62 - 1, 2**62)]
-        assert got == [np.float64, np.int64, np.int64, object]
+        got = [kernel.exact(b, a)[0].dtype for b in (2**53 - 1, 2**53, 2**62)]
+        assert got == [np.float64, object, object]
+
+    @pytest.mark.parametrize("maker,args", REFERENCE_CASES, ids=str)
+    def test_certify_selects_only_float64(self, monkeypatch, maker, args):
+        # one certify: Eigensystem, P, Q, T, the fused system and bm_search
+        scheme = getattr(cases, maker)(*args)
+        build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(*args)
+        seen = tiers_seen(monkeypatch)
+        es = build(scheme, *args)
+        es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table()
+        FusedEigensystem(es, fusion)
+        bm_search(es, fusion)
+        assert seen == {np.dtype(np.float64)}
 
     def test_combination_past_the_float64_bound(self, monkeypatch):
         # 2**53 + 1 is the first integer float64 cannot hold
         x = kernel.Batch(np.array([[[2**53]], [[1]]]), 1)
         w = np.array([[1, 1]])
         got = kernel.combine(w, x)
-        assert got.num.dtype == np.int64
+        assert got.num.dtype == object
         assert got.num.tolist() == [[[2**53 + 1]]]
         # the control has teeth: run on float64 past its bound, it rounds
         monkeypatch.setattr(kernel, "FLOAT_LIMIT", 2**62)
@@ -867,9 +923,7 @@ class TestKernel:
         out = [
             U,
             U[1:3],
-            U.sum(),
             alg.mul(U[:, None], U[None, :]),
-            kernel.field_mul(U, U[:, None], field),
             kernel.combine(np.array([[1, -2], [3, 0]]), U[:2]),
             kernel.combine(np.array([[2, 1]]), Batch(U.num[:, :2], U.den), axis=1),
             kernel.adjoint(U, alg.scheme.tpose, field),
