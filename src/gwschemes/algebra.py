@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -71,26 +71,19 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
     return quot, num
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
     """Coefficients of the M-th cyclotomic polynomial, ascending degree."""
-    if M in _CYCLO_CACHE:
-        return _CYCLO_CACHE[M]
     if M == 1:
-        poly = (-1, 1)
-    else:
-        num = [0] * (M + 1)
-        num[0], num[M] = -1, 1
-        for d in range(1, M):
-            if M % d == 0:
-                num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-                if rem != [0]:
-                    raise AssertionError("cyclotomic division must be exact")
-        poly = tuple(num)
-    _CYCLO_CACHE[M] = poly
-    return poly
+        return (-1, 1)
+    num = [0] * (M + 1)
+    num[0], num[M] = -1, 1
+    for d in range(1, M):
+        if M % d == 0:
+            num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
+            if rem != [0]:
+                raise AssertionError("cyclotomic division must be exact")
+    return tuple(num)
 
 
 class CycField:

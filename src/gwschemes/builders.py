@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import FiniteField
 from .designs import bgw_matrix, one_factorization, require_points
-from .schemes import AssociationScheme
+from .schemes import AssociationScheme, label_dtype
 
 
 def bgw_labels(m: int) -> list[str]:
@@ -50,7 +50,7 @@ def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
     a, b = np.ogrid[:m, :m]
     w = np.arange(m)[:, None, None]
     block = np.concatenate([m + (m - 1 - a - b - w) % m, [(b - a) % m]])
-    block = block.astype(np.min_scalar_type(2 * m - 1))
+    block = block.astype(label_dtype(2 * m))
     v = (q + 1) * m
     return block[W].swapaxes(1, 2).reshape(v, v)
 
@@ -79,7 +79,7 @@ def _gh_label_matrix(q: int) -> np.ndarray:
         raise ValueError("q must be odd")
     # the tables in the compact dtype of the 2q + 1 labels, so that every
     # gather below, and L, is in that dtype
-    dtype = np.min_scalar_type(2 * q)
+    dtype = label_dtype(2 * q + 1)
     add, mul = F.add_t.astype(dtype), F.mul_t.astype(dtype)
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = (q - 1 - np.arange(q)).astype(dtype)

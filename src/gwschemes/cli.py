@@ -59,22 +59,27 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _build(family: str, q: int | None, m: int | None):
+    """(scheme, provenance) of the bgw or gh scheme of the given parameters."""
+    if family == "bgw":
+        if q is None or m is None:
+            raise UsageError("the bgw family needs --q and --m")
+        return bgw_build(q, m), {"family": "bgw", "q": q, "m": m}
+    if q is None:
+        raise UsageError("the gh family needs --q")
+    return gh_build(q), {"family": "gh", "q": q}
+
+
 def _family_scheme(args):
     """Build (scheme, provenance) from --in or --family arguments."""
-    if getattr(args, "infile", None):
+    if args.infile:
         scheme, prov = load_scheme(args.infile)
         if prov is None:
             raise UsageError("scheme file has no provenance; cannot pick a family")
         return scheme, prov
-    if args.family == "bgw":
-        if args.q is None or args.m is None:
-            raise UsageError("--family bgw needs --q and --m")
-        return bgw_build(args.q, args.m), {"family": "bgw", "q": args.q, "m": args.m}
-    if args.family == "gh":
-        if args.q is None:
-            raise UsageError("--family gh needs --q")
-        return gh_build(args.q), {"family": "gh", "q": args.q}
-    raise UsageError("need --in FILE or --family bgw|gh")
+    if args.family is None:
+        raise UsageError("need --in FILE or --family bgw|gh")
+    return _build(args.family, args.q, args.m)
 
 
 def _emit_scheme(scheme, provenance, out):
@@ -88,18 +93,7 @@ def _emit_scheme(scheme, provenance, out):
 
 
 def _cmd_build(args) -> int:
-    if args.what == "bgw-scheme":
-        if args.q is None or args.m is None:
-            print("build bgw-scheme needs --q and --m", file=sys.stderr)
-            return 1
-        scheme = bgw_build(args.q, args.m)
-        _emit_scheme(scheme, {"family": "bgw", "q": args.q, "m": args.m}, args.out)
-    else:
-        if args.q is None:
-            print("build gh-scheme needs --q", file=sys.stderr)
-            return 1
-        scheme = gh_build(args.q)
-        _emit_scheme(scheme, {"family": "gh", "q": args.q}, args.out)
+    _emit_scheme(*_build(args.what.removesuffix("-scheme"), args.q, args.m), args.out)
     return 0
 
 

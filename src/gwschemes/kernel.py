@@ -37,10 +37,11 @@ picks one of two tiers from it alone (exact):
 Either way the result is exact.  A float64 result converts back to int64
 before it is stored, so Batch.num is always int64 or object.
 
-algebra_mul runs over the leading axes in pieces, so that the largest
-temporary of a piece (the operators R) holds at most BUDGET entries, and
-each other temporary a small multiple of that or of the result; an element
-whose own operator is larger than BUDGET makes a piece of its own.
+algebra_mul returns the table of products x[a] y[b] of two batches of
+elements.  It runs in pieces of y, so that the largest temporary of a piece
+(the operators R of its elements) holds at most BUDGET entries, and each
+other temporary a small multiple of that or of the result; an element whose
+own operator is larger than BUDGET makes a piece of its own.
 """
 from __future__ import annotations
 
@@ -76,37 +77,6 @@ def _scaled(a: np.ndarray, k: int) -> np.ndarray:
     return _stored(a * k)
 
 
-def _pieces(shape: tuple[int, ...], cell: int):
-    """Slice tuples that cut the grid of the given shape, in C order, into
-    boxes of at most BUDGET // cell points, or of one point when cell alone
-    exceeds BUDGET."""
-    per = max(BUDGET // cell, 1)
-    k, inner = len(shape), 1
-    while k and inner * shape[k - 1] <= per:
-        k -= 1
-        inner *= shape[k]
-    whole = (slice(None),) * (len(shape) - k)
-    if k == 0:
-        yield whole
-        return
-    step = per // inner
-    for outer in np.ndindex(*shape[: k - 1]):
-        for s in range(0, shape[k - 1], step):
-            yield tuple(slice(i, i + 1) for i in outer) + (slice(s, s + step),) + whole
-
-
-def _at(idx: tuple, *shapes: tuple[int, ...]) -> tuple:
-    """idx for an operand that spans the whole of each axis where one of
-    shapes has length 1 (an axis it is broadcast along)."""
-    return tuple(slice(None) if 1 in n else s for s, *n in zip(idx, *shapes)) + (Ellipsis,)
-
-
-def _leading(*arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays with as many leading axes each, broadcasting from the left."""
-    n = max(a.ndim for a in arrays)
-    return [a.reshape((1,) * (n - a.ndim) + a.shape) for a in arrays]
-
-
 class Batch:
     """Algebra elements num[..., class, basis] / den.
 
@@ -119,9 +89,7 @@ class Batch:
         self.den = den
 
     def __getitem__(self, idx) -> "Batch":
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        return Batch(self.num[idx + (Ellipsis, slice(None), slice(None))], self.den)
+        return Batch(self.num[idx], self.den)
 
     def equal(self, other: "Batch") -> np.ndarray:
         """Elementwise equality over the broadcast leading axes."""
@@ -157,11 +125,13 @@ def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:
 
 
 def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
-    """Products x[...] y[...] in the algebra with intersection tensor p,
-    broadcasting the leading axes; pieces are cut along the leading axes of
-    y, so that each element of y builds its operator R once."""
+    """The table z[a, b] = x[a] y[b] of the products of two batches of
+    elements, of shapes (n, nm, D) and (n', nm, D), in the algebra with
+    intersection tensor p.  Pieces are cut along y, so that each element of
+    y builds its operator R once, and one GEMM per piece runs against all
+    of x."""
     mult = field.structure
-    nm, D = x.num.shape[-2:]
+    n, nm, D = x.num.shape
     bound = (
         max(absmax(x.num), 1)
         * max(absmax(y.num), 1)
@@ -169,25 +139,14 @@ def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
         * int(np.abs(mult).sum(axis=(0, 1)).max())
     )
     xn, yn, pp, c = exact(bound, x.num, y.num, p, mult)
-    xn, yn = _leading(xn, yn)
-    lead, ylead = np.broadcast_shapes(xn.shape[:-2], yn.shape[:-2]), yn.shape[:-2]
-    z = np.empty(lead + (nm, D), dtype=np.int64 if c.dtype != object else object)
-    # the axes y is broadcast along become the columns of one GEMM per
-    # element of y, in place of one GEMV per element of the product
-    A = len(ylead)
-    cols = [j for j in range(A) if ylead[j] == 1]
-    rows = [j for j in range(A) if ylead[j] != 1]
-    L = len(rows)
-    for idx in _pieces(ylead, (nm * D) ** 2):
-        yi, xi = yn[idx], xn[_at(idx, xn.shape[:-2], ylead)]
-        yi = yi.reshape(*(yi.shape[j] for j in rows), nm, D)
-        # right multiplication by y: R[..., k, t, i, r] = sum_js y[..., j, s] p[i, j, k] c[r, s, t]
-        R = np.tensordot(np.tensordot(yi, pp, axes=([-2], [1])), c, axes=([-3], [1]))
-        R = R.transpose(*range(L), L + 1, L + 3, L, L + 2).reshape(*yi.shape[:-2], nm * D, nm * D)
-        xt = xi.reshape(*xi.shape[:A], nm * D).transpose(*rows, A, *cols)
-        zi = R @ xt.reshape(*xt.shape[: L + 1], -1)
-        zi = zi.reshape(*zi.shape[:-1], *xt.shape[L + 1 :]).transpose(np.argsort(rows + [A] + cols))
-        z[_at(idx, ylead)] = zi.reshape(*zi.shape[:A], nm, D)
+    z = np.empty((n, len(yn), nm, D), dtype=np.int64 if c.dtype != object else object)
+    xt = xn.reshape(n, nm * D).T
+    step = max(BUDGET // (nm * D) ** 2, 1)
+    for s in range(0, len(yn), step):
+        # right multiplication by y: R[b, k, t, i, r] = sum_js y[b, j, s] p[i, j, k] c[r, s, t]
+        R = np.tensordot(np.tensordot(yn[s : s + step], pp, axes=([1], [1])), c, axes=([1], [1]))
+        R = R.transpose(0, 2, 4, 1, 3).reshape(-1, nm * D, nm * D)
+        z[:, s : s + step] = (R @ xt).transpose(2, 0, 1).reshape(n, -1, nm, D)
     return Batch(z, x.den * y.den)
 
 

@@ -65,7 +65,9 @@ from .errors import VerificationError
 
 TOL = 1e-6  # relative gap, rank cut, residual and link threshold
 RETRIES = 5  # random elements tried before the oracle gives up
-BLOCK = 1 << 16  # cells of L per count, at least one row
+# cells of L per count, at least one row; the oracle keeps its own row
+# blocks and label dtype, since it shares no code with the verifier it checks
+BLOCK = 1 << 16
 
 
 def oracle_closure(L) -> np.ndarray:

@@ -45,14 +45,14 @@ generator at a time: V is closed.
   of row 0 gives the whole tensor as one bincount of the label pairs
   (L[0, z], L[z, y_k]) over z.
 
-Storage.  L is a read-only array of dtype np.min_scalar_type(nm - 1) for nm
-classes: uint8 up to 256 classes and uint16 up to 65536.  The label range is
-checked on the input before the cast, so no label wraps around.  Every pass
-over the v**2 cells (the pair and row counts, the gathers of the thin and
-GEMM checks, the fused labels) runs in row blocks of at most BLOCK cells and
-at least one row, so its index and count temporaries stay that small; the
-only v x v arrays formed besides L are the float32 GEMM operands and
-product, at most three at a time.
+Storage.  L is a read-only array of dtype label_dtype(nm) for nm classes:
+uint8 up to 256 classes and uint16 up to 65536.  The label range is checked
+on the input before the cast, so no label wraps around.  Every pass over the
+v**2 cells (the pair and row counts, the gathers of the thin and GEMM
+checks, the fused labels, and the file codec) runs in the row_blocks of at
+most BLOCK cells and at least one row, so its index and count temporaries
+stay that small; the only v x v arrays formed besides L are the float32 GEMM
+operands and product, at most three at a time.
 """
 from __future__ import annotations
 
@@ -68,6 +68,11 @@ from .errors import NotAScheme
 # with k < v, so d >= 1 holds while v < 2**24
 _F32_EXACT = 2**24
 BLOCK = 1 << 16  # cells of L per numpy step of a v**2-cell pass, at least one row
+
+
+def label_dtype(nm: int) -> np.dtype:
+    """The compact dtype of a label matrix with nm labels."""
+    return np.min_scalar_type(nm - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +121,12 @@ class AssociationScheme:
             raise ValueError("labels must be distinct")
         if L.min() < 0 or L.max() >= nm:
             raise NotAScheme(f"labels must lie in 0..{nm - 1}")
-        L = L.astype(np.min_scalar_type(nm - 1))  # a read-only copy the scheme owns
+        L = L.astype(label_dtype(nm))  # a read-only copy the scheme owns
         L.flags.writeable = False
 
         # pairs[i, j]: positions (x, y) with L[x, y] = i and L[y, x] = j
         pairs = np.zeros(nm * nm, dtype=np.int64)
-        for b in _row_blocks(v):
+        for b in row_blocks(v):
             cells = L[b].astype(np.intp) * nm + L[:, b].T
             pairs += np.bincount(cells.reshape(-1), minlength=nm * nm)
         pairs = pairs.reshape(nm, nm)
@@ -142,7 +147,7 @@ class AssociationScheme:
         # counting the positions of class i and of its transpose gives
         # v k_i = v k_tpose[i], so constant rows make constant columns
         valencies = np.bincount(L[0], minlength=nm)
-        for b in _row_blocks(v):
+        for b in row_blocks(v):
             n = b.stop - b.start
             cells = L[b] + nm * np.arange(n)[:, None]
             rows = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
@@ -244,7 +249,7 @@ def _certify_closure(L, labels, p, tpose, valencies) -> None:
     span.certify()
 
 
-def _row_blocks(v: int) -> list[slice]:
+def row_blocks(v: int) -> list[slice]:
     """The row slices of a v x v matrix, at most BLOCK cells and at least one
     row each."""
     step = max(1, BLOCK // v)
@@ -261,7 +266,7 @@ def _gather(table, L):
     """table[L] in the dtype of table, gathered one row block at a time, so
     that no v x v index array is formed."""
     out = np.empty(L.shape, dtype=table.dtype)
-    for b in _row_blocks(len(L)):
+    for b in row_blocks(len(L)):
         out[b] = _take(table, L[b])
     return out
 
@@ -271,12 +276,12 @@ def _thin_right_action(L, R, g):
     return a failing i or None.  A_g is a permutation matrix, with its one
     in column y at row src[y], so A_i A_g is the 0/1 matrix (L[:, src] == i)."""
     src = np.empty(len(L), dtype=np.intp)
-    for b in _row_blocks(len(L)):
+    for b in row_blocks(len(L)):
         # each row holds g once, at column y: then src[y] is that row
         src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
     # column k of R is the unit vector at the class of (0, src[y_k])
     want = R.argmax(axis=0).astype(L.dtype)
-    for b in _row_blocks(len(L)):
+    for b in row_blocks(len(L)):
         M = L[b][:, src]
         bad = M != _take(want, L[b])
         if bad.any():
@@ -327,7 +332,7 @@ def _right_action(L, R, g, check, k):
         d += 1
     v = len(L)
     Ag = np.empty((v, v), dtype=np.float32)
-    for b in _row_blocks(v):
+    for b in row_blocks(v):
         np.equal(L[b], g, out=Ag[b])
     prod = None
     for c in range(0, len(check), d):
@@ -337,7 +342,7 @@ def _right_action(L, R, g, check, k):
         del prod  # the last product, freed before the next operand
         prod = _gather(weight.astype(np.float32), L) @ Ag
         want = (weight @ R).astype(np.float32)
-        for b in _row_blocks(v):
+        for b in row_blocks(v):
             bad = prod[b] != _take(want, L[b])
             if bad.any():
                 x, y = np.argwhere(bad)[0]

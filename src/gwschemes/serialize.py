@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import CycField, CycScalar
 from .designs import MAX_POINTS
 from .errors import InputError
-from .schemes import BLOCK, AssociationScheme
+from .schemes import AssociationScheme, label_dtype, row_blocks
 
 FILE_VERSION = 1
 
@@ -159,10 +159,9 @@ def _label_matrix(data) -> np.ndarray:
     the shape of a scheme file, checked before the matrix is allocated and
     then block by block of rows as it is filled."""
     v, labels = _check_header(data)
-    L = np.zeros((v, v), dtype=np.min_scalar_type(len(labels) - 1))
-    step = max(1, BLOCK // v)
-    for x0 in range(0, v, step):
-        _read_rows(L, data["rows"], x0, min(x0 + step, v), len(labels))
+    L = np.zeros((v, v), dtype=label_dtype(len(labels)))
+    for b in row_blocks(v):
+        _read_rows(L, data["rows"], b.start, b.stop, len(labels))
     return L
 
 
@@ -203,11 +202,10 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     provenance = data.get("provenance")
     if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
         return None
-    L = np.empty((v, v), dtype=np.min_scalar_type(len(labels) - 1))
+    L = np.empty((v, v), dtype=label_dtype(len(labels)))
     text = _text_table(max(v, len(labels)))
-    step = max(1, BLOCK // v)
-    for x0 in range(0, v, step):
-        Lb, block = L[x0 : x0 + step], b"], [".join(rows[x0 : x0 + step])
+    for b in row_blocks(v):
+        Lb, block = L[b], b"], [".join(rows[b])
         if not _decode_rows(Lb, block, len(labels)) or _rows_text(Lb, text) != block + b"], [":
             return None
     return L, labels, provenance
@@ -242,11 +240,10 @@ def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     The text is ASCII, since json.dumps escapes every other character."""
     L, v = scheme.L, scheme.v
     text = _text_table(v)
-    step = max(1, BLOCK // v)
     yield _head(v, scheme.labels)
-    for x0 in range(0, v, step):
-        rows = _rows_text(L[x0 : x0 + step], text)
-        yield rows if x0 + step < v else rows[:-4]  # no "], [" after the last row
+    for b in row_blocks(v):
+        rows = _rows_text(L[b], text)
+        yield rows if b.stop < v else rows[:-4]  # no "], [" after the last row
     yield b"]]" + _tail(provenance) + b"\n"
 
 

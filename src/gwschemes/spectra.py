@@ -66,7 +66,7 @@ class SchemeAlgebra:
         return {k: s.scale(fr) for k, s in x.items()}
 
     def mul(self, x: Batch, y: Batch) -> Batch:
-        """The products x y, with numpy broadcasting of the leading axes."""
+        """The table of products x[a] y[b] of two batches of elements."""
         return kernel.algebra_mul(x, y, self.scheme.p, self.field)
 
 
@@ -156,7 +156,7 @@ class Eigensystem:
             for b, i, j in keys
         ])
         W = Batch(np.where((want >= 0)[..., None, None], U.num[want], 0), U.den)
-        bad = ~alg.mul(U[:, None], U[None, :]).equal(W)
+        bad = ~alg.mul(U, U).equal(W)
         if bad.any():
             # the first failure in row-major order of the unit pairs
             a, b = (keys[n] for n in np.argwhere(bad)[0])

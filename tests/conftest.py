@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from gwschemes import serialize
+from gwschemes import schemes
 
 # algebraic identities can be slow per example on small CI machines;
 # correctness does not depend on wall time
@@ -13,8 +13,9 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture(params=["block", "small-block"])
 def block(request, monkeypatch):
-    """The file codec's block size: the default, or five cells, which is one
-    row per block for every case with more than two points."""
+    """The row-block size of the file codec (schemes.row_blocks): the
+    default, or five cells, which is one row per block for every case with
+    more than two points."""
     if request.param == "small-block":
-        monkeypatch.setattr(serialize, "BLOCK", 5)
-    return serialize.BLOCK
+        monkeypatch.setattr(schemes, "BLOCK", 5)
+    return schemes.BLOCK

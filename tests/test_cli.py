@@ -21,7 +21,7 @@ from gwschemes import (
     load_scheme,
     save_scheme,
 )
-from gwschemes import cli, serialize
+from gwschemes import cli, schemes, serialize
 from gwschemes.cli import main
 import cases
 import file_reference
@@ -104,6 +104,16 @@ class TestBuild:
         code, _, err = run(capsys, "build", "bgw-scheme", "--q", "5")
         assert code == 1
         assert "needs" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["bgw-scheme", "--m", "2"], ["gh-scheme"]], ids=["bgw-no-q", "gh-no-q"]
+    )
+    def test_missing_flags_of_each_family(self, capsys, argv):
+        # build shares the family dispatch of table and fusion
+        family = argv[0].removesuffix("-scheme")
+        for cmd in (["build", *argv], ["table", "--family", family, *argv[1:]]):
+            code, _, err = run(capsys, *cmd)
+            assert code == 1 and f"the {family} family needs" in err
 
     def test_obstructed_parameters(self, capsys):
         code, _, err = run(capsys, "build", "bgw-scheme", "--q", "5", "--m", "4")
@@ -417,9 +427,9 @@ def _record_scheme(record) -> AssociationScheme:
 def _readers():
     """Each block size and each reader in turn: the canonical reader as it is,
     and declining every file, which leaves each file to the json reader."""
-    for block in (serialize.BLOCK, SMALL_BLOCK):
+    for block in (schemes.BLOCK, SMALL_BLOCK):
         for canonical in (serialize._read_canonical, lambda raw: None):
-            with mock.patch.object(serialize, "BLOCK", block), \
+            with mock.patch.object(schemes, "BLOCK", block), \
                     mock.patch.object(serialize, "_read_canonical", canonical):
                 yield
 

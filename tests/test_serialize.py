@@ -21,7 +21,7 @@ from gwschemes import (
     table_to_csv,
     table_to_json,
 )
-from gwschemes import serialize
+from gwschemes import schemes, serialize
 import cases
 import file_reference
 
@@ -175,7 +175,7 @@ class TestFileBytes:
 
     def test_cases_cross_blocks_and_digit_widths(self):
         s = cases.bgw(289, 2)
-        assert serialize.BLOCK // s.v < s.v
+        assert schemes.BLOCK // s.v < s.v
         rows = file_reference.record(complete(1000))["rows"]
         assert max(max(rle[1::2]) for rle in rows) == 999
 

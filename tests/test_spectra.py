@@ -693,8 +693,8 @@ def fused_reference(es, partition):
                 raise VerificationError("idempotent coefficients not constant on a fused class")
     E = alg.pack([e for _, e in idems])
     H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in cells]), 1)
-    left = unpack(alg, alg.mul(E[:, None], H[None, :]))
-    right = unpack(alg, alg.mul(H[None, :], E[:, None]))
+    left = unpack(alg, alg.mul(E, H))  # e_k A^_t at k * len(cells) + t
+    right = unpack(alg, alg.mul(H, E))  # A^_t e_k at t * len(idems) + k
     phat = []
     for k, (name, e) in enumerate(idems):
         l0 = min(e)
@@ -703,7 +703,7 @@ def fused_reference(es, partition):
             lt = left[k * len(cells) + t]
             c = lt.get(l0, zero) / e[l0]
             ce = {l: c * x for l, x in e.items() if c * x}
-            if ce != lt or right[k * len(cells) + t] != lt:
+            if ce != lt or right[t * len(idems) + k] != lt:
                 raise VerificationError(
                     f"fused class {t} does not act as a scalar on idempotent {name}"
                 )
@@ -731,6 +731,15 @@ def adjacency_basis(alg):
     return Batch(np.eye(nm, dtype=np.int64)[:, :, None] * np.eye(1, D, dtype=np.int64), 1)
 
 
+def paired(alg, X, Y):
+    """Z[n, l] = X[n, l] Y[n] for a batch X of shape (n, k) and a batch Y of
+    n elements, read off the product table of X, flattened, and Y."""
+    n, k, nm, D = X.num.shape
+    T = alg.mul(Batch(X.num.reshape(n * k, nm, D), X.den), Y)
+    r = np.arange(n)
+    return Batch(T.num.reshape(n, k, n, nm, D)[r, :, r], T.den)
+
+
 def on_identity(alg, X):
     """A batch of scalars X as the elements X A_0 of the algebra."""
     num = np.zeros(X.num.shape[:-2] + (alg.scheme.nclasses, X.num.shape[-1]), X.num.dtype)
@@ -753,15 +762,16 @@ class TestProductReferences:
         alg, U, keys = es.algebra, es._U, es._keys
         pos = {key: n for n, key in enumerate(keys)}
         A = adjacency_basis(alg)
-        phiE = alg.mul(on_identity(alg, es._phi), U[:, None])
+        phiE = paired(alg, on_identity(alg, es._phi), U)
         # the identity sum and completeness, theorems of Eigensystem.verify and _phi
         diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
         assert Batch(U.num[diag].sum(axis=0), U.den).equal(A[0])
         assert Batch(phiE.num.sum(axis=0), phiE.den).equal(A).all()
         # E_ii A_l E_jj = phi[(k,i,j), l] E_ij
-        Y = alg.mul(
-            alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]][:, None], A[None, :]),
-            U[[pos[(b, j, j)] for b, _, j in keys]][:, None],
+        Y = paired(
+            alg,
+            alg.mul(U[[pos[(b, i, i)] for b, i, _ in keys]], A),
+            U[[pos[(b, j, j)] for b, _, j in keys]],
         )
         assert phiE.equal(Y).all()
         # e A^_t = A^_t e = P^[e, t] e
@@ -769,9 +779,10 @@ class TestProductReferences:
         E = fe.idempotents
         H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in fe.partition]), 1)
         Pb = kernel.pack(alg.field, fe.phat)
-        PE = alg.mul(on_identity(alg, Batch(Pb.num[:, :, None, :], Pb.den)), E[:, None])
-        assert PE.equal(alg.mul(E[:, None], H[None, :])).all()
-        assert PE.equal(alg.mul(H[None, :], E[:, None])).all()
+        PE = paired(alg, on_identity(alg, Batch(Pb.num[:, :, None, :], Pb.den)), E)
+        assert PE.equal(alg.mul(E, H)).all()
+        HE = alg.mul(H, E)
+        assert PE.equal(Batch(HE.num.swapaxes(0, 1), HE.den)).all()
         assert fe.phat == fused_reference(es, fe.partition)
 
     def test_gh_eigenvalue_equations_fail_past_the_constancy_check(self):
@@ -830,20 +841,20 @@ class TestKernel:
         alg = getattr(cases, maker)(*args).algebra
         X = data.draw(elements(alg, data.draw(st.integers(1, 3))))
         Y = data.draw(elements(alg, data.draw(st.integers(1, 3))))
-        got = unpack(alg, alg.mul(alg.pack(X)[:, None], alg.pack(Y)[None, :]))
+        got = unpack(alg, alg.mul(alg.pack(X), alg.pack(Y)))
         assert got == [dict_mul(alg, x, y) for x in X for y in Y]
 
     def test_object_path_past_the_int64_bound(self):
         es = cases.bgw_es(7, 3)
         alg = es.algebra
         U = [b.units[ij] for b in es.blocks for ij in sorted(b.units)]
-        small = alg.mul(alg.pack(U)[:, None], alg.pack(U)[None, :])
+        small = alg.mul(alg.pack(U), alg.pack(U))
         assert small.num.dtype == np.int64
         # one tiny element puts every other numerator near 2**61
         tiny = Fraction(1, 2**61)
         big = alg.pack([alg.rmul(tiny, U[0])] + U[1:])
         assert kernel.absmax(big.num) >= 2**61
-        prod = alg.mul(big[:, None], big[None, :])
+        prod = alg.mul(big, big)
         assert prod.num.dtype == object
         scale = [tiny] + [1] * (len(U) - 1)
         want = [
@@ -923,7 +934,7 @@ class TestKernel:
         out = [
             U,
             U[1:3],
-            alg.mul(U[:, None], U[None, :]),
+            alg.mul(U, U),
             kernel.combine(np.array([[1, -2], [3, 0]]), U[:2]),
             kernel.combine(np.array([[2, 1]]), Batch(U.num[:, :2], U.den), axis=1),
             kernel.adjoint(U, alg.scheme.tpose, field),
@@ -949,34 +960,27 @@ class TestKernel:
         fe2 = FusedEigensystem(es2, fusion)
         assert (fe2.phat, fe2.qhat) == (fe.phat, fe.qhat)
 
-    @pytest.mark.parametrize("budget", [1, 1 << 22])
-    @pytest.mark.parametrize(
-        "xs,ys",
-        [((3, 1), (1, 2)), ((2, 3), (2, 1)), ((1, 3), (2, 1)), ((2,), (3, 2)), ((), (2,))],
-        ids=["outer", "paired-rows", "crossed", "x-padded", "x-single"],
-    )
-    def test_broadcast_products_match_single_products(self, monkeypatch, budget, xs, ys):
-        monkeypatch.setattr(kernel, "BUDGET", budget)
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    @pytest.mark.parametrize("pieces", ["one-element", "short-last", "default"])
+    def test_table_entries_match_single_products(self, monkeypatch, pieces, tier):
         alg = cases.bgw_es(7, 3).algebra
-        rng = np.random.default_rng(7)
         nm, D = alg.scheme.nclasses, alg.field.dim
-        x = Batch(rng.integers(-9, 10, xs + (nm, D)), 2)
-        y = Batch(rng.integers(-9, 10, ys + (nm, D)), 3)
+        # 5 elements of y: pieces of 1, of 2, 2 and 1, or one piece of 5
+        budget = {"one-element": 1, "short-last": 2 * (nm * D) ** 2, "default": kernel.BUDGET}
+        monkeypatch.setattr(kernel, "BUDGET", budget[pieces])
+        for name, value in TIERS[tier].items():
+            monkeypatch.setattr(kernel, name, value)
+        rng = np.random.default_rng(7)
+        x = Batch(rng.integers(-9, 10, (4, nm, D)), 2)
+        y = Batch(rng.integers(-9, 10, (5, nm, D)), 3)
         got = alg.mul(x, y)
-        xb, yb = (np.broadcast_to(b.num, got.num.shape) for b in (x, y))
-        for n in np.ndindex(got.num.shape[:-2]):
-            assert got[n].equal(alg.mul(Batch(xb[n], 2), Batch(yb[n], 3))), n
-
-    @pytest.mark.parametrize("budget", [1, 5, 12, 30, 1000])
-    def test_pieces_tile_the_grid(self, monkeypatch, budget):
-        monkeypatch.setattr(kernel, "BUDGET", budget)
-        shape, cell = (2, 3, 5), 2
-        hits = np.zeros(shape, dtype=int)
-        for idx in kernel._pieces(shape, cell):
-            box = hits[idx]
-            assert box.size <= max(budget // cell, 1)
-            box += 1
-        assert (hits == 1).all()
+        assert got.num.shape == (4, 5, nm, D)
+        assert got.num.dtype == np.dtype(np.int64 if tier == "float64" else object)
+        X, Y = unpack(alg, x), unpack(alg, y)
+        for a, b in np.ndindex(4, 5):
+            single = alg.mul(x[[a]], y[[b]])
+            assert got[a, b].equal(single[0, 0]), (a, b)
+            assert unpack(alg, single) == [dict_mul(alg, X[a], Y[b])], (a, b)
 
     def test_structure_tensor(self):
         # against the numeric embedding: e_r e_s = sum_t mult[r, s, t] e_t
