@@ -343,11 +343,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def a_vector(self) -> list[Fraction]:
         """The coefficients of zeta^0..zeta^(deg-1)."""
         return [Fraction(x, self.den) for x in self.num[: self.field.deg]]

@@ -107,8 +107,10 @@ class AssociationScheme:
     @classmethod
     def from_matrices(cls, L, labels) -> "AssociationScheme":
         """Verify that the relations A_i = (L == i) of the label matrix L form
-        a scheme and build it; raises NotAScheme on failure.  Closure is
-        certified from generators (see the module docstring)."""
+        a scheme and build it; raises ValueError unless the labels pass
+        check_labels, and NotAScheme on failure.  Closure is certified from
+        generators (see the module docstring)."""
+        check_labels(labels)
         L = np.asarray(L)
         square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
         if not square or L.dtype.kind not in "iu":
@@ -117,8 +119,6 @@ class AssociationScheme:
         if v >= _F32_EXACT:
             raise ValueError("float32 closure products are exact only for v < 2**24")
         nm = len(labels)
-        if len(set(labels)) != nm:
-            raise ValueError("labels must be distinct")
         if L.min() < 0 or L.max() >= nm:
             raise NotAScheme(f"labels must lie in 0..{nm - 1}")
         L = L.astype(label_dtype(nm))  # a read-only copy the scheme owns
@@ -204,9 +204,25 @@ class AssociationScheme:
         )
 
 
+def check_labels(labels) -> None:
+    """Raise ValueError unless labels is a nonempty list of distinct strings,
+    the rule of from_matrices and of the scheme file readers."""
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(isinstance(x, str) for x in labels)
+        or len(set(labels)) != len(labels)
+    ):
+        raise ValueError("labels must be a nonempty list of distinct strings")
+
+
 def check_partition(partition: list[list[int]], nclasses: int) -> None:
     """Raise ValueError unless the partition splits the classes 0..nclasses-1
-    into nonempty cells, each class in exactly one cell, with {0} a cell."""
+    into nonempty cells, each class in exactly one cell, with {0} a cell.
+    A class is an int or a numpy integer, never a bool or a float."""
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               for cell in partition for i in cell):
+        raise ValueError("partition classes must be integers")
     seen = sorted(i for cell in partition for i in cell)
     if seen != list(range(nclasses)):
         raise ValueError("partition must cover every class exactly once")

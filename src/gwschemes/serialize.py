@@ -7,13 +7,14 @@ re-verifies the axioms from scratch, so a loaded AssociationScheme is as
 trustworthy as a freshly constructed one.  The writer emits exactly the text
 json.dumps gives for the record, built from numpy blocks of rows.
 
-A file is read by one of two readers.  The canonical reader takes only a file
-that is byte for byte what the writer writes for the label matrix it decodes
-to, the final newline optional, and decodes its rows block by block in numpy.
-Every other file, such as a pretty-printed, reordered, hand-edited or
-malformed one, goes to the json reader, which parses the whole record, checks
-it and words every input error.  Both decode into the compact label dtype the
-scheme stores (see schemes), and the file bytes do not depend on it.
+A file is read by one of two readers.  The canonical reader takes every file
+that is the text json.dumps gives for the record it decodes to, runs of any
+length and the final newline optional, and decodes its rows block by block in
+numpy.  Every other file, such as a pretty-printed, reordered, hand-edited or
+malformed one, goes to the json reader, which parses the whole record.  Both
+pass the same integers, in row order, to the same header and row checks,
+which word every input error, so the two agree.  Both decode into the compact
+label dtype the scheme stores (see schemes); the file bytes do not depend on it.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
@@ -31,7 +32,7 @@ import numpy as np
 from .algebra import CycField, CycScalar
 from .designs import MAX_POINTS
 from .errors import InputError
-from .schemes import AssociationScheme, label_dtype, row_blocks
+from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
 
 FILE_VERSION = 1
 
@@ -74,23 +75,44 @@ def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return runs.reshape(-1), 2 * np.cumsum(new.sum(axis=1))
 
 
-def _rows_text(L: np.ndarray, text: np.ndarray) -> bytes:
-    """The JSON text of the runs of a block of rows, each row closed by
-    "], [", from the run text of _text_table."""
-    runs, ends = _runs(L)
-    runs[ends - 1] += len(text) // 2  # the count that closes a row
-    out = text[runs].view(np.uint8)
-    del runs  # freed before the mask and the copies
+def _rows_text(runs: np.ndarray, ends: np.ndarray, text: np.ndarray) -> bytes:
+    """The JSON text of the flat runs of a block of rows that end at ends in
+    runs, each row closed by "], [", from the run text of _text_table."""
+    out = text[runs]
+    out[ends - 1] = text[runs[ends - 1] + len(text) // 2]  # the counts that close a row
+    out = out.view(np.uint8)
     return out[out != 0].tobytes()
+
+
+def _fill_rows(
+    Lb: np.ndarray, x0: int, runs: np.ndarray, pairs: np.ndarray, nlabels: int
+) -> str | None:
+    """Fill the rows Lb, rows x0.. of a file, from their flat runs, pairs[x]
+    of them (at least one) in row x0 + x; or give the message of the first
+    row with a label outside 0..nlabels-1, a run length outside 1..v, or
+    lengths that do not cover the row, checked in that order.  Both readers
+    decode a block of rows and leave the value checks to this function."""
+    v = Lb.shape[1]
+    lbl, count = runs[0::2], runs[1::2]
+    firsts = np.cumsum(pairs) - pairs
+    bad_lbl = np.logical_or.reduceat((lbl < 0) | (lbl >= nlabels), firsts)
+    bad_count = np.logical_or.reduceat((count < 1) | (count > v), firsts)
+    bad_row = bad_lbl | bad_count | (np.add.reduceat(count, firsts) != v)
+    if bad_row.any():
+        x = int(np.argmax(bad_row))
+        if bad_lbl[x]:
+            return f"row {x0 + x} has a label outside 0..{nlabels - 1}"
+        if bad_count[x]:
+            return f"row {x0 + x} has a run length outside 1..{v}"
+        return f"row {x0 + x} does not cover all columns"
+    Lb[:] = np.repeat(lbl.astype(Lb.dtype), count).reshape(Lb.shape)
+    return None
 
 
 def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> None:
     """Fill L[x0:x1] from rows[x0:x1]; raises InputError naming the first
     malformed row, with the message the per-row checks give in order: shape
-    and type, label range, run lengths, row cover."""
-    if x1 == x0:
-        return
-    v = L.shape[1]
+    and type here, then the value checks of _fill_rows."""
     block = rows[x0:x1]
     bad = next(
         (x for x, rle in enumerate(block)
@@ -109,19 +131,8 @@ def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> Non
         a = np.fromiter(chain.from_iterable(block), dtype=np.int64, count=n)
     except OverflowError:  # beyond int64, so out of range as a label and as a count
         a = np.fromiter(chain.from_iterable(block), dtype=object, count=n)
-    lbl, count = a[0::2], a[1::2]
-    firsts = np.cumsum(pairs) - pairs
-    bad_lbl = np.logical_or.reduceat((lbl < 0) | (lbl >= nlabels), firsts)
-    bad_count = np.logical_or.reduceat((count < 1) | (count > v), firsts)
-    bad_row = bad_lbl | bad_count | (np.add.reduceat(count, firsts) != v)
-    if bad_row.any():
-        x = int(np.argmax(bad_row))
-        if bad_lbl[x]:
-            raise InputError(f"row {x0 + x} has a label outside 0..{nlabels - 1}")
-        if bad_count[x]:
-            raise InputError(f"row {x0 + x} has a run length outside 1..{v}")
-        raise InputError(f"row {x0 + x} does not cover all columns")
-    L[x0:x1] = np.repeat(lbl.astype(L.dtype), count).reshape(x1 - x0, v)
+    if error := _fill_rows(L[x0:x1], x0, a, pairs, nlabels):
+        raise InputError(error)
 
 
 def _check_header(data) -> tuple[int, list]:
@@ -138,13 +149,10 @@ def _check_header(data) -> tuple[int, list]:
     v, labels, rows = data["v"], data["labels"], data["rows"]
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise InputError(f"v must be a positive integer, not {v!r}")
-    if (
-        not isinstance(labels, list)
-        or not labels
-        or not all(isinstance(x, str) for x in labels)
-        or len(set(labels)) != len(labels)
-    ):
-        raise InputError("labels must be a nonempty list of distinct strings")
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     if not isinstance(rows, list) or len(rows) != v:
         raise InputError(f"v is {v} but rows is not a list of {v} rows")
     if v > MAX_POINTS:
@@ -166,20 +174,22 @@ def _label_matrix(data) -> np.ndarray:
 
 
 def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
-    """The label matrix, labels and provenance of a scheme file that is byte
-    for byte what file_chunks writes for them, the final newline optional;
-    None for every other file.
+    """The label matrix, labels and provenance of a scheme file that is the
+    text json.dumps gives for them, runs of any length and the final newline
+    optional; None for every other file.  The first row that _fill_rows
+    rejects raises its InputError, once every block of rows has matched.
 
-    The header and the provenance are parsed with json and pass the checks
-    of _check_header; the rows are decoded block by block with
-    np.fromstring, and a block is taken only when _rows_text of the rows it
-    decodes to gives back the file's bytes of the block.  An accepted file
-    is therefore the text json.dumps gives for its record, and the json
-    reader decodes those same bytes to the same label matrix, labels and
-    provenance: the two readers agree on every file this one accepts.  The
-    decode alone is no validator: np.fromstring reads "01", "+1", "1,2" and
+    The header and the provenance are parsed with json and pass
+    _check_header.  Each block of rows is decoded with np.fromstring and
+    declined for a row of odd or no length or a number outside the writer's
+    digit table 0..max(v, nlabels); it is taken only when _rows_text of its
+    runs, ending rows where its text does, gives back its bytes.  The decode
+    alone is no validator: np.fromstring reads "01", "+1", "1,2" and
     "1 , 2", returns a trailing 0 for "1, 2, " and saturates 10**30 to the
-    int64 maximum.  The comparison of bytes is what rejects all of them.
+    int64 maximum; the comparison of bytes rejects all of them.  A taken
+    file is thus json.dumps text, which the json reader decodes to the same
+    integers and passes, in the same row order, to the same _check_header
+    and _fill_rows: the two readers agree on every file this one takes.
     """
     cut = raw.find(_ROWS) + len(_ROWS)
     end = raw.find(b"]]", cut)
@@ -203,34 +213,25 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
         return None
     L = np.empty((v, v), dtype=label_dtype(len(labels)))
-    text = _text_table(max(v, len(labels)))
+    top = max(v, len(labels))  # the last number of the writer's digit table
+    text, error = _text_table(top), None
     for b in row_blocks(v):
-        Lb, block = L[b], b"], [".join(rows[b])
-        if not _decode_rows(Lb, block, len(labels)) or _rows_text(Lb, text) != block + b"], [":
+        block = b"], [".join(rows[b])
+        # the items of each row: one more than its commas, so an empty row is odd
+        items = np.array([row.count(b",") for row in rows[b]]) + 1
+        try:
+            runs = np.fromstring(block.replace(b"], [", b", "), dtype=np.int64, sep=",")
+        except ValueError:  # text that is no list of integers
             return None
+        if (items % 2).any() or len(runs) != items.sum() or runs.min() < 0 or runs.max() > top:
+            return None
+        error = error or _fill_rows(L[b], b.start, runs, items // 2, len(labels))
+        runs = runs.astype(np.min_scalar_type(len(text) - 1))  # int64 freed before the re-encode
+        if _rows_text(runs, np.cumsum(items), text) != block + b"], [":
+            return None
+    if error:  # raised only once every block is json.dumps text
+        raise InputError(error)
     return L, labels, provenance
-
-
-def _decode_rows(Lb: np.ndarray, block: bytes, nlabels: int) -> bool:
-    """Fill the rows Lb with the labels that the run text block of as many
-    rows decodes to; False when it decodes to no such rows.  A function of
-    its own, so that the decoded runs are freed before the block is
-    re-encoded."""
-    r, v = Lb.shape
-    try:
-        runs = np.fromstring(block.replace(b"], [", b", "), dtype=np.int64, sep=",")
-    except ValueError:  # text that is no list of integers
-        return False
-    lbl, count = runs[0::2], runs[1::2]
-    if (
-        len(runs) % 2
-        or not ((lbl >= 0) & (lbl < nlabels)).all()
-        or not ((count >= 1) & (count <= v)).all()
-        or count.sum() != r * v
-    ):
-        return False
-    Lb[:] = np.repeat(lbl.astype(Lb.dtype), count).reshape(r, v)
-    return True
 
 
 def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
@@ -242,7 +243,7 @@ def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     text = _text_table(v)
     yield _head(v, scheme.labels)
     for b in row_blocks(v):
-        rows = _rows_text(L[b], text)
+        rows = _rows_text(*_runs(L[b]), text)
         yield rows if b.stop < v else rows[:-4]  # no "], [" after the last row
     yield b"]]" + _tail(provenance) + b"\n"
 

@@ -109,6 +109,7 @@ class Eigensystem:
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
         keys = []  # (block, i, j) of every unit, in row_index() order
+        classes = range(algebra.scheme.nclasses)
         for bi, blk in enumerate(blocks):
             square = [(i, j) for i in range(1, blk.dim + 1) for j in range(1, blk.dim + 1)]
             missing = [key for key in square if key not in blk.units]
@@ -116,6 +117,13 @@ class Eigensystem:
             if missing or extra:
                 what = f"lacks unit {missing[0]}" if missing else f"has extra unit {extra[0]}"
                 raise VerificationError(f"block {blk.name} of dim {blk.dim} {what}")
+            # pack reads classes 0..nm-1 only, so a unit must hold no other
+            stray = [(key, k) for key in square for k in blk.units[key] if k not in classes]
+            if stray:
+                (key, k), *_ = stray
+                raise VerificationError(
+                    f"block {blk.name} unit {key} has class {k!r} outside 0..{len(classes) - 1}"
+                )
             keys += [(bi, i, j) for i, j in square]
         U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in keys])
         U.num.flags.writeable = False

@@ -101,11 +101,8 @@ class TestCycField:
     def test_rational_detection(self):
         f = CycField(4, 3)
         assert f.rat(Fraction(3, 2)).is_rational()
-        assert f.rat(Fraction(3, 2)).as_fraction() == Fraction(3, 2)
         assert not f.zeta(1).is_rational()
         assert not f.sqrt_radicand().is_rational()
-        with pytest.raises(ValueError):
-            f.zeta(1).as_fraction()
 
     def test_to_complex(self):
         import cmath

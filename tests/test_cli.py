@@ -541,7 +541,7 @@ MUTATED_FILES = {
     "reordered-keys": (lambda: _dumped(lambda d: dict(reversed(d.items()))), False),
     "duplicate-key": (lambda: _bgw52_file().replace(b'"v": 12', b'"v": 12, "v": 12'), False),
     "no-final-newline": (lambda: _bgw52_file()[:-1], True),
-    "split-run": (lambda: _dumped(_split_run), False),
+    "split-run": (lambda: _dumped(_split_run), True),
     "leading-zero": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0, 01, "), False),
     "plus-sign": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0, +1, "), False),
     "no-spaces": (lambda: _bgw52_file().replace(b", ", b","), False),
@@ -556,6 +556,15 @@ MUTATED_FILES = {
     "bom": (lambda: b"\xef\xbb\xbf" + _bgw52_file(), False),
     "null-provenance": (lambda: _dumped(lambda d: d.__setitem__("provenance", None)), False),
     "relabelled-run": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 2)), True),
+    # a run given the label of the run after it, so that the two runs are not maximal
+    "relabelled-to-neighbour": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 3)), True),
+    # row 0 has label 5, outside 0..3 but inside the digit table 0..12, and the
+    # last row, in another block at two rows a block, holds "01": no reader may
+    # name row 0, since the file is not JSON
+    "bad-label-then-leading-zero": (
+        lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 5)).replace(b"0, 1]]", b"0, 01]]"),
+        False,
+    ),
     # more labels than points: the writer's digit table has v + 1 entries
     "three-labels-one-point": (
         lambda: json.dumps({"version": 1, "v": 1, "labels": ["a", "b", "c"], "rows": [[2, 1]]}).encode(),

@@ -203,6 +203,22 @@ class TestLabelMatrix:
         with pytest.raises(ValueError, match="2\\*\\*24"):
             AssociationScheme.from_matrices(L, ["0"])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [list(range(6)), [], ["0", "1", "2", "3", "4", "4"], tuple("abcdef")],
+        ids=["integers", "empty", "duplicate", "tuple"],
+    )
+    def test_labels_are_a_nonempty_list_of_distinct_strings(self, labels):
+        # the rule of the file readers, so that save_scheme, load_scheme and
+        # fuse take every scheme that is built
+        says = "^labels must be a nonempty list of distinct strings$"
+        with pytest.raises(ValueError, match=says):
+            AssociationScheme.from_matrices(cyclic_label_matrix(6), labels)
+        # checked before any pass over L: v = 2**24 points of a zero-stride view
+        L = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**24, 2**24))
+        with pytest.raises(ValueError, match=says):
+            AssociationScheme.from_matrices(L, labels)
+
     def test_label_matrix_is_a_read_only_copy(self):
         L = cyclic_label_matrix(6)
         s = AssociationScheme.from_matrices(L, [str(i) for i in range(6)])

@@ -423,8 +423,20 @@ class TestVerificationTeeth:
                 lambda b: b.units.update({(3, 3): b.units[(1, 1)]}),
                 r"block a1 of dim 2 has extra unit \(3, 3\)",
             ),
+            # bgw (7,3) has classes 0..5; pack would drop the stray ones
+            (
+                lambda b: b.units.update({(1, 2): {**b.units[(1, 2)], 6: b.units[(1, 1)][0]}}),
+                r"block a1 unit \(1, 2\) has class 6 outside 0\.\.5",
+            ),
+            (
+                lambda b: b.units.update({(2, 1): {**b.units[(2, 1)], -1: b.units[(1, 1)][0]}}),
+                r"block a1 unit \(2, 1\) has class -1 outside 0\.\.5",
+            ),
         ],
-        ids=["deleted-unit", "dim-too-large", "dim-too-small", "unit-outside"],
+        ids=[
+            "deleted-unit", "dim-too-large", "dim-too-small", "unit-outside",
+            "class-too-large", "negative-class",
+        ],
     )
     def test_unit_keys_must_fill_the_block(self, edit, says):
         # a block holds exactly the units (i, j), 1 <= i, j <= dim
@@ -1192,6 +1204,8 @@ MALFORMED = {
     "class-twice": ([[0], [1], [1], [2], [3]], "cover every class exactly once"),
     "identity-merged": ([[0, 1], [2], [3]], "identity class must stay alone"),
     "empty-cell": ([[0], [1], [], [2], [3]], "cells must be nonempty"),
+    "float-class": ([[0], [1.0], [2], [3]], "classes must be integers"),
+    "bool-class": ([[0], [True], [2], [3]], "classes must be integers"),
 }
 ENTRY_POINTS = {
     "fuse": lambda es, partition: es.algebra.scheme.fuse(partition),
