@@ -25,7 +25,7 @@ def main():
     es = bgw_eigensystem(s, Q, M)
     partition = bgw_symmetric_fusion(M)
     print(f"scheme: {s!r}")
-    print(f"fusing transpose-paired classes: {partition}")
+    print(f"fusing each class (g, e) with (-g, e): {partition}")
 
     fused = s.fuse(partition)
     print(f"fused scheme: {fused!r} with labels {fused.labels}")

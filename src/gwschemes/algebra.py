@@ -276,16 +276,7 @@ class CycScalar:
         return CycScalar(self.field, [fr.numerator * c for c in self.num], self.den * fr.denominator)
 
     def inv(self) -> "CycScalar":
-        """The y with self * y = 1: den / num[0] for a rational scalar, else
-        _solve."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycScalar(self.field, [self.den] + [0] * (len(self.num) - 1), self.num[0])
-        return self._solve()
-
-    def _solve(self) -> "CycScalar":
-        """The inverse of a nonzero scalar from the dim x dim integer system
+        """The y with self * y = 1, from the dim x dim integer system
 
             sum_s A[t][s] y_s = den [t = 0],  A[t][s] = sum_r num[r] mult[r, s, t],
 
@@ -293,6 +284,8 @@ class CycScalar:
         multiplication by a nonzero element of a field, so it is regular:
         sqrt(d) lies outside Q(zeta_M) (checked at field construction).
         """
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
         mult, D = self.field._mult_terms, len(self.num)
         rows = [[0] * D + [self.den if t == 0 else 0] for t in range(D)]
         for r, x in enumerate(self.num):
@@ -339,9 +332,6 @@ class CycScalar:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def a_vector(self) -> list[Fraction]:
         """The coefficients of zeta^0..zeta^(deg-1)."""

@@ -178,10 +178,10 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_designs(args) -> int:
+    if args.q is None or (args.what == "bgw" and args.m is None):
+        flags = "--q and --m" if args.what == "bgw" else "--q"
+        raise UsageError(f"designs {args.what} needs {flags}")
     if args.what == "bgw":
-        if args.q is None or args.m is None:
-            print("designs bgw needs --q and --m", file=sys.stderr)
-            return 1
         W = bgw_matrix(args.q, args.m)
         info = verify_bgw(W, args.m)
         print(f"BGW({info['v']},{info['k']},{info['lam']}) over Z_{args.m}: {info}")
@@ -193,16 +193,10 @@ def _cmd_designs(args) -> int:
                 f"2-design: 2-({params['v']},{params['k']},{params['lam']})"
             )
     elif args.what == "gh":
-        if args.q is None:
-            print("designs gh needs --q", file=sys.stderr)
-            return 1
         H = gh_matrix(args.q)
         info = verify_gh(H, args.q)
         print(f"GH({args.q},{info['lam']}) over GF({args.q})+: verified")
     else:
-        if args.q is None:
-            print("designs latin needs --q", file=sys.stderr)
-            return 1
         L = latin_square(args.q)
         verify_latin(L)
         print(f"Latin square of order {args.q} (symmetric, idempotent): verified")

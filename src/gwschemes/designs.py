@@ -10,7 +10,9 @@ blank is -1.
 
 A generalized Hadamard matrix GH(q, 1) over the additive group of GF(q) is a
 q x q matrix over GF(q) such that the difference of any two distinct rows
-covers GF(q) exactly once; the multiplication table of GF(q) is one.
+covers GF(q) exactly once; the multiplication table of GF(q) is one.  It is
+checked as a BGW matrix with no blanks: verify_bgw and verify_gh share one
+count of row differences, over Z_m and over (GF(q), +).
 """
 from __future__ import annotations
 
@@ -65,6 +67,23 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     return W
 
 
+def _check_differences(M: np.ndarray, sub: np.ndarray, mask: np.ndarray, lam: int) -> None:
+    """Raise VerificationError for the first pair of rows x < y, in row-major
+    order, whose differences sub[M[x, j], M[y, j]] over the columns j where
+    mask holds in both rows do not take each of the len(sub) group values
+    exactly lam times."""
+    rows, g = M.shape[0], len(sub)
+    for x in range(rows - 1):
+        # counts[y - x - 1, d]: the columns j masked in rows x, y with sub[M[x, j], M[y, j]] = d
+        ok = mask[x] & mask[x + 1 :]
+        diffs = (sub[M[x], M[x + 1 :]] + g * np.arange(rows - x - 1)[:, None])[ok]
+        counts = np.bincount(diffs, minlength=(rows - x - 1) * g).reshape(-1, g)
+        bad = (counts != lam).any(axis=1)
+        if bad.any():
+            y = int(np.argmax(bad))
+            raise VerificationError(f"rows {x},{x + 1 + y}: difference counts {counts[y].tolist()}")
+
+
 def verify_bgw(W: np.ndarray, m: int) -> dict:
     """Check the BGW property; return parameters and structure flags.
 
@@ -82,15 +101,9 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     lam = v - 2
     if lam % m != 0:
         raise VerificationError(f"lambda={lam} not divisible by m={m}")
-    for x in range(v - 1):
-        # counts[y - x - 1, d]: the columns nonblank in rows x, y with W[x] - W[y] = d mod m
-        ok = (W[x] != BLANK) & (W[x + 1 :] != BLANK)
-        diffs = ((W[x] - W[x + 1 :]) % m + m * np.arange(v - x - 1)[:, None])[ok]
-        counts = np.bincount(diffs, minlength=(v - x - 1) * m).reshape(-1, m)
-        bad = (counts != lam // m).any(axis=1)
-        if bad.any():
-            y = int(np.argmax(bad))
-            raise VerificationError(f"rows {x},{x + 1 + y}: difference counts {counts[y].tolist()}")
+    # a blank cell indexes sub[BLANK], the last row, but the mask drops it
+    sub = np.subtract.outer(np.arange(m), np.arange(m)) % m
+    _check_differences(W, sub, W != BLANK, lam // m)
     return {
         "v": v,
         "k": v - 1,
@@ -116,18 +129,7 @@ def verify_gh(H: np.ndarray, q: int) -> dict:
     lam = cols // q
     if not ((H >= 0) & (H < q)).all():
         raise VerificationError("entries must be field indices 0..q-1")
-    sub = F.add_t[:, F.neg_t]
-    for x in range(rows):
-        # counts[y, d]: the columns j with H[x, j] - H[y, j] = d
-        diffs = sub[H[x], H] + q * np.arange(rows)[:, None]
-        counts = np.bincount(diffs.ravel(), minlength=rows * q).reshape(rows, q)
-        bad = (counts != lam).any(axis=1)
-        bad[x] = False
-        if bad.any():
-            y = int(np.argmax(bad))
-            raise VerificationError(
-                f"rows {x},{y}: difference counts {counts[y].tolist()}"
-            )
+    _check_differences(H, F.add_t[:, F.neg_t], np.ones(H.shape, dtype=bool), lam)
     return {"q": q, "lam": lam, "rows": rows}
 
 

@@ -223,26 +223,19 @@ def oracle_spectrum(L, seed: int = 0):
         if dims.sum() != v:
             last_err = f"attempt {attempt}: sum of d * m is {dims.sum()}, not {v}"
             continue
-        dims = dims.tolist()
-        comp = [-1] * ns
+        # reach[a, b]: clusters a and b lie in one linked component, after
+        # squaring link | I past the longest path; each component is read
+        # off the row of its smallest cluster
+        reach = link | np.eye(ns, dtype=bool)
+        for _ in range(ns.bit_length()):
+            reach = reach @ reach
         blocks = []
-        for a in range(ns):
-            if comp[a] != -1:
-                continue
-            stack, members = [a], []
-            comp[a] = a
-            while stack:
-                x = stack.pop()
-                members.append(x)
-                for y in np.flatnonzero(link[x]).tolist():
-                    if comp[y] == -1:
-                        comp[y] = a
-                        stack.append(y)
-            sizes = {dims[x] for x in members}
+        for members in reach[reach.argmax(axis=1) == np.arange(ns)]:
+            sizes = set(dims[members].tolist())
             if len(sizes) != 1:
                 last_err = f"attempt {attempt}: unequal multiplicities {sizes}"
                 break
-            blocks.append((len(members), sizes.pop()))
+            blocks.append((int(members.sum()), sizes.pop()))
         else:
             return sorted(blocks)
     raise VerificationError(f"spectrum oracle failed: {last_err}")

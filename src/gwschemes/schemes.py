@@ -190,11 +190,11 @@ class AssociationScheme:
         fused family is verified from scratch, so a partition that does not
         yield a scheme raises NotAScheme.
         """
-        check_partition(partition, self.nclasses)
+        cells = check_partition(partition, self.nclasses)
         cell_of = np.empty(self.nclasses, dtype=self.L.dtype)
-        for c, cell in enumerate(partition):
-            cell_of[cell] = c
-        labels = ["+".join(self._labels[i] for i in sorted(cell)) for cell in partition]
+        for c, cell in enumerate(cells):
+            cell_of[list(cell)] = c
+        labels = ["+".join(self._labels[i] for i in cell) for cell in cells]
         return AssociationScheme.from_matrices(_gather(cell_of, self.L), labels)
 
     def __repr__(self) -> str:
@@ -216,10 +216,16 @@ def check_labels(labels) -> None:
         raise ValueError("labels must be a nonempty list of distinct strings")
 
 
-def check_partition(partition: list[list[int]], nclasses: int) -> None:
-    """Raise ValueError unless the partition splits the classes 0..nclasses-1
-    into nonempty cells, each class in exactly one cell, with {0} a cell.
-    A class is an int or a numpy integer, never a bool or a float."""
+def check_partition(partition: list[list[int]], nclasses: int) -> tuple[tuple[int, ...], ...]:
+    """Return the cells of the partition, each sorted, as tuples of Python
+    ints; raise ValueError unless the partition is a list or tuple of lists
+    or tuples that split the classes 0..nclasses-1 into nonempty cells, each
+    class in exactly one cell, with {0} a cell.  A class is an int or a
+    numpy integer, never a bool or a float."""
+    if not isinstance(partition, (list, tuple)) or not all(
+        isinstance(cell, (list, tuple)) for cell in partition
+    ):
+        raise ValueError("a partition is a list of lists of classes")
     if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
                for cell in partition for i in cell):
         raise ValueError("partition classes must be integers")
@@ -231,6 +237,7 @@ def check_partition(partition: list[list[int]], nclasses: int) -> None:
     for cell in partition:
         if 0 in cell and len(cell) != 1:
             raise ValueError("the identity class must stay alone")
+    return tuple(tuple(sorted(map(int, cell))) for cell in partition)
 
 
 def _certify_closure(L, labels, p, tpose, valencies) -> None:

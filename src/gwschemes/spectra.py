@@ -313,7 +313,7 @@ def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
     F0 = bgw_f_elements(alg, m, 0)
     F1 = bgw_f_elements(alg, m, 1)
     e = field.rat(Fraction(1, v))
-    inv_sqrt = field.sqrt_radicand().inv()
+    inv_sqrt = field.sqrt_radicand().scale(Fraction(1, n))  # (sqrt n)^2 = n
     blocks = [
         Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]))}),
         Block("1", 1, {(1, 1): _unit((e.scale(n), F0[0]), (-e, F1[0]))}),
@@ -482,8 +482,7 @@ class FusedEigensystem:
 
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
         alg = es.algebra
-        check_partition(partition, alg.scheme.nclasses)
-        cells = tuple(tuple(sorted(cell)) for cell in partition)
+        cells = check_partition(partition, alg.scheme.nclasses)
         names: list[str] = []
         mult: list[int] = []
         twice = []  # each idempotent times 2, as weights over the units
@@ -633,7 +632,7 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
       E_ab E_cd = [b = c] |I_b| E_ad, so they pass _closure_ok, and this
       search returns the same cells.
     """
-    check_partition(partition, es.algebra.scheme.nclasses)
+    partition = check_partition(partition, es.algebra.scheme.nclasses)
     target = len(partition)
     names = [blk.name for blk in es.blocks]
     all_cells = []

@@ -800,6 +800,14 @@ class TestFusion:
         assert (code, err) == (0, "")
         assert out == CHECK_BM_STDOUT[family]
 
+    def test_no_certificate_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bm_search", lambda es, partition: None)
+        code, out, err = run(
+            capsys, "fusion", "--family", "bgw", "--q", "5", "--m", "2", "--check-bm"
+        )
+        assert (code, err) == (2, "no fusion certificate found\n")
+        assert out.splitlines()[-1] == "product-form certificate: none"
+
     def test_gh_csv(self, capsys):
         code, out, _ = run(
             capsys, "fusion", "--family", "gh", "--q", "3", "--format", "csv"
@@ -835,5 +843,11 @@ class TestDesigns:
         assert code == 3
 
     def test_missing_q(self, capsys):
-        code, _, err = run(capsys, "designs", "bgw", "--q", "4")
-        assert code == 1
+        # one "usage error: " line and exit 1, as in build, table and fusion
+        for argv, says in [
+            (["bgw", "--q", "4"], "designs bgw needs --q and --m"),
+            (["bgw", "--m", "3"], "designs bgw needs --q and --m"),
+            (["gh"], "designs gh needs --q"),
+            (["latin"], "designs latin needs --q"),
+        ]:
+            assert run(capsys, "designs", *argv) == (1, "", f"usage error: {says}\n")

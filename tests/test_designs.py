@@ -6,6 +6,7 @@ import pytest
 
 from gwschemes import (
     BLANK,
+    FiniteField,
     SymmetryObstruction,
     VerificationError,
     bgw_incidence,
@@ -32,6 +33,21 @@ def first_failing_pair(W, m):
             ok = (W[x] != BLANK) & (W[y] != BLANK)
             counts = np.bincount((W[x, ok] - W[y, ok]) % m, minlength=m)
             if not (counts == (v - 2) // m).all():
+                return f"rows {x},{y}: difference counts {counts.tolist()}"
+    return None
+
+
+def first_failing_gh_pair(H, q):
+    """Reference: the message for the first row pair x < y, in row-major
+    order, whose differences over GF(q) do not cover each field element
+    cols/q times; None when there is no such pair."""
+    F = FiniteField(q)
+    rows, cols = H.shape
+    for x in range(rows):
+        for y in range(x + 1, rows):
+            diffs = [F.sub(int(a), int(b)) for a, b in zip(H[x], H[y])]
+            counts = np.bincount(diffs, minlength=q)
+            if not (counts == cols // q).all():
                 return f"rows {x},{y}: difference counts {counts.tolist()}"
     return None
 
@@ -88,6 +104,15 @@ class TestBGW:
         else:
             with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
                 verify_bgw(W, m)
+
+    def test_not_square_rejected(self):
+        with pytest.raises(VerificationError, match="^matrix is not square$"):
+            verify_bgw(bgw_matrix(7, 3)[:, :-1], 3)
+
+    def test_lambda_not_divisible_rejected(self):
+        # bgw 7,3 has entries below 3 < 4 and one blank per row; lambda = 6
+        with pytest.raises(VerificationError, match="^lambda=6 not divisible by m=4$"):
+            verify_bgw(bgw_matrix(7, 3), 4)
 
     def test_first_failing_pair_at_q529(self):
         W = bgw_matrix(529, 2)
@@ -235,6 +260,33 @@ class TestGH:
         with pytest.raises(VerificationError, match="difference counts"):
             verify_gh(H, 5)
 
+    @pytest.mark.parametrize("q", [5, 7, 9])
+    @pytest.mark.parametrize("width", [1, 2], ids=["square", "wide"])
+    @pytest.mark.parametrize("flips", [1, 2, 5])
+    def test_first_failing_pair_matches_the_pair_loop(self, q, width, flips):
+        # the q x 2q matrix [H H] is a GH(q, 2)
+        rng = np.random.default_rng(100 * q + 10 * width + flips)
+        H = np.hstack([gh_matrix(q)] * width)
+        for x, j in rng.integers(0, q, size=(flips, 2)):
+            H[x, j] = (H[x, j] + rng.integers(1, q)) % q
+        want = first_failing_gh_pair(H, q)
+        if want is None:
+            assert verify_gh(H, q)["lam"] == width
+        else:
+            with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+                verify_gh(H, q)
+
+    def test_column_count_rejected(self):
+        with pytest.raises(VerificationError, match="^column count must be a multiple of q$"):
+            verify_gh(gh_matrix(5)[:, :4], 5)
+
+    @pytest.mark.parametrize("entry", [-1, 5])
+    def test_entry_outside_the_field_rejected(self, entry):
+        H = gh_matrix(5).copy()
+        H[1, 2] = entry
+        with pytest.raises(VerificationError, match="^entries must be field indices 0..q-1$"):
+            verify_gh(H, 5)
+
     def test_row_differences_cover_field(self):
         q = 7
         H = gh_matrix(q)
@@ -255,6 +307,30 @@ class TestOneFactorization:
     def test_even_q_rejected(self):
         with pytest.raises(ValueError):
             one_factorization(4)
+
+    def test_asymmetric_factor_rejected(self):
+        factors = one_factorization(5)
+        factors[0] = factors[0].copy()
+        factors[0][0, 1] += 1
+        with pytest.raises(VerificationError, match="^factor not symmetric$"):
+            verify_one_factorization(factors)
+
+    def test_fixed_point_rejected(self):
+        factors = one_factorization(5)
+        factors[0] = factors[0].copy()
+        factors[0][2, 2] = 1
+        with pytest.raises(VerificationError, match="^factor has a fixed point$"):
+            verify_one_factorization(factors)
+
+    def test_extra_edge_rejected(self):
+        # factor 0 matches infinity with 0; the edge {infinity, 1} gives
+        # both infinity and 1 a second partner
+        factors = one_factorization(5)
+        factors[0] = factors[0].copy()
+        assert factors[0][0, 1] == 1 and factors[0][0, 2] == 0
+        factors[0][0, 2] = factors[0][2, 0] = 1
+        with pytest.raises(VerificationError, match="^factor not a perfect matching$"):
+            verify_one_factorization(factors)
 
     def test_broken_factorization_rejected(self):
         factors = one_factorization(5)

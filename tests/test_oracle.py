@@ -441,6 +441,64 @@ class TestModuleControls:
             oracle_spectrum(make())
 
 
+def relinked(monkeypatch, L, pairs):
+    """Route oracle_spectrum's _eigenspaces on the label matrix L through a
+    link matrix that joins exactly the cluster pairs (a, b), negative
+    indices counted from the last cluster; returns, for each attempt, the
+    multiplicity of each cluster, read as the eigenvalue count of the v x v
+    element X = sum coef[l] A_l near the cluster's eigenvalue.  Holds for
+    commutative schemes, whose blocks have d = 1."""
+    seen, eigenspaces = [], gwschemes.oracle._eigenspaces
+
+    def spy(C, coef):
+        W, starts, link = eigenspaces(C, coef)
+        S = np.tensordot(coef, C, axes=1)
+        w = np.linalg.eigvalsh((S + S.T) / 2)[starts]
+        X = np.tensordot(coef, np.stack([L == l for l in range(len(coef))]), axes=1)
+        wx = np.linalg.eigvalsh(X)
+        seen.append([int(np.sum(np.abs(wx - c) < 1e-6 * np.abs(wx).max())) for c in w])
+        link = np.zeros_like(link)
+        for a, b in pairs:
+            link[a, b] = link[b, a] = True
+        return W, starts, link
+
+    monkeypatch.setattr(gwschemes.oracle, "_eigenspaces", spy)
+    return seen
+
+
+class TestLinkControls:
+    """A linked component is one block, so its clusters share one
+    multiplicity; a link across clusters of different multiplicity must
+    fail every attempt, reported for the component of the smallest cluster."""
+
+    def test_all_clusters_linked(self, monkeypatch):
+        # bgw 5,2 has blocks (1, 1), (1, 5), (1, 3), (1, 3)
+        L = cases.bgw(5, 2).L
+        seen = relinked(monkeypatch, L, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(
+            VerificationError,
+            match=r"^spectrum oracle failed: attempt 4: unequal multiplicities \{1, 3, 5\}$",
+        ):
+            oracle_spectrum(L)
+        assert len(seen) == gwschemes.oracle.RETRIES
+        assert all(sorted(dims) == [1, 3, 3, 5] for dims in seen)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_component_is_reported(self, monkeypatch, seed):
+        # components {0, last} and {1, 2}: the message names the first of
+        # them, in the order of their smallest cluster, whose multiplicities
+        # differ
+        L = cases.bgw(5, 2).L
+        seen = relinked(monkeypatch, L, [(0, -1), (1, 2)])
+        with pytest.raises(VerificationError) as err:
+            oracle_spectrum(L, seed=seed)
+        dims = seen[-1]
+        sizes = next(s for s in [{dims[0], dims[-1]}, {dims[1], dims[2]}] if len(s) > 1)
+        assert str(err.value) == (
+            f"spectrum oracle failed: attempt 4: unequal multiplicities {sizes}"
+        )
+
+
 class TestRandomElement:
     """The element the oracle diagonalizes is the restriction of the random
     element sum_l coef[l] A_l to the module it spins from one vector."""

@@ -501,6 +501,14 @@ class TestVerificationTeeth:
         ):
             FusedEigensystem(es, [[0], [1, 2], [3, 4, 5]])
 
+    def test_left_out_block_rejected(self):
+        es = cases.bgw_es(7, 3)
+        with pytest.raises(
+            VerificationError,
+            match=r"^sum of squared block dimensions must equal the class count$",
+        ):
+            Eigensystem(es.algebra, es.blocks[:-1])
+
     def test_zero_block_rejected(self):
         # block 2 of bgw 5,2 takes E_2 + E_3 and block 3 the zero unit: every
         # unit relation, the identity sum and the adjoints hold, and only the
@@ -1206,6 +1214,9 @@ MALFORMED = {
     "empty-cell": ([[0], [1], [], [2], [3]], "cells must be nonempty"),
     "float-class": ([[0], [1.0], [2], [3]], "classes must be integers"),
     "bool-class": ([[0], [True], [2], [3]], "classes must be integers"),
+    "int-cell": ([[0], 1, [2], [3]], "a partition is a list of lists"),
+    "no-partition": (None, "a partition is a list of lists"),
+    "dict-cell": ([[0], {1: 1}, [2], [3]], "a partition is a list of lists"),
 }
 ENTRY_POINTS = {
     "fuse": lambda es, partition: es.algebra.scheme.fuse(partition),
