@@ -38,7 +38,7 @@ def main():
     cert = bm_search(es, partition)
     print(f"product-form certificate: {'found' if cert.product_form else 'none'}")
     print(f"general certificate: {cert.cell_count} cells"
-          f" (need {cert.target}, one per fused class)")
+          f" (need {len(partition)}, one per fused class)")
     for name, cells in zip(cert.block_names, cert.cells):
         desc = "; ".join(
             "{" + ", ".join(f"({i},{j})" for i, j in cell) + "}" for cell in cells

@@ -179,29 +179,25 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     optional; None for every other file.  The first row that _fill_rows
     rejects raises its InputError, once every block of rows has matched.
 
-    The header and the provenance are parsed with json and pass
-    _check_header.  Each block of rows is decoded with np.fromstring and
-    declined for a row of odd or no length or a number outside the writer's
-    digit table 0..max(v, nlabels); it is taken only when _rows_text of its
-    runs, ending rows where its text does, gives back its bytes.  The decode
-    alone is no validator: np.fromstring reads "01", "+1", "1,2" and
-    "1 , 2", returns a trailing 0 for "1, 2, " and saturates 10**30 to the
-    int64 maximum; the comparison of bytes rejects all of them.  A taken
-    file is thus json.dumps text, which the json reader decodes to the same
-    integers and passes, in the same row order, to the same _check_header
-    and _fill_rows: the two readers agree on every file this one takes.
+    The record with its rows cut out, which holds "rows": [], is parsed with
+    json in one call and passes _check_header.  Each block of rows is
+    decoded with np.fromstring and declined for a row of odd or no length or
+    a number outside the writer's digit table 0..max(v, nlabels); it is
+    taken only when _rows_text of its runs, ending rows where its text does,
+    gives back its bytes.  The decode alone is no validator: np.fromstring
+    reads "01", "+1", "1,2" and "1 , 2", returns a trailing 0 for "1, 2, "
+    and saturates 10**30 to the int64 maximum; the comparison of bytes
+    rejects all of them.  A taken file is thus json.dumps text, which the
+    json reader decodes to the same integers and passes, in the same row
+    order, to the same _check_header and _fill_rows: the two readers agree
+    on every file this one takes.
     """
     cut = raw.find(_ROWS) + len(_ROWS)
     end = raw.find(b"]]", cut)
-    if cut < len(_ROWS) or end < 0:
+    if cut < len(_ROWS) or end < 0 or raw[:1] != b"{":  # _head opens an object
         return None
-    tail = raw[end + 2 :].removesuffix(b"\n")
     try:
-        data = json.loads(raw[: cut - len(_ROWS)].decode() + "}")
-        if tail != b"}":
-            if not tail.startswith(_PROVENANCE):
-                return None
-            data["provenance"] = json.loads(tail[len(_PROVENANCE) : -1].decode())
+        data = json.loads(raw[: cut - 1] + raw[end + 1 :])
     except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
         return None
     rows = data["rows"] = raw[cut:end].split(b"], [")  # one text per row, for the row count
@@ -210,6 +206,7 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     except InputError:
         return None
     provenance = data.get("provenance")
+    tail = raw[end + 2 :].removesuffix(b"\n")
     if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
         return None
     L = np.empty((v, v), dtype=label_dtype(len(labels)))

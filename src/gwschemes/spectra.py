@@ -10,12 +10,13 @@ of normalized CycScalars.  Because the tensor was extracted from exact
 integer matrix products, identities proved here hold for the actual v x v
 matrices.
 
-The Wedderburn decomposition is presented as a list of blocks; block k
-carries d_k x d_k matrix units E_ij (1-based indices) satisfying the strict
-relations E_ij E_i'j' = [k = k'][j = i'] E_ij'.  The eigenmatrix P collects
-the irreducible representation images phi_k(A_l), the eigenmatrix Q the
-coefficients of the units over the adjacency basis, and the two are linked by
-the duality m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), a theorem for verified
+The Wedderburn decomposition is presented as a list of blocks, which the
+Eigensystem copies once and keeps as the one block layout of every table;
+block k carries d_k x d_k matrix units E_ij (1-based indices) satisfying the
+strict relations E_ij E_i'j' = [k = k'][j = i'] E_ij'.  The eigenmatrix P
+collects the irreducible representation images phi_k(A_l), the eigenmatrix Q
+the coefficients of the units over the adjacency basis, and the two are linked
+by the duality m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), a theorem for verified
 units and a verified scheme (Eigensystem.check_pq_duality), so not re-checked.
 
 The unit relations are the one batch of algebra products.  P is read off the
@@ -77,6 +78,11 @@ class Block:
     units: dict  # (i, j) 1-based -> Elem
 
 
+def _copy(blk: Block) -> Block:
+    """A new Block with new unit and element dicts."""
+    return Block(blk.name, blk.dim, {ij: dict(e) for ij, e in blk.units.items()})
+
+
 def _indicator(partition: list[list[int]], nm: int) -> np.ndarray:
     """The 0/1 matrix [class l lies in cell t]."""
     out = np.zeros((len(partition), nm), dtype=np.int64)
@@ -101,13 +107,16 @@ def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra.
 
-    The units are packed once, at construction, into one read-only Batch;
-    every check and table reads that batch, so a later edit of the blocks
-    changes nothing the eigensystem reports.  No attribute can be set after
+    The blocks are copied once, on entry, and that copy is checked, packed
+    into one read-only Batch and kept as a tuple; every check and table
+    reads the copy and the batch, and blocks returns fresh copies on each
+    access, so no later edit of the caller's blocks or of a returned one
+    changes anything the eigensystem reports.  No attribute can be set after
     construction, so the eigensystem stays the certificate it was built as.
     """
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
+        blocks = tuple(map(_copy, blocks))
         keys = []  # (block, i, j) of every unit, in row_index() order
         classes = range(algebra.scheme.nclasses)
         for bi, blk in enumerate(blocks):
@@ -127,7 +136,9 @@ class Eigensystem:
             keys += [(bi, i, j) for i, j in square]
         U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in keys])
         U.num.flags.writeable = False
-        vars(self).update(algebra=algebra, blocks=blocks, _keys=keys, _U=U)
+        pos = {key: n for n, key in enumerate(keys)}
+        adj = [pos[(b, j, i)] for b, i, j in keys]  # E_ji in the place of E_ij
+        vars(self).update(algebra=algebra, _blocks=blocks, _keys=keys, _pos=pos, _adj=adj, _U=U)
         vars(self)["_mult"] = self.verify()
 
     def __setattr__(self, name, value):
@@ -153,11 +164,10 @@ class Eigensystem:
         Every check runs before the eigensystem exists, so their order does
         not matter for soundness.
         """
-        alg = self.algebra
-        keys, U = self._keys, self._U
+        alg, blocks = self.algebra, self._blocks
+        keys, pos, U = self._keys, self._pos, self._U
         if len(keys) != alg.scheme.nclasses:
             raise VerificationError("sum of squared block dimensions must equal the class count")
-        pos = {key: n for n, key in enumerate(keys)}
         # E_ij E_i'j' = E_ij' when both lie in one block and j = i', else 0
         want = np.array([
             [pos[(b, i, j2)] if b == b2 and j == i2 else -1 for b2, i2, j2 in keys]
@@ -169,14 +179,14 @@ class Eigensystem:
             # the first failure in row-major order of the unit pairs
             a, b = (keys[n] for n in np.argwhere(bad)[0])
             raise VerificationError(
-                f"unit relation failed: block {self.blocks[a[0]].name} "
-                f"({a[1]},{a[2]}) times block {self.blocks[b[0]].name} ({b[1]},{b[2]})"
+                f"unit relation failed: block {blocks[a[0]].name} "
+                f"({a[1]},{a[2]}) times block {blocks[b[0]].name} ({b[1]},{b[2]})"
             )
         adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
-        bad = ~adj.equal(U[[pos[(b, j, i)] for b, i, j in keys]])
+        bad = ~adj.equal(U[self._adj])
         if bad.any():
             b, i, j = keys[np.flatnonzero(bad)[0]]
-            raise VerificationError(f"adjoint failed in block {self.blocks[b].name} at ({i},{j})")
+            raise VerificationError(f"adjoint failed in block {blocks[b].name} at ({i},{j})")
         return self._multiplicities(keys, U)
 
     def _multiplicities(self, keys: list[tuple[int, int, int]], U: Batch) -> list[int]:
@@ -197,7 +207,7 @@ class Eigensystem:
         v = self.algebra.scheme.v
         first = [n for n, (_, i, j) in enumerate(keys) if i == j == 1]
         out = [int(t) * v // U.den for t in U.num[first, 0, 0]]
-        for blk, mk in zip(self.blocks, out):
+        for blk, mk in zip(self._blocks, out):
             if mk < 1:
                 raise VerificationError(f"block {blk.name} has multiplicity 0")
         return out
@@ -205,10 +215,11 @@ class Eigensystem:
     # -- derived data --
 
     multiplicities = property(lambda self: list(self._mult))
+    blocks = property(lambda self: [_copy(blk) for blk in self._blocks])
 
     def row_index(self) -> list[tuple[str, int, int]]:
         """P-row / Q-column order: blocks in order, (i, j) lexicographic."""
-        return [(self.blocks[b].name, i, j) for b, i, j in self._keys]
+        return [(self._blocks[b].name, i, j) for b, i, j in self._keys]
 
     @cached_property
     def _phi(self) -> Batch:
@@ -228,11 +239,10 @@ class Eigensystem:
         So A_l = sum phi E_ij, and E_ii A_l E_jj = phi E_ij, are theorems, and
         phi needs no check of its own.
         """
-        alg, U = self.algebra, self._U
-        pos = {key: n for n, key in enumerate(self._keys)}
+        alg = self.algebra
         L = lcm(*self._mult)
         scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in self._keys])
-        Ut = U[[pos[(b, j, i)] for b, i, j in self._keys]]  # E_ji in the place of E_ij
+        Ut = self._U[self._adj]
         X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
         return Batch(X.num[:, :, None, :], X.den * L)
 
@@ -241,10 +251,9 @@ class Eigensystem:
         formatted from the certified batch _phi on each call."""
         nm = self.algebra.scheme.nclasses
         P = _table(self.algebra.field, self._phi)
-        pos = {key: n for n, key in enumerate(self._keys)}
-        dims = [range(1, blk.dim + 1) for blk in self.blocks]
+        dims = [range(1, blk.dim + 1) for blk in self._blocks]
         return [
-            [[[P[pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
+            [[[P[self._pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
             for b, d in enumerate(dims)
         ]
 
@@ -263,7 +272,7 @@ class Eigensystem:
     def character_table(self) -> list[list[CycScalar]]:
         """T[k][l] = trace of the image of A_l in block k (plain trace)."""
         keys = self._keys
-        traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self.blocks))]
+        traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self._blocks))]
         T = kernel.combine(np.array(traces, dtype=np.int64), self._phi)
         return _table(self.algebra.field, T)
 
@@ -467,8 +476,9 @@ class FusedEigensystem:
     ValueError (see schemes.check_partition).
 
     Like the Eigensystem, it is frozen: no attribute can be set after
-    construction, and names, multiplicities, fused_valencies, partition,
-    qhat and phat are fresh lists on each access.
+    construction, names, multiplicities, fused_valencies, partition, qhat
+    and phat are fresh lists on each access, and idempotents is a fresh
+    Batch over the read-only numerators on each access.
 
     The fused duality m_k P^[e, t] = k^_t conj(Q^[t, e]), with k^_t the
     fused valency, then holds as a theorem.  e is self-adjoint, since the
@@ -487,8 +497,8 @@ class FusedEigensystem:
         mult: list[int] = []
         twice = []  # each idempotent times 2, as weights over the units
         mirror: list[int] = []  # the unit (d+1-i, d+1-j) of each unit (i, j)
-        start, width = 0, sum(blk.dim**2 for blk in es.blocks)
-        for blk, mk in zip(es.blocks, es.multiplicities):
+        start, width = 0, len(es._keys)
+        for blk, mk in zip(es._blocks, es._mult):
             if blk.dim not in (1, 2):
                 raise VerificationError("blocks of dimension > 2 not supported")
             # the units of a block in order (1,1), (1,2), (2,1), (2,2)
@@ -508,7 +518,7 @@ class FusedEigensystem:
         qhat = _table(alg.field, self._fused_q(E))
         phat = _table(alg.field, self._fused_p(_fused_sums(es, cells), twice, mirror))
         vars(self).update(
-            idempotents=E,
+            _E=E,
             _valencies=tuple(valencies.tolist()),
             _qhat=tuple(map(tuple, qhat)),
             _phat=tuple(map(tuple, phat)),
@@ -523,6 +533,7 @@ class FusedEigensystem:
     partition = property(lambda self: [list(cell) for cell in self._partition])
     qhat = property(lambda self: [list(row) for row in self._qhat])
     phat = property(lambda self: [list(row) for row in self._phat])
+    idempotents = property(lambda self: Batch(self._E.num, self._E.den))
 
     def _fused_q(self, E: Batch) -> Batch:
         """Rows: fused classes; columns: idempotents; entries v * coefficient."""
@@ -558,24 +569,14 @@ class FusionCertificate:
     span of the cell sums is closed under multiplication (verified
     combinatorially), which makes the criterion sufficient.  product_form is
     read off the cells: True when each block's cells are the products
-    I_a x I_b of one partition {I_a} of its unit indices.
+    I_a x I_b of one partition {I_a} of its unit indices.  Every field is a
+    tuple at every level, so a returned certificate cannot be edited.
     """
 
-    block_names: list[str]
-    cells: list[list[tuple[tuple[int, int], ...]]]
+    block_names: tuple[str, ...]
+    cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     product_form: bool
     cell_count: int
-    target: int
-
-
-def _signatures(es: Eigensystem, partition: list[list[int]]):
-    """For each block, map (i, j) -> the fused-class sums of phi, as one
-    integer vector over the denominator that all of them share."""
-    S = _fused_sums(es, partition)
-    sigs: list[dict] = [{} for _ in es.blocks]
-    for n, (b, i, j) in enumerate(es._keys):
-        sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
-    return sigs
 
 
 def _closure_ok(cells: list[tuple[tuple[int, int], ...]]) -> bool:
@@ -633,25 +634,23 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
       search returns the same cells.
     """
     partition = check_partition(partition, es.algebra.scheme.nclasses)
-    target = len(partition)
-    names = [blk.name for blk in es.blocks]
+    S = _fused_sums(es, partition)  # one denominator, so numerators compare
+    groups: list[dict[tuple, list[tuple[int, int]]]] = [{} for _ in es._blocks]
+    for n, (b, i, j) in enumerate(es._keys):
+        # a tuple of ints: on the object tier the bytes of S.num are pointers
+        groups[b].setdefault(tuple(S.num[n].ravel().tolist()), []).append((i, j))
     all_cells = []
-    count = 0
-    for table in _signatures(es, partition):
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for ij, sig in table.items():
-            groups.setdefault(sig, []).append(ij)
-        cells = [tuple(sorted(g)) for g in groups.values()]
+    for block_groups in groups:
+        cells = [tuple(sorted(g)) for g in block_groups.values()]
         if not _closure_ok(cells):
             return None
-        all_cells.append(sorted(cells))
-        count += len(cells)
-    if count != target:
+        all_cells.append(tuple(sorted(cells)))
+    count = sum(map(len, all_cells))
+    if count != len(partition):
         return None
     return FusionCertificate(
-        block_names=names,
-        cells=all_cells,
+        block_names=tuple(blk.name for blk in es._blocks),
+        cells=tuple(all_cells),
         product_form=all(_is_product(cells) for cells in all_cells),
         cell_count=count,
-        target=target,
     )

@@ -554,6 +554,8 @@ MUTATED_FILES = {
     "truncated": (lambda: _bgw52_file()[:-100], False),
     "utf8-label": (lambda: _dumped(_utf8_label, ensure_ascii=False), False),
     "bom": (lambda: b"\xef\xbb\xbf" + _bgw52_file(), False),
+    # the record inside a list: "rows": [[ is there, but the file is no object
+    "record-in-a-list": (lambda: b"[" + _bgw52_file().rstrip(b"\n") + b"]", False),
     "null-provenance": (lambda: _dumped(lambda d: d.__setitem__("provenance", None)), False),
     "relabelled-run": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 2)), True),
     # a run given the label of the run after it, so that the two runs are not maximal

@@ -33,7 +33,7 @@ from gwschemes.spectra import (
     FusedEigensystem,
     SchemeAlgebra,
     _closure_ok,
-    _signatures,
+    _fused_sums,
     bgw_f_elements,
     gh_f_elements,
 )
@@ -592,6 +592,27 @@ class TestVerificationTeeth:
         with pytest.raises(AttributeError):
             cert.cell_count += 1
 
+    def test_certificate_tuples_cannot_be_edited(self):
+        es = cases.bgw_es(7, 3)
+        cert = bm_search(es, bgw_symmetric_fusion(3))
+        with pytest.raises(AttributeError):
+            cert.cells[0].append(((9, 9),))
+        with pytest.raises(AttributeError):
+            cert.block_names.append("x")
+        with pytest.raises(TypeError):
+            cert.cells[2][0] = ()
+        assert cert == bm_search(es, bgw_symmetric_fusion(3))
+
+    def test_fused_idempotents_are_fresh(self):
+        # a returned Batch is a new wrapper of the read-only numerators, so
+        # rescaling or replacing it leaves the fused system as recorded
+        fe = FusedEigensystem(cases.bgw_es(7, 3), bgw_symmetric_fusion(3))
+        E = fe.idempotents
+        E.den = 1
+        E.num = E.num[:1]
+        assert fe.idempotents is not fe.idempotents
+        assert fused_record(fe) == FUSED_RECORDS[("bgw", 7, 3)]
+
     def test_eigensystem_for_dispatch(self):
         es = eigensystem_for(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
         assert es.multiplicities == [1, 5, 3, 3]
@@ -619,6 +640,23 @@ FUSED_RECORDS = {
 }
 
 
+# edits of a list of blocks, each of which changes the block layout
+BLOCK_EDITS = {
+    "reorder": lambda blocks: blocks.reverse(),
+    "rename": lambda blocks: setattr(blocks[0], "name", "x"),
+    "drop": lambda blocks: blocks.pop(),
+    "resize": lambda blocks: setattr(blocks[-1], "dim", 1),
+}
+
+
+def layout_outputs(es, fusion):
+    """Everything an eigensystem reports in its block layout: the row index,
+    P, Q, T, the fused names and tables, and the fusion certificate."""
+    fe = FusedEigensystem(es, fusion)
+    tables = (es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table())
+    return es.row_index(), tables, fe.names, fe.phat, fe.qhat, bm_search(es, fusion)
+
+
 class TestPackedOnce:
     @pytest.mark.parametrize("case", sorted(FUSED_RECORDS), ids=str)
     def test_fused_system_matches_the_record(self, case):
@@ -639,6 +677,27 @@ class TestPackedOnce:
         fe, fe_ref = FusedEigensystem(es, fusion), FusedEigensystem(ref, fusion)
         assert (fe.phat, fe.qhat) == (fe_ref.phat, fe_ref.qhat)
         assert bm_search(es, fusion) == bm_search(ref, fusion)
+
+    @pytest.mark.parametrize("edit", sorted(BLOCK_EDITS))
+    @pytest.mark.parametrize("whose", ["returned", "callers"])
+    @pytest.mark.parametrize("maker,args", [("bgw", (7, 3)), ("gh", (3,))], ids=["bgw73", "gh3"])
+    def test_editing_a_block_list_changes_no_output(self, maker, args, whose, edit):
+        # the eigensystem keeps its own copy of the blocks it was given, and
+        # es.blocks is a fresh copy, so an edit of either list reaches no read
+        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
+        ref = getattr(cases, maker + "_es")(*args)
+        blocks = [dataclasses.replace(b, units=dict(b.units)) for b in ref.blocks]
+        es = Eigensystem(ref.algebra, blocks)
+        BLOCK_EDITS[edit](es.blocks if whose == "returned" else blocks)
+        assert layout_outputs(es, fusion) == layout_outputs(ref, fusion)
+
+    def test_blocks_are_fresh_copies(self):
+        es = cases.bgw_es(7, 3)
+        a, b = es.blocks, es.blocks
+        assert a == b and a is not b
+        for x, y in zip(a, b):
+            assert x is not y and x.units is not y.units
+            assert all(x.units[ij] is not y.units[ij] for ij in x.units)
 
     def test_one_pack_and_no_product_past_the_unit_relations(self, monkeypatch):
         # the unit-relation batch of Eigensystem.verify is the only product
@@ -1040,6 +1099,17 @@ class TestRankAndMaterialize:
         assert all(x == want for row in M for x in row)
 
 
+def signatures(es, partition):
+    """For each block, map (i, j) -> the fused-class sums of phi
+    (_fused_sums), as one integer vector over the denominator that all of
+    them share: the keys that bm_search groups the unit pairs by."""
+    S = _fused_sums(es, partition)
+    sigs = [{} for _ in es.blocks]
+    for n, (b, i, j) in enumerate(es._keys):
+        sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
+    return sigs
+
+
 class TestSignatures:
     @pytest.mark.parametrize(
         "maker,args", [("bgw", (7, 3)), ("bgw", (13, 6)), ("gh", (3,))], ids=str
@@ -1051,7 +1121,7 @@ class TestSignatures:
         fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
         phis, zero = es.phi_matrices(), es.algebra.field.zero()
         for partition in (fusion, [[0], list(range(1, nm))], [[l] for l in range(nm)]):
-            for b, table in enumerate(_signatures(es, partition)):
+            for b, table in enumerate(signatures(es, partition)):
                 ref = {
                     (i, j): tuple(
                         sum((phis[b][l][i - 1][j - 1] for l in cell), zero) for cell in partition
@@ -1068,7 +1138,7 @@ class TestFusionCertificates:
         cert = bm_search(es, bgw_symmetric_fusion(2))
         assert cert is not None
         assert cert.product_form
-        assert cert.cell_count == cert.target == 4
+        assert cert.cell_count == 4
 
     def test_no_product_form_for_noncommutative_fusion(self):
         es = cases.bgw_es(7, 3)
@@ -1080,17 +1150,17 @@ class TestFusionCertificates:
         cert = bm_search(es, bgw_symmetric_fusion(3))
         assert cert is not None
         assert not cert.product_form
-        assert cert.cell_count == cert.target == 4
-        assert cert.block_names == ["0", "1", "a1"]
-        assert cert.cells[2] == [((1, 1), (2, 2)), ((1, 2), (2, 1))]
+        assert cert.cell_count == 4
+        assert cert.block_names == ("0", "1", "a1")
+        assert cert.cells[2] == (((1, 1), (2, 2)), ((1, 2), (2, 1)))
 
     def test_general_cells_for_gh3(self):
         es = cases.gh_es(3)
         cert = bm_search(es, gh_symmetric_fusion(3))
         assert cert is not None
         assert not cert.product_form
-        assert cert.cell_count == cert.target == 5
-        assert cert.cells[3] == [((1, 1), (2, 2)), ((1, 2), (2, 1))]
+        assert cert.cell_count == 5
+        assert cert.cells[3] == (((1, 1), (2, 2)), ((1, 2), (2, 1)))
 
     def test_unfusable_partition_has_no_certificate(self):
         # pairing a nonzero class with zero-type partner of the wrong sign
@@ -1192,7 +1262,7 @@ class TestEveryPartition:
                 continue
             certified += 1
             assert fusion, partition
-            assert cert.cell_count == cert.target == len(partition)
+            assert cert.cell_count == len(partition)
             assert cert.product_form == (partition == discrete), partition
         assert (partitions, fusions, certified) == FUSION_COUNTS[case]
 
