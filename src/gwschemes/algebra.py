@@ -223,13 +223,16 @@ class CycScalar:
     """The element sum_r num[r] e_r / den of Q(zeta_M)[sqrt(d)], over the
     Q-basis e_r of CycField.structure; immutable and exact.
 
-    The constructor normalizes to den > 0 and gcd(den, *num) = 1, so two
-    scalars of a field are equal exactly when their num and den are.
+    The constructor takes num of length field.dim only and normalizes to
+    den > 0 and gcd(den, *num) = 1, so two scalars of a field are equal
+    exactly when their num and den are.
     """
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: CycField, num, den: int = 1):
+        if len(num) != field.dim:
+            raise ValueError(f"coefficient vector of length {len(num)}, not {field.dim}")
         if not den:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -458,6 +461,8 @@ class FiniteField:
 
     def power(self, i: int, k: int) -> int:
         if i == 0:
+            if k < 0:
+                raise ZeroDivisionError("0 has no inverse")
             return 0 if k else 1
         return int(self.exp_t[int(self.log_t[i]) * k % (self.q - 1)])
 

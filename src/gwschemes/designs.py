@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import FiniteField
 from .errors import SymmetryObstruction, VerificationError
+from .matrixkit import mm
 
 BLANK = -1
 
@@ -213,8 +214,6 @@ def sgdd_params(N: np.ndarray, group_size: int) -> dict:
     if (ksum != ksum[0]).any() or (N.sum(axis=0) != ksum[0]).any():
         raise VerificationError("row/column sums not constant")
     k = int(ksum[0])
-    from .matrixkit import mm
-
     same = np.zeros((v, v), dtype=bool)
     for g in range(ngroups):
         s = slice(g * group_size, (g + 1) * group_size)

@@ -1,38 +1,18 @@
-"""Exact dense integer matrix helpers on top of numpy.
+"""Exact dense integer matrix products on top of numpy.
 
-Products are computed through float64 BLAS whenever the result is provably
-exact (every intermediate value is an integer below 2**53); otherwise a Python
-big-integer fallback is used.  For the 0/1 adjacency matrices handled here the
-BLAS path always applies, so exactness never depends on matrix content checks
-at call sites.
+A product picks its tier from the bound max|A| * max|B| * inner by the rule
+of kernel.exact, whose docstring (kernel.py) carries the exactness argument:
+a float64 GEMM stored as int64 below 2**53, Python integers at or above it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-_EXACT_BOUND = 2**53
+from .kernel import _stored, absmax, exact
 
 
 def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact integer matrix product."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    inner = A.shape[1]
-    if inner == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    try:
-        ma = int(np.abs(A).max())
-        mb = int(np.abs(B).max())
-    except TypeError:
-        ma = mb = _EXACT_BOUND  # object dtype; force the fallback
-    if ma * mb * inner < _EXACT_BOUND:
-        P = A.astype(np.float64) @ B.astype(np.float64)
-        out = np.rint(P).astype(np.int64)
-        # the bound above guarantees this never fires; kept as a hard check
-        if not np.array_equal(out.astype(np.float64), P):
-            raise AssertionError("float product was not exact")
-        return out
-    rows = [[int(x) for x in row] for row in A.tolist()]
-    cols = [[int(x) for x in col] for col in np.asarray(B).T.tolist()]
-    out = [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
-    return np.array(out, dtype=object)
+    A, B = np.asarray(A), np.asarray(B)
+    a, b = exact(absmax(A) * absmax(B) * A.shape[1], A, B)
+    return _stored(a @ b)

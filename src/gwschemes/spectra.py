@@ -409,30 +409,25 @@ def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
 # -- symmetrizing fusions --
 
 
+def _negation_orbits(neg: np.ndarray) -> list[list[int]]:
+    """The orbits of pi_s: (gamma, t) -> (-gamma, t) on the classes t n + gamma
+    of types t = 0, 1, where neg[gamma] = -gamma and n = len(neg); each orbit
+    ascending, the orbits ordered by their least class."""
+    n = len(neg)
+    pairs = [(g, h) for g, h in enumerate(neg.tolist()) if g <= h]
+    return [sorted({off + g, off + h}) for off in (0, n) for g, h in pairs]
+
+
 def bgw_symmetric_fusion(m: int) -> list[list[int]]:
-    """Fuse (gamma, t) with (-gamma, t); class order: type 0 then type 1, each
-    as {0}, pairs in ascending order, then {m/2} when m is even."""
-    out: list[list[int]] = []
-    for t in (0, 1):
-        off = t * m
-        out.append([off])
-        for g in range(1, (m - 1) // 2 + 1):
-            out.append([off + g, off + m - g])
-        if m % 2 == 0:
-            out.append([off + m // 2])
-    return out
+    """The orbits of pi_s under negation in Z_m (_negation_orbits): type 0
+    then type 1, each as {0}, the pairs {g, m - g}, then {m/2} when m is even."""
+    return _negation_orbits(-np.arange(m) % m)
 
 
 def gh_symmetric_fusion(q: int) -> list[list[int]]:
-    F = FiniteField(q)
-    out: list[list[int]] = []
-    for t in (0, 1):
-        off = t * q
-        out.append([off])
-        for a in gh_transversal(F):
-            out.append([off + a, off + F.neg(a)])
-    out.append([2 * q])
-    return out
+    """The orbits of pi_s under negation in GF(q) (_negation_orbits), then
+    the class 2q of its own."""
+    return _negation_orbits(FiniteField(q).neg_t) + [[2 * q]]
 
 
 def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> Batch:

@@ -1,11 +1,12 @@
 """Exact scalar arithmetic in Q(zeta_M)[sqrt(d)] and finite field tables."""
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gwschemes import CycField, FiniteField, squarefree_core
+from gwschemes import CycField, CycScalar, FiniteField, squarefree_core
 from gwschemes.algebra import MAX_ORDER, cyclotomic_polynomial, factor_prime_power
 from field_reference import ReferenceField
 
@@ -145,6 +146,57 @@ class TestCycField:
             f.zero().inv()
 
 
+INPUT_ERRORS = {
+    "prime-power-1": (lambda: factor_prime_power(1), ValueError, "1 is not a prime power"),
+    "squarefree-core-0": (lambda: squarefree_core(0), ValueError, "need n >= 1"),
+    "conductor-0": (lambda: CycField(0), ValueError, "conductor must be >= 1"),
+    "vector-too-long": (
+        lambda: CycField(5).from_vectors([1] * 5),
+        ValueError,
+        "coefficient vector longer than field degree",
+    ),
+    "radical-without-radicand": (
+        lambda: CycField(5).from_vectors([1], [1]),
+        ValueError,
+        "field has no radical part",
+    ),
+    "short-coefficients": (
+        lambda: CycScalar(CycField(5), [1]),
+        ValueError,
+        "coefficient vector of length 1, not 4",
+    ),
+    "long-coefficients": (
+        lambda: CycScalar(CycField(3), [1, 0, 0]),
+        ValueError,
+        "coefficient vector of length 3, not 2",
+    ),
+    "zero-denominator": (
+        lambda: CycScalar(CycField(3), [1, 0], 0),
+        ZeroDivisionError,
+        "zero denominator",
+    ),
+    "mixed-fields-add": (
+        lambda: CycField(3).one() + CycField(5).one(),
+        ValueError,
+        "scalars from different fields",
+    ),
+    "mixed-fields-mul": (
+        lambda: CycField(5, 2).one() * CycField(5).one(),
+        ValueError,
+        "scalars from different fields",
+    ),
+    "field-inv-0": (lambda: FiniteField(5).inv(0), ZeroDivisionError, "0 has no inverse"),
+    "field-dlog-0": (lambda: FiniteField(5).dlog(0), ValueError, "dlog of 0"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_ERRORS)
+def test_input_errors(name):
+    call, error, message = INPUT_ERRORS[name]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def _scalar(f, avec, bvec):
     return f.from_vectors([Fraction(n, 3) for n in avec], [Fraction(n, 2) for n in bvec])
 
@@ -282,6 +334,11 @@ class TestFiniteField:
         assert F.power(0, 8) == 0
         for x in range(1, 9):
             assert F.power(x, 8) == 1
+        with pytest.raises(ZeroDivisionError, match="^0 has no inverse$"):
+            F.power(0, -1)
+        for q in (2, 7, 9, 25):
+            G = FiniteField(q)
+            assert [G.power(x, -1) for x in range(1, q)] == [G.inv(x) for x in range(1, q)]
 
     def test_generator_and_dlog(self):
         F = FiniteField(9)

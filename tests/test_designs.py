@@ -221,6 +221,9 @@ class TestSymmetricBgwCertificate:
         assert info["blank_diagonal"]
 
 
+CIRCULANT_1100 = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
+
+
 class TestSGDD:
     @pytest.mark.parametrize("q,m", BGW_BUILDABLE, ids=lambda c: str(c))
     def test_divisible_design_parameters(self, q, m):
@@ -244,6 +247,25 @@ class TestSGDD:
         N[0, 0] ^= 1
         with pytest.raises(VerificationError):
             sgdd_params(N, 2)
+
+    @pytest.mark.parametrize(
+        "rows,group_size,want",
+        [
+            ([[1, 1, 0], [0, 1, 1]], 1, "bad shape or group size"),
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2, "bad shape or group size"),
+            # rows 0 and 2 repeat, columns 0 and 1 repeat: N is not normal
+            ([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]], 2, "N N^T and N^T N differ"),
+            # line sums 2, but N N^T = 4 I
+            ([[2, 0], [0, 2]], 1, "diagonal of N N^T is not k"),
+            # the circulant of 1100 has N N^T the circulant of 2101
+            (CIRCULANT_1100, 4, "same-group inner products not constant"),
+            (CIRCULANT_1100, 1, "cross-group inner products not constant"),
+        ],
+        ids=["not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group"],
+    )
+    def test_each_failure_is_named(self, rows, group_size, want):
+        with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+            sgdd_params(np.array(rows), group_size)
 
 
 class TestGH:

@@ -10,9 +10,12 @@ from kronecker import back_identity, field_shift, kron, matpow, shift_matrix
 
 class TestMM:
     def test_small_product(self):
-        A = np.array([[1, 2], [3, 4]])
-        B = np.array([[5, 6], [7, 8]])
-        assert np.array_equal(mm(A, B), A @ B)
+        square = np.array([[1, 2], [3, 4]]), np.array([[5, 6], [7, 8]])
+        empty_inner = np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+        for A, B in (square, empty_inner):
+            P = mm(A, B)
+            assert P.dtype == np.int64
+            assert np.array_equal(P, A @ B)
 
     def test_big_entries_use_exact_fallback(self):
         x = 2**30

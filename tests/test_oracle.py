@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gwschemes.matrixkit
 import gwschemes.oracle
 from gwschemes import (
     VerificationError,
@@ -608,10 +609,9 @@ class TestWideSpectrumOracle:
         assert oracle_spectrum(fused_scheme(c).L) == expected
 
 
-def test_oracle_shares_no_code_with_the_library():
-    """The oracles stay an independent route: from the package they may
-    import the exception types and nothing else."""
-    tree = ast.parse(Path(gwschemes.oracle.__file__).read_text())
+def package_imports(module) -> set[str]:
+    """The gwschemes modules that the source of module imports from."""
+    tree = ast.parse(Path(module.__file__).read_text())
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -621,4 +621,16 @@ def test_oracle_shares_no_code_with_the_library():
                 used.add(node.module)
         elif isinstance(node, ast.Import):
             used |= {a.name for a in node.names if a.name.split(".")[0] == "gwschemes"}
-    assert used == {"gwschemes.errors"}
+    return used
+
+
+def test_oracle_shares_no_code_with_the_library():
+    """The oracles stay an independent route: from the package they may
+    import the exception types and nothing else."""
+    assert package_imports(gwschemes.oracle) == {"gwschemes.errors"}
+
+
+def test_matrixkit_takes_its_tier_rule_from_the_kernel():
+    """matrixkit.mm picks float64 or Python integers by kernel.exact, so it
+    may import from the package the kernel and nothing else."""
+    assert package_imports(gwschemes.matrixkit) == {"gwschemes.kernel"}

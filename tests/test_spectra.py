@@ -39,6 +39,7 @@ from gwschemes.spectra import (
 )
 import cases
 import closedforms as cf
+from field_reference import ReferenceField
 
 
 def exact_rank(rows) -> int:
@@ -260,6 +261,34 @@ class TestReferenceGH3:
         assert fe.phat == parse_table(f, GH3_PHAT)
         fused = cases.gh(3).fuse(gh_symmetric_fusion(3))
         assert fused.classify() == "symmetric"
+
+
+def negation_orbits_reference(neg: list[int]) -> list[list[int]]:
+    """The cells {(g, t), (-g, t)}, type 0 then type 1, each listed when the
+    loop over g reaches its least class."""
+    n, out = len(neg), []
+    for t in (0, 1):
+        for g in range(n):
+            if g < neg[g]:
+                out.append([t * n + g, t * n + neg[g]])
+            elif g == neg[g]:
+                out.append([t * n + g])
+    return out
+
+
+ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
+
+
+class TestSymmetricFusions:
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_bgw(self, m):
+        want = negation_orbits_reference([-g % m for g in range(m)])
+        assert bgw_symmetric_fusion(m) == want
+
+    @pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+    def test_gh(self, q):
+        want = negation_orbits_reference(ReferenceField(q).neg_t) + [[2 * q]]
+        assert gh_symmetric_fusion(q) == want
 
 
 class TestClosedFormsAcrossGrid:
