@@ -52,13 +52,12 @@ from .oracle import oracle_closure, oracle_spectrum
 from .serialize import (
     load_scheme,
     save_scheme,
-    scalar_from_str,
     scalar_to_str,
     table_to_csv,
     table_to_json,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "GWError",
@@ -101,7 +100,6 @@ __all__ = [
     "oracle_spectrum",
     "load_scheme",
     "save_scheme",
-    "scalar_from_str",
     "scalar_to_str",
     "table_to_csv",
     "table_to_json",

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FiniteField
-from .designs import bgw_matrix, one_factorization, require_points
+from .designs import bgw_matrix, odd_field, one_factorization, require_points
 from .schemes import AssociationScheme, label_dtype
 
 
@@ -74,9 +73,7 @@ def gh_labels(q: int) -> list[str]:
 
 def _gh_label_matrix(q: int) -> np.ndarray:
     require_points((q + 1) * q * q)
-    F = FiniteField(q)
-    if F.p == 2:
-        raise ValueError("q must be odd")
+    F = odd_field(q)
     # the tables in the compact dtype of the 2q + 1 labels, so that every
     # gather below, and L, is in that dtype
     dtype = label_dtype(2 * q + 1)

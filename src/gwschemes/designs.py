@@ -36,6 +36,13 @@ def require_points(v: int) -> None:
         raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
 
 
+def odd_field(q: int) -> FiniteField:
+    """GF(q) for the GH family, which needs q odd; ValueError when it is even."""
+    if (F := FiniteField(q)).p == 2:
+        raise ValueError("q must be odd")
+    return F
+
+
 def bgw_matrix(q: int, m: int) -> np.ndarray:
     """Symmetric BGW(q+1, q, q-1) over Z_m with blank diagonal.
 
@@ -142,9 +149,7 @@ def one_factorization(q: int) -> list[np.ndarray]:
     pairs {x, y} with x + y = 2a.  Returns the q factors as symmetric
     permutation matrices with zero diagonal, in canonical order of a.
     """
-    F = FiniteField(q)
-    if F.p == 2:
-        raise ValueError("q must be odd")
+    F = odd_field(q)
     x = np.arange(q)
     a = x[:, None]
     partner = F.add_t[F.add_t[a, a], F.neg_t[x]]  # partner[a, x] = 2a - x
@@ -179,9 +184,7 @@ def latin_square(q: int) -> np.ndarray:
     generalized Hadamard scheme: cell value a means edge {x, y} lies in
     factor a.
     """
-    F = FiniteField(q)
-    if F.p == 2:
-        raise ValueError("q must be odd")
+    F = odd_field(q)
     return F.mul_t[F.add_t, F.inv(F.add(1, 1))]
 
 

@@ -18,12 +18,11 @@ label dtype the scheme stores (see schemes); the file bytes do not depend on it.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
-the radicand; scalar_from_str parses the same form back given the field.
+the radicand.
 """
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain
 
@@ -308,59 +307,6 @@ def scalar_to_str(s: CycScalar) -> str:
     if a == "0":
         return f"r*({b})"
     return f"{a} + r*({b})"
-
-
-_TERM = re.compile(
-    r"^\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*(?:\*\s*)?)?"
-    r"(?:z(?:\^(?P<pow>\d+))?)?\s*$"
-)
-
-
-def _poly_parse(field: CycField, text: str) -> list[Fraction]:
-    coeffs = [Fraction(0)] * field.deg
-    text = text.strip()
-    if text == "0":
-        return coeffs
-    # split into signed terms
-    parts = re.split(r"(?=[+-])", text.replace(" ", ""))
-    for part in parts:
-        if not part:
-            continue
-        m = _TERM.match(part)
-        if not m:
-            raise ValueError(f"cannot parse term {part!r}")
-        if m.group("num") is None and "z" not in part:
-            raise ValueError(f"cannot parse term {part!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("num") is not None:
-            if m.group("den") is not None and not int(m.group("den")):
-                raise ValueError(f"zero denominator in term {part!r}")
-            c = Fraction(int(m.group("num")), int(m.group("den") or 1))
-        else:
-            c = Fraction(1)
-        k = 0
-        if "z" in part:
-            k = int(m.group("pow") or 1)
-        if k >= field.deg:
-            raise ValueError(f"power z^{k} out of range for this field")
-        coeffs[k] += sign * c
-    return coeffs
-
-
-def scalar_from_str(field: CycField, text: str) -> CycScalar:
-    text = text.strip()
-    m = re.search(r"(?:^|\+)\s*r\*\(", text)
-    if m:
-        open_idx = text.index("(", m.start())
-        close_idx = text.rindex(")")
-        if text[close_idx + 1 :].strip():
-            raise ValueError(f"text after the radical part: {text[close_idx + 1 :]!r}")
-        b_text = text[open_idx + 1 : close_idx]
-        a_text = text[: m.start()].strip().rstrip("+").strip() or "0"
-        return field.from_vectors(
-            _poly_parse(field, a_text), _poly_parse(field, b_text)
-        )
-    return field.from_vectors(_poly_parse(field, text))
 
 
 def table_to_json(

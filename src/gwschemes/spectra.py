@@ -37,6 +37,7 @@ import numpy as np
 
 from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
+from .designs import odd_field
 from .errors import InputError, VerificationError
 from .kernel import Batch
 from .schemes import AssociationScheme, check_partition
@@ -420,14 +421,17 @@ def _negation_orbits(neg: np.ndarray) -> list[list[int]]:
 
 def bgw_symmetric_fusion(m: int) -> list[list[int]]:
     """The orbits of pi_s under negation in Z_m (_negation_orbits): type 0
-    then type 1, each as {0}, the pairs {g, m - g}, then {m/2} when m is even."""
+    then type 1, each as {0}, the pairs {g, m - g}, then {m/2} when m is even.
+    ValueError for m < 2, which bgw_matrix refuses too."""
+    if m < 2:
+        raise ValueError(f"m={m} must be at least 2")
     return _negation_orbits(-np.arange(m) % m)
 
 
 def gh_symmetric_fusion(q: int) -> list[list[int]]:
     """The orbits of pi_s under negation in GF(q) (_negation_orbits), then
-    the class 2q of its own."""
-    return _negation_orbits(FiniteField(q).neg_t) + [[2 * q]]
+    the class 2q of its own; q must be odd, as in gh_build."""
+    return _negation_orbits(odd_field(q).neg_t) + [[2 * q]]
 
 
 def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> Batch:

@@ -90,7 +90,7 @@ class TestGHScheme:
         assert gh(q).classify() == "noncommutative"
 
     def test_even_q_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^q must be odd$"):
             gh_build(4)
 
     def test_transpose_map(self):

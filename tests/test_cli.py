@@ -842,7 +842,7 @@ class TestDesigns:
 
     def test_latin_even_order(self, capsys):
         code, _, err = run(capsys, "designs", "latin", "--q", "4")
-        assert code == 3
+        assert (code, err) == (3, "precondition failure: q must be odd\n")
 
     def test_missing_q(self, capsys):
         # one "usage error: " line and exit 1, as in build, table and fusion

@@ -327,7 +327,7 @@ class TestOneFactorization:
         verify_one_factorization(factors)
 
     def test_even_q_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^q must be odd$"):
             one_factorization(4)
 
     def test_asymmetric_factor_rejected(self):

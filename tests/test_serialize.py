@@ -13,10 +13,10 @@ from hypothesis import given, strategies as st
 from gwschemes import (
     AssociationScheme,
     CycField,
+    CycScalar,
     NotAScheme,
     load_scheme,
     save_scheme,
-    scalar_from_str,
     scalar_to_str,
     table_to_csv,
     table_to_json,
@@ -26,6 +26,8 @@ import cases
 import file_reference
 
 F37 = CycField(3, 7)
+F5 = CycField(5)
+SMALL = st.sampled_from(sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
 
 
 class TestSchemeFiles:
@@ -187,41 +189,40 @@ class TestScalarText:
         r = f.sqrt_radicand()
         assert scalar_to_str(f.rat(0)) == "0"
         assert scalar_to_str(f.rat(Fraction(-3, 2))) == "-3/2"
+        assert scalar_to_str(f.rat(Fraction(1, 2))) == "1/2"
         assert scalar_to_str(z) == "z"
         assert scalar_to_str(f.rat(-1) - z) == "-1 - z"
         assert scalar_to_str(r.scale(Fraction(8, 7))) == "r*(8/7)"
         assert scalar_to_str(r * z) == "r*(z)"
         assert scalar_to_str(f.rat(1) + r.scale(Fraction(-2))) == "1 + r*(-2)"
 
-    def test_parsing(self):
-        f = F37
-        assert scalar_from_str(f, "z") == f.zeta(1)
-        assert scalar_from_str(f, "-1 - z") == f.rat(-1) - f.zeta(1)
-        assert scalar_from_str(f, "r*(8/7*z)") == f.sqrt_radicand().scale(
-            Fraction(8, 7)
-        ) * f.zeta(1)
-        assert scalar_from_str(f, "5") == f.rat(5)
-
-    @pytest.mark.parametrize("bad", ["q", "z^2", "2**z", "1 - r*(z)", "r*(1) + 1", "1/0"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            scalar_from_str(F37, bad)
-
-    @given(
-        st.lists(
-            st.fractions(min_value=-20, max_value=20, max_denominator=9),
-            min_size=F37.deg,
-            max_size=F37.deg,
-        ),
-        st.lists(
-            st.fractions(min_value=-20, max_value=20, max_denominator=9),
-            min_size=F37.deg,
-            max_size=F37.deg,
-        ),
-    )
-    def test_roundtrip_random(self, a, b):
-        x = F37.from_vectors(a, b)
-        assert scalar_from_str(F37, scalar_to_str(x)) == x
+    @pytest.mark.parametrize("f", [F37, F5], ids=["radical", "no_radical"])
+    @given(data=st.data())
+    def test_printing_is_lossless(self, f, data):
+        # the coefficients share numerators, denominators and absolute values,
+        # so that a printer dropping any of them, a sign or a power of z
+        # prints two of the unequal scalars below alike
+        c = data.draw(st.lists(SMALL, min_size=f.dim, max_size=f.dim))
+        x = f.from_vectors(c[: f.deg], c[f.deg :])
+        text = scalar_to_str(x)
+        r, s = data.draw(st.lists(st.integers(0, f.dim - 1), min_size=2, max_size=2, unique=True))
+        # x + delta e_r changes the one basis coordinate r
+        delta = data.draw(SMALL.filter(lambda t: t != c[r])) - c[r]
+        e_r = CycScalar(f, [int(t == r) for t in range(f.dim)])
+        assert scalar_to_str(x + e_r.scale(delta)) != text
+        # swapping coordinates r and s, and negating, change x unless they fix it
+        c[r], c[s] = c[s], c[r]
+        swapped = f.from_vectors(c[: f.deg], c[f.deg :])
+        assert (scalar_to_str(swapped) == text) == (swapped == x)
+        assert (scalar_to_str(-x) == text) == (not x)
+        # x again, built as a sum of basis elements
+        c[r], c[s] = c[s], c[r]
+        built = sum((f.rat(a) * f.zeta(k) for k, a in enumerate(c[: f.deg])), f.zero())
+        if f.d != 1:
+            built += f.sqrt_radicand() * sum(
+                (f.rat(b) * f.zeta(k) for k, b in enumerate(c[f.deg :])), f.zero()
+            )
+        assert scalar_to_str(built) == text
 
 
 class TestTables:

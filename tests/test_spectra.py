@@ -23,7 +23,7 @@ from gwschemes import (
     gh_eigensystem,
     gh_symmetric_fusion,
     gh_transversal,
-    scalar_from_str,
+    scalar_to_str,
 )
 from gwschemes import kernel
 from gwschemes.kernel import Batch
@@ -75,12 +75,14 @@ def materialize(scheme, elem, field):
     return [[elem.get(int(c), zero) for c in row] for row in scheme.L]
 
 
-def parse_table(field, rows):
-    return [[scalar_from_str(field, s) for s in row] for row in rows]
+def printed(table):
+    return [[scalar_to_str(x) for x in row] for row in table]
 
 
 # Reference tables, frozen from the closed-form displays.  Entries are exact
-# scalar strings over Q(zeta_m)[sqrt(q)] (z = zeta, r = sqrt(q)).
+# scalar strings over Q(zeta_m)[sqrt(q)] (z = zeta, r = sqrt(q)), compared with
+# the printed tables; scalar_to_str is lossless over a given field
+# (tests/test_serialize.py), so equal strings over equal fields are equal tables.
 
 BGW73_P = [
     ["1", "1", "1", "7", "7", "7"],
@@ -185,20 +187,20 @@ class TestReferenceBGW73:
 
     def test_tables(self):
         es = cases.bgw_es(7, 3)
-        f = es.algebra.field
-        assert es.eigenmatrix_p() == parse_table(f, BGW73_P)
-        assert es.eigenmatrix_q() == parse_table(f, BGW73_Q)
-        assert es.character_table() == parse_table(f, BGW73_T)
+        assert es.algebra.field == CycField(3, 7)
+        assert printed(es.eigenmatrix_p()) == BGW73_P
+        assert printed(es.eigenmatrix_q()) == BGW73_Q
+        assert printed(es.character_table()) == BGW73_T
         assert es.check_pq_duality()
 
     def test_fusion(self):
         assert bgw_symmetric_fusion(3) == [[0], [1, 2], [3], [4, 5]]
         fe = cases.bgw_fused(7, 3)
-        f = fe.algebra.field
+        assert fe.algebra.field == CycField(3, 7)
         assert fe.names == ["0", "1", "a1+", "a1-"]
         assert fe.multiplicities == [1, 7, 8, 8]
-        assert fe.qhat == parse_table(f, BGW73_QHAT)
-        assert fe.phat == parse_table(f, BGW73_PHAT)
+        assert printed(fe.qhat) == BGW73_QHAT
+        assert printed(fe.phat) == BGW73_PHAT
         fused = cases.bgw(7, 3).fuse(bgw_symmetric_fusion(3))
         assert fused.classify() == "symmetric"
 
@@ -216,9 +218,9 @@ class TestReferenceBGW52:
 
     def test_tables(self):
         es = cases.bgw_es(5, 2)
-        f = es.algebra.field
-        assert es.eigenmatrix_p() == parse_table(f, BGW52_P)
-        assert es.eigenmatrix_q() == parse_table(f, BGW52_Q)
+        assert es.algebra.field == CycField(2, 5)
+        assert printed(es.eigenmatrix_p()) == BGW52_P
+        assert printed(es.eigenmatrix_q()) == BGW52_Q
         # all blocks are one-dimensional, so T = P
         assert es.character_table() == es.eigenmatrix_p()
         assert es.check_pq_duality()
@@ -245,20 +247,20 @@ class TestReferenceGH3:
 
     def test_tables(self):
         es = cases.gh_es(3)
-        f = es.algebra.field
-        assert es.eigenmatrix_p() == parse_table(f, GH3_P)
-        assert es.eigenmatrix_q() == parse_table(f, GH3_Q)
-        assert es.character_table() == parse_table(f, GH3_T)
+        assert es.algebra.field == CycField(3)
+        assert printed(es.eigenmatrix_p()) == GH3_P
+        assert printed(es.eigenmatrix_q()) == GH3_Q
+        assert printed(es.character_table()) == GH3_T
         assert es.check_pq_duality()
 
     def test_fusion(self):
         assert gh_symmetric_fusion(3) == [[0], [1, 2], [3], [4, 5], [6]]
         fe = cases.gh_fused(3)
-        f = fe.algebra.field
+        assert fe.algebra.field == CycField(3)
         assert fe.names == ["0", "1", "2", "a1+", "a1-"]
         assert fe.multiplicities == [1, 8, 3, 12, 12]
-        assert fe.qhat == parse_table(f, GH3_QHAT)
-        assert fe.phat == parse_table(f, GH3_PHAT)
+        assert printed(fe.qhat) == GH3_QHAT
+        assert printed(fe.phat) == GH3_PHAT
         fused = cases.gh(3).fuse(gh_symmetric_fusion(3))
         assert fused.classify() == "symmetric"
 
@@ -289,6 +291,17 @@ class TestSymmetricFusions:
     def test_gh(self, q):
         want = negation_orbits_reference(ReferenceField(q).neg_t) + [[2 * q]]
         assert gh_symmetric_fusion(q) == want
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_bgw_refuses_m_below_2(self, m):
+        # bgw_matrix refuses these m, so no scheme has such a fusion
+        with pytest.raises(ValueError, match="must be at least 2"):
+            bgw_symmetric_fusion(m)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 16])
+    def test_gh_refuses_even_q(self, q):
+        with pytest.raises(ValueError, match="^q must be odd$"):
+            gh_symmetric_fusion(q)
 
 
 class TestClosedFormsAcrossGrid:
