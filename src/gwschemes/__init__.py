@@ -34,7 +34,14 @@ from .designs import (
     verify_one_factorization,
 )
 from .schemes import AssociationScheme
-from .builders import bgw_build, bgw_incidence, bgw_labels, gh_build, gh_labels
+from .builders import (
+    bgw_automorphisms,
+    bgw_build,
+    bgw_incidence,
+    bgw_labels,
+    gh_build,
+    gh_labels,
+)
 from .spectra import (
     Eigensystem,
     FusedEigensystem,
@@ -80,6 +87,7 @@ __all__ = [
     "verify_latin",
     "verify_one_factorization",
     "AssociationScheme",
+    "bgw_automorphisms",
     "bgw_build",
     "bgw_incidence",
     "bgw_labels",

@@ -389,18 +389,22 @@ class FiniteField:
         self.modulus = self._find_modulus()
         self._weights = p ** np.arange(e)
         self.digit_t = D = np.arange(q)[:, None] // self._weights % p
-        # int16 holds every digit sum and every index, since q <= MAX_ORDER
-        S = D.astype(np.int16)[:, None] + D.astype(np.int16)[None, :]
-        S %= p
-        self.add_t = (S @ self._weights.astype(np.int16)).astype(np.int64)
+        # digit by digit from the least significant: an index below p^(k+1)
+        # is d p^k + r with r < p^k, so its sums are (d + d' mod p) p^k plus
+        # the sums of the rest, one outer sum for each digit
+        digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
+        self.add_t = np.zeros((1, 1), dtype=np.int64)
+        for n in p ** np.arange(e):
+            rest = self.add_t[None, :, None, :]
+            self.add_t = (digit_sum[:, None, :, None] * n + rest).reshape(p * n, p * n)
         self.neg_t = -D % p @ self._weights
         self.exp_t = self._generator_powers()
         self.generator = int(self.exp_t[1 % (q - 1)])  # exp_t = [1] when q = 2
         self.log_t = np.zeros(q, dtype=np.int64)
         self.log_t[self.exp_t] = np.arange(q - 1)
+        # logs sum below 2 (q - 1), so the powers taken twice need no modulo
         logs = self.log_t[:, None] + self.log_t[None, :]
-        logs %= q - 1
-        self.mul_t = self.exp_t[logs]
+        self.mul_t = np.concatenate([self.exp_t, self.exp_t])[logs]
         self.mul_t[0, :] = self.mul_t[:, 0] = 0
 
     def _find_modulus(self) -> tuple[int, ...]:

@@ -11,6 +11,28 @@ where U is the cyclic shift on Z_m and R the back identity.  Point (i, a) is
 index i m + a, so the label of ((i, a), (j, b)) is (b - a) mod m on the
 diagonal blocks and m + (m - 1 - a - b - W[i,j]) mod m off them.
 
+bgw_automorphisms(q, m): three permutations of the points of bgw_build(q, m)
+that preserve its labels and together act transitively, so that
+from_matrices checks rows on one orbit representative (see schemes).  With
+x a finite point of the projective line, s the generator of GF(q) and
+l(x) = dlog x mod m, they map (x, a) to
+
+    (x + 1, a);
+    (s^2 x, a - 1), and (infinity, a) to (infinity, a + 1);
+    (1 / x, a + l(x)) for x != 0, and (0, a) <-> (infinity, a).
+
+Each keeps b - a on the diagonal blocks and a + b + W[i, j] off them.  The
+first keeps every difference x - y.  The second adds 2 to each dlog(x - y)
+and takes 1 from each finite a, and keeps a + b between infinity and a
+finite point.  The third turns dlog(x - y) into
+dlog(x - y) - l(x) - l(y) + dlog(-1), where dlog(-1) = 0 mod m is the
+condition for W to be symmetric; so W = dlog(-y) = l(y) between 0 and y
+becomes 0 between infinity and 1 / y, and the reverse.  Conjugating x + 1
+by s^2 x gives every translation by a sum of nonzero squares, and these sums
+form a subfield with more than sqrt(q) elements, GF(q) itself; the second
+map runs through the fibre of 0, and the third joins infinity to 0.  So the
+three reach every point from point 0.
+
 gh_build(q): a scheme of class 2q on (q+1) q^2 points from the multiplication
 table of GF(q) (q odd) and a one-factorization of K_{q+1}.  Relations:
 
@@ -31,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import FiniteField
 from .designs import bgw_matrix, odd_field, one_factorization, require_points
 from .schemes import AssociationScheme, label_dtype
 
@@ -54,8 +77,33 @@ def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
     return block[W].swapaxes(1, 2).reshape(v, v)
 
 
+def bgw_automorphisms(q: int, m: int) -> tuple[np.ndarray, ...]:
+    """The three closed-form automorphisms of the module docstring, as
+    arrays of point images; ValueError unless m divides q - 1 and
+    FiniteField(q) exists.  They preserve the labels of bgw_build(q, m)
+    wherever it builds, and from_matrices checks that they do."""
+    if m < 1 or (q - 1) % m:
+        raise ValueError(f"m={m} must divide q-1={q - 1}")
+    F = FiniteField(q)
+    x = np.arange(q)
+    s2 = F.exp_t[2 % (q - 1)]  # s^2, with exp_t = [1] when q = 2
+    inv = F.exp_t[-F.log_t[x] % (q - 1)]  # 1 / x for x != 0
+    # each map as the image of every projective point (0 is infinity, 1 + x
+    # the finite x) and what it adds to a there
+    maps = [
+        (np.r_[0, 1 + F.add_t[x, 1]], np.zeros(q + 1, dtype=np.int64)),
+        (np.r_[0, 1 + F.mul_t[x, s2]], np.r_[1, np.full(q, -1)]),
+        (np.r_[1, 0, 1 + inv[1:]], np.r_[0, 0, F.log_t[1:]]),
+    ]
+    a = np.arange(m)
+    return tuple(
+        (image[:, None] * m + (a + shift[:, None]) % m).reshape(-1) for image, shift in maps
+    )
+
+
 def bgw_build(q: int, m: int) -> AssociationScheme:
-    return AssociationScheme.from_matrices(_bgw_label_matrix(q, m), bgw_labels(m))
+    L = _bgw_label_matrix(q, m)
+    return AssociationScheme.from_matrices(L, bgw_labels(m), bgw_automorphisms(q, m))
 
 
 def bgw_incidence(q: int, m: int, level: int) -> np.ndarray:

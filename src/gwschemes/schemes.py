@@ -45,14 +45,35 @@ generator at a time: V is closed.
   of row 0 gives the whole tensor as one bincount of the label pairs
   (L[0, z], L[z, y_k]) over z.
 
+Orbit representatives.  from_matrices may be offered automorphisms:
+permutations s of the points with L[s[x], s[y]] = L[x, y] for all x, y,
+each checked over every cell and used only when it passes.  With P the
+permutation matrix of s, that says P^T A_i P = A_i, so P commutes with every
+A_i and with every matrix M formed from them by sums and products.  Hence
+M[s[x], s[y]] = M[x, y], and row x of M is zero exactly when row s[x] is.
+Each identity the verifier tests row by row is of this kind, so it runs on
+the rows R of the orbit representatives (the least point of each orbit of
+the group that the used s generate):
+- the pair (L[x, y], L[y, x]) is the pair at (s[x], s[y]), so the rows R
+  hold every transpose pair and every class present;
+- row s[x] of L is row x permuted, so it has the counts of row x; with the
+  diagonal checked in full, class 0 once in each row of R is A_0 = I;
+- the thin and GEMM checks test rows of A_i A_g - sum_k R_g[i,k] A_k.
+The label range and the tensor, which row 0 gives, are read as without
+automorphisms; with none used, R is every point.  A row fails only with
+its whole orbit, so the first failing row is the least point of its orbit,
+in R: scanning R in ascending order, each check stops at the row, and names
+the class, that it would over every row.
+
 Storage.  L is a read-only array of dtype label_dtype(nm) for nm classes:
 uint8 up to 256 classes and uint16 up to 65536.  The label range is checked
 on the input before the cast, so no label wraps around.  Every pass over the
 v**2 cells (the pair and row counts, the gathers of the thin and GEMM
 checks, the fused labels, and the file codec) runs in the row_blocks of at
 most BLOCK cells and at least one row, so its index and count temporaries
-stay that small; the only v x v arrays formed besides L are the float32 GEMM
-operands and product, at most three at a time.
+stay that small; the only v x v arrays formed besides L are the float32
+A_g of a GEMM check, whose other operand and product have one row for each
+point of R.
 """
 from __future__ import annotations
 
@@ -78,8 +99,10 @@ def label_dtype(nm: int) -> np.dtype:
 @dataclass(frozen=True, eq=False)
 class AssociationScheme:
     """A verified scheme: the read-only label matrix L, the class labels (a
-    tuple the scheme owns) and the read-only intersection tensor p.  It is
-    frozen, so it stays the certificate that from_matrices made.
+    tuple the scheme owns), the read-only intersection tensor p and the
+    automorphisms, a tuple of the read-only point permutations that
+    from_matrices checked and used.  It is frozen, so it stays the
+    certificate that from_matrices made.
 
     labels, tpose (l -> l', with A_l' = A_l^T) and the valencies k_l are a
     fresh list on each access; the last two are read off p[:, :, 0].
@@ -91,6 +114,7 @@ class AssociationScheme:
     L: np.ndarray
     _labels: tuple[str, ...]
     p: np.ndarray
+    automorphisms: tuple[np.ndarray, ...]
 
     v = property(lambda self: self.L.shape[0])
     nclasses = property(lambda self: len(self._labels))
@@ -105,11 +129,13 @@ class AssociationScheme:
         return self.p[:, :, 0].sum(axis=0).tolist()
 
     @classmethod
-    def from_matrices(cls, L, labels) -> "AssociationScheme":
+    def from_matrices(cls, L, labels, automorphisms=()) -> "AssociationScheme":
         """Verify that the relations A_i = (L == i) of the label matrix L form
         a scheme and build it; raises ValueError unless the labels pass
-        check_labels, and NotAScheme on failure.  Closure is certified from
-        generators (see the module docstring)."""
+        check_labels and each offered automorphism is a permutation of
+        0..v-1, and NotAScheme on failure.  Closure is certified from
+        generators, and the row checks run on the orbit representatives of
+        the offered permutations that preserve L (see the module docstring)."""
         check_labels(labels)
         L = np.asarray(L)
         square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
@@ -118,20 +144,25 @@ class AssociationScheme:
         v = L.shape[0]
         if v >= _F32_EXACT:
             raise ValueError("float32 closure products are exact only for v < 2**24")
+        perms = [_permutation(s, v) for s in automorphisms]
         nm = len(labels)
         if L.min() < 0 or L.max() >= nm:
             raise NotAScheme(f"labels must lie in 0..{nm - 1}")
         L = L.astype(label_dtype(nm))  # a read-only copy the scheme owns
         L.flags.writeable = False
+        perms = tuple(s for s in perms if _preserves(L, s))
+        reps = _orbit_representatives(v, perms)
+        # the rows R and, for the pair counts, the columns R as rows
+        rows, cols = (L, L.T) if len(reps) == v else (L[reps], L[:, reps].T)
 
-        # pairs[i, j]: positions (x, y) with L[x, y] = i and L[y, x] = j
+        # pairs[i, j]: positions (x, y), x in R, with L[x, y] = i and L[y, x] = j
         pairs = np.zeros(nm * nm, dtype=np.int64)
-        for b in row_blocks(v):
-            cells = L[b].astype(np.intp) * nm + L[:, b].T
+        for b in row_blocks(v, len(reps)):
+            cells = rows[b].astype(np.intp) * nm + cols[b]
             pairs += np.bincount(cells.reshape(-1), minlength=nm * nm)
         pairs = pairs.reshape(nm, nm)
         counts = pairs.sum(axis=1)
-        if (np.diagonal(L) != 0).any() or counts[0] != v:
+        if (np.diagonal(L) != 0).any() or counts[0] != len(reps):
             raise NotAScheme("A_0 must be the identity")
         if (counts == 0).any():
             raise NotAScheme("some relation is empty")
@@ -147,11 +178,11 @@ class AssociationScheme:
         # counting the positions of class i and of its transpose gives
         # v k_i = v k_tpose[i], so constant rows make constant columns
         valencies = np.bincount(L[0], minlength=nm)
-        for b in row_blocks(v):
-            n = b.stop - b.start
-            cells = L[b] + nm * np.arange(n)[:, None]
-            rows = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
-            if (rows != valencies).any():
+        for b in row_blocks(v, len(reps)):
+            n = len(rows[b])
+            cells = rows[b] + nm * np.arange(n)[:, None]
+            counted = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
+            if (counted != valencies).any():
                 raise NotAScheme("row/column sums not constant")
 
         # (A_i A_j)[0, y_k] for the first y_k with L[0, y_k] = k: the tensor,
@@ -162,8 +193,8 @@ class AssociationScheme:
         tensor = np.ascontiguousarray(tensor.reshape(nm, nm, nm).transpose(1, 2, 0))
         tensor.flags.writeable = False
         # tpose and valencies are those that the scheme reads off p (class docstring)
-        _certify_closure(L, labels, tensor, tpose, valencies)
-        return cls(L, tuple(labels), tensor)
+        _certify_closure(L, labels, tensor, tpose, valencies, rows)
+        return cls(L, tuple(labels), tensor, perms)
 
     # -- structure --
 
@@ -188,14 +219,17 @@ class AssociationScheme:
 
         The partition must pass check_partition (ValueError otherwise).  The
         fused family is verified from scratch, so a partition that does not
-        yield a scheme raises NotAScheme.
+        yield a scheme raises NotAScheme.  The fused labels cell_of[L] keep
+        every automorphism of L, so they are offered again.
         """
         cells = check_partition(partition, self.nclasses)
         cell_of = np.empty(self.nclasses, dtype=self.L.dtype)
         for c, cell in enumerate(cells):
             cell_of[list(cell)] = c
         labels = ["+".join(self._labels[i] for i in cell) for cell in cells]
-        return AssociationScheme.from_matrices(_gather(cell_of, self.L), labels)
+        return AssociationScheme.from_matrices(
+            _gather(cell_of, self.L), labels, self.automorphisms
+        )
 
     def __repr__(self) -> str:
         return (
@@ -240,9 +274,11 @@ def check_partition(partition: list[list[int]], nclasses: int) -> tuple[tuple[in
     return tuple(tuple(sorted(map(int, cell))) for cell in partition)
 
 
-def _certify_closure(L, labels, p, tpose, valencies) -> None:
+def _certify_closure(L, labels, p, tpose, valencies, rows) -> None:
     """Prove that span{A_i} is closed, given the axioms checked before it and
-    p[i, j, k] = (A_i A_j)[0, y_k]; raises NotAScheme otherwise.
+    p[i, j, k] = (A_i A_j)[0, y_k]; raises NotAScheme otherwise.  The
+    products are checked on rows, the rows of L at the orbit representatives
+    (module docstring).
 
     Generators are tried in a fixed order, thin classes first, then the rest
     by decreasing valency; a class already in the generated span is skipped.
@@ -262,21 +298,22 @@ def _certify_closure(L, labels, p, tpose, valencies) -> None:
         if g in span:
             continue
         if valencies[g] == 1:
-            bad = _thin_right_action(L, p[:, g], g)
+            bad = _thin_right_action(L, p[:, g], g, rows)
         else:
             check = _checked_classes(span, p, tpose, rest)
-            bad = _right_action(L, p[:, g], g, check, valencies[g])
+            bad = _right_action(L, p[:, g], g, check, valencies[g], rows)
         if bad is not None:
             raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
         span.add(p[:, g])
     span.certify()
 
 
-def row_blocks(v: int) -> list[slice]:
-    """The row slices of a v x v matrix, at most BLOCK cells and at least one
-    row each."""
+def row_blocks(v: int, n: int | None = None) -> list[slice]:
+    """The row slices of an n x v matrix (v x v when n is None), at most
+    BLOCK cells and at least one row each."""
+    n = v if n is None else n
     step = max(1, BLOCK // v)
-    return [slice(x0, min(x0 + step, v)) for x0 in range(0, v, step)]
+    return [slice(x0, min(x0 + step, n)) for x0 in range(0, n, step)]
 
 
 def _take(table, L):
@@ -289,24 +326,25 @@ def _gather(table, L):
     """table[L] in the dtype of table, gathered one row block at a time, so
     that no v x v index array is formed."""
     out = np.empty(L.shape, dtype=table.dtype)
-    for b in row_blocks(len(L)):
+    for b in row_blocks(L.shape[1], len(L)):
         out[b] = _take(table, L[b])
     return out
 
 
-def _thin_right_action(L, R, g):
-    """Check A_i A_g = sum_k R[i, k] A_k for all i at once, for a thin g;
-    return a failing i or None.  A_g is a permutation matrix, with its one
-    in column y at row src[y], so A_i A_g is the 0/1 matrix (L[:, src] == i)."""
+def _thin_right_action(L, R, g, rows):
+    """Check A_i A_g = sum_k R[i, k] A_k for all i at once, for a thin g, on
+    rows, some rows of L; return a failing i or None.  A_g is a permutation
+    matrix, with its one in column y at row src[y], so A_i A_g is the 0/1
+    matrix (L[:, src] == i)."""
     src = np.empty(len(L), dtype=np.intp)
     for b in row_blocks(len(L)):
         # each row holds g once, at column y: then src[y] is that row
         src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
     # column k of R is the unit vector at the class of (0, src[y_k])
     want = R.argmax(axis=0).astype(L.dtype)
-    for b in row_blocks(len(L)):
-        M = L[b][:, src]
-        bad = M != _take(want, L[b])
+    for b in row_blocks(len(L), len(rows)):
+        M = rows[b][:, src]
+        bad = M != _take(want, rows[b])
         if bad.any():
             return int(M[tuple(np.argwhere(bad)[0])])
     return None
@@ -337,11 +375,12 @@ def _checked_classes(span, p, tpose, rest) -> list[int]:
     return check
 
 
-def _right_action(L, R, g, check, k):
-    """Check A_c A_g = sum_k R[c, k] A_k for each class c of check, where A_g
-    has valency k; return a failing c or None.  For a check set of
-    _checked_classes, the products of all other classes follow exactly: they
-    lie in S^T, J or S^T A_c, each of which A_g maps into V (module docstring).
+def _right_action(L, R, g, check, k, rows):
+    """Check A_c A_g = sum_k R[c, k] A_k on rows, some rows of L, for each
+    class c of check, where A_g has valency k; return a failing c or None.
+    For a check set of _checked_classes, the products of all other classes
+    follow exactly: they lie in S^T, J or S^T A_c, each of which A_g maps
+    into V (module docstring).
 
     The products come from float32 GEMMs, d classes at a time:
     (sum_s B**s A_(c_s)) A_g with B = k + 1 has entries sum_s B**s n_s, where
@@ -363,17 +402,57 @@ def _right_action(L, R, g, check, k):
         weight = np.zeros(len(R), dtype=np.int64)
         weight[chunk] = B ** np.arange(len(chunk))
         del prod  # the last product, freed before the next operand
-        prod = _gather(weight.astype(np.float32), L) @ Ag
+        prod = _gather(weight.astype(np.float32), rows) @ Ag
         want = (weight @ R).astype(np.float32)
-        for b in row_blocks(v):
-            bad = prod[b] != _take(want, L[b])
+        for b in row_blocks(v, len(rows)):
+            bad = prod[b] != _take(want, rows[b])
             if bad.any():
                 x, y = np.argwhere(bad)[0]
-                got, expected = int(prod[b][x, y]), int(want[L[b][x, y]])
+                got, expected = int(prod[b][x, y]), int(want[rows[b][x, y]])
                 # the first class whose digit differs
                 digit = [(got // B**s % B, expected // B**s % B) for s in range(len(chunk))]
                 return next(i for i, (a, e) in zip(chunk, digit) if a != e)
     return None
+
+
+def _permutation(s, v: int) -> np.ndarray:
+    """s as a read-only intp array; ValueError unless it is an integer array
+    that holds each of 0..v-1 once."""
+    s = np.asarray(s)
+    if s.shape != (v,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(v)):
+        raise ValueError(f"an automorphism must be a permutation of 0..{v - 1}")
+    s = s.astype(np.intp)
+    s.flags.writeable = False
+    return s
+
+
+def _preserves(L, s) -> bool:
+    """Whether L[s[x], s[y]] = L[x, y] for all x, y, compared a row block at
+    a time up to the first block that differs."""
+    return all(np.array_equal(L[s[b]][:, s], L[b]) for b in row_blocks(len(L)))
+
+
+def _orbit_representatives(v: int, perms) -> np.ndarray:
+    """The least point of each orbit of the group that the permutations
+    perms generate, ascending: every point when perms is empty.  A finite
+    group holds the inverse of each generator, so the orbit of x is the set
+    that the generators reach from x."""
+    if not perms:
+        return np.arange(v)
+    seen, reps = [False] * v, []
+    images = [s.tolist() for s in perms]
+    for x in range(v):
+        if seen[x]:
+            continue
+        seen[x], todo = True, [x]
+        reps.append(x)
+        while todo:
+            y = todo.pop()
+            for s in images:
+                if not seen[z := s[y]]:
+                    seen[z] = True
+                    todo.append(z)
+    return np.array(reps)
 
 
 class _Span:

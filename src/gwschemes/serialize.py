@@ -29,9 +29,11 @@ from itertools import chain
 import numpy as np
 
 from .algebra import CycField, CycScalar
+from .builders import bgw_automorphisms
 from .designs import MAX_POINTS
 from .errors import InputError
 from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
+from .spectra import provenance_parameters
 
 FILE_VERSION = 1
 
@@ -250,10 +252,24 @@ def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None)
         fh.writelines(file_chunks(scheme, provenance))
 
 
+def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tuple:
+    """The automorphisms bgw_automorphisms gives for a bgw provenance record
+    that passes provenance_parameters, with m | q - 1 and q a prime power up
+    to MAX_ORDER; none for any other record.  from_matrices uses them only
+    where they preserve the labels read, so a wrong record costs a check and
+    changes no result."""
+    try:
+        family, params = provenance_parameters(provenance or {}, v, nclasses)
+        return bgw_automorphisms(*params) if family == "bgw" else ()
+    except ValueError:  # an InputError for no such record, or no such field
+        return ()
+
+
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     """The verified scheme of a scheme file, and its provenance: the file is
     read by the canonical reader when it takes it, and by the json reader
-    otherwise (see the module docstring)."""
+    otherwise (see the module docstring).  The automorphisms of a bgw record
+    are offered to from_matrices (_offered_automorphisms)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     read = _read_canonical(raw)
@@ -266,7 +282,8 @@ def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
         del data  # the parsed runs, freed before the verifier allocates
     del raw
     L, labels, provenance = read
-    return AssociationScheme.from_matrices(L, labels), provenance
+    offered = _offered_automorphisms(provenance, len(L), len(labels))
+    return AssociationScheme.from_matrices(L, labels, offered), provenance
 
 
 # -- scalar text form --

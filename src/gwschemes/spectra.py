@@ -382,29 +382,36 @@ def _parameter(provenance: dict, key: str) -> int:
     return x
 
 
-def _require_size(scheme: AssociationScheme, family: str, v: int, nclasses: int) -> None:
-    if (scheme.v, scheme.nclasses) != (v, nclasses):
-        raise InputError(
-            f"provenance {family} parameters give {v} points and {nclasses} classes, "
-            f"but the scheme has {scheme.v} points and {scheme.nclasses} classes"
-        )
-
-
-def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
-    """The eigensystem of the family that the provenance record names.  A
-    missing or unknown family, a missing or non-positive-integer q or m, or
-    parameters whose family has another point or class count than the scheme
-    raise InputError before any field is built."""
+def provenance_parameters(
+    provenance: dict, v: int, nclasses: int
+) -> tuple[str, tuple[int, ...]]:
+    """The family that a provenance record names and its parameters: (q, m)
+    for bgw and (q,) for gh.  A missing or unknown family, a missing or
+    non-positive-integer q or m, or parameters whose family has another
+    point or class count than v and nclasses raise InputError."""
     fam = provenance.get("family")
     if fam == "bgw":
         q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
-        _require_size(scheme, "bgw", (q + 1) * m, 2 * m)
-        return bgw_eigensystem(scheme, q, m)
-    if fam == "gh":
+        params, size = (q, m), ((q + 1) * m, 2 * m)
+    elif fam == "gh":
         q = _parameter(provenance, "q")
-        _require_size(scheme, "gh", (q + 1) * q * q, 2 * q + 1)
-        return gh_eigensystem(scheme, q)
-    raise InputError(f"provenance family must be 'bgw' or 'gh', not {fam!r}")
+        params, size = (q,), ((q + 1) * q * q, 2 * q + 1)
+    else:
+        raise InputError(f"provenance family must be 'bgw' or 'gh', not {fam!r}")
+    if (v, nclasses) != size:
+        raise InputError(
+            f"provenance {fam} parameters give {size[0]} points and {size[1]} classes, "
+            f"but the scheme has {v} points and {nclasses} classes"
+        )
+    return fam, params
+
+
+def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:
+    """The eigensystem of the family that the provenance record names; the
+    record must pass provenance_parameters (InputError otherwise), which is
+    checked before any field is built."""
+    fam, params = provenance_parameters(provenance, scheme.v, scheme.nclasses)
+    return (bgw_eigensystem if fam == "bgw" else gh_eigensystem)(scheme, *params)
 
 
 # -- symmetrizing fusions --

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from gwschemes import (
+    AssociationScheme,
     SymmetryObstruction,
+    bgw_automorphisms,
     bgw_build,
     bgw_incidence,
     bgw_labels,
@@ -11,6 +13,7 @@ from gwschemes import (
     gh_build,
     gh_labels,
 )
+from gwschemes.algebra import factor_prime_power
 from gwschemes.builders import _bgw_label_matrix, _gh_label_matrix
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, GH_GRID, bgw, gh
 from closedforms import check_bgw_products, check_gh_products
@@ -150,3 +153,61 @@ class TestKroneckerReference:
         # the builders write the dtype the scheme stores, never int64
         L = write(*args)
         assert L.dtype == np.uint8
+
+
+def bgw_sweep(max_points: int) -> list[tuple[int, int]]:
+    """Every buildable BGW set with (q + 1) m <= max_points: q a prime power,
+    m >= 2 dividing q - 1, and q even or (q - 1)/m even."""
+    out = []
+    for q in range(2, max_points):
+        try:
+            p = factor_prime_power(q)[0]
+        except ValueError:
+            continue
+        out += [
+            (q, m) for m in range(2, q)
+            if (q - 1) % m == 0 and (q + 1) * m <= max_points and (p == 2 or (q - 1) // m % 2 == 0)
+        ]
+    return out
+
+
+def orbit_of_0(v: int, perms) -> int:
+    """The size of the orbit of point 0 under the group of perms."""
+    reached = np.zeros(v, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached.copy()
+        for sigma in perms:
+            grown[sigma[reached]] = True
+        if (grown == reached).all():
+            return int(reached.sum())
+        reached = grown
+
+
+class TestBgwAutomorphisms:
+    def test_sweep(self):
+        # every buildable set up to 1100 points, and 64,63 with 126 classes
+        sets = bgw_sweep(1100) + [(64, 63)]
+        qs = {q for q, _ in sets}
+        assert {4, 256} <= qs and {5, 289} <= qs and {9, 25, 27, 529} <= qs
+        assert {m % 2 for _, m in sets} == {0, 1}
+        for q, m in sets:
+            L = _bgw_label_matrix(q, m)
+            perms = bgw_automorphisms(q, m)
+            assert len(perms) == 3
+            for k, sigma in enumerate(perms):
+                assert np.array_equal(L[sigma][:, sigma], L), (q, m, k)
+            assert orbit_of_0(len(L), perms) == len(L), (q, m)
+
+    @pytest.mark.parametrize("q,m", BGW_BUILDABLE, ids=lambda c: str(c))
+    def test_same_tensor_as_without(self, q, m):
+        s = bgw_build(q, m)
+        assert len(s.automorphisms) == 3
+        assert np.array_equal(s.p, AssociationScheme.from_matrices(s.L, s.labels).p)
+
+    @pytest.mark.parametrize(
+        "q,m", [(7, 4), (6, 5), (4097, 1)], ids=["m-no-divisor", "q-6", "q-too-large"]
+    )
+    def test_no_field_or_divisor_raises(self, q, m):
+        with pytest.raises(ValueError):
+            bgw_automorphisms(q, m)

@@ -245,6 +245,43 @@ class TestVerify:
         assert out == VERIFY_SPECTRAL_STDOUT[family]
 
 
+def _plain_outcome(data) -> str:
+    """What the verifier says of a file record without any automorphism."""
+    try:
+        AssociationScheme.from_matrices(serialize._label_matrix(data), data["labels"])
+    except NotAScheme as e:
+        return f"verification failure: {e}\n"
+    return ""
+
+
+class TestRelabelledRuns:
+    """A bgw file with provenance and one run relabelled in a row other than
+    0: its offered automorphisms fail their check, and verify exits 2 with
+    the message of the verifier without them."""
+
+    @pytest.mark.parametrize("q,m", [(5, 2), (9, 4)])
+    def test_every_row(self, tmp_path, capsys, q, m):
+        record = file_reference.record(cases.bgw(q, m), {"family": "bgw", "q": q, "m": m})
+        path = tmp_path / "s.json"
+        for x in range(1, record["v"]):
+            for t in (0, len(record["rows"][x]) - 2):  # the first and the last run
+                data = json.loads(json.dumps(record))
+                row = data["rows"][x]
+                row[t] = (row[t] + 1) % (2 * m)
+                path.write_text(json.dumps(data))
+                code, out, err = run(capsys, "verify", "--in", str(path))
+                assert (code, out) == (2, "")
+                assert err == _plain_outcome(data), (x, t)
+
+    def test_bad_provenance_still_verifies(self, tmp_path, capsys):
+        bad = [{"family": "bgw", "q": 5, "m": 3}, {"family": "bgw", "q": "5", "m": 2}, {}]
+        for provenance in bad:
+            path = _saved(tmp_path, _set("provenance", provenance))
+            code, out, err = run(capsys, "verify", "--in", path)
+            assert (code, err) == (0, "")
+            assert out.startswith("verified: AssociationScheme(v=12, classes=4, symmetric)\n")
+
+
 def _saved(tmp_path, edit, scheme=None):
     """A saved scheme file (bgw (5,2) by default), its JSON record changed by edit."""
     data = file_reference.record(scheme or cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})

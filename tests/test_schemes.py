@@ -365,9 +365,9 @@ def right_action_calls(monkeypatch):
     """The check sets _certify_closure gives _right_action, recorded."""
     calls, checked = [], schemes._right_action
 
-    def spy(L, R, g, check, k):
+    def spy(L, R, g, check, k, rows):
         calls.append(list(check))
-        return checked(L, R, g, check, k)
+        return checked(L, R, g, check, k, rows)
 
     monkeypatch.setattr(schemes, "_right_action", spy)
     return calls
@@ -442,8 +442,8 @@ class TestClosureCertificate:
         R = s.p[:, g].copy()
         assert (R[3, 0], R[6, 0]) == (k, 0)  # A_g A_g is k on the diagonal
         R[3, 0], R[6, 0] = 0, 1
-        assert _right_action(s.L, R, g, rest, k) == 3
-        assert _right_action(s.L, s.p[:, g], g, rest, k) is None
+        assert _right_action(s.L, R, g, rest, k, s.L) == 3
+        assert _right_action(s.L, s.p[:, g], g, rest, k, s.L) is None
 
     @pytest.mark.parametrize(
         "build,want",
@@ -621,7 +621,9 @@ class TestFrozen:
     def test_column_zero_premise(self, make):
         cases.assert_column_zero(make())
 
-    @pytest.mark.parametrize("name", ["L", "labels", "p", "tpose", "valencies", "v"])
+    @pytest.mark.parametrize(
+        "name", ["L", "labels", "p", "tpose", "valencies", "v", "automorphisms"]
+    )
     def test_attributes_cannot_be_set(self, name):
         s = verified(cyclic_label_matrix(6))
         with pytest.raises(AttributeError):
@@ -684,3 +686,152 @@ class TestFusion:
         s = verified(cyclic_label_matrix(4), labels=["e", "g", "g2", "g3"])
         fused = s.fuse([[0], [1, 3], [2]])
         assert fused.labels == ["e", "g+g3", "g2"]
+
+
+def partitions(classes):
+    """Every set partition of the list classes."""
+    if not classes:
+        yield []
+        return
+    first, rest = classes[0], classes[1:]
+    for p in partitions(rest):
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1 :]
+        yield [[first]] + p
+
+
+def merged(s, partition):
+    """The labels cell_of[L] of a partition of the classes of s and their
+    names, formed here without fuse."""
+    cell_of = np.empty(s.nclasses, dtype=np.int64)
+    for c, cell in enumerate(partition):
+        cell_of[cell] = c
+    return cell_of[s.L], ["+".join(s.labels[i] for i in cell) for cell in partition]
+
+
+def outcome(L, labels, automorphisms=()):
+    """The tensor that from_matrices gives, or the message it raises."""
+    try:
+        return AssociationScheme.from_matrices(L, labels, automorphisms).p.tolist()
+    except NotAScheme as e:
+        return str(e)
+
+
+def swapped_in_rows(L, a, b):
+    """Swap classes a and b in the rows of the points 1 and 2."""
+    rows = L[1:3]
+    hit = (rows == a) | (rows == b)
+    rows[hit] = a + b - rows[hit]
+
+
+def moved_in_rows_and_columns(L, a, b):
+    """Move class a to b in the rows and columns of the points 1 and 2."""
+    for cells in (L[1:3], L[:, 1:3]):
+        cells[cells == a] = b
+
+
+class TestOfferedAutomorphisms:
+    """from_matrices checks each offered permutation, uses those that
+    preserve L and checks rows only on their orbit representatives; the
+    tensor and every error are those of the call without them."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.arange(11),
+            np.arange(13) % 12,
+            np.arange(12).reshape(3, 4),
+            np.r_[0, 0, np.arange(2, 12)],
+            np.r_[-1, np.arange(1, 12)],
+            np.r_[np.arange(11), 12],
+            np.r_[np.arange(11, dtype=np.uint64), np.uint64(2**64 - 1)],
+            np.arange(12, dtype=float),
+            np.ones(12, dtype=bool),
+        ],
+        ids=[
+            "short", "long", "2-d", "repeated", "negative", "too-large", "uint64-max",
+            "float", "bool",
+        ],
+    )
+    def test_not_a_permutation_raises(self, bad):
+        s = cases.bgw(5, 2)
+        # also beside a real automorphism, which does not excuse it
+        with pytest.raises(ValueError, match=r"permutation of 0\.\.11"):
+            AssociationScheme.from_matrices(s.L, s.labels, [s.automorphisms[0], bad])
+
+    def test_builds_keep_their_automorphisms(self):
+        s = cases.bgw(7, 3)
+        assert len(s.automorphisms) == 3
+        for sigma in s.automorphisms:
+            assert not sigma.flags.writeable and np.array_equal(s.L[sigma][:, sigma], s.L)
+        assert cases.gh(5).automorphisms == ()
+        fused = s.fuse(bgw_symmetric_fusion(3))
+        assert len(fused.automorphisms) == 3
+        assert all(map(np.array_equal, fused.automorphisms, s.automorphisms))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_dtype_is_taken(self, dtype):
+        s = cases.bgw(5, 2)
+        offered = [a.astype(dtype) for a in s.automorphisms]
+        kept = AssociationScheme.from_matrices(s.L, s.labels, offered)
+        assert all(a.dtype == np.intp for a in kept.automorphisms)
+        assert all(map(np.array_equal, kept.automorphisms, s.automorphisms))
+
+    def test_only_preserving_permutations_are_used(self):
+        s = cases.bgw(7, 3)
+        swap = np.arange(s.v)
+        swap[[1, 5]] = [5, 1]  # a point of the fibre of infinity and a finite one
+        kept = AssociationScheme.from_matrices(s.L, s.labels, [swap, s.automorphisms[0]])
+        assert len(kept.automorphisms) == 1
+        assert np.array_equal(kept.automorphisms[0], s.automorphisms[0])
+        assert np.array_equal(kept.p, s.p)
+        # the translations alone leave an orbit per point of the fibre of
+        # infinity and one per level a: R has 2m points
+        assert len(schemes._orbit_representatives(s.v, kept.automorphisms)) == 6
+        assert AssociationScheme.from_matrices(s.L, s.labels, [swap]).automorphisms == ()
+
+    @pytest.mark.parametrize("q,m", [(7, 3), (5, 2)])
+    def test_every_partition_fails_alike(self, q, m):
+        # cell_of[L] keeps the automorphisms of L, so each merge is offered
+        # them; the first failing row is the least point of its orbit, so
+        # the message is the same as over every row
+        s = cases.bgw(q, m)
+        seen = set()
+        for p in partitions(list(range(1, 2 * m))):
+            L, labels = merged(s, [[0]] + p)
+            got = outcome(L, labels, s.automorphisms)
+            assert got == outcome(L, labels)
+            seen.add(got if isinstance(got, str) else "scheme")
+        assert "scheme" in seen and any("leaves the span" in x for x in seen)
+
+    def test_invariant_non_fusion_is_rejected(self):
+        s = cases.bgw(7, 3)
+        with pytest.raises(NotAScheme, match="leaves the span"):
+            s.fuse([[0], [1, 2, 3], [4, 5]])
+
+    def test_invariant_identity_check(self):
+        # (1,1) merged into the identity class: invariant, with the diagonal
+        # intact and class 0 off it in every row
+        s = cases.bgw(7, 3)
+        L = np.where(s.L == 4, 0, s.L)
+        assert outcome(L, s.labels, s.automorphisms) == "A_0 must be the identity"
+        assert outcome(L, s.labels) == "A_0 must be the identity"
+
+    @pytest.mark.parametrize(
+        "mutate,a,b,says",
+        [
+            (swapped_in_rows, 4, 5, "relation set is not closed under transpose"),
+            (moved_in_rows_and_columns, 4, 5, "row/column sums not constant"),
+        ],
+        ids=["transpose", "row-counts"],
+    )
+    def test_several_orbits_fail_alike(self, mutate, a, b, says):
+        # the translations fix each point (infinity, a), so an edit of its
+        # rows (and columns) keeps them, and R holds those rows; row 0 is
+        # left as it was
+        s = cases.bgw(7, 3)
+        L = s.L.astype(np.int64)
+        mutate(L, a, b)
+        translation = s.automorphisms[0]
+        assert np.array_equal(L[translation][:, translation], L)
+        assert outcome(L, s.labels, [translation]) == outcome(L, s.labels) == says
