@@ -39,6 +39,7 @@ from .builders import (
     bgw_build,
     bgw_incidence,
     bgw_labels,
+    gh_automorphisms,
     gh_build,
     gh_labels,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "bgw_build",
     "bgw_incidence",
     "bgw_labels",
+    "gh_automorphisms",
     "gh_build",
     "gh_labels",
     "Eigensystem",

@@ -48,6 +48,33 @@ q - 1 - x.  The label of ((P, beta, y), (P', beta', y')) is y' - y when
 P = P' and beta = beta', 2q when P = P' and beta != beta', and q + alpha
 otherwise, where a is the factor holding the edge {P, P'} and C_{a,alpha} R
 puts its one at (y, y') when alpha = (q-1-y') - y - a ((q-1-beta') - beta).
+
+gh_automorphisms(q): three permutations of the points of gh_build(q) that
+preserve its labels, so that from_matrices checks rows on one representative
+of each of their 2q + 1 orbits (see schemes).  Every digit of q - 1 is p - 1,
+so q - 1 - z borrows nothing and the digit reversal is c* - z, with c* the
+element of index q - 1.  Write h = c* / 2 and b = beta - h; then
+alpha = c* - y - y' + a (b + b') for P != P'.  With s the generator of GF(q),
+x a finite point, and infinity + 1 = s infinity = infinity, the maps are
+
+    T: (P, beta, y) -> (P + 1, beta, y + b);
+    S: (P, beta, y) -> (s P, h + b / s, y);
+    U: (x, beta, y) -> (x, beta + 1, y + x), and the fibre of infinity fixed.
+
+Each keeps P = P' and beta = beta', so the label "2".  On one fibre, T and U
+add the same element to y and y', and S keeps both, so y' - y and the label
+(alpha, 0) are kept.  Across fibres: T adds 1 to the factor a of every edge
+(x + x' = 2a, or the edge {infinity, a}) and b + b' to y + y', which
+a (b + b') gains too; S multiplies a by s and b + b' by 1 / s; U adds x + x'
+to y + y' and 1 to each finite b, so a (b + b') gains 2a = x + x', or a = x
+on the edge {infinity, x}.  So alpha and the label (alpha, 1) are kept.
+
+Orbits.  On the finite points, y - x b is invariant, and S conjugates T and
+U into the translations x -> x + s^k and b -> b + s^-k, whose sums reach all
+of GF(q): each of the q values of y - x b is one orbit of q^2 points.  At
+infinity, S runs b through the nonzero elements and its conjugates of T add
+every s^k b to y, so the q (q - 1) points with b != 0 form one orbit, and the
+q points (infinity, h, y) are fixed.  That gives q + 1 + q orbits.
 """
 from __future__ import annotations
 
@@ -141,5 +168,28 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     return L.reshape(v, v)
 
 
+def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:
+    """T, S and U of the module docstring, as arrays of point images;
+    ValueError unless q is an odd prime power whose scheme has at most
+    MAX_POINTS points.  They preserve the labels of gh_build(q), and
+    from_matrices checks that they do."""
+    require_points((q + 1) * q * q)
+    F = odd_field(q)
+    add, mul = F.add_t, F.mul_t
+    h = F.mul(q - 1, F.inv(2))
+    P, beta, y = np.ix_(np.arange(q + 1), np.arange(q), np.arange(q))
+    finite, x = P > 0, np.maximum(P - 1, 0)  # P = 0 is infinity, 1 + x the finite x
+    b = add[beta, F.neg(h)]
+    maps = [
+        (np.r_[0, 1 + add[:, 1]][P], beta, add[y, b]),
+        (np.r_[0, 1 + mul[:, F.generator]][P], add[h, mul[b, F.exp_t[-1]]], y),  # exp_t[-1] = 1 / s
+        (P, np.where(finite, add[beta, 1], beta), np.where(finite, add[y, x], y)),
+    ]
+    return tuple(
+        ((P2 * q + beta2) * q + y2).reshape(-1)
+        for P2, beta2, y2 in (np.broadcast_arrays(*image) for image in maps)
+    )
+
+
 def gh_build(q: int) -> AssociationScheme:
-    return AssociationScheme.from_matrices(_gh_label_matrix(q), gh_labels(q))
+    return AssociationScheme.from_matrices(_gh_label_matrix(q), gh_labels(q), gh_automorphisms(q))

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .algebra import CycField, CycScalar
-from .builders import bgw_automorphisms
+from .builders import bgw_automorphisms, gh_automorphisms
 from .designs import MAX_POINTS
 from .errors import InputError
 from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
@@ -253,14 +253,15 @@ def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None)
 
 
 def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tuple:
-    """The automorphisms bgw_automorphisms gives for a bgw provenance record
-    that passes provenance_parameters, with m | q - 1 and q a prime power up
-    to MAX_ORDER; none for any other record.  from_matrices uses them only
-    where they preserve the labels read, so a wrong record costs a check and
-    changes no result."""
+    """The automorphisms of the family that a provenance record names, for a
+    record that passes provenance_parameters: bgw_automorphisms(q, m) with
+    m | q - 1 and q a prime power up to MAX_ORDER, and gh_automorphisms(q)
+    with q an odd prime power; none for any other record.  from_matrices
+    uses them only where they preserve the labels read, so a wrong record
+    costs a check and changes no result."""
     try:
         family, params = provenance_parameters(provenance or {}, v, nclasses)
-        return bgw_automorphisms(*params) if family == "bgw" else ()
+        return (bgw_automorphisms if family == "bgw" else gh_automorphisms)(*params)
     except ValueError:  # an InputError for no such record, or no such field
         return ()
 
@@ -268,8 +269,8 @@ def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tu
 def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     """The verified scheme of a scheme file, and its provenance: the file is
     read by the canonical reader when it takes it, and by the json reader
-    otherwise (see the module docstring).  The automorphisms of a bgw record
-    are offered to from_matrices (_offered_automorphisms)."""
+    otherwise (see the module docstring).  The automorphisms of a bgw or gh
+    record are offered to from_matrices (_offered_automorphisms)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     read = _read_canonical(raw)

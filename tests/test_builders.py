@@ -10,10 +10,12 @@ from gwschemes import (
     bgw_incidence,
     bgw_labels,
     bgw_matrix,
+    gh_automorphisms,
     gh_build,
     gh_labels,
+    gh_symmetric_fusion,
 )
-from gwschemes.algebra import factor_prime_power
+from gwschemes.algebra import FiniteField, factor_prime_power
 from gwschemes.builders import _bgw_label_matrix, _gh_label_matrix
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, GH_GRID, bgw, gh
 from closedforms import check_bgw_products, check_gh_products
@@ -171,17 +173,19 @@ def bgw_sweep(max_points: int) -> list[tuple[int, int]]:
     return out
 
 
-def orbit_of_0(v: int, perms) -> int:
-    """The size of the orbit of point 0 under the group of perms."""
-    reached = np.zeros(v, dtype=bool)
-    reached[0] = True
+def orbits(v: int, perms) -> np.ndarray:
+    """The least point of the orbit of each point under the group of perms:
+    each point takes the least value seen at it or at its images until none
+    changes."""
+    least = np.arange(v)
     while True:
-        grown = reached.copy()
+        grown = least.copy()
         for sigma in perms:
-            grown[sigma[reached]] = True
-        if (grown == reached).all():
-            return int(reached.sum())
-        reached = grown
+            grown = np.minimum(grown, grown[sigma])
+            grown[sigma] = np.minimum(grown[sigma], grown)
+        if (grown == least).all():
+            return least
+        least = grown
 
 
 class TestBgwAutomorphisms:
@@ -197,7 +201,7 @@ class TestBgwAutomorphisms:
             assert len(perms) == 3
             for k, sigma in enumerate(perms):
                 assert np.array_equal(L[sigma][:, sigma], L), (q, m, k)
-            assert orbit_of_0(len(L), perms) == len(L), (q, m)
+            assert (orbits(len(L), perms) == 0).all(), (q, m)
 
     @pytest.mark.parametrize("q,m", BGW_BUILDABLE, ids=lambda c: str(c))
     def test_same_tensor_as_without(self, q, m):
@@ -211,3 +215,48 @@ class TestBgwAutomorphisms:
     def test_no_field_or_divisor_raises(self, q, m):
         with pytest.raises(ValueError):
             bgw_automorphisms(q, m)
+
+
+GH_BUILDABLE = [3, 5, 7, 9, 11, 13]  # every odd prime power q with (q + 1) q^2 <= MAX_POINTS
+
+
+class TestGhAutomorphisms:
+    @pytest.mark.parametrize("q", GH_BUILDABLE)
+    def test_maps_and_orbits(self, q):
+        L = _gh_label_matrix(q)
+        perms = gh_automorphisms(q)
+        assert len(perms) == 3
+        for k, sigma in enumerate(perms):
+            assert np.array_equal(L[sigma][:, sigma], L), (q, k)
+        # point (P, beta, y), P = 0 the point at infinity and 1 + x the finite x
+        F = FiniteField(q)
+        h = F.mul(q - 1, F.inv(2))
+        least = orbits(len(L), perms)
+        P, beta, y = np.unravel_index(np.arange(len(L)), (q + 1, q, q))
+        finite, fixed = P > 0, (P == 0) & (beta == h)
+        assert len(np.unique(least)) == 2 * q + 1
+        # q finite orbits of q^2 points, told apart by y - x (beta - h)
+        level = F.add_t[y, F.neg_t[F.mul_t[P - 1, F.add_t[beta, F.neg(h)]]]]
+        sizes = np.unique(least[finite], return_counts=True)[1]
+        assert sizes.tolist() == [q * q] * q
+        assert len(np.unique(least[finite] * q + level[finite])) == q
+        # one orbit of the q (q - 1) points at infinity with beta != h
+        assert len(np.unique(least[~finite & ~fixed])) == 1
+        assert (~finite & ~fixed).sum() == q * (q - 1)
+        # and q fixed points (infinity, h, y)
+        assert np.array_equal(least[fixed], np.flatnonzero(fixed))
+
+    @pytest.mark.parametrize("q", GH_BUILDABLE)
+    def test_same_tensor_and_fused_maps(self, q):
+        s = gh_build(q)
+        assert len(s.automorphisms) == 3
+        assert all(map(np.array_equal, s.automorphisms, gh_automorphisms(q)))
+        assert np.array_equal(s.p, AssociationScheme.from_matrices(s.L, s.labels).p)
+        fused = s.fuse(gh_symmetric_fusion(q))
+        assert all(map(np.array_equal, fused.automorphisms, s.automorphisms))
+        assert len(fused.automorphisms) == 3
+
+    @pytest.mark.parametrize("q", [4, 15, 17], ids=["even", "no-field", "too-many-points"])
+    def test_unbuildable_q_raises(self, q):
+        with pytest.raises(ValueError):
+            gh_automorphisms(q)

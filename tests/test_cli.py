@@ -255,23 +255,33 @@ def _plain_outcome(data) -> str:
 
 
 class TestRelabelledRuns:
-    """A bgw file with provenance and one run relabelled in a row other than
-    0: its offered automorphisms fail their check, and verify exits 2 with
-    the message of the verifier without them."""
+    """A file with provenance and one run relabelled: its offered
+    automorphisms fail their check, and verify exits 2 with the message of
+    the verifier without them."""
 
-    @pytest.mark.parametrize("q,m", [(5, 2), (9, 4)])
-    def test_every_row(self, tmp_path, capsys, q, m):
-        record = file_reference.record(cases.bgw(q, m), {"family": "bgw", "q": q, "m": m})
+    @staticmethod
+    def relabel_each(tmp_path, capsys, record, rows):
         path = tmp_path / "s.json"
-        for x in range(1, record["v"]):
+        for x in rows:
             for t in (0, len(record["rows"][x]) - 2):  # the first and the last run
                 data = json.loads(json.dumps(record))
                 row = data["rows"][x]
-                row[t] = (row[t] + 1) % (2 * m)
+                row[t] = (row[t] + 1) % len(record["labels"])
                 path.write_text(json.dumps(data))
                 code, out, err = run(capsys, "verify", "--in", str(path))
                 assert (code, out) == (2, "")
                 assert err == _plain_outcome(data), (x, t)
+
+    @pytest.mark.parametrize("q,m", [(5, 2), (9, 4)])
+    def test_every_row(self, tmp_path, capsys, q, m):
+        record = file_reference.record(cases.bgw(q, m), {"family": "bgw", "q": q, "m": m})
+        self.relabel_each(tmp_path, capsys, record, range(1, record["v"]))
+
+    def test_every_gh_row(self, tmp_path, capsys):
+        # every row of gh 3: the 7 orbits of its automorphisms include the
+        # 3 fixed points (infinity, h, y), each an orbit of its own
+        record = file_reference.record(cases.gh(3), {"family": "gh", "q": 3})
+        self.relabel_each(tmp_path, capsys, record, range(record["v"]))
 
     def test_bad_provenance_still_verifies(self, tmp_path, capsys):
         bad = [{"family": "bgw", "q": 5, "m": 3}, {"family": "bgw", "q": "5", "m": 2}, {}]

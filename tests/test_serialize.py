@@ -122,8 +122,9 @@ FILE_CASES = {
 
 
 class TestOfferedAutomorphisms:
-    """load_scheme offers the automorphisms of a bgw provenance record to
-    from_matrices, which uses them only where they preserve the labels read."""
+    """load_scheme offers the automorphisms of a bgw or gh provenance record
+    to from_matrices, which uses them only where they preserve the labels
+    read."""
 
     def test_bgw_file_offers_its_automorphisms(self, tmp_path):
         s = cases.bgw(9, 4)
@@ -137,23 +138,36 @@ class TestOfferedAutomorphisms:
             assert len(loaded.automorphisms) == used
             assert np.array_equal(loaded.p, s.p)
 
-    def test_point_permuted_file_keeps_its_tensor(self, tmp_path):
-        # the record still names bgw 9,4, but the points are shuffled, so
-        # the offered permutations no longer preserve L and are not used
-        s = cases.bgw(9, 4)
-        tau = np.random.default_rng(5).permutation(s.v)
-        moved = AssociationScheme.from_matrices(s.L[tau][:, tau], s.labels)
-        save_scheme(tmp_path / "s.json", moved, {"family": "bgw", "q": 9, "m": 4})
+    def test_gh_file_offers_its_automorphisms(self, tmp_path):
+        s = cases.gh(5)
+        save_scheme(tmp_path / "s.json", s, {"family": "gh", "q": 5})
         loaded = load_scheme(tmp_path / "s.json")[0]
-        assert loaded.automorphisms == ()
-        assert np.array_equal(loaded.p, s.p) and np.array_equal(loaded.L, moved.L)
+        assert len(loaded.automorphisms) == 3
+        assert all(map(np.array_equal, loaded.automorphisms, s.automorphisms))
+        assert np.array_equal(loaded.p, s.p)
+
+    def test_point_permuted_file_keeps_its_tensor(self, tmp_path):
+        # the record still names the build, but the points are shuffled, so
+        # the offered permutations no longer preserve L and are not used
+        for s, provenance in [
+            (cases.bgw(9, 4), {"family": "bgw", "q": 9, "m": 4}),
+            (cases.gh(5), {"family": "gh", "q": 5}),
+        ]:
+            tau = np.random.default_rng(5).permutation(s.v)
+            moved = AssociationScheme.from_matrices(s.L[tau][:, tau], s.labels)
+            save_scheme(tmp_path / "s.json", moved, provenance)
+            loaded = load_scheme(tmp_path / "s.json")[0]
+            assert loaded.automorphisms == ()
+            assert np.array_equal(loaded.p, s.p) and np.array_equal(loaded.L, moved.L)
 
     @pytest.mark.parametrize(
         "provenance,v,nclasses",
         [
             (None, 40, 8),
             ({}, 40, 8),
-            ({"family": "gh", "q": 3}, 36, 7),
+            ({"family": "gh", "q": 4}, 80, 9),
+            ({"family": "gh", "q": 15}, 3600, 31),
+            ({"family": "gh", "q": 5}, 150, 9),
             ({"family": "bgw", "q": 9, "m": 4}, 40, 9),
             ({"family": "bgw", "q": 9, "m": True}, 40, 8),
             ({"family": "bgw", "q": "9", "m": 4}, 40, 8),
@@ -164,16 +178,19 @@ class TestOfferedAutomorphisms:
             ({"family": "bgw", "q": 4095, "m": 1}, 4096, 2),
         ],
         ids=[
-            "none", "empty", "gh", "wrong-size", "bool-m", "string-q", "m-no-divisor",
-            "q-6", "q-1", "q-above-field-limit", "q-4095",
+            "none", "empty", "gh-even-q", "gh-q-15", "gh-wrong-size", "wrong-size", "bool-m",
+            "string-q", "m-no-divisor", "q-6", "q-1", "q-above-field-limit", "q-4095",
         ],
     )
     def test_other_records_offer_nothing(self, provenance, v, nclasses):
         assert serialize._offered_automorphisms(provenance, v, nclasses) == ()
 
     def test_accepted_record(self):
-        perms = serialize._offered_automorphisms({"family": "bgw", "q": 9, "m": 4}, 40, 8)
-        assert len(perms) == 3
+        for provenance, v, nclasses in [
+            ({"family": "bgw", "q": 9, "m": 4}, 40, 8),
+            ({"family": "gh", "q": 3}, 36, 7),
+        ]:
+            assert len(serialize._offered_automorphisms(provenance, v, nclasses)) == 3
 
 
 class TestFileBytes:
