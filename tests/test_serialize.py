@@ -165,6 +165,8 @@ class TestOfferedAutomorphisms:
         [
             (None, 40, 8),
             ({}, 40, 8),
+            # the gh 3 record on a file whose class count is not that of gh 3
+            ({"family": "gh", "q": 3}, 36, 8),
             ({"family": "gh", "q": 4}, 80, 9),
             ({"family": "gh", "q": 15}, 3600, 31),
             ({"family": "gh", "q": 5}, 150, 9),
@@ -178,7 +180,7 @@ class TestOfferedAutomorphisms:
             ({"family": "bgw", "q": 4095, "m": 1}, 4096, 2),
         ],
         ids=[
-            "none", "empty", "gh-even-q", "gh-q-15", "gh-wrong-size", "wrong-size", "bool-m",
+            "none", "empty", "gh", "gh-even-q", "gh-q-15", "gh-wrong-size", "wrong-size", "bool-m",
             "string-q", "m-no-divisor", "q-6", "q-1", "q-above-field-limit", "q-4095",
         ],
     )
