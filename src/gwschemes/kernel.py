@@ -26,22 +26,24 @@ picks one of two tiers from it alone (exact):
   most the bound.  Every value a classical GEMM or GEMV computes, in any
   summation order, blocking or with fused multiply-adds, is a partial sum of
   a subset of the integer terms, so it is an integer of magnitude at most the
-  bound, and float64 represents it exactly.  Intermediates such as the
-  operator R of algebra_mul are bounded by the same product (hence the
-  max(..., 1) factors).  numpy's float64 matmul, dot and tensordot call the
-  classical BLAS dgemm and dgemv (or numpy's own classical loops), not a
-  Strassen-type algorithm, whose intermediate sums are not partial sums of
-  the terms.
+  bound, and float64 represents it exactly.  numpy's float64 matmul, dot and
+  tensordot call the classical BLAS dgemm and dgemv (or numpy's own
+  classical loops), not a Strassen-type algorithm, whose intermediate sums
+  are not partial sums of the terms.
 * object dtype otherwise, whose entries are Python integers of unbounded size.
 
 Either way the result is exact.  A float64 result converts back to int64
 before it is stored, so Batch.num is always int64 or object.
 
 algebra_mul returns the table of products x[a] y[b] of two batches of
-elements.  It runs in pieces of y, so that the largest temporary of a piece
-(the operators R of its elements) holds at most BUDGET entries, and each
-other temporary a small multiple of that or of the result; an element whose
-own operator is larger than BUDGET makes a piece of its own.
+elements.  It contracts each factor with its own tensor, X[a, t, i, s] =
+sum_r x[a, i, r] c[r, s, t] and Y[b, k, i, s] = sum_j y[b, j, s] p[i, j, k],
+and sums X Y over (i, s) in one GEMM, which reads Y transposed without a
+copy.  A partial sum of X is at most max|x| * sum_r |c[r, s, t]|, one of Y
+at most max|y| * sum_j p[i, j, k], and both lie under the bound, whose other
+factors are at least 1 (the max(..., 1) factors, and p[0, 0, 0] =
+c[0, 0, 0] = 1).  Each product X Y is a sum of terms x y p c over (r, j),
+so a partial sum of the GEMM is a sum over a subset of the terms.
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ import numpy as np
 from .algebra import CycField, CycScalar
 
 FLOAT_LIMIT = 2**53
-BUDGET = 1 << 22  # entries of the temporary of one piece of a product
 
 
 def absmax(a: np.ndarray) -> int:
@@ -127,9 +128,7 @@ def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:
 def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
     """The table z[a, b] = x[a] y[b] of the products of two batches of
     elements, of shapes (n, nm, D) and (n', nm, D), in the algebra with
-    intersection tensor p.  Pieces are cut along y, so that each element of
-    y builds its operator R once, and one GEMM per piece runs against all
-    of x."""
+    intersection tensor p."""
     mult = field.structure
     n, nm, D = x.num.shape
     bound = (
@@ -139,15 +138,11 @@ def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:
         * int(np.abs(mult).sum(axis=(0, 1)).max())
     )
     xn, yn, pp, c = exact(bound, x.num, y.num, p, mult)
-    z = np.empty((n, len(yn), nm, D), dtype=np.int64 if c.dtype != object else object)
-    xt = xn.reshape(n, nm * D).T
-    step = max(BUDGET // (nm * D) ** 2, 1)
-    for s in range(0, len(yn), step):
-        # right multiplication by y: R[b, k, t, i, r] = sum_js y[b, j, s] p[i, j, k] c[r, s, t]
-        R = np.tensordot(np.tensordot(yn[s : s + step], pp, axes=([1], [1])), c, axes=([1], [1]))
-        R = R.transpose(0, 2, 4, 1, 3).reshape(-1, nm * D, nm * D)
-        z[:, s : s + step] = (R @ xt).transpose(2, 0, 1).reshape(n, -1, nm, D)
-    return Batch(z, x.den * y.den)
+    X = xn[:, None] @ c.transpose(2, 0, 1)  # X[a, t, i, s]
+    Y = pp.transpose(2, 0, 1) @ yn[:, None]  # Y[b, k, i, s]
+    z = X.reshape(n * D, nm * D) @ Y.reshape(-1, nm * D).T
+    del X, Y  # before the int64 copy of z
+    return Batch(z.reshape(n, D, len(yn), nm).transpose(0, 2, 3, 1), x.den * y.den)
 
 
 def adjoint(x: Batch, tpose: list[int], field: CycField) -> Batch:

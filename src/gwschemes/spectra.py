@@ -121,19 +121,24 @@ class Eigensystem:
         keys = []  # (block, i, j) of every unit, in row_index() order
         classes = range(algebra.scheme.nclasses)
         for bi, blk in enumerate(blocks):
+            if type(blk.dim) is not int or blk.dim < 1:
+                raise VerificationError(f"block {blk.name} has dim {blk.dim!r}, not a positive int")
             square = [(i, j) for i in range(1, blk.dim + 1) for j in range(1, blk.dim + 1)]
             missing = [key for key in square if key not in blk.units]
             extra = sorted((key for key in blk.units if key not in square), key=str)
             if missing or extra:
                 what = f"lacks unit {missing[0]}" if missing else f"has extra unit {extra[0]}"
                 raise VerificationError(f"block {blk.name} of dim {blk.dim} {what}")
-            # pack reads classes 0..nm-1 only, so a unit must hold no other
-            stray = [(key, k) for key in square for k in blk.units[key] if k not in classes]
-            if stray:
-                (key, k), *_ = stray
-                raise VerificationError(
-                    f"block {blk.name} unit {key} has class {k!r} outside 0..{len(classes) - 1}"
-                )
+            # pack reads classes 0..nm-1 only, each over the basis of algebra.field
+            for key in square:
+                for k, x in blk.units[key].items():
+                    if k in classes and isinstance(x, CycScalar) and x.field == algebra.field:
+                        continue
+                    at = f"block {blk.name} unit {key} has class {k!r}"
+                    if k not in classes:
+                        raise VerificationError(f"{at} outside 0..{len(classes) - 1}")
+                    of = repr(x.field) if isinstance(x, CycScalar) else f"type {type(x).__name__}"
+                    raise VerificationError(f"{at} entry of {of}, not of {algebra.field!r}")
             keys += [(bi, i, j) for i, j in square]
         U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in keys])
         U.num.flags.writeable = False

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwschemes import (
+    AssociationScheme,
     CycField,
     CycScalar,
     FiniteField,
@@ -458,35 +460,64 @@ class TestVerificationTeeth:
     @pytest.mark.parametrize(
         "edit,says",
         [
-            (lambda b: b.units.pop((2, 1)), r"block a1 of dim 2 lacks unit \(2, 1\)"),
-            (lambda b: setattr(b, "dim", 3), r"block a1 of dim 3 lacks unit \(1, 3\)"),
-            (lambda b: setattr(b, "dim", 1), r"block a1 of dim 1 has extra unit \(1, 2\)"),
+            (lambda bs: bs[2].units.pop((2, 1)), r"block a1 of dim 2 lacks unit \(2, 1\)"),
+            (lambda bs: setattr(bs[2], "dim", 3), r"block a1 of dim 3 lacks unit \(1, 3\)"),
+            (lambda bs: setattr(bs[2], "dim", 1), r"block a1 of dim 1 has extra unit \(1, 2\)"),
             (
-                lambda b: b.units.update({(3, 3): b.units[(1, 1)]}),
+                lambda bs: bs[2].units.update({(3, 3): bs[2].units[(1, 1)]}),
                 r"block a1 of dim 2 has extra unit \(3, 3\)",
             ),
             # bgw (7,3) has classes 0..5; pack would drop the stray ones
             (
-                lambda b: b.units.update({(1, 2): {**b.units[(1, 2)], 6: b.units[(1, 1)][0]}}),
+                lambda bs: bs[2].units[(1, 2)].update({6: bs[2].units[(1, 1)][0]}),
                 r"block a1 unit \(1, 2\) has class 6 outside 0\.\.5",
             ),
             (
-                lambda b: b.units.update({(2, 1): {**b.units[(2, 1)], -1: b.units[(1, 1)][0]}}),
+                lambda bs: bs[2].units[(2, 1)].update({-1: bs[2].units[(1, 1)][0]}),
                 r"block a1 unit \(2, 1\) has class -1 outside 0\.\.5",
+            ),
+            # an empty block would shift every multiplicity after it
+            (lambda bs: bs.insert(1, Block("z", 0, {})), r"block z has dim 0, not a positive int"),
+            (lambda bs: bs.insert(3, Block("z", -1, {})), r"block z has dim -1, not a positive int"),
+            (lambda bs: setattr(bs[2], "dim", 1.5), r"block a1 has dim 1\.5, not a positive int"),
+            (
+                lambda bs: bs[2].units[(1, 2)].update({4: 1}),
+                r"block a1 unit \(1, 2\) has class 4 entry of type int, "
+                r"not of CycField\(conductor=3, radicand=7\)$",
+            ),
+            (
+                lambda bs: bs[2].units[(2, 1)].update({3: Fraction(1, 2)}),
+                r"block a1 unit \(2, 1\) has class 3 entry of type Fraction, not of ",
+            ),
+            # a scalar of a smaller field would not pack
+            (
+                lambda bs: bs[0].units[(1, 1)].update({5: CycField(3).zeta(1)}),
+                r"block 0 unit \(1, 1\) has class 5 entry of CycField\(conductor=3\), not of ",
+            ),
+            # one of another field of the same dimension 4 would be read over
+            # the wrong basis
+            (
+                lambda bs: bs[2].units[(2, 2)].update({0: CycField(5).zeta(1)}),
+                r"block a1 unit \(2, 2\) has class 0 entry of CycField\(conductor=5\), not of ",
             ),
         ],
         ids=[
             "deleted-unit", "dim-too-large", "dim-too-small", "unit-outside",
-            "class-too-large", "negative-class",
+            "class-too-large", "negative-class", "dim-zero-block", "dim-negative-block",
+            "fractional-dim", "int-entry", "fraction-entry", "smaller-field-entry",
+            "same-size-field-entry",
         ],
     )
-    def test_unit_keys_must_fill_the_block(self, edit, says):
-        # a block holds exactly the units (i, j), 1 <= i, j <= dim
+    def test_unit_keys_must_fill_the_block(self, monkeypatch, edit, says):
+        # a block of dim >= 1 holds exactly the units (i, j), 1 <= i, j <= dim,
+        # whose entries are scalars of the algebra's field
         es = cases.bgw_es(7, 3)
-        blocks = [dataclasses.replace(b, units=dict(b.units)) for b in es.blocks]
+        blocks = es.blocks  # fresh copies, down to the element dicts
         assert blocks[2].name == "a1" and blocks[2].dim == 2
-        edit(blocks[2])
-        with pytest.raises(VerificationError, match=says):
+        edit(blocks)
+        # each is refused before the units are packed
+        monkeypatch.setattr(SchemeAlgebra, "pack", None)
+        with pytest.raises(VerificationError, match="^" + says):
             Eigensystem(es.algebra, blocks)
 
     @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -1065,30 +1096,29 @@ class TestKernel:
         assert out[0].equal(Batch(2 * U.num, 2 * U.den)).all()
         assert kernel._scaled(U.num, 3).dtype == np.int64
 
-    @pytest.mark.parametrize(
-        "maker,args", [("bgw", (7, 3)), ("gh", (3,)), ("bgw", (8, 7))], ids=["bgw73", "gh3", "bgw87"]
-    )
-    def test_one_element_pieces_give_the_same_tables(self, monkeypatch, maker, args):
-        scheme = getattr(cases, maker)(*args)
-        es = getattr(cases, maker + "_es")(*args)
-        fe = getattr(cases, maker + "_fused")(*args)
-        build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
-        fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(3)
-        monkeypatch.setattr(kernel, "BUDGET", 1)
-        es2 = build(scheme, *args)
-        tables = (es2.eigenmatrix_p(), es2.eigenmatrix_q(), es2.character_table())
-        assert tables == (es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table())
-        fe2 = FusedEigensystem(es2, fusion)
-        assert (fe2.phat, fe2.qhat) == (fe.phat, fe.qhat)
+    def test_product_past_the_float64_bound(self, monkeypatch):
+        # the two-point scheme over Q: A_0 = I, A_1 = J - I and A_1 A_1 = A_0,
+        # so (2**53 A_0 + A_1)(A_0 + A_1) = (2**53 + 1) (A_0 + A_1)
+        scheme = AssociationScheme.from_matrices(np.array([[0, 1], [1, 0]]), ["0", "1"])
+        alg = SchemeAlgebra(scheme, CycField(1))
+        x = Batch(np.array([[[2**53], [1]]]), 1)
+        y = Batch(np.array([[[1], [1]]]), 1)
+        got = alg.mul(x, y)
+        assert got.num.dtype == object
+        assert got.num.tolist() == [[[[2**53 + 1], [2**53 + 1]]]]
+        # the control has teeth: run on float64 past its bound, it rounds
+        monkeypatch.setattr(kernel, "FLOAT_LIMIT", 2**62)
+        assert alg.mul(x, y).num[0, 0, 0].tolist() == [2**53]
 
     @pytest.mark.parametrize("tier", sorted(TIERS))
-    @pytest.mark.parametrize("pieces", ["one-element", "short-last", "default"])
-    def test_table_entries_match_single_products(self, monkeypatch, pieces, tier):
-        alg = cases.bgw_es(7, 3).algebra
+    @pytest.mark.parametrize(
+        "maker,args", [("bgw", (7, 3)), ("gh", (5,)), ("bgw", (8, 7))], ids=["bgw73", "gh5", "bgw87"]
+    )
+    def test_table_entries_match_single_products(self, monkeypatch, maker, args, tier):
+        # fields with a radical part (radicand 7), none (gh 5) and a radicand
+        # 8 = 2**2 * 2 with a square factor (bgw 8,7)
+        alg = getattr(cases, maker + "_es")(*args).algebra
         nm, D = alg.scheme.nclasses, alg.field.dim
-        # 5 elements of y: pieces of 1, of 2, 2 and 1, or one piece of 5
-        budget = {"one-element": 1, "short-last": 2 * (nm * D) ** 2, "default": kernel.BUDGET}
-        monkeypatch.setattr(kernel, "BUDGET", budget[pieces])
         for name, value in TIERS[tier].items():
             monkeypatch.setattr(kernel, name, value)
         rng = np.random.default_rng(7)
@@ -1102,6 +1132,22 @@ class TestKernel:
             single = alg.mul(x[[a]], y[[b]])
             assert got[a, b].equal(single[0, 0]), (a, b)
             assert unpack(alg, single) == [dict_mul(alg, X[a], Y[b])], (a, b)
+
+    @pytest.mark.parametrize(
+        "q,m", [(8, 7), (27, 13), (47, 23)], ids=["bgw87", "bgw27_13", "bgw47_23"]
+    )
+    def test_table_peak_is_a_few_tables(self, q, m):
+        # the unit table U U holds nm**3 * D entries, the factor Y as many
+        # and X nm**2 * D**2, under one table since D < nm for bgw; with the
+        # GEMM output the peak is near three tables, at any nm
+        es = cases.bgw_es(q, m)
+        tracemalloc.start()
+        try:
+            z = es.algebra.mul(es._U, es._U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * z.num.nbytes
 
     def test_structure_tensor(self):
         # against the numeric embedding: e_r e_s = sum_t mult[r, s, t] e_t
