@@ -163,6 +163,8 @@ def one_factorization(q: int) -> list[np.ndarray]:
 
 def verify_one_factorization(factors: list[np.ndarray]) -> None:
     """Each factor a perfect matching, all factors together partitioning K_n."""
+    if not factors:
+        raise VerificationError("no factors")
     n = factors[0].shape[0]
     total = np.zeros((n, n), dtype=np.int64)
     for P in factors:
@@ -210,7 +212,7 @@ def sgdd_params(N: np.ndarray, group_size: int) -> dict:
     """
     N = np.asarray(N)
     v = N.shape[0]
-    if N.shape != (v, v) or v % group_size != 0:
+    if N.shape != (v, v) or group_size < 1 or v % group_size != 0:
         raise VerificationError("bad shape or group size")
     ngroups = v // group_size
     ksum = N.sum(axis=1)

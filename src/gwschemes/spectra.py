@@ -19,12 +19,13 @@ the coefficients of the units over the adjacency basis, and the two are linked
 by the duality m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), a theorem for verified
 units and a verified scheme (Eigensystem.check_pq_duality), so not re-checked.
 
-The unit relations are the one batch of algebra products.  P is read off the
-units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k, which needs no
-check: the verified units are a basis of the algebra, and the trace form
-gives the coefficients of A_l over it (Eigensystem.verify and _phi).  The
-fused P^ is read off the fused-class sums of phi, whose 2 x 2 images must be
-symmetric under (i, j) -> (3-i, 3-j) (FusedEigensystem).
+The unit relations inside each block are the only algebra products, one
+batch per block; those across blocks follow (Eigensystem.verify).  P is read
+off the units by the trace form phi_k(A_l)_ij = tr(E_ji A_l) / m_k, which
+needs no check: the verified units are a basis of the algebra, and the trace
+form gives the coefficients of A_l over it (Eigensystem.verify and _phi).
+The fused P^ is read off the fused-class sums of phi, whose 2 x 2 images must
+be symmetric under (i, j) -> (3-i, 3-j) (FusedEigensystem).
 """
 from __future__ import annotations
 
@@ -155,39 +156,44 @@ class Eigensystem:
     def verify(self) -> list[int]:
         """Check the units; return the block multiplicities.
 
-        Checked: the count sum_k d_k^2 = nm, every unit relation, the adjoint
-        pairs and m_k >= 1 (_multiplicities).  That the diagonal units sum to
-        I is then a theorem, so it is not re-checked:
+        Checked, in this order: the count sum_k d_k^2 = nm, the unit relations
+        inside each block (sum_k d_k^4 products), sum_k sum_i E^k_ii = A_0,
+        the adjoint pairs and m_k >= 1 (_multiplicities).  Then:
 
         - m_k = tr E_11 >= 1 makes E_11 != 0, so every E_ii of the block is
           nonzero, since E_11 = E_1i E_ii E_i1.
         - The nm units are independent: E_ii (sum c E) E_jj = c_ij E_ij, and
-          E_ij != 0 since E_ij E_ji = E_ii.  So they are a basis of the
-          nm-dimensional algebra, which holds I = A_0.
-        - e = sum of the E_ii has e E_ij = E_ij for every unit, so e X = X for
-          every X in the algebra, and X = I gives e = I.
+          E_ij != 0 since E_ij E_ji = E_ii.  So they are a basis.
+        - e_a = sum_i E^a_ii is idempotent by its block's relations and
+          self-adjoint by the adjoint pairs, kernel.adjoint being the conjugate
+          transpose under zeta -> e^(2 pi i / M), sqrt(d) > 0.  Orthogonal
+          projections that sum to I are pairwise orthogonal (for x = e_a x,
+          |x|^2 = sum_b |e_b x|^2), so E^a_ij E^b_kl = E^a_ij e_a e_b E^b_kl = 0
+          for a != b: the relations across blocks hold.
 
         Every check runs before the eigensystem exists, so their order does
         not matter for soundness.
         """
         alg, blocks = self.algebra, self._blocks
-        keys, pos, U = self._keys, self._pos, self._U
+        keys, U = self._keys, self._U
         if len(keys) != alg.scheme.nclasses:
             raise VerificationError("sum of squared block dimensions must equal the class count")
-        # E_ij E_i'j' = E_ij' when both lie in one block and j = i', else 0
-        want = np.array([
-            [pos[(b, i, j2)] if b == b2 and j == i2 else -1 for b2, i2, j2 in keys]
-            for b, i, j in keys
-        ])
-        W = Batch(np.where((want >= 0)[..., None, None], U.num[want], 0), U.den)
-        bad = ~alg.mul(U, U).equal(W)
-        if bad.any():
-            # the first failure in row-major order of the unit pairs
-            a, b = (keys[n] for n in np.argwhere(bad)[0])
-            raise VerificationError(
-                f"unit relation failed: block {blocks[a[0]].name} "
-                f"({a[1]},{a[2]}) times block {blocks[b[0]].name} ({b[1]},{b[2]})"
-            )
+        start = 0
+        for blk in blocks:
+            d, Ub = blk.dim, U[start : start + blk.dim**2]
+            # E_ij E_kl = [j = k] E_il, with unit (i, j) in row d i + j of Ub (0-based)
+            i, j = np.divmod(np.arange(d * d), d)
+            W = np.where((j[:, None] == i)[..., None, None], Ub.num[i[:, None] * d + j], 0)
+            bad = ~alg.mul(Ub, Ub).equal(Batch(W, U.den))
+            if bad.any():
+                # the first failure in row-major order of the block's unit pairs
+                (_, i, j), (_, k, l) = (keys[start + n] for n in np.argwhere(bad)[0])
+                pair = f"block {blk.name} ({i},{j}) times block {blk.name} ({k},{l})"
+                raise VerificationError(f"unit relation failed: {pair}")
+            start += d * d
+        e = kernel.combine(np.array([[i == j for _, i, j in keys]], dtype=np.int64), U).num.ravel()
+        if e[0] != U.den or e[1:].any():
+            raise VerificationError("diagonal units do not sum to the identity")
         adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
         bad = ~adj.equal(U[self._adj])
         if bad.any():

@@ -260,8 +260,14 @@ class TestSGDD:
             # the circulant of 1100 has N N^T the circulant of 2101
             (CIRCULANT_1100, 4, "same-group inner products not constant"),
             (CIRCULANT_1100, 1, "cross-group inner products not constant"),
+            # 4 % 0 would divide by zero, and 4 % -2 == 0 gives -2 groups
+            (CIRCULANT_1100, 0, "bad shape or group size"),
+            (CIRCULANT_1100, -2, "bad shape or group size"),
         ],
-        ids=["not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group"],
+        ids=[
+            "not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group",
+            "zero-group-size", "negative-group-size",
+        ],
     )
     def test_each_failure_is_named(self, rows, group_size, want):
         with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
@@ -336,6 +342,10 @@ class TestOneFactorization:
         factors[0][0, 1] += 1
         with pytest.raises(VerificationError, match="^factor not symmetric$"):
             verify_one_factorization(factors)
+
+    def test_no_factors_rejected(self):
+        with pytest.raises(VerificationError, match="^no factors$"):
+            verify_one_factorization([])
 
     def test_fixed_point_rejected(self):
         factors = one_factorization(5)

@@ -417,9 +417,11 @@ def dict_mul(alg, x, y):
     return out
 
 
-def first_failing_pair(alg, blocks):
-    """The unit pair the verifier must name: the first, in row-major order,
-    whose product differs from the unit relation."""
+def first_failing_pair(alg, blocks, blockwise=False):
+    """The first unit pair, in row-major order of all pairs, whose product
+    differs from the unit relation; with blockwise, the first of the pairs
+    within one block, blocks in order and each row-major, which is the pair
+    the verifier names."""
     flat = [
         (blk, i, j)
         for blk in blocks
@@ -428,6 +430,8 @@ def first_failing_pair(alg, blocks):
     ]
     for b, i, j in flat:
         for b2, i2, j2 in flat:
+            if blockwise and b is not b2:
+                continue
             want = b.units[(i, j2)] if b is b2 and j == i2 else {}
             if dict_mul(alg, b.units[(i, j)], b2.units[(i2, j2)]) != want:
                 return f"block {b.name} ({i},{j}) times block {b2.name} ({i2},{j2})"
@@ -448,14 +452,154 @@ def doubled(U, n):
     return Batch(num, U.den)
 
 
+def nonzero(e):
+    return {k: x for k, x in e.items() if x}
+
+
+def reference_rejects(alg, blocks) -> bool:
+    """Whether the all-pairs unit relations (first_failing_pair), the
+    adjoint pairs E_ij* = E_ji or m_k >= 1 fail, by dict arithmetic.  For
+    units that pass the relations, m_k = tr E_11 = 0 exactly when E_11 = 0."""
+    if sum(blk.dim**2 for blk in blocks) != alg.scheme.nclasses:
+        return True
+    if first_failing_pair(alg, blocks) is not None:
+        return True
+    tpose = alg.scheme.tpose
+    for blk in blocks:
+        if not nonzero(blk.units[(1, 1)]):
+            return True
+        for (i, j), e in blk.units.items():
+            if {tpose[k]: x.conj() for k, x in nonzero(e).items()} != nonzero(blk.units[(j, i)]):
+                return True
+    return False
+
+
+SPOT_CASES = [("bgw", (7, 3)), ("bgw", (5, 2)), ("gh", (5,))]
+SPOT_IDS = ["bgw73", "bgw52", "gh5"]
+
+
+def spot_es(maker, args):
+    return getattr(cases, maker + "_es")(*args)
+
+
+def summed(es, b, b2):
+    """The blocks of es with the 1-dim unit of block b replaced by the sum
+    of the idempotents of the 1-dim blocks b and b2."""
+    zero = es.algebra.field.zero()
+    blocks = es.blocks
+    E, F = (blocks[n].units[(1, 1)] for n in (b, b2))
+    blocks[b].units[(1, 1)] = nonzero({k: E.get(k, zero) + F.get(k, zero) for k in {*E, *F}})
+    return blocks
+
+
+def merged_zero(es):
+    """Blocks 0 and 1 (1-dim) merged into block 0, block 1 left zero."""
+    blocks = summed(es, 0, 1)
+    blocks[1].units[(1, 1)] = {}
+    return blocks
+
+
+def swapped(blocks, a, b):
+    blocks[a], blocks[b] = blocks[b], blocks[a]
+    return blocks
+
+
+def last_pair(es):
+    return max(n for n, blk in enumerate(es.blocks) if blk.dim == 2)
+
+
+def perturbed(es, bi, ij):
+    """Unit ij of block bi with 1/97 of sqrt(radicand) added on its last class."""
+    r = es.algebra.field.sqrt_radicand().scale(Fraction(1, 97))
+    return mutated(es, bi, ij, lambda e: {**e, max(e): e[max(e)] + r})
+
+
+def rescaled_pair(es, bi, c12, c21):
+    """E_12 -> c12 E_12 and E_21 -> c21 E_21 in block bi: with c12 c21 = 1
+    every unit relation and the identity sum still hold."""
+    alg = es.algebra
+    blocks = mutated(es, bi, (1, 2), lambda e: alg.rmul(c12, e))
+    blocks[bi].units[(2, 1)] = alg.rmul(c21, blocks[bi].units[(2, 1)])
+    return blocks
+
+
+def exchanged_units(es, bi):
+    blocks = es.blocks
+    u = blocks[bi].units
+    u[(1, 2)], u[(2, 1)] = u[(2, 1)], u[(1, 2)]
+    return blocks
+
+
+# edits of the blocks of an eigensystem, each with whether it needs a pair
+# block (dim 2), which bgw 5,2 lacks
+UNIT_MUTATIONS = {
+    "none": (False, lambda es: es.blocks),
+    "scaled-1-dim": (False, lambda es: mutated(es, 1, (1, 1), lambda e: es.algebra.rmul(2, e))),
+    "perturbed-1-dim": (False, lambda es: perturbed(es, 1, (1, 1))),
+    "two-idempotents": (False, lambda es: summed(es, 0, 1)),
+    "zero-block": (False, merged_zero),
+    "swapped-blocks": (False, lambda es: swapped(es.blocks, 1, 2)),
+    "dropped-block": (False, lambda es: es.blocks[:-1]),
+    "scaled-pair": (True, lambda es: rescaled_pair(es, last_pair(es), 2, 1)),
+    "perturbed-pair": (True, lambda es: perturbed(es, last_pair(es), (1, 2))),
+    "broken-adjoint": (True, lambda es: rescaled_pair(es, last_pair(es), 2, Fraction(1, 2))),
+    "negated-pair": (True, lambda es: rescaled_pair(es, last_pair(es), -1, -1)),
+    "exchanged-units": (True, lambda es: exchanged_units(es, last_pair(es))),
+}
+MUTATION_CASES = [
+    pytest.param(maker, args, edit, id=f"{name}-{edit}")
+    for (maker, args), name in zip(SPOT_CASES, SPOT_IDS)
+    for edit, (pair, _) in sorted(UNIT_MUTATIONS.items())
+    if not pair or (maker, args) != ("bgw", (5, 2))
+]
+
+
 class TestVerificationTeeth:
-    def test_scaled_unit_rejected(self):
-        es = bgw_eigensystem(cases.bgw(5, 2), 5, 2)
+    @pytest.mark.parametrize("maker,args", SPOT_CASES, ids=SPOT_IDS)
+    def test_scaled_unit_rejected(self, maker, args):
+        es = spot_es(maker, args)
         alg = es.algebra
         bad = [Block(b.name, b.dim, dict(b.units)) for b in es.blocks]
         bad[1].units[(1, 1)] = alg.rmul(2, bad[1].units[(1, 1)])
-        with pytest.raises(VerificationError):
+        # (2 E)(2 E) = 4 E: the block's relation fails before the identity sum
+        with pytest.raises(
+            VerificationError, match=r"^unit relation failed: block 1 \(1,1\) times block 1 \(1,1\)$"
+        ):
             Eigensystem(alg, bad)
+
+    @pytest.mark.parametrize("maker,args", SPOT_CASES, ids=SPOT_IDS)
+    def test_two_idempotents_fail_the_identity_sum(self, maker, args):
+        # E_0 -> E_0 + E_1 keeps every relation inside each block and the
+        # adjoints; the all-pairs reference names a pair across blocks 0, 1
+        es = spot_es(maker, args)
+        bad = summed(es, 0, 1)
+        assert first_failing_pair(es.algebra, bad, blockwise=True) is None
+        assert first_failing_pair(es.algebra, bad).startswith("block 0 (1,1) times block 1")
+        with pytest.raises(VerificationError, match="^diagonal units do not sum to the identity$"):
+            Eigensystem(es.algebra, bad)
+
+    @pytest.mark.parametrize("maker,args,edit", MUTATION_CASES)
+    def test_rejects_exactly_when_the_reference_does(self, maker, args, edit):
+        es = spot_es(maker, args)
+        blocks = UNIT_MUTATIONS[edit][1](es)
+        try:
+            Eigensystem(es.algebra, blocks)
+        except VerificationError:
+            rejected = True
+        else:
+            rejected = False
+        assert rejected == reference_rejects(es.algebra, blocks)
+
+    def test_swapped_pair_blocks_accepted(self):
+        # gh 5 has the pair blocks a1 and a2; either order is a Wedderburn
+        # decomposition, and P's rows move with the blocks
+        es = cases.gh_es(5)
+        assert [blk.name for blk in es.blocks[3:]] == ["a1", "a2"]
+        es2 = Eigensystem(es.algebra, swapped(es.blocks, 3, 4))
+        rows = dict(zip(es.row_index(), es.eigenmatrix_p()))
+        assert es2.row_index() == es.row_index()[:3] + es.row_index()[7:] + es.row_index()[3:7]
+        assert es2.eigenmatrix_p() == [rows[key] for key in es2.row_index()]
+        assert es2.multiplicities == [es.multiplicities[n] for n in (0, 1, 2, 4, 3)]
 
     @pytest.mark.parametrize(
         "edit,says",
@@ -520,13 +664,29 @@ class TestVerificationTeeth:
         with pytest.raises(VerificationError, match="^" + says):
             Eigensystem(es.algebra, blocks)
 
-    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_scaled_unit_names_the_first_failing_pair(self, ij):
-        es = cases.bgw_es(7, 3)
+    @pytest.mark.parametrize(
+        "maker,args,bi,ij",
+        [
+            pytest.param(maker, args, bi, ij, id=prefix + f"ij{n}")
+            for maker, args, bi, dim, prefix in [
+                ("bgw", (7, 3), 2, 2, ""),
+                ("bgw", (5, 2), 2, 1, "bgw52-2-"),
+                ("bgw", (5, 2), 3, 1, "bgw52-3-"),
+                ("gh", (5,), 4, 2, "gh5-"),
+            ]
+            for n, ij in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)][: dim * dim])
+        ],
+    )
+    def test_scaled_unit_names_the_first_failing_pair(self, maker, args, bi, ij):
+        # a scaled unit still annihilates the other blocks, so the first
+        # failing pair of all lies inside its own block
+        es = spot_es(maker, args)
         alg = es.algebra
-        bad = mutated(es, 2, ij, lambda e: alg.rmul(2, e))
+        bad = mutated(es, bi, ij, lambda e: alg.rmul(2, e))
         want = first_failing_pair(alg, bad)
-        assert want is not None and want.startswith("block a1")
+        name = es.blocks[bi].name
+        assert want is not None and re.fullmatch(rf"block {name} \S+ times block {name} \S+", want)
+        assert first_failing_pair(alg, bad, blockwise=True) == want
         with pytest.raises(VerificationError, match=re.escape(f"unit relation failed: {want}")):
             Eigensystem(alg, bad)
 
@@ -535,7 +695,9 @@ class TestVerificationTeeth:
         alg = es.algebra
         r = alg.field.sqrt_radicand().scale(Fraction(1, 97))
         bad = mutated(es, 2, (1, 2), lambda e: {**e, 4: e[4] + r})
-        want = first_failing_pair(alg, bad)
+        # the all-pairs reference fails first at block 0 times block a1
+        assert first_failing_pair(alg, bad) is not None
+        want = first_failing_pair(alg, bad, blockwise=True)
         with pytest.raises(VerificationError, match=re.escape(f"unit relation failed: {want}")):
             Eigensystem(alg, bad)
 
@@ -544,8 +706,7 @@ class TestVerificationTeeth:
         # the identity, but E_12* = E_21 fails
         es = cases.bgw_es(7, 3)
         alg = es.algebra
-        bad = mutated(es, 2, (1, 2), lambda e: alg.rmul(2, e))
-        bad[2].units[(2, 1)] = alg.rmul(Fraction(1, 2), bad[2].units[(2, 1)])
+        bad = rescaled_pair(es, 2, 2, Fraction(1, 2))
         assert first_failing_pair(alg, bad) is None
         with pytest.raises(VerificationError, match=r"^adjoint failed in block a1 at \(1,2\)$"):
             Eigensystem(alg, bad)
@@ -773,9 +934,9 @@ class TestPackedOnce:
             assert all(x.units[ij] is not y.units[ij] for ij in x.units)
 
     def test_one_pack_and_no_product_past_the_unit_relations(self, monkeypatch):
-        # the unit-relation batch of Eigensystem.verify is the only product
-        # batch: phi, P, Q, T, the dualities and the fused system are read
-        # off the units by the trace form and the fused-class sums
+        # the unit relations of Eigensystem.verify, one batch per block, are
+        # the only products: phi, P, Q, T, the dualities and the fused system
+        # are read off the units by the trace form and the fused-class sums
         calls = {"pack": 0, "mul": 0}
 
         def counted(name):
@@ -790,12 +951,12 @@ class TestPackedOnce:
         monkeypatch.setattr(SchemeAlgebra, "pack", counted("pack"))
         monkeypatch.setattr(SchemeAlgebra, "mul", counted("mul"))
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        assert calls == {"pack": 1, "mul": 1}
+        assert calls == {"pack": 1, "mul": len(es.blocks)}
         es.phi_matrices(), es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table()
         es.check_pq_duality()
         FusedEigensystem(es, bgw_symmetric_fusion(3))
         bm_search(es, bgw_symmetric_fusion(3))
-        assert calls == {"pack": 1, "mul": 1}
+        assert calls == {"pack": 1, "mul": len(es.blocks)}
 
     def test_packed_units_are_read_only(self):
         es = cases.bgw_es(7, 3)
@@ -1148,6 +1309,19 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * z.num.nbytes
+
+    def test_eigensystem_peak_is_a_few_block_tables(self):
+        # verify multiplies one block's d**2 units at a time, so at bgw 47,23
+        # (nm 46, D 44) it stays under the 32.7 MiB that the table of all
+        # nm**2 unit products alone would take
+        scheme = cases.bgw(47, 23)
+        tracemalloc.start()
+        try:
+            bgw_eigensystem(scheme, 47, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_structure_tensor(self):
         # against the numeric embedding: e_r e_s = sum_t mult[r, s, t] e_t
