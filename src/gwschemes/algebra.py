@@ -7,8 +7,7 @@ sqrt(d) times the same powers when d > 1, so D = deg or 2*deg.  A CycField
 holds the integer structure tensor of that basis and its conjugation matrix.
 A CycScalar is one integer vector over the basis with one positive
 denominator, in lowest terms; its products and conjugates read those two
-tables, and its inverse solves the integer system of multiplication by it.
-Equality of scalars is therefore literal equality of normalized
+tables.  Equality of scalars is therefore literal equality of normalized
 coefficients; no floating point is involved anywhere.
 """
 from __future__ import annotations
@@ -17,7 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -199,21 +198,6 @@ class CycField:
             return self.rat(self.k)
         return CycScalar(self, [0] * self.deg + [self.k] + [0] * (self.deg - 1))
 
-    def from_vectors(self, a_coeffs, b_coeffs=None) -> "CycScalar":
-        """The scalar a + b*sqrt(d) from rational coefficient vectors a and b
-        over the power basis."""
-        a = [Fraction(c) for c in a_coeffs]
-        b = [] if b_coeffs is None else [Fraction(c) for c in b_coeffs]
-        if len(a) > self.deg or len(b) > self.deg:
-            raise ValueError("coefficient vector longer than field degree")
-        if self.d == 1 and any(b):
-            raise ValueError("field has no radical part")
-        coeffs = a + [0] * (self.deg - len(a))
-        if self.d != 1:
-            coeffs += b + [0] * (self.deg - len(b))
-        den = lcm(1, *(c.denominator for c in coeffs))
-        return CycScalar(self, [int(c * den) for c in coeffs], den)
-
 
 def _terms(row: np.ndarray) -> list[tuple[int, int]]:
     return [(t, int(row[t])) for t in np.flatnonzero(row)]
@@ -277,43 +261,6 @@ class CycScalar:
         """Multiply by a rational number."""
         fr = Fraction(x)
         return CycScalar(self.field, [fr.numerator * c for c in self.num], self.den * fr.denominator)
-
-    def inv(self) -> "CycScalar":
-        """The y with self * y = 1, from the dim x dim integer system
-
-            sum_s A[t][s] y_s = den [t = 0],  A[t][s] = sum_r num[r] mult[r, s, t],
-
-        solved by fraction-free (Bareiss) Gauss-Jordan elimination.  A is
-        multiplication by a nonzero element of a field, so it is regular:
-        sqrt(d) lies outside Q(zeta_M) (checked at field construction).
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        mult, D = self.field._mult_terms, len(self.num)
-        rows = [[0] * D + [self.den if t == 0 else 0] for t in range(D)]
-        for r, x in enumerate(self.num):
-            if x:
-                for s in range(D):
-                    for t, c in mult[r][s]:
-                        rows[t][s] += x * c
-        # after step k, columns 0..k are p I, and every entry right of them is
-        # a minor of [A | den e_0], so the division by the previous pivot is
-        # exact; the columns already eliminated are no longer written
-        prev = 1
-        for k in range(D):
-            i = next(i for i in range(k, D) if rows[i][k])  # A is regular
-            rows[k], rows[i] = rows[i], rows[k]
-            p, tail = rows[k][k], rows[k][k + 1 :]
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    row[k + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
-            prev = p
-        # the last column is now p y
-        return CycScalar(self.field, [row[D] for row in rows], prev)
-
-    def __truediv__(self, other: "CycScalar") -> "CycScalar":
-        return self * other.inv()
 
     def conj(self) -> "CycScalar":
         """Complex conjugation: zeta -> zeta^-1, sqrt(d) fixed (d > 0)."""

@@ -81,7 +81,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import bgw_matrix, odd_field, one_factorization, require_points
+from .designs import bgw_matrix, latin_square, odd_field, require_points
 from .schemes import AssociationScheme, label_dtype
 
 
@@ -155,8 +155,12 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     add, mul = F.add_t.astype(dtype), F.mul_t.astype(dtype)
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = (q - 1 - np.arange(q)).astype(dtype)
-    # factor[P, P2] = a when the edge {P, P2} lies in the factor of a
-    factor = np.tensordot(np.arange(q), one_factorization(q), axes=1).astype(dtype)
+    # factor[P, P2] = a when the edge {P, P2} lies in the factor of a: the
+    # edge {infinity, a}, or (x + x2) / 2 = a; the P = P2 branch below
+    # overwrites what the diagonal gives
+    factor = np.zeros((q + 1, q + 1), dtype=dtype)
+    factor[0, 1:] = factor[1:, 0] = np.arange(q)
+    factor[1:, 1:] = latin_square(q)
     # one broadcast axis per coordinate, so that only L is v x v
     P, beta, y, P2, beta2, y2 = np.ix_(*[np.arange(n) for n in (q + 1, q, q) * 2])
     a = factor[P, P2]

@@ -73,6 +73,8 @@ def _build(family: str, q: int | None, m: int | None):
 def _family_scheme(args):
     """Build (scheme, provenance) from --in or --family arguments."""
     if args.infile:
+        if (args.family, args.q, args.m) != (None, None, None):
+            raise UsageError("--in takes no --family, --q or --m")
         scheme, prov = load_scheme(args.infile)
         if prov is None:
             raise UsageError("scheme file has no provenance; cannot pick a family")
@@ -266,13 +268,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
-    except SymmetryObstruction as e:
-        print(f"precondition failure: {e}", file=sys.stderr)
-        return 3
     except (NotAScheme, VerificationError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (SymmetryObstruction, ValueError) as e:
         print(f"precondition failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -22,6 +22,8 @@ the radicand.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 from itertools import chain
@@ -347,7 +349,10 @@ def table_to_json(
 def table_to_csv(
     row_labels: list[str], col_labels: list[str], entries: list[list[CycScalar]]
 ) -> str:
-    lines = ["," + ",".join(col_labels)]
-    for lbl, row in zip(row_labels, entries):
-        lines.append(lbl + "," + ",".join(scalar_to_str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """CSV with the column labels as the first row and the row labels as the
+    first column; labels such as (0,1) hold commas, so csv quotes them."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *col_labels])
+    writer.writerows([lbl, *map(scalar_to_str, row)] for lbl, row in zip(row_labels, entries))
+    return out.getvalue()

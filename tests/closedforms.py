@@ -84,7 +84,7 @@ def bgw_fused_q(q: int, m: int):
     the +/- pair for each two-dimensional block.
     """
     field = CycField(m, q)
-    inv_sqrt = field.sqrt_radicand().inv()
+    inv_sqrt = field.sqrt_radicand().scale(Fraction(1, q))  # 1/sqrt(q) = sqrt(q)/q
     rows = []
     for t, reps in bgw_fusion_cells(m):
         g = reps[0]

@@ -65,9 +65,7 @@ class TestCycField:
         f = CycField(3, 7)
         r = f.sqrt_radicand()
         assert r * r == f.rat(7)
-        assert r * r.inv() == f.one()
-        x = f.zeta(1).scale(Fraction(2, 3)) + r.scale(Fraction(-1, 5))
-        assert x * x.inv() == f.one()
+        assert r * r.scale(Fraction(1, 7)) == f.one()  # 1/sqrt(7) = sqrt(7)/7
         assert (f.one() + r) * (f.one() - r) == f.rat(-6)
 
     def test_radical_with_square_factor(self):
@@ -118,15 +116,16 @@ class TestCycField:
         f = CycField(M, radicand)
         r = f.sqrt_radicand()
         assert abs(r.to_complex() - math.sqrt(radicand)) < 1e-12
-        assert abs(f.from_vectors([0], [1]).to_complex() - math.sqrt(f.d)) < 1e-12
+        e_deg = CycScalar(f, [0] * f.deg + [1] + [0] * (f.deg - 1))
+        assert abs(e_deg.to_complex() - math.sqrt(f.d)) < 1e-12
         x = f.zeta(1) + r.scale(Fraction(1, 3))
         want = cmath.exp(2j * cmath.pi / M) + math.sqrt(radicand) / 3
         assert abs(x.to_complex() - want) < 1e-12
         assert abs((x * x).to_complex() - want**2) < 1e-9
 
-    def test_from_vectors_round_trip(self):
+    def test_coefficient_vector_round_trip(self):
         f = CycField(5, 6)
-        x = f.from_vectors([1, Fraction(1, 2), 0, -2], [0, Fraction(2, 3)])
+        x = CycScalar(f, [6, 3, 0, -12, 0, 4, 0, 0], 6)
         assert x.a_vector() == [
             Fraction(1),
             Fraction(1, 2),
@@ -140,26 +139,11 @@ class TestCycField:
             Fraction(0),
         ]
 
-    def test_zero_division(self):
-        f = CycField(3)
-        with pytest.raises(ZeroDivisionError):
-            f.zero().inv()
-
 
 INPUT_ERRORS = {
     "prime-power-1": (lambda: factor_prime_power(1), ValueError, "1 is not a prime power"),
     "squarefree-core-0": (lambda: squarefree_core(0), ValueError, "need n >= 1"),
     "conductor-0": (lambda: CycField(0), ValueError, "conductor must be >= 1"),
-    "vector-too-long": (
-        lambda: CycField(5).from_vectors([1] * 5),
-        ValueError,
-        "coefficient vector longer than field degree",
-    ),
-    "radical-without-radicand": (
-        lambda: CycField(5).from_vectors([1], [1]),
-        ValueError,
-        "field has no radical part",
-    ),
     "short-coefficients": (
         lambda: CycScalar(CycField(5), [1]),
         ValueError,
@@ -198,7 +182,8 @@ def test_input_errors(name):
 
 
 def _scalar(f, avec, bvec):
-    return f.from_vectors([Fraction(n, 3) for n in avec], [Fraction(n, 2) for n in bvec])
+    """sum_r avec[r] zeta^r / 3 + sum_r bvec[r] sqrt(d) zeta^r / 2."""
+    return CycScalar(f, [2 * n for n in avec] + [3 * n for n in bvec], 6)
 
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -223,18 +208,6 @@ class TestCycScalarLaws:
         assert x * y == y * x
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x + y).conj() == x.conj() + y.conj()
-
-    @given(
-        st.lists(small_int, min_size=4, max_size=4),
-        st.lists(small_int, min_size=4, max_size=4),
-    )
-    def test_inverse(self, avec, bvec):
-        f = self.field
-        x = _scalar(f, avec, bvec)
-        if not x:
-            return
-        assert x * x.inv() == f.one()
-        assert (x.inv()).inv() == x
 
     @given(
         st.lists(small_int, min_size=4, max_size=4),
@@ -275,24 +248,12 @@ class TestCycScalarLawsByField:
         assert (x + y).conj() == x.conj() + y.conj()
 
     @given(data=st.data())
-    def test_inverse(self, field, data):
-        f = field
-        x = data.draw(full_scalars(f))
-        if not x:
-            return
-        assert x * x.inv() == f.one()
-        assert (x.inv()).inv() == x
-        assert x / x == f.one()
-
-    @given(data=st.data())
     def test_numeric_embedding_is_multiplicative(self, field, data):
         f = field
         x, y = data.draw(full_scalars(f)), data.draw(full_scalars(f))
         lhs = (x * y).to_complex()
         rhs = x.to_complex() * y.to_complex()
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-        if x:
-            assert abs(x.inv().to_complex() * x.to_complex() - 1) < 1e-9
 
 
 class TestFiniteField:

@@ -1,5 +1,6 @@
 """Command line interface, run in process through main(argv)."""
 import contextlib
+import csv
 import io
 import json
 import os
@@ -753,8 +754,31 @@ class TestTable:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == ",(0,0),(1,0),(0,1),(1,1)"
+        assert lines[0] == ',"(0,0)","(1,0)","(0,1)","(1,1)"'
         assert lines[1] == "0,1,1,5,5"
+
+    @pytest.mark.parametrize(
+        "family", [["bgw", "--q", "5", "--m", "2"], ["gh", "--q", "3"]], ids=lambda f: f[0]
+    )
+    @pytest.mark.parametrize(
+        "job",
+        [["table", "--which", "P"], ["table", "--which", "Q"], ["table", "--which", "T"], ["fusion"]],
+        ids=["P", "Q", "T", "fusion"],
+    )
+    def test_csv_is_the_json_table(self, capsys, family, job):
+        # csv.reader reads a rectangle: the column labels, then one row per
+        # row label, each the entries that the JSON output prints
+        argv = [*job, "--family", *family, "--format"]
+        code, out, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        code, doc, _ = run(capsys, *argv, "json")
+        assert code == 0
+        if job[0] == "fusion":  # the fused scheme and its multiplicities come first
+            out, doc = (text.split("\n", 2)[2] for text in (out, doc))
+        doc = json.loads(doc)
+        want = [["", *doc["col_labels"]]]
+        want += [[lbl, *row] for lbl, row in zip(doc["row_labels"], doc["entries"])]
+        assert list(csv.reader(io.StringIO(out))) == want
 
     def test_q_json(self, capsys):
         code, out, _ = run(
@@ -782,6 +806,18 @@ class TestTable:
     def test_family_flag_required(self, capsys):
         code, _, err = run(capsys, "table", "--q", "5")
         assert code == 1
+
+    @pytest.mark.parametrize("cmd", ["table", "fusion"])
+    @pytest.mark.parametrize(
+        "option", [["--family", "gh"], ["--q", "5"], ["--m", "2"]], ids=lambda o: o[0][2:]
+    )
+    def test_in_with_family_options_is_a_usage_error(self, tmp_path, capsys, cmd, option):
+        # the file names its own family, so an option that would pick another
+        # one is refused instead of ignored
+        path = tmp_path / "s.json"
+        save_scheme(path, cases.gh(3), {"family": "gh", "q": 3})
+        got = run(capsys, cmd, "--in", str(path), *option)
+        assert got == (1, "", "usage error: --in takes no --family, --q or --m\n")
 
 
 # the full stdout of `fusion --check-bm`; "product-form certificate: none"
@@ -865,7 +901,7 @@ class TestFusion:
         lines = out.splitlines()
         assert "fused multiplicities: [1, 8, 3, 12, 12]" in lines
         assert lines[-6] == ",0,1,2,a1+,a1-"
-        assert lines[-5] == "(0,0),1,8,3,12,12"
+        assert lines[-5] == '"(0,0)",1,8,3,12,12'
 
 
 class TestDesigns:

@@ -380,14 +380,17 @@ class TestLatin:
         assert np.array_equal(np.diag(L), np.arange(q))
 
     def test_matches_one_factorization(self):
-        # off-diagonal cell value a means the edge {x, y} lies in factor a
-        q = 7
-        L = latin_square(q)
-        factors = one_factorization(q)
-        for x in range(q):
-            for y in range(q):
-                if x != y:
-                    assert factors[L[x, y]][1 + x, 1 + y] == 1
+        # off-diagonal cell value a means the edge {x, y} lies in factor a,
+        # and the edge {infinity, a} lies there too: the closed form that
+        # the GH builder reads each edge's factor from
+        for q in (3, 5, 7, 9, 11, 13, 25, 27):
+            L = latin_square(q)
+            factors = one_factorization(q)
+            for x in range(q):
+                assert factors[x][0, 1 + x] == factors[x][1 + x, 0] == 1, q
+                for y in range(q):
+                    if x != y:
+                        assert factors[L[x, y]][1 + x, 1 + y] == 1, q
 
     def test_mutation_rejected(self):
         L = latin_square(5)

@@ -277,7 +277,7 @@ class TestScalarText:
         # so that a printer dropping any of them, a sign or a power of z
         # prints two of the unequal scalars below alike
         c = data.draw(st.lists(SMALL, min_size=f.dim, max_size=f.dim))
-        x = f.from_vectors(c[: f.deg], c[f.deg :])
+        x = CycScalar(f, [int(6 * t) for t in c], 6)  # 6 = lcm of the denominators
         text = scalar_to_str(x)
         r, s = data.draw(st.lists(st.integers(0, f.dim - 1), min_size=2, max_size=2, unique=True))
         # x + delta e_r changes the one basis coordinate r
@@ -286,7 +286,7 @@ class TestScalarText:
         assert scalar_to_str(x + e_r.scale(delta)) != text
         # swapping coordinates r and s, and negating, change x unless they fix it
         c[r], c[s] = c[s], c[r]
-        swapped = f.from_vectors(c[: f.deg], c[f.deg :])
+        swapped = CycScalar(f, [int(6 * t) for t in c], 6)
         assert (scalar_to_str(swapped) == text) == (swapped == x)
         assert (scalar_to_str(-x) == text) == (not x)
         # x again, built as a sum of basis elements

@@ -60,12 +60,12 @@ def exact_rank(rows) -> int:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
+        p = rows[rank][col]
+        # fraction-free: scaling row r by the nonzero pivot keeps the rank
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [p * x - c * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -992,9 +992,10 @@ def fused_idempotents(es):
 def fused_reference(es, partition):
     """P^ of the symmetrizing fusion by the definition, with algebra products:
     the idempotent coefficients are constant on each fused class, e A^_t =
-    A^_t e = c e with c read at the first nonzero class of e, and m_k c =
-    v_t conj(Q^[t][k]).  Raises VerificationError with the message of the
-    first check that fails, in that order."""
+    A^_t e = c e with c = tr(e A^_t) / m_k = v (e A^_t)[A_0] / m_k, since
+    tr X = v X[A_0] and tr e = m_k, and m_k c = v_t conj(Q^[t][k]).  Raises
+    VerificationError with the message of the first check that fails, in
+    that order."""
     alg = es.algebra
     nm, v = alg.scheme.nclasses, alg.scheme.v
     idems = fused_idempotents(es)
@@ -1008,20 +1009,19 @@ def fused_reference(es, partition):
     H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in cells]), 1)
     left = unpack(alg, alg.mul(E, H))  # e_k A^_t at k * len(cells) + t
     right = unpack(alg, alg.mul(H, E))  # A^_t e_k at t * len(idems) + k
+    mult = [mk for blk, mk in zip(es.blocks, es.multiplicities) for _ in range(blk.dim)]
     phat = []
     for k, (name, e) in enumerate(idems):
-        l0 = min(e)
         phat.append([])
         for t in range(len(cells)):
             lt = left[k * len(cells) + t]
-            c = lt.get(l0, zero) / e[l0]
+            c = lt.get(0, zero).scale(Fraction(v, mult[k]))
             ce = {l: c * x for l, x in e.items() if c * x}
             if ce != lt or right[t * len(idems) + k] != lt:
                 raise VerificationError(
                     f"fused class {t} does not act as a scalar on idempotent {name}"
                 )
             phat[-1].append(c)
-    mult = [mk for blk, mk in zip(es.blocks, es.multiplicities) for _ in range(blk.dim)]
     for k, (name, e) in enumerate(idems):
         for t, cell in enumerate(cells):
             vt = sum(alg.scheme.valencies[l] for l in cell)
@@ -1130,16 +1130,12 @@ def tiers_seen(monkeypatch) -> set:
 @st.composite
 def elements(draw, alg, count):
     field, nm = alg.field, alg.scheme.nclasses
-    coeffs = st.lists(
-        st.fractions(min_value=-9, max_value=9, max_denominator=12),
-        min_size=field.deg,
-        max_size=field.deg,
-    )
+    coeffs = st.lists(st.integers(-108, 108), min_size=field.dim, max_size=field.dim)
     out = []
     for _ in range(count):
         e = {}
         for k in draw(st.sets(st.integers(0, nm - 1), max_size=nm)):
-            c = field.from_vectors(draw(coeffs), draw(coeffs) if field.d != 1 else None)
+            c = CycScalar(field, draw(coeffs), draw(st.integers(1, 12)))
             if c:
                 e[k] = c
         out.append(e)
