@@ -67,6 +67,8 @@ def _build(family: str, q: int | None, m: int | None):
         return bgw_build(q, m), {"family": "bgw", "q": q, "m": m}
     if q is None:
         raise UsageError("the gh family needs --q")
+    if m is not None:
+        raise UsageError("the gh family takes no --m")
     return gh_build(q), {"family": "gh", "q": q}
 
 
@@ -183,6 +185,8 @@ def _cmd_designs(args) -> int:
     if args.q is None or (args.what == "bgw" and args.m is None):
         flags = "--q and --m" if args.what == "bgw" else "--q"
         raise UsageError(f"designs {args.what} needs {flags}")
+    if args.what != "bgw" and args.m is not None:
+        raise UsageError(f"designs {args.what} takes no --m")
     if args.what == "bgw":
         W = bgw_matrix(args.q, args.m)
         info = verify_bgw(W, args.m)

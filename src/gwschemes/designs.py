@@ -56,7 +56,9 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     equivalently iff (q-1)/m is even or q is even; otherwise
     SymmetryObstruction is raised.
     """
-    if m < 2 or (q - 1) % m != 0:
+    if m < 2:
+        raise ValueError(f"m={m} must be at least 2")
+    if (q - 1) % m != 0:
         raise ValueError(f"m={m} must divide q-1={q - 1}")
     require_points((q + 1) * m)
     F = FiniteField(q)
@@ -131,6 +133,8 @@ def verify_gh(H: np.ndarray, q: int) -> dict:
     """Check the generalized Hadamard property over the additive group of GF(q)."""
     F = FiniteField(q)
     H = np.asarray(H)
+    if H.ndim != 2:
+        raise VerificationError("matrix is not 2-D")
     rows, cols = H.shape
     if cols % q != 0:
         raise VerificationError("column count must be a multiple of q")
@@ -192,6 +196,8 @@ def latin_square(q: int) -> np.ndarray:
 
 def verify_latin(L: np.ndarray) -> None:
     L = np.asarray(L)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise VerificationError("matrix is not square")
     n = L.shape[0]
     want = np.arange(n)
     for i in range(n):

@@ -17,29 +17,32 @@ vectors span Q^(d+1), every A_j is a linear combination of words in G, and
 then A_i A_j is a combination of products A_i A_g1 ... A_gr, each in V one
 generator at a time: V is closed.
 
-* Products.  Thin classes (valency 1) come first.  A thin generator is a
-  permutation matrix, so all its products are one gather of L.  A later
-  generator g is checked with float32 GEMMs of 0/1 matrices, several classes
-  to a GEMM as the digits of base-(k_g + 1) numerals; every partial sum is an
-  integer below 2**24, exact in float32 (see _right_action; v < 2**24 is
-  checked).  Only the classes of a check set go into the GEMMs, because what
-  is proven already implies the other products:
+* Products.  Every generator g is checked the same way, and only on the
+  classes of a check set, because what is proven already implies the other
+  products:
   - Let S be the span of the words in the generators verified so far, so
-    V S is in V, and write S^T for the transposes.  Each Y in S^T maps V
-    into V from the left, since Y X = (X^T Y^T)^T and V is closed under
-    transpose.
+    V S is in V (S = span{I} at the first generator), and write S^T for
+    the transposes.  Each Y in S^T maps V into V from the left, since
+    Y X = (X^T Y^T)^T and V is closed under transpose.
   - So W_g = {X in V : X A_g in V} is a left S^T-module.  It holds S^T,
     since Y A_g = (A_g' Y^T)^T with A_g' = A_g^T; it holds J, since
-    J A_g = k_g J; and it holds each A_c checked by a GEMM, hence each
-    Y A_c, whose coefficients are the row-0 values sum_a y_a p[a, c, :].
+    J A_g = k_g J; and it holds each checked A_c, hence each Y A_c, whose
+    coefficients are the row-0 values sum_a y_a p[a, c, :].
   - Once these vectors reach rank d + 1, V A_g is in V, with the
-    coefficients p[:, g] of row 0.  The check set takes the classes by
-    decreasing valency, each one whose vector is not yet reached
-    (_checked_classes).
+    coefficients p[:, g] of row 0.  The generators and the check set walk
+    every class but 0, thin classes (valency 1) first and then by
+    decreasing valency; the check set takes each one whose vector is not
+    yet reached (_checked_classes).
+  The checked products are formed several classes at a time, as the digits
+  of base-(k_g + 1) numerals in float32.  A thin A_g is a permutation
+  matrix, so the product is a column gather; any other is a GEMM of 0/1
+  matrices, every partial sum an integer below 2**24, exact in float32 (see
+  _right_action; v < 2**24 is checked).
 * Span.  Fraction-free Gaussian elimination on Python integers decides
-  membership and rank exactly, with no rounding and no modulus.  Taking
-  every class as a generator always succeeds (e_0 R_j = e_j), so a scheme is
-  never rejected for its choice of G.
+  membership and rank exactly, with no rounding and no modulus.  A class
+  already in the span is skipped as a generator.  Taking every class as a
+  generator always succeeds (e_0 R_j = e_j), so a scheme is never rejected
+  for its choice of G.
 * Tensor.  Once V is closed, A_i A_j is constant on each relation, so its
   value at any one pair of relation k is p[i,j,k].  Taking the pairs (0, y_k)
   of row 0 gives the whole tensor as one bincount of the label pairs
@@ -58,7 +61,7 @@ the group that the used s generate):
   hold every transpose pair and every class present;
 - row s[x] of L is row x permuted, so it has the counts of row x; with the
   diagonal checked in full, class 0 once in each row of R is A_0 = I;
-- the thin and GEMM checks test rows of A_i A_g - sum_k R_g[i,k] A_k.
+- the closure checks test rows of A_c A_g - sum_k R_g[c,k] A_k.
 The label range and the tensor, which row 0 gives, are read as without
 automorphisms; with none used, R is every point.  A row fails only with
 its whole orbit, so the first failing row is the least point of its orbit,
@@ -68,12 +71,12 @@ the class, that it would over every row.
 Storage.  L is a read-only array of dtype label_dtype(nm) for nm classes:
 uint8 up to 256 classes and uint16 up to 65536.  The label range is checked
 on the input before the cast, so no label wraps around.  Every pass over the
-v**2 cells (the pair and row counts, the gathers of the thin and GEMM
-checks, the fused labels, and the file codec) runs in the row_blocks of at
-most BLOCK cells and at least one row, so its index and count temporaries
-stay that small; the only v x v arrays formed besides L are the float32
-A_g of a GEMM check, whose other operand and product have one row for each
-point of R.
+v**2 cells (the pair and row counts, the operands of the closure checks,
+the fused labels, and the file codec) runs in the row_blocks of at most
+BLOCK cells and at least one row, so its index and count temporaries stay
+that small; the only v x v array formed besides L is the float32 A_g of a
+GEMM check, and the operand and product of every check have one row for
+each point of R.
 """
 from __future__ import annotations
 
@@ -283,25 +286,19 @@ def _certify_closure(L, labels, p, tpose, valencies, rows) -> None:
     Generators are tried in a fixed order, thin classes first, then the rest
     by decreasing valency; a class already in the generated span is skipped.
     Each generator g taken is proved to satisfy A_i A_g = sum_k p[i,g,k] A_k
-    for every i, a thin one by one gather and the others by GEMMs over the
-    check set of _checked_classes, and the search stops once the generators
-    span the algebra.
+    for every i by one _right_action over the check set of _checked_classes,
+    and the search stops once the generators span the algebra.
     """
     nm = len(labels)
-    thin = [i for i in range(1, nm) if valencies[i] == 1]
-    rest = [i for i in range(1, nm) if valencies[i] > 1]
-    rest.sort(key=lambda i: (-valencies[i], i))
+    order = sorted(range(1, nm), key=lambda i: (valencies[i] > 1, -valencies[i], i))
     span = _Span(nm)
-    for g in thin + rest:
+    for g in order:
         if span.rank == nm:
             break
         if g in span:
             continue
-        if valencies[g] == 1:
-            bad = _thin_right_action(L, p[:, g], g, rows)
-        else:
-            check = _checked_classes(span, p, tpose, rest)
-            bad = _right_action(L, p[:, g], g, check, valencies[g], rows)
+        check = _checked_classes(span, p, tpose, order)
+        bad = _right_action(L, p[:, g], g, check, valencies[g], rows)
         if bad is not None:
             raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
         span.add(p[:, g])
@@ -331,42 +328,24 @@ def _gather(table, L):
     return out
 
 
-def _thin_right_action(L, R, g, rows):
-    """Check A_i A_g = sum_k R[i, k] A_k for all i at once, for a thin g, on
-    rows, some rows of L; return a failing i or None.  A_g is a permutation
-    matrix, with its one in column y at row src[y], so A_i A_g is the 0/1
-    matrix (L[:, src] == i)."""
-    src = np.empty(len(L), dtype=np.intp)
-    for b in row_blocks(len(L)):
-        # each row holds g once, at column y: then src[y] is that row
-        src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
-    # column k of R is the unit vector at the class of (0, src[y_k])
-    want = R.argmax(axis=0).astype(L.dtype)
-    for b in row_blocks(len(L), len(rows)):
-        M = rows[b][:, src]
-        bad = M != _take(want, rows[b])
-        if bad.any():
-            return int(M[tuple(np.argwhere(bad)[0])])
-    return None
-
-
-def _checked_classes(span, p, tpose, rest) -> list[int]:
+def _checked_classes(span, p, tpose, order) -> list[int]:
     """The classes c whose products A_c A_g the next generator g must check,
     given the span of the words in the generators verified so far: a subset
-    of rest, the classes that are not thin, in its order.
+    of order, every class but 0, in its order.
 
     The vectors of W_g known without a product are those of J and of S^T,
-    the y with y[tpose] = r for the span's rows r.  Each class of rest whose
+    the y with y[tpose] = r for the span's rows r.  Each class of order whose
     vector is not reached yet is checked, and adds the vectors y p[:, c] of
-    S^T A_c; the walk stops at full rank.  Every thin class lies in the span
-    by now, so the walk always gets there (module docstring).
+    S^T A_c; the walk stops at full rank.  e_0 lies in S^T and
+    e_0 p[:, c] = e_c, so with every class but 0 in the order the walk
+    reaches rank nm (module docstring).
     """
     nm = span.nm
     Y = np.array([r[tpose] for _, r in span.rows])  # tpose is an involution
     reached = _Span(nm)  # e_0 lies in S^T; no generators, so a plain span
     reached._close([*Y, np.ones(nm, dtype=object)])
     check = []
-    for c in rest:
+    for c in order:
         if reached.rank == nm:
             break
         if c not in reached:
@@ -382,27 +361,35 @@ def _right_action(L, R, g, check, k, rows):
     follow exactly: they lie in S^T, J or S^T A_c, each of which A_g maps
     into V (module docstring).
 
-    The products come from float32 GEMMs, d classes at a time:
-    (sum_s B**s A_(c_s)) A_g with B = k + 1 has entries sum_s B**s n_s, where
+    The products are formed d classes at a time: X = sum_s B**s A_(c_s) with
+    B = k + 1, in float32, times A_g has entries sum_s B**s n_s, where
     n_s = (A_(c_s) A_g)[x, y] counts ones of a column of A_g, so n_s <= k < B.
-    Every partial sum is a nonnegative integer below B**d <= 2**24, exact in
-    float32.  The entries of R are such counts too (at row 0), so both sides
-    are base-B numerals, equal only digit by digit.
+    For k = 1, A_g is a permutation matrix, with its one in column y at row
+    src[y], so X A_g is the column gather X[:, src]; otherwise it is a GEMM
+    with the v x v 0/1 matrix A_g, each of whose partial sums is a
+    nonnegative integer below B**d <= 2**24, exact in float32.  The entries
+    of R are such counts too (at row 0), so both sides are base-B numerals,
+    equal only digit by digit.
     """
     B, d = k + 1, 1
     while B ** (d + 1) <= _F32_EXACT:
         d += 1
     v = len(L)
-    Ag = np.empty((v, v), dtype=np.float32)
-    for b in row_blocks(v):
-        np.equal(L[b], g, out=Ag[b])
-    prod = None
+    if k == 1:
+        src = np.empty(v, dtype=np.intp)
+        for b in row_blocks(v):
+            # each row holds g once, at column y: then src[y] is that row
+            src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
+    else:
+        Ag = np.empty((v, v), dtype=np.float32)
+        for b in row_blocks(v):
+            np.equal(L[b], g, out=Ag[b])
     for c in range(0, len(check), d):
         chunk = check[c:c + d]
         weight = np.zeros(len(R), dtype=np.int64)
         weight[chunk] = B ** np.arange(len(chunk))
-        del prod  # the last product, freed before the next operand
-        prod = _gather(weight.astype(np.float32), rows) @ Ag
+        prod = _gather(weight.astype(np.float32), rows)  # X, in place of the last product
+        prod = prod[:, src] if k == 1 else prod @ Ag  # X A_g, in place of X
         want = (weight @ R).astype(np.float32)
         for b in row_blocks(v, len(rows)):
             bad = prod[b] != _take(want, rows[b])

@@ -116,6 +116,19 @@ class TestBuild:
             code, _, err = run(capsys, *cmd)
             assert code == 1 and f"the {family} family needs" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "gh-scheme", "--q", "3", "--m", "2"],
+            ["table", "--family", "gh", "--q", "3", "--m", "5"],
+            ["fusion", "--family", "gh", "--q", "3", "--m", "2"],
+        ],
+        ids=["build", "table", "fusion"],
+    )
+    def test_gh_family_takes_no_m(self, capsys, argv):
+        # refused instead of ignored, as --q is next to --in
+        assert run(capsys, *argv) == (1, "", "usage error: the gh family takes no --m\n")
+
     def test_obstructed_parameters(self, capsys):
         code, _, err = run(capsys, "build", "bgw-scheme", "--q", "5", "--m", "4")
         assert code == 3
@@ -129,10 +142,13 @@ class TestBuild:
             (["build", "gh-scheme", "--q", "1000003"], "points exceed the limit"),
             (["designs", "gh", "--q", "1000003"], "field order 1000003 exceeds the limit of 2048"),
             (["designs", "latin", "--q", "1000003"], "field order 1000003 exceeds the limit of 2048"),
+            (["build", "bgw-scheme", "--q", "5", "--m", "1"], "m=1 must be at least 2"),
+            (["designs", "bgw", "--q", "2048", "--m", "1"], "m=1 must be at least 2"),
         ],
         ids=[
             "bgw-too-many-points", "bgw-m-not-dividing", "gh-too-many-points",
-            "designs-gh-field-order", "designs-latin-field-order",
+            "designs-gh-field-order", "designs-latin-field-order", "bgw-m-below-two",
+            "designs-bgw-m-below-two",
         ],
     )
     def test_absurd_sizes_fail_fast(self, capsys, argv, says):
@@ -934,5 +950,8 @@ class TestDesigns:
             (["bgw", "--m", "3"], "designs bgw needs --q and --m"),
             (["gh"], "designs gh needs --q"),
             (["latin"], "designs latin needs --q"),
+            # only designs bgw reads --m; the others refuse it, not ignore it
+            (["gh", "--q", "5", "--m", "3"], "designs gh takes no --m"),
+            (["latin", "--q", "5", "--m", "2"], "designs latin takes no --m"),
         ]:
             assert run(capsys, "designs", *argv) == (1, "", f"usage error: {says}\n")

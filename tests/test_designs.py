@@ -72,6 +72,12 @@ class TestBGW:
         with pytest.raises(ValueError):
             bgw_matrix(7, 4)
 
+    @pytest.mark.parametrize("q,m", [(5, 1), (2048, 1), (7, 0)], ids=str)
+    def test_m_below_two_raises(self, q, m):
+        # before m | q - 1, which m = 1 satisfies
+        with pytest.raises(ValueError, match=f"^m={m} must be at least 2$"):
+            bgw_matrix(q, m)
+
     def test_single_entry_mutations_rejected(self):
         W = bgw_matrix(7, 3)
         # blank structure violation
@@ -308,6 +314,10 @@ class TestGH:
         with pytest.raises(VerificationError, match="^column count must be a multiple of q$"):
             verify_gh(gh_matrix(5)[:, :4], 5)
 
+    def test_not_2d_rejected(self):
+        with pytest.raises(VerificationError, match="^matrix is not 2-D$"):
+            verify_gh(np.zeros(3, dtype=int), 3)
+
     @pytest.mark.parametrize("entry", [-1, 5])
     def test_entry_outside_the_field_rejected(self, entry):
         H = gh_matrix(5).copy()
@@ -397,3 +407,7 @@ class TestLatin:
         L[0, 1] = L[0, 2]
         with pytest.raises(VerificationError, match="not a permutation"):
             verify_latin(L)
+
+    def test_not_square_rejected(self):
+        with pytest.raises(VerificationError, match="^matrix is not square$"):
+            verify_latin(np.zeros(3, dtype=int))

@@ -362,11 +362,12 @@ def gh_shift_in_block(q, rows, cols, delta):
 
 
 def right_action_calls(monkeypatch):
-    """The check sets _certify_closure gives _right_action, recorded."""
+    """The valencies k and check sets that _certify_closure gives
+    _right_action, recorded as (k, check) pairs."""
     calls, checked = [], schemes._right_action
 
     def spy(L, R, g, check, k, rows):
-        calls.append(list(check))
+        calls.append((k, list(check)))
         return checked(L, R, g, check, k, rows)
 
     monkeypatch.setattr(schemes, "_right_action", spy)
@@ -446,6 +447,43 @@ class TestClosureCertificate:
         assert _right_action(s.L, s.p[:, g], g, rest, k, s.L) is None
 
     @pytest.mark.parametrize(
+        "build,g,a,b",
+        [(lambda: bgw_build(7, 3), 1, 3, 4), (lambda: gh_build(5), 1, 5, 6)],
+        ids=["bgw73", "gh5"],
+    )
+    def test_forged_thin_coefficients_rejected(self, build, g, a, b):
+        # a forged coefficient table for a thin g moves the 1 of a class t
+        # from row a to row b; every class is checked, so a and b are digits
+        # of one gathered numeral, and the class named must really fail
+        s = build()
+        assert s.valencies[g] == 1 and s.nclasses <= 24
+        every = list(range(s.nclasses))
+        R = s.p[:, g].copy()
+        t = int(R[a].argmax())
+        assert (R[a, t], R[b, t]) == (1, 0)  # A_a A_g = A_t, A_a with its columns permuted
+        R[a, t], R[b, t] = 0, 1
+        i = _right_action(s.L, R, g, every, 1, s.L)
+        assert i in (a, b)
+        prod = (s.L == i).astype(np.int64) @ (s.L == g).astype(np.int64)
+        assert not np.array_equal(prod, R[i][s.L])
+        assert _right_action(s.L, s.p[:, g], g, every, 1, s.L) is None
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda q=q, m=m: cases.bgw(q, m) for q, m in cases.BGW_BUILDABLE]
+        + [lambda q=q: cases.gh(q) for q in cases.GH_GRID],
+        ids=[f"bgw{q}_{m}" for q, m in cases.BGW_BUILDABLE] + [f"gh{q}" for q in cases.GH_GRID],
+    )
+    def test_thin_gathers_pass_on_the_grid(self, build):
+        # every thin class g, A_0 included, with every class checked
+        s = build()
+        every = list(range(s.nclasses))
+        thin = [g for g in every if s.valencies[g] == 1]
+        assert len(thin) > 1
+        for g in thin:
+            assert _right_action(s.L, s.p[:, g], g, every, 1, s.L) is None
+
+    @pytest.mark.parametrize(
         "build,want",
         [
             (lambda: gh_build(9), [1]),
@@ -460,13 +498,40 @@ class TestClosureCertificate:
         s = build()
         calls = right_action_calls(monkeypatch)
         rebuilt = AssociationScheme.from_matrices(s.L, s.labels)
-        assert [len(c) for c in calls] == want
+        gemms = [check for k, check in calls if k > 1]
+        assert [len(c) for c in gemms] == want
         assert np.array_equal(rebuilt.p, s.p)
-        # each check set walks the classes that are not thin by decreasing
-        # valency, so it starts with the largest
-        for check in calls:
+        # each check set walks the thin classes first, then the rest by
+        # decreasing valency; every thin class is implied by the time of a
+        # GEMM, so a GEMM's check set starts with the largest
+        for check in gemms:
             vals = [s.valencies[c] for c in check]
             assert min(vals) > 1 and vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize(
+        "build,want",
+        [
+            (lambda: gh_build(9), [17, 5]),
+            (lambda: gh_build(9).fuse(gh_symmetric_fusion(9)), []),
+            (lambda: bgw_build(47, 23), [44]),
+        ],
+        ids=["gh9", "gh9-fused", "bgw47_23"],
+    )
+    def test_thin_generators_check_only_what_the_span_does_not_imply(
+        self, monkeypatch, build, want
+    ):
+        # the first generator, with S = span{I}, checks every class but 0 and
+        # the one that J implies; a later thin generator checks fewer, and
+        # each thin one comes before every GEMM
+        s = build()
+        calls = right_action_calls(monkeypatch)
+        AssociationScheme.from_matrices(s.L, s.labels)
+        assert [len(c) for k, c in calls if k == 1] == want
+        ks = [k for k, _ in calls]
+        assert ks == sorted(ks, key=lambda k: k > 1)
+        for k, check in calls[:len(want)]:
+            vals = [s.valencies[c] for c in check]
+            assert vals == sorted(vals, key=lambda x: (x > 1, -x))
 
     @pytest.mark.parametrize(
         "build,sizes,seed",
