@@ -75,8 +75,8 @@ v**2 cells (the pair and row counts, the operands of the closure checks,
 the fused labels, and the file codec) runs in the row_blocks of at most
 BLOCK cells and at least one row, so its index and count temporaries stay
 that small; the only v x v array formed besides L is the float32 A_g of a
-GEMM check, and the operand and product of every check have one row for
-each point of R.
+GEMM check, and the operand and product of every check, and the gathered
+labels of a thin one, have one row for each point of R.
 """
 from __future__ import annotations
 
@@ -297,8 +297,7 @@ def _certify_closure(L, labels, p, tpose, valencies, rows) -> None:
             break
         if g in span:
             continue
-        check = _checked_classes(span, p, tpose, order)
-        bad = _right_action(L, p[:, g], g, check, valencies[g], rows)
+        bad = _right_action(L, p[:, g], g, _checked_classes(span, p, tpose, order), valencies[g], rows)
         if bad is not None:
             raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
         span.add(p[:, g])
@@ -365,11 +364,11 @@ def _right_action(L, R, g, check, k, rows):
     B = k + 1, in float32, times A_g has entries sum_s B**s n_s, where
     n_s = (A_(c_s) A_g)[x, y] counts ones of a column of A_g, so n_s <= k < B.
     For k = 1, A_g is a permutation matrix, with its one in column y at row
-    src[y], so X A_g is the column gather X[:, src]; otherwise it is a GEMM
-    with the v x v 0/1 matrix A_g, each of whose partial sums is a
-    nonnegative integer below B**d <= 2**24, exact in float32.  The entries
-    of R are such counts too (at row 0), so both sides are base-B numerals,
-    equal only digit by digit.
+    src[y], so X A_g is the column gather X[:, src]: the weights of the
+    labels rows[:, src].  Otherwise it is a GEMM with the v x v 0/1 matrix
+    A_g, each of whose partial sums is a nonnegative integer below
+    B**d <= 2**24, exact in float32.  The entries of R are such counts too
+    (at row 0), so both sides are base-B numerals, equal only digit by digit.
     """
     B, d = k + 1, 1
     while B ** (d + 1) <= _F32_EXACT:
@@ -380,7 +379,9 @@ def _right_action(L, R, g, check, k, rows):
         for b in row_blocks(v):
             # each row holds g once, at column y: then src[y] is that row
             src[(L[b] == g).argmax(axis=1)] = np.arange(b.start, b.stop)
+        cells = rows[:, src]  # X A_g is the weights of these labels
     else:
+        cells = rows  # X is the weights of these labels
         Ag = np.empty((v, v), dtype=np.float32)
         for b in row_blocks(v):
             np.equal(L[b], g, out=Ag[b])
@@ -388,8 +389,9 @@ def _right_action(L, R, g, check, k, rows):
         chunk = check[c:c + d]
         weight = np.zeros(len(R), dtype=np.int64)
         weight[chunk] = B ** np.arange(len(chunk))
-        prod = _gather(weight.astype(np.float32), rows)  # X, in place of the last product
-        prod = prod[:, src] if k == 1 else prod @ Ag  # X A_g, in place of X
+        prod = _gather(weight.astype(np.float32), cells)  # in place of the last product
+        if k > 1:
+            prod = prod @ Ag  # X A_g, in place of X
         want = (weight @ R).astype(np.float32)
         for b in row_blocks(v, len(rows)):
             bad = prod[b] != _take(want, rows[b])
