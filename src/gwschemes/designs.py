@@ -101,9 +101,9 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     exactly one blank per row and column.
     """
     W = np.asarray(W)
-    v = W.shape[0]
-    if W.shape != (v, v):
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise VerificationError("matrix is not square")
+    v = W.shape[0]
     if not (((W >= 0) & (W < m)) | (W == BLANK)).all():
         raise VerificationError("entries must be blank or in 0..m-1")
     if ((W == BLANK).sum(axis=1) != 1).any() or ((W == BLANK).sum(axis=0) != 1).any():
@@ -169,9 +169,11 @@ def verify_one_factorization(factors: list[np.ndarray]) -> None:
     """Each factor a perfect matching, all factors together partitioning K_n."""
     if not factors:
         raise VerificationError("no factors")
-    n = factors[0].shape[0]
+    n = np.shape(factors[0])[0] if np.ndim(factors[0]) else 0
     total = np.zeros((n, n), dtype=np.int64)
     for P in factors:
+        if np.shape(P) != (n, n):
+            raise VerificationError("factor is not a square matrix")
         if not np.array_equal(P, P.T):
             raise VerificationError("factor not symmetric")
         if (np.diag(P) != 0).any():
@@ -217,9 +219,9 @@ def sgdd_params(N: np.ndarray, group_size: int) -> dict:
     common value is reported as "lam".
     """
     N = np.asarray(N)
-    v = N.shape[0]
-    if N.shape != (v, v) or group_size < 1 or v % group_size != 0:
+    if N.ndim != 2 or N.shape[0] != N.shape[1] or group_size < 1 or len(N) % group_size:
         raise VerificationError("bad shape or group size")
+    v = N.shape[0]
     ngroups = v // group_size
     ksum = N.sum(axis=1)
     if (ksum != ksum[0]).any() or (N.sum(axis=0) != ksum[0]).any():

@@ -9,12 +9,17 @@ json.dumps gives for the record, built from numpy blocks of rows.
 
 A file is read by one of two readers.  The canonical reader takes every file
 that is the text json.dumps gives for the record it decodes to, runs of any
-length and the final newline optional, and decodes its rows block by block in
-numpy.  Every other file, such as a pretty-printed, reordered, hand-edited or
-malformed one, goes to the json reader, which parses the whole record.  Both
-pass the same integers, in row order, to the same header and row checks,
-which word every input error, so the two agree.  Both decode into the compact
-label dtype the scheme stores (see schemes); the file bytes do not depend on it.
+length and the final newline optional.  It reads the rows block by block from
+the file's bytes in numpy, without decoding them as JSON or encoding them
+back: the separators tile the rows text, every separator byte is checked,
+every number is digits without a leading zero, and no number is wider than
+the largest the file may hold, so what it takes is json.dumps text (see
+_read_canonical).  Every other file, such as a pretty-printed, reordered,
+hand-edited or malformed one, goes to the json reader, which parses the whole
+record.  Both pass the same integers, in row order, to the same header and
+row checks, which word every input error, so the two agree.  Both decode into
+the compact label dtype the scheme stores (see schemes); the file bytes do not
+depend on it.
 
 Scalars print as polynomials in z = zeta_M with an optional radical part,
 e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
@@ -42,6 +47,9 @@ FILE_VERSION = 1
 
 _ROWS = b', "rows": [['  # from the header to the first run
 _PROVENANCE = b', "provenance": '
+_CLOSE, _COMMA, _SPACE, _OPEN = b"], ["  # the bytes of the separator of two rows
+_ZERO = ord("0")
+_SCAN = 1 << 20  # bytes of rows text per numpy step of the canonical reader's "]" scan
 
 
 def _head(v: int, labels) -> bytes:
@@ -176,24 +184,70 @@ def _label_matrix(data) -> np.ndarray:
     return L
 
 
+def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The flat runs of the rows a[s:e] of a file's bytes a, a block of whole
+    rows, and the pairs in each row; None unless a[s:e] is the text
+    json.dumps gives for them, each row closed by "], [" but the last, with
+    every number in 0..top and every row of even length.  The "]" of every
+    row separator in a[s:e] must already be checked to start "], [", which
+    _read_canonical does for all of them at once."""
+    sp = np.flatnonzero(a[s:e] == _SPACE) + s
+    # each space ends ", ", or is the third byte of "], [" when "]" is two back
+    if (a[sp - 1] != _COMMA).any():
+        return None
+    row_sep = a[sp - 2] == _CLOSE
+    start = np.append(s, sp + 1 + row_sep)  # the numbers between the separators
+    width = np.append(sp - 1 - row_sep, e) - start
+    if width.min() < 1 or width.max() > len(str(top)):
+        return None
+    runs = a[start] - _ZERO  # uint8, so a byte below "0" wraps past 9 too
+    wide = np.flatnonzero(width > 1)
+    if (runs > 9).any() or not runs[wide].all():  # a non-digit, or a leading zero
+        return None
+    runs = runs.astype(np.int64)
+    for j in range(1, int(width.max())):  # digit j of the numbers wider than j
+        digit = a[start[wide] + j] - _ZERO
+        if (digit > 9).any():
+            return None
+        runs[wide] = 10 * runs[wide] + digit
+        wide = wide[width[wide] > j + 1]
+    items = np.diff(np.flatnonzero(row_sep), prepend=-1, append=len(sp))
+    if runs.max() > top or (items % 2).any():
+        return None
+    return runs, items // 2
+
+
 def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     """The label matrix, labels and provenance of a scheme file that is the
     text json.dumps gives for them, runs of any length and the final newline
-    optional; None for every other file.  The first row that _fill_rows
-    rejects raises its InputError, once every block of rows has matched.
+    optional; None for every other file, and for a row of odd length or a
+    number outside 0..max(v, nlabels), which the json reader words.  The
+    first row that _fill_rows rejects raises its InputError, once every
+    block of rows has matched.
 
     The record with its rows cut out, which holds "rows": [], is parsed with
-    json in one call and passes _check_header.  Each block of rows is
-    decoded with np.fromstring and declined for a row of odd or no length or
-    a number outside the writer's digit table 0..max(v, nlabels); it is
-    taken only when _rows_text of its runs, ending rows where its text does,
-    gives back its bytes.  The decode alone is no validator: np.fromstring
-    reads "01", "+1", "1,2" and "1 , 2", returns a trailing 0 for "1, 2, "
-    and saturates 10**30 to the int64 maximum; the comparison of bytes
-    rejects all of them.  A taken file is thus json.dumps text, which the
-    json reader decodes to the same integers and passes, in the same row
-    order, to the same _check_header and _fill_rows: the two readers agree
-    on every file this one takes.
+    json in one call; with the row count, one more than the number of "]"
+    in the rows text, it passes _check_header, and the text around the rows
+    is the writer's.  The rows text is then read as bytes, in one pass per block of
+    rows, and taken only when it is json.dumps text:
+
+    1. The separators tile the text.  Every "]" must start "], [", every
+       space must end ", " or be the third byte of such a "], [", and the
+       numbers are the gaps between consecutive separators, each at least
+       one byte wide; so each byte is in one separator or one number.
+    2. Every separator byte is checked: the space that finds it, the ","
+       before it, and the "]" and "[" of a row separator.
+    3. Every byte of a number is a digit, and a number wider than one digit
+       does not start with 0.  So each row is ", "-joined decimal integers
+       without sign or leading zero, the rows "], ["-joined: the text
+       json.dumps gives for those integers.
+    4. A number has at most len(str(top)) digits, top = max(v, nlabels), so
+       it is read exactly in int64 and then checked against top.
+
+    A taken file is thus json.dumps text, which the json reader decodes to
+    the same integers and passes, in the same row order, to the same
+    _check_header and _fill_rows: the two readers agree on every file this
+    one takes.
     """
     cut = raw.find(_ROWS) + len(_ROWS)
     end = raw.find(b"]]", cut)
@@ -203,7 +257,12 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
         data = json.loads(raw[: cut - 1] + raw[end + 1 :])
     except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
         return None
-    rows = data["rows"] = raw[cut:end].split(b"], [")  # one text per row, for the row count
+    a = np.frombuffer(raw, dtype=np.uint8)
+    closes = np.concatenate([  # every "]" of the rows text, scanned _SCAN bytes at a time
+        np.flatnonzero(a[i : min(i + _SCAN, end)] == _CLOSE) + i
+        for i in range(cut, end + 1, _SCAN)
+    ])
+    data["rows"] = [None] * (len(closes) + 1)  # the row count, for _check_header
     try:
         v, labels = _check_header(data)
     except InputError:
@@ -212,23 +271,17 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     tail = raw[end + 2 :].removesuffix(b"\n")
     if raw[:cut] != _head(v, labels) or tail != _tail(provenance):
         return None
+    # no "]" is the last byte before the first "]]", so closes + 3 is inside raw
+    if ((a[closes + 1] != _COMMA) | (a[closes + 2] != _SPACE) | (a[closes + 3] != _OPEN)).any():
+        return None
+    bounds = np.concatenate([[cut - 4], closes, [end]])  # row x is bounds[x] + 4 .. bounds[x + 1]
     L = np.empty((v, v), dtype=label_dtype(len(labels)))
-    top = max(v, len(labels))  # the last number of the writer's digit table
-    text, error = _text_table(top), None
+    error = None
     for b in row_blocks(v):
-        block = b"], [".join(rows[b])
-        # the items of each row: one more than its commas, so an empty row is odd
-        items = np.array([row.count(b",") for row in rows[b]]) + 1
-        try:
-            runs = np.fromstring(block.replace(b"], [", b", "), dtype=np.int64, sep=",")
-        except ValueError:  # text that is no list of integers
+        read = _block_runs(a, bounds[b.start] + 4, bounds[b.stop], max(v, len(labels)))
+        if read is None:
             return None
-        if (items % 2).any() or len(runs) != items.sum() or runs.min() < 0 or runs.max() > top:
-            return None
-        error = error or _fill_rows(L[b], b.start, runs, items // 2, len(labels))
-        runs = runs.astype(np.min_scalar_type(len(text) - 1))  # int64 freed before the re-encode
-        if _rows_text(runs, np.cumsum(items), text) != block + b"], [":
-            return None
+        error = error or _fill_rows(L[b], b.start, *read, len(labels))
     if error:  # raised only once every block is json.dumps text
         raise InputError(error)
     return L, labels, provenance

@@ -581,6 +581,10 @@ def _bgw52_file() -> bytes:
     return file_reference.file_bytes(cases.bgw(5, 2), {"family": "bgw", "q": 5, "m": 2})
 
 
+def _gh3_file() -> bytes:
+    return file_reference.file_bytes(cases.gh(3), {"family": "gh", "q": 3})
+
+
 def _dumped(edit, **dumps) -> bytes:
     """The bgw (5,2) record changed by edit, as json.dumps(..., **dumps) writes it."""
     data = _bgw52()
@@ -631,12 +635,53 @@ MUTATED_FILES = {
         lambda: _dumped(lambda d: d["rows"][0].__setitem__(2, 5)).replace(b"0, 1]]", b"0, 01]]"),
         False,
     ),
+    # separators json.dumps does not write, each once, in the rows
+    "row-separator-without-space": (lambda: _bgw52_file().replace(b"], [", b"],[", 1), False),
+    "two-spaces": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0,  1, "), False),
+    "tab": (lambda: _bgw52_file().replace(b"[[0, 1, ", b"[[0,\t1, "), False),
+    "newline-between-rows": (lambda: _bgw52_file().replace(b"], [", b"],\n[", 1), False),
+    # 99 > max(v, nlabels) = 12, so the json reader words the run length
+    "count-past-the-digit-table": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(1, 99)), False),
+    # 2**64 + 1 wraps to 1 in int64; the digit-count bound keeps it out
+    "count-wrapping-int64": (lambda: _dumped(lambda d: d["rows"][0].__setitem__(1, 2**64 + 1)), False),
+    # "10-" would read as 100 + 0 + ("-" - "0") % 256 = 353, inside 0..400
+    "non-digit-in-a-wide-number": (
+        lambda: json.dumps({
+            "version": 1, "v": 1, "labels": [str(i) for i in range(400)], "rows": [[100, 1]]
+        }).encode().replace(b"[[100, 1]]", b"[[10-, 1]]"),
+        False,
+    ),
+    # the last row of a block at two rows a block, which ends at a row separator,
+    # and the last row of the file, which ends at "]]"
+    "relabelled-run-at-a-block-end": (lambda: _dumped(lambda d: d["rows"][7].__setitem__(2, 1)), True),
+    "relabelled-run-in-the-last-row": (lambda: _dumped(lambda d: d["rows"][11].__setitem__(2, 1)), True),
     # more labels than points: the writer's digit table has v + 1 entries
     "three-labels-one-point": (
         lambda: json.dumps({"version": 1, "v": 1, "labels": ["a", "b", "c"], "rows": [[2, 1]]}).encode(),
         True,
     ),
 }
+
+
+def _is_canonical(raw: bytes) -> bool:
+    """Whether raw, less one optional final newline, is the text json.dumps
+    gives for its record, that record has the keys of a scheme file in the
+    writer's order and passes the header checks, and every row is a list of
+    label, count pairs with each number in 0..max(v, nlabels)."""
+    try:
+        data = json.loads(raw)
+        v, labels = serialize._check_header(data)
+    except (ValueError, RecursionError):  # InputError is a ValueError
+        return False
+    keys = ["version", "v", "labels", "rows"]
+    top = max(v, len(labels))
+    return raw.removesuffix(b"\n") == json.dumps(data).encode() and list(data) in (
+        keys, keys + ["provenance"]
+    ) and all(
+        isinstance(row, list) and row and len(row) % 2 == 0
+        and all(_is_int(x) and 0 <= x <= top for x in row)
+        for row in data["rows"]
+    )
 
 
 def _outcome(raw: bytes):
@@ -720,6 +765,40 @@ class TestFileFuzz:
             outcomes.add(_outcome(raw))
         (code, err, _), = outcomes
         assert err == "" if code == 0 else len(err.splitlines()) == 1
+
+    def test_count_past_the_digit_table_is_a_run_length_error(self):
+        raw = MUTATED_FILES["count-past-the-digit-table"][0]()
+        assert _verify_in(raw) == (1, "input error: row 0 has a run length outside 1..12\n")
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_single_byte_edits_are_taken_exactly_when_canonical(self, data):
+        # a byte substituted, inserted or deleted in a saved file; the
+        # canonical reader takes the result exactly when it is the text
+        # json.dumps gives for its record, less one optional final newline,
+        # with a header that passes and rows of label, count pairs in the
+        # digit table 0..max(v, nlabels), and then reads what the json reader
+        # reads
+        raw = data.draw(st.sampled_from([_bgw52_file(), _gh3_file()]))
+        edit = data.draw(st.sampled_from(["substitute", "insert", "delete"]))
+        i = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+        byte = data.draw(st.sampled_from([bytes([c]) for c in b"0123456789, []\t\n+-."]))
+        raw = raw[:i] + (byte if edit != "delete" else b"") + raw[i + (edit != "insert"):]
+        try:
+            read = serialize._read_canonical(raw)
+        except InputError as e:
+            read = str(e)
+        assert (read is not None) == _is_canonical(raw)
+        if read is not None:
+            record = json.loads(raw)
+            try:
+                want = serialize._label_matrix(record), record["labels"], record.get("provenance")
+            except InputError as e:
+                want = str(e)
+            if isinstance(read, str) or isinstance(want, str):
+                assert read == want
+            else:
+                assert np.array_equal(read[0], want[0]) and read[1:] == want[1:]
 
     @given(st.data())
     def test_well_formed_record_is_verified(self, data):

@@ -115,6 +115,10 @@ class TestBGW:
         with pytest.raises(VerificationError, match="^matrix is not square$"):
             verify_bgw(bgw_matrix(7, 3)[:, :-1], 3)
 
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(VerificationError, match="^matrix is not square$"):
+            verify_bgw(np.zeros((), dtype=int), 2)
+
     def test_lambda_not_divisible_rejected(self):
         # bgw 7,3 has entries below 3 < 4 and one blank per row; lambda = 6
         with pytest.raises(VerificationError, match="^lambda=6 not divisible by m=4$"):
@@ -269,10 +273,12 @@ class TestSGDD:
             # 4 % 0 would divide by zero, and 4 % -2 == 0 gives -2 groups
             (CIRCULANT_1100, 0, "bad shape or group size"),
             (CIRCULANT_1100, -2, "bad shape or group size"),
+            # a 0-D array has no shape[0]
+            (0, 1, "bad shape or group size"),
         ],
         ids=[
             "not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group",
-            "zero-group-size", "negative-group-size",
+            "zero-group-size", "negative-group-size", "zero-dimensional",
         ],
     )
     def test_each_failure_is_named(self, rows, group_size, want):
@@ -356,6 +362,10 @@ class TestOneFactorization:
     def test_no_factors_rejected(self):
         with pytest.raises(VerificationError, match="^no factors$"):
             verify_one_factorization([])
+
+    def test_factor_that_is_no_matrix_rejected(self):
+        with pytest.raises(VerificationError, match="^factor is not a square matrix$"):
+            verify_one_factorization([np.zeros(3, dtype=int)])
 
     def test_fixed_point_rejected(self):
         factors = one_factorization(5)
