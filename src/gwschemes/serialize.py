@@ -196,8 +196,16 @@ def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np
     if (a[sp - 1] != _COMMA).any():
         return None
     row_sep = a[sp - 2] == _CLOSE
-    start = np.append(s, sp + 1 + row_sep)  # the numbers between the separators
-    width = np.append(sp - 1 - row_sep, e) - start
+    # number k runs from the end of separator k - 1 to the start of separator
+    # k, a byte from its space for ", " and two for "], ["; filled in place,
+    # so that three arrays of the separator count are alive at once
+    start, width = np.full(len(sp) + 1, s), np.full(len(sp) + 1, e)
+    np.add(sp, row_sep, out=start[1:])
+    start[1:] += 1
+    np.subtract(sp, row_sep, out=width[:-1])
+    width[:-1] -= 1
+    width -= start
+    del sp
     if width.min() < 1 or width.max() > len(str(top)):
         return None
     runs = a[start] - _ZERO  # uint8, so a byte below "0" wraps past 9 too
@@ -211,7 +219,7 @@ def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np
             return None
         runs[wide] = 10 * runs[wide] + digit
         wide = wide[width[wide] > j + 1]
-    items = np.diff(np.flatnonzero(row_sep), prepend=-1, append=len(sp))
+    items = np.diff(np.flatnonzero(row_sep), prepend=-1, append=len(row_sep))
     if runs.max() > top or (items % 2).any():
         return None
     return runs, items // 2
@@ -228,8 +236,8 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     The record with its rows cut out, which holds "rows": [], is parsed with
     json in one call; with the row count, one more than the number of "]"
     in the rows text, it passes _check_header, and the text around the rows
-    is the writer's.  The rows text is then read as bytes, in one pass per block of
-    rows, and taken only when it is json.dumps text:
+    is the writer's.  The rows text is then read as bytes, in one pass per
+    block of rows, and taken only when it is json.dumps text:
 
     1. The separators tile the text.  Every "]" must start "], [", every
        space must end ", " or be the third byte of such a "], [", and the
@@ -276,9 +284,9 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
         return None
     bounds = np.concatenate([[cut - 4], closes, [end]])  # row x is bounds[x] + 4 .. bounds[x + 1]
     L = np.empty((v, v), dtype=label_dtype(len(labels)))
-    error = None
+    top, error = max(v, len(labels)), None
     for b in row_blocks(v):
-        read = _block_runs(a, bounds[b.start] + 4, bounds[b.stop], max(v, len(labels)))
+        read = _block_runs(a, bounds[b.start] + 4, bounds[b.stop], top)
         if read is None:
             return None
         error = error or _fill_rows(L[b], b.start, *read, len(labels))
