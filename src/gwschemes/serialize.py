@@ -228,8 +228,8 @@ def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np
 def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     """The label matrix, labels and provenance of a scheme file that is the
     text json.dumps gives for them, runs of any length and the final newline
-    optional; None for every other file, and for a row of odd length or a
-    number outside 0..max(v, nlabels), which the json reader words.  The
+    optional; None for every other file, and for a row of odd or no length
+    or a number outside 0..max(v, nlabels), which the json reader words.  The
     first row that _fill_rows rejects raises its InputError, once every
     block of rows has matched.
 
