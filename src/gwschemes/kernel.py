@@ -6,7 +6,8 @@ Q(zeta_M)[sqrt(d)] of CycField.structure (D = deg entries, or 2*deg with
 a radical part); a batch of scalars is a Batch with one class.  A CycScalar
 is one such integer vector with a denominator of its own, so pack brings
 scalars to a common denominator and scalars divides each entry back to
-lowest terms.
+lowest terms.  The spectra keep each block of matrix units in its own
+lowest terms, and join blocks with joined only for a sum across them.
 With the intersection tensor p of the scheme and the structure tensor c of
 the field, a product of elements is
 
@@ -31,6 +32,7 @@ picks one of two tiers from it alone (exact):
   classical loops), not a Strassen-type algorithm, whose intermediate sums
   are not partial sums of the terms.
 * object dtype otherwise, whose entries are Python integers of unbounded size.
+  No block of the two families reaches it, each in its own lowest terms.
 
 Either way the result is exact.  A float64 result converts back to int64
 before it is stored, so Batch.num is always int64 or object.
@@ -47,7 +49,7 @@ so a partial sum of the GEMM is a sum over a subset of the terms.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -112,6 +114,12 @@ def pack(field: CycField, rows: list[list[CycScalar | None]]) -> Batch:
     return Batch(*exact(absmax(num), num), den)
 
 
+def joined(batches: list[Batch]) -> Batch:
+    """The batches stacked along their first axis, over their denominators' lcm."""
+    den = lcm(*(b.den for b in batches))
+    return Batch(np.concatenate([_scaled(b.num, den // b.den) for b in batches]), den)
+
+
 def scalars(field: CycField, b: Batch) -> list[CycScalar]:
     """The entries of b, flattened in C order, as normalized scalars."""
     return [CycScalar(field, vec, b.den) for vec in b.num.reshape(-1, field.dim).tolist()]
@@ -122,7 +130,9 @@ def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:
     axis of x; the len(w) combinations take the place of that axis."""
     bound = absmax(x.num) * int(np.abs(w).sum(axis=1).max(initial=0))
     wn, xn = exact(bound, w, x.num)
-    return Batch(np.moveaxis(np.tensordot(wn, xn, axes=([1], [axis])), 0, axis), x.den)
+    lead, n, rest = xn.shape[:axis], xn.shape[axis], xn.shape[axis + 1 :]
+    z = wn @ xn.reshape(lead + (n, prod(rest)))  # one GEMM per index of the axes before axis
+    return Batch(z.reshape(lead + (len(wn),) + rest), x.den)
 
 
 def algebra_mul(x: Batch, y: Batch, p: np.ndarray, field: CycField) -> Batch:

@@ -158,6 +158,14 @@ class AssociationScheme:
         # the rows R and, for the pair counts, the columns R as rows
         rows, cols = (L, L.T) if len(reps) == v else (L[reps], L[:, reps].T)
 
+        # A_0 = I exactly when the diagonal is 0 and each row holds one 0
+        if (np.diagonal(L) != 0).any() or np.count_nonzero(rows == 0) != len(reps):
+            raise NotAScheme("A_0 must be the identity")
+        # row 0 meets every class, so a scheme has nm <= v: refused before
+        # any array of nm or nm**2 counts
+        if nm > v:
+            raise NotAScheme("some relation is empty")
+
         # pairs[i, j]: positions (x, y), x in R, with L[x, y] = i and L[y, x] = j
         pairs = np.zeros(nm * nm, dtype=np.int64)
         for b in row_blocks(v, len(reps)):
@@ -165,8 +173,6 @@ class AssociationScheme:
             pairs += np.bincount(cells.reshape(-1), minlength=nm * nm)
         pairs = pairs.reshape(nm, nm)
         counts = pairs.sum(axis=1)
-        if (np.diagonal(L) != 0).any() or counts[0] != len(reps):
-            raise NotAScheme("A_0 must be the identity")
         if (counts == 0).any():
             raise NotAScheme("some relation is empty")
         # A_i^T = A_j exactly when every transposed position of class i has

@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import CycField, CycScalar
 from .builders import bgw_automorphisms, gh_automorphisms
-from .designs import MAX_POINTS
+from . import designs
 from .errors import InputError
 from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
 from .spectra import provenance_parameters
@@ -166,8 +166,8 @@ def _check_header(data) -> tuple[int, list]:
         raise InputError(str(e)) from None
     if not isinstance(rows, list) or len(rows) != v:
         raise InputError(f"v is {v} but rows is not a list of {v} rows")
-    if v > MAX_POINTS:
-        raise InputError(f"{v} points exceed the limit of {MAX_POINTS}")
+    if v > designs.MAX_POINTS:  # read at call time, so raising the limit lifts it here too
+        raise InputError(f"{v} points exceed the limit of {designs.MAX_POINTS}")
     if not isinstance(data.get("provenance", {}), dict):
         raise InputError("provenance must be a JSON object")
     return v, labels
@@ -233,11 +233,13 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     first row that _fill_rows rejects raises its InputError, once every
     block of rows has matched.
 
-    The record with its rows cut out, which holds "rows": [], is parsed with
-    json in one call; with the row count, one more than the number of "]"
-    in the rows text, it passes _check_header, and the text around the rows
-    is the writer's.  The rows text is then read as bytes, in one pass per
-    block of rows, and taken only when it is json.dumps text:
+    The rows text ends at the first "]]", which the numpy scan that finds
+    every "]" of the rows text finds too.  The record with its rows cut out,
+    which holds "rows": [], is parsed with json in one call; with the row
+    count, one more than the number of "]" in the rows text, it passes
+    _check_header, and the text around the rows is the writer's.  The rows
+    text is then read as bytes, in one pass per block of rows, and taken
+    only when it is json.dumps text:
 
     1. The separators tile the text.  Every "]" must start "], [", every
        space must end ", " or be the third byte of such a "], [", and the
@@ -258,18 +260,25 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     one takes.
     """
     cut = raw.find(_ROWS) + len(_ROWS)
-    end = raw.find(b"]]", cut)
-    if cut < len(_ROWS) or end < 0 or raw[:1] != b"{":  # _head opens an object
+    if cut < len(_ROWS) or raw[:1] != b"{":  # _head opens an object
+        return None
+    a = np.frombuffer(raw, dtype=np.uint8)
+    closes = []  # every "]" of the rows text, scanned _SCAN bytes at a time
+    for i in range(cut, len(a) - 1, _SCAN):  # the last byte cannot start "]]"
+        block = np.flatnonzero(a[i : min(i + _SCAN, len(a) - 1)] == _CLOSE) + i
+        doubled = np.flatnonzero(a[block + 1] == _CLOSE)
+        if len(doubled):  # the rows text ends at the first "]]"
+            end = int(block[doubled[0]])
+            closes.append(block[: doubled[0]])
+            break
+        closes.append(block)
+    else:
         return None
     try:
         data = json.loads(raw[: cut - 1] + raw[end + 1 :])
     except (ValueError, RecursionError):  # not JSON, or nested too deep to parse
         return None
-    a = np.frombuffer(raw, dtype=np.uint8)
-    closes = np.concatenate([  # every "]" of the rows text, scanned _SCAN bytes at a time
-        np.flatnonzero(a[i : min(i + _SCAN, end)] == _CLOSE) + i
-        for i in range(cut, end + 1, _SCAN)
-    ])
+    closes = np.concatenate(closes)
     data["rows"] = [None] * (len(closes) + 1)  # the row count, for _check_header
     try:
         v, labels = _check_header(data)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -87,10 +87,7 @@ def _copy(blk: Block) -> Block:
 
 def _indicator(partition: list[list[int]], nm: int) -> np.ndarray:
     """The 0/1 matrix [class l lies in cell t]."""
-    out = np.zeros((len(partition), nm), dtype=np.int64)
-    for t, cell in enumerate(partition):
-        out[t, cell] = 1
-    return out
+    return np.array([[l in cell for l in range(nm)] for cell in partition], dtype=np.int64)
 
 
 def _table(field: CycField, X: Batch) -> list[list[CycScalar]]:
@@ -100,18 +97,33 @@ def _table(field: CycField, X: Batch) -> list[list[CycScalar]]:
     return [flat[r : r + w] for r in range(0, len(flat), w)]
 
 
-def _q(alg: SchemeAlgebra, X: Batch, classes: list[int]) -> Batch:
-    """Q[t, k] = v * (coefficient of classes[t] in X[k]), as a batch of scalars."""
-    cols = Batch(X.num[:, classes].swapaxes(0, 1)[:, :, None, :], X.den)
-    return kernel.combine(alg.scheme.v * np.eye(len(classes), dtype=np.int64), cols)
+def _q(alg: SchemeAlgebra, X: list[Batch], classes: list[int]) -> list[list[CycScalar]]:
+    """Q[t][k] = v * (coefficient of classes[t] in element k), the elements of
+    the batches X side by side, one set of columns per batch."""
+    w = alg.scheme.v * np.eye(len(classes), dtype=np.int64)
+    cols = [Batch(x.num[:, classes].swapaxes(0, 1)[:, :, None, :], x.den) for x in X]
+    tables = [_table(alg.field, kernel.combine(w, c)) for c in cols]
+    return [[e for row in rows for e in row] for rows in zip(*tables)]
+
+
+def _pairs(d: int) -> list[tuple[int, int]]:
+    """The units (i, j) of a block of dim d, row-major: unit (i, j) is row
+    d (i - 1) + j - 1 of the block's batch."""
+    return [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+
+
+def _transposed(d: int) -> np.ndarray:
+    """The row of unit (j, i) in the place of each unit (i, j) of a block."""
+    return np.arange(d * d).reshape(d, d).T.ravel()
 
 
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra.
 
     The blocks are copied once, on entry, and that copy is checked, packed
-    into one read-only Batch and kept as a tuple; every check and table
-    reads the copy and the batch, and blocks returns fresh copies on each
+    once and split into one read-only Batch per block, each in its own lowest
+    terms; the copy and the batches are kept as tuples.  Every check and
+    table reads them block by block, and blocks returns fresh copies on each
     access, so no later edit of the caller's blocks or of a returned one
     changes anything the eigensystem reports.  No attribute can be set after
     construction, so the eigensystem stays the certificate it was built as.
@@ -119,12 +131,11 @@ class Eigensystem:
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
         blocks = tuple(map(_copy, blocks))
-        keys = []  # (block, i, j) of every unit, in row_index() order
         classes = range(algebra.scheme.nclasses)
-        for bi, blk in enumerate(blocks):
+        for blk in blocks:
             if type(blk.dim) is not int or blk.dim < 1:
                 raise VerificationError(f"block {blk.name} has dim {blk.dim!r}, not a positive int")
-            square = [(i, j) for i in range(1, blk.dim + 1) for j in range(1, blk.dim + 1)]
+            square = _pairs(blk.dim)
             missing = [key for key in square if key not in blk.units]
             extra = sorted((key for key in blk.units if key not in square), key=str)
             if missing or extra:
@@ -140,12 +151,13 @@ class Eigensystem:
                         raise VerificationError(f"{at} outside 0..{len(classes) - 1}")
                     of = repr(x.field) if isinstance(x, CycScalar) else f"type {type(x).__name__}"
                     raise VerificationError(f"{at} entry of {of}, not of {algebra.field!r}")
-            keys += [(bi, i, j) for i, j in square]
-        U = algebra.pack([blocks[b].units[(i, j)] for b, i, j in keys])
-        U.num.flags.writeable = False
-        pos = {key: n for n, key in enumerate(keys)}
-        adj = [pos[(b, j, i)] for b, i, j in keys]  # E_ji in the place of E_ij
-        vars(self).update(algebra=algebra, _blocks=blocks, _keys=keys, _pos=pos, _adj=adj, _U=U)
+        U = algebra.pack([blk.units[ij] for blk in blocks for ij in _pairs(blk.dim)])
+        units = []
+        for num in np.split(U.num, np.cumsum([blk.dim**2 for blk in blocks])[:-1]):
+            g = gcd(U.den, int(np.gcd.reduce(num, axis=None)))  # the block in lowest terms
+            units.append(Batch(num // g, U.den // g))
+            units[-1].num.flags.writeable = False
+        vars(self).update(algebra=algebra, _blocks=blocks, _units=tuple(units))
         vars(self)["_mult"] = self.verify()
 
     def __setattr__(self, name, value):
@@ -158,7 +170,7 @@ class Eigensystem:
 
         Checked, in this order: the count sum_k d_k^2 = nm, the unit relations
         inside each block (sum_k d_k^4 products), sum_k sum_i E^k_ii = A_0,
-        the adjoint pairs and m_k >= 1 (_multiplicities).  Then:
+        the adjoint pairs and m_k >= 1 (below).  Then:
 
         - m_k = tr E_11 >= 1 makes E_11 != 0, so every E_ii of the block is
           nonzero, since E_11 = E_1i E_ii E_i1.
@@ -171,38 +183,12 @@ class Eigensystem:
           |x|^2 = sum_b |e_b x|^2), so E^a_ij E^b_kl = E^a_ij e_a e_b E^b_kl = 0
           for a != b: the relations across blocks hold.
 
-        Every check runs before the eigensystem exists, so their order does
-        not matter for soundness.
-        """
-        alg, blocks = self.algebra, self._blocks
-        keys, U = self._keys, self._U
-        if len(keys) != alg.scheme.nclasses:
-            raise VerificationError("sum of squared block dimensions must equal the class count")
-        start = 0
-        for blk in blocks:
-            d, Ub = blk.dim, U[start : start + blk.dim**2]
-            # E_ij E_kl = [j = k] E_il, with unit (i, j) in row d i + j of Ub (0-based)
-            i, j = np.divmod(np.arange(d * d), d)
-            W = np.where((j[:, None] == i)[..., None, None], Ub.num[i[:, None] * d + j], 0)
-            bad = ~alg.mul(Ub, Ub).equal(Batch(W, U.den))
-            if bad.any():
-                # the first failure in row-major order of the block's unit pairs
-                (_, i, j), (_, k, l) = (keys[start + n] for n in np.argwhere(bad)[0])
-                pair = f"block {blk.name} ({i},{j}) times block {blk.name} ({k},{l})"
-                raise VerificationError(f"unit relation failed: {pair}")
-            start += d * d
-        e = kernel.combine(np.array([[i == j for _, i, j in keys]], dtype=np.int64), U).num.ravel()
-        if e[0] != U.den or e[1:].any():
-            raise VerificationError("diagonal units do not sum to the identity")
-        adj = kernel.adjoint(U, alg.scheme.tpose, alg.field)
-        bad = ~adj.equal(U[self._adj])
-        if bad.any():
-            b, i, j = keys[np.flatnonzero(bad)[0]]
-            raise VerificationError(f"adjoint failed in block {blocks[b].name} at ({i},{j})")
-        return self._multiplicities(keys, U)
+        Each check but the identity sum reads one block's batch at a time;
+        that sum is taken over the lcm of the block denominators.  Every
+        check runs before the eigensystem exists, so their order does not
+        matter for soundness.
 
-    def _multiplicities(self, keys: list[tuple[int, int, int]], U: Batch) -> list[int]:
-        """m_k = tr E_11 = v * (coefficient of A_0 in E_11), the multiplicity
+        m_k = tr E_11 = v * (coefficient of A_0 in E_11) is the multiplicity
         of block k's irreducible in the standard module, for units that pass
         the unit relations.  Only m_k >= 1 is checked; the rest is a theorem:
 
@@ -211,18 +197,39 @@ class Eigensystem:
           its other coordinates over the field's Q-basis are 0.
         - tr E_ii = tr(E_ij E_ji) = tr(E_ji E_ij) = tr E_jj, so the diagonal
           units of a block have equal rank.
-        - The diagonal units sum to I (verify), so sum_k d_k m_k = tr I = v.
+        - The diagonal units sum to I (above), so sum_k d_k m_k = tr I = v.
 
         m_k = 0 exactly when E_11 = 0, which the unit relations allow (a zero
         block satisfies all of them), so that one check stays.
         """
-        v = self.algebra.scheme.v
-        first = [n for n, (_, i, j) in enumerate(keys) if i == j == 1]
-        out = [int(t) * v // U.den for t in U.num[first, 0, 0]]
-        for blk, mk in zip(self._blocks, out):
+        alg, blocks, units = self.algebra, self._blocks, self._units
+        if sum(blk.dim**2 for blk in blocks) != alg.scheme.nclasses:
+            raise VerificationError("sum of squared block dimensions must equal the class count")
+        for blk, Ub in zip(blocks, units):
+            d = blk.dim
+            # E_ij E_kl = [j = k] E_il, with unit (i, j) in row d i + j of Ub (0-based)
+            i, j = np.divmod(np.arange(d * d), d)
+            W = np.where((j[:, None] == i)[..., None, None], Ub.num[i[:, None] * d + j], 0)
+            bad = ~alg.mul(Ub, Ub).equal(Batch(W, Ub.den))
+            if bad.any():
+                # the first failure in row-major order of the block's unit pairs
+                (i, j), (k, l) = (_pairs(d)[n] for n in np.argwhere(bad)[0])
+                pair = f"block {blk.name} ({i},{j}) times block {blk.name} ({k},{l})"
+                raise VerificationError(f"unit relation failed: {pair}")
+        diag = kernel.joined([Ub[:: blk.dim + 1] for blk, Ub in zip(blocks, units)])
+        e = kernel.combine(np.ones((1, len(diag.num)), dtype=np.int64), diag).num.ravel()
+        if e[0] != diag.den or e[1:].any():
+            raise VerificationError("diagonal units do not sum to the identity")
+        for blk, Ub in zip(blocks, units):
+            bad = ~kernel.adjoint(Ub, alg.scheme.tpose, alg.field).equal(Ub[_transposed(blk.dim)])
+            if bad.any():
+                i, j = _pairs(blk.dim)[np.flatnonzero(bad)[0]]
+                raise VerificationError(f"adjoint failed in block {blk.name} at ({i},{j})")
+        mult = [int(Ub.num[0, 0, 0]) * alg.scheme.v // Ub.den for Ub in units]
+        for blk, mk in zip(blocks, mult):
             if mk < 1:
                 raise VerificationError(f"block {blk.name} has multiplicity 0")
-        return out
+        return mult
 
     # -- derived data --
 
@@ -231,12 +238,12 @@ class Eigensystem:
 
     def row_index(self) -> list[tuple[str, int, int]]:
         """P-row / Q-column order: blocks in order, (i, j) lexicographic."""
-        return [(self._blocks[b].name, i, j) for b, i, j in self._keys]
+        return [(blk.name, i, j) for blk in self._blocks for i, j in _pairs(blk.dim)]
 
     @cached_property
-    def _phi(self) -> Batch:
-        """The images as a batch of scalars phi[unit, l], computed on first
-        use.
+    def _phi(self) -> tuple[Batch, ...]:
+        """The images as one batch of scalars phi[unit, l] per block, over the
+        block's denominator times m_k, computed on first use.
 
         Read off the verified units by the trace form.  The units are a basis
         of the algebra (verify), so A_l is the sum over the units of
@@ -251,42 +258,33 @@ class Eigensystem:
         So A_l = sum phi E_ij, and E_ii A_l E_jj = phi E_ij, are theorems, and
         phi needs no check of its own.
         """
-        alg = self.algebra
-        L = lcm(*self._mult)
-        scale = np.diag([alg.scheme.v * L // self._mult[b] for b, _, _ in self._keys])
-        Ut = self._U[self._adj]
-        X = kernel.combine(alg.scheme.p[:, :, 0].T, kernel.combine(scale, Ut), axis=1)
-        return Batch(X.num[:, :, None, :], X.den * L)
+        blocks, w = self._blocks, self.algebra.scheme.v * self.algebra.scheme.p[:, :, 0].T
+        X = [kernel.combine(w, U[_transposed(b.dim)], axis=1) for b, U in zip(blocks, self._units)]
+        return tuple(Batch(x.num[:, :, None, :], x.den * mk) for x, mk in zip(X, self._mult))
 
     def phi_matrices(self) -> list[list[list[list[CycScalar]]]]:
         """phis[k][l][i-1][j-1] = (i,j) entry of the image of A_l in block k,
-        formatted from the certified batch _phi on each call."""
-        nm = self.algebra.scheme.nclasses
-        P = _table(self.algebra.field, self._phi)
-        dims = [range(1, blk.dim + 1) for blk in self._blocks]
-        return [
-            [[[P[self._pos[(b, i, j)]][l] for j in d] for i in d] for l in range(nm)]
-            for b, d in enumerate(dims)
-        ]
+        formatted from the certified batches _phi on each call."""
+        L, field = range(self.algebra.scheme.nclasses), self.algebra.field
+        tabs = [(range(b.dim), _table(field, phi)) for b, phi in zip(self._blocks, self._phi)]
+        return [[[[P[len(d) * i + j][l] for j in d] for i in d] for l in L] for d, P in tabs]
 
     def eigenmatrix_p(self) -> list[list[CycScalar]]:
         """Rows indexed by row_index(), columns by class: the entries of
         phi_matrices()."""
-        phis = self.phi_matrices()
-        nm = self.algebra.scheme.nclasses
-        return [[phis[b][l][i - 1][j - 1] for l in range(nm)] for b, i, j in self._keys]
+        L, phis = range(self.algebra.scheme.nclasses), zip(self._blocks, self.phi_matrices())
+        return [[phi[l][i - 1][j - 1] for l in L] for b, phi in phis for i, j in _pairs(b.dim)]
 
     def eigenmatrix_q(self) -> list[list[CycScalar]]:
         """Rows indexed by class, columns by row_index(); Q[l][col] = v * coeff."""
-        Q = _q(self.algebra, self._U, list(range(self.algebra.scheme.nclasses)))
-        return _table(self.algebra.field, Q)
+        return _q(self.algebra, self._units, list(range(self.algebra.scheme.nclasses)))
 
     def character_table(self) -> list[list[CycScalar]]:
         """T[k][l] = trace of the image of A_l in block k (plain trace)."""
-        keys = self._keys
-        traces = [[b == k and i == j for b, i, j in keys] for k in range(len(self._blocks))]
-        T = kernel.combine(np.array(traces, dtype=np.int64), self._phi)
-        return _table(self.algebra.field, T)
+        # the diagonal units (i, i) of a block of dim d are its rows 0, d + 1, ...
+        diag = [(b.dim, phi[:: b.dim + 1]) for b, phi in zip(self._blocks, self._phi)]
+        T = [kernel.combine(np.ones((1, d), dtype=np.int64), X) for d, X in diag]
+        return [row for t in T for row in _table(self.algebra.field, t)]
 
     def check_pq_duality(self) -> bool:
         """Entrywise m_k P[(k,ij),l] = k_l conj(Q[l,(k,ij)]), k_l the valency
@@ -452,10 +450,12 @@ def gh_symmetric_fusion(q: int) -> list[list[int]]:
     return _negation_orbits(odd_field(q).neg_t) + [[2 * q]]
 
 
-def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> Batch:
+def _fused_sums(es: Eigensystem, partition: list[list[int]]) -> list[Batch]:
     """S[unit, t] = sum over the classes l of cell t of phi[unit, l]: the
-    images of the fused class sums, as a batch of scalars of shape (unit, t)."""
-    return kernel.combine(_indicator(partition, es.algebra.scheme.nclasses), es._phi, axis=1)
+    images of the fused class sums, as one batch of scalars of shape
+    (unit, t) per block."""
+    cells = _indicator(partition, es.algebra.scheme.nclasses)
+    return [kernel.combine(cells, phi, axis=1) for phi in es._phi]
 
 
 class FusedEigensystem:
@@ -463,8 +463,8 @@ class FusedEigensystem:
 
     For a 1-dimensional block the idempotent carries over; a 2-dimensional
     block contributes e+- = (E_11 + E_22 +- (E_12 + E_21)) / 2.  The
-    idempotents are integer combinations of the Eigensystem's packed units,
-    and its certificate already proves what they need:
+    idempotents are integer combinations of the Eigensystem's units, block by
+    block, and its certificate already proves what they need:
 
     - With S = E_11 + E_22 and T = E_12 + E_21, the unit relations give
       S^2 = T^2 = S and S T = T S = T.  So e+-^2 = e+-, e+ e- = 0 and
@@ -485,12 +485,13 @@ class FusedEigensystem:
     u = (1, +-1).  By the unit relations e A^_t = c e exactly when
     u^T M_t = c u^T, and A^_t e = c e exactly when M_t u = c u.  For either
     sign both hold exactly when a + b' = b + d and a + b = b' + d, that is
-    b = b' and a = d: S is unchanged when the block's units are read in
-    reverse (mirror).  Then c = a +- b = (1/2) sum_n twice[n] S[n, t], with
-    the weights that build the idempotents; a 1-dimensional block has
-    e = E_11 and c = S[(1,1), t], the same sum.  The idempotents are kept as
-    a Batch with read-only numerators.  A malformed partition raises
-    ValueError (see schemes.check_partition).
+    b = b' and a = d: the block's S is unchanged when its units are read in
+    reverse, (i, j) -> (3-i, 3-j).  Then c = a +- b = (1/2) sum_n twice[n]
+    S[n, t], with the weights that build the idempotents; a 1-dimensional
+    block has e = E_11 and c = S[(1,1), t], the same sum.  Every table is
+    computed block by block; the idempotents are kept as one Batch over the
+    lcm of the block denominators, with read-only numerators.  A malformed
+    partition raises ValueError (see schemes.check_partition).
 
     Like the Eigensystem, it is frozen: no attribute can be set after
     construction, names, multiplicities, fused_valencies, partition, qhat
@@ -510,36 +511,42 @@ class FusedEigensystem:
     def __init__(self, es: Eigensystem, partition: list[list[int]]):
         alg = es.algebra
         cells = check_partition(partition, alg.scheme.nclasses)
-        names: list[str] = []
-        mult: list[int] = []
-        twice = []  # each idempotent times 2, as weights over the units
-        mirror: list[int] = []  # the unit (d+1-i, d+1-j) of each unit (i, j)
-        start, width = 0, len(es._keys)
-        for blk, mk in zip(es._blocks, es._mult):
-            if blk.dim not in (1, 2):
-                raise VerificationError("blocks of dimension > 2 not supported")
-            # the units of a block in order (1,1), (1,2), (2,1), (2,2)
-            signs = {"": [2]} if blk.dim == 1 else {"+": [1, 1, 1, 1], "-": [1, -1, -1, 1]}
-            for suffix, w in signs.items():
-                names.append(blk.name + suffix)
-                mult.append(mk)
-                twice.append([0] * start + w + [0] * (width - start - len(w)))
-            mirror += range(start + blk.dim**2 - 1, start - 1, -1)
-            start += blk.dim**2
-        vars(self).update(algebra=alg, _partition=cells, _names=tuple(names), _mult=tuple(mult))
-        twice = np.array(twice)
-        E = kernel.combine(twice, es._U)
-        E = Batch(E.num, 2 * E.den)
-        E.num.flags.writeable = False
-        valencies = _indicator(cells, alg.scheme.nclasses) @ alg.scheme.valencies
-        qhat = _table(alg.field, self._fused_q(E))
-        phat = _table(alg.field, self._fused_p(_fused_sums(es, cells), twice, mirror))
-        vars(self).update(
-            _E=E,
-            _valencies=tuple(valencies.tolist()),
-            _qhat=tuple(map(tuple, qhat)),
-            _phat=tuple(map(tuple, phat)),
-        )
+        if any(blk.dim > 2 for blk in es._blocks):
+            raise VerificationError("blocks of dimension > 2 not supported")
+        # each block's idempotents by name, with their weights times 2 over the
+        # block's units in order (1,1), (1,2), (2,1), (2,2)
+        signs = [
+            {b.name: [2]} if b.dim == 1
+            else {b.name + "+": [1, 1, 1, 1], b.name + "-": [1, -1, -1, 1]}
+            for b in es._blocks
+        ]
+        twice = [np.array(list(sign.values())) for sign in signs]
+        E = [Batch(e.num, 2 * e.den) for e in map(kernel.combine, twice, es._units)]
+        # Q^: rows fused classes, columns idempotents, entries v * coefficient
+        indicator, firsts = _indicator(cells, alg.scheme.nclasses), [cell[0] for cell in cells]
+        if any((e.num != e.num[:, indicator.T @ firsts]).any() for e in E):
+            raise VerificationError("idempotent coefficients not constant on a fused class")
+        qhat = tuple(map(tuple, _q(alg, E, firsts)))
+        # P^: the eigenvalues c[idempotent, t] with e A^_t = A^_t e = c e, read
+        # off the fused-class sums S[unit, t] (see above)
+        phat = []
+        for sign, w, S in zip(signs, twice, _fused_sums(es, cells)):
+            odd = (~S.equal(S[::-1])).astype(np.int64)  # (unit, t)
+            bad = (w != 0).astype(np.int64) @ odd  # (idempotent, t)
+            if bad.any():
+                k, t = np.argwhere(bad)[0]
+                raise VerificationError(
+                    f"fused class {t} does not act as a scalar on idempotent {list(sign)[k]}"
+                )
+            c = kernel.combine(w, S)
+            phat += _table(alg.field, Batch(c.num, 2 * c.den))
+        idempotents = kernel.joined(E)
+        idempotents.num.flags.writeable = False
+        names = tuple(name for sign in signs for name in sign)
+        mult = tuple(mk for mk, sign in zip(es._mult, signs) for _ in sign)
+        vars(self).update(algebra=alg, _partition=cells, _names=names, _mult=mult, _E=idempotents)
+        valencies = tuple((indicator @ alg.scheme.valencies).tolist())
+        vars(self).update(_valencies=valencies, _qhat=qhat, _phat=tuple(map(tuple, phat)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name}: a verified FusedEigensystem is frozen")
@@ -551,26 +558,6 @@ class FusedEigensystem:
     qhat = property(lambda self: [list(row) for row in self._qhat])
     phat = property(lambda self: [list(row) for row in self._phat])
     idempotents = property(lambda self: Batch(self._E.num, self._E.den))
-
-    def _fused_q(self, E: Batch) -> Batch:
-        """Rows: fused classes; columns: idempotents; entries v * coefficient."""
-        for cell in self._partition:
-            if (E.num[:, cell] != E.num[:, cell[:1]]).any():
-                raise VerificationError("idempotent coefficients not constant on a fused class")
-        return _q(self.algebra, E, [cell[0] for cell in self._partition])
-
-    def _fused_p(self, S: Batch, twice: np.ndarray, mirror: list[int]) -> Batch:
-        """Eigenvalues c[idempotent, fused class t] with e A^_t = A^_t e = c e,
-        read off the fused-class sums S[unit, t] (see the class docstring)."""
-        odd = (~S.equal(S[mirror])).astype(np.int64)  # (unit, t)
-        bad = (twice != 0).astype(np.int64) @ odd  # (idempotent, t)
-        if bad.any():
-            k, t = np.argwhere(bad)[0]
-            raise VerificationError(
-                f"fused class {t} does not act as a scalar on idempotent {self._names[k]}"
-            )
-        c = kernel.combine(twice, S)
-        return Batch(c.num, 2 * c.den)
 
 
 # -- the fusion criterion --
@@ -651,14 +638,14 @@ def bm_search(es: Eigensystem, partition: list[list[int]]):
       search returns the same cells.
     """
     partition = check_partition(partition, es.algebra.scheme.nclasses)
-    S = _fused_sums(es, partition)  # one denominator, so numerators compare
-    groups: list[dict[tuple, list[tuple[int, int]]]] = [{} for _ in es._blocks]
-    for n, (b, i, j) in enumerate(es._keys):
-        # a tuple of ints: on the object tier the bytes of S.num are pointers
-        groups[b].setdefault(tuple(S.num[n].ravel().tolist()), []).append((i, j))
     all_cells = []
-    for block_groups in groups:
-        cells = [tuple(sorted(g)) for g in block_groups.values()]
+    # one denominator per block, so the numerators of a block's units compare
+    for blk, S in zip(es._blocks, _fused_sums(es, partition)):
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        # tuples of Python ints, which compare by value on either kernel tier
+        for ij, sig in zip(_pairs(blk.dim), S.num.reshape(blk.dim**2, -1).tolist()):
+            groups.setdefault(tuple(sig), []).append(ij)
+        cells = [tuple(sorted(g)) for g in groups.values()]
         if not _closure_ok(cells):
             return None
         all_cells.append(tuple(sorted(cells)))

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -369,6 +370,22 @@ class TestMalformedFiles:
         assert time.perf_counter() - t0 < 1.0
         assert code == 1
         assert err == f"input error: {v} points exceed the limit of {designs.MAX_POINTS}\n"
+
+    def test_more_labels_than_points_refused_before_the_pair_counts(self, tmp_path, capsys):
+        # row 0 of a scheme meets every class, so nm <= v: one point with
+        # 2,000 labels is refused before the nm**2 pair counts, 32 MB here
+        path = tmp_path / "s.json"
+        labels = [str(i) for i in range(2000)]
+        path.write_text(json.dumps({"version": 1, "v": 1, "labels": labels, "rows": [[0, 1]]}))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "verify", "--in", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err == "verification failure: some relation is empty\n"
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("where", ["bare", "provenance"])
     def test_deep_nesting_is_an_input_error(self, tmp_path, capsys, where):

@@ -15,6 +15,7 @@ from gwschemes import (
     AssociationScheme,
     CycField,
     CycScalar,
+    InputError,
     NotAScheme,
     load_scheme,
     save_scheme,
@@ -22,7 +23,7 @@ from gwschemes import (
     table_to_csv,
     table_to_json,
 )
-from gwschemes import schemes, serialize
+from gwschemes import designs, schemes, serialize
 import cases
 import file_reference
 
@@ -94,6 +95,15 @@ class TestSchemeFiles:
         data["rows"][0] = data["rows"][0][:-2]
         with pytest.raises(ValueError, match="cover"):
             serialize._label_matrix(data)
+
+    def test_point_limit_is_read_when_loading(self, tmp_path, monkeypatch):
+        # the loader reads designs.MAX_POINTS on each call, so lowering it
+        # below the 12 points of bgw 5,2 refuses a file that fits by default
+        path = tmp_path / "scheme.json"
+        save_scheme(path, cases.bgw(5, 2))
+        monkeypatch.setattr(designs, "MAX_POINTS", 11)
+        with pytest.raises(InputError, match="^12 points exceed the limit of 11$"):
+            load_scheme(path)
 
     def test_tampered_file_reverified(self, tmp_path):
         path = tmp_path / "scheme.json"

@@ -760,8 +760,10 @@ class TestVerificationTeeth:
         # doubling E_12 of block a1 in the packed units after phi was cached
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
         P = es.eigenmatrix_p()
-        with pytest.raises(AttributeError, match="^cannot set _U: a verified Eigensystem"):
-            es._U = doubled(es._U, 3)
+        units = list(es._units)
+        units[2] = doubled(units[2], 1)
+        with pytest.raises(AttributeError, match="^cannot set _units: a verified Eigensystem"):
+            es._units = tuple(units)
         assert es.eigenmatrix_p() == P
         assert es.eigenmatrix_q() == cases.bgw_es(7, 3).eigenmatrix_q()
 
@@ -778,7 +780,7 @@ class TestVerificationTeeth:
         fe = FusedEigensystem(bgw_eigensystem(scheme, 7, 3), bgw_symmetric_fusion(3))
         assert fused_record(fe) == FUSED_RECORDS[("bgw", 7, 3)]
 
-    @pytest.mark.parametrize("name", ["_U", "_keys", "_mult", "_phi", "algebra", "blocks"])
+    @pytest.mark.parametrize("name", ["_units", "_mult", "_phi", "algebra", "blocks"])
     def test_eigensystem_attributes_cannot_be_set(self, name):
         es = cases.bgw_es(7, 3)
         with pytest.raises(AttributeError, match=f"^cannot set {name}: "):
@@ -960,8 +962,9 @@ class TestPackedOnce:
 
     def test_packed_units_are_read_only(self):
         es = cases.bgw_es(7, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            es._U.num[0] = 0
+        for Ub in es._units:
+            with pytest.raises(ValueError, match="read-only"):
+                Ub.num[0] = 0
 
 
 def fused_sum(alg, cell):
@@ -1072,10 +1075,12 @@ class TestProductReferences:
     @pytest.mark.parametrize("maker,args", REFERENCE_CASES, ids=str)
     def test_units_and_idempotents_satisfy_the_product_definitions(self, maker, args):
         es = getattr(cases, maker + "_es")(*args)
-        alg, U, keys = es.algebra, es._U, es._keys
+        # the units and phi of every block, over the lcm of the block denominators
+        alg, U, phi = es.algebra, kernel.joined(es._units), kernel.joined(es._phi)
+        keys = [(b, i, j) for b, blk in enumerate(es.blocks) for i, j in sorted(blk.units)]
         pos = {key: n for n, key in enumerate(keys)}
         A = adjacency_basis(alg)
-        phiE = paired(alg, on_identity(alg, es._phi), U)
+        phiE = paired(alg, on_identity(alg, phi), U)
         # the identity sum and completeness, theorems of Eigensystem.verify and _phi
         diag = [n for n, (_, i, j) in enumerate(keys) if i == j]
         assert Batch(U.num[diag].sum(axis=0), U.den).equal(A[0])
@@ -1204,6 +1209,14 @@ class TestKernel:
         bad = mutated(es2, len(es2.blocks) - 1, (1, 2), lambda e: es2.algebra.rmul(2, e))
         with pytest.raises(VerificationError, match="unit relation failed"):
             Eigensystem(es2.algebra, bad)
+        # E_12 -> (1 + 1/65521) E_12 puts the prime 65521 into the denominator
+        # of the last block alone, and breaks E_12 E_21 = E_11
+        name = es2.blocks[-1].name
+        scaled = lambda e: es2.algebra.rmul(Fraction(65522, 65521), e)
+        prime = mutated(es2, len(es2.blocks) - 1, (1, 2), scaled)
+        pair = f"block {name} (1,2) times block {name} (2,1)"
+        with pytest.raises(VerificationError, match=f"^unit relation failed: {re.escape(pair)}$"):
+            Eigensystem(es2.algebra, prime)
         assert seen == {np.dtype(tier)}
 
     def test_tier_boundaries(self):
@@ -1211,9 +1224,13 @@ class TestKernel:
         got = [kernel.exact(b, a)[0].dtype for b in (2**53 - 1, 2**53, 2**62)]
         assert got == [np.float64, object, object]
 
-    @pytest.mark.parametrize("maker,args", REFERENCE_CASES, ids=str)
+    @pytest.mark.parametrize(
+        "maker,args", REFERENCE_CASES + [("bgw", (199, 11)), ("bgw", (751, 5))], ids=str
+    )
     def test_certify_selects_only_float64(self, monkeypatch, maker, args):
-        # one certify: Eigensystem, P, Q, T, the fused system and bm_search
+        # one certify: Eigensystem, P, Q, T, the fused system and bm_search;
+        # bgw 199,11 and 751,5 would cross 2**53 with one denominator for all
+        # blocks, but each block in its own lowest terms stays below it
         scheme = getattr(cases, maker)(*args)
         build = bgw_eigensystem if maker == "bgw" else gh_eigensystem
         fusion = bgw_symmetric_fusion(args[1]) if maker == "bgw" else gh_symmetric_fusion(*args)
@@ -1298,9 +1315,10 @@ class TestKernel:
         # and X nm**2 * D**2, under one table since D < nm for bgw; with the
         # GEMM output the peak is near three tables, at any nm
         es = cases.bgw_es(q, m)
+        U = kernel.joined(es._units)  # every unit, as packed
         tracemalloc.start()
         try:
-            z = es.algebra.mul(es._U, es._U)
+            z = es.algebra.mul(U, U)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1359,12 +1377,12 @@ class TestRankAndMaterialize:
 
 def signatures(es, partition):
     """For each block, map (i, j) -> the fused-class sums of phi
-    (_fused_sums), as one integer vector over the denominator that all of
-    them share: the keys that bm_search groups the unit pairs by."""
-    S = _fused_sums(es, partition)
-    sigs = [{} for _ in es.blocks]
-    for n, (b, i, j) in enumerate(es._keys):
-        sigs[b][(i, j)] = tuple(S.num[n].ravel().tolist())
+    (_fused_sums), as one integer vector over the denominator that the
+    block's sums share: the keys that bm_search groups the unit pairs by."""
+    sigs = []
+    for blk, S in zip(es.blocks, _fused_sums(es, partition)):
+        units = sorted(blk.units)  # row-major, the order of the block's rows
+        sigs.append({ij: tuple(S.num[n].ravel().tolist()) for n, ij in enumerate(units)})
     return sigs
 
 
