@@ -98,12 +98,11 @@ def _table(field: CycField, X: Batch) -> list[list[CycScalar]]:
 
 
 def _q(alg: SchemeAlgebra, X: list[Batch], classes: list[int]) -> list[list[CycScalar]]:
-    """Q[t][k] = v * (coefficient of classes[t] in element k), the elements of
-    the batches X side by side, one set of columns per batch."""
-    w = alg.scheme.v * np.eye(len(classes), dtype=np.int64)
-    cols = [Batch(x.num[:, classes].swapaxes(0, 1)[:, :, None, :], x.den) for x in X]
-    tables = [_table(alg.field, kernel.combine(w, c)) for c in cols]
-    return [[e for row in rows for e in row] for rows in zip(*tables)]
+    """Q[t][k] = v * (coefficient of classes[t] in element k), with k running
+    over the elements of the batches X in turn."""
+    w = alg.scheme.v * np.eye(alg.scheme.nclasses, dtype=np.int64)[classes]
+    Q = [kernel.combine(w, Batch(x.num[:, :, None, :], x.den), axis=1) for x in X]
+    return [list(col) for col in zip(*(row for q in Q for row in _table(alg.field, q)))]
 
 
 def _pairs(d: int) -> list[tuple[int, int]]:
@@ -524,7 +523,8 @@ class FusedEigensystem:
         E = [Batch(e.num, 2 * e.den) for e in map(kernel.combine, twice, es._units)]
         # Q^: rows fused classes, columns idempotents, entries v * coefficient
         indicator, firsts = _indicator(cells, alg.scheme.nclasses), [cell[0] for cell in cells]
-        if any((e.num != e.num[:, indicator.T @ firsts]).any() for e in E):
+        first = indicator.T @ firsts  # the first class of the cell of each class
+        if any((e.num != e.num[:, first]).any() for e in E):
             raise VerificationError("idempotent coefficients not constant on a fused class")
         qhat = tuple(map(tuple, _q(alg, E, firsts)))
         # P^: the eigenvalues c[idempotent, t] with e A^_t = A^_t e = c e, read
