@@ -32,7 +32,8 @@ picks one of two tiers from it alone (exact):
   classical loops), not a Strassen-type algorithm, whose intermediate sums
   are not partial sums of the terms.
 * object dtype otherwise, whose entries are Python integers of unbounded size.
-  No block of the two families reaches it, each in its own lowest terms.
+  The spectra's blocks, each in its own lowest terms, stay below 2**53 on
+  every instance the tests certify.
 
 Either way the result is exact.  A float64 result converts back to int64
 before it is stored, so Batch.num is always int64 or object.
