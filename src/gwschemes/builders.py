@@ -81,7 +81,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import bgw_matrix, latin_square, odd_field, require_points
+from .designs import bgw_matrix, check_bgw, gh_field, latin_square
 from .schemes import AssociationScheme, label_dtype
 
 
@@ -106,14 +106,12 @@ def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
 
 def bgw_automorphisms(q: int, m: int) -> tuple[np.ndarray, ...]:
     """The three closed-form automorphisms of the module docstring, as
-    arrays of point images; ValueError unless m divides q - 1 and
-    FiniteField(q) exists.  They preserve the labels of bgw_build(q, m)
-    wherever it builds, and from_matrices checks that they do."""
-    if m < 1 or (q - 1) % m:
-        raise ValueError(f"m={m} must divide q-1={q - 1}")
+    arrays of point images, once (q, m) pass check_bgw.  They preserve the
+    labels of bgw_build(q, m), and from_matrices checks that they do."""
+    check_bgw(q, m)
     F = FiniteField(q)
     x = np.arange(q)
-    s2 = F.exp_t[2 % (q - 1)]  # s^2, with exp_t = [1] when q = 2
+    s2 = F.exp_t[2]  # s^2: every q that check_bgw admits is at least 4
     inv = F.exp_t[-F.log_t[x] % (q - 1)]  # 1 / x for x != 0
     # each map as the image of every projective point (0 is infinity, 1 + x
     # the finite x) and what it adds to a there
@@ -147,8 +145,7 @@ def gh_labels(q: int) -> list[str]:
 
 
 def _gh_label_matrix(q: int) -> np.ndarray:
-    require_points((q + 1) * q * q)
-    F = odd_field(q)
+    F = gh_field(q)
     # the tables in the compact dtype of the 2q + 1 labels, so that every
     # gather below, and L, is in that dtype
     dtype = label_dtype(2 * q + 1)
@@ -173,12 +170,10 @@ def _gh_label_matrix(q: int) -> np.ndarray:
 
 
 def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:
-    """T, S and U of the module docstring, as arrays of point images;
-    ValueError unless q is an odd prime power whose scheme has at most
-    MAX_POINTS points.  They preserve the labels of gh_build(q), and
+    """T, S and U of the module docstring, as arrays of point images, once q
+    passes gh_field.  They preserve the labels of gh_build(q), and
     from_matrices checks that they do."""
-    require_points((q + 1) * q * q)
-    F = odd_field(q)
+    F = gh_field(q)
     add, mul = F.add_t, F.mul_t
     h = F.mul(q - 1, F.inv(2))
     P, beta, y = np.ix_(np.arange(q + 1), np.arange(q), np.arange(q))

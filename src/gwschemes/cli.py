@@ -121,27 +121,25 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _write_table(fmt: str, kind: str, field, rows, cols, entries) -> None:
+    """Print a table of scalars as CSV or as one line of JSON."""
+    if fmt == "csv":
+        sys.stdout.write(table_to_csv(rows, cols, entries))
+    else:
+        json.dump(table_to_json(kind, field, rows, cols, entries), sys.stdout)
+        print()
+
+
 def _cmd_table(args) -> int:
     scheme, prov = _family_scheme(args)
     es = eigensystem_for(scheme, prov)
-    which = args.which
-    if which == "P":
-        entries = es.eigenmatrix_p()
-        rows = [f"{name}({i},{j})" for name, i, j in es.row_index()]
-        cols = list(scheme.labels)
-    elif which == "Q":
-        entries = es.eigenmatrix_q()
-        rows = list(scheme.labels)
-        cols = [f"{name}({i},{j})" for name, i, j in es.row_index()]
-    else:
-        entries = es.character_table()
-        rows = [blk.name for blk in es.blocks]
-        cols = list(scheme.labels)
-    if args.format == "json":
-        json.dump(table_to_json(which, es.algebra.field, rows, cols, entries), sys.stdout)
-        print()
-    else:
-        sys.stdout.write(table_to_csv(rows, cols, entries))
+    units = [f"{name}({i},{j})" for name, i, j in es.row_index()]
+    rows, cols, table = {
+        "P": (units, scheme.labels, es.eigenmatrix_p),
+        "Q": (scheme.labels, units, es.eigenmatrix_q),
+        "T": ([blk.name for blk in es.blocks], scheme.labels, es.character_table),
+    }[args.which]
+    _write_table(args.format, args.which, es.algebra.field, rows, cols, table())
     return 0
 
 
@@ -170,14 +168,7 @@ def _cmd_fusion(args) -> int:
                 "{" + ",".join(f"({i},{j})" for i, j in cell) + "}" for cell in cells
             )
             print(f"  block {name}: {desc}")
-    if args.format == "csv":
-        sys.stdout.write(table_to_csv(fused.labels, fes.names, fes.qhat))
-    else:
-        json.dump(
-            table_to_json("Q", es.algebra.field, fused.labels, fes.names, fes.qhat),
-            sys.stdout,
-        )
-        print()
+    _write_table(args.format, "Q", es.algebra.field, fused.labels, fes.names, fes.qhat)
     return 0
 
 
@@ -204,11 +195,26 @@ def _cmd_designs(args) -> int:
         print(f"GH({args.q},{info['lam']}) over GF({args.q})+: verified")
     else:
         L = latin_square(args.q)
-        verify_latin(L)
+        info = verify_latin(L)
+        if not (info["symmetric"] and info["idempotent"]):
+            raise VerificationError(f"Latin square is not symmetric and idempotent: {info}")
         print(f"Latin square of order {args.q} (symmetric, idempotent): verified")
         for row in L.tolist():
             print(" ".join(str(x) for x in row))
     return 0
+
+
+def _table_options(own: str, **kwargs) -> argparse.ArgumentParser:
+    """The argparse parent of a command that prints a table: --in or
+    --family, --q and --m, the command's own option, and --format."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--family", choices=["bgw", "gh"])
+    p.add_argument("--q", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument(own, **kwargs)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,22 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("table", help="print an eigenmatrix or character table")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--family", choices=["bgw", "gh"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--which", choices=["P", "Q", "T"], default="T")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    options = _table_options("--which", choices=["P", "Q", "T"], default="T")
+    p = sub.add_parser("table", help="print an eigenmatrix or character table", parents=[options])
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("fusion", help="symmetrizing fusion and its eigensystem")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--family", choices=["bgw", "gh"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--check-bm", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    options = _table_options("--check-bm", action="store_true")
+    p = sub.add_parser("fusion", help="symmetrizing fusion and its eigensystem", parents=[options])
     p.set_defaults(func=_cmd_fusion)
 
     p = sub.add_parser("designs", help="verify the underlying designs")

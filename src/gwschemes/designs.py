@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FiniteField
+from .algebra import FiniteField, factor_prime_power
 from .errors import SymmetryObstruction, VerificationError
 from .matrixkit import mm
 
@@ -30,17 +30,38 @@ BLANK = -1
 MAX_POINTS = 4096
 
 
-def require_points(v: int) -> None:
-    """Raise ValueError when a construction asks for more than MAX_POINTS points."""
-    if v > MAX_POINTS:
-        raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
-
-
 def odd_field(q: int) -> FiniteField:
-    """GF(q) for the GH family, which needs q odd; ValueError when it is even."""
+    """GF(q) for the designs that need q odd; ValueError when it is even."""
     if (F := FiniteField(q)).p == 2:
         raise ValueError("q must be odd")
     return F
+
+
+def check_bgw(q: int, m: int) -> None:
+    """The BGW family's parameter rule, by arithmetic alone: ValueError unless
+    m >= 2, m | q - 1, (q+1) m <= MAX_POINTS and q is a prime power, then
+    SymmetryObstruction unless bgw_matrix(q, m) is symmetric, in that order."""
+    if m < 2:
+        raise ValueError(f"m={m} must be at least 2")
+    if (q - 1) % m != 0:
+        raise ValueError(f"m={m} must divide q-1={q - 1}")
+    if (v := (q + 1) * m) > MAX_POINTS:
+        raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
+    if factor_prime_power(q)[0] != 2 and ((q - 1) // m) % 2 != 0:
+        # W is symmetric iff dlog(-1) = 0 mod m; in odd characteristic
+        # dlog(-1) = (q-1)/2, which is 0 mod m iff (q-1)/m is even
+        raise SymmetryObstruction(
+            f"no symmetric construction for q={q}, m={m}: "
+            f"(q-1)/m = {(q - 1) // m} is odd and the characteristic is odd"
+        )
+
+
+def gh_field(q: int) -> FiniteField:
+    """The GH family's parameter rule: GF(q), once (q+1) q^2 <= MAX_POINTS
+    and q is an odd prime power, in that order (ValueError otherwise)."""
+    if (v := (q + 1) * q * q) > MAX_POINTS:
+        raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
+    return odd_field(q)
 
 
 def bgw_matrix(q: int, m: int) -> np.ndarray:
@@ -51,23 +72,10 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     index x.  Entry (x, y) for distinct finite x, y is dlog(x - y) mod m; all
     other nonblank entries are the group identity.
 
-    Requires m | q - 1, and refuses (q, m) whose scheme would have more than
-    MAX_POINTS points.  The result is symmetric iff dlog(-1) = 0 mod m,
-    equivalently iff (q-1)/m is even or q is even; otherwise
-    SymmetryObstruction is raised.
+    (q, m) must pass check_bgw, whose error is raised otherwise.
     """
-    if m < 2:
-        raise ValueError(f"m={m} must be at least 2")
-    if (q - 1) % m != 0:
-        raise ValueError(f"m={m} must divide q-1={q - 1}")
-    require_points((q + 1) * m)
+    check_bgw(q, m)
     F = FiniteField(q)
-    if F.p != 2 and ((q - 1) // m) % 2 != 0:
-        # dlog(-1) = (q-1)/2, which is 0 mod m iff (q-1)/m is even
-        raise SymmetryObstruction(
-            f"no symmetric construction for q={q}, m={m}: "
-            f"(q-1)/m = {(q - 1) // m} is odd and the characteristic is odd"
-        )
     n = q + 1
     W = np.full((n, n), BLANK, dtype=np.int64)
     W[0, 1:] = 0
@@ -196,17 +204,18 @@ def latin_square(q: int) -> np.ndarray:
     return F.mul_t[F.add_t, F.inv(F.add(1, 1))]
 
 
-def verify_latin(L: np.ndarray) -> None:
+def verify_latin(L: np.ndarray) -> dict:
+    """Check that each row and column of L permutes 0..n-1; return n and the
+    flags symmetric (L = L^T) and idempotent (L[x, x] = x)."""
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise VerificationError("matrix is not square")
-    n = L.shape[0]
-    want = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(L[i]), want) or not np.array_equal(
-            np.sort(L[:, i]), want
-        ):
-            raise VerificationError(f"row/column {i} is not a permutation")
+    want = np.arange(len(L))
+    bad = (np.sort(L, axis=1) != want).any(axis=1) | (np.sort(L, axis=0).T != want).any(axis=1)
+    if bad.any():
+        raise VerificationError(f"row/column {int(np.argmax(bad))} is not a permutation")
+    sym, idem = np.array_equal(L, L.T), np.array_equal(np.diag(L), want)
+    return {"n": len(L), "symmetric": sym, "idempotent": idem}
 
 
 def sgdd_params(N: np.ndarray, group_size: int) -> dict:

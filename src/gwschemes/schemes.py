@@ -166,33 +166,32 @@ class AssociationScheme:
         if nm > v:
             raise NotAScheme("some relation is empty")
 
-        # pairs[i, j]: positions (x, y), x in R, with L[x, y] = i and L[y, x] = j
+        # one pass over the rows R counts pairs[i, j], the positions (x, y) with
+        # x in R, L[x, y] = i and L[y, x] = j, and counted[x, i], the count of
+        # class i in row x.  Columns need no count of their own: with transposes
+        # closed, column y holds class i as often as row y holds tpose[i], and if
+        # every row holds class i k_i times, counting the positions of class i
+        # and its transpose gives v k_i = v k_tpose[i]: rows constant, columns too
         pairs = np.zeros(nm * nm, dtype=np.int64)
+        valencies = np.bincount(L[0], minlength=nm)
+        uneven = False
         for b in row_blocks(v, len(reps)):
             cells = rows[b].astype(np.intp) * nm + cols[b]
             pairs += np.bincount(cells.reshape(-1), minlength=nm * nm)
+            n = len(rows[b])
+            cells = rows[b] + nm * np.arange(n)[:, None]
+            counted = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
+            uneven = uneven or bool((counted != valencies).any())
         pairs = pairs.reshape(nm, nm)
-        counts = pairs.sum(axis=1)
-        if (counts == 0).any():
+        if (pairs.sum(axis=1) == 0).any():
             raise NotAScheme("some relation is empty")
         # A_i^T = A_j exactly when every transposed position of class i has
         # class j; the map is then an involution
         if ((pairs > 0).sum(axis=1) != 1).any():
             raise NotAScheme("relation set is not closed under transpose")
         tpose = pairs.argmax(axis=1)
-
-        # rows[x, i]: the count of class i in row x.  Columns need no count of
-        # their own: with transposition closed, column y holds class i as often
-        # as row y holds tpose[i], and when every row holds class i k_i times,
-        # counting the positions of class i and of its transpose gives
-        # v k_i = v k_tpose[i], so constant rows make constant columns
-        valencies = np.bincount(L[0], minlength=nm)
-        for b in row_blocks(v, len(reps)):
-            n = len(rows[b])
-            cells = rows[b] + nm * np.arange(n)[:, None]
-            counted = np.bincount(cells.reshape(-1), minlength=n * nm).reshape(n, nm)
-            if (counted != valencies).any():
-                raise NotAScheme("row/column sums not constant")
+        if uneven:
+            raise NotAScheme("row/column sums not constant")
 
         # (A_i A_j)[0, y_k] for the first y_k with L[0, y_k] = k: the tensor,
         # once the closure certificate below holds

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import CycField, CycScalar
 from .builders import bgw_automorphisms, gh_automorphisms
 from . import designs
-from .errors import InputError
+from .errors import InputError, SymmetryObstruction
 from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
 from .spectra import provenance_parameters
 
@@ -191,30 +191,32 @@ def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np
     every number in 0..top and every row of even length.  The "]" of every
     row separator in a[s:e] must already be checked to start "], [", which
     _read_canonical does for all of them at once."""
+    if e - s >= 2**31:  # offsets are int32 below; a block of json.dumps rows is far shorter
+        return None
     sp = np.flatnonzero(a[s:e] == _SPACE) + s
     # each space ends ", ", or is the third byte of "], [" when "]" is two back
     if (a[sp - 1] != _COMMA).any():
         return None
     row_sep = a[sp - 2] == _CLOSE
     # number k runs from the end of separator k - 1 to the start of separator
-    # k, a byte from its space for ", " and two for "], ["; filled in place,
-    # so that three arrays of the separator count are alive at once
-    start, width = np.full(len(sp) + 1, s), np.full(len(sp) + 1, e)
-    np.add(sp, row_sep, out=start[1:])
-    start[1:] += 1
-    np.subtract(sp, row_sep, out=width[:-1])
-    width[:-1] -= 1
+    # k, a byte from its space for ", " and two for "], ["; int32 offsets into
+    # a[s:e], filled in place, so sp and two half-size arrays coexist
+    start, width = np.zeros(len(sp) + 1, np.int32), np.full(len(sp) + 1, e - s, np.int32)
+    np.subtract(sp, s - 1, out=start[1:])
+    start[1:] += row_sep
+    np.subtract(sp, s + 1, out=width[:-1])
+    width[:-1] -= row_sep
     width -= start
     del sp
     if width.min() < 1 or width.max() > len(str(top)):
         return None
-    runs = a[start] - _ZERO  # uint8, so a byte below "0" wraps past 9 too
+    runs = a[s:e][start] - _ZERO  # uint8, so a byte below "0" wraps past 9 too
     wide = np.flatnonzero(width > 1)
     if (runs > 9).any() or not runs[wide].all():  # a non-digit, or a leading zero
         return None
     runs = runs.astype(np.int64)
     for j in range(1, int(width.max())):  # digit j of the numbers wider than j
-        digit = a[start[wide] + j] - _ZERO
+        digit = a[s:e][start[wide] + j] - _ZERO
         if (digit > 9).any():
             return None
         runs[wide] = 10 * runs[wide] + digit
@@ -325,16 +327,14 @@ def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None)
 
 
 def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tuple:
-    """The automorphisms of the family that a provenance record names, for a
-    record that passes provenance_parameters: bgw_automorphisms(q, m) with
-    m | q - 1 and q a prime power up to MAX_ORDER, and gh_automorphisms(q)
-    with q an odd prime power; none for any other record.  from_matrices
-    uses them only where they preserve the labels read, so a wrong record
-    costs a check and changes no result."""
+    """The automorphisms of the family that a provenance record names, once it
+    passes provenance_parameters and the family's parameter rule; none for
+    any other record.  from_matrices uses them only where they preserve the
+    labels read, so a wrong record costs a check and changes no result."""
     try:
         family, params = provenance_parameters(provenance or {}, v, nclasses)
         return (bgw_automorphisms if family == "bgw" else gh_automorphisms)(*params)
-    except ValueError:  # an InputError for no such record, or no such field
+    except (ValueError, SymmetryObstruction):  # InputError: no such record
         return ()
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
-from .designs import odd_field
+from .designs import check_bgw, gh_field, odd_field
 from .errors import InputError, VerificationError
 from .kernel import Batch
 from .schemes import AssociationScheme, check_partition
@@ -324,17 +324,17 @@ def bgw_f_elements(alg: SchemeAlgebra, m: int, typ: int) -> list[Elem]:
 
 
 def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
-    n = q
-    v = (n + 1) * m
-    field = CycField(m, n)
+    """The eigensystem of bgw_build(q, m), once (q, m) pass check_bgw."""
+    check_bgw(q, m)
+    field = CycField(m, q)
     alg = SchemeAlgebra(scheme, field)
     F0 = bgw_f_elements(alg, m, 0)
     F1 = bgw_f_elements(alg, m, 1)
-    e = field.rat(Fraction(1, v))
-    inv_sqrt = field.sqrt_radicand().scale(Fraction(1, n))  # (sqrt n)^2 = n
+    e = field.rat(Fraction(1, scheme.v))
+    inv_sqrt = field.sqrt_radicand().scale(Fraction(1, q))  # (sqrt q)^2 = q
     blocks = [
         Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]))}),
-        Block("1", 1, {(1, 1): _unit((e.scale(n), F0[0]), (-e, F1[0]))}),
+        Block("1", 1, {(1, 1): _unit((e.scale(q), F0[0]), (-e, F1[0]))}),
     ]
     if m % 2 == 0:
         h = m // 2
@@ -364,14 +364,14 @@ def gh_transversal(F: FiniteField) -> list[int]:
 
 
 def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
-    F = FiniteField(q)
-    v = (q + 1) * q * q
+    """The eigensystem of gh_build(q), once q passes gh_field."""
+    F = gh_field(q)
     field = CycField(F.p, 1)
     alg = SchemeAlgebra(scheme, field)
     F0 = gh_f_elements(alg, F, 0)
     F1 = gh_f_elements(alg, F, 1)
     a2 = {2 * q: field.one()}
-    e = field.rat(Fraction(1, v))
+    e = field.rat(Fraction(1, scheme.v))
     blocks = [
         Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]), (e, a2))}),
         Block("1", 1, {(1, 1): _unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from gwschemes import (
+    AssociationScheme,
     Eigensystem,
     FusedEigensystem,
     bgw_build,
@@ -32,6 +33,16 @@ BGW_BUILDABLE = [c for c in BGW_GRID if c not in BGW_OBSTRUCTED]
 BGW_NEGATIVE = (5, 4)
 
 GH_GRID = [3, 5, 7, 9]
+
+# provenance records whose parameters admit no construction, each with the
+# build arguments of those parameters and a valid scheme of the point and
+# class count the record names: (13, 4) is obstructed, 6 is not a prime
+# power and 2 is even
+REFUSED = {
+    "bgw-13-4": ({"family": "bgw", "q": 13, "m": 4}, ["bgw-scheme", "--q", "13", "--m", "4"]),
+    "bgw-6-5": ({"family": "bgw", "q": 6, "m": 5}, ["bgw-scheme", "--q", "6", "--m", "5"]),
+    "gh-2": ({"family": "gh", "q": 2}, ["gh-scheme", "--q", "2"]),
+}
 
 _schemes: dict = {}
 _eigensystems: dict = {}
@@ -83,6 +94,25 @@ def gh_fused(q: int) -> FusedEigensystem:
     if key not in _fused:
         _fused[key] = FusedEigensystem(gh_es(q), gh_symmetric_fusion(q))
     return _fused[key]
+
+
+def cyclic_over_complete(n: int, k: int, wreath: bool) -> AssociationScheme:
+    """Z_n wr K_k (wreath) or Z_n x K_k on the points i n + a, i < k and a in
+    Z_n: the label of the pair (i n + a, j n + b) is (b - a) mod n when i = j,
+    and n in the wreath product or n + (b - a) mod n in the direct one when
+    i != j."""
+    i, a = np.divmod(np.arange(n * k), n)
+    d = (a[None, :] - a[:, None]) % n
+    L = np.where(i[:, None] == i[None, :], d, n if wreath else n + d)
+    return AssociationScheme.from_matrices(L, [str(c) for c in range(L.max() + 1)])
+
+
+def refused(name: str) -> AssociationScheme:
+    """The scheme of REFUSED[name]: Z_7 wr K_8 (56 points, 8 classes, as bgw
+    13,4), Z_5 x K_7 (35 points, 10 classes, as bgw 6,5) or Z_4 wr K_3 (12
+    points, 5 classes, as gh 2)."""
+    n, k, wreath = {"bgw-13-4": (7, 8, True), "bgw-6-5": (5, 7, False), "gh-2": (4, 3, True)}[name]
+    return cyclic_over_complete(n, k, wreath)
 
 
 def masks(scheme) -> list:

@@ -216,6 +216,19 @@ class TestBgwAutomorphisms:
         with pytest.raises(ValueError):
             bgw_automorphisms(q, m)
 
+    @pytest.mark.parametrize(
+        "q,m,error,says",
+        [
+            (13, 4, SymmetryObstruction, "no symmetric construction for q=13, m=4"),
+            (5, 1, ValueError, "m=1 must be at least 2"),
+        ],
+        ids=["obstructed-13-4", "m-1"],
+    )
+    def test_refused_sets_raise_the_builders_error(self, q, m, error, says):
+        # the maps exist as arrays for these (q, m), but bgw_build refuses them
+        with pytest.raises(error, match=f"^{says}"):
+            bgw_automorphisms(q, m)
+
 
 GH_BUILDABLE = [3, 5, 7, 9, 11, 13]  # every odd prime power q with (q + 1) q^2 <= MAX_POINTS
 

@@ -848,6 +848,42 @@ class TestFileFuzz:
             assert err.startswith("verification failure: ") and len(err.splitlines()) == 1
 
 
+class TestRefusedProvenance:
+    """Valid scheme files whose provenance names parameters that admit no
+    construction (cases.REFUSED): plain verify accepts them, and every
+    command that builds the named family's eigensystem refuses them as
+    build refuses those parameters, with exit 3 and the same line."""
+
+    BUILD_SAYS = {
+        "bgw-13-4": "no symmetric construction for q=13, m=4: "
+        "(q-1)/m = 3 is odd and the characteristic is odd",
+        "bgw-6-5": "6 is not a prime power",
+        "gh-2": "q must be odd",
+    }
+
+    @staticmethod
+    def saved(tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        save_scheme(path, cases.refused(name), cases.REFUSED[name][0])
+        return str(path)
+
+    @pytest.mark.parametrize("name", sorted(cases.REFUSED))
+    def test_plain_verify_accepts(self, tmp_path, capsys, name):
+        code, out, err = run(capsys, "verify", "--in", self.saved(tmp_path, name))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"verified: {cases.refused(name)!r}\n")
+
+    @pytest.mark.parametrize(
+        "command", [["verify", "--spectral"], ["table"], ["fusion"]], ids=["spectral", "table", "fusion"]
+    )
+    @pytest.mark.parametrize("name", sorted(cases.REFUSED))
+    def test_exits_3_with_the_build_line(self, tmp_path, capsys, name, command):
+        built = run(capsys, "build", *cases.REFUSED[name][1])
+        assert built == (3, "", f"precondition failure: {self.BUILD_SAYS[name]}\n")
+        code, _, err = run(capsys, command[0], "--in", self.saved(tmp_path, name), *command[1:])
+        assert (code, err) == (3, built[2])
+
+
 class TestTable:
     def test_t_csv(self, capsys):
         code, out, _ = run(
@@ -1034,6 +1070,24 @@ class TestDesigns:
         lines = out.splitlines()
         assert "verified" in lines[0]
         assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "square,flags",
+        [
+            (lambda x, y: (2 * x - y) % 5, "'symmetric': False, 'idempotent': True"),
+            (lambda x, y: (x + y) % 5, "'symmetric': True, 'idempotent': False"),
+        ],
+        ids=["idempotent-only", "symmetric-only"],
+    )
+    def test_latin_prints_verified_only_for_what_it_checks(self, capsys, monkeypatch, square, flags):
+        # a Latin square that lacks one of the two printed properties fails
+        monkeypatch.setattr(cli, "latin_square", lambda q: square(*np.ogrid[:q, :q]))
+        code, out, err = run(capsys, "designs", "latin", "--q", "5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "verification failure: Latin square is not symmetric and idempotent: "
+            f"{{'n': 5, {flags}}}\n"
+        )
 
     def test_latin_even_order(self, capsys):
         code, _, err = run(capsys, "designs", "latin", "--q", "4")

@@ -395,9 +395,41 @@ class TestLatin:
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_symmetric_idempotent_latin(self, q):
         L = latin_square(q)
-        verify_latin(L)
+        assert verify_latin(L) == {"n": q, "symmetric": True, "idempotent": True}
         assert np.array_equal(L, L.T)
         assert np.array_equal(np.diag(L), np.arange(q))
+
+    @pytest.mark.parametrize(
+        "square,flags",
+        [
+            (lambda x, y: (2 * x - y) % 5, {"symmetric": False, "idempotent": True}),
+            (lambda x, y: (x + y) % 5, {"symmetric": True, "idempotent": False}),
+        ],
+        ids=["idempotent-only", "symmetric-only"],
+    )
+    def test_flags_of_latin_controls(self, square, flags):
+        # both are Latin squares of order 5, but only one of the two facts
+        # that latin_square's cells need holds in each
+        L = square(*np.ogrid[:5, :5])
+        assert verify_latin(L) == {"n": 5, **flags}
+
+    def test_first_bad_row_or_column_as_a_loop_finds_it(self):
+        # the message names the least i whose row or column is no permutation
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            L = latin_square(7)
+            x, y = rng.integers(7, size=2)
+            L[x, y] = rng.integers(7)
+            want = np.arange(7)
+            bad = [
+                i for i in range(7)
+                if (np.sort(L[i]) != want).any() or (np.sort(L[:, i]) != want).any()
+            ]
+            if not bad:
+                assert verify_latin(L)["n"] == 7
+                continue
+            with pytest.raises(VerificationError, match=f"^row/column {bad[0]} is not a permutation$"):
+                verify_latin(L)
 
     def test_matches_one_factorization(self):
         # off-diagonal cell value a means the edge {x, y} lies in factor a,

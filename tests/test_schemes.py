@@ -136,6 +136,29 @@ class TestRejection:
         with pytest.raises(NotAScheme, match="leaves the span"):
             verified(label_matrix([I, A, B]))
 
+    @pytest.mark.parametrize(
+        "nm,transposed,says",
+        [
+            (4, False, "some relation is empty"),
+            (3, False, "relation set is not closed under transpose"),
+            (3, True, "row/column sums not constant"),
+        ],
+        ids=["empty", "transpose", "row-counts"],
+    )
+    def test_message_order_across_row_blocks(self, monkeypatch, nm, transposed, says):
+        # rows 1 and 2 hold class 2 once and row 0 never, so their counts are
+        # not the valencies; with one row per block they are counted before
+        # the pair at (6, 7), which breaks transposition unless (7, 6) has
+        # class 2 too, and before any class is found empty: the empty class
+        # comes first, then transposition, then the row counts
+        monkeypatch.setattr(schemes, "BLOCK", 8)
+        L = 1 - np.eye(8, dtype=np.int64)
+        L[1, 2] = L[2, 1] = L[6, 7] = 2
+        if transposed:
+            L[7, 6] = 2
+        with pytest.raises(NotAScheme, match=f"^{says}$"):
+            AssociationScheme.from_matrices(L, [str(c) for c in range(nm)])
+
     def test_single_entry_mutation_rejected(self):
         s = bgw_build(5, 2)
         L = s.L.copy()

@@ -189,10 +189,14 @@ class TestOfferedAutomorphisms:
             ({"family": "bgw", "q": 1, "m": 3}, 6, 6),
             ({"family": "bgw", "q": 2401, "m": 1}, 2402, 2),
             ({"family": "bgw", "q": 4095, "m": 1}, 4096, 2),
+            # the obstructed set, and m = 1, whose maps exist but bgw_build refuses
+            ({"family": "bgw", "q": 13, "m": 4}, 56, 8),
+            ({"family": "bgw", "q": 5, "m": 1}, 6, 2),
         ],
         ids=[
             "none", "empty", "gh", "gh-even-q", "gh-q-15", "gh-wrong-size", "wrong-size", "bool-m",
             "string-q", "m-no-divisor", "q-6", "q-1", "q-above-field-limit", "q-4095",
+            "obstructed-13-4", "m-1",
         ],
     )
     def test_other_records_offer_nothing(self, provenance, v, nclasses):
@@ -262,16 +266,22 @@ class TestFileBytes:
 
     def test_canonical_reader_peak(self):
         # the gh 9 file (3.9 MB, 810 rows) is read block by block from its
-        # bytes: 5.2 MiB at the peak, against 7.8 MiB when each block was
-        # decoded with np.fromstring and re-encoded for the comparison
-        raw = file_reference.file_bytes(cases.gh(9), {"family": "gh", "q": 9})
-        tracemalloc.start()
-        try:
-            serialize._read_canonical(raw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.5 * 2**20
+        # bytes: 4.3 MiB at the peak, against 5.2 MiB with int64 number
+        # positions and 7.8 MiB when each block was decoded with np.fromstring
+        # and re-encoded for the comparison.  bgw 25,12 has more runs per row
+        # block: 3.3 MiB, against 4.3 MiB with int64 positions
+        for s, provenance, bound in [
+            (cases.gh(9), {"family": "gh", "q": 9}, 4.5),
+            (cases.bgw(25, 12), {"family": "bgw", "q": 25, "m": 12}, 3.6),
+        ]:
+            raw = file_reference.file_bytes(s, provenance)
+            tracemalloc.start()
+            try:
+                serialize._read_canonical(raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, provenance
 
     def test_cases_cross_blocks_and_digit_widths(self):
         s = cases.bgw(289, 2)

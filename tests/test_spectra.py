@@ -17,6 +17,7 @@ from gwschemes import (
     CycScalar,
     FiniteField,
     NotAScheme,
+    SymmetryObstruction,
     VerificationError,
     bgw_eigensystem,
     bgw_symmetric_fusion,
@@ -281,6 +282,30 @@ def negation_orbits_reference(neg: list[int]) -> list[list[int]]:
 
 
 ODD_PRIME_POWERS = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
+
+
+class TestRefusedParameters:
+    """Each eigensystem asks its family's parameter rule first, so a scheme of
+    the right size gets the error that the builder raises for the same
+    parameters, not a failed unit relation."""
+
+    @pytest.mark.parametrize(
+        "name,error,says",
+        [
+            ("bgw-13-4", SymmetryObstruction, "no symmetric construction for q=13, m=4"),
+            ("bgw-6-5", ValueError, "6 is not a prime power"),
+            ("gh-2", ValueError, "q must be odd"),
+        ],
+        ids=["bgw-13-4", "bgw-6-5", "gh-2"],
+    )
+    def test_raises_the_builders_error(self, name, error, says):
+        provenance = cases.REFUSED[name][0]
+        params = [provenance[key] for key in ("q", "m") if key in provenance]
+        make = bgw_eigensystem if provenance["family"] == "bgw" else gh_eigensystem
+        with pytest.raises(error, match=f"^{re.escape(says)}"):
+            make(cases.refused(name), *params)
+        with pytest.raises(error, match=f"^{re.escape(says)}"):
+            eigensystem_for(cases.refused(name), cases.REFUSED[name][0])
 
 
 class TestSymmetricFusions:
