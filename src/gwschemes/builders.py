@@ -49,6 +49,17 @@ P = P' and beta = beta', 2q when P = P' and beta != beta', and q + alpha
 otherwise, where a is the factor holding the edge {P, P'} and C_{a,alpha} R
 puts its one at (y, y') when alpha = (q-1-y') - y - a ((q-1-beta') - beta).
 
+Block tables.  Both label matrices are (q+1) x (q+1) grids of k x k blocks,
+each fixed by one entry of an index matrix.  BGW: k = m, and
+L[(i, a), (j, b)] = block[W'[i, j], a, b] for W' = W with m on its diagonal,
+block[w] the m x m block of an entry w and block[m] the diagonal block.  GH:
+k = q^2, and the index is the factor matrix, a at the edge {P, P'} of the
+factor of a and q on its diagonal, over q + 1 blocks of size q^2 x q^2: one
+per factor and one for P = P'.  Each builder holds table[a, w, b] =
+block[w, a, b] in the compact dtype, and one take of its rows writes L, row
+(i, a) being the rows table[a, W'[i, :]]; the take's row index holds v^2 / k
+entries, and no other array of v^2 entries is formed.
+
 gh_automorphisms(q): three permutations of the points of gh_build(q) that
 preserve its labels, so that from_matrices checks rows on one representative
 of each of their 2q + 1 orbits (see schemes).  Every digit of q - 1 is p - 1,
@@ -89,19 +100,20 @@ def bgw_labels(m: int) -> list[str]:
     return [f"({g},0)" for g in range(m)] + [f"({g},1)" for g in range(m)]
 
 
+def _from_blocks(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """L[(i, a), (j, b)] = table[a, index[i, j], b], point (i, a) at index
+    i k + a, in the dtype of table, by one take of its rows."""
+    k, blocks, n = len(table), table.shape[1], len(index)
+    rows = index[:, None, :] + blocks * np.arange(k)[:, None]  # table[a, w] is row a blocks + w
+    return np.take(table.reshape(-1, k), rows, axis=0).reshape(n * k, n * k)
+
+
 def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
-    # block[w] is the m x m block of an entry w of W off the diagonal and
-    # block[m] a diagonal block, so L[(i, a), (j, b)] = block[W'[i, j], a, b]
-    # for W' = W with m on its blank diagonal; the blocks hold the 2m labels
-    # in the scheme's compact dtype, and so does L
     W = bgw_matrix(q, m)
     np.fill_diagonal(W, m)
-    a, b = np.ogrid[:m, :m]
-    w = np.arange(m)[:, None, None]
-    block = np.concatenate([m + (m - 1 - a - b - w) % m, [(b - a) % m]])
-    block = block.astype(label_dtype(2 * m))
-    v = (q + 1) * m
-    return block[W].swapaxes(1, 2).reshape(v, v)
+    a, w, b = np.ogrid[:m, : m + 1, :m]
+    table = np.where(w < m, m + (m - 1 - a - b - w) % m, (b - a) % m)
+    return _from_blocks(table.astype(label_dtype(2 * m)), W)
 
 
 def bgw_automorphisms(q: int, m: int) -> tuple[np.ndarray, ...]:
@@ -152,21 +164,18 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     add, mul = F.add_t.astype(dtype), F.mul_t.astype(dtype)
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = (q - 1 - np.arange(q)).astype(dtype)
+    # table[(beta, y), a, (beta2, y2)]: the block of factor a, at a = q of P = P2
+    beta, y, a, beta2, y2 = np.ix_(*[np.arange(q)] * 5)
+    table = np.empty((q, q, q + 1, q, q), dtype=dtype)
+    table[:, :, :q] = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]] + q
+    table[:, :, q] = np.where(beta == beta2, sub[y2, y], 2 * q)[:, :, 0]
     # factor[P, P2] = a when the edge {P, P2} lies in the factor of a: the
-    # edge {infinity, a}, or (x + x2) / 2 = a; the P = P2 branch below
-    # overwrites what the diagonal gives
-    factor = np.zeros((q + 1, q + 1), dtype=dtype)
+    # edge {infinity, a}, or (x + x2) / 2 = a; q on the diagonal
+    factor = np.zeros((q + 1, q + 1), dtype=np.intp)
     factor[0, 1:] = factor[1:, 0] = np.arange(q)
     factor[1:, 1:] = latin_square(q)
-    # one broadcast axis per coordinate, so that only L is v x v
-    P, beta, y, P2, beta2, y2 = np.ix_(*[np.arange(n) for n in (q + 1, q, q) * 2])
-    a = factor[P, P2]
-    L = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]]
-    L += q
-    inner = np.where(beta == beta2, sub[y2, y], 2 * q)
-    np.copyto(L, inner, where=P == P2)
-    v = (q + 1) * q * q
-    return L.reshape(v, v)
+    np.fill_diagonal(factor, q)
+    return _from_blocks(table.reshape(q * q, q + 1, q * q), factor)
 
 
 def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:

@@ -80,7 +80,7 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     W = np.full((n, n), BLANK, dtype=np.int64)
     W[0, 1:] = 0
     W[1:, 0] = 0
-    W[1:, 1:] = F.log_t[F.add_t[:, F.neg_t]] % m
+    W[1:, 1:] = (F.log_t % m).astype(np.min_scalar_type(m))[F.add_t][:, F.neg_t]
     np.fill_diagonal(W[1:, 1:], BLANK)
     return W
 

@@ -423,7 +423,7 @@ def _permutation(s, v: int) -> np.ndarray:
 def _preserves(L, s) -> bool:
     """Whether L[s[x], s[y]] = L[x, y] for all x, y, compared a row block at
     a time up to the first block that differs."""
-    return all(np.array_equal(L[s[b]][:, s], L[b]) for b in row_blocks(len(L)))
+    return all(np.array_equal(L[s[b]].take(s, axis=1), L[b]) for b in row_blocks(len(L)))
 
 
 def _orbit_representatives(v: int, perms) -> np.ndarray:

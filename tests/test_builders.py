@@ -1,4 +1,6 @@
 """The two scheme families: shapes, labels, classification, block structure."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,71 @@ class TestKroneckerReference:
         # the builders write the dtype the scheme stores, never int64
         L = write(*args)
         assert L.dtype == np.uint8
+
+
+def sampled_rows(v: int, seed: int) -> list[int]:
+    """The first and last rows and four seeded ones in between."""
+    return [0, v - 1, *np.random.default_rng(seed).choice(np.arange(1, v - 1), 4, replace=False)]
+
+
+class TestBlockTableBeyondTheGrid:
+    """The per-entry labels of the module docstring, one entry at a time on
+    sampled rows, where the Kronecker reference is too slow: bgw 256,3 in
+    characteristic 2, bgw 25,12 with m > q/2 and gh 11, past GH_GRID."""
+
+    @pytest.mark.parametrize("q,m", [(256, 3), (25, 12)], ids=["256-3", "25-12"])
+    def test_bgw_rule_on_sampled_rows(self, q, m):
+        F, L = FiniteField(q), _bgw_label_matrix(q, m)
+
+        def w(i, j):  # W of bgw_matrix's docstring, from field scalars
+            return 0 if 0 in (i, j) else F.dlog(F.sub(i - 1, j - 1)) % m
+
+        for x in sampled_rows(len(L), q):
+            i, a = divmod(x, m)
+            want = [
+                (b - a) % m if i == j else m + (m - 1 - a - b - w(i, j)) % m
+                for j, b in (divmod(y, m) for y in range(len(L)))
+            ]
+            assert L[x].tolist() == want, x
+
+    def test_gh_rule_on_sampled_rows(self):
+        q = 11
+        F, L = FiniteField(q), _gh_label_matrix(q)
+        half = F.inv(F.add(1, 1))
+
+        def factor(P, P2):  # the edge {infinity, a}, or (x + x2) / 2 = a
+            return P2 - 1 if P == 0 else P - 1 if P2 == 0 else F.mul(F.add(P - 1, P2 - 1), half)
+
+        for x in sampled_rows(len(L), q):
+            (P, beta), y = divmod(x // q, q), x % q
+            want = []
+            for x2 in range(len(L)):
+                (P2, beta2), y2 = divmod(x2 // q, q), x2 % q
+                if P == P2:
+                    want.append(F.sub(y2, y) if beta == beta2 else 2 * q)
+                else:
+                    shift = F.mul(factor(P, P2), F.sub(q - 1 - beta2, beta))
+                    want.append(q + F.sub(q - 1 - y2, F.add(y, shift)))
+            assert L[x].tolist() == want, x
+
+    @pytest.mark.parametrize(
+        "write,args,bound",
+        [(_gh_label_matrix, (11,), 2.33), (_bgw_label_matrix, (529, 2), 10.70)],
+        ids=["gh11", "bgw529_2"],
+    )
+    def test_peak_stays_at_the_gather_layout(self, write, args, bound):
+        # the one take forms L and a row index of v**2 / k entries; the
+        # layout of v**2 gathers before it peaked at 2.33 MiB at gh 11 and at
+        # 10.70 MiB at bgw 529,2 (now 2.32 and 7.50), and a take through a
+        # transposed out= buffers a second L and reached 4.36 MiB at gh 11
+        write(*args)
+        tracemalloc.start()
+        try:
+            write(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
 
 
 def bgw_sweep(max_points: int) -> list[tuple[int, int]]:

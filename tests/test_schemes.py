@@ -892,6 +892,27 @@ class TestOfferedAutomorphisms:
             seen.add(got if isinstance(got, str) else "scheme")
         assert "scheme" in seen and any("leaves the span" in x for x in seen)
 
+    @pytest.mark.parametrize(
+        "x,y,block", [(570, 300, -1), (5, 400, 0)], ids=["last-block", "first-block"]
+    )
+    def test_edit_across_row_blocks_fails_every_map(self, x, y, block):
+        # bgw 289,2 has 580 points, 112 rows to a row block and six blocks;
+        # each map moves the edited pair, so each sees a changed cell, in
+        # whichever row block and column the take reaches it
+        s = cases.bgw(289, 2)
+        blocks = schemes.row_blocks(s.v)
+        assert len(blocks) == 6 and blocks[0].stop == 112 and y >= 112
+        assert blocks[block].start <= x < blocks[block].stop
+        for sigma in s.automorphisms:
+            assert {(sigma[x], sigma[y]), (sigma[y], sigma[x])}.isdisjoint({(x, y), (y, x)})
+        L = s.L.copy()
+        L[x, y] = L[y, x] = 5 - L[x, y]  # the other off-fibre class, 2 <-> 3
+        assert all(schemes._preserves(s.L, sigma) for sigma in s.automorphisms)
+        assert not any(schemes._preserves(L, sigma) for sigma in s.automorphisms)
+        says = outcome(L, s.labels)
+        assert says == "row/column sums not constant"
+        assert outcome(L, s.labels, s.automorphisms) == says
+
     def test_invariant_non_fusion_is_rejected(self):
         s = cases.bgw(7, 3)
         with pytest.raises(NotAScheme, match="leaves the span"):
