@@ -226,6 +226,15 @@ class CycScalar:
             num, den = [x // g for x in num], den // g
         self.field, self.num, self.den = field, tuple(num), den
 
+    @classmethod
+    def _normalized(cls, field: CycField, num: tuple, den: int) -> "CycScalar":
+        """The scalar num / den with no checks: the caller guarantees a tuple
+        num of length field.dim of Python ints, den > 0 and
+        gcd(den, *num) = 1, which the constructor would otherwise ensure."""
+        x = object.__new__(cls)
+        x.field, x.num, x.den = field, num, den
+        return x
+
     def _check(self, other: "CycScalar") -> None:
         if self.field != other.field:
             raise ValueError("scalars from different fields")

@@ -92,7 +92,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import bgw_matrix, check_bgw, gh_field, latin_square
+from .designs import _latin_square, bgw_matrix, check_bgw, gh_field
 from .schemes import AssociationScheme, label_dtype
 
 
@@ -156,8 +156,8 @@ def gh_labels(q: int) -> list[str]:
     )
 
 
-def _gh_label_matrix(q: int) -> np.ndarray:
-    F = gh_field(q)
+def _gh_label_matrix(F: FiniteField) -> np.ndarray:
+    q = F.q
     # the tables in the compact dtype of the 2q + 1 labels, so that every
     # gather below, and L, is in that dtype
     dtype = label_dtype(2 * q + 1)
@@ -173,7 +173,7 @@ def _gh_label_matrix(q: int) -> np.ndarray:
     # edge {infinity, a}, or (x + x2) / 2 = a; q on the diagonal
     factor = np.zeros((q + 1, q + 1), dtype=np.intp)
     factor[0, 1:] = factor[1:, 0] = np.arange(q)
-    factor[1:, 1:] = latin_square(q)
+    factor[1:, 1:] = _latin_square(F)
     np.fill_diagonal(factor, q)
     return _from_blocks(table.reshape(q * q, q + 1, q * q), factor)
 
@@ -182,8 +182,12 @@ def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:
     """T, S and U of the module docstring, as arrays of point images, once q
     passes gh_field.  They preserve the labels of gh_build(q), and
     from_matrices checks that they do."""
-    F = gh_field(q)
-    add, mul = F.add_t, F.mul_t
+    return _gh_maps(gh_field(q))
+
+
+def _gh_maps(F: FiniteField) -> tuple[np.ndarray, ...]:
+    """gh_automorphisms over the field F of gh_field(q)."""
+    q, add, mul = F.q, F.add_t, F.mul_t
     h = F.mul(q - 1, F.inv(2))
     P, beta, y = np.ix_(np.arange(q + 1), np.arange(q), np.arange(q))
     finite, x = P > 0, np.maximum(P - 1, 0)  # P = 0 is infinity, 1 + x the finite x
@@ -200,4 +204,5 @@ def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:
 
 
 def gh_build(q: int) -> AssociationScheme:
-    return AssociationScheme.from_matrices(_gh_label_matrix(q), gh_labels(q), gh_automorphisms(q))
+    F = gh_field(q)  # one field for the labels, the Latin square and the maps
+    return AssociationScheme.from_matrices(_gh_label_matrix(F), gh_labels(q), _gh_maps(F))

@@ -200,7 +200,11 @@ def latin_square(q: int) -> np.ndarray:
     generalized Hadamard scheme: cell value a means edge {x, y} lies in
     factor a.
     """
-    F = odd_field(q)
+    return _latin_square(odd_field(q))
+
+
+def _latin_square(F: FiniteField) -> np.ndarray:
+    """latin_square over the field F of odd order."""
     return F.mul_t[F.add_t, F.inv(F.add(1, 1))]
 
 

@@ -122,8 +122,15 @@ def joined(batches: list[Batch]) -> Batch:
 
 
 def scalars(field: CycField, b: Batch) -> list[CycScalar]:
-    """The entries of b, flattened in C order, as normalized scalars."""
-    return [CycScalar(field, vec, b.den) for vec in b.num.reshape(-1, field.dim).tolist()]
+    """The entries of b, flattened in C order, as normalized scalars: each
+    entry's integers and the denominator b.den > 0 are divided by their gcd
+    for the whole batch at once, on either tier (int64 while b.den fits)."""
+    num = b.num.reshape(-1, field.dim)
+    if b.den >= 2**63:
+        num = num.astype(object)
+    g = np.gcd.reduce(num, axis=1, initial=b.den)
+    nums, dens = (num // g[:, None]).tolist(), (b.den // g).tolist()
+    return [CycScalar._normalized(field, tuple(x), d) for x, d in zip(nums, dens)]
 
 
 def combine(w: np.ndarray, x: Batch, axis: int = 0) -> Batch:

@@ -33,6 +33,13 @@ generator at a time: V is closed.
     every class but 0, thin classes (valency 1) first and then by
     decreasing valency; the check set takes each one whose vector is not
     yet reached (_checked_classes).
+  - At the first generator the check set is the first d - 1 classes of
+    the walk, in closed form.  There S^T = span{e_0} and e_0 p[:, c] = e_c,
+    so once c_1, ..., c_j are checked the reached vectors span e_0, J and
+    the e_ci.  Each of these is constant on the classes not yet named, so
+    while two or more are left none of their e_c is reached and the next
+    is checked; with one class c left, e_c = J - e_0 - sum_i e_ci is
+    reached, at rank d + 1.
   The checked products are formed several classes at a time, as the digits
   of base-(k_g + 1) numerals in float32.  A thin A_g is a permutation
   matrix, so the product is a column gather; any other is a GEMM of 0/1
@@ -342,19 +349,23 @@ def _checked_classes(span, p, tpose, order) -> list[int]:
     vector is not reached yet is checked, and adds the vectors y p[:, c] of
     S^T A_c; the walk stops at full rank.  e_0 lies in S^T and
     e_0 p[:, c] = e_c, so with every class but 0 in the order the walk
-    reaches rank nm (module docstring).
+    reaches rank nm (module docstring).  At the first generator the walk's
+    result is order[:nm - 2], in closed form (module docstring).
     """
     nm = span.nm
-    Y = np.array([r[tpose] for _, r in span.rows])  # tpose is an involution
+    if not span.gens:
+        return order[: nm - 2]
+    Y = [[r[t] for t in tpose] for _, r in span.rows]  # tpose is an involution
     reached = _Span(nm)  # e_0 lies in S^T; no generators, so a plain span
-    reached._close([*Y, np.ones(nm, dtype=object)])
+    reached._close([*Y, [1] * nm])
     check = []
     for c in order:
         if reached.rank == nm:
             break
         if c not in reached:
             check.append(c)
-            reached._close(list(Y @ p[:, c].astype(object)))
+            Rc = p[:, c].tolist()
+            reached._close([_times(y, Rc) for y in Y])
     return check
 
 
@@ -449,55 +460,64 @@ def _orbit_representatives(v: int, perms) -> np.ndarray:
     return np.array(reps)
 
 
+def _times(w: list[int], R: list[list[int]]) -> list[int]:
+    """The row vector w times the square matrix of the rows R."""
+    out = [0] * len(R)
+    for x, row in zip(w, R):
+        if x:
+            out = [z + x * y for z, y in zip(out, row)]
+    return out
+
+
 class _Span:
     """The span over Q of the vectors e_0 R_w, w running over the words in
     the generators added so far: the least subspace that holds e_0 and that
-    each generator's R maps into itself.  Its rows are Python integers in
-    echelon form (each is zero at the pivots of the rows before it), so
-    membership and rank are decided exactly.  With no generators, _close
-    adds plain vectors to the span."""
+    each generator's R maps into itself.  Its rows are lists of Python
+    integers in echelon form (each is zero at the pivots of the rows before
+    it), so membership and rank are decided exactly.  With no generators,
+    _close adds plain vectors to the span."""
 
     def __init__(self, nm: int):
         self.nm = nm
-        self.gens: list[np.ndarray] = []
-        self.rows: list[tuple[int, np.ndarray]] = []  # (pivot, row)
+        self.gens: list[list[list[int]]] = []  # the rows of each R
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
         self._close([self._unit(0)])
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _unit(self, i: int) -> np.ndarray:
-        e = np.zeros(self.nm, dtype=object)
+    def _unit(self, i: int) -> list[int]:
+        e = [0] * self.nm
         e[i] = 1
         return e
 
-    def _reduce(self, w: np.ndarray) -> np.ndarray:
+    def _reduce(self, w: list[int]) -> list[int]:
         """w minus its part in the span, up to a nonzero integer factor."""
         for c, r in self.rows:
-            if w[c]:
-                w = r[c] * w - w[c] * r
+            if x := w[c]:
+                a = r[c]
+                w = [a * s - x * t for s, t in zip(w, r)]
         return w
 
     def __contains__(self, i: int) -> bool:
         """Whether e_i, the vector of A_i, lies in the span."""
-        return not np.flatnonzero(self._reduce(self._unit(i))).size
+        return not any(self._reduce(self._unit(i)))
 
     def add(self, R) -> None:
         """Add a generator with A_i A_g = sum_k R[i, k] A_k and close the span
         under every generator."""
-        R = np.asarray(R).astype(object)
-        self.gens.append(R)
-        self._close([r @ R for _, r in self.rows])
+        self.gens.append(np.asarray(R).tolist())
+        self._close([_times(r, self.gens[-1]) for _, r in self.rows])
 
-    def _close(self, todo: list[np.ndarray]) -> None:
+    def _close(self, todo: list[list[int]]) -> None:
         while todo and self.rank < self.nm:
             w = self._reduce(todo.pop())
-            nz = np.flatnonzero(w)
-            if nz.size:
-                w = w // math.gcd(*w)
-                self.rows.append((int(nz[0]), w))
-                todo.extend(w @ R for R in self.gens)
+            if any(w):
+                g = math.gcd(*w)
+                w = [x // g for x in w]
+                self.rows.append((next(i for i, x in enumerate(w) if x), w))
+                todo.extend(_times(w, R) for R in self.gens)
 
     def certify(self) -> None:
         """Raise NotAScheme unless the generators span all nm classes."""

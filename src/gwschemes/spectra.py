@@ -304,56 +304,83 @@ class Eigensystem:
 # -- family eigensystems --
 
 
-def _unit(*terms: tuple[CycScalar, Elem]) -> Elem:
-    """sum c F over the terms (c, F); the Fs have disjoint supports."""
-    return {k: c * x for c, F in terms for k, x in F.items()}
+def _unit_former(field: CycField, M: int):
+    """unit(*terms) = sum c F over the terms (c, F), each F = sum_k zeta_M^e
+    A_k given by its exponents {k: e}, the Fs with disjoint supports.  Each
+    distinct product c zeta^e is formed once per former, keyed by the value
+    of c (scalars hash and compare by value) and by e."""
+    zeta, rows = [field.zeta(e) for e in range(M)], {}
+
+    def unit(*terms: tuple[CycScalar, dict]) -> Elem:
+        out = {}
+        for c, F in terms:
+            row = rows.setdefault(c, [None] * M)
+            for k, e in F.items():
+                if row[e] is None:
+                    row[e] = c * zeta[e]
+                out[k] = row[e]
+        return out
+
+    return unit
 
 
-def _pair_block(a: int, na: int, F0: list[Elem], F1: list[Elem], c11, c12) -> Block:
+def _elements(field: CycField, M: int, exponents: list[dict]) -> list[Elem]:
+    """The elements sum_k zeta_M^e A_k of the exponents {k: e}, over one list
+    of the powers of zeta_M."""
+    zeta = [field.zeta(e) for e in range(M)]
+    return [{k: zeta[e] for k, e in F.items()} for F in exponents]
+
+
+def _pair_block(unit, a: int, na: int, F0: list[dict], F1: list[dict], c11, c12) -> Block:
     """The 2-dimensional block of the characters a and na = -a:
     E_11 = c11 F_(a,0), E_22 = c11 F_(-a,0), E_12 = c12 F_(a,1), E_21 = c12 F_(-a,1)."""
     terms = [(c11, F0[a]), (c11, F0[na]), (c12, F1[a]), (c12, F1[na])]
-    units = {ij: _unit(t) for ij, t in zip([(1, 1), (2, 2), (1, 2), (2, 1)], terms)}
+    units = {ij: unit(t) for ij, t in zip([(1, 1), (2, 2), (1, 2), (2, 1)], terms)}
     return Block(f"a{a}", 2, units)
+
+
+def _bgw_exponents(m: int, typ: int) -> list[dict]:
+    """The exponents {(gamma, typ): alpha gamma mod m} of each F_{alpha,typ}."""
+    return [{typ * m + g: a * g % m for g in range(m)} for a in range(m)]
 
 
 def bgw_f_elements(alg: SchemeAlgebra, m: int, typ: int) -> list[Elem]:
     """F_{alpha,typ} = sum_gamma zeta_m^{alpha gamma} A_{(gamma,typ)}."""
-    off = typ * m
-    return [{off + g: alg.field.zeta(a * g) for g in range(m)} for a in range(m)]
+    return _elements(alg.field, m, _bgw_exponents(m, typ))
 
 
 def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
     """The eigensystem of bgw_build(q, m), once (q, m) pass check_bgw."""
     check_bgw(q, m)
     field = CycField(m, q)
-    alg = SchemeAlgebra(scheme, field)
-    F0 = bgw_f_elements(alg, m, 0)
-    F1 = bgw_f_elements(alg, m, 1)
+    unit, F0, F1 = _unit_former(field, m), _bgw_exponents(m, 0), _bgw_exponents(m, 1)
     e = field.rat(Fraction(1, scheme.v))
     inv_sqrt = field.sqrt_radicand().scale(Fraction(1, q))  # (sqrt q)^2 = q
     blocks = [
-        Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]))}),
-        Block("1", 1, {(1, 1): _unit((e.scale(q), F0[0]), (-e, F1[0]))}),
+        Block("0", 1, {(1, 1): unit((e, F0[0]), (e, F1[0]))}),
+        Block("1", 1, {(1, 1): unit((e.scale(q), F0[0]), (-e, F1[0]))}),
     ]
     if m % 2 == 0:
         h = m // 2
         c = inv_sqrt.scale(Fraction(1, 2 * m))
         half = field.rat(Fraction(1, 2 * m))
-        blocks.append(Block("2", 1, {(1, 1): _unit((half, F0[h]), (c, F1[h]))}))
-        blocks.append(Block("3", 1, {(1, 1): _unit((half, F0[h]), (-c, F1[h]))}))
+        blocks.append(Block("2", 1, {(1, 1): unit((half, F0[h]), (c, F1[h]))}))
+        blocks.append(Block("3", 1, {(1, 1): unit((half, F0[h]), (-c, F1[h]))}))
     c11, c12 = field.rat(Fraction(1, m)), inv_sqrt.scale(Fraction(1, m))
     for a in range(1, (m - 1) // 2 + 1):
-        blocks.append(_pair_block(a, m - a, F0, F1, c11, c12))
-    return Eigensystem(alg, blocks)
+        blocks.append(_pair_block(unit, a, m - a, F0, F1, c11, c12))
+    return Eigensystem(SchemeAlgebra(scheme, field), blocks)
+
+
+def _gh_exponents(F: FiniteField, typ: int) -> list[dict]:
+    """The exponents {(beta, typ): <alpha, beta>} of each F_{alpha,typ}."""
+    pairing = (F.digit_t @ F.digit_t.T % F.p).tolist()
+    return [{typ * F.q + b: k for b, k in enumerate(row)} for row in pairing]
 
 
 def gh_f_elements(alg: SchemeAlgebra, F: FiniteField, typ: int) -> list[Elem]:
     """F_{alpha,typ} = sum_beta zeta_p^{<alpha,beta>} A_{(beta,typ)}."""
-    off = typ * F.q
-    zeta = [alg.field.zeta(k) for k in range(F.p)]
-    pairing = (F.digit_t @ F.digit_t.T % F.p).tolist()
-    return [{off + b: zeta[k] for b, k in enumerate(row)} for row in pairing]
+    return _elements(alg.field, F.p, _gh_exponents(F, typ))
 
 
 def gh_transversal(F: FiniteField) -> list[int]:
@@ -367,20 +394,18 @@ def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
     """The eigensystem of gh_build(q), once q passes gh_field."""
     F = gh_field(q)
     field = CycField(F.p, 1)
-    alg = SchemeAlgebra(scheme, field)
-    F0 = gh_f_elements(alg, F, 0)
-    F1 = gh_f_elements(alg, F, 1)
-    a2 = {2 * q: field.one()}
+    unit, F0, F1 = _unit_former(field, F.p), _gh_exponents(F, 0), _gh_exponents(F, 1)
+    a2 = {2 * q: 0}  # A_2 = zeta^0 A_2
     e = field.rat(Fraction(1, scheme.v))
     blocks = [
-        Block("0", 1, {(1, 1): _unit((e, F0[0]), (e, F1[0]), (e, a2))}),
-        Block("1", 1, {(1, 1): _unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),
-        Block("2", 1, {(1, 1): _unit((e.scale(q), F0[0]), (-e, F1[0]), (e.scale(q), a2))}),
+        Block("0", 1, {(1, 1): unit((e, F0[0]), (e, F1[0]), (e, a2))}),
+        Block("1", 1, {(1, 1): unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),
+        Block("2", 1, {(1, 1): unit((e.scale(q), F0[0]), (-e, F1[0]), (e.scale(q), a2))}),
     ]
     c11, c12 = field.rat(Fraction(1, q)), field.rat(Fraction(1, q * q))
     for a in gh_transversal(F):
-        blocks.append(_pair_block(a, F.neg(a), F0, F1, c11, c12))
-    return Eigensystem(alg, blocks)
+        blocks.append(_pair_block(unit, a, F.neg(a), F0, F1, c11, c12))
+    return Eigensystem(SchemeAlgebra(scheme, field), blocks)
 
 
 def _parameter(provenance: dict, key: str) -> int:

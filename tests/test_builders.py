@@ -19,6 +19,7 @@ from gwschemes import (
 )
 from gwschemes.algebra import FiniteField, factor_prime_power
 from gwschemes.builders import _bgw_label_matrix, _gh_label_matrix
+from gwschemes.designs import gh_field
 from cases import BGW_BUILDABLE, BGW_NEGATIVE, GH_GRID, bgw, gh
 from closedforms import check_bgw_products, check_gh_products
 import kronecker
@@ -96,6 +97,20 @@ class TestGHScheme:
     def test_noncommutative(self, q):
         assert gh(q).classify() == "noncommutative"
 
+    def test_one_field_per_build(self, monkeypatch):
+        # the label matrix, the Latin square and the maps share one GF(q); the
+        # three were built on their own before
+        calls, init = [], FiniteField.__init__
+
+        def counted(self, q):
+            calls.append(q)
+            init(self, q)
+
+        monkeypatch.setattr(FiniteField, "__init__", counted)
+        s = gh_build(9)
+        assert calls == [9]
+        assert np.array_equal(s.L, gh(9).L)
+
     def test_even_q_rejected(self):
         with pytest.raises(ValueError, match="^q must be odd$"):
             gh_build(4)
@@ -150,7 +165,7 @@ class TestKroneckerReference:
 
     @pytest.mark.parametrize(
         "write,args",
-        [(_bgw_label_matrix, (5, 2)), (_bgw_label_matrix, (8, 7)), (_gh_label_matrix, (9,))],
+        [(_bgw_label_matrix, (5, 2)), (_bgw_label_matrix, (8, 7)), (_gh_label_matrix, (gh_field(9),))],
         ids=["bgw52", "bgw87", "gh9"],
     )
     def test_label_matrices_are_written_compact(self, write, args):
@@ -186,7 +201,7 @@ class TestBlockTableBeyondTheGrid:
 
     def test_gh_rule_on_sampled_rows(self):
         q = 11
-        F, L = FiniteField(q), _gh_label_matrix(q)
+        F, L = FiniteField(q), _gh_label_matrix(gh_field(q))
         half = F.inv(F.add(1, 1))
 
         def factor(P, P2):  # the edge {infinity, a}, or (x + x2) / 2 = a
@@ -206,7 +221,7 @@ class TestBlockTableBeyondTheGrid:
 
     @pytest.mark.parametrize(
         "write,args,bound",
-        [(_gh_label_matrix, (11,), 2.33), (_bgw_label_matrix, (529, 2), 10.70)],
+        [(_gh_label_matrix, (gh_field(11),), 2.33), (_bgw_label_matrix, (529, 2), 10.70)],
         ids=["gh11", "bgw529_2"],
     )
     def test_peak_stays_at_the_gather_layout(self, write, args, bound):
@@ -303,7 +318,7 @@ GH_BUILDABLE = [3, 5, 7, 9, 11, 13]  # every odd prime power q with (q + 1) q^2 
 class TestGhAutomorphisms:
     @pytest.mark.parametrize("q", GH_BUILDABLE)
     def test_maps_and_orbits(self, q):
-        L = _gh_label_matrix(q)
+        L = _gh_label_matrix(gh_field(q))
         perms = gh_automorphisms(q)
         assert len(perms) == 3
         for k, sigma in enumerate(perms):

@@ -532,6 +532,24 @@ class TestClosureCertificate:
             assert min(vals) > 1 and vals == sorted(vals, reverse=True)
 
     @pytest.mark.parametrize(
+        "case",
+        [*(("bgw", c) for c in cases.BGW_BUILDABLE), *(("gh", (q,)) for q in cases.GH_GRID)],
+        ids=lambda c: f"{c[0]}{'-'.join(map(str, c[1]))}",
+    )
+    def test_first_check_set_is_the_reference_walk(self, monkeypatch, case):
+        # the closed form order[:nm - 2] against the walk over Fraction ranks,
+        # on the scheme and on its symmetric fusion
+        family, args = case
+        s = cases.bgw(*args) if family == "bgw" else cases.gh(*args)
+        fusion = bgw_symmetric_fusion(args[1]) if family == "bgw" else gh_symmetric_fusion(*args)
+        calls = right_action_calls(monkeypatch)
+        for scheme in (s, s.fuse(fusion)):
+            calls.clear()
+            AssociationScheme.from_matrices(scheme.L, scheme.labels)
+            assert calls[0][1] == reference_first_check_set(scheme)
+            assert len(calls[0][1]) == scheme.nclasses - 2
+
+    @pytest.mark.parametrize(
         "build,want",
         [
             (lambda: gh_build(9), [17, 5]),
@@ -632,22 +650,55 @@ class TestClosureCertificate:
 
     def test_span_matches_rational_rank(self):
         # the span of e_0 under words of length < nm in random integer
-        # matrices, against a plain Fraction elimination
+        # matrices, against a plain Fraction elimination; past 2**63 each
+        # matrix is a big multiple of a small one, or that plus a small one
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            nm = int(rng.integers(2, 6))
+        for big in [False] * 100 + [True] * 50:
+            nm = int(rng.integers(2, 9))
             gens = [rng.integers(-2, 3, (nm, nm)) for _ in range(int(rng.integers(1, 3)))]
+            if big:
+                small = [rng.integers(-1, 2, (nm, nm)) * int(rng.integers(2)) for _ in gens]
+                gens = [R.astype(object) * (2**64 + 1) + r for R, r in zip(gens, small)]
+                assert max(abs(x) for R in gens for x in R.flat) >= 2**63
             span = _Span(nm)
             for R in gens:
                 span.add(R)
             words = frontier = [np.eye(nm, dtype=np.int64)[0]]
             for _ in range(nm - 1):
-                frontier = [w @ R for w in frontier for R in gens]
-                words = words + frontier
+                # a basis of the words of each length spans the next length
+                frontier = basis([w @ R for w in frontier for R in gens])
+                words = basis(words + frontier)
             assert span.rank == rational_rank(words)
             for i in range(nm):
                 e = np.eye(nm, dtype=np.int64)[i]
                 assert (i in span) == (rational_rank(words + [e]) == span.rank)
+
+
+def basis(rows) -> list:
+    """The rows of rows that add to the rank of those before them."""
+    out = []
+    for r in rows:
+        if rational_rank(out + [r]) > len(out):
+            out.append(r)
+    return out
+
+
+def reference_first_check_set(s) -> list[int]:
+    """The first generator's check set by the walk of _checked_classes over
+    Fraction ranks: S^T = span{e_0}, J, then each class of the order whose
+    unit vector is not reached, adding e_0 p[:, c]."""
+    nm, val = s.nclasses, s.valencies
+    order = sorted(range(1, nm), key=lambda i: (val[i] > 1, -val[i], i))
+    e0 = np.eye(nm, dtype=np.int64)[0]
+    reached, check = [e0, np.ones(nm, dtype=np.int64)], []
+    for c in order:
+        if rational_rank(reached) == nm:
+            break
+        if rational_rank(reached + [np.eye(nm, dtype=np.int64)[c]]) > rational_rank(reached):
+            check.append(c)
+            reached.append(e0 @ s.p[:, c])
+    return check
+
 
 
 class TestRowBlocks:

@@ -426,6 +426,79 @@ class TestFElementRules:
         assert gh_transversal(FiniteField(9)) == [1, 3, 4, 5]
 
 
+def per_entry_unit(*terms):
+    """sum c F over the terms (c, F), one scalar product per entry."""
+    return {k: c * x for c, F in terms for k, x in F.items()}
+
+
+def reference_blocks(es, family, q, m=None) -> list[tuple[str, int, dict]]:
+    """The blocks of the family eigensystem, each unit entry formed as its
+    own product c zeta^e from the F elements."""
+    alg, field, v = es.algebra, es.algebra.field, es.algebra.scheme.v
+    e = field.rat(Fraction(1, v))
+    if family == "bgw":
+        F0, F1 = bgw_f_elements(alg, m, 0), bgw_f_elements(alg, m, 1)
+        inv_sqrt = field.sqrt_radicand().scale(Fraction(1, q))
+        blocks = [
+            ("0", 1, {(1, 1): per_entry_unit((e, F0[0]), (e, F1[0]))}),
+            ("1", 1, {(1, 1): per_entry_unit((e.scale(q), F0[0]), (-e, F1[0]))}),
+        ]
+        if m % 2 == 0:
+            h, c, half = m // 2, inv_sqrt.scale(Fraction(1, 2 * m)), field.rat(Fraction(1, 2 * m))
+            blocks.append(("2", 1, {(1, 1): per_entry_unit((half, F0[h]), (c, F1[h]))}))
+            blocks.append(("3", 1, {(1, 1): per_entry_unit((half, F0[h]), (-c, F1[h]))}))
+        c11, c12 = field.rat(Fraction(1, m)), inv_sqrt.scale(Fraction(1, m))
+        pairs = [(a, m - a) for a in range(1, (m - 1) // 2 + 1)]
+    else:
+        F = FiniteField(q)
+        F0, F1, a2 = gh_f_elements(alg, F, 0), gh_f_elements(alg, F, 1), {2 * q: field.one()}
+        blocks = [
+            ("0", 1, {(1, 1): per_entry_unit((e, F0[0]), (e, F1[0]), (e, a2))}),
+            ("1", 1, {(1, 1): per_entry_unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),
+            ("2", 1, {(1, 1): per_entry_unit((e.scale(q), F0[0]), (-e, F1[0]), (e.scale(q), a2))}),
+        ]
+        c11, c12 = field.rat(Fraction(1, q)), field.rat(Fraction(1, q * q))
+        pairs = [(a, F.neg(a)) for a in gh_transversal(F)]
+    for a, na in pairs:
+        terms = [(c11, F0[a]), (c11, F0[na]), (c12, F1[a]), (c12, F1[na])]
+        units = {ij: per_entry_unit(t) for ij, t in zip([(1, 1), (2, 2), (1, 2), (2, 1)], terms)}
+        blocks.append((f"a{a}", 2, units))
+    return blocks
+
+
+def count_products(monkeypatch) -> list:
+    """A list that gains one entry per CycScalar product from here on."""
+    calls, product = [], CycScalar.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counted)
+    return calls
+
+
+class TestUnitProducts:
+    @pytest.mark.parametrize("q,m", cases.BGW_BUILDABLE, ids=lambda c: str(c))
+    def test_bgw_units_match_the_per_entry_formula(self, q, m):
+        es = cases.bgw_es(q, m)
+        got = [(b.name, b.dim, b.units) for b in es.blocks]
+        assert got == reference_blocks(es, "bgw", q, m)
+
+    @pytest.mark.parametrize("q", cases.GH_GRID, ids=lambda q: f"q{q}")
+    def test_gh_units_match_the_per_entry_formula(self, q):
+        es = cases.gh_es(q)
+        assert [(b.name, b.dim, b.units) for b in es.blocks] == reference_blocks(es, "gh", q)
+
+    def test_each_distinct_product_is_formed_once(self, monkeypatch):
+        # 24 classes: the per-entry formula forms one product per unit entry
+        scheme = cases.bgw(25, 12)
+        calls = count_products(monkeypatch)
+        es = bgw_eigensystem(scheme, 25, 12)
+        entries = sum(len(u) for b in es.blocks for u in b.units.values())
+        assert len(calls) <= 4 * 12 < entries
+
+
 def dict_mul(alg, x, y):
     """Reference product: one scalar product per pair of classes."""
     out = {}
@@ -1374,6 +1447,65 @@ class TestKernel:
             scale = np.abs(mult).sum(axis=2).max()
             assert np.abs(e[:, None] * e[None, :] - mult @ e).max() < 1e-9 * scale, f
             assert np.abs(e.conj() - conj @ e).max() < 1e-9 * np.abs(conj).sum(axis=1).max(), f
+
+
+def constructed(field, num, den) -> list[CycScalar]:
+    """Each row of num over den through the normalizing constructor."""
+    return [CycScalar(field, row, den) for row in np.asarray(num).reshape(-1, field.dim).tolist()]
+
+
+def assert_same_scalars(got, want):
+    assert got == want
+    for x, y in zip(got, want):
+        assert hash(x) == hash(y) and x.field is y.field
+        assert type(x.num) is tuple and all(type(c) is int for c in x.num) and type(x.den) is int
+
+
+SCALAR_FIELD = CycField(3, 2)  # D = 4: zeta_3^0, zeta_3^1, and sqrt(2) times each
+
+
+class TestScalars:
+    """kernel.scalars normalizes a batch at once; each entry equals, with the
+    same hash, the scalar that the constructor normalizes on its own."""
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            ([[-6, 4, 0, -2], [3, -9, 0, 0]], 8),  # negative entries
+            ([[0, 0, 0, 0], [0, 5, 0, 0]], 6),  # zero entries
+            ([[6, 12, -18, 0], [30, 0, 0, -60]], 30),  # den shares 6 with every coefficient
+            ([[6, 12, -18, 0], [0, 0, 0, 0]], 1),
+            ([[2**64, -2**70, 0, 3 * 2**63]], 2**65),  # past 2**63, object tier
+            ([[2**64 * 3, 0, 0, 0], [1, 0, 0, 0]], 9),
+        ],
+        ids=["negative", "zero", "shared", "den1", "big-den", "big"],
+    )
+    def test_listed_entries(self, num, den):
+        big = max(abs(x) for row in num for x in row) >= 2**63
+        b = Batch(np.array(num, dtype=object if big else np.int64)[:, None, :], den)
+        assert b.num.dtype == (object if big else np.int64)
+        assert_same_scalars(kernel.scalars(SCALAR_FIELD, b), constructed(SCALAR_FIELD, num, den))
+
+    def test_int64_entries_over_a_denominator_past_2_63(self):
+        num = [[2**40, -2**41, 0, 6]]
+        b = Batch(np.array(num), 2**66)
+        assert b.num.dtype == np.int64
+        assert_same_scalars(kernel.scalars(SCALAR_FIELD, b), constructed(SCALAR_FIELD, num, 2**66))
+
+    @given(data=st.data())
+    def test_random_batches(self, data):
+        big = data.draw(st.booleans())
+        limit = 2**70 if big else 2**40
+        n = data.draw(st.integers(0, 5))
+        num = data.draw(
+            st.lists(st.lists(st.integers(-limit, limit), min_size=4, max_size=4), min_size=n, max_size=n)
+        )
+        # a common factor of every coefficient and the denominator
+        g, den = data.draw(st.integers(1, 2**10)), data.draw(st.one_of(st.just(1), st.integers(1, 2**20)))
+        num = [[g * x for x in row] for row in num]
+        arr = np.array(num, dtype=object if big else np.int64).reshape(n, 1, 4)
+        got = kernel.scalars(SCALAR_FIELD, Batch(arr, g * den))
+        assert_same_scalars(got, constructed(SCALAR_FIELD, arr, g * den))
 
 
 class TestRankAndMaterialize:
