@@ -20,7 +20,7 @@ duality, and symmetrizing fusions with explicit certificates.
 """
 
 from .errors import GWError, InputError, NotAScheme, SymmetryObstruction, VerificationError
-from .algebra import CycField, CycScalar, FiniteField, squarefree_core
+from .algebra import CycField, CycScalar, FiniteField, scalar_to_str, squarefree_core
 from .designs import (
     BLANK,
     bgw_matrix,
@@ -57,13 +57,7 @@ from .spectra import (
     gh_transversal,
 )
 from .oracle import oracle_closure, oracle_spectrum
-from .serialize import (
-    load_scheme,
-    save_scheme,
-    scalar_to_str,
-    table_to_csv,
-    table_to_json,
-)
+from .serialize import load_scheme, save_scheme, table_to_csv, table_to_json
 
 __version__ = "0.1.0"
 
@@ -76,6 +70,7 @@ __all__ = [
     "CycField",
     "CycScalar",
     "FiniteField",
+    "scalar_to_str",
     "squarefree_core",
     "BLANK",
     "bgw_matrix",
@@ -110,7 +105,6 @@ __all__ = [
     "oracle_spectrum",
     "load_scheme",
     "save_scheme",
-    "scalar_to_str",
     "table_to_csv",
     "table_to_json",
     "__version__",

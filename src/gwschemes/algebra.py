@@ -9,6 +9,10 @@ A CycScalar is one integer vector over the basis with one positive
 denominator, in lowest terms; its products and conjugates read those two
 tables.  Equality of scalars is therefore literal equality of normalized
 coefficients; no floating point is involved anywhere.
+
+Scalars print as polynomials in z = zeta_M with an optional radical part,
+e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
+the radicand (scalar_to_str, which is also the repr of a CycScalar).
 """
 from __future__ import annotations
 
@@ -309,9 +313,47 @@ class CycScalar:
         return sum(c * z for c, z in zip(self.num, basis)) / self.den
 
     def __repr__(self) -> str:
-        from .serialize import scalar_to_str
-
         return scalar_to_str(self)
+
+
+# -- scalar text form --
+
+
+def _frac_str(fr: Fraction) -> str:
+    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+
+
+def _poly_str(coeffs: list[Fraction]) -> str:
+    terms = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k == 0:
+            terms.append(_frac_str(c))
+            continue
+        zpow = "z" if k == 1 else f"z^{k}"
+        if c == 1:
+            terms.append(zpow)
+        elif c == -1:
+            terms.append(f"-{zpow}")
+        else:
+            terms.append(f"{_frac_str(c)}*{zpow}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def scalar_to_str(s: CycScalar) -> str:
+    a = _poly_str(s.a_vector())
+    b = _poly_str(s.b_vector())
+    if b == "0":
+        return a
+    if a == "0":
+        return f"r*({b})"
+    return f"{a} + r*({b})"
 
 
 # The largest field order FiniteField builds tables for.  A BGW scheme over

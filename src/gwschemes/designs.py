@@ -13,13 +13,17 @@ q x q matrix over GF(q) such that the difference of any two distinct rows
 covers GF(q) exactly once; the multiplication table of GF(q) is one.  It is
 checked as a BGW matrix with no blanks: verify_bgw and verify_gh share one
 count of row differences, over Z_m and over (GF(q), +).
+
+The parameter rules of the two scheme families live here too: check_bgw and
+gh_field, and provenance_parameters, which reads the family and parameters
+that a provenance record names.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import FiniteField, factor_prime_power
-from .errors import SymmetryObstruction, VerificationError
+from .errors import InputError, SymmetryObstruction, VerificationError
 from .matrixkit import mm
 
 BLANK = -1
@@ -62,6 +66,37 @@ def gh_field(q: int) -> FiniteField:
     if (v := (q + 1) * q * q) > MAX_POINTS:
         raise ValueError(f"{v} points exceed the limit of {MAX_POINTS}")
     return odd_field(q)
+
+
+def _parameter(provenance: dict, key: str) -> int:
+    x = provenance.get(key)
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise InputError(f"provenance {key} must be a positive integer, not {x!r}")
+    return x
+
+
+def provenance_parameters(
+    provenance: dict, v: int, nclasses: int
+) -> tuple[str, tuple[int, ...]]:
+    """The family that a provenance record names and its parameters: (q, m)
+    for bgw and (q,) for gh.  A missing or unknown family, a missing or
+    non-positive-integer q or m, or parameters whose family has another
+    point or class count than v and nclasses raise InputError."""
+    fam = provenance.get("family")
+    if fam == "bgw":
+        q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
+        params, size = (q, m), ((q + 1) * m, 2 * m)
+    elif fam == "gh":
+        q = _parameter(provenance, "q")
+        params, size = (q,), ((q + 1) * q * q, 2 * q + 1)
+    else:
+        raise InputError(f"provenance family must be 'bgw' or 'gh', not {fam!r}")
+    if (v, nclasses) != size:
+        raise InputError(
+            f"provenance {fam} parameters give {size[0]} points and {size[1]} classes, "
+            f"but the scheme has {v} points and {nclasses} classes"
+        )
+    return fam, params
 
 
 def bgw_matrix(q: int, m: int) -> np.ndarray:
@@ -112,6 +147,8 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise VerificationError("matrix is not square")
     v = W.shape[0]
+    if v < 2 or m < 1:
+        raise VerificationError(f"need at least 2 points and m >= 1, not v={v} and m={m}")
     if not (((W >= 0) & (W < m)) | (W == BLANK)).all():
         raise VerificationError("entries must be blank or in 0..m-1")
     if ((W == BLANK).sum(axis=1) != 1).any() or ((W == BLANK).sum(axis=0) != 1).any():

@@ -5,9 +5,10 @@ common positive denominator.  The basis axis runs over the Q-basis of
 Q(zeta_M)[sqrt(d)] of CycField.structure (D = deg entries, or 2*deg with
 a radical part); a batch of scalars is a Batch with one class.  A CycScalar
 is one such integer vector with a denominator of its own, so pack brings
-scalars to a common denominator and scalars divides each entry back to
-lowest terms.  The spectra keep each block of matrix units in its own
-lowest terms, and join blocks with joined only for a sum across them.
+scalars to their least common denominator, which leaves the batch in lowest
+terms, and scalars divides each entry back to lowest terms.  The spectra
+pack each block of matrix units on its own, so each is in its own lowest
+terms, and join blocks with joined only for a sum across them.
 With the intersection tensor p of the scheme and the structure tensor c of
 the field, a product of elements is
 
@@ -104,7 +105,14 @@ class Batch:
 
 
 def pack(field: CycField, rows: list[list[CycScalar | None]]) -> Batch:
-    """rows[n][k] is class k of element n; None stands for zero."""
+    """rows[n][k] is class k of element n; None stands for zero.
+
+    The batch is over the lcm of the denominators of the nonzero entries,
+    which puts it in lowest terms: the gcd of that lcm and every numerator
+    is 1.  A prime p that divides the lcm divides some entry's denominator
+    to its full power in the lcm, so that entry is scaled by a factor prime
+    to p; its numerators are not all divisible by p, since the entry is in
+    lowest terms, and so neither are their scaled values."""
     nonzero = [x for row in rows for x in row if x]
     den = lcm(1, *(x.den for x in nonzero))
     zero = [0] * field.dim

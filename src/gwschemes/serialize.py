@@ -1,4 +1,4 @@
-"""Scheme files and scalar text forms.
+"""Scheme files and the JSON and CSV forms of scalar tables.
 
 A scheme file is JSON: version, point count, class labels, the label matrix
 rows run-length encoded as [label_index, count, label_index, count, ...], and
@@ -21,26 +21,23 @@ row checks, which word every input error, so the two agree.  Both decode into
 the compact label dtype the scheme stores (see schemes); the file bytes do not
 depend on it.
 
-Scalars print as polynomials in z = zeta_M with an optional radical part,
-e.g. "1/2 + 3*z^2 + r*(1 - z)", where r = sqrt(d) for the squarefree part d of
-the radicand.
+The tables print each scalar in the text form of algebra.scalar_to_str.
+A bgw or gh provenance record is parsed by designs.provenance_parameters.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .algebra import CycField, CycScalar
+from .algebra import CycField, CycScalar, scalar_to_str
 from .builders import bgw_automorphisms, gh_automorphisms
 from . import designs
 from .errors import InputError, SymmetryObstruction
 from .schemes import AssociationScheme, check_labels, label_dtype, row_blocks
-from .spectra import provenance_parameters
 
 FILE_VERSION = 1
 
@@ -332,7 +329,7 @@ def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tu
     any other record.  from_matrices uses them only where they preserve the
     labels read, so a wrong record costs a check and changes no result."""
     try:
-        family, params = provenance_parameters(provenance or {}, v, nclasses)
+        family, params = designs.provenance_parameters(provenance or {}, v, nclasses)
         return (bgw_automorphisms if family == "bgw" else gh_automorphisms)(*params)
     except (ValueError, SymmetryObstruction):  # InputError: no such record
         return ()
@@ -357,46 +354,6 @@ def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     L, labels, provenance = read
     offered = _offered_automorphisms(provenance, len(L), len(labels))
     return AssociationScheme.from_matrices(L, labels, offered), provenance
-
-
-# -- scalar text form --
-
-
-def _frac_str(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
-
-
-def _poly_str(coeffs: list[Fraction]) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            terms.append(_frac_str(c))
-            continue
-        zpow = "z" if k == 1 else f"z^{k}"
-        if c == 1:
-            terms.append(zpow)
-        elif c == -1:
-            terms.append(f"-{zpow}")
-        else:
-            terms.append(f"{_frac_str(c)}*{zpow}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-def scalar_to_str(s: CycScalar) -> str:
-    a = _poly_str(s.a_vector())
-    b = _poly_str(s.b_vector())
-    if b == "0":
-        return a
-    if a == "0":
-        return f"r*({b})"
-    return f"{a} + r*({b})"
 
 
 def table_to_json(

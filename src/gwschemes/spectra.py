@@ -32,14 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
 from . import kernel
 from .algebra import CycField, CycScalar, FiniteField
-from .designs import check_bgw, gh_field, odd_field
-from .errors import InputError, VerificationError
+from .designs import check_bgw, gh_field, odd_field, provenance_parameters
+from .errors import VerificationError
 from .kernel import Batch
 from .schemes import AssociationScheme, check_partition
 
@@ -119,12 +118,13 @@ def _transposed(d: int) -> np.ndarray:
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra.
 
-    The blocks are copied once, on entry, and that copy is checked, packed
-    once and split into one read-only Batch per block, each in its own lowest
-    terms; the copy and the batches are kept as tuples.  Every check and
-    table reads them block by block, and blocks returns fresh copies on each
-    access, so no later edit of the caller's blocks or of a returned one
-    changes anything the eigensystem reports.  No attribute can be set after
+    The blocks are copied once, on entry, and that copy is checked; then
+    each block is packed once into one read-only Batch over the lcm of its
+    own denominators, which is its lowest terms (kernel.pack).  The copy and
+    the batches are kept as tuples.  Every check and table reads them block
+    by block, and blocks returns fresh copies on each access, so no later
+    edit of the caller's blocks or of a returned one changes anything the
+    eigensystem reports.  No attribute can be set after
     construction, so the eigensystem stays the certificate it was built as.
     """
 
@@ -150,13 +150,11 @@ class Eigensystem:
                         raise VerificationError(f"{at} outside 0..{len(classes) - 1}")
                     of = repr(x.field) if isinstance(x, CycScalar) else f"type {type(x).__name__}"
                     raise VerificationError(f"{at} entry of {of}, not of {algebra.field!r}")
-        U = algebra.pack([blk.units[ij] for blk in blocks for ij in _pairs(blk.dim)])
-        units = []
-        for num in np.split(U.num, np.cumsum([blk.dim**2 for blk in blocks])[:-1]):
-            g = gcd(U.den, int(np.gcd.reduce(num, axis=None)))  # the block in lowest terms
-            units.append(Batch(num // g, U.den // g))
-            units[-1].num.flags.writeable = False
-        vars(self).update(algebra=algebra, _blocks=blocks, _units=tuple(units))
+        # each block over the lcm of its denominators, its lowest terms (kernel.pack)
+        units = tuple(algebra.pack([blk.units[ij] for ij in _pairs(blk.dim)]) for blk in blocks)
+        for Ub in units:
+            Ub.num.flags.writeable = False
+        vars(self).update(algebra=algebra, _blocks=blocks, _units=units)
         vars(self)["_mult"] = self.verify()
 
     def __setattr__(self, name, value):
@@ -324,13 +322,6 @@ def _unit_former(field: CycField, M: int):
     return unit
 
 
-def _elements(field: CycField, M: int, exponents: list[dict]) -> list[Elem]:
-    """The elements sum_k zeta_M^e A_k of the exponents {k: e}, over one list
-    of the powers of zeta_M."""
-    zeta = [field.zeta(e) for e in range(M)]
-    return [{k: zeta[e] for k, e in F.items()} for F in exponents]
-
-
 def _pair_block(unit, a: int, na: int, F0: list[dict], F1: list[dict], c11, c12) -> Block:
     """The 2-dimensional block of the characters a and na = -a:
     E_11 = c11 F_(a,0), E_22 = c11 F_(-a,0), E_12 = c12 F_(a,1), E_21 = c12 F_(-a,1)."""
@@ -342,11 +333,6 @@ def _pair_block(unit, a: int, na: int, F0: list[dict], F1: list[dict], c11, c12)
 def _bgw_exponents(m: int, typ: int) -> list[dict]:
     """The exponents {(gamma, typ): alpha gamma mod m} of each F_{alpha,typ}."""
     return [{typ * m + g: a * g % m for g in range(m)} for a in range(m)]
-
-
-def bgw_f_elements(alg: SchemeAlgebra, m: int, typ: int) -> list[Elem]:
-    """F_{alpha,typ} = sum_gamma zeta_m^{alpha gamma} A_{(gamma,typ)}."""
-    return _elements(alg.field, m, _bgw_exponents(m, typ))
 
 
 def bgw_eigensystem(scheme: AssociationScheme, q: int, m: int) -> Eigensystem:
@@ -378,11 +364,6 @@ def _gh_exponents(F: FiniteField, typ: int) -> list[dict]:
     return [{typ * F.q + b: k for b, k in enumerate(row)} for row in pairing]
 
 
-def gh_f_elements(alg: SchemeAlgebra, F: FiniteField, typ: int) -> list[Elem]:
-    """F_{alpha,typ} = sum_beta zeta_p^{<alpha,beta>} A_{(beta,typ)}."""
-    return _elements(alg.field, F.p, _gh_exponents(F, typ))
-
-
 def gh_transversal(F: FiniteField) -> list[int]:
     """The transversal of {x, -x} over the nonzero elements of GF(q) that keeps
     the smaller index of each pair."""
@@ -406,37 +387,6 @@ def gh_eigensystem(scheme: AssociationScheme, q: int) -> Eigensystem:
     for a in gh_transversal(F):
         blocks.append(_pair_block(unit, a, F.neg(a), F0, F1, c11, c12))
     return Eigensystem(SchemeAlgebra(scheme, field), blocks)
-
-
-def _parameter(provenance: dict, key: str) -> int:
-    x = provenance.get(key)
-    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-        raise InputError(f"provenance {key} must be a positive integer, not {x!r}")
-    return x
-
-
-def provenance_parameters(
-    provenance: dict, v: int, nclasses: int
-) -> tuple[str, tuple[int, ...]]:
-    """The family that a provenance record names and its parameters: (q, m)
-    for bgw and (q,) for gh.  A missing or unknown family, a missing or
-    non-positive-integer q or m, or parameters whose family has another
-    point or class count than v and nclasses raise InputError."""
-    fam = provenance.get("family")
-    if fam == "bgw":
-        q, m = _parameter(provenance, "q"), _parameter(provenance, "m")
-        params, size = (q, m), ((q + 1) * m, 2 * m)
-    elif fam == "gh":
-        q = _parameter(provenance, "q")
-        params, size = (q,), ((q + 1) * q * q, 2 * q + 1)
-    else:
-        raise InputError(f"provenance family must be 'bgw' or 'gh', not {fam!r}")
-    if (v, nclasses) != size:
-        raise InputError(
-            f"provenance {fam} parameters give {size[0]} points and {size[1]} classes, "
-            f"but the scheme has {v} points and {nclasses} classes"
-        )
-    return fam, params
 
 
 def eigensystem_for(scheme: AssociationScheme, provenance: dict) -> Eigensystem:

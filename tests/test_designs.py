@@ -119,6 +119,14 @@ class TestBGW:
         with pytest.raises(VerificationError, match="^matrix is not square$"):
             verify_bgw(np.zeros((), dtype=int), 2)
 
+    @pytest.mark.parametrize("m", [0, 1, -1])
+    def test_one_point_or_m_below_one_rejected(self, m):
+        # m = 0 would divide by zero at lambda % m, and m = +-1 would verify
+        # the 1 x 1 blank matrix as a BGW(1, 0, -1)
+        want = f"need at least 2 points and m >= 1, not v=1 and m={m}"
+        with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+            verify_bgw(np.array([[BLANK]]), m)
+
     def test_lambda_not_divisible_rejected(self):
         # bgw 7,3 has entries below 3 < 4 and one blank per row; lambda = 6
         with pytest.raises(VerificationError, match="^lambda=6 not divisible by m=4$"):

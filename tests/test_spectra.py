@@ -6,6 +6,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -35,10 +36,10 @@ from gwschemes.spectra import (
     Eigensystem,
     FusedEigensystem,
     SchemeAlgebra,
+    _bgw_exponents,
     _closure_ok,
     _fused_sums,
-    bgw_f_elements,
-    gh_f_elements,
+    _gh_exponents,
 )
 import cases
 import closedforms as cf
@@ -373,6 +374,21 @@ def elem_mul(alg, x, y):
     return unpack(alg, alg.mul(alg.pack([x]), alg.pack([y])))[0]
 
 
+def f_elements(field, M, exponents):
+    """The elements F = sum_k zeta_M^e A_k of the exponent tables {k: e}."""
+    return [{k: field.zeta(e) for k, e in F.items()} for F in exponents]
+
+
+def bgw_f(field, m, typ):
+    """F_{alpha,typ} = sum_gamma zeta_m^{alpha gamma} A_{(gamma,typ)}."""
+    return f_elements(field, m, _bgw_exponents(m, typ))
+
+
+def gh_f(field, F, typ):
+    """F_{alpha,typ} = sum_beta zeta_p^{<alpha,beta>} A_{(beta,typ)}."""
+    return f_elements(field, F.p, _gh_exponents(F, typ))
+
+
 class TestFElementRules:
     # the terms added up below lie on disjoint classes (type 0, type 1 and
     # the class 2q of gh), so a union of dicts adds them
@@ -381,8 +397,8 @@ class TestFElementRules:
         q, m = 7, 3
         es = cases.bgw_es(q, m)
         alg = es.algebra
-        F0 = bgw_f_elements(alg, m, 0)
-        F1 = bgw_f_elements(alg, m, 1)
+        F0 = bgw_f(alg.field, m, 0)
+        F1 = bgw_f(alg.field, m, 1)
         for a in range(m):
             for b in range(m):
                 d_ab = m if a == b else 0
@@ -400,8 +416,8 @@ class TestFElementRules:
         es = cases.gh_es(q)
         alg = es.algebra
         F = FiniteField(q)
-        F0 = gh_f_elements(alg, F, 0)
-        F1 = gh_f_elements(alg, F, 1)
+        F0 = gh_f(alg.field, F, 0)
+        F1 = gh_f(alg.field, F, 1)
         a2 = {2 * q: alg.field.one()}
         for a in range(q):
             for b in range(q):
@@ -434,10 +450,10 @@ def per_entry_unit(*terms):
 def reference_blocks(es, family, q, m=None) -> list[tuple[str, int, dict]]:
     """The blocks of the family eigensystem, each unit entry formed as its
     own product c zeta^e from the F elements."""
-    alg, field, v = es.algebra, es.algebra.field, es.algebra.scheme.v
+    field, v = es.algebra.field, es.algebra.scheme.v
     e = field.rat(Fraction(1, v))
     if family == "bgw":
-        F0, F1 = bgw_f_elements(alg, m, 0), bgw_f_elements(alg, m, 1)
+        F0, F1 = bgw_f(field, m, 0), bgw_f(field, m, 1)
         inv_sqrt = field.sqrt_radicand().scale(Fraction(1, q))
         blocks = [
             ("0", 1, {(1, 1): per_entry_unit((e, F0[0]), (e, F1[0]))}),
@@ -451,7 +467,7 @@ def reference_blocks(es, family, q, m=None) -> list[tuple[str, int, dict]]:
         pairs = [(a, m - a) for a in range(1, (m - 1) // 2 + 1)]
     else:
         F = FiniteField(q)
-        F0, F1, a2 = gh_f_elements(alg, F, 0), gh_f_elements(alg, F, 1), {2 * q: field.one()}
+        F0, F1, a2 = gh_f(field, F, 0), gh_f(field, F, 1), {2 * q: field.one()}
         blocks = [
             ("0", 1, {(1, 1): per_entry_unit((e, F0[0]), (e, F1[0]), (e, a2))}),
             ("1", 1, {(1, 1): per_entry_unit((e.scale(q * q - 1), F0[0]), (e.scale(-q - 1), a2))}),
@@ -1034,9 +1050,10 @@ class TestPackedOnce:
             assert all(x.units[ij] is not y.units[ij] for ij in x.units)
 
     def test_one_pack_and_no_product_past_the_unit_relations(self, monkeypatch):
-        # the unit relations of Eigensystem.verify, one batch per block, are
-        # the only products: phi, P, Q, T, the dualities and the fused system
-        # are read off the units by the trace form and the fused-class sums
+        # each block is packed once, and the unit relations of
+        # Eigensystem.verify, one batch per block, are the only products:
+        # phi, P, Q, T, the dualities and the fused system are read off the
+        # units by the trace form and the fused-class sums
         calls = {"pack": 0, "mul": 0}
 
         def counted(name):
@@ -1051,18 +1068,45 @@ class TestPackedOnce:
         monkeypatch.setattr(SchemeAlgebra, "pack", counted("pack"))
         monkeypatch.setattr(SchemeAlgebra, "mul", counted("mul"))
         es = bgw_eigensystem(cases.bgw(7, 3), 7, 3)
-        assert calls == {"pack": 1, "mul": len(es.blocks)}
+        assert calls == {"pack": len(es.blocks), "mul": len(es.blocks)}
         es.phi_matrices(), es.eigenmatrix_p(), es.eigenmatrix_q(), es.character_table()
         es.check_pq_duality()
         FusedEigensystem(es, bgw_symmetric_fusion(3))
         bm_search(es, bgw_symmetric_fusion(3))
-        assert calls == {"pack": 1, "mul": len(es.blocks)}
+        assert calls == {"pack": len(es.blocks), "mul": len(es.blocks)}
 
     def test_packed_units_are_read_only(self):
         es = cases.bgw_es(7, 3)
         for Ub in es._units:
             with pytest.raises(ValueError, match="read-only"):
                 Ub.num[0] = 0
+
+
+def shared_pack_blocks(es) -> list[Batch]:
+    """The block batches made the other way: every unit in one pack over one
+    denominator, then each block divided through by the gcd of its
+    numerators and that denominator."""
+    U = es.algebra.pack([blk.units[ij] for blk in es.blocks for ij in sorted(blk.units)])
+    sizes = [blk.dim**2 for blk in es.blocks]
+    out = []
+    for num in np.split(U.num, np.cumsum(sizes)[:-1]):
+        g = gcd(U.den, int(np.gcd.reduce(num, axis=None)))
+        out.append(Batch(num // g, U.den // g))
+    return out
+
+
+GRID_CASES = [("bgw", c) for c in cases.BGW_BUILDABLE] + [("gh", (q,)) for q in cases.GH_GRID]
+
+
+class TestBlockBatches:
+    @pytest.mark.parametrize("maker,args", GRID_CASES, ids=str)
+    def test_each_block_in_lowest_terms_as_one_shared_pack_gives(self, maker, args):
+        es = getattr(cases, maker + "_es")(*args)
+        assert len(es._units) == len(es.blocks)
+        for Ub, ref in zip(es._units, shared_pack_blocks(es)):
+            assert gcd(Ub.den, int(np.gcd.reduce(Ub.num, axis=None))) == 1
+            assert (Ub.den, Ub.num.dtype) == (ref.den, ref.num.dtype)
+            assert np.array_equal(Ub.num, ref.num)
 
 
 def fused_sum(alg, cell):
@@ -1255,6 +1299,16 @@ class TestKernel:
         Y = data.draw(elements(alg, data.draw(st.integers(1, 3))))
         got = unpack(alg, alg.mul(alg.pack(X), alg.pack(Y)))
         assert got == [dict_mul(alg, x, y) for x in X for y in Y]
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    @given(data=st.data())
+    def test_pack_is_in_lowest_terms(self, case, data):
+        maker, args = KERNEL_CASES[case]
+        alg = getattr(cases, maker)(*args).algebra
+        X = data.draw(elements(alg, data.draw(st.integers(1, 3))))
+        U = alg.pack(X)
+        assert gcd(U.den, int(np.gcd.reduce(U.num, axis=None))) == 1
+        assert unpack(alg, U) == X
 
     def test_object_path_past_the_int64_bound(self):
         es = cases.bgw_es(7, 3)
