@@ -50,15 +50,16 @@ otherwise, where a is the factor holding the edge {P, P'} and C_{a,alpha} R
 puts its one at (y, y') when alpha = (q-1-y') - y - a ((q-1-beta') - beta).
 
 Block tables.  Both label matrices are (q+1) x (q+1) grids of k x k blocks,
-each fixed by one entry of an index matrix.  BGW: k = m, and
-L[(i, a), (j, b)] = block[W'[i, j], a, b] for W' = W with m on its diagonal,
-block[w] the m x m block of an entry w and block[m] the diagonal block.  GH:
-k = q^2, and the index is the factor matrix, a at the edge {P, P'} of the
-factor of a and q on its diagonal, over q + 1 blocks of size q^2 x q^2: one
-per factor and one for P = P'.  Each builder holds table[a, w, b] =
-block[w, a, b] in the compact dtype, and one take of its rows writes L, row
-(i, a) being the rows table[a, W'[i, :]]; the take's row index holds v^2 / k
-entries, and no other array of v^2 entries is formed.
+each fixed by one entry of the design, whose blank diagonal picks the last
+block.  BGW: k = m, the design is W, and L[(i, a), (j, b)] =
+block[W[i, j], a, b] off the diagonal, block[w] the m x m block of an entry
+w, and block[m] on it.  GH: k = q^2, and the design is the factor matrix of
+designs.one_factorization, a at the edge {P, P'} of the factor of a, over
+q + 1 blocks of size q^2 x q^2: one per factor and one for P = P'.  Each
+builder holds table[a, w, b] = block[w, a, b] in the compact dtype, and one
+take of its rows writes L, row (i, a) being the rows table[a, W[i, :]]
+with the diagonal entry read as the last block; the take's row index holds
+v^2 / k entries, and no other array of v^2 entries is formed.
 
 gh_automorphisms(q): three permutations of the points of gh_build(q) that
 preserve its labels, so that from_matrices checks rows on one representative
@@ -92,7 +93,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FiniteField
-from .designs import _latin_square, bgw_matrix, check_bgw, gh_field
+from .designs import _one_factorization, bgw_matrix, check_bgw, gh_field
 from .schemes import AssociationScheme, label_dtype
 
 
@@ -100,17 +101,18 @@ def bgw_labels(m: int) -> list[str]:
     return [f"({g},0)" for g in range(m)] + [f"({g},1)" for g in range(m)]
 
 
-def _from_blocks(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """L[(i, a), (j, b)] = table[a, index[i, j], b], point (i, a) at index
-    i k + a, in the dtype of table, by one take of its rows."""
-    k, blocks, n = len(table), table.shape[1], len(index)
-    rows = index[:, None, :] + blocks * np.arange(k)[:, None]  # table[a, w] is row a blocks + w
+def _from_blocks(table: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """L[(i, a), (j, b)] = table[a, design[i, j], b], with the design's BLANK
+    diagonal read as the last block, point (i, a) at index i k + a, in the
+    dtype of table, by one take of its rows."""
+    k, blocks, n = len(table), table.shape[1], len(design)
+    rows = design[:, None, :] + blocks * np.arange(k)[:, None]  # table[a, w] is row a blocks + w
+    rows[np.arange(n), :, np.arange(n)] += blocks  # BLANK + blocks = blocks - 1
     return np.take(table.reshape(-1, k), rows, axis=0).reshape(n * k, n * k)
 
 
 def _bgw_label_matrix(q: int, m: int) -> np.ndarray:
-    W = bgw_matrix(q, m)
-    np.fill_diagonal(W, m)
+    W = bgw_matrix(q, m)  # refused parameters raise before the m^3 table
     a, w, b = np.ogrid[:m, : m + 1, :m]
     table = np.where(w < m, m + (m - 1 - a - b - w) % m, (b - a) % m)
     return _from_blocks(table.astype(label_dtype(2 * m)), W)
@@ -164,18 +166,13 @@ def _gh_label_matrix(F: FiniteField) -> np.ndarray:
     add, mul = F.add_t.astype(dtype), F.mul_t.astype(dtype)
     sub = add[:, F.neg_t]  # sub[x, y] = x - y
     rev = (q - 1 - np.arange(q)).astype(dtype)
-    # table[(beta, y), a, (beta2, y2)]: the block of factor a, at a = q of P = P2
+    # table[(beta, y), a, (beta2, y2)]: the block of factor a, at a = q of P = P2,
+    # which _from_blocks reads off the blank diagonal of the factor matrix
     beta, y, a, beta2, y2 = np.ix_(*[np.arange(q)] * 5)
     table = np.empty((q, q, q + 1, q, q), dtype=dtype)
     table[:, :, :q] = sub[rev[y2], add[y, mul[a, sub[rev[beta2], beta]]]] + q
     table[:, :, q] = np.where(beta == beta2, sub[y2, y], 2 * q)[:, :, 0]
-    # factor[P, P2] = a when the edge {P, P2} lies in the factor of a: the
-    # edge {infinity, a}, or (x + x2) / 2 = a; q on the diagonal
-    factor = np.zeros((q + 1, q + 1), dtype=np.intp)
-    factor[0, 1:] = factor[1:, 0] = np.arange(q)
-    factor[1:, 1:] = _latin_square(F)
-    np.fill_diagonal(factor, q)
-    return _from_blocks(table.reshape(q * q, q + 1, q * q), factor)
+    return _from_blocks(table.reshape(q * q, q + 1, q * q), _one_factorization(F))
 
 
 def gh_automorphisms(q: int) -> tuple[np.ndarray, ...]:
@@ -204,5 +201,5 @@ def _gh_maps(F: FiniteField) -> tuple[np.ndarray, ...]:
 
 
 def gh_build(q: int) -> AssociationScheme:
-    F = gh_field(q)  # one field for the labels, the Latin square and the maps
+    F = gh_field(q)  # one field for the labels, the one-factorization and the maps
     return AssociationScheme.from_matrices(_gh_label_matrix(F), gh_labels(q), _gh_maps(F))

@@ -14,6 +14,9 @@ covers GF(q) exactly once; the multiplication table of GF(q) is one.  It is
 checked as a BGW matrix with no blanks: verify_bgw and verify_gh share one
 count of row differences, over Z_m and over (GF(q), +).
 
+A one-factorization of K_n is its factor matrix, shaped like W: entry (x, y)
+is the factor 0..n-2 holding the edge {x, y}, and the diagonal is blank.
+
 The parameter rules of the two scheme families live here too: check_bgw and
 gh_field, and provenance_parameters, which reads the family and parameters
 that a provenance record names.
@@ -120,16 +123,16 @@ def bgw_matrix(q: int, m: int) -> np.ndarray:
     return W
 
 
-def _check_differences(M: np.ndarray, sub: np.ndarray, mask: np.ndarray, lam: int) -> None:
+def _check_differences(M: np.ndarray, sub, g: int, mask: np.ndarray, lam: int) -> None:
     """Raise VerificationError for the first pair of rows x < y, in row-major
-    order, whose differences sub[M[x, j], M[y, j]] over the columns j where
-    mask holds in both rows do not take each of the len(sub) group values
-    exactly lam times."""
-    rows, g = M.shape[0], len(sub)
+    order, whose differences sub(M[x], M[y]), entry by entry in a group of
+    order g, over the columns where mask holds in both rows do not take each
+    value 0..g-1 exactly lam times; sub takes a row and a stack of rows."""
+    rows = M.shape[0]
     for x in range(rows - 1):
-        # counts[y - x - 1, d]: the columns j masked in rows x, y with sub[M[x, j], M[y, j]] = d
+        # counts[y - x - 1, d]: the columns j masked in rows x, y with sub(M[x], M[y])[j] = d
         ok = mask[x] & mask[x + 1 :]
-        diffs = (sub[M[x], M[x + 1 :]] + g * np.arange(rows - x - 1)[:, None])[ok]
+        diffs = (sub(M[x], M[x + 1 :]) + g * np.arange(rows - x - 1)[:, None])[ok]
         counts = np.bincount(diffs, minlength=(rows - x - 1) * g).reshape(-1, g)
         bad = (counts != lam).any(axis=1)
         if bad.any():
@@ -149,16 +152,15 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     v = W.shape[0]
     if v < 2 or m < 1:
         raise VerificationError(f"need at least 2 points and m >= 1, not v={v} and m={m}")
-    if not (((W >= 0) & (W < m)) | (W == BLANK)).all():
+    if not np.issubdtype(W.dtype, np.integer) or not (((W >= 0) & (W < m)) | (W == BLANK)).all():
         raise VerificationError("entries must be blank or in 0..m-1")
     if ((W == BLANK).sum(axis=1) != 1).any() or ((W == BLANK).sum(axis=0) != 1).any():
         raise VerificationError("each row and column must have exactly one blank")
     lam = v - 2
     if lam % m != 0:
         raise VerificationError(f"lambda={lam} not divisible by m={m}")
-    # a blank cell indexes sub[BLANK], the last row, but the mask drops it
-    sub = np.subtract.outer(np.arange(m), np.arange(m)) % m
-    _check_differences(W, sub, W != BLANK, lam // m)
+    sub = lambda a, b: np.subtract(a, b, dtype=np.int64) % m  # in int64: no narrow dtype wraps
+    _check_differences(W, sub, m, W != BLANK, lam // m)  # the mask drops the blank cells
     return {
         "v": v,
         "k": v - 1,
@@ -183,59 +185,58 @@ def verify_gh(H: np.ndarray, q: int) -> dict:
     rows, cols = H.shape
     if cols % q != 0:
         raise VerificationError("column count must be a multiple of q")
+    if rows < 2 or cols < q:
+        raise VerificationError(f"need at least 2 rows and q={q} columns, not {rows} and {cols}")
     lam = cols // q
-    if not ((H >= 0) & (H < q)).all():
+    if not np.issubdtype(H.dtype, np.integer) or not ((H >= 0) & (H < q)).all():
         raise VerificationError("entries must be field indices 0..q-1")
-    _check_differences(H, F.add_t[:, F.neg_t], np.ones(H.shape, dtype=bool), lam)
+    sub = lambda a, b: F.add_t[a, F.neg_t[b]]
+    _check_differences(H, sub, q, np.ones(H.shape, dtype=bool), lam)
     return {"q": q, "lam": lam, "rows": rows}
 
 
-def one_factorization(q: int) -> list[np.ndarray]:
-    """One-factorization of the complete graph on q+1 vertices, q an odd prime power.
-
-    Vertex 0 is a point at infinity, vertex 1 + x is the field element x.  The
-    factor with index a in GF(q) consists of the edge {infinity, a} and the
-    pairs {x, y} with x + y = 2a.  Returns the q factors as symmetric
-    permutation matrices with zero diagonal, in canonical order of a.
-    """
-    F = odd_field(q)
-    x = np.arange(q)
-    a = x[:, None]
-    partner = F.add_t[F.add_t[a, a], F.neg_t[x]]  # partner[a, x] = 2a - x
-    P = np.zeros((q, q + 1, q + 1), dtype=np.int64)
-    P[a, 1 + x, 1 + partner] = 1
-    # x = a is its own partner; its edge goes to infinity instead
-    P[x, 1 + x, 1 + x] = 0
-    P[x, 0, 1 + x] = P[x, 1 + x, 0] = 1
-    return list(P)
+def one_factorization(q: int) -> np.ndarray:
+    """The one-factorization of K_{q+1} from GF(q), q odd, as a factor matrix
+    shaped like W: vertex 0 is infinity and 1 + x the field element x, entry
+    (x, y) is the factor a holding the edge {x, y}, and the diagonal is BLANK.
+    The factor of a is the edge {infinity, a} and the pairs x + y = 2a."""
+    return _one_factorization(odd_field(q))
 
 
-def verify_one_factorization(factors: list[np.ndarray]) -> None:
-    """Each factor a perfect matching, all factors together partitioning K_n."""
-    if not factors:
-        raise VerificationError("no factors")
-    n = np.shape(factors[0])[0] if np.ndim(factors[0]) else 0
-    total = np.zeros((n, n), dtype=np.int64)
-    for P in factors:
-        if np.shape(P) != (n, n):
-            raise VerificationError("factor is not a square matrix")
-        if not np.array_equal(P, P.T):
-            raise VerificationError("factor not symmetric")
-        if (np.diag(P) != 0).any():
-            raise VerificationError("factor has a fixed point")
-        if (P.sum(axis=1) != 1).any():
-            raise VerificationError("factor not a perfect matching")
-        total += P
-    if not np.array_equal(total, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)):
-        raise VerificationError("factors do not partition the complete graph")
+def _one_factorization(F: FiniteField) -> np.ndarray:
+    """one_factorization over the field F of odd order: the Latin square
+    (x + y)/2 with each diagonal entry a moved to the edge {infinity, a}."""
+    factor = np.pad(_latin_square(F), (1, 0), constant_values=BLANK)
+    factor[0, 1:] = factor[1:, 0] = np.diag(factor)[1:]
+    np.fill_diagonal(factor, BLANK)
+    return factor
+
+
+def verify_one_factorization(factor: np.ndarray) -> None:
+    """Raise VerificationError unless factor is an n x n integer array, n >= 2,
+    symmetric, BLANK on its diagonal, with each factor 0..n-2 once in every
+    row.  Symmetry makes factor[x, y] the one factor of the edge {x, y}, and
+    each vertex then meets each factor in exactly one edge, so each factor
+    is a perfect matching and the factors partition the edges of K_n."""
+    F = np.asarray(factor)
+    if not np.issubdtype(F.dtype, np.integer) or F.ndim != 2 or len(F) != F.shape[1]:
+        raise VerificationError("factor matrix must be a square integer array")
+    if len(F) < 2:
+        raise VerificationError(f"need at least 2 vertices, not n={len(F)}")
+    if not np.array_equal(F, F.T):
+        raise VerificationError("factor matrix not symmetric")
+    if (np.diag(F) != BLANK).any():
+        raise VerificationError("factor matrix diagonal must be blank")
+    bad = (np.sort(F, axis=1) != np.arange(-1, len(F) - 1)).any(axis=1)  # BLANK, then 0..n-2
+    if bad.any():
+        raise VerificationError(f"vertex {int(np.argmax(bad))} does not meet each factor once")
 
 
 def latin_square(q: int) -> np.ndarray:
     """Symmetric idempotent Latin square L[x][y] = (x + y)/2 over GF(q), q odd.
 
-    Its off-diagonal cells encode the one-factorization used by the
-    generalized Hadamard scheme: cell value a means edge {x, y} lies in
-    factor a.
+    Its off-diagonal cells are those of one_factorization(q): cell value a
+    means the edge {x, y} lies in factor a.
     """
     return _latin_square(odd_field(q))
 
@@ -269,7 +270,7 @@ def sgdd_params(N: np.ndarray, group_size: int) -> dict:
     common value is reported as "lam".
     """
     N = np.asarray(N)
-    if N.ndim != 2 or N.shape[0] != N.shape[1] or group_size < 1 or len(N) % group_size:
+    if N.ndim != 2 or not 0 < len(N) == N.shape[1] or group_size < 1 or len(N) % group_size:
         raise VerificationError("bad shape or group size")
     v = N.shape[0]
     ngroups = v // group_size

@@ -95,11 +95,12 @@ def gh_mats(q: int) -> list[np.ndarray]:
     eye_pts = np.eye(q + 1, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
     mats = [kron(eye_pts, eye_q, phi[alpha]) for alpha in range(q)]
-    factors = one_factorization(q)
+    factor = one_factorization(q)
     for alpha in range(q):
         A = np.zeros(((q + 1) * q * q, (q + 1) * q * q), dtype=np.int64)
         for a in range(q):
-            A += kron(factors[a], mm(_block_c(F, a, alpha, phi), R2))
+            P_a = (factor == a).astype(np.int64)
+            A += kron(P_a, mm(_block_c(F, a, alpha, phi), R2))
         mats.append(A)
     J2 = np.ones((q * q, q * q), dtype=np.int64) - kron(eye_q, np.ones((q, q), dtype=np.int64))
     mats.append(kron(eye_pts, J2))

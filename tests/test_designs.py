@@ -1,5 +1,6 @@
 """Weighing matrices, Hadamard matrices, one-factorizations, Latin squares."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,25 @@ class TestBGW:
         want = f"need at least 2 points and m >= 1, not v=1 and m={m}"
         with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
             verify_bgw(np.array([[BLANK]]), m)
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(VerificationError, match="^entries must be blank or in 0..m-1$"):
+            verify_bgw(bgw_matrix(7, 3).astype(float), 3)
+
+    def test_no_table_that_m_sizes(self):
+        # lambda = 0 at v = 2 passes the divisibility check for every m, so
+        # the difference count may form nothing of size m^2
+        W = np.array([[BLANK, 0], [0, BLANK]])
+        tracemalloc.start()
+        try:
+            info = verify_bgw(W, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info == {
+            "v": 2, "k": 1, "lam": 0, "m": 2000, "symmetric": True, "blank_diagonal": True,
+        }
+        assert peak < 2**20
 
     def test_lambda_not_divisible_rejected(self):
         # bgw 7,3 has entries below 3 < 4 and one blank per row; lambda = 6
@@ -281,12 +301,13 @@ class TestSGDD:
             # 4 % 0 would divide by zero, and 4 % -2 == 0 gives -2 groups
             (CIRCULANT_1100, 0, "bad shape or group size"),
             (CIRCULANT_1100, -2, "bad shape or group size"),
-            # a 0-D array has no shape[0]
+            # a 0-D array has no shape[0], and a 0 x 0 one no row sum ksum[0]
             (0, 1, "bad shape or group size"),
+            (np.zeros((0, 0), dtype=int), 1, "bad shape or group size"),
         ],
         ids=[
             "not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group",
-            "zero-group-size", "negative-group-size", "zero-dimensional",
+            "zero-group-size", "negative-group-size", "zero-dimensional", "empty",
         ],
     )
     def test_each_failure_is_named(self, rows, group_size, want):
@@ -339,6 +360,20 @@ class TestGH:
         with pytest.raises(VerificationError, match="^entries must be field indices 0..q-1$"):
             verify_gh(H, 5)
 
+    def test_float_entries_rejected(self):
+        with pytest.raises(VerificationError, match="^entries must be field indices 0..q-1$"):
+            verify_gh(gh_matrix(5).astype(float), 5)
+
+    @pytest.mark.parametrize(
+        "rows,cols", [(2, 0), (0, 3), (1, 3)], ids=["no-columns", "no-rows", "one-row"]
+    )
+    def test_too_few_rows_or_columns_rejected(self, rows, cols):
+        # no pair of rows, or none of the q differences, to count
+        H = gh_matrix(3)[:rows, :cols]
+        want = f"need at least 2 rows and q=3 columns, not {rows} and {cols}"
+        with pytest.raises(VerificationError, match="^" + re.escape(want) + "$"):
+            verify_gh(H, 3)
+
     def test_row_differences_cover_field(self):
         q = 7
         H = gh_matrix(q)
@@ -350,53 +385,82 @@ class TestGH:
 
 
 class TestOneFactorization:
-    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
     def test_round_robin(self, q):
-        factors = one_factorization(q)
-        assert len(factors) == q
-        verify_one_factorization(factors)
+        factor = one_factorization(q)
+        assert factor.shape == (q + 1, q + 1) and factor.dtype == np.int64
+        verify_one_factorization(factor)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+    def test_matches_the_closed_form(self, q):
+        # element by element: {1+x, 1+y} lies in factor a exactly when
+        # x + y = 2a, and {infinity, a} lies in factor a
+        F = FiniteField(q)
+        factor = one_factorization(q)
+        assert (np.diag(factor) == BLANK).all()
+        for a in range(q):
+            assert factor[0, 1 + a] == factor[1 + a, 0] == a, q
+            two_a = F.add(a, a)
+            for x in range(q):
+                for y in range(q):
+                    if x != y:
+                        assert (factor[1 + x, 1 + y] == a) == (F.add(x, y) == two_a), q
 
     def test_even_q_rejected(self):
         with pytest.raises(ValueError, match="^q must be odd$"):
             one_factorization(4)
 
     def test_asymmetric_factor_rejected(self):
-        factors = one_factorization(5)
-        factors[0] = factors[0].copy()
-        factors[0][0, 1] += 1
-        with pytest.raises(VerificationError, match="^factor not symmetric$"):
-            verify_one_factorization(factors)
+        factor = one_factorization(5)
+        factor[0, 1] = factor[0, 2]
+        with pytest.raises(VerificationError, match="^factor matrix not symmetric$"):
+            verify_one_factorization(factor)
 
     def test_no_factors_rejected(self):
-        with pytest.raises(VerificationError, match="^no factors$"):
-            verify_one_factorization([])
+        # K_0 and K_1 have no edges to factor
+        for n in (0, 1):
+            with pytest.raises(VerificationError, match=f"^need at least 2 vertices, not n={n}$"):
+                verify_one_factorization(np.full((n, n), BLANK))
 
     def test_factor_that_is_no_matrix_rejected(self):
-        with pytest.raises(VerificationError, match="^factor is not a square matrix$"):
-            verify_one_factorization([np.zeros(3, dtype=int)])
+        for factor in (np.zeros(3, dtype=int), one_factorization(3)[:, :3]):
+            with pytest.raises(VerificationError, match="^factor matrix must be a square integer array$"):
+                verify_one_factorization(factor)
+
+    def test_float_array_rejected(self):
+        with pytest.raises(VerificationError, match="^factor matrix must be a square integer array$"):
+            verify_one_factorization(one_factorization(5).astype(float))
 
     def test_fixed_point_rejected(self):
-        factors = one_factorization(5)
-        factors[0] = factors[0].copy()
-        factors[0][2, 2] = 1
-        with pytest.raises(VerificationError, match="^factor has a fixed point$"):
-            verify_one_factorization(factors)
+        # a diagonal entry 0 would match vertex 2 with itself in factor 0
+        factor = one_factorization(5)
+        factor[2, 2] = 0
+        with pytest.raises(VerificationError, match="^factor matrix diagonal must be blank$"):
+            verify_one_factorization(factor)
 
     def test_extra_edge_rejected(self):
-        # factor 0 matches infinity with 0; the edge {infinity, 1} gives
-        # both infinity and 1 a second partner
-        factors = one_factorization(5)
-        factors[0] = factors[0].copy()
-        assert factors[0][0, 1] == 1 and factors[0][0, 2] == 0
-        factors[0][0, 2] = factors[0][2, 0] = 1
-        with pytest.raises(VerificationError, match="^factor not a perfect matching$"):
-            verify_one_factorization(factors)
+        # factor 0 holds {infinity, 0}; putting {infinity, 1} there too, on
+        # both sides, keeps the matrix symmetric but gives infinity two
+        # partners in factor 0 and none in factor 1
+        factor = one_factorization(5)
+        assert factor[0, 1] == 0 and factor[0, 2] == 1
+        factor[0, 2] = factor[2, 0] = 0
+        with pytest.raises(VerificationError, match="^vertex 0 does not meet each factor once$"):
+            verify_one_factorization(factor)
 
     def test_broken_factorization_rejected(self):
-        factors = one_factorization(5)
-        factors[0] = factors[1]
-        with pytest.raises(VerificationError):
-            verify_one_factorization(factors)
+        # an edge moved to a factor that does not exist
+        factor = one_factorization(5)
+        factor[1, 3] = factor[3, 1] = 5
+        with pytest.raises(VerificationError, match="^vertex 1 does not meet each factor once$"):
+            verify_one_factorization(factor)
+
+    def test_odd_order_rejected(self):
+        # K_3 has no one-factorization: a symmetric blank-diagonal matrix over
+        # the factors 0, 1 repeats one of them in some row
+        factor = np.array([[BLANK, 0, 1], [0, BLANK, 1], [1, 1, BLANK]])
+        with pytest.raises(VerificationError, match="^vertex 2 does not meet each factor once$"):
+            verify_one_factorization(factor)
 
 
 class TestLatin:
@@ -440,17 +504,13 @@ class TestLatin:
                 verify_latin(L)
 
     def test_matches_one_factorization(self):
-        # off-diagonal cell value a means the edge {x, y} lies in factor a,
-        # and the edge {infinity, a} lies there too: the closed form that
-        # the GH builder reads each edge's factor from
+        # the factor matrix is the square off the diagonal, and the square's
+        # diagonal entry x goes to the edge {infinity, x}
         for q in (3, 5, 7, 9, 11, 13, 25, 27):
-            L = latin_square(q)
-            factors = one_factorization(q)
-            for x in range(q):
-                assert factors[x][0, 1 + x] == factors[x][1 + x, 0] == 1, q
-                for y in range(q):
-                    if x != y:
-                        assert factors[L[x, y]][1 + x, 1 + y] == 1, q
+            L, factor = latin_square(q), one_factorization(q)
+            off = ~np.eye(q, dtype=bool)
+            assert np.array_equal(factor[1:, 1:][off], L[off]), q
+            assert np.array_equal(factor[0, 1:], np.diag(L)), q
 
     def test_mutation_rejected(self):
         L = latin_square(5)

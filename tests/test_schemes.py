@@ -622,7 +622,7 @@ class TestClosureCertificate:
         # and symmetric, so every earlier check passes and only the thin
         # generators' gathers can reject it; no group of order 6 has five
         # involutions
-        L = sum((a + 1) * P for a, P in enumerate(one_factorization(5)))
+        L = one_factorization(5) + 1
         with pytest.raises(NotAScheme, match="leaves the span"):
             AssociationScheme.from_matrices(L, [str(i) for i in range(6)])
 
@@ -753,7 +753,7 @@ class TestFrozen:
             lambda: verified(cyclic_label_matrix(6)),
             lambda: verified(cyclic_label_matrix(257)),
             lambda: verified(cyclic_label_matrix(6)).fuse([[0], [1, 5], [2, 4], [3]]),
-            lambda: verified(sum((a + 1) * P for a, P in enumerate(one_factorization(3)))),
+            lambda: verified(one_factorization(3) + 1),
         ],
         ids=["one-class", "Z6", "Z257", "Z6-fused", "K4"],
     )

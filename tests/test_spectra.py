@@ -692,6 +692,20 @@ class TestVerificationTeeth:
         with pytest.raises(VerificationError, match="^diagonal units do not sum to the identity$"):
             Eigensystem(es.algebra, bad)
 
+    @pytest.mark.parametrize("q,m", [(8, 7), (13, 6), (16, 5)], ids=str)
+    def test_repeated_pair_block_fails_the_identity_sum(self, q, m):
+        # a copy of one pair block in place of another of the same
+        # multiplicity keeps each block's relations, the adjoints, the
+        # multiplicities and the A_0 coefficient of the identity sum; only its
+        # other coefficients tell the two blocks apart
+        es = cases.bgw_es(q, m)
+        blocks = es.blocks
+        a, b = [n for n, blk in enumerate(blocks) if blk.dim == 2][:2]
+        assert es.multiplicities[a] == es.multiplicities[b]
+        blocks[b] = Block(blocks[b].name, 2, blocks[a].units)
+        with pytest.raises(VerificationError, match="^diagonal units do not sum to the identity$"):
+            Eigensystem(es.algebra, blocks)
+
     @pytest.mark.parametrize("maker,args,edit", MUTATION_CASES)
     def test_rejects_exactly_when_the_reference_does(self, maker, args, edit):
         es = spot_es(maker, args)
@@ -1328,6 +1342,20 @@ class TestKernel:
             for (a, b), e in zip(np.ndindex(len(U), len(U)), unpack(alg, small))
         ]
         assert unpack(alg, prod) == want
+
+    def test_product_bound_counts_the_intersection_numbers(self):
+        # bgw 4,3 has v = 15 and D = 2; x = c J with c = 2**25 + 1 has
+        # c**2 < 2**51, so only the row sums v of p carry the bound past
+        # 2**53, and J J = 15 J puts 15 c**2 > 2**53 in every class
+        alg = cases.bgw_es(4, 3).algebra
+        nm, D = alg.scheme.nclasses, alg.field.structure.shape[0]
+        assert (alg.scheme.v, D) == (15, 2)
+        c = 2**25 + 1
+        x = Batch(np.zeros((1, nm, D), dtype=np.int64), 1)
+        x.num[..., 0] = c
+        got = alg.mul(x, x)
+        assert got.num.dtype == object and got.den == 1
+        assert got.num.tolist() == [[[[15 * c * c, 0]] * nm]]
 
     def test_combination_past_the_int64_bound(self):
         # two scalars near 2**61 of bgw (7,3), whose basis has 4 entries
