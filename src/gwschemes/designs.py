@@ -160,7 +160,8 @@ def verify_bgw(W: np.ndarray, m: int) -> dict:
     if lam % m != 0:
         raise VerificationError(f"lambda={lam} not divisible by m={m}")
     sub = lambda a, b: np.subtract(a, b, dtype=np.int64) % m  # in int64: no narrow dtype wraps
-    _check_differences(W, sub, m, W != BLANK, lam // m)  # the mask drops the blank cells
+    if lam:  # at v = 2 no column is nonblank in both rows: nothing to count, whatever m
+        _check_differences(W, sub, m, W != BLANK, lam // m)  # the mask drops the blank cells
     return {
         "v": v,
         "k": v - 1,
@@ -247,11 +248,16 @@ def _latin_square(F: FiniteField) -> np.ndarray:
 
 
 def verify_latin(L: np.ndarray) -> dict:
-    """Check that each row and column of L permutes 0..n-1; return n and the
-    flags symmetric (L = L^T) and idempotent (L[x, x] = x)."""
+    """Check that L is an n x n integer array, n >= 1, each of whose rows and
+    columns permutes 0..n-1; return n and the flags symmetric (L = L^T) and
+    idempotent (L[x, x] = x)."""
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise VerificationError("matrix is not square")
+    if len(L) < 1:
+        raise VerificationError(f"need at least 1 row, not n={len(L)}")
+    if not np.issubdtype(L.dtype, np.integer):
+        raise VerificationError("entries must be integers 0..n-1")
     want = np.arange(len(L))
     bad = (np.sort(L, axis=1) != want).any(axis=1) | (np.sort(L, axis=0).T != want).any(axis=1)
     if bad.any():

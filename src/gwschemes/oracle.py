@@ -101,16 +101,21 @@ def _transpose_map(L) -> list[int]:
     """The j with A_j = A_i^T, for each i, read off one count: C[i, j] is
     the number of cells (x, y) with L[x, y] = i and L[y, x] = j.  A_i^T = A_j
     exactly when j is the one nonzero entry of row i and i the one of row j;
-    a label with no cell is its own partner.  C is counted over the blocks
-    of rows x0..x1 of L and columns x0..x1 of L^T."""
+    a label with no cell is its own partner.  C is counted a block of rows
+    x0..x1 at a time, over the codes n L + L^T in the smallest unsigned
+    dtype that holds the n^2 codes, read from rows of L and of one
+    contiguous copy of L^T in that dtype."""
     L = np.asarray(L)
     n = int(L.max()) + 1
+    dtype = np.min_scalar_type(n * n - 1)
+    LT = L.T.astype(dtype, order="C")
     C = np.zeros(n * n, dtype=np.int64)
     step = max(1, BLOCK // len(L))
     for x0 in range(0, len(L), step):
-        x1 = x0 + step
-        ij = L[x0:x1].astype(np.int64) * n + L[:, x0:x1].T
-        C += np.bincount(ij.reshape(-1), minlength=n * n)
+        codes = L[x0 : x0 + step].astype(dtype)
+        codes *= n
+        codes += LT[x0 : x0 + step]
+        C += np.bincount(codes.reshape(-1), minlength=n * n)
     C = C.reshape(n, n)
     count = np.count_nonzero(C, axis=1)
     tpose = np.where(count == 0, np.arange(n), C.argmax(axis=1))

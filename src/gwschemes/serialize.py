@@ -5,7 +5,9 @@ rows run-length encoded as [label_index, count, label_index, count, ...], and
 an optional provenance record describing how the scheme was built.  Loading
 re-verifies the axioms from scratch, so a loaded AssociationScheme is as
 trustworthy as a freshly constructed one.  The writer emits exactly the text
-json.dumps gives for the record, built from numpy blocks of rows.
+json.dumps gives for the record, built from numpy blocks of rows: each number
+of a block is copied with its separator text from a table of NUL-padded
+slots one machine word wide, and the padding is dropped in one pass.
 
 A file is read by one of two readers.  The canonical reader takes every file
 that is the text json.dumps gives for the record it decodes to, runs of any
@@ -46,6 +48,7 @@ _ROWS = b', "rows": [['  # from the header to the first run
 _PROVENANCE = b', "provenance": '
 _CLOSE, _COMMA, _SPACE, _OPEN = b"], ["  # the bytes of the separator of two rows
 _ZERO = ord("0")
+_PAIR = int.from_bytes(b", ", "little")
 _SCAN = 1 << 20  # bytes of rows text per numpy step of the canonical reader's "]" scan
 
 
@@ -63,51 +66,89 @@ def _tail(provenance: dict | None) -> bytes:
     return _PROVENANCE + json.dumps(provenance).encode() + b"}"
 
 
-def _text_table(n: int) -> np.ndarray:
-    """The run text of the numbers 0..n for _rows_text: entry k is k followed
-    by ", " and entry n + 1 + k is k followed by "], [", NUL-padded to one
-    width."""
-    digits = np.arange(n + 1).astype(f"S{len(str(n))}")
-    return np.char.add(digits, np.array([[b", "], [b"], ["]])).reshape(-1)
+def _slot(top: int) -> int:
+    """The slot width in bytes, 4, 8, 16, ..., of the run text of numbers up
+    to top for _rows_text: a number of d digits takes d + 3 bytes with its
+    separator text, so 4 bytes hold one digit and 8 bytes five."""
+    width = 4
+    while 10 ** (width - 3) <= top:
+        width *= 2
+    return width
+
+
+def _text_table(n: int, width: int) -> np.ndarray:
+    """The run text of the numbers 0..k for _rows_text, k = n or the largest
+    that fits, each NUL-padded to a slot of width bytes: entry j is "j, ",
+    entry k + 1 + j is "[j, ", the first number of a row, and entry
+    2k + 2 + j is "j], ", the last."""
+    k = min(n, 10 ** (width - 3) - 1)
+    digits = np.arange(k + 1).astype(f"S{len(str(k))}")
+    text = np.char.add(np.char.add([[b""], [b"["], [b""]], digits), [[b", "], [b", "], [b"], "]])
+    return text.astype(f"S{width}").view(f"V{width}").reshape(-1)
 
 
 def _runs(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of L run-length encoded: the flat [label, count, ...] runs of
-    all rows, and the end of each row in it."""
+    """The rows of L run-length encoded: the [label, count] pairs of all rows
+    in row order, and the bounds of each row in them, row x holding the
+    pairs rows[x]..rows[x + 1]."""
     r, v = L.shape
     # a run starts at column 0 and wherever the label changes along a row
-    new = np.ones((r, v), dtype=bool)
-    new[:, 1:] = L[:, 1:] != L[:, :-1]
+    new = np.empty((r, v), dtype=bool)
+    new[:, 0] = True
+    np.not_equal(L[:, 1:], L[:, :-1], out=new[:, 1:])
     starts = np.flatnonzero(new)
-    runs = np.stack([L.reshape(-1)[starts], np.diff(starts, append=r * v)], axis=1)
-    return runs.reshape(-1), 2 * np.cumsum(new.sum(axis=1))
+    runs = np.empty((len(starts), 2), dtype=np.int64)
+    runs[:, 0] = L.reshape(-1)[starts]
+    np.subtract(starts[1:], starts[:-1], out=runs[:-1, 1])
+    runs[-1, 1] = r * v - starts[-1]
+    return runs, np.searchsorted(starts, v * np.arange(r + 1))
 
 
-def _rows_text(runs: np.ndarray, ends: np.ndarray, text: np.ndarray) -> bytes:
-    """The JSON text of the flat runs of a block of rows that end at ends in
-    runs, each row closed by "], [", from the run text of _text_table."""
-    out = text[runs]
-    out[ends - 1] = text[runs[ends - 1] + len(text) // 2]  # the counts that close a row
-    out = out.view(np.uint8)
-    return out[out != 0].tobytes()
+def _rows_text(L: np.ndarray, n: int, tables: dict) -> bytes:
+    """The JSON text of the rows L, a block of a label matrix whose labels
+    and run lengths are at most n, each row run-length encoded and written
+    "[" ... "], ".  Each number is copied with its separator text from one
+    slot of _text_table(n, w), for the slot width w of the block's largest
+    number: 4 bytes when every number has one digit and 8 up to five digits,
+    one machine word, which numpy copies whole.  The table of each width is
+    built once and kept in tables for the next block.  One bytes.translate
+    then drops the NUL padding of every slot."""
+    runs, rows = _runs(L)
+    width = _slot(int(runs.max()))
+    if width not in tables:
+        tables[width] = _text_table(n, width)
+    table = tables[width]
+    k = len(table) // 3  # the numbers in the table
+    runs[rows[:-1], 0] += k  # the label that opens a row
+    runs[rows[1:] - 1, 1] += 2 * k  # the count that closes it
+    # three copies of the text, each freed once the next is made: the
+    # slots, their bytes, and what translate keeps of them
+    text = np.take(table, runs)
+    del runs
+    text = text.tobytes()
+    return text.translate(None, b"\0")
 
 
 def _fill_rows(
     Lb: np.ndarray, x0: int, runs: np.ndarray, pairs: np.ndarray, nlabels: int
 ) -> str | None:
-    """Fill the rows Lb, rows x0.. of a file, from their flat runs, pairs[x]
-    of them (at least one) in row x0 + x; or give the message of the first
-    row with a label outside 0..nlabels-1, a run length outside 1..v, or
-    lengths that do not cover the row, checked in that order.  Both readers
-    decode a block of rows and leave the value checks to this function."""
+    """Fill the rows Lb, at least one, rows x0.. of a file, from their flat
+    runs, pairs[x] of them (at least one) in row x0 + x; or give the message
+    of the first row with a label outside 0..nlabels-1, a run length outside
+    1..v, or lengths that do not cover the row, checked in that order.  Both
+    readers decode a block of rows and leave the value checks to this
+    function, which words the first bad row only once the block has failed
+    its range test or its coverage test."""
     v = Lb.shape[1]
     lbl, count = runs[0::2], runs[1::2]
     firsts = np.cumsum(pairs) - pairs
-    bad_lbl = np.logical_or.reduceat((lbl < 0) | (lbl >= nlabels), firsts)
-    bad_count = np.logical_or.reduceat((count < 1) | (count > v), firsts)
-    bad_row = bad_lbl | bad_count | (np.add.reduceat(count, firsts) != v)
-    if bad_row.any():
-        x = int(np.argmax(bad_row))
+    # a count outside 1..v fails the range test, whatever the sum of its row
+    uncovered = np.add.reduceat(count, firsts) != v
+    in_range = 0 <= lbl.min() and lbl.max() < nlabels and 1 <= count.min() and count.max() <= v
+    if not in_range or uncovered.any():
+        bad_lbl = np.logical_or.reduceat((lbl < 0) | (lbl >= nlabels), firsts)
+        bad_count = np.logical_or.reduceat((count < 1) | (count > v), firsts)
+        x = int(np.argmax(bad_lbl | bad_count | uncovered))
         if bad_lbl[x]:
             return f"row {x0 + x} has a label outside 0..{nlabels - 1}"
         if bad_count[x]:
@@ -131,7 +172,8 @@ def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> Non
     if bad is None and not set(map(type, chain.from_iterable(block))) <= {int}:
         bad = next(x for x, rle in enumerate(block) if not set(map(type, rle)) <= {int})
     if bad is not None:
-        _read_rows(L, rows, x0, x0 + bad, nlabels)  # an earlier row may fail first
+        if bad:
+            _read_rows(L, rows, x0, x0 + bad, nlabels)  # an earlier row may fail first
         raise InputError(f"row {x0 + bad} is not a list of label, count pairs")
     pairs = np.fromiter(map(len, block), dtype=np.int64, count=len(block)) // 2
     n = 2 * int(pairs.sum())
@@ -181,44 +223,61 @@ def _label_matrix(data) -> np.ndarray:
     return L
 
 
-def _block_runs(a: np.ndarray, s: int, e: int, top: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _pairs(b: np.ndarray) -> int:
+    """The number of ", " in the bytes b, each the 2-byte word _PAIR at an
+    even or at an odd offset."""
+    even, odd = len(b) // 2 * 2, max(len(b) - 1, 0) // 2 * 2
+    return int(np.count_nonzero(b[:even].view("<u2") == _PAIR)) + int(
+        np.count_nonzero(b[1 : 1 + odd].view("<u2") == _PAIR)
+    )
+
+
+def _block_runs(
+    a: np.ndarray, s: int, e: int, closes: np.ndarray, top: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The flat runs of the rows a[s:e] of a file's bytes a, a block of whole
     rows, and the pairs in each row; None unless a[s:e] is the text
     json.dumps gives for them, each row closed by "], [" but the last, with
-    every number in 0..top and every row of even length.  The "]" of every
-    row separator in a[s:e] must already be checked to start "], [", which
+    every number in 0..top and every row of even length.  closes holds every
+    "]" in a[s:e], each of which must already be checked to start "], [", as
     _read_canonical does for all of them at once."""
     if e - s >= 2**31:  # offsets are int32 below; a block of json.dumps rows is far shorter
         return None
-    sp = np.flatnonzero(a[s:e] == _SPACE) + s
-    # each space ends ", ", or is the third byte of "], [" when "]" is two back
-    if (a[sp - 1] != _COMMA).any():
+    block = a[s:e]
+    sp = np.flatnonzero(block == _SPACE)  # offsets into the block
+    if _pairs(block) != len(sp):  # so each space ends ", "
         return None
-    row_sep = a[sp - 2] == _CLOSE
+    seps = np.searchsorted(sp, closes - (s - 2))  # the index in sp of each row separator's space
+    # the first byte of each number: the block's first, and the one after
+    # each space but two after the space of a row separator "], ["
+    runs = np.empty(len(sp) + 1, np.uint8)
+    runs[0] = a[s]  # inside a, since a[e] is the "]" that ends the block
+    np.take(a[s + 1 :], sp, out=runs[1:])
+    runs[seps + 1] = a[s + 2 :][sp[seps]]
     # number k runs from the end of separator k - 1 to the start of separator
-    # k, a byte from its space for ", " and two for "], ["; int32 offsets into
-    # a[s:e], filled in place, so sp and two half-size arrays coexist
+    # k; int32 offsets into the block, filled in place, so sp and two
+    # half-size arrays coexist
     start, width = np.zeros(len(sp) + 1, np.int32), np.full(len(sp) + 1, e - s, np.int32)
-    np.subtract(sp, s - 1, out=start[1:])
-    start[1:] += row_sep
-    np.subtract(sp, s + 1, out=width[:-1])
-    width[:-1] -= row_sep
+    np.add(sp, 1, out=start[1:])
+    start[seps + 1] += 1
+    np.subtract(sp, 1, out=width[:-1])
+    width[seps] -= 1
     width -= start
     del sp
     if width.min() < 1 or width.max() > len(str(top)):
         return None
-    runs = a[s:e][start] - _ZERO  # uint8, so a byte below "0" wraps past 9 too
+    runs -= _ZERO  # uint8, so a byte below "0" wraps past 9 too
     wide = np.flatnonzero(width > 1)
     if (runs > 9).any() or not runs[wide].all():  # a non-digit, or a leading zero
         return None
     runs = runs.astype(np.int64)
     for j in range(1, int(width.max())):  # digit j of the numbers wider than j
-        digit = a[s:e][start[wide] + j] - _ZERO
+        digit = block[(start[wide] + j).astype(np.intp)] - _ZERO  # numpy gathers fastest by intp
         if (digit > 9).any():
             return None
         runs[wide] = 10 * runs[wide] + digit
         wide = wide[width[wide] > j + 1]
-    items = np.diff(np.flatnonzero(row_sep), prepend=-1, append=len(row_sep))
+    items = np.diff(seps, prepend=-1, append=len(runs) - 1)
     if runs.max() > top or (items % 2).any():
         return None
     return runs, items // 2
@@ -240,12 +299,16 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     text is then read as bytes, in one pass per block of rows, and taken
     only when it is json.dumps text:
 
-    1. The separators tile the text.  Every "]" must start "], [", every
-       space must end ", " or be the third byte of such a "], [", and the
-       numbers are the gaps between consecutive separators, each at least
-       one byte wide; so each byte is in one separator or one number.
+    1. The separators tile the text.  Every "]" must start "], [", and
+       every space must end ", ": the ", " pairs of a block, which cannot
+       overlap, must be as many as its spaces.  A space is the third byte
+       of a row separator "], [" exactly when it lies two bytes after a
+       "]", so the row separators are found in the sorted spaces from the
+       "]" positions already checked.  The numbers are the gaps between
+       consecutive separators, each at least one byte wide; so each byte is
+       in one separator or one number.
     2. Every separator byte is checked: the space that finds it, the ","
-       before it, and the "]" and "[" of a row separator.
+       before it by the pair count, and the "]" and "[" of a row separator.
     3. Every byte of a number is a digit, and a number wider than one digit
        does not start with 0.  So each row is ", "-joined decimal integers
        without sign or leading zero, the rows "], ["-joined: the text
@@ -294,7 +357,8 @@ def _read_canonical(raw: bytes) -> tuple[np.ndarray, list, dict | None] | None:
     L = np.empty((v, v), dtype=label_dtype(len(labels)))
     top, error = max(v, len(labels)), None
     for b in row_blocks(v):
-        read = _block_runs(a, bounds[b.start] + 4, bounds[b.stop], top)
+        s, e = bounds[b.start] + 4, bounds[b.stop]
+        read = _block_runs(a, s, e, closes[b.start : b.stop - 1], top)
         if read is None:
             return None
         error = error or _fill_rows(L[b], b.start, *read, len(labels))
@@ -308,13 +372,13 @@ def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     for the record {"version", "v", "labels", "rows", "provenance"} (the last
     only when given), and a newline, with the rows streamed block by block.
     The text is ASCII, since json.dumps escapes every other character."""
-    L, v = scheme.L, scheme.v
-    text = _text_table(v)
-    yield _head(v, scheme.labels)
+    L, v, tables = scheme.L, scheme.v, {}
+    top = max(v, len(scheme.labels))  # no run or label is larger
+    yield _head(v, scheme.labels)[:-1]  # the "[" of the first row opens its first number
     for b in row_blocks(v):
-        rows = _rows_text(*_runs(L[b]), text)
-        yield rows if b.stop < v else rows[:-4]  # no "], [" after the last row
-    yield b"]]" + _tail(provenance) + b"\n"
+        rows = _rows_text(L[b], top, tables)
+        yield rows if b.stop < v else rows[:-2]  # no ", " after the last row
+    yield b"]" + _tail(provenance) + b"\n"
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:

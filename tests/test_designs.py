@@ -134,18 +134,20 @@ class TestBGW:
 
     def test_no_table_that_m_sizes(self):
         # lambda = 0 at v = 2 passes the divisibility check for every m, so
-        # the difference count may form nothing of size m^2
+        # the difference count may form nothing of size m^2, nor anything
+        # of size m, nor reduce a difference mod m in int64
         W = np.array([[BLANK, 0], [0, BLANK]])
-        tracemalloc.start()
-        try:
-            info = verify_bgw(W, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert info == {
-            "v": 2, "k": 1, "lam": 0, "m": 2000, "symmetric": True, "blank_diagonal": True,
-        }
-        assert peak < 2**20
+        for m in (2000, 2**40, 2**64):
+            tracemalloc.start()
+            try:
+                info = verify_bgw(W, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert info == {
+                "v": 2, "k": 1, "lam": 0, "m": m, "symmetric": True, "blank_diagonal": True,
+            }
+            assert peak < 2**20, m
 
     def test_lambda_not_divisible_rejected(self):
         # bgw 7,3 has entries below 3 < 4 and one blank per row; lambda = 6
@@ -521,3 +523,16 @@ class TestLatin:
     def test_not_square_rejected(self):
         with pytest.raises(VerificationError, match="^matrix is not square$"):
             verify_latin(np.zeros(3, dtype=int))
+
+    def test_float_array_rejected(self):
+        # its values are a Latin square, but not integers
+        with pytest.raises(VerificationError, match="^entries must be integers 0..n-1$"):
+            verify_latin(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_empty_square_rejected(self):
+        for L in (np.zeros((0, 0), dtype=int), np.zeros((0, 0))):
+            with pytest.raises(VerificationError, match="^need at least 1 row, not n=0$"):
+                verify_latin(L)
+
+    def test_one_symbol(self):
+        assert verify_latin(np.array([[0]])) == {"n": 1, "symmetric": True, "idempotent": True}

@@ -165,6 +165,23 @@ class TestSpectrumOracle:
         L[L >= 3] += 1
         assert gwschemes.oracle._transpose_map(L) == [0, 6, 5, 3, 4, 2, 1]
 
+    @pytest.mark.parametrize("n", [16, 17, 256, 257])
+    def test_transpose_map_at_code_dtype_bounds(self, n):
+        # n labels give the pair codes 0..n^2 - 1: uint8 up to n = 16,
+        # uint16 from 17 to 256, uint32 from 257.  The upper cells of a
+        # 24-point matrix take the labels 1..n-1 in turn, and the lower cells
+        # the partner n - i of label i
+        upper = np.triu_indices(24, 1)
+        L = np.zeros((24, 24), dtype=np.int64)
+        L[upper] = 1 + np.arange(len(upper[0])) % (n - 1)
+        L.T[upper] = n - L[upper]
+        tpose = [0] + [n - i for i in range(1, n)]
+        assert gwschemes.oracle._transpose_map(L) == tpose
+        assert gwschemes.oracle._transpose_map(L.astype(np.min_scalar_type(n - 1))) == tpose
+        L[upper[1][0], upper[0][0]] = 0  # one lower cell of label n - 1 moved to class 0
+        with pytest.raises(VerificationError, match="^relation 0 has no transpose partner$"):
+            gwschemes.oracle._transpose_map(L)
+
     @pytest.mark.parametrize("c", FUSED, ids=lambda c: "-".join(map(str, c)))
     def test_transpose_map_matches_reference(self, c):
         s = cases.bgw(*c[1:]) if c[0] == "bgw" else cases.gh(c[1])
