@@ -278,6 +278,8 @@ def sgdd_params(N: np.ndarray, group_size: int) -> dict:
     N = np.asarray(N)
     if N.ndim != 2 or not 0 < len(N) == N.shape[1] or group_size < 1 or len(N) % group_size:
         raise VerificationError("bad shape or group size")
+    if not np.issubdtype(N.dtype, np.integer):  # bool too, as verify_latin refuses it
+        raise VerificationError("entries must be integers")
     v = N.shape[0]
     ngroups = v // group_size
     ksum = N.sum(axis=1)

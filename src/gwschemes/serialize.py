@@ -18,10 +18,10 @@ every number is digits without a leading zero, and no number is wider than
 the largest the file may hold, so what it takes is json.dumps text (see
 _read_canonical).  Every other file, such as a pretty-printed, reordered,
 hand-edited or malformed one, goes to the json reader, which parses the whole
-record.  Both pass the same integers, in row order, to the same header and
-row checks, which word every input error, so the two agree.  Both decode into
-the compact label dtype the scheme stores (see schemes); the file bytes do not
-depend on it.
+record and checks it one row at a time (_read_json).  Both pass the same
+integers, in row order, to the same header and row checks, which word every
+input error, so the two agree.  Both decode into the compact label dtype the
+scheme stores (see schemes); the file bytes do not depend on it.
 
 The tables print each scalar in the text form of algebra.scalar_to_str.
 A bgw or gh provenance record is parsed by designs.provenance_parameters.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -136,9 +135,10 @@ def _fill_rows(
     runs, pairs[x] of them (at least one) in row x0 + x; or give the message
     of the first row with a label outside 0..nlabels-1, a run length outside
     1..v, or lengths that do not cover the row, checked in that order.  Both
-    readers decode a block of rows and leave the value checks to this
-    function, which words the first bad row only once the block has failed
-    its range test or its coverage test."""
+    readers leave the value checks to this function, the canonical reader
+    passing a block of rows and the json reader one row; the first bad row
+    is worded only once the rows have failed their range test or their
+    coverage test."""
     v = Lb.shape[1]
     lbl, count = runs[0::2], runs[1::2]
     firsts = np.cumsum(pairs) - pairs
@@ -156,33 +156,6 @@ def _fill_rows(
         return f"row {x0 + x} does not cover all columns"
     Lb[:] = np.repeat(lbl.astype(Lb.dtype), count).reshape(Lb.shape)
     return None
-
-
-def _read_rows(L: np.ndarray, rows: list, x0: int, x1: int, nlabels: int) -> None:
-    """Fill L[x0:x1] from rows[x0:x1]; raises InputError naming the first
-    malformed row, with the message the per-row checks give in order: shape
-    and type here, then the value checks of _fill_rows."""
-    block = rows[x0:x1]
-    bad = next(
-        (x for x, rle in enumerate(block)
-         if not isinstance(rle, list) or not rle or len(rle) % 2),
-        None,
-    )
-    # by type, since numpy would read a JSON true among integers as 1
-    if bad is None and not set(map(type, chain.from_iterable(block))) <= {int}:
-        bad = next(x for x, rle in enumerate(block) if not set(map(type, rle)) <= {int})
-    if bad is not None:
-        if bad:
-            _read_rows(L, rows, x0, x0 + bad, nlabels)  # an earlier row may fail first
-        raise InputError(f"row {x0 + bad} is not a list of label, count pairs")
-    pairs = np.fromiter(map(len, block), dtype=np.int64, count=len(block)) // 2
-    n = 2 * int(pairs.sum())
-    try:
-        a = np.fromiter(chain.from_iterable(block), dtype=np.int64, count=n)
-    except OverflowError:  # beyond int64, so out of range as a label and as a count
-        a = np.fromiter(chain.from_iterable(block), dtype=object, count=n)
-    if error := _fill_rows(L[x0:x1], x0, a, pairs, nlabels):
-        raise InputError(error)
 
 
 def _check_header(data) -> tuple[int, list]:
@@ -212,15 +185,25 @@ def _check_header(data) -> tuple[int, list]:
     return v, labels
 
 
-def _label_matrix(data) -> np.ndarray:
-    """The label matrix of a file record; raises InputError unless data has
-    the shape of a scheme file, checked before the matrix is allocated and
-    then block by block of rows as it is filled."""
+def _read_json(raw: bytes, path) -> tuple[np.ndarray, list, dict | None]:
+    """The label matrix, labels and provenance of a scheme file parsed as
+    JSON; raises InputError unless it has the shape of a scheme file,
+    checked before the label matrix is allocated and then row by row as it
+    is filled: shape and type here, then the value checks of _fill_rows."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
+        raise InputError(f"{path} is not a JSON file: {e}") from e
     v, labels = _check_header(data)
-    L = np.zeros((v, v), dtype=label_dtype(len(labels)))
-    for b in row_blocks(v):
-        _read_rows(L, data["rows"], b.start, b.stop, len(labels))
-    return L
+    L = np.empty((v, v), dtype=label_dtype(len(labels)))
+    for x, rle in enumerate(data["rows"]):
+        # by type, since numpy would read a JSON true among integers as 1
+        if not isinstance(rle, list) or not rle or len(rle) % 2 or set(map(type, rle)) != {int}:
+            raise InputError(f"row {x} is not a list of label, count pairs")
+        # int64, or float64 or object past int64, where every such number is out of range
+        if error := _fill_rows(L[x : x + 1], x, np.array(rle), [len(rle) // 2], len(labels)):
+            raise InputError(error)
+    return L, labels, data.get("provenance")
 
 
 def _pairs(b: np.ndarray) -> int:
@@ -406,16 +389,8 @@ def load_scheme(path) -> tuple[AssociationScheme, dict | None]:
     record are offered to from_matrices (_offered_automorphisms)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    read = _read_canonical(raw)
-    if read is None:
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
-            raise InputError(f"{path} is not a JSON file: {e}") from e
-        read = _label_matrix(data), data["labels"], data.get("provenance")
-        del data  # the parsed runs, freed before the verifier allocates
+    L, labels, provenance = _read_canonical(raw) or _read_json(raw, path)
     del raw
-    L, labels, provenance = read
     offered = _offered_automorphisms(provenance, len(L), len(labels))
     return AssociationScheme.from_matrices(L, labels, offered), provenance
 

@@ -118,17 +118,31 @@ def _transposed(d: int) -> np.ndarray:
 class Eigensystem:
     """A verified Wedderburn decomposition of a scheme's adjacency algebra.
 
-    The blocks are copied once, on entry, and that copy is checked; then
-    each block is packed once into one read-only Batch over the lcm of its
-    own denominators, which is its lowest terms (kernel.pack).  The copy and
-    the batches are kept as tuples.  Every check and table reads them block
-    by block, and blocks returns fresh copies on each access, so no later
-    edit of the caller's blocks or of a returned one changes anything the
-    eigensystem reports.  No attribute can be set after
-    construction, so the eigensystem stays the certificate it was built as.
+    The blocks must be Blocks of distinct names whose units are dicts.  They
+    are copied once, on entry, and that copy is checked; then each block is
+    packed once into one read-only Batch over the lcm of its own
+    denominators, which is its lowest terms (kernel.pack).  The copy and the
+    batches are kept as tuples.  Every check and table reads them block by
+    block, and blocks returns fresh copies on each access, so no later edit
+    of the caller's blocks or of a returned one changes anything the
+    eigensystem reports.  No attribute can be set after construction, so the
+    eigensystem stays the certificate it was built as.
     """
 
     def __init__(self, algebra: SchemeAlgebra, blocks: list[Block]):
+        blocks = tuple(blocks)
+        for n, blk in enumerate(blocks):
+            if not isinstance(blk, Block):
+                raise VerificationError(f"blocks[{n}] is a {type(blk).__name__}, not a Block")
+            if any(b.name == blk.name for b in blocks[:n]):  # row_index would repeat it
+                raise VerificationError(f"block {blk.name} is named twice")
+            if not isinstance(blk.units, dict):
+                what = type(blk.units).__name__
+                raise VerificationError(f"block {blk.name} units are a {what}, not a dict")
+            for key, e in blk.units.items():
+                if not isinstance(e, dict):
+                    what = type(e).__name__
+                    raise VerificationError(f"block {blk.name} unit {key} is a {what}, not a dict")
         blocks = tuple(map(_copy, blocks))
         classes = range(algebra.scheme.nclasses)
         for blk in blocks:
@@ -143,9 +157,14 @@ class Eigensystem:
             # pack reads classes 0..nm-1 only, each over the basis of algebra.field
             for key in square:
                 for k, x in blk.units[key].items():
-                    if k in classes and isinstance(x, CycScalar) and x.field == algebra.field:
+                    # a class is an int or a numpy integer, never a bool or a float
+                    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                    is_scalar = isinstance(x, CycScalar) and x.field == algebra.field
+                    if is_int and k in classes and is_scalar:
                         continue
                     at = f"block {blk.name} unit {key} has class {k!r}"
+                    if not is_int:
+                        raise VerificationError(f"{at}, not an int")
                     if k not in classes:
                         raise VerificationError(f"{at} outside 0..{len(classes) - 1}")
                     of = repr(x.field) if isinstance(x, CycScalar) else f"type {type(x).__name__}"

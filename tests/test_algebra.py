@@ -209,6 +209,17 @@ class TestCycScalarLaws:
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x + y).conj() == x.conj() + y.conj()
 
+    def test_negative_denominator_is_normalized(self):
+        # the sign moves to the numerator, then the common factor 2 cancels
+        x = CycScalar(self.field, [2, -4, 0, 6, 0, 0, 0, 2], -4)
+        assert (x.num, x.den) == ((-1, 2, 0, -3, 0, 0, 0, -1), 2)
+        assert x == CycScalar(self.field, [-1, 2, 0, -3, 0, 0, 0, -1], 2)
+
+    def test_equality_with_a_non_scalar_is_left_to_the_other_side(self):
+        one = self.field.one()
+        assert one.__eq__(1) is NotImplemented
+        assert one != 1 and one != Fraction(1) and one != "1"
+
     @given(
         st.lists(small_int, min_size=4, max_size=4),
         st.lists(small_int, min_size=4, max_size=4),

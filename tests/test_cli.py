@@ -266,7 +266,7 @@ class TestVerify:
 def _plain_outcome(data) -> str:
     """What the verifier says of a file record without any automorphism."""
     try:
-        AssociationScheme.from_matrices(serialize._label_matrix(data), data["labels"])
+        _record_scheme(data)
     except NotAScheme as e:
         return f"verification failure: {e}\n"
     return ""
@@ -502,7 +502,8 @@ def _record_scheme(record) -> AssociationScheme:
     """The verified scheme of a file record, read by the json reader's
     checks: InputError for a malformed record, NotAScheme for one that is no
     scheme."""
-    return AssociationScheme.from_matrices(serialize._label_matrix(record), record["labels"])
+    L, labels, _ = serialize._read_json(json.dumps(record).encode(), "record")
+    return AssociationScheme.from_matrices(L, labels)
 
 
 def _readers():
@@ -807,9 +808,8 @@ class TestFileFuzz:
             read = str(e)
         assert (read is not None) == _is_canonical(raw)
         if read is not None:
-            record = json.loads(raw)
             try:
-                want = serialize._label_matrix(record), record["labels"], record.get("provenance")
+                want = serialize._read_json(raw, "file")
             except InputError as e:
                 want = str(e)
             if isinstance(read, str) or isinstance(want, str):

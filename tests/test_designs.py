@@ -306,10 +306,15 @@ class TestSGDD:
             # a 0-D array has no shape[0], and a 0 x 0 one no row sum ksum[0]
             (0, 1, "bad shape or group size"),
             (np.zeros((0, 0), dtype=int), 1, "bad shape or group size"),
+            # N N^T = [[2.5, 1.5], [1.5, 2.5]], which an integer product would truncate
+            ([[1.5, 0.5], [0.5, 1.5]], 1, "entries must be integers"),
+            ([[True, False], [False, True]], 1, "entries must be integers"),
+            ([["1", "0"], ["0", "1"]], 1, "entries must be integers"),
         ],
         ids=[
             "not-square", "group-size", "not-normal", "diagonal", "same-group", "cross-group",
             "zero-group-size", "negative-group-size", "zero-dimensional", "empty",
+            "float", "bool", "string",
         ],
     )
     def test_each_failure_is_named(self, rows, group_size, want):

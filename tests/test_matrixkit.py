@@ -40,6 +40,24 @@ class TestMM:
         B = np.array([[1]])
         assert mm(A, B)[0, 0] == bound
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[0.5]]),
+            np.array([[True]]),
+            np.array([["1"]]),
+            np.array([[0.5]], dtype=object),
+            np.array([[True]], dtype=object),
+            np.array([[np.int64(1)]], dtype=object),
+        ],
+        ids=["float", "bool", "string", "object-float", "object-bool", "object-numpy-int"],
+    )
+    def test_non_integer_operand_rejected(self, A):
+        # the float tier would store 0.5 * 0.5 truncated to 0
+        for args in ((A, np.array([[1]])), (np.array([[1]]), A)):
+            with pytest.raises(ValueError, match="^mm takes integer operands"):
+                mm(*args)
+
     def test_matpow(self):
         A = np.array([[1, 1], [0, 1]])
         assert np.array_equal(matpow(A, 5), np.linalg.matrix_power(A, 5))

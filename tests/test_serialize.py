@@ -68,7 +68,7 @@ class TestSchemeFiles:
         # the first file is canonical, the second goes to the json reader
         assert serialize._read_canonical(path.read_bytes())[0].dtype == np.uint8
         assert serialize._read_canonical(pretty.read_bytes()) is None
-        assert serialize._label_matrix(json.loads(pretty.read_text())).dtype == np.uint8
+        assert serialize._read_json(pretty.read_bytes(), pretty)[0].dtype == np.uint8
         for p in (path, pretty):
             s2 = load_scheme(p)[0]
             assert s2.L.dtype == np.uint8 and not s2.L.flags.writeable
@@ -80,7 +80,7 @@ class TestSchemeFiles:
         fake = SimpleNamespace(v=2, labels=[str(i) for i in range(257)], L=L)
         for read in (
             serialize._read_canonical(file_reference.file_bytes(fake))[0],
-            serialize._label_matrix(file_reference.record(fake)),
+            serialize._read_json(file_reference.file_bytes(fake), "fake")[0],
         ):
             assert read.dtype == np.uint16 and np.array_equal(read, L)
 
@@ -88,13 +88,13 @@ class TestSchemeFiles:
         data = file_reference.record(cases.bgw(5, 2))
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
-            serialize._label_matrix(data)
+            serialize._read_json(json.dumps(data).encode(), "data")
 
     def test_short_row_rejected(self):
         data = file_reference.record(cases.bgw(5, 2))
         data["rows"][0] = data["rows"][0][:-2]
         with pytest.raises(ValueError, match="cover"):
-            serialize._label_matrix(data)
+            serialize._read_json(json.dumps(data).encode(), "data")
 
     def test_point_limit_is_read_when_loading(self, tmp_path, monkeypatch):
         # the loader reads designs.MAX_POINTS on each call, so lowering it
@@ -240,7 +240,8 @@ class TestFileBytes:
         make, args = FILE_CASES[case]
         s = make(*args)
         rec = file_reference.record(s)
-        L = AssociationScheme.from_matrices(serialize._label_matrix(rec), rec["labels"]).L
+        read = serialize._read_json(json.dumps(rec).encode(), "rec")
+        L = AssociationScheme.from_matrices(*read[:2]).L
         assert np.array_equal(L, s.L)
         path = tmp_path / "scheme.json"
         canonical = serialize._read_canonical
@@ -330,7 +331,7 @@ class TestFileBytes:
             assert raw == file_reference.file_bytes(fake, prov)
             L1, labels, prov1 = serialize._read_canonical(raw)
             assert np.array_equal(L1, L) and labels == fake.labels and prov1 == prov
-            assert np.array_equal(serialize._label_matrix(json.loads(raw)), L)
+            assert np.array_equal(serialize._read_json(raw, path)[0], L)
 
     @pytest.mark.parametrize(
         "label,nlabels", [(0, 1), (9, 10), (10, 11), (99999, 100000), (100000, 100001)]

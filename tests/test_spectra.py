@@ -43,6 +43,7 @@ from gwschemes.spectra import (
 )
 import cases
 import closedforms as cf
+import groupschemes
 from field_reference import ReferenceField
 
 
@@ -772,12 +773,37 @@ class TestVerificationTeeth:
                 lambda bs: bs[2].units[(2, 2)].update({0: CycField(5).zeta(1)}),
                 r"block a1 unit \(2, 2\) has class 0 entry of CycField\(conductor=5\), not of ",
             ),
+            # the same unit keyed by a float or a bool class, which a range
+            # test would pass and pack would read as an int
+            (
+                lambda bs: bs[2].units[(1, 2)].update({3.0: bs[2].units[(1, 2)].pop(3)}),
+                r"block a1 unit \(1, 2\) has class 3\.0, not an int$",
+            ),
+            (
+                lambda bs: bs[2].units[(1, 1)].update({True: bs[2].units[(1, 1)].pop(1)}),
+                r"block a1 unit \(1, 1\) has class True, not an int$",
+            ),
+            # row_index and the P/Q/T labels would repeat the name
+            (lambda bs: setattr(bs[1], "name", "0"), r"block 0 is named twice$"),
+            (
+                lambda bs: bs.__setitem__(1, (bs[1].name, bs[1].dim, bs[1].units)),
+                r"blocks\[1\] is a tuple, not a Block$",
+            ),
+            (
+                lambda bs: setattr(bs[2], "units", list(bs[2].units.items())),
+                r"block a1 units are a list, not a dict$",
+            ),
+            (
+                lambda bs: bs[2].units.update({(1, 2): list(bs[2].units[(1, 2)].items())}),
+                r"block a1 unit \(1, 2\) is a list, not a dict$",
+            ),
         ],
         ids=[
             "deleted-unit", "dim-too-large", "dim-too-small", "unit-outside",
             "class-too-large", "negative-class", "dim-zero-block", "dim-negative-block",
             "fractional-dim", "int-entry", "fraction-entry", "smaller-field-entry",
-            "same-size-field-entry",
+            "same-size-field-entry", "float-class", "bool-class", "repeated-name",
+            "not-a-block", "units-not-a-dict", "unit-not-a-dict",
         ],
     )
     def test_unit_keys_must_fill_the_block(self, monkeypatch, edit, says):
@@ -1817,3 +1843,44 @@ class TestMalformedPartitions:
         partition, message = MALFORMED[shape]
         with pytest.raises(ValueError, match=message):
             ENTRY_POINTS[entry](cases.bgw_es(5, 2), partition)
+
+
+class TestA4GroupScheme:
+    """The thin scheme of A4 (groupschemes.py), whose 3-dimensional block no
+    family instance has.  oracle_spectrum reads it as [(1, 1), (1, 2),
+    (3, 3)], merging the two conjugate characters into one real cluster, so
+    it is not compared with the exact multiplicities here."""
+
+    @pytest.fixture(scope="class")
+    def es(self):
+        return groupschemes.a4_eigensystem()
+
+    def test_units_verify_with_the_character_degrees(self, es):
+        assert (es.algebra.scheme.v, es.algebra.scheme.nclasses) == (12, 12)
+        assert [blk.dim for blk in es.blocks] == [1, 1, 1, 3]
+        assert es.multiplicities == [1, 1, 1, 3]
+
+    def test_fused_eigensystem_refuses_the_3_dimensional_block(self, es):
+        with pytest.raises(VerificationError, match="^blocks of dimension > 2 not supported$"):
+            FusedEigensystem(es, [[k] for k in range(12)])
+
+    def test_discrete_partition_is_certified_in_product_form(self, es):
+        cert = bm_search(es, [[k] for k in range(12)])
+        assert cert is not None and cert.cell_count == 12 and cert.product_form
+        # each of the 9 units of the 3-dimensional block is a cell of its own
+        assert cert.cells[3] == tuple(((i, j),) for i in range(1, 4) for j in range(1, 4))
+
+    def test_inverse_pairs_are_no_fusion(self, es):
+        # A4 is neither abelian nor a Hamiltonian 2-group, so the symmetric
+        # elements do not commute and their span is not closed
+        pairs = groupschemes.a4_inverse_pairs()
+        assert len(pairs) == 8
+        assert bm_search(es, pairs) is None
+        with pytest.raises(NotAScheme):
+            es.algebra.scheme.fuse(pairs)
+
+    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (3, 1)], ids=str)
+    def test_scaled_unit_of_the_3_dimensional_block_rejected(self, es, ij):
+        bad = mutated(es, 3, ij, lambda e: es.algebra.rmul(2, e))
+        with pytest.raises(VerificationError, match="^unit relation failed: block rho "):
+            Eigensystem(es.algebra, bad)
