@@ -59,16 +59,20 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _check_parameters(what: str, reads_m: bool, q: int | None, m: int | None) -> None:
+    """Raise UsageError, naming what, unless --q is given, and --m is given
+    exactly when reads_m."""
+    if q is None or (reads_m and m is None):
+        raise UsageError(f"{what} needs {'--q and --m' if reads_m else '--q'}")
+    if not reads_m and m is not None:
+        raise UsageError(f"{what} takes no --m")
+
+
 def _build(family: str, q: int | None, m: int | None):
     """(scheme, provenance) of the bgw or gh scheme of the given parameters."""
+    _check_parameters(f"the {family} family", family == "bgw", q, m)
     if family == "bgw":
-        if q is None or m is None:
-            raise UsageError("the bgw family needs --q and --m")
         return bgw_build(q, m), {"family": "bgw", "q": q, "m": m}
-    if q is None:
-        raise UsageError("the gh family needs --q")
-    if m is not None:
-        raise UsageError("the gh family takes no --m")
     return gh_build(q), {"family": "gh", "q": q}
 
 
@@ -173,11 +177,7 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_designs(args) -> int:
-    if args.q is None or (args.what == "bgw" and args.m is None):
-        flags = "--q and --m" if args.what == "bgw" else "--q"
-        raise UsageError(f"designs {args.what} needs {flags}")
-    if args.what != "bgw" and args.m is not None:
-        raise UsageError(f"designs {args.what} takes no --m")
+    _check_parameters(f"designs {args.what}", args.what == "bgw", args.q, args.m)
     if args.what == "bgw":
         W = bgw_matrix(args.q, args.m)
         info = verify_bgw(W, args.m)

@@ -23,51 +23,55 @@ v x v element, O(v^3):
   C_l = Q^T A_l Q then give the restriction rho(A) = C of every element of
   the span.  A residual |A_l Q - Q C_l| above TOL |A_l Q| means K is not
   invariant, so the span is not closed under products, and the oracle
-  raises at once.  rho is faithful when u has a component in every block,
-  which holds for all u outside a set of measure zero.
-- Eigenspaces and links.  S = sum_l coef[l] C_l is rho(X) for the random
-  symmetric element X = sum_l coef[l] A_l, whose coefficients are tied
-  across each transpose pair; eigh of S, r x r, gives the distinct
-  eigenvalues of X (a faithful rho keeps the minimal polynomial), split at
-  the relative gap TOL.  For the spectral projector e_a of X, rho(e_a) =
-  W_a W_a^T for the eigenvectors W_a of S, so e_a A_l e_b != 0 exactly when
-  W_a^T C_l W_b != 0: clusters a and b are linked when that block's
-  Frobenius norm exceeds TOL |C_l|.  This is exact block linking in r
-  dimensions.
-- Multiplicities.  e_a lies in the span, so W_a W_a^T = sum_i c_i C_i has a
-  solution, found by least squares and checked by its residual (relative to
-  TOL).  By faithfulness e_a = sum_i c_i A_i, and its trace over R^v,
-  m_a = sum_i c_i #{x : L[x, x] = i}, is the dimension of the eigenspace of
-  X, to within TOL v of an integer.  Within a linked component the m_a are
-  equal; the count of clusters is d and their m_a the multiplicity m.
-- Missed blocks.  If u has no component in some block, rho is not
-  faithful, and least squares returns the minimum-norm solutions.  They are
-  linear in the right-hand side, so their sum c is the minimum-norm solution
-  of sum_i c_i C_i = I: the identity's coefficient vector e_0 less its
-  projection p on the null space.  In a scheme only A_0 = I has diagonal
-  cells, so the m_a sum to v c_0 = v - v |p|^2.  The central idempotent z of
-  a missed block lies in that null space, with z_0 = tr(z) / v and
-  |z|^2 <= sum_i z_i^2 k_i = |z|_F^2 / v = tr(z) / v for the valencies
-  k_i >= 1, so v |p|^2 >= v z_0^2 / |z|^2 >= tr(z) >= 1.  An attempt whose
-  blocks do not give sum d m = v is therefore retried with fresh draws.
-- Margins, measured on the cases listed in README.md: K had full rank nm
-  every time, its least singular value at least 4.1e-3 of the largest;
-  invariance residuals were at most 3.1e-14 and least-squares residuals at
-  most 4.5e-12; linked blocks read at least 0.25 |C_l| and zero blocks at
-  most 1.8e-12 |C_l|, all against TOL = 1e-6; integrality errors were at
-  most 1.9e-11, against TOL v.
+  raises at once.
+- Regular module.  An attempt is retried unless K has rank nm.  Then
+  K = {X u : X in the span} is a copy of the regular module, so rho is
+  faithful, and over C, K = sum_k M_{d_k}(C), on whose k-th summand X acts
+  by left multiplication with phi_k(X).  Rank nm holds for u outside a set
+  of measure zero: X -> X e_x is injective, as the columns of the A_i at x
+  are disjoint and nonzero, so R^v holds the regular module (m_k >= d_k).
+- Eigenspaces.  S = sum_l coef[l] C_l is rho(X) for the random element
+  X = sum_l coef[l] A_l, and C_l^T = C_t for the partner t of l, so
+  H = (S + S^T)/2 + i (S - S^T)/2 is rho(Y) for Y = (X + X^T)/2 +
+  i (X - X^T)/2, a generic Hermitian element: each phi_k(Y) has d_k
+  distinct eigenvalues, each appearing d_k times in K.  eigh of H splits
+  them at the relative gap TOL, so a cluster's size in K is the dimension
+  d of its block.  A symmetric X, equal and real on conjugate characters,
+  would read them as one block.
+- Multiplicities.  rho(e_a) = W_a W_a^H for the spectral projector e_a of
+  Y, and sum_i c_i C_i = W_a W_a^H is solved by least squares and checked by
+  its residual (relative to TOL).  By faithfulness e_a = sum_i c_i A_i,
+  whose trace over C^v, m_a = sum_i c_i #{x : L[x, x] = i}, is the
+  dimension of the eigenspace of Y, within TOL v of an integer; the m_a sum
+  to v.  A block (d, m) gives d clusters of size d and trace m, so the
+  blocks are count / d copies of each (d, m), and d must divide each count.
+- Margins (README.md): least singular values at least 4.1e-3 of the
+  largest, invariance residuals at most 3.0e-14, least-squares residuals
+  1.8e-12 and cluster spreads 7.8e-16, and gaps at least 4.7e-6, against
+  TOL = 1e-6; integrality errors at most 2.3e-11, against TOL v.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from .errors import VerificationError
 
-TOL = 1e-6  # relative gap, rank cut, residual and link threshold
+TOL = 1e-6  # relative gap, rank cut and residual threshold
 RETRIES = 5  # random elements tried before the oracle gives up
 # cells of L per count, at least one row; the oracle keeps its own row
 # blocks and label dtype, since it shares no code with the verifier it checks
 BLOCK = 1 << 16
+
+
+def _labels(L) -> np.ndarray:
+    """L as an array, checked to be a label matrix."""
+    L = np.asarray(L)
+    square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
+    if not square or L.dtype.kind not in "iu" or L.min() < 0:
+        raise VerificationError("the label matrix must be a square matrix of integers >= 0")
+    return L
 
 
 def oracle_closure(L) -> np.ndarray:
@@ -75,7 +79,7 @@ def oracle_closure(L) -> np.ndarray:
     the label matrix L; raises VerificationError if some label below the
     largest has no cell, or if some product is not constant on some
     relation."""
-    L = np.asarray(L)
+    L = _labels(L)
     nm = int(L.max()) + 1
     idx = [np.flatnonzero(L.reshape(-1) == k) for k in range(nm)]
     for k in range(nm):
@@ -167,23 +171,13 @@ def _module(L, u, tpose) -> np.ndarray:
 
 
 def _eigenspaces(C, coef):
-    """The eigenvectors W of S = sum_l coef[l] C[l], symmetrized against
-    round-off, the first index of each cluster of eigenvalues closer than
-    TOL times the largest magnitude, and the link matrix: clusters a != b
-    are linked when |W_a^T C_l W_b| > TOL |C_l| in the Frobenius norm for
-    some l."""
+    """The eigenvectors W of the Hermitian H = (S + S^T)/2 + i (S - S^T)/2
+    for S = sum_l coef[l] C[l], and the first index of each cluster of
+    eigenvalues closer than TOL times the largest magnitude."""
     S = np.tensordot(coef, C, axes=1)
-    w, W = np.linalg.eigh((S + S.T) / 2)
+    w, W = np.linalg.eigh((S + S.T) / 2 + 1j * (S - S.T) / 2)
     splits = np.flatnonzero(np.diff(w) > TOL * max(1.0, np.abs(w).max()))
-    starts = np.concatenate(([0], splits + 1))
-    T = W.T @ C @ W
-    T *= T
-    blocks = np.add.reduceat(np.add.reduceat(T, starts, axis=1), starts, axis=2)
-    size = np.sum(C * C, axis=(1, 2))
-    link = (blocks > TOL**2 * size[:, None, None]).any(axis=0)
-    link |= link.T
-    np.fill_diagonal(link, False)
-    return W, starts, link
+    return W, np.concatenate(([0], splits + 1))
 
 
 def oracle_spectrum(L, seed: int = 0):
@@ -192,11 +186,11 @@ def oracle_spectrum(L, seed: int = 0):
 
     Uses a fixed-seed random element and random vector (see the module
     docstring); retries with fresh ones, up to RETRIES attempts in all, when
-    an attempt's multiplicities fail their checks (a projector outside the
-    span, a non-integer trace, sum d m != v) or differ inside a linked
-    component.  A module that is not invariant raises at once.
+    the module has rank below nm or the clusters fail a check (a projector
+    outside the span, a non-integer trace, traces not summing to v, or d not
+    dividing a count).  A module that is not invariant raises at once.
     """
-    L = np.asarray(L)
+    L = _labels(L)
     v = L.shape[0]
     tpose = _transpose_map(L)
     nm = len(tpose)
@@ -205,20 +199,19 @@ def oracle_spectrum(L, seed: int = 0):
     for attempt in range(RETRIES):
         rng = np.random.default_rng(seed + attempt)
         coef = rng.uniform(1.0, 2.0, size=nm)
-        for i, t in enumerate(tpose):
-            if t > i:
-                coef[t] = coef[i]
         C = _module(L, rng.standard_normal(v), tpose)
-        W, starts, link = _eigenspaces(C, coef)
-        # rho(e_a) = W_a W_a^T as a combination of the C_i, and its trace
+        if C.shape[1] != nm:
+            last_err = f"attempt {attempt}: module of rank {C.shape[1]}, not {nm}"
+            continue
+        W, starts = _eigenspaces(C, coef)
+        # rho(e_a) = W_a W_a^H as a combination of the C_i, and its trace
         bounds = np.append(starts, len(W))
-        P = np.stack([W[:, a:b] @ W[:, a:b].T for a, b in zip(bounds, bounds[1:])])
-        ns = len(P)
-        M, B = C.reshape(nm, -1).T, P.reshape(ns, -1).T
-        c = np.linalg.lstsq(M, B, rcond=None)[0]
+        P = np.stack([W[:, a:b] @ W[:, a:b].conj().T for a, b in zip(bounds, bounds[1:])])
+        M, B = C.reshape(nm, -1).T, P.reshape(len(P), -1).T
+        c = np.linalg.pinv(M) @ B  # least squares, with the SVD of M in real arithmetic
         residual = np.linalg.norm(M @ c - B, axis=0) / np.linalg.norm(B, axis=0)
         m = trace @ c
-        dims = np.rint(m).astype(np.int64)
+        dims = np.rint(m.real).astype(np.int64)
         if residual.max() > TOL:
             last_err = f"attempt {attempt}: projector residual {residual.max():.1e}"
             continue
@@ -228,19 +221,10 @@ def oracle_spectrum(L, seed: int = 0):
         if dims.sum() != v:
             last_err = f"attempt {attempt}: sum of d * m is {dims.sum()}, not {v}"
             continue
-        # reach[a, b]: clusters a and b lie in one linked component, after
-        # squaring link | I past the longest path; each component is read
-        # off the row of its smallest cluster
-        reach = link | np.eye(ns, dtype=bool)
-        for _ in range(ns.bit_length()):
-            reach = reach @ reach
-        blocks = []
-        for members in reach[reach.argmax(axis=1) == np.arange(ns)]:
-            sizes = set(dims[members].tolist())
-            if len(sizes) != 1:
-                last_err = f"attempt {attempt}: unequal multiplicities {sizes}"
-                break
-            blocks.append((int(members.sum()), sizes.pop()))
-        else:
-            return sorted(blocks)
+        counts = sorted(Counter(zip(np.diff(bounds).tolist(), dims.tolist())).items())
+        bad = [f"clusters of size {d} and trace {k} number {n}" for (d, k), n in counts if n % d]
+        if bad:
+            last_err = f"attempt {attempt}: {bad[0]}"
+            continue
+        return [(d, k) for (d, k), n in counts for _ in range(n // d)]
     raise VerificationError(f"spectrum oracle failed: {last_err}")

@@ -354,20 +354,28 @@ def file_chunks(scheme: AssociationScheme, provenance: dict | None = None):
     """The bytes of the scheme file, chunk by chunk: the text json.dumps gives
     for the record {"version", "v", "labels", "rows", "provenance"} (the last
     only when given), and a newline, with the rows streamed block by block.
-    The text is ASCII, since json.dumps escapes every other character."""
+    The text is ASCII, since json.dumps escapes every other character.  The
+    tail is rendered before the first chunk is yielded, so a provenance that
+    json.dumps cannot encode raises before any output."""
     L, v, tables = scheme.L, scheme.v, {}
     top = max(v, len(scheme.labels))  # no run or label is larger
+    tail = b"]" + _tail(provenance) + b"\n"
     yield _head(v, scheme.labels)[:-1]  # the "[" of the first row opens its first number
     for b in row_blocks(v):
         rows = _rows_text(L[b], top, tables)
         yield rows if b.stop < v else rows[:-2]  # no ", " after the last row
-    yield b"]" + _tail(provenance) + b"\n"
+    yield tail
 
 
 def save_scheme(path, scheme: AssociationScheme, provenance: dict | None = None) -> None:
-    """Write the scheme file of scheme and provenance (see file_chunks)."""
+    """Write the scheme file of scheme and provenance (see file_chunks); the
+    file is opened only once the first chunk is rendered, so a provenance
+    that cannot be encoded leaves an existing file as it was."""
+    chunks = file_chunks(scheme, provenance)
+    first = next(chunks)
     with open(path, "wb") as fh:
-        fh.writelines(file_chunks(scheme, provenance))
+        fh.write(first)
+        fh.writelines(chunks)
 
 
 def _offered_automorphisms(provenance: dict | None, v: int, nclasses: int) -> tuple:

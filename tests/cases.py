@@ -34,6 +34,10 @@ BGW_NEGATIVE = (5, 4)
 
 GH_GRID = [3, 5, 7, 9]
 
+# seeds of the spectrum oracle's random draws, for the tests that compare it
+# across seeds
+SEEDS = [0, 1, 12345]
+
 # provenance records whose parameters admit no construction, each with the
 # build arguments of those parameters and a valid scheme of the point and
 # class count the record names: (13, 4) is obstructed, 6 is not a prime

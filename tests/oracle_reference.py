@@ -1,13 +1,14 @@
 """The spectrum oracle with exact linking, as a test reference.
 
-reference_spectrum is the random-element method on R^v, linked pair by
-pair: the v x v random element is diagonalized, and for every class A_l and
-every pair of distinct eigenspaces (a, b) the block V_a^T A_l V_b is formed
-by its own product and its largest entry is compared with tol * v.
-reference_links forms V^T A_l V once per transpose orbit and reads the
-per-block maxima off it.  The library's oracle_spectrum works in the module
-of one random vector instead, with r x r blocks; the tests check that its
-clusters and link matrix are those of random_eigenspaces and reference_links
+reference_spectrum is the random-element method on C^v, linked pair by
+pair: the Hermitian element Y = (X + X^T)/2 + i (X - X^T)/2 of a random
+X = sum_l coef[l] A_l is diagonalized, and for every class A_l and every
+pair of distinct eigenspaces (a, b) the block V_a^H A_l V_b is formed by its
+own product and its largest entry is compared with tol * v.  The linked
+components are the blocks: d is the number of eigenspaces in one and m
+their common dimension.  The library's oracle_spectrum links nothing; it
+reads d off the cluster sizes in the module of one random vector, so the
+tests check that its clusters are d copies of each reference block (d, m)
 for the same coefficients, and that it gives the blocks of
 reference_spectrum.
 """
@@ -32,66 +33,35 @@ def reference_transpose_map(mats) -> list[int]:
     return out
 
 
-def random_eigenspaces(mats, tpose, rng, tol: float = 1e-6):
-    """The eigenvalues w and eigenvectors V of a random symmetric element of
-    the span, and the first column of each eigenspace, the eigenvalues
-    clustered by gaps."""
-    v = len(mats[0])
-    coef = rng.uniform(1.0, 2.0, size=len(mats))
-    for i, t in enumerate(tpose):
-        if t > i:
-            coef[t] = coef[i]
-    X = np.zeros((v, v), dtype=np.float64)
-    for c, M in zip(coef, mats):
-        X += c * M
-    if not np.allclose(X, X.T):
-        raise VerificationError("random element is not symmetric")
-    w, V = np.linalg.eigh(X)
-    splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
-    return w, V, np.concatenate(([0], splits + 1))
-
-
-def reference_links(mats, tpose, V, starts, threshold) -> np.ndarray:
-    """(a, b) is linked when a != b and the block V_a^T A_l V_b has an entry
-    above threshold for some l; one product pair V^T (A_l V) per transpose
-    orbit, the identity skipped, the links symmetrized."""
-    ns = len(starts)
-    link = np.zeros((ns, ns), dtype=bool)
-    for l, M in enumerate(mats):
-        identity = np.count_nonzero(M) == len(M) and (np.diagonal(M) == 1).all()
-        if tpose[l] < l or identity:
-            continue
-        T = V.T @ (M.astype(np.float64) @ V)
-        np.abs(T, out=T)
-        peak = np.maximum.reduceat(np.maximum.reduceat(T, starts, axis=0), starts, axis=1)
-        link |= peak > threshold
-    link |= link.T
-    np.fill_diagonal(link, False)
-    return link
-
-
 def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5):
-    """Numerical Wedderburn block structure as a sorted list of (d_k, m_k)."""
+    """Numerical Wedderburn block structure as a sorted list of (d_k, m_k);
+    attempt n draws its coefficients as the first draw of the generator of
+    seed + n, as oracle_spectrum does."""
     mats = [np.asarray(M) for M in mats]
     v = mats[0].shape[0]
-    tpose = reference_transpose_map(mats)
     last_err = None
     for attempt in range(retries):
-        _, V, starts = random_eigenspaces(mats, tpose, np.random.default_rng(seed + attempt), tol)
-        bounds = starts.tolist() + [v]
-        spaces = [
-            V[:, bounds[t] : bounds[t + 1]] for t in range(len(bounds) - 1)
-        ]
-        ns = len(spaces)
+        coef = np.random.default_rng(seed + attempt).uniform(1.0, 2.0, size=len(mats))
+        X = np.zeros((v, v), dtype=np.float64)
+        for c, M in zip(coef, mats):
+            X += c * M
+        # a symmetric X is its own Hermitian element, diagonalized over R
+        Y = X if (X == X.T).all() else (X + X.T) / 2 + 1j * (X - X.T) / 2
+        w, V = np.linalg.eigh(Y)
+        splits = np.flatnonzero(np.diff(w) > tol * max(1.0, np.abs(w).max()))
+        bounds = [0] + (splits + 1).tolist() + [v]
+        spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        ns = len(spans)
+        VH = V.conj().T
         # link eigenspaces a, b when some A_l has a nonzero block between them
         adj = [[False] * ns for _ in range(ns)]
         for M in mats:
             Mf = M.astype(np.float64)
-            images = [Mf @ S for S in spaces]
+            image = Mf @ V if V.dtype == np.float64 else Mf @ V.real + 1j * (Mf @ V.imag)
             for a in range(ns):
                 for b in range(ns):
                     if a != b and not adj[a][b]:
-                        B = spaces[a].T @ images[b]
+                        B = VH[spans[a]] @ image[:, spans[b]]
                         if np.abs(B).max() > tol * v:
                             adj[a][b] = adj[b][a] = True
         comp = [-1] * ns
@@ -108,7 +78,7 @@ def reference_spectrum(mats, seed: int = 0, tol: float = 1e-6, retries: int = 5)
                     if adj[x][y] and comp[y] == -1:
                         comp[y] = a
                         stack.append(y)
-            dims = {spaces[x].shape[1] for x in members}
+            dims = {bounds[x + 1] - bounds[x] for x in members}
             if len(dims) != 1:
                 last_err = f"attempt {attempt}: unequal multiplicities {dims}"
                 blocks = None

@@ -115,6 +115,23 @@ class TestSchemeFiles:
         with pytest.raises(NotAScheme):
             load_scheme(path)
 
+    def test_unencodable_provenance_writes_nothing(self, tmp_path):
+        # json.dumps cannot encode an np.int64, and the tail that holds the
+        # provenance is rendered before the first chunk is yielded and before
+        # the file is opened: a good file stays as it was, and none is made
+        s = cases.bgw(5, 2)
+        bad = {"family": "bgw", "q": np.int64(5), "m": 2}
+        path, absent = tmp_path / "scheme.json", tmp_path / "absent.json"
+        save_scheme(path, s, {"family": "bgw", "q": 5, "m": 2})
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            next(serialize.file_chunks(s, bad))
+        for target in (path, absent):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                save_scheme(target, s, bad)
+        assert path.read_bytes() == before
+        assert not absent.exists()
+
 
 def complete(v: int) -> AssociationScheme:
     """The trivial scheme on v points, whose rows have runs up to v - 1 long."""

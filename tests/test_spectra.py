@@ -27,6 +27,7 @@ from gwschemes import (
     gh_eigensystem,
     gh_symmetric_fusion,
     gh_transversal,
+    oracle_spectrum,
     scalar_to_str,
 )
 from gwschemes import kernel
@@ -1847,9 +1848,7 @@ class TestMalformedPartitions:
 
 class TestA4GroupScheme:
     """The thin scheme of A4 (groupschemes.py), whose 3-dimensional block no
-    family instance has.  oracle_spectrum reads it as [(1, 1), (1, 2),
-    (3, 3)], merging the two conjugate characters into one real cluster, so
-    it is not compared with the exact multiplicities here."""
+    family instance has."""
 
     @pytest.fixture(scope="class")
     def es(self):
@@ -1859,6 +1858,13 @@ class TestA4GroupScheme:
         assert (es.algebra.scheme.v, es.algebra.scheme.nclasses) == (12, 12)
         assert [blk.dim for blk in es.blocks] == [1, 1, 1, 3]
         assert es.multiplicities == [1, 1, 1, 3]
+
+    @pytest.mark.parametrize("seed", cases.SEEDS)
+    def test_oracle_reads_the_exact_blocks(self, es, seed):
+        # the two conjugate characters through A4 / V4 are separate blocks
+        exact = sorted((blk.dim, m) for blk, m in zip(es.blocks, es.multiplicities))
+        assert exact == [(1, 1), (1, 1), (1, 1), (3, 3)]
+        assert oracle_spectrum(es.algebra.scheme.L, seed=seed) == exact
 
     def test_fused_eigensystem_refuses_the_3_dimensional_block(self, es):
         with pytest.raises(VerificationError, match="^blocks of dimension > 2 not supported$"):
