@@ -66,11 +66,15 @@ BLOCK = 1 << 16
 
 
 def _labels(L) -> np.ndarray:
-    """L as an array, checked to be a label matrix."""
+    """L as an array, checked to be a label matrix whose largest label is
+    below v: row 0 meets every relation of a scheme on v points, so the
+    scheme has at most v of them, and no count is sized by a larger label."""
     L = np.asarray(L)
     square = L.ndim == 2 and L.shape[0] == L.shape[1] and L.size
     if not square or L.dtype.kind not in "iu" or L.min() < 0:
         raise VerificationError("the label matrix must be a square matrix of integers >= 0")
+    if L.max() >= len(L):
+        raise VerificationError(f"label {L.max()} is not below v = {len(L)}")
     return L
 
 

@@ -21,24 +21,25 @@ generator at a time: V is closed.
   classes of a check set, because what is proven already implies the other
   products:
   - Let S be the span of the words in the generators verified so far, so
-    V S is in V (S = span{I} at the first generator), and write S^T for
-    the transposes.  Each Y in S^T maps V into V from the left, since
-    Y X = (X^T Y^T)^T and V is closed under transpose.
-  - So W_g = {X in V : X A_g in V} is a left S^T-module.  It holds S^T,
-    since Y A_g = (A_g' Y^T)^T with A_g' = A_g^T; it holds J, since
-    J A_g = k_g J; and it holds each checked A_c, hence each Y A_c, whose
-    coefficients are the row-0 values sum_a y_a p[a, c, :].
-  - Once these vectors reach rank d + 1, V A_g is in V, with the
-    coefficients p[:, g] of row 0.  The generators and the check set walk
-    every class but 0, thin classes (valency 1) first and then by
-    decreasing valency; the check set takes each one whose vector is not
-    yet reached (_checked_classes).
+    V S is in V (S = span{I} at the first generator).  With A_g' = A_g^T
+    and c' the transpose of class c, A_c A_g = (A_g' A_c')^T, and V is
+    closed under transpose, so A_c A_g is in V exactly when A_g' A_c' is.
+  - So W = {Z in V : A_g' Z in V} holds A_c' for each checked c.  It is a
+    right S-module, since A_g' Z Y is in V S, in V, for Y in S; it holds I,
+    hence S, and J, since A_g' J = k_g J.
+  - The walk closes S and J under the generators of S, as the span closes
+    itself (_Span), and then takes each class c of the order whose A_c' is
+    not yet reached: c is checked and A_c' closed in.  Once the reached
+    vectors have rank d + 1, W = V, so V A_g is in V, with the coefficients
+    p[:, g] of row 0.  The generators and the walk run over every class but
+    0, thin classes (valency 1) first and then by decreasing valency
+    (_checked_classes).
   - At the first generator the check set is the first d - 1 classes of
-    the walk, in closed form.  There S^T = span{e_0} and e_0 p[:, c] = e_c,
-    so once c_1, ..., c_j are checked the reached vectors span e_0, J and
-    the e_ci.  Each of these is constant on the classes not yet named, so
-    while two or more are left none of their e_c is reached and the next
-    is checked; with one class c left, e_c = J - e_0 - sum_i e_ci is
+    the walk, in closed form.  There S = span{I} has no generators, so once
+    c_1, ..., c_j are checked the reached vectors span e_0, J and the e_ci',
+    the vectors constant on the classes outside 0, c_1', ..., c_j'.  While
+    two or more classes are left none of their e_c' is reached, and the
+    next is checked; with one class c left, e_c' = J - e_0 - sum_i e_ci' is
     reached, at rank d + 1.
   The checked products are formed several classes at a time, as the digits
   of base-(k_g + 1) numerals in float32.  A thin A_g is a permutation
@@ -265,18 +266,23 @@ def check_labels(labels) -> None:
         raise ValueError("labels must be a nonempty list of distinct strings")
 
 
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer, never a bool or a float: the
+    rule for a class index, and for each index of a matrix unit's key."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_partition(partition: list[list[int]], nclasses: int) -> tuple[tuple[int, ...], ...]:
     """Return the cells of the partition, each sorted, as tuples of Python
     ints; raise ValueError unless the partition is a list or tuple of lists
     or tuples that split the classes 0..nclasses-1 into nonempty cells, each
-    class in exactly one cell, with {0} a cell.  A class is an int or a
-    numpy integer, never a bool or a float."""
+    class in exactly one cell, with {0} a cell.  A class must pass
+    is_integer."""
     if not isinstance(partition, (list, tuple)) or not all(
         isinstance(cell, (list, tuple)) for cell in partition
     ):
         raise ValueError("a partition is a list of lists of classes")
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-               for cell in partition for i in cell):
+    if not all(is_integer(i) for cell in partition for i in cell):
         raise ValueError("partition classes must be integers")
     seen = sorted(i for cell in partition for i in cell)
     if seen != list(range(nclasses)):
@@ -309,7 +315,7 @@ def _certify_closure(L, labels, p, tpose, valencies, rows) -> None:
             break
         if g in span:
             continue
-        bad = _right_action(L, p[:, g], g, _checked_classes(span, p, tpose, order), valencies[g], rows)
+        bad = _right_action(L, p[:, g], g, _checked_classes(span, tpose, order), valencies[g], rows)
         if bad is not None:
             raise NotAScheme(f"product A_{labels[bad]} A_{labels[g]} leaves the span")
         span.add(p[:, g])
@@ -339,33 +345,30 @@ def _gather(table, L):
     return out
 
 
-def _checked_classes(span, p, tpose, order) -> list[int]:
+def _checked_classes(span, tpose, order) -> list[int]:
     """The classes c whose products A_c A_g the next generator g must check,
     given the span of the words in the generators verified so far: a subset
     of order, every class but 0, in its order.
 
-    The vectors of W_g known without a product are those of J and of S^T,
-    the y with y[tpose] = r for the span's rows r.  Each class of order whose
-    vector is not reached yet is checked, and adds the vectors y p[:, c] of
-    S^T A_c; the walk stops at full rank.  e_0 lies in S^T and
-    e_0 p[:, c] = e_c, so with every class but 0 in the order the walk
-    reaches rank nm (module docstring).  At the first generator the walk's
+    The walk copies the span, closes J in under the span's generators, and
+    then checks each class c of order whose transpose's vector e_c' is not
+    reached yet, closing e_c' in; it stops at full rank.  Every reached
+    vector lies in W = {Z in V : A_g' Z in V}, and with every class but 0 in
+    the order the walk reaches rank nm.  At the first generator the walk's
     result is order[:nm - 2], in closed form (module docstring).
     """
     nm = span.nm
     if not span.gens:
         return order[: nm - 2]
-    Y = [[r[t] for t in tpose] for _, r in span.rows]  # tpose is an involution
-    reached = _Span(nm)  # e_0 lies in S^T; no generators, so a plain span
-    reached._close([*Y, [1] * nm])
+    reached = _Span(nm, span.gens, span.rows)
+    reached._close([[1] * nm])
     check = []
     for c in order:
         if reached.rank == nm:
             break
-        if c not in reached:
+        if tpose[c] not in reached:
             check.append(c)
-            Rc = p[:, c].tolist()
-            reached._close([_times(y, Rc) for y in Y])
+            reached._close([reached._unit(tpose[c])])
     return check
 
 
@@ -373,8 +376,9 @@ def _right_action(L, R, g, check, k, rows):
     """Check A_c A_g = sum_k R[c, k] A_k on rows, some rows of L, for each
     class c of check, where A_g has valency k; return a failing c or None.
     For a check set of _checked_classes, the products of all other classes
-    follow exactly: they lie in S^T, J or S^T A_c, each of which A_g maps
-    into V (module docstring).
+    follow exactly: the transpose of each lies in the right S-module W that
+    I, J and the checked A_c' generate, which A_g' maps into V (module
+    docstring).
 
     The products are formed d classes at a time: X = sum_s B**s A_(c_s) with
     B = k + 1, in float32, times A_g has entries sum_s B**s n_s, where
@@ -474,13 +478,14 @@ class _Span:
     the generators added so far: the least subspace that holds e_0 and that
     each generator's R maps into itself.  Its rows are lists of Python
     integers in echelon form (each is zero at the pivots of the rows before
-    it), so membership and rank are decided exactly.  With no generators,
-    _close adds plain vectors to the span."""
+    it), so membership and rank are decided exactly.  A span made with the
+    generators and rows of another starts as a copy of it, which it can
+    close further."""
 
-    def __init__(self, nm: int):
+    def __init__(self, nm: int, gens=(), rows=()):
         self.nm = nm
-        self.gens: list[list[list[int]]] = []  # the rows of each R
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
+        self.gens: list[list[list[int]]] = list(gens)  # the rows of each R
+        self.rows: list[tuple[int, list[int]]] = list(rows)  # (pivot, row)
         self._close([self._unit(0)])
 
     @property

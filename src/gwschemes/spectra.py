@@ -40,7 +40,7 @@ from .algebra import CycField, CycScalar, FiniteField
 from .designs import check_bgw, gh_field, odd_field, provenance_parameters
 from .errors import VerificationError
 from .kernel import Batch
-from .schemes import AssociationScheme, check_partition
+from .schemes import AssociationScheme, check_partition, is_integer
 
 Elem = dict  # class index -> CycScalar, zero coefficients never stored
 
@@ -63,9 +63,7 @@ class SchemeAlgebra:
     def rmul(self, r, x: Elem) -> Elem:
         """Multiply by a rational number."""
         fr = Fraction(r)
-        if not fr:
-            return {}
-        return {k: s.scale(fr) for k, s in x.items()}
+        return {k: s.scale(fr) for k, s in x.items()} if fr else {}
 
     def mul(self, x: Batch, y: Batch) -> Batch:
         """The table of products x[a] y[b] of two batches of elements."""
@@ -110,6 +108,12 @@ def _pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
 
 
+def _is_unit(key, r: range) -> bool:
+    """Whether key is a unit key (i, j) with i and j in r, both integers
+    (schemes.is_integer)."""
+    return isinstance(key, tuple) and len(key) == 2 and all(is_integer(i) and i in r for i in key)
+
+
 def _transposed(d: int) -> np.ndarray:
     """The row of unit (j, i) in the place of each unit (i, j) of a block."""
     return np.arange(d * d).reshape(d, d).T.ravel()
@@ -134,6 +138,8 @@ class Eigensystem:
         for n, blk in enumerate(blocks):
             if not isinstance(blk, Block):
                 raise VerificationError(f"blocks[{n}] is a {type(blk).__name__}, not a Block")
+            if not isinstance(blk.name, str):  # FusedEigensystem appends "+" and "-" to it
+                raise VerificationError(f"blocks[{n}] has name {blk.name!r}, not a str")
             if any(b.name == blk.name for b in blocks[:n]):  # row_index would repeat it
                 raise VerificationError(f"block {blk.name} is named twice")
             if not isinstance(blk.units, dict):
@@ -148,22 +154,23 @@ class Eigensystem:
         for blk in blocks:
             if type(blk.dim) is not int or blk.dim < 1:
                 raise VerificationError(f"block {blk.name} has dim {blk.dim!r}, not a positive int")
-            square = _pairs(blk.dim)
-            missing = [key for key in square if key not in blk.units]
-            extra = sorted((key for key in blk.units if key not in square), key=str)
+            # the scan for a missing key stops within len(valid) + 1 steps, since the
+            # valid keys are distinct: no list of all dim**2 keys is formed
+            r = range(1, blk.dim + 1)
+            valid = {key for key in blk.units if _is_unit(key, r)}
+            missing = next(((i, j) for i in r for j in r if (i, j) not in valid), None)
+            extra = sorted((key for key in blk.units if key not in valid), key=str)
             if missing or extra:
-                what = f"lacks unit {missing[0]}" if missing else f"has extra unit {extra[0]}"
+                what = f"lacks unit {missing}" if missing else f"has extra unit {extra[0]}"
                 raise VerificationError(f"block {blk.name} of dim {blk.dim} {what}")
             # pack reads classes 0..nm-1 only, each over the basis of algebra.field
-            for key in square:
+            for key in _pairs(blk.dim):
                 for k, x in blk.units[key].items():
-                    # a class is an int or a numpy integer, never a bool or a float
-                    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                     is_scalar = isinstance(x, CycScalar) and x.field == algebra.field
-                    if is_int and k in classes and is_scalar:
+                    if is_integer(k) and k in classes and is_scalar:
                         continue
                     at = f"block {blk.name} unit {key} has class {k!r}"
-                    if not is_int:
+                    if not is_integer(k):
                         raise VerificationError(f"{at}, not an int")
                     if k not in classes:
                         raise VerificationError(f"{at} outside 0..{len(classes) - 1}")
@@ -468,23 +475,31 @@ class FusedEigensystem:
       and likewise tr E_21 = 0.  So tr e+- = tr E_11 = m_k, the
       multiplicity of the block.
 
-    What depends on the partition is verified here: the constancy of the
-    coefficients on the fused classes and the eigenvalue equations from both
-    sides.  The eigenvalue equations need no algebra product.  A_l is the
-    sum over the units of phi E_ij, a theorem (Eigensystem._phi), so A^_t is
-    the sum over the units of S[unit, t] E_ij, where S holds the fused-class
-    sums of phi (_fused_sums).  On a 2-dimensional block A^_t acts as
-    M_t = [[a, b], [b', d]], and e+- = (1/2) sum_ij u_i u_j E_ij with
-    u = (1, +-1).  By the unit relations e A^_t = c e exactly when
-    u^T M_t = c u^T, and A^_t e = c e exactly when M_t u = c u.  For either
-    sign both hold exactly when a + b' = b + d and a + b = b' + d, that is
-    b = b' and a = d: the block's S is unchanged when its units are read in
-    reverse, (i, j) -> (3-i, 3-j).  Then c = a +- b = (1/2) sum_n twice[n]
-    S[n, t], with the weights that build the idempotents; a 1-dimensional
-    block has e = E_11 and c = S[(1,1), t], the same sum.  Every table is
-    computed block by block; the idempotents are kept as one Batch over the
-    lcm of the block denominators, with read-only numerators.  A malformed
-    partition raises ValueError (see schemes.check_partition).
+    What depends on the partition is verified here: the eigenvalue equations
+    from both sides, and then one count.  The eigenvalue equations need no
+    algebra product.  A_l is the sum over the units of phi E_ij, a theorem
+    (Eigensystem._phi), so A^_t is the sum over the units of S[unit, t]
+    E_ij, where S holds the fused-class sums of phi (_fused_sums).  On a
+    2-dimensional block A^_t acts as M_t = [[a, b], [b', d]], and
+    e+- = (1/2) sum_ij u_i u_j E_ij with u = (1, +-1).  By the unit
+    relations e A^_t = c e exactly when u^T M_t = c u^T, and A^_t e = c e
+    exactly when M_t u = c u.  For either sign both hold exactly when
+    a + b' = b + d and a + b = b' + d, that is b = b' and a = d: the
+    block's S is unchanged when its units are read in reverse,
+    (i, j) -> (3-i, 3-j).  Then c = a +- b = (1/2) sum_n twice[n] S[n, t],
+    with the weights that build the idempotents; a 1-dimensional block has
+    e = E_11 and c = S[(1,1), t], the same sum.  Since the idempotents sum
+    to I, the equations give A^_t = sum_e c_t(e) e, so span{A^_t} lies in
+    span{e}.  The A^_t of disjoint nonempty cells are independent, and so
+    are the idempotents, being nonzero (tr e = m_k >= 1) and orthogonal.
+    So there are at most as many cells as idempotents, and as many exactly
+    when every idempotent lies in span{A^_t}, that is, is constant on each
+    cell; fewer cells than idempotents are refused.  The fused classes then
+    span the commutative algebra span{e}, so the partition is a fusion.
+    Every table is computed block by block; the idempotents are kept as one
+    Batch over the lcm of the block denominators, with read-only
+    numerators.  A malformed partition raises ValueError (see
+    schemes.check_partition).
 
     Like the Eigensystem, it is frozen: no attribute can be set after
     construction, names, multiplicities, fused_valencies, partition, qhat
@@ -515,12 +530,6 @@ class FusedEigensystem:
         ]
         twice = [np.array(list(sign.values())) for sign in signs]
         E = [Batch(e.num, 2 * e.den) for e in map(kernel.combine, twice, es._units)]
-        # Q^: rows fused classes, columns idempotents, entries v * coefficient
-        indicator, firsts = _indicator(cells, alg.scheme.nclasses), [cell[0] for cell in cells]
-        first = indicator.T @ firsts  # the first class of the cell of each class
-        if any((e.num != e.num[:, first]).any() for e in E):
-            raise VerificationError("idempotent coefficients not constant on a fused class")
-        qhat = tuple(map(tuple, _q(alg, E, firsts)))
         # P^: the eigenvalues c[idempotent, t] with e A^_t = A^_t e = c e, read
         # off the fused-class sums S[unit, t] (see above)
         phat = []
@@ -529,17 +538,20 @@ class FusedEigensystem:
             bad = (w != 0).astype(np.int64) @ odd  # (idempotent, t)
             if bad.any():
                 k, t = np.argwhere(bad)[0]
-                raise VerificationError(
-                    f"fused class {t} does not act as a scalar on idempotent {list(sign)[k]}"
-                )
+                what = f"does not act as a scalar on idempotent {list(sign)[k]}"
+                raise VerificationError(f"fused class {t} {what}")
             c = kernel.combine(w, S)
             phat += _table(alg.field, Batch(c.num, 2 * c.den))
+        names = tuple(name for sign in signs for name in sign)
+        if len(names) != len(cells):  # the count argument above
+            raise VerificationError("idempotent coefficients not constant on a fused class")
+        # Q^: rows fused classes, columns idempotents, entries v * coefficient
+        qhat = tuple(map(tuple, _q(alg, E, [cell[0] for cell in cells])))
         idempotents = kernel.joined(E)
         idempotents.num.flags.writeable = False
-        names = tuple(name for sign in signs for name in sign)
         mult = tuple(mk for mk, sign in zip(es._mult, signs) for _ in sign)
         vars(self).update(algebra=alg, _partition=cells, _names=names, _mult=mult, _E=idempotents)
-        valencies = tuple((indicator @ alg.scheme.valencies).tolist())
+        valencies = tuple((_indicator(cells, alg.scheme.nclasses) @ alg.scheme.valencies).tolist())
         vars(self).update(_valencies=valencies, _qhat=qhat, _phat=tuple(map(tuple, phat)))
 
     def __setattr__(self, name, value):

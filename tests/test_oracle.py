@@ -1,6 +1,7 @@
 """Numerical oracles cross-checked against the exact symbolic results."""
 import ast
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,9 +84,10 @@ class TestClosureOracle:
         assert np.array_equal(oracle_closure(s.L), s.p)
 
     def test_empty_relation_named(self):
-        # label 1 lies below the largest label 2 but has no cell
+        # label 1 lies below the largest label 2, which is below v = 3, but
+        # has no cell
         with pytest.raises(VerificationError, match=r"^relation 1 is empty$"):
-            oracle_closure(np.array([[0, 2], [2, 0]]))
+            oracle_closure(np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]]))
 
     def test_detects_broken_relation(self):
         # one cell of relation 1 relabelled as relation 2
@@ -115,6 +117,21 @@ def test_oracles_refuse_what_is_not_a_label_matrix(oracle, name):
     message = "^the label matrix must be a square matrix of integers >= 0$"
     with pytest.raises(VerificationError, match=message):
         oracle(NOT_LABELS[name]())
+
+
+@pytest.mark.parametrize("oracle", [oracle_closure, oracle_spectrum], ids=lambda f: f.__name__)
+def test_oracles_refuse_a_label_past_v_before_any_count(oracle):
+    # a scheme on v points has at most v relations; counting the n**2 label
+    # pairs of a largest label n = 10**6 would need 8 TB
+    L = np.array([[0, 10**6], [10**6, 0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError, match=r"^label 1000000 is not below v = 2$"):
+            oracle(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 FUSED = [("bgw",) + c for c in cases.BGW_BUILDABLE] + [("gh", q) for q in cases.GH_GRID]

@@ -23,6 +23,7 @@ from gwschemes import (
 from gwschemes import schemes
 from gwschemes.matrixkit import mm
 from gwschemes.schemes import _Span, _right_action
+from groupschemes import a4_scheme
 from kronecker import label_matrix, shift_matrix
 import cases
 
@@ -537,17 +538,31 @@ class TestClosureCertificate:
         ids=lambda c: f"{c[0]}{'-'.join(map(str, c[1]))}",
     )
     def test_first_check_set_is_the_reference_walk(self, monkeypatch, case):
-        # the closed form order[:nm - 2] against the walk over Fraction ranks,
-        # on the scheme and on its symmetric fusion
+        # every check set, the first one's closed form order[:nm - 2]
+        # included, against the transposed walk over Fraction ranks, on the
+        # scheme and on its symmetric fusion, with and without the maps
         family, args = case
         s = cases.bgw(*args) if family == "bgw" else cases.gh(*args)
         fusion = bgw_symmetric_fusion(args[1]) if family == "bgw" else gh_symmetric_fusion(*args)
         calls = right_action_calls(monkeypatch)
         for scheme in (s, s.fuse(fusion)):
-            calls.clear()
-            AssociationScheme.from_matrices(scheme.L, scheme.labels)
-            assert calls[0][1] == reference_first_check_set(scheme)
-            assert len(calls[0][1]) == scheme.nclasses - 2
+            want = reference_check_sets(scheme)
+            assert len(want[0]) == scheme.nclasses - 2
+            assert scheme.automorphisms  # so the two runs differ
+            for maps in ((), scheme.automorphisms):
+                calls.clear()
+                AssociationScheme.from_matrices(scheme.L, scheme.labels, maps)
+                assert [check for _, check in calls] == want
+
+    def test_noncommutative_check_sets_are_the_reference_walk(self, monkeypatch):
+        # in A4's thin scheme a walk that closed in the checked classes
+        # themselves, not their transposes, would check [3, 6, 9] at the
+        # second generator
+        s = a4_scheme()
+        calls = right_action_calls(monkeypatch)
+        AssociationScheme.from_matrices(s.L, s.labels)
+        want = [list(range(1, 11)), [3, 4, 5]]
+        assert [check for _, check in calls] == reference_check_sets(s) == want
 
     @pytest.mark.parametrize(
         "build,want",
@@ -683,22 +698,44 @@ def basis(rows) -> list:
     return out
 
 
-def reference_first_check_set(s) -> list[int]:
-    """The first generator's check set by the walk of _checked_classes over
-    Fraction ranks: S^T = span{e_0}, J, then each class of the order whose
-    unit vector is not reached, adding e_0 p[:, c]."""
-    nm, val = s.nclasses, s.valencies
-    order = sorted(range(1, nm), key=lambda i: (val[i] > 1, -val[i], i))
-    e0 = np.eye(nm, dtype=np.int64)[0]
-    reached, check = [e0, np.ones(nm, dtype=np.int64)], []
-    for c in order:
-        if rational_rank(reached) == nm:
-            break
-        if rational_rank(reached + [np.eye(nm, dtype=np.int64)[c]]) > rational_rank(reached):
-            check.append(c)
-            reached.append(e0 @ s.p[:, c])
-    return check
+def closed_basis(rows, gens) -> list:
+    """A basis of the least subspace that holds rows and that each matrix of
+    gens maps into itself, acting on row vectors from the right."""
+    out, todo = [], list(rows)
+    while todo:
+        w = todo.pop()
+        if rational_rank(out + [w]) > len(out):
+            out.append(w)
+            todo += [w @ R for R in gens]
+    return out
 
+
+def reference_check_sets(s) -> list[list[int]]:
+    """The check set of each generator that _certify_closure takes, by the
+    transposed walk over Fraction ranks: with the span S of the words in the
+    generators before it, close S and J under those generators, then check
+    each class c of the order whose transpose's unit vector is not reached,
+    and close that vector in."""
+    nm, val, tpose = s.nclasses, s.valencies, s.tpose
+    order = sorted(range(1, nm), key=lambda i: (val[i] > 1, -val[i], i))
+    eye = np.eye(nm, dtype=object)  # Python integers, which do not overflow
+    gens, span, sets = [], [eye[0]], []
+    for g in order:
+        if len(span) == nm:
+            break
+        if rational_rank(span + [eye[g]]) == len(span):
+            continue
+        reached, check = closed_basis(span + [np.ones(nm, dtype=object)], gens), []
+        for c in order:
+            if len(reached) == nm:
+                break
+            if rational_rank(reached + [eye[tpose[c]]]) > len(reached):
+                check.append(c)
+                reached = closed_basis(reached + [eye[tpose[c]]], gens)
+        sets.append(check)
+        gens.append(s.p[:, g].astype(object))
+        span = closed_basis(span, gens)
+    return sets
 
 
 class TestRowBlocks:

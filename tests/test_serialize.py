@@ -360,6 +360,12 @@ class TestFileBytes:
         assert raw == file_reference.file_bytes(fake)
         assert serialize._read_canonical(raw)[0].tolist() == [[label]]
 
+    def test_a_block_past_int32_offsets_is_refused(self):
+        # the row block's offsets are int32, so a block of 2**31 bytes or
+        # more is refused before any of its bytes is read
+        a = np.frombuffer(b"[[0, 1]]", np.uint8)
+        assert serialize._block_runs(a, 0, 2**31, np.array([], np.int64), 1) is None
+
     @given(text=st.lists(st.sampled_from([b",", b" ", b"x"]), max_size=40).map(b"".join))
     def test_pairs_are_counted_at_both_offsets(self, text):
         # the ", " pairs are counted as 2-byte words, at even and odd

@@ -784,8 +784,20 @@ class TestVerificationTeeth:
                 lambda bs: bs[2].units[(1, 1)].update({True: bs[2].units[(1, 1)].pop(1)}),
                 r"block a1 unit \(1, 1\) has class True, not an int$",
             ),
+            # the same unit keyed by a float or a bool index, equal to (1, 2)
+            # as a dict key: the int unit (1, 2) is the one left out
+            (
+                lambda bs: bs[2].units.update({(1.0, 2): bs[2].units.pop((1, 2))}),
+                r"block a1 of dim 2 lacks unit \(1, 2\)$",
+            ),
+            (
+                lambda bs: bs[2].units.update({(True, 2): bs[2].units.pop((1, 2))}),
+                r"block a1 of dim 2 lacks unit \(1, 2\)$",
+            ),
             # row_index and the P/Q/T labels would repeat the name
             (lambda bs: setattr(bs[1], "name", "0"), r"block 0 is named twice$"),
+            # FusedEigensystem names idempotents by the block name and a sign
+            (lambda bs: setattr(bs[1], "name", 5), r"blocks\[1\] has name 5, not a str$"),
             (
                 lambda bs: bs.__setitem__(1, (bs[1].name, bs[1].dim, bs[1].units)),
                 r"blocks\[1\] is a tuple, not a Block$",
@@ -803,8 +815,9 @@ class TestVerificationTeeth:
             "deleted-unit", "dim-too-large", "dim-too-small", "unit-outside",
             "class-too-large", "negative-class", "dim-zero-block", "dim-negative-block",
             "fractional-dim", "int-entry", "fraction-entry", "smaller-field-entry",
-            "same-size-field-entry", "float-class", "bool-class", "repeated-name",
-            "not-a-block", "units-not-a-dict", "unit-not-a-dict",
+            "same-size-field-entry", "float-class", "bool-class", "float-unit-key",
+            "bool-unit-key", "repeated-name", "name-not-a-str", "not-a-block",
+            "units-not-a-dict", "unit-not-a-dict",
         ],
     )
     def test_unit_keys_must_fill_the_block(self, monkeypatch, edit, says):
@@ -818,6 +831,20 @@ class TestVerificationTeeth:
         monkeypatch.setattr(SchemeAlgebra, "pack", None)
         with pytest.raises(VerificationError, match="^" + says):
             Eigensystem(es.algebra, blocks)
+
+    def test_a_large_dim_costs_only_the_units_given(self):
+        # listing the 1500**2 unit keys of this block before the count took
+        # 2.9 s and peaked at 214 MiB
+        es = cases.bgw_es(7, 3)
+        blocks = es.blocks + [Block("x", 1500, {})]
+        tracemalloc.start()
+        try:
+            with pytest.raises(VerificationError, match=r"^block x of dim 1500 lacks unit \(1, 1\)$"):
+                Eigensystem(es.algebra, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "maker,args,bi,ij",
@@ -1177,9 +1204,9 @@ def fused_idempotents(es):
 
 def fused_reference(es, partition):
     """P^ of the symmetrizing fusion by the definition, with algebra products:
-    the idempotent coefficients are constant on each fused class, e A^_t =
-    A^_t e = c e with c = tr(e A^_t) / m_k = v (e A^_t)[A_0] / m_k, since
-    tr X = v X[A_0] and tr e = m_k, and m_k c = v_t conj(Q^[t][k]).  Raises
+    e A^_t = A^_t e = c e with c = tr(e A^_t) / m_k = v (e A^_t)[A_0] / m_k,
+    since tr X = v X[A_0] and tr e = m_k, the idempotent coefficients are
+    constant on each fused class, and m_k c = v_t conj(Q^[t][k]).  Raises
     VerificationError with the message of the first check that fails, in
     that order."""
     alg = es.algebra
@@ -1187,10 +1214,6 @@ def fused_reference(es, partition):
     idems = fused_idempotents(es)
     cells = [sorted(cell) for cell in partition]
     zero = alg.field.zero()
-    for cell in cells:
-        for _, e in idems:
-            if len({e.get(l, zero) for l in cell}) != 1:
-                raise VerificationError("idempotent coefficients not constant on a fused class")
     E = alg.pack([e for _, e in idems])
     H = Batch(np.concatenate([fused_sum(alg, cell).num for cell in cells]), 1)
     left = unpack(alg, alg.mul(E, H))  # e_k A^_t at k * len(cells) + t
@@ -1208,6 +1231,10 @@ def fused_reference(es, partition):
                     f"fused class {t} does not act as a scalar on idempotent {name}"
                 )
             phat[-1].append(c)
+    for cell in cells:
+        for _, e in idems:
+            if len({e.get(l, zero) for l in cell}) != 1:
+                raise VerificationError("idempotent coefficients not constant on a fused class")
     for k, (name, e) in enumerate(idems):
         for t, cell in enumerate(cells):
             vt = sum(alg.scheme.valencies[l] for l in cell)
